@@ -68,9 +68,13 @@ class RunConfig:
 
 def _effective_bits(cfg: RunConfig) -> int:
     if cfg.precision_bits is not None:
-        return cfg.precision_bits
-    return int(os.environ.get("CUBICSTRING_PRECISION_BITS",
-                              DEFAULT_PRECISION_BITS))
+        bits = cfg.precision_bits
+    else:
+        bits = int(os.environ.get("CUBICSTRING_PRECISION_BITS",
+                                  DEFAULT_PRECISION_BITS))
+    if bits < 1:
+        raise ValueError(f"precision bits must be a positive integer, got {bits}")
+    return bits
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -140,6 +144,8 @@ def _run_invert(cfg: RunConfig) -> int:
 
 
 def _run_roundtrip(cfg: RunConfig) -> int:
+    if cfg.n < 1:
+        raise ValueError(f"--n must be at least 1, got {cfg.n}")
     sd = random_spectral(cfg.n, cfg.seed)
     verify_exact_roundtrip(sd)
     print("exact roundtrip OK")
@@ -153,6 +159,7 @@ def _run_evolve(cfg: RunConfig) -> int:
         raise ValueError("--t-end must be positive")
     if cfg.samples < 2:
         raise ValueError("--samples must be at least 2")
+    bits = _effective_bits(cfg)
     state = WaveState(0.0,
                       tuple(float(x) for x in positions(s)),
                       tuple(float(m) for m in s.masses))
@@ -163,7 +170,7 @@ def _run_evolve(cfg: RunConfig) -> int:
     else:
         times = [i * cfg.t_end / (cfg.samples - 1)
                  for i in range(cfg.samples)]
-        traj = evolve_spectral(state, times, _effective_bits(cfg))
+        traj = evolve_spectral(state, times, bits)
     _emit(_csv_text(traj), cfg.output_path)
     return 0
 

@@ -6,6 +6,15 @@ small (positive scaling never moves a sign).  V(x) counts sign changes
 along the chain; V(a) - V(b) is the number of distinct real roots in
 (a, b].
 
+The chain only counts roots: isolation splits (lo, hi] until every
+piece holds exactly one.  A squarefree polynomial changes sign at each
+of its roots, so from then on the sign of p alone says which half of a
+piece keeps the root, and refinement bisects on it.  Signs come from p
+scaled to integer coefficients and evaluated at num/den by homogeneous
+Horner, sum c_i num^i den^(deg-i), which takes no gcd; the endpoints
+stay integer numerators over a shared denominator until the enclosure
+is returned.
+
 Exact rational roots are detected after refinement by probing the
 smallest-denominator rational inside the isolating interval; a square
 string spectrum with a rational eigenvalue will always be caught this
@@ -17,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from ..errors import NotSquarefreeError
 from .poly import Polynomial, poly_gcd
@@ -41,14 +50,34 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
     return chain
 
 
+def integer_coefficients(p: Polynomial) -> list[int]:
+    """Coefficients of a positive integer multiple of p, low degree first."""
+    den = lcm(*(c.denominator for c in p.coefficients))
+    return [c.numerator * (den // c.denominator) for c in p.coefficients]
+
+
+def sign_at(coeffs: list[int], num: int, den: int) -> int:
+    """Sign of the integer polynomial coeffs at num/den, for den > 0.
+
+    Homogeneous Horner: sum c_i num^i den^(deg-i) is den^deg times the
+    value, so it has the value's sign and needs no division.
+    """
+    if not coeffs:
+        return 0
+    acc = coeffs[-1]
+    scale = 1
+    for c in reversed(coeffs[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return (acc > 0) - (acc < 0)
+
+
 def sign_changes(chain: list[Polynomial], x: Fraction) -> int:
     signs = []
     for q in chain:
-        v = q(x)
-        if v > 0:
-            signs.append(1)
-        elif v < 0:
-            signs.append(-1)
+        s = sign_at(integer_coefficients(q), x.numerator, x.denominator)
+        if s:
+            signs.append(s)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -66,7 +95,8 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
 
 
 def _interior_point(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point strictly inside (lo, hi) where p does not vanish."""
+    """A point strictly inside (lo, hi) where p, a nonzero polynomial,
+    does not vanish."""
     mid = (lo + hi) / 2
     if p(mid) != 0:
         return mid
@@ -75,7 +105,10 @@ def _interior_point(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
         cut = lo + (hi - lo) * Fraction(num, den)
         if p(cut) != 0:
             return cut
-    raise AssertionError("could not find a non-root cut point")
+    # deg + 2 distinct cuts, of which at most deg are roots of p != 0
+    den = p.degree + 3
+    cuts = (lo + (hi - lo) * Fraction(num, den) for num in range(1, den))
+    return next(cut for cut in cuts if p(cut) != 0)
 
 
 @dataclass(frozen=True)
@@ -126,6 +159,7 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     if p(lo) == 0 or p(hi) == 0:
         raise ValueError("endpoints must not be roots")
     chain = sturm_chain(p)
+    coeffs = integer_coefficients(chain[0])
     out: list[RootEnclosure] = []
     stack = [(lo, hi)]
     while stack:
@@ -134,7 +168,7 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
         if k == 0:
             continue
         if k == 1:
-            out.append(_refine(p, chain, a, b, width))
+            out.append(_bisect_by_sign(coeffs, a, b, width))
             continue
         cut = _interior_point(p, a, b)
         stack.append((a, cut))
@@ -143,46 +177,50 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     return out
 
 
-def _refine(p: Polynomial, chain: list[Polynomial], a: Fraction, b: Fraction,
-            width: Fraction) -> RootEnclosure:
-    """Shrink an interval holding exactly one root below width."""
-    while b - a > width:
-        mid = (a + b) / 2
-        v = p(mid)
-        if v == 0:
-            return RootEnclosure(mid, mid, mid)
-        # one root in (a, b]: it is in (a, mid] iff the count says so
-        if count_roots(chain, a, mid) == 1:
-            b = mid
-        else:
-            a = mid
-    guess = simplest_rational_between(a, b)
-    if p(guess) == 0:
-        return RootEnclosure(guess, guess, guess)
-    return RootEnclosure(a, b)
-
-
 def refine_enclosure(p: Polynomial, box: RootEnclosure,
                      width: Fraction) -> RootEnclosure:
     """Re-refine an existing enclosure to a smaller width."""
     if box.is_exact or box.width <= width:
         return box
-    a, b = box.lo, box.hi
-    sa = p(a)
-    while b - a > width:
-        mid = (a + b) / 2
-        v = p(mid)
-        if v == 0:
-            return RootEnclosure(mid, mid, mid)
-        # simple root: sign change marks the half that keeps it
-        if (sa > 0) != (v > 0):
-            b = mid
+    return _bisect_by_sign(integer_coefficients(p.primitive()),
+                           box.lo, box.hi, width)
+
+
+def _bisect_by_sign(coeffs: list[int], lo: Fraction, hi: Fraction,
+                    width: Fraction) -> RootEnclosure:
+    """Shrink (lo, hi), which holds exactly one root of the squarefree
+    integer polynomial coeffs, below width; then probe the
+    smallest-denominator rational inside it for an exact root.
+
+    The endpoints are a / den and b / den; halving doubles den, so every
+    midpoint is the same rational as (lo + hi) / 2.
+    """
+    if width <= 0:
+        raise ValueError("refinement width must be positive")
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    sa = sign_at(coeffs, a, den)
+    if sa == 0 or sign_at(coeffs, b, den) != -sa:
+        raise ValueError("enclosure endpoints must bracket a sign change")
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * den:
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        s = sign_at(coeffs, mid, den)
+        if s == 0:
+            x = Fraction(mid, den)
+            return RootEnclosure(x, x, x)
+        # simple root: the half whose ends differ in sign keeps it
+        if s == sa:
+            a = mid
         else:
-            a, sa = mid, v
-    guess = simplest_rational_between(a, b)
-    if p(guess) == 0:
+            b = mid
+    lo, hi = Fraction(a, den), Fraction(b, den)
+    guess = simplest_rational_between(lo, hi)
+    if sign_at(coeffs, guess.numerator, guess.denominator) == 0:
         return RootEnclosure(guess, guess, guess)
-    return RootEnclosure(a, b)
+    return RootEnclosure(lo, hi)
 
 
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:

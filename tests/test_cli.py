@@ -45,6 +45,84 @@ def test_forward_env_precision(tmp_path, capsys, monkeypatch):
     assert doc["precision_bits"] == 32
 
 
+# forward output pinned byte for byte: N3_STRING has an irrational
+# spectrum (decimal mode), EXACT_N3 the rational spectrum 2, 7/2
+EXACT_N3 = {"masses": ["10368/216241", "5010906208/2720528021", "1386/12581"],
+            "gaps": ["216241/77616", "12581/6468"], "anchor": "0"}
+EXACT_N3_OUT = """{
+  "lambdas": [
+    "2",
+    "7/2"
+  ],
+  "residues_b": [
+    "-8/3",
+    "-2"
+  ],
+  "total_mass": "2"
+}
+"""
+GOLDEN_FORWARD = {
+    ("decimal", 64): """{
+  "lambdas": [
+    "0.9339156193815629937",
+    "8.566084380618437006"
+  ],
+  "residues_b": [
+    "-0.4103903961276234668",
+    "-1.589609603872376533"
+  ],
+  "total_mass": "4",
+  "precision_bits": 64
+}
+""",
+    ("decimal", 256): """{
+  "lambdas": [
+    "0.93391561938156299368601282484988010316782663034754336800846371672566273131257",
+    "8.5660843806184370063139871751501198968321733696524566319915362832743372686874"
+  ],
+  "residues_b": [
+    "-0.41039039612762346683560713173646216186284016606228137874808881460138994990237",
+    "-1.5896096038723765331643928682635378381371598339377186212519111853986100500976"
+  ],
+  "total_mass": "4",
+  "precision_bits": 256
+}
+""",
+    ("exact", 64): EXACT_N3_OUT,
+    ("exact", 256): EXACT_N3_OUT,
+}
+
+
+@pytest.mark.parametrize("kind,bits", sorted(GOLDEN_FORWARD))
+def test_forward_golden_output(tmp_path, capsys, kind, bits):
+    doc = N3_STRING if kind == "decimal" else EXACT_N3
+    p = write_json(tmp_path / "s.json", doc)
+    assert main(["forward", p, "--precision-bits", str(bits)]) == 0
+    assert capsys.readouterr().out == GOLDEN_FORWARD[kind, bits]
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bits", ["-5", "0"])
+def test_non_positive_precision_bits_is_bad_input(tmp_path, capsys,
+                                                  monkeypatch, bits):
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    assert main(["forward", p, "--precision-bits", bits]) == 2
+    _assert_one_line_error(capsys)
+    for method in (["spectral"], ["rk4", "--dt", "0.01"]):
+        assert main(["evolve", p, "--method", *method, "--t-end", "0.1",
+                     "--precision-bits", bits]) == 2
+        _assert_one_line_error(capsys)
+    monkeypatch.setenv("CUBICSTRING_PRECISION_BITS", bits)
+    assert main(["forward", p]) == 2
+    _assert_one_line_error(capsys)
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "0.1"]) == 2
+    _assert_one_line_error(capsys)
+
+
 def test_forward_byte_identical(tmp_path):
     p = write_json(tmp_path / "n3.json", N3_STRING)
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -107,6 +185,14 @@ def test_roundtrip_prints_ok(capsys):
     for n in (1, 3, 5):
         assert main(["roundtrip", "--n", str(n), "--seed", "7"]) == 0
         assert capsys.readouterr().out == "exact roundtrip OK\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_roundtrip_rejects_non_positive_n(capsys, n):
+    assert main(["roundtrip", "--n", n, "--seed", "7"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 def test_evolve_rk4_csv(tmp_path):

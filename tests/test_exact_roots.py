@@ -9,6 +9,7 @@ import pytest
 from cubicstring.errors import NotSquarefreeError
 from cubicstring.exact import (
     Polynomial,
+    RootEnclosure,
     cauchy_root_bound,
     count_roots,
     is_squarefree,
@@ -18,6 +19,7 @@ from cubicstring.exact import (
     sturm_chain,
     sturm_isolate,
 )
+from cubicstring.exact.roots import _interior_point, integer_coefficients, sign_at
 
 
 def test_chain_counts_roots_of_factored_poly():
@@ -111,3 +113,109 @@ def test_close_rational_root_is_still_found():
     p = Polynomial([-r1, 1]) * Polynomial([-r2, 1])
     roots = sturm_isolate(p, F(0), F(1), width=F(1, 2 ** 150))
     assert [r.exact for r in roots] == [r1, r2]
+
+
+# -- reference: isolation that refines by Sturm counts at every step -------
+
+def _reference_refine(p, chain, a, b, width):
+    while b - a > width:
+        mid = (a + b) / 2
+        if p(mid) == 0:
+            return RootEnclosure(mid, mid, mid)
+        if count_roots(chain, a, mid) == 1:
+            b = mid
+        else:
+            a = mid
+    guess = simplest_rational_between(a, b)
+    if p(guess) == 0:
+        return RootEnclosure(guess, guess, guess)
+    return RootEnclosure(a, b)
+
+
+def _reference_isolate(p, lo, hi, width):
+    chain = sturm_chain(p)
+    out = []
+    stack = [(F(lo), F(hi))]
+    while stack:
+        a, b = stack.pop()
+        k = count_roots(chain, a, b)
+        if k == 1:
+            out.append(_reference_refine(p, chain, a, b, width))
+        elif k > 1:
+            cut = _interior_point(p, a, b)
+            stack.append((a, cut))
+            stack.append((cut, b))
+    out.sort(key=lambda r: r.midpoint)
+    return out
+
+
+def _random_squarefree(rng):
+    """Product of distinct rational linear factors and irreducible
+    quadratics z^2 - k (k not a square), scaled by a rational."""
+    roots = {F(rng.randint(-30, 30), rng.randint(1, 6))
+             for _ in range(rng.randint(0, 3))}
+    ks = set(rng.sample((2, 3, 5, 6, 7, 10, 11, 13, 17), rng.randint(0, 2)))
+    factors = [Polynomial([-r, 1]) for r in roots]
+    factors += [Polynomial([-k, 0, 1]) for k in ks]
+    if not factors:
+        factors = [Polynomial([-2, 0, 1])]
+    return poly_product(factors) * F(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                     rng.randint(1, 7))
+
+
+def test_sign_bisection_matches_sturm_count_bisection():
+    rng = random.Random(11)
+    for _ in range(60):
+        p = _random_squarefree(rng)
+        lo = F(rng.randint(-40, -1), rng.randint(1, 3)) - F(1, 7)
+        hi = F(rng.randint(1, 40), rng.randint(1, 3)) + F(1, 11)
+        width = F(1, 2 ** rng.choice((4, 30, 64, 200)))
+        assert sturm_isolate(p, lo, hi, width) == _reference_isolate(
+            p, lo, hi, width)
+
+
+def test_sign_bisection_probes_intervals_already_narrower_than_width():
+    # width 100 stops every bisection at once: the probe alone decides.
+    # (z - 2)(z^2 - 3) on (3/2, 5/2]: the midpoint 2 is a root, the cut
+    # 11/6 splits off sqrt 3, and the probe of (11/6, 5/2] finds 2
+    p = Polynomial([-2, 1]) * Polynomial([-3, 0, 1])
+    got = sturm_isolate(p, F(3, 2), F(5, 2), width=F(100))
+    assert got == [RootEnclosure(F(3, 2), F(11, 6)), RootEnclosure(F(2), F(2), F(2))]
+    assert got == _reference_isolate(p, F(3, 2), F(5, 2), F(100))
+
+
+def test_sign_at_agrees_with_rational_evaluation():
+    rng = random.Random(3)
+    for _ in range(200):
+        p = Polynomial([F(rng.randint(-20, 20), rng.randint(1, 5))
+                        for _ in range(rng.randint(1, 7))])
+        xs = [F(0), F(rng.randint(-50, 50), rng.randint(1, 40))]
+        if p.degree >= 1:
+            # a rational root, so that zero values are covered too
+            r = F(rng.randint(-9, 9), rng.randint(1, 4))
+            p = p * Polynomial([-r, 1])
+            xs.append(r)
+        coeffs = integer_coefficients(p)
+        assert all(isinstance(c, int) for c in coeffs)
+        for x in xs:
+            v = p(x)
+            assert sign_at(coeffs, x.numerator, x.denominator) == (v > 0) - (v < 0)
+
+
+def test_interior_point_gets_past_roots_at_every_listed_cut():
+    # p vanishes at the midpoint, at all seven listed cuts and at the
+    # first fallback cut 1/12 (its degree is 9, so cuts are k/12)
+    listed = [F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(2, 5), F(3, 5), F(4, 5),
+              F(1, 7), F(1, 12)]
+    p = poly_product([Polynomial([-r, 1]) for r in listed])
+    cut = _interior_point(p, F(0), F(1))
+    assert 0 < cut < 1 and p(cut) != 0
+    assert cut == F(1, 6)
+
+
+def test_refinement_rejects_uncertified_boxes():
+    p = Polynomial([-2, 0, 1])
+    with pytest.raises(ValueError):  # no sign change on (2, 3)
+        refine_enclosure(p, RootEnclosure(F(2), F(3)), F(1, 8))
+    with pytest.raises(ValueError):
+        refine_enclosure(p, RootEnclosure(F(1), F(2)), F(0))
