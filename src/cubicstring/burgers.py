@@ -29,19 +29,19 @@ sum m_k(t) x_k(t) equal to its initial value.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, localcontext
 from fractions import Fraction
 from math import floor
 
 from .errors import (
     EmptyStringError,
+    FlowOutOfRangeError,
     NonPositiveMassError,
     OrderingViolatedError,
 )
 from .exact import RatInterval, simplest_rational_between
-from .forward import DEFAULT_PRECISION_BITS, residues, spectrum
+from .forward import residues, resolve_precision_bits, spectrum
 from .inverse import SpectralData, recover, z_residues_of
 from .string_model import ConservedSet, CubicString, invariant_masses, positions
 
@@ -193,7 +193,11 @@ def scale_factor(total_mass: Fraction, t: float,
     digits = max(30, int(precision_bits * 0.302) + 10)
     with localcontext() as ctx:
         ctx.prec = digits
-        val = (Decimal(x.numerator) / Decimal(x.denominator)).exp()
+        try:
+            val = (Decimal(x.numerator) / Decimal(x.denominator)).exp()
+        except Overflow:
+            raise FlowOutOfRangeError(
+                f"e^(M t) overflows at M = {total_mass}, t = {t}") from None
     return Fraction(val)
 
 
@@ -210,9 +214,7 @@ def evolve_spectral_exact(
         s0: WaveState, times, precision_bits: int | None = None,
 ) -> list[tuple[float, CubicString, SpectralData]]:
     """Exact-route evolution; strings carry the M+-pinned anchor."""
-    if precision_bits is None:
-        precision_bits = int(os.environ.get("CUBICSTRING_PRECISION_BITS",
-                                            DEFAULT_PRECISION_BITS))
+    precision_bits = resolve_precision_bits(precision_bits)
     base = rationalize(s0)
     sd0, first_moment = spectral_snapshot(base, precision_bits)
     total = sd0.total_mass
@@ -234,15 +236,13 @@ def evolve_spectral(s0: WaveState, times,
     """Spectral-route trajectory at the requested times, as floats."""
     rows = []
     for t, s, _ in evolve_spectral_exact(s0, times, precision_bits):
-        xs = [float(x) for x in positions(s)]
-        ms = [float(m) for m in s.masses]
-        state = WaveState(t, tuple(xs), tuple(ms))
+        xs = positions(s)
+        state = WaveState(t, tuple(float(x) for x in xs),
+                          tuple(float(m) for m in s.masses))
         c = ConservedSet(
             float(sum(s.masses, Fraction(0))),
-            float(sum((m * x for m, x in zip(s.masses, positions(s))),
-                      Fraction(0))),
-            tuple(float(v) for v in invariant_masses(
-                s.masses, positions(s))))
+            float(sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))),
+            tuple(float(v) for v in invariant_masses(s.masses, xs)))
         rows.append((t, state, c))
     return Trajectory(tuple(rows))
 

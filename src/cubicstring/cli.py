@@ -8,9 +8,9 @@ Subcommands wire the library to files:
     evolve IN.json    peaked-wave trajectory as CSV, rk4 or spectral route
     verify            brute-force identity suite as a JSON report
 
-Exit codes: 0 success (all checks pass), 1 validation or identity
-failure, 2 unreadable input or malformed data.  All randomness derives
-from --seed, so a rerun with the same flags is byte-identical.  The
+Exit codes: 0 success (all checks pass), 1 validation, identity or
+range failure, 2 unreadable input or malformed data.  All randomness
+derives from --seed, so a rerun with the same flags is byte-identical.  The
 environment variable CUBICSTRING_PRECISION_BITS overrides the default
 isolation precision of 256 bits wherever --precision-bits is not given.
 
@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .burgers import Trajectory, WaveState, evolve_spectral, integrate_rk4
 from .errors import CubicStringError
 from .exact import format_rational
-from .forward import DEFAULT_PRECISION_BITS, residues, spectrum
+from .forward import residues, resolve_precision_bits, spectrum
 from .heine import random_measure, run_checks
 from .inverse import (
     SpectralData,
@@ -48,33 +47,10 @@ from .inverse import (
 from .string_model import load_string, positions, string_to_dict, validate
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    seed: int = 0
-    n: int = 1
-    precision_bits: int | None = None  # None: environment, then 256
-    suite: str = "heine"
-    method: str = "rk4"
-    dt: float | None = None
-    t_end: float = 1.0
-    samples: int = 11
-    k_max: int = 3
-    support: int = 3
-    report_determinants: bool = False
-
-
-def _effective_bits(cfg: RunConfig) -> int:
-    if cfg.precision_bits is not None:
-        bits = cfg.precision_bits
-    else:
-        bits = int(os.environ.get("CUBICSTRING_PRECISION_BITS",
-                                  DEFAULT_PRECISION_BITS))
-    if bits < 1:
-        raise ValueError(f"precision bits must be a positive integer, got {bits}")
-    return bits
+# verify refuses runs that would enumerate more ordered tuples of support
+# points than this: support^(2 k_max) for the split sums, support^support
+# for the Cauchy form
+VERIFY_TUPLE_CAP = 10 ** 6
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -102,10 +78,10 @@ def _decimal_str(q: Fraction, digits: int) -> str:
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def _run_forward(cfg: RunConfig) -> int:
-    s = load_string(cfg.input_path)
+def _run_forward(ns: argparse.Namespace) -> int:
+    s = load_string(ns.input)
     validate(s)
-    bits = _effective_bits(cfg)
+    bits = resolve_precision_bits(ns.precision_bits)
     wd = residues(spectrum(s, width=Fraction(1, 2 ** bits)), bits)
     total = sum(s.masses, Fraction(0))
     if wd.all_exact and all(isinstance(b, Fraction) for b in wd.w_residues):
@@ -123,55 +99,58 @@ def _run_forward(cfg: RunConfig) -> int:
             "total_mass": format_rational(total),
             "precision_bits": bits,
         }
-    _emit_json(doc, cfg.output_path)
+    _emit_json(doc, ns.output)
     return 0
 
 
-def _run_invert(cfg: RunConfig) -> int:
-    with open(cfg.input_path, encoding="utf-8") as fh:
+def _run_invert(ns: argparse.Namespace) -> int:
+    with open(ns.input, encoding="utf-8") as fh:
         doc = json.load(fh)
     if "precision_bits" in doc:
         raise ValueError("inversion needs exact rational spectral data; "
                          "this file carries decimal approximations")
     sd = spectral_from_dict(doc)
     report = recover_detailed(sd)
-    if cfg.report_determinants:
+    if ns.report_determinants:
         out = report.to_dict()
     else:
         out = string_to_dict(report.string)
-    _emit_json(out, cfg.output_path)
+    _emit_json(out, ns.output)
     return 0
 
 
-def _run_roundtrip(cfg: RunConfig) -> int:
-    if cfg.n < 1:
-        raise ValueError(f"--n must be at least 1, got {cfg.n}")
-    sd = random_spectral(cfg.n, cfg.seed)
+def _run_roundtrip(ns: argparse.Namespace) -> int:
+    if ns.n < 1:
+        raise ValueError(f"--n must be at least 1, got {ns.n}")
+    sd = random_spectral(ns.n, ns.seed)
     verify_exact_roundtrip(sd)
     print("exact roundtrip OK")
     return 0
 
 
-def _run_evolve(cfg: RunConfig) -> int:
-    s = load_string(cfg.input_path)
+def _run_evolve(ns: argparse.Namespace) -> int:
+    s = load_string(ns.input)
     validate(s)
-    if cfg.t_end <= 0:
+    for flag, value in (("--t-end", ns.t_end), ("--dt", ns.dt)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
+    if ns.t_end <= 0:
         raise ValueError("--t-end must be positive")
-    if cfg.samples < 2:
+    if ns.samples < 2:
         raise ValueError("--samples must be at least 2")
-    bits = _effective_bits(cfg)
+    bits = resolve_precision_bits(ns.precision_bits)
     state = WaveState(0.0,
                       tuple(float(x) for x in positions(s)),
                       tuple(float(m) for m in s.masses))
-    if cfg.method == "rk4":
-        if cfg.dt is None or cfg.dt <= 0:
+    if ns.method == "rk4":
+        if ns.dt is None or ns.dt <= 0:
             raise ValueError("--method rk4 needs a positive --dt")
-        traj = integrate_rk4(state, cfg.dt, cfg.t_end, cfg.samples)
+        traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples)
     else:
-        times = [i * cfg.t_end / (cfg.samples - 1)
-                 for i in range(cfg.samples)]
+        times = [i * ns.t_end / (ns.samples - 1)
+                 for i in range(ns.samples)]
         traj = evolve_spectral(state, times, bits)
-    _emit(_csv_text(traj), cfg.output_path)
+    _emit(_csv_text(traj), ns.output)
     return 0
 
 
@@ -191,12 +170,23 @@ def _csv_text(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    if cfg.suite != "heine":
-        raise ValueError(f"unknown suite: {cfg.suite}")
-    mu = random_measure(cfg.support, cfg.seed)
-    report = run_checks(mu, cfg.k_max)
-    _emit_json(report.to_dict(), cfg.output_path)
+def _run_verify(ns: argparse.Namespace) -> int:
+    if ns.suite != "heine":
+        raise ValueError(f"unknown suite: {ns.suite}")
+    if ns.support < 1 or ns.k_max < 1:
+        raise ValueError(f"--support and --k-max must be at least 1, "
+                         f"got {ns.support} and {ns.k_max}")
+    # support 8 or k_max 10 alone passes the cap, so clamping there keeps
+    # the powers small; with one support point the split sums still list
+    # C(2k, k) halves of each tuple, so it counts as two points
+    support, k_max = min(ns.support, 8), min(ns.k_max, 10)
+    if max(max(support, 2) ** (2 * k_max),
+           support ** support) > VERIFY_TUPLE_CAP:
+        raise ValueError(f"--support {ns.support} --k-max {ns.k_max} is over "
+                         f"the cap of {VERIFY_TUPLE_CAP} enumerated tuples")
+    mu = random_measure(ns.support, ns.seed)
+    report = run_checks(mu, ns.k_max)
+    _emit_json(report.to_dict(), None)
     return 0 if report.all_pass else 1
 
 
@@ -209,11 +199,14 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[ns.command](ns)
     except CubicStringError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:  # a float state left the double range
+        print(f"error: out of float range: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -269,28 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        input_path=getattr(ns, "input", None),
-        output_path=getattr(ns, "output", None),
-        seed=getattr(ns, "seed", 0),
-        n=getattr(ns, "n", 1),
-        precision_bits=getattr(ns, "precision_bits", None),
-        suite=getattr(ns, "suite", "heine"),
-        method=getattr(ns, "method", "rk4"),
-        dt=getattr(ns, "dt", None),
-        t_end=getattr(ns, "t_end", 1.0),
-        samples=getattr(ns, "samples", 11),
-        k_max=getattr(ns, "k_max", 3),
-        support=getattr(ns, "support", 3),
-        report_determinants=getattr(ns, "report_determinants", False),
-    )
-
-
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    return run(config_from_args(ns))
+    return run(ns)
 
 
 if __name__ == "__main__":

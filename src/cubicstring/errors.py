@@ -70,3 +70,7 @@ class NonPositiveRecoveryError(CubicStringError):
 
 class OrderingViolatedError(CubicStringError):
     """Peak positions stopped being strictly increasing during evolution."""
+
+
+class FlowOutOfRangeError(CubicStringError):
+    """The residue scale factor e^(M t) of the flow overflows."""

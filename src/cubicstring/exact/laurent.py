@@ -206,13 +206,6 @@ class LaurentSeries:
         p = self.project_nonneg()
         return p - p.coefficient(0)
 
-    def project_neg(self) -> "LaurentSeries":
-        """Strictly negative tail, with the cutoff carried along."""
-        if self._cutoff is not None and self._cutoff > 0:
-            raise ValueError("cutoff hides part of the polynomial range")
-        return LaurentSeries({j: c for j, c in self._coeffs.items() if j < 0},
-                             self._cutoff)
-
     def __repr__(self) -> str:
         if not self._coeffs:
             body = "0"

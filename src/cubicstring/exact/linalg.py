@@ -134,14 +134,41 @@ def det_cofactor(m: Matrix):
     return acc
 
 
-def _integer_rows(m: Matrix, rhs: Sequence[Fraction] | None):
-    """Scale each row (and its rhs entry) to integers by the row's lcm."""
+def _integer_rows(m: Matrix, rhs: Sequence[Fraction] | None = None):
+    """Scale each row (and its rhs entry) to integers by the row's lcm;
+    returns the rows and the product of the scales."""
     out = []
+    total = 1
     for i, row in enumerate(m.rows):
         entries = list(row) + ([rhs[i]] if rhs is not None else [])
         scale = lcm(*(e.denominator for e in entries)) if entries else 1
+        total *= scale
         out.append([int(e * scale) for e in entries])
-    return out
+    return out, total
+
+
+def _bareiss(rows: list[list[int]], n: int) -> int:
+    """Fraction-free forward elimination on the first n columns, in place.
+
+    Returns the sign of the row swaps made, or 0 when a pivot column runs
+    out of nonzero entries (the leading n x n block is singular).
+    """
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(rows[i])):
+                rows[i][j] = (rows[i][j] * rows[k][k]
+                              - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign
 
 
 def det_exact(m: Matrix) -> Fraction:
@@ -151,28 +178,9 @@ def det_exact(m: Matrix) -> Fraction:
         raise NonSquareError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    rows = []
-    scale = Fraction(1)
-    for row in m.rows:
-        s = lcm(*(e.denominator for e in row))
-        scale *= s
-        rows.append([int(e * s) for e in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k]
-                              - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
+    rows, scale = _integer_rows(m)
+    sign = _bareiss(rows, n)
+    return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
 def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -189,20 +197,9 @@ def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     rhs = [Fraction(b) for b in rhs]
     if n == 0:
         return ()
-    rows = _integer_rows(m, rhs)
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("zero pivot column during elimination")
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                rows[i][j] = (rows[i][j] * rows[k][k]
-                              - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
+    rows, _ = _integer_rows(m, rhs)
+    if _bareiss(rows, n) == 0:
+        raise SingularMatrixError("zero pivot column during elimination")
     if rows[n - 1][n - 1] == 0:
         raise SingularMatrixError("singular system")
     x = [Fraction(0)] * n

@@ -23,6 +23,7 @@ non-negative; both facts are kept as permanent cross-checks.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -49,6 +50,19 @@ from .exact.roots import DEFAULT_ISOLATION_WIDTH
 from .string_model import CubicString, validate
 
 DEFAULT_PRECISION_BITS = 256
+
+
+def resolve_precision_bits(requested: int | None = None) -> int:
+    """Working precision: `requested` if given, else the environment
+    variable CUBICSTRING_PRECISION_BITS, else DEFAULT_PRECISION_BITS.
+    Anything but a positive integer is a ValueError."""
+    if requested is None:
+        requested = int(os.environ.get("CUBICSTRING_PRECISION_BITS",
+                                       DEFAULT_PRECISION_BITS))
+    if requested < 1:
+        raise ValueError(
+            f"precision bits must be a positive integer, got {requested}")
+    return requested
 
 
 @dataclass(frozen=True)
@@ -231,16 +245,22 @@ def _check_residue_signs(w_out, z_out) -> None:
             raise IdentityViolatedError("residue failed its negativity law")
 
 
-def _check_residue_relation(wd: WeylData, w_out, z_out) -> None:
-    """Exact cross-check: each z-residue is determined by the w-residues,
-    c_k = -sum_j b_j b_k / (lam_j + lam_k)."""
-    lams = [e.exact for e in wd.eigenvalues]
-    for k, lam_k in enumerate(lams):
-        expect = -sum((bj * w_out[k] / (lj + lam_k)
-                       for j, (lj, bj) in enumerate(zip(lams, w_out))),
+def value_residues(lams, bs) -> tuple[Fraction, ...]:
+    """Residues c_k of phi/phi_xx that the reflection symmetry of the Weyl
+    functions forces from the residues b_k of phi_x/phi_xx,
+
+        c_k = -sum_j b_j b_k / (lam_j + lam_k).
+    """
+    return tuple(-sum((bj * bk / (lj + lk) for lj, bj in zip(lams, bs)),
                       Fraction(0))
-        if expect != z_out[k]:
-            raise IdentityViolatedError("z-residue relation failed exactly")
+                 for lk, bk in zip(lams, bs))
+
+
+def _check_residue_relation(wd: WeylData, w_out, z_out) -> None:
+    """Exact cross-check: the z-residues are determined by the w-residues."""
+    lams = [e.exact for e in wd.eigenvalues]
+    if value_residues(lams, w_out) != tuple(z_out):
+        raise IdentityViolatedError("z-residue relation failed exactly")
 
 
 # -- the oscillatory route ----------------------------------------------

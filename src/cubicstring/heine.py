@@ -60,11 +60,7 @@ from .exact import Matrix, det_exact, format_rational
 from .inverse import (
     BimomentTable,
     SpectralData,
-    minor_beta_inner,
-    minor_beta_shifted,
-    minor_corner,
-    minor_inner,
-    minor_shifted,
+    moment_minors,
     table_from_support,
 )
 
@@ -240,23 +236,21 @@ def _row(name: str, k: int, lhs: Fraction, rhs: Fraction) -> CheckRow:
 def run_checks(mu: DiscreteMeasure, k_max: int) -> CheckReport:
     """Compare every minor against its tuple-sum oracle up to size k_max."""
     s = mu.size
-    bt = measure_table(mu, k_max)
+    mm = moment_minors(measure_table(mu, k_max))
     u, v, t = heine_sums(mu, k_max + 1)
     rows = []
     for k in range(1, k_max + 1):
-        d_k = minor_shifted(bt, k)
-        rows.append(_row("shifted_factorization", k, d_k, u[k] ** 2 / 2 ** k))
-        rows.append(_row("beta_shifted_factorization", k,
-                         minor_beta_shifted(bt, k),
+        rows.append(_row("shifted_factorization", k, mm.shifted[k],
+                         u[k] ** 2 / 2 ** k))
+        rows.append(_row("beta_shifted_factorization", k, mm.beta_shifted[k],
                          u[k] * u[k - 1] / 2 ** (k - 1)))
-        rows.append(_row("beta_inner_factorization", k,
-                         minor_beta_inner(bt, k),
+        rows.append(_row("beta_inner_factorization", k, mm.beta_inner[k],
                          u[k] * v[k - 1] / 2 ** (k - 1)))
-        b_k = minor_corner(bt, k)
+        b_k = mm.corner[k]
         rows.append(_row("corner_split_sum", k, b_k, split_sum(mu, k, False)))
         rows.append(_row("corner_pair_form", k, b_k,
                          (t[k] * u[k] - u[k - 1] * t[k + 1]) / 2 ** k))
-        c_k = minor_inner(bt, k)
+        c_k = mm.inner[k]
         rows.append(_row("inner_split_sum", k, c_k, split_sum(mu, k, True)))
         rows.append(_row("inner_pair_form", k, c_k,
                          (u[k] * v[k] - v[k - 1] * u[k + 1]) / 2 ** k))
@@ -269,11 +263,11 @@ def run_checks(mu: DiscreteMeasure, k_max: int) -> CheckReport:
                                  format_rational(u[k]), f"sign {(-1) ** k}",
                                  sign_ok))
             rows.append(CheckRow("shifted_positive", k,
-                                 format_rational(minor_shifted(bt, k)), "> 0",
-                                 minor_shifted(bt, k) > 0))
+                                 format_rational(mm.shifted[k]), "> 0",
+                                 mm.shifted[k] > 0))
             rows.append(CheckRow("beta_shifted_negative", k,
-                                 format_rational(minor_beta_shifted(bt, k)),
-                                 "< 0", minor_beta_shifted(bt, k) < 0))
+                                 format_rational(mm.beta_shifted[k]),
+                                 "< 0", mm.beta_shifted[k] < 0))
     det_e = det_exact(cauchy_matrix(mu))
     rows.append(_row("cauchy_product_form", s, det_e, cauchy_tuple_sum(mu)))
     rows.append(CheckRow("cauchy_nonzero", s, format_rational(det_e),

@@ -20,8 +20,8 @@ they are named here by the block they cut out of the pair table:
     mass_corner[k]   the same with 1/(2M) added at the (0,0) entry
     inner[k]         det I[1:k+1, 1:k+1]
     shifted[k]       det I[1:k+1, 0:k]
-    beta_shifted[k]  shifted block, first column replaced by the moments
-    beta_inner[k]    inner block, first column replaced by the moments
+    beta_shifted[k]  det [beta_0..beta_{k-1} | I[1:k+1, 0:k-1]]
+    beta_inner[k]    det [beta_0..beta_{k-1} | I[1:k+1, 1:k]]
 
 The string is rebuilt through a chain of simultaneous rational
 approximation problems to the two Weyl functions (three problem shapes,
@@ -53,6 +53,7 @@ from .exact import (
     poly_product,
     solve_exact,
 )
+from .forward import value_residues
 from .string_model import CubicString
 
 
@@ -93,12 +94,7 @@ def validate_spectral(sd: SpectralData) -> None:
 
 def z_residues_of(sd: SpectralData) -> tuple[Fraction, ...]:
     """Value-residues c_k forced by the reflection symmetry."""
-    lams, bs = sd.eigenvalues, sd.residues
-    out = []
-    for k, lam_k in enumerate(lams):
-        out.append(-sum((bj * bs[k] / (lj + lam_k) for lj, bj in zip(lams, bs)),
-                        Fraction(0)))
-    return tuple(out)
+    return value_residues(sd.eigenvalues, sd.residues)
 
 
 @dataclass(frozen=True)
@@ -140,52 +136,32 @@ def table_from_support(lams, bs, total_mass, max_order: int) -> BimomentTable:
                     acc += ba * bb * powers[a][i] * powers[b_][j] / (la + lb)
             row.append(acc)
         table.append(row)
-    zres = tuple(-sum((bj * bs[k] / (lj + lams[k])
-                       for lj, bj in zip(lams, bs)), Fraction(0))
-                 for k in range(len(lams)))
     return BimomentTable(Fraction(total_mass), beta,
-                         tuple(tuple(r) for r in table), zres)
+                         tuple(tuple(r) for r in table),
+                         value_residues(lams, bs))
 
 
 # -- minors of the pair table ------------------------------------------
 
-def minor_corner(bt: BimomentTable, k: int) -> Fraction:
+def _augmented_column(bt: BimomentTable) -> tuple[Fraction, ...]:
+    """First column of the pair table with the atom 1/(2M) added on top."""
+    col = [row[0] for row in bt.pair_table]
+    col[0] += 1 / (2 * bt.total_mass)
+    return tuple(col)
+
+
+def _block(bt: BimomentTable, k: int, row: int, col: int,
+           first=None) -> Matrix:
+    """The k x k block I[row:row+k, col:col+k] of the pair table.
+
+    Given `first`, the column first[0:k] leads instead, and the table
+    fills the other k - 1 columns from column `col` on.
+    """
     t = bt.pair_table
-    return det_exact(Matrix([[t[i][j] for j in range(k)] for i in range(k)]))
-
-
-def minor_mass_corner(bt: BimomentTable, k: int) -> Fraction:
-    t = bt.pair_table
-    rows = [[t[i][j] for j in range(k)] for i in range(k)]
-    if k >= 1:
-        rows[0][0] = rows[0][0] + 1 / (2 * bt.total_mass)
-    return det_exact(Matrix(rows))
-
-
-def minor_inner(bt: BimomentTable, k: int) -> Fraction:
-    t = bt.pair_table
-    return det_exact(Matrix([[t[i][j] for j in range(1, k + 1)]
-                             for i in range(1, k + 1)]))
-
-
-def minor_shifted(bt: BimomentTable, k: int) -> Fraction:
-    t = bt.pair_table
-    return det_exact(Matrix([[t[i][j] for j in range(k)]
-                             for i in range(1, k + 1)]))
-
-
-def minor_beta_shifted(bt: BimomentTable, k: int) -> Fraction:
-    t = bt.pair_table
-    rows = [[bt.moments[i - 1]] + [t[i][j] for j in range(k - 1)]
-            for i in range(1, k + 1)]
-    return det_exact(Matrix(rows)) if k >= 1 else Fraction(1)
-
-
-def minor_beta_inner(bt: BimomentTable, k: int) -> Fraction:
-    t = bt.pair_table
-    rows = [[bt.moments[i - 1]] + [t[i][j] for j in range(1, k)]
-            for i in range(1, k + 1)]
-    return det_exact(Matrix(rows)) if k >= 1 else Fraction(1)
+    if first is None:
+        return Matrix([t[i][col:col + k] for i in range(row, row + k)])
+    return Matrix([(first[i - row],) + t[i][col:col + k - 1]
+                   for i in range(row, row + k)])
 
 
 @dataclass(frozen=True)
@@ -205,57 +181,63 @@ def moment_minors(bt: BimomentTable) -> MomentMinors:
     """All minors the table can support: corner families one size past
     the table order, the rest up to the order itself."""
     top = bt.max_order + 1
+
+    def family(size, row, col, first=None):
+        return tuple(det_exact(_block(bt, k, row, col, first))
+                     for k in range(size))
+
     return MomentMinors(
-        mass_corner=tuple(minor_mass_corner(bt, k) for k in range(top + 1)),
-        corner=tuple(minor_corner(bt, k) for k in range(top + 1)),
-        inner=tuple(minor_inner(bt, k) for k in range(top)),
-        shifted=tuple(minor_shifted(bt, k) for k in range(top)),
-        beta_shifted=tuple(minor_beta_shifted(bt, k) for k in range(top)),
-        beta_inner=tuple(minor_beta_inner(bt, k) for k in range(top)),
+        mass_corner=family(top + 1, 0, 1, _augmented_column(bt)),
+        corner=family(top + 1, 0, 0),
+        inner=family(top, 1, 1),
+        shifted=family(top, 1, 0),
+        beta_shifted=family(top, 1, 0, bt.moments),
+        beta_inner=family(top, 1, 1, bt.moments),
     )
 
 
 # -- Weyl functions as series and as exact fractions ---------------------
 
+def _value_measure(lams, cs, total_mass) -> tuple[tuple, tuple]:
+    """Points and weights of nu: the atom -1/(2M) at zero, c_k at lam_k."""
+    return (Fraction(0),) + tuple(lams), (-1 / (2 * total_mass),) + tuple(cs)
+
+
+def _series(points, weights, low_cutoff: int) -> LaurentSeries:
+    """sum_k weights_k / (z - points_k) expanded at infinity."""
+    return LaurentSeries(
+        {-i: sum((w * p ** (i - 1) for p, w in zip(points, weights)),
+                 Fraction(0))
+         for i in range(1, -low_cutoff + 1)}, low_cutoff)
+
+
 def w_series(sd: SpectralData, low_cutoff: int) -> LaurentSeries:
     """Slope Weyl function sum b_k/(z - lam_k) expanded at infinity."""
-    coeffs = {}
-    for i in range(1, -low_cutoff + 1):
-        coeffs[-i] = sum((b * lam ** (i - 1)
-                          for lam, b in zip(sd.eigenvalues, sd.residues)),
-                         Fraction(0))
-    return LaurentSeries(coeffs, low_cutoff)
+    return _series(sd.eigenvalues, sd.residues, low_cutoff)
 
 
 def z_series(sd: SpectralData, low_cutoff: int) -> LaurentSeries:
     """Value Weyl function: atom -1/(2M) at zero plus sum c_k/(z - lam_k)."""
-    cs = z_residues_of(sd)
-    coeffs = {}
-    for i in range(1, -low_cutoff + 1):
-        v = sum((c * lam ** (i - 1) for lam, c in zip(sd.eigenvalues, cs)),
-                Fraction(0))
-        if i == 1:
-            v -= 1 / (2 * sd.total_mass)
-        coeffs[-i] = v
-    return LaurentSeries(coeffs, low_cutoff)
+    return _series(*_value_measure(sd.eigenvalues, z_residues_of(sd),
+                                   sd.total_mass), low_cutoff)
+
+
+def _ratio(points, weights) -> tuple[Polynomial, Polynomial]:
+    """sum_k weights_k / (z - points_k) as (numerator, denominator)."""
+    factors = [Polynomial.x() - Polynomial.constant(p) for p in points]
+    num = Polynomial.zero()
+    for k, w in enumerate(weights):
+        num = num + Polynomial.constant(w) * poly_product(
+            factors[:k] + factors[k + 1:])
+    return num, poly_product(factors)
 
 
 def weyl_fractions(sd: SpectralData) -> tuple[Polynomial, Polynomial,
                                               Polynomial, Polynomial]:
     """(num_w, den_w, num_z, den_z): both Weyl functions as exact ratios."""
-    lams, bs = sd.eigenvalues, sd.residues
-    z = Polynomial.x()
-    den_w = poly_product([z - Polynomial.constant(lam) for lam in lams])
-    num_w = Polynomial.zero()
-    cs = z_residues_of(sd)
-    num_z = Polynomial.constant(Fraction(-1) / (2 * sd.total_mass)) * den_w
-    for k, lam in enumerate(lams):
-        others = poly_product([z - Polynomial.constant(l2)
-                               for j, l2 in enumerate(lams) if j != k])
-        num_w = num_w + Polynomial.constant(bs[k]) * others
-        num_z = num_z + Polynomial.constant(cs[k]) * others.shifted(1)
-    den_z = den_w.shifted(1)
-    return num_w, den_w, num_z, den_z
+    num_z, den_z = _ratio(*_value_measure(sd.eigenvalues, z_residues_of(sd),
+                                             sd.total_mass))
+    return (*_ratio(sd.eigenvalues, sd.residues), num_z, den_z)
 
 
 def verify_weyl_relation(sd: SpectralData) -> None:
@@ -291,71 +273,51 @@ class Approximant:
         return 3 * self.k + {"III": 0, "II": 1, "I": 2}[self.kind]
 
 
-def _nonneg_projection_w(bt: BimomentTable, sd: SpectralData,
-                         den: Polynomial) -> Polynomial:
-    """Polynomial part of W * den via difference quotients."""
-    acc = Polynomial.zero()
-    for lam, b in zip(sd.eigenvalues, sd.residues):
-        acc = acc + Polynomial.constant(b) * den.difference_quotient(lam)
-    return acc
+def _projections(bt: BimomentTable, sd: SpectralData,
+                 den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Polynomial parts of W * den and Z * den, by difference quotients."""
+    def part(points, weights):
+        acc = Polynomial.zero()
+        for p, w in zip(points, weights):
+            acc = acc + Polynomial.constant(w) * den.difference_quotient(p)
+        return acc
 
-
-def _nonneg_projection_z(bt: BimomentTable, sd: SpectralData,
-                         den: Polynomial) -> Polynomial:
-    """Polynomial part of Z * den, including the atom at zero."""
-    acc = Polynomial.constant(Fraction(-1) / (2 * bt.total_mass)) \
-        * den.difference_quotient(Fraction(0))
-    for lam, c in zip(sd.eigenvalues, bt.z_residues):
-        acc = acc + Polynomial.constant(c) * den.difference_quotient(lam)
-    return acc
+    return (part(sd.eigenvalues, sd.residues),
+            part(*_value_measure(sd.eigenvalues, bt.z_residues,
+                                 bt.total_mass)))
 
 
 def solve_type3(bt: BimomentTable, sd: SpectralData, k: int) -> Approximant:
     """den(0) = 1 normalization; system det is shifted[k]."""
     if not 1 <= k <= bt.max_order:
         raise ValueError(f"type III index {k} outside the table")
-    t = bt.pair_table
-    mat = Matrix([[t[i][j] for j in range(1, k + 1)] for i in range(k)])
-    rhs = [-(t[i][0] + (Fraction(1) / (2 * bt.total_mass) if i == 0 else 0))
-           for i in range(k)]
-    q = solve_exact(mat, rhs)
+    rhs = [-v for v in _augmented_column(bt)[:k]]
+    q = solve_exact(_block(bt, k, 0, 1), rhs)
     den = Polynomial((Fraction(1),) + q)
-    num_w = _nonneg_projection_w(bt, sd, den)
-    num_z = _nonneg_projection_z(bt, sd, den)
-    return Approximant("III", k, den, num_w, num_z)
+    return Approximant("III", k, den, *_projections(bt, sd, den))
 
 
 def solve_type2(bt: BimomentTable, sd: SpectralData, k: int) -> Approximant:
     """den(0) = 0, num_w(0) = 1; system det is shifted[k]."""
     if not 1 <= k <= bt.max_order:
         raise ValueError(f"type II index {k} outside the table")
-    t = bt.pair_table
-    mat = Matrix([[t[i][j] for j in range(k)] for i in range(1, k + 1)])
-    rhs = [bt.moments[i] for i in range(k)]
-    q = solve_exact(mat, rhs)
+    q = solve_exact(_block(bt, k, 1, 0), bt.moments[:k])
     den = Polynomial((Fraction(0),) + q)
-    proj = _nonneg_projection_w(bt, sd, den)
-    num_w = proj - proj.coefficient(0) + 1
-    num_z = _nonneg_projection_z(bt, sd, den)
-    return Approximant("II", k, den, num_w, num_z)
+    proj, num_z = _projections(bt, sd, den)
+    return Approximant("II", k, den, proj - proj.coefficient(0) + 1, num_z)
 
 
 def solve_type1(bt: BimomentTable, sd: SpectralData, k: int) -> Approximant:
     """den(0) = num_w(0) = 0, num_z(0) = 1; system det is mass_corner[k+1]."""
     if not 0 <= k <= bt.max_order:
         raise ValueError(f"type I index {k} outside the table")
-    t = bt.pair_table
-    rows = [[t[i][j] for j in range(k + 1)] for i in range(k + 1)]
-    rows[0][0] = rows[0][0] + Fraction(1) / (2 * bt.total_mass)
     rhs = [Fraction(-1)] + [Fraction(0)] * k
-    q = solve_exact(Matrix(rows), rhs)
+    q = solve_exact(_block(bt, k + 1, 0, 1, _augmented_column(bt)), rhs)
     den = Polynomial((Fraction(0),) + q)
-    proj = _nonneg_projection_w(bt, sd, den)
-    num_w = proj - proj.coefficient(0)
-    num_z = _nonneg_projection_z(bt, sd, den)
+    proj, num_z = _projections(bt, sd, den)
     if num_z.coefficient(0) != 1:
         raise IdentityViolatedError("type I value-numerator normalization failed")
-    return Approximant("I", k, den, num_w, num_z)
+    return Approximant("I", k, den, proj - proj.coefficient(0), num_z)
 
 
 def verify_approximant(sd: SpectralData, app: Approximant) -> None:
@@ -405,6 +367,15 @@ def verify_approximant(sd: SpectralData, app: Approximant) -> None:
         raise IdentityViolatedError("symmetry order condition failed")
 
 
+def _curvature_polynomial(sd: SpectralData) -> Polynomial:
+    """-2 M z prod (1 - z/lam_j): the boundary curvature the data fixes."""
+    z = Polynomial.x()
+    out = Polynomial.constant(-2 * sd.total_mass) * z
+    for lam in sd.eigenvalues:
+        out = out * (Polynomial.one() - z * Polynomial.constant(1 / lam))
+    return out
+
+
 def last_step(sd: SpectralData) -> Approximant:
     """The final chain entry: its ratios ARE the Weyl functions.
 
@@ -414,11 +385,7 @@ def last_step(sd: SpectralData) -> Approximant:
     n = sd.n
     bt = bimoments(sd, n - 1)
     app = solve_type1(bt, sd, n - 1)
-    z = Polynomial.x()
-    expect = Polynomial.constant(-2 * sd.total_mass) * z
-    for lam in sd.eigenvalues:
-        expect = expect * (Polynomial.one() - z * Polynomial.constant(1 / lam))
-    if app.den != expect:
+    if app.den != _curvature_polynomial(sd):
         raise IdentityViolatedError("final denominator is not the spectral polynomial")
     num_w, den_w, num_z, den_z = weyl_fractions(sd)
     if app.num_w * den_w != num_w * app.den:
@@ -496,11 +463,8 @@ class RecoveryReport:
                 "gaps": [fm(g) for g in self.string.gaps],
                 "anchor": fm(self.string.anchor),
             },
-            "minors": {
-                name: [fm(v) for v in getattr(self.minors, name)]
-                for name in ("mass_corner", "corner", "inner", "shifted",
-                             "beta_shifted", "beta_inner")
-            },
+            "minors": {name: [fm(v) for v in values]
+                       for name, values in vars(self.minors).items()},
             "steps": [
                 {
                     "k": r.k,
@@ -608,11 +572,7 @@ def verify_exact_roundtrip(sd: SpectralData) -> CubicString:
     if sum(s.masses, Fraction(0)) != sd.total_mass:
         raise IdentityViolatedError("masses do not sum to the total mass")
     wd = boundary_data(s)
-    z = Polynomial.x()
-    expect = Polynomial.constant(-2 * sd.total_mass) * z
-    for lam in sd.eigenvalues:
-        expect = expect * (Polynomial.one() - z * Polynomial.constant(1 / lam))
-    if wd.phi_xx != expect:
+    if wd.phi_xx != _curvature_polynomial(sd):
         raise IdentityViolatedError(
             "curvature polynomial is not -2Mz prod(1 - z/lambda)")
     da = wd.phi_xx.derivative()

@@ -127,12 +127,6 @@ def string_from_dict(d: dict) -> CubicString:
     return CubicString(masses, gaps, anchor)
 
 
-def dump_string(s: CubicString, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(string_to_dict(s), fh, indent=2)
-        fh.write("\n")
-
-
 def load_string(path: str) -> CubicString:
     with open(path, encoding="utf-8") as fh:
         return string_from_dict(json.load(fh))

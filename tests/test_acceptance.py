@@ -43,7 +43,7 @@ from cubicstring.heine import (
 from cubicstring.inverse import (
     SpectralData,
     bimoments,
-    minor_corner,
+    moment_minors,
     random_spectral,
     recover,
     recover_detailed,
@@ -179,9 +179,9 @@ def test_criterion_7_heine_oracle():
         require_all(report)
         rows += len(report.rows)
         # corner minors vanish exactly one step past the support size
-        bt = measure_table(mu, support + 1)
-        assert minor_corner(bt, support) != 0
-        assert minor_corner(bt, support + 1) == 0
+        corner = moment_minors(measure_table(mu, support + 1)).corner
+        assert corner[support] != 0
+        assert corner[support + 1] == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"criterion 7: PASS - {rows} identity rows exact on measures "

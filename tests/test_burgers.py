@@ -20,6 +20,7 @@ from cubicstring.burgers import (
 )
 from cubicstring.errors import (
     EmptyStringError,
+    FlowOutOfRangeError,
     NonPositiveMassError,
     OrderingViolatedError,
 )
@@ -181,3 +182,16 @@ def test_integrator_argument_checks():
         integrate_rk4(SYMMETRIC, 1e-2, -1.0)
     with pytest.raises(ValueError):
         integrate_rk4(SYMMETRIC, 1e-2, 1.0, samples=1)
+
+
+@pytest.mark.parametrize("bits", ["-5", "0"])
+def test_library_rejects_non_positive_precision_from_environment(
+        monkeypatch, bits):
+    monkeypatch.setenv("CUBICSTRING_PRECISION_BITS", bits)
+    with pytest.raises(ValueError, match="precision bits"):
+        evolve_spectral_exact(SYMMETRIC, [0.0])
+
+
+def test_scale_factor_overflow_is_a_domain_error():
+    with pytest.raises(FlowOutOfRangeError):
+        scale_factor(F(4), 1e300, 128)

@@ -102,8 +102,9 @@ def test_forward_golden_output(tmp_path, capsys, kind, bits):
 
 
 def _assert_one_line_error(capsys):
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bits", ["-5", "0"])
@@ -262,6 +263,62 @@ def test_verify_seed_changes_measure(capsys):
                  "--k-max", "2", "--seed", "2"]) == 0
     two = json.loads(capsys.readouterr().out)["measure"]
     assert one != two
+
+
+@pytest.mark.parametrize("flags", [["--support", "-1"], ["--k-max", "-3"],
+                                   ["--support", "0"], ["--k-max", "0"]])
+def test_verify_rejects_sizes_below_one(capsys, flags):
+    assert main(["verify", "--suite", "heine", *flags]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("support,k_max", [
+    (6, 4),            # 6^8 = 1,679,616 split-sum tuples
+    (8, 1),            # 8^8 Cauchy tuples
+    (1, 10),           # one point counts as two: 2^20
+    (10 ** 9, 3),      # huge flags are refused without powering them
+    (3, 10 ** 9),
+])
+def test_verify_enumeration_cap(capsys, support, k_max):
+    assert main(["verify", "--suite", "heine", "--support", str(support),
+                 "--k-max", str(k_max)]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_verify_largest_acceptance_shape_is_allowed(capsys):
+    assert main(["verify", "--suite", "heine", "--support", "4",
+                 "--k-max", "4", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+
+
+@pytest.mark.parametrize("flags,bad", [
+    (["--method", "rk4", "--dt", "0.1", "--t-end", "inf"], "--t-end"),
+    (["--method", "rk4", "--dt", "nan", "--t-end", "1"], "--dt"),
+    (["--method", "rk4", "--dt", "inf", "--t-end", "1"], "--dt"),
+    (["--method", "rk4", "--dt", "0.1", "--t-end", "nan"], "--t-end"),
+    (["--method", "spectral", "--t-end", "inf"], "--t-end"),
+])
+def test_evolve_rejects_non_finite_times(tmp_path, capsys, flags, bad):
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    assert main(["evolve", p, *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {bad} must be a finite number")
+    assert out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    # e^(M t) overflows the decimal context
+    ["--method", "spectral", "--t-end", "1e300", "--precision-bits", "64"],
+    # the recovered positions pass the double range
+    ["--method", "spectral", "--t-end", "2000", "--precision-bits", "64"],
+    # the RK4 state passes the double range
+    ["--method", "rk4", "--dt", "0.5", "--t-end", "300"],
+])
+def test_evolve_overflow_is_one_line(tmp_path, capsys, flags):
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    assert main(["evolve", p, *flags, "--samples", "2"]) == 1
+    _assert_one_line_error(capsys)
 
 
 def test_bad_usage_exits_two():

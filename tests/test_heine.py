@@ -21,11 +21,7 @@ from cubicstring.exact import det_exact
 from cubicstring.inverse import (
     SpectralData,
     bimoments,
-    minor_beta_inner,
-    minor_beta_shifted,
-    minor_corner,
-    minor_inner,
-    minor_shifted,
+    moment_minors,
 )
 
 F = Fraction
@@ -62,16 +58,16 @@ def test_two_point_sums_frozen():
     assert u == (F(1), F(-2), F(1, 3), F(0))
     assert v == (F(1), F(-3), F(2, 3), F(0))
     assert t == (F(1), F(-3, 2), F(1, 6), F(0))
-    bt = measure_table(TWO_POINT, 2)
-    assert minor_shifted(bt, 1) == F(2)
-    assert minor_shifted(bt, 2) == F(1, 36)
-    assert minor_beta_shifted(bt, 1) == F(-2)
-    assert minor_beta_shifted(bt, 2) == F(-1, 3)
-    assert minor_beta_inner(bt, 2) == F(-1, 2)
-    assert minor_corner(bt, 1) == F(17, 12)
-    assert minor_corner(bt, 2) == F(1, 72)
-    assert minor_inner(bt, 1) == F(17, 6)
-    assert minor_inner(bt, 2) == F(1, 18)
+    mm = moment_minors(measure_table(TWO_POINT, 2))
+    assert mm.shifted[1] == F(2)
+    assert mm.shifted[2] == F(1, 36)
+    assert mm.beta_shifted[1] == F(-2)
+    assert mm.beta_shifted[2] == F(-1, 3)
+    assert mm.beta_inner[2] == F(-1, 2)
+    assert mm.corner[1] == F(17, 12)
+    assert mm.corner[2] == F(1, 72)
+    assert mm.inner[1] == F(17, 6)
+    assert mm.inner[2] == F(1, 18)
     assert split_sum(TWO_POINT, 2, False) == F(1, 72)
     assert split_sum(TWO_POINT, 2, True) == F(1, 18)
     assert det_exact(cauchy_matrix(TWO_POINT)) == F(1, 36)
@@ -123,8 +119,7 @@ def test_measure_table_matches_spectral_route():
     bt_meas = measure_table(from_spectral(sd), 1)
     assert bt_meas.moments == bt_spec.moments
     assert bt_meas.pair_table == bt_spec.pair_table
-    for k in (0, 1):
-        assert minor_shifted(bt_meas, k) == minor_shifted(bt_spec, k)
+    assert moment_minors(bt_meas).shifted == moment_minors(bt_spec).shifted
 
 
 def test_four_point_support_at_depth():
