@@ -45,6 +45,9 @@ from .forward import residues, resolve_precision_bits, spectrum
 from .inverse import SpectralData, recover, z_residues_of
 from .string_model import ConservedSet, CubicString, invariant_masses, positions
 
+# about 40 s of RK4 at three peaks; past it the run is refused, not started
+MAX_RK4_STEPS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class WaveState:
@@ -132,6 +135,9 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float,
         raise ValueError("t_end must be positive")
     if samples < 2:
         raise ValueError("need at least the two endpoint samples")
+    if t_end / dt > MAX_RK4_STEPS:
+        raise ValueError(f"t_end / dt asks for {t_end / dt:.3g} RK4 steps, "
+                         f"over the cap of {MAX_RK4_STEPS}")
     xs, ms = list(s0.positions), list(s0.momenta)
     t0 = s0.time
     rows = [(t0, s0, conserved_floats(xs, ms))]

@@ -1,11 +1,9 @@
-"""Exact arithmetic toolkit: rationals, polynomials, truncated Laurent
-series, fraction-free linear algebra, Sturm root isolation, and rational
-interval arithmetic."""
+"""Exact arithmetic toolkit: rationals, polynomials, fraction-free linear
+algebra, Sturm root isolation, and rational interval arithmetic."""
 
 from .interval import RatInterval, eval_interval
-from .laurent import LaurentSeries, laurent_of_rational
 from .linalg import Matrix, det_cofactor, det_exact, solve_exact
-from .poly import Polynomial, poly_from_pairs, poly_gcd, poly_product
+from .poly import Polynomial, poly_gcd, poly_product
 from .rational import format_rational, parse_rational
 from .roots import (
     DEFAULT_ISOLATION_WIDTH,
@@ -21,7 +19,6 @@ from .roots import (
 
 __all__ = [
     "DEFAULT_ISOLATION_WIDTH",
-    "LaurentSeries",
     "Matrix",
     "Polynomial",
     "RatInterval",
@@ -33,9 +30,7 @@ __all__ = [
     "eval_interval",
     "format_rational",
     "is_squarefree",
-    "laurent_of_rational",
     "parse_rational",
-    "poly_from_pairs",
     "poly_gcd",
     "poly_product",
     "refine_enclosure",

@@ -52,9 +52,6 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self._rows[i]
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self._rows)
 

@@ -157,14 +157,6 @@ class Polynomial:
         return Polynomial(tuple(c if j % 2 == 0 else -c
                                 for j, c in enumerate(self._coeffs)))
 
-    def shifted(self, k: int) -> "Polynomial":
-        """Multiply by z**k (k >= 0)."""
-        if k < 0:
-            raise ValueError("shift exponent must be non-negative")
-        if not self._coeffs:
-            return Polynomial.zero()
-        return Polynomial((Fraction(0),) * k + self._coeffs)
-
     def difference_quotient(self, lam: Scalar) -> "Polynomial":
         """(p(z) - p(lam)) / (z - lam), computed by synthetic division."""
         d = self.degree
@@ -198,9 +190,6 @@ class Polynomial:
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -241,18 +230,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         # primitive() keeps coefficient growth down without moving signs
         a, b = b, (r.primitive() if not r.is_zero() else r)
     return a.monic() if not a.is_zero() else a
-
-
-def poly_from_pairs(pairs: Iterable[tuple[int, Scalar]]) -> Polynomial:
-    """Build a polynomial from (exponent, coefficient) pairs."""
-    items = list(pairs)
-    if not items:
-        return Polynomial.zero()
-    top = max(j for j, _ in items)
-    out = [Fraction(0)] * (top + 1)
-    for j, c in items:
-        out[j] += _as_fraction(c)
-    return Polynomial(out)
 
 
 def poly_product(factors: Sequence[Polynomial]) -> Polynomial:

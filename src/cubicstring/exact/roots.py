@@ -161,18 +161,20 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     chain = sturm_chain(p)
     coeffs = integer_coefficients(chain[0])
     out: list[RootEnclosure] = []
-    stack = [(lo, hi)]
+    # each end carries its sign-change count, so a cut is evaluated once
+    stack = [(lo, sign_changes(chain, lo), hi, sign_changes(chain, hi))]
     while stack:
-        a, b = stack.pop()
-        k = count_roots(chain, a, b)
+        a, va, b, vb = stack.pop()
+        k = va - vb
         if k == 0:
             continue
         if k == 1:
             out.append(_bisect_by_sign(coeffs, a, b, width))
             continue
         cut = _interior_point(p, a, b)
-        stack.append((a, cut))
-        stack.append((cut, b))
+        vc = sign_changes(chain, cut)
+        stack.append((a, va, cut, vc))
+        stack.append((cut, vc, b, vb))
     out.sort(key=lambda r: r.midpoint)
     return out
 

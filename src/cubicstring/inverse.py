@@ -44,7 +44,6 @@ from .errors import (
     SpectralValidationError,
 )
 from .exact import (
-    LaurentSeries,
     Matrix,
     Polynomial,
     det_exact,
@@ -196,30 +195,11 @@ def moment_minors(bt: BimomentTable) -> MomentMinors:
     )
 
 
-# -- Weyl functions as series and as exact fractions ---------------------
+# -- Weyl functions as exact fractions ------------------------------------
 
 def _value_measure(lams, cs, total_mass) -> tuple[tuple, tuple]:
     """Points and weights of nu: the atom -1/(2M) at zero, c_k at lam_k."""
     return (Fraction(0),) + tuple(lams), (-1 / (2 * total_mass),) + tuple(cs)
-
-
-def _series(points, weights, low_cutoff: int) -> LaurentSeries:
-    """sum_k weights_k / (z - points_k) expanded at infinity."""
-    return LaurentSeries(
-        {-i: sum((w * p ** (i - 1) for p, w in zip(points, weights)),
-                 Fraction(0))
-         for i in range(1, -low_cutoff + 1)}, low_cutoff)
-
-
-def w_series(sd: SpectralData, low_cutoff: int) -> LaurentSeries:
-    """Slope Weyl function sum b_k/(z - lam_k) expanded at infinity."""
-    return _series(sd.eigenvalues, sd.residues, low_cutoff)
-
-
-def z_series(sd: SpectralData, low_cutoff: int) -> LaurentSeries:
-    """Value Weyl function: atom -1/(2M) at zero plus sum c_k/(z - lam_k)."""
-    return _series(*_value_measure(sd.eigenvalues, z_residues_of(sd),
-                                   sd.total_mass), low_cutoff)
 
 
 def _ratio(points, weights) -> tuple[Polynomial, Polynomial]:
@@ -320,14 +300,20 @@ def solve_type1(bt: BimomentTable, sd: SpectralData, k: int) -> Approximant:
     return Approximant("I", k, den, proj - proj.coefficient(0), num_z)
 
 
-def verify_approximant(sd: SpectralData, app: Approximant) -> None:
-    """Degrees, normalizations and truncated-series order conditions.
+def _big_o(num: Polynomial, den: Polynomial, j: int) -> bool:
+    """num/den = O(z**j) as z -> infinity."""
+    return num.is_zero() or num.degree - den.degree <= j
 
-    The order conditions, with W and Z the two Weyl series:
+
+def verify_approximant(sd: SpectralData, app: Approximant) -> None:
+    """Degrees, normalizations and the order conditions at infinity.
+
+    The order conditions, with W and Z the two Weyl functions:
         den * Z - num_z = O(1/z)            (all kinds)
         den * W - num_w = O(1/z) for kind III, O(1) for kinds II and I
         num_z + num_w W*(z) + den Z*(z) = O(z^-(k+1))
-    where W*(z) = -W(-z) and Z*(z) = Z(-z).
+    where W*(z) = -W(-z) and Z*(z) = Z(-z).  Each side is an exact
+    rational function of z, so each condition is a degree count.
     """
     k = app.k
     if app.kind == "I":
@@ -348,22 +334,16 @@ def verify_approximant(sd: SpectralData, app: Approximant) -> None:
                             or app.num_z.coefficient(0) != 1):
         raise IdentityViolatedError("kind I normalization failed")
 
-    cutoff = -(2 * k + 4)
-    w = w_series(sd, cutoff)
-    zs = z_series(sd, cutoff)
-    w_star = -w.reflected()
-    z_star = zs.reflected()
-
-    diff_z = zs * app.den - app.num_z
-    if not diff_z.is_big_O(-1):
+    num_w, den_w, num_z, den_z = weyl_fractions(sd)
+    if not _big_o(app.den * num_z - app.num_z * den_z, den_z, -1):
         raise IdentityViolatedError("value-side approximation order failed")
-    diff_w = w * app.den - app.num_w
     order_w = -1 if app.kind == "III" else 0
-    if not diff_w.is_big_O(order_w):
+    if not _big_o(app.den * num_w - app.num_w * den_w, den_w, order_w):
         raise IdentityViolatedError("slope-side approximation order failed")
-    sym = (LaurentSeries.from_polynomial(app.num_z)
-           + w_star * app.num_w + z_star * app.den)
-    if not sym.is_big_O(-(k + 1)):
+    dwr, dzr = den_w.reflected(), den_z.reflected()
+    sym = (app.num_z * dwr * dzr - app.num_w * num_w.reflected() * dzr
+           + app.den * num_z.reflected() * dwr)
+    if not _big_o(sym, dwr * dzr, -(k + 1)):
         raise IdentityViolatedError("symmetry order condition failed")
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cubicstring.burgers import (
+    MAX_RK4_STEPS,
     Trajectory,
     WaveState,
     evolve_spectral,
@@ -182,6 +183,11 @@ def test_integrator_argument_checks():
         integrate_rk4(SYMMETRIC, 1e-2, -1.0)
     with pytest.raises(ValueError):
         integrate_rk4(SYMMETRIC, 1e-2, 1.0, samples=1)
+    # over the step cap the run is refused before the first step
+    with pytest.raises(ValueError, match="RK4 steps"):
+        integrate_rk4(SYMMETRIC, 1e-9, 1.0)
+    with pytest.raises(ValueError, match="RK4 steps"):
+        integrate_rk4(SYMMETRIC, 1.0, 2.0 * MAX_RK4_STEPS)
 
 
 @pytest.mark.parametrize("bits", ["-5", "0"])

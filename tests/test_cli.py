@@ -321,6 +321,14 @@ def test_evolve_overflow_is_one_line(tmp_path, capsys, flags):
     _assert_one_line_error(capsys)
 
 
+def test_evolve_rk4_step_cap_is_bad_input(tmp_path, capsys):
+    # 10^9 steps would run for hours; the cap refuses them up front
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    assert main(["evolve", p, "--method", "rk4", "--dt", "1e-9",
+                 "--t-end", "1"]) == 2
+    _assert_one_line_error(capsys)
+
+
 def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["forward"])

@@ -19,6 +19,7 @@ from cubicstring.exact import (
     sturm_chain,
     sturm_isolate,
 )
+from cubicstring.exact import roots as roots_module
 from cubicstring.exact.roots import _interior_point, integer_coefficients, sign_at
 
 
@@ -219,3 +220,22 @@ def test_refinement_rejects_uncertified_boxes():
         refine_enclosure(p, RootEnclosure(F(2), F(3)), F(1, 8))
     with pytest.raises(ValueError):
         refine_enclosure(p, RootEnclosure(F(1), F(2)), F(0))
+
+
+def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
+    seen = []
+    real = roots_module.sign_changes
+
+    def spy(chain, x):
+        seen.append(x)
+        return real(chain, x)
+
+    monkeypatch.setattr(roots_module, "sign_changes", spy)
+    rng = random.Random(9)
+    for _ in range(10):
+        root_set = sorted(rng.sample(range(1, 40), rng.randint(2, 5)))
+        p = poly_product([Polynomial([-r, 1]) for r in root_set])
+        seen.clear()
+        found = sturm_isolate(p, F(1, 2), F(50))
+        assert [r.exact for r in found] == [F(r) for r in root_set]
+        assert len(seen) == len(set(seen))

@@ -6,11 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from cubicstring.errors import SingularMatrixError, SpectralValidationError
+from cubicstring.errors import (
+    IdentityViolatedError,
+    SingularMatrixError,
+    SpectralValidationError,
+)
 from cubicstring.exact import Polynomial, poly_product
 from cubicstring.forward import boundary_data, transition
 from cubicstring.inverse import (
     Approximant,
+    _projections,
     SpectralData,
     bimoments,
     last_step,
@@ -27,10 +32,8 @@ from cubicstring.inverse import (
     validate_spectral,
     verify_approximant,
     verify_weyl_relation,
-    w_series,
     weyl_fractions,
     z_residues_of,
-    z_series,
 )
 
 F = Fraction
@@ -118,6 +121,20 @@ def test_approximant_conditions_random():
             verify_approximant(sd, solve_type1(bt, sd, k))
 
 
+def test_approximant_rejections():
+    # one coefficient off the two-mass chain breaks one order condition
+    with pytest.raises(IdentityViolatedError, match="value-side"):
+        verify_approximant(TWO_MASS, Approximant("I", 0, P(0, -1), P(), P(1)))
+    with pytest.raises(IdentityViolatedError, match="slope-side"):
+        verify_approximant(TWO_MASS, Approximant("III", 1, P(1, -1), P(2),
+                                                 P(F(1, 2))))
+    # both projections exact, so only the symmetry condition can fail
+    den = P(1, -2)
+    num_w, num_z = _projections(bimoments(TWO_MASS, 1), TWO_MASS, den)
+    with pytest.raises(IdentityViolatedError, match="symmetry"):
+        verify_approximant(TWO_MASS, Approximant("III", 1, den, num_w, num_z))
+
+
 def test_solver_index_ranges():
     bt = bimoments(TWO_MASS, 1)
     for bad in (0, 2):
@@ -137,12 +154,6 @@ def test_solvers_singular_past_string_end():
 
 
 def test_weyl_series_and_fractions():
-    w = w_series(TWO_MASS, -4)
-    assert [w.coefficient(-i) for i in (1, 2, 3, 4)] \
-        == [F(-1), F(-2), F(-4), F(-8)]
-    zs = z_series(TWO_MASS, -4)
-    assert [zs.coefficient(-i) for i in (1, 2, 3, 4)] \
-        == [F(-1, 2), F(-1, 2), F(-1), F(-2)]
     num_w, den_w, num_z, den_z = weyl_fractions(TWO_MASS)
     assert (num_w, den_w) == (P(-1), P(-2, 1))
     assert (num_z, den_z) == (P(F(1, 2), F(-1, 2)), P(0, -2, 1))
