@@ -39,6 +39,7 @@ from .heine import random_measure, run_checks
 from .inverse import (
     SpectralData,
     random_spectral,
+    recover,
     recover_detailed,
     spectral_from_dict,
     spectral_to_dict,
@@ -110,11 +111,10 @@ def _run_invert(ns: argparse.Namespace) -> int:
         raise ValueError("inversion needs exact rational spectral data; "
                          "this file carries decimal approximations")
     sd = spectral_from_dict(doc)
-    report = recover_detailed(sd)
     if ns.report_determinants:
-        out = report.to_dict()
+        out = recover_detailed(sd).to_dict()
     else:
-        out = string_to_dict(report.string)
+        out = string_to_dict(recover(sd))
     _emit_json(out, ns.output)
     return 0
 

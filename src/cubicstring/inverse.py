@@ -23,13 +23,16 @@ they are named here by the block they cut out of the pair table:
     beta_shifted[k]  det [beta_0..beta_{k-1} | I[1:k+1, 0:k-1]]
     beta_inner[k]    det [beta_0..beta_{k-1} | I[1:k+1, 1:k]]
 
-The string is rebuilt through a chain of simultaneous rational
-approximation problems to the two Weyl functions (three problem shapes,
-cycling with period three); the leading coefficient of each denominator
-hands back one mass or one gap.  The same chain satisfies a four-term
-recurrence whose coefficients are the recovered masses and gaps, and
-equals the entries of the forward partial crossing products; both facts
-are kept as cross-checks.
+The string is rebuilt by peeling the crossing factors off the boundary
+triple (phi, phi_x, phi_xx) that the data fixes: each jump hands back
+one mass, each gap one gap, and the triple must end at exactly
+(1, 0, 0).  The minors are the audit: their closed forms for each mass
+and gap are checked against the peeled string.  A chain of simultaneous
+rational approximation problems to the two Weyl functions (three problem
+shapes, cycling with period three) has minor ratios as its leading
+coefficients; it satisfies a four-term recurrence whose coefficients are
+the recovered masses and gaps, and equals the entries of the forward
+partial crossing products.
 """
 
 from __future__ import annotations
@@ -202,14 +205,19 @@ def _value_measure(lams, cs, total_mass) -> tuple[tuple, tuple]:
     return (Fraction(0),) + tuple(lams), (-1 / (2 * total_mass),) + tuple(cs)
 
 
+def _polynomial_part(den: Polynomial, points, weights) -> Polynomial:
+    """Polynomial part of den(z) * sum_k weights_k / (z - points_k)."""
+    acc = Polynomial.zero()
+    for p, w in zip(points, weights):
+        acc = acc + Polynomial.constant(w) * den.difference_quotient(p)
+    return acc
+
+
 def _ratio(points, weights) -> tuple[Polynomial, Polynomial]:
     """sum_k weights_k / (z - points_k) as (numerator, denominator)."""
-    factors = [Polynomial.x() - Polynomial.constant(p) for p in points]
-    num = Polynomial.zero()
-    for k, w in enumerate(weights):
-        num = num + Polynomial.constant(w) * poly_product(
-            factors[:k] + factors[k + 1:])
-    return num, poly_product(factors)
+    den = poly_product([Polynomial.x() - Polynomial.constant(p)
+                        for p in points])
+    return _polynomial_part(den, points, weights), den
 
 
 def weyl_fractions(sd: SpectralData) -> tuple[Polynomial, Polynomial,
@@ -255,16 +263,10 @@ class Approximant:
 
 def _projections(bt: BimomentTable, sd: SpectralData,
                  den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Polynomial parts of W * den and Z * den, by difference quotients."""
-    def part(points, weights):
-        acc = Polynomial.zero()
-        for p, w in zip(points, weights):
-            acc = acc + Polynomial.constant(w) * den.difference_quotient(p)
-        return acc
-
-    return (part(sd.eigenvalues, sd.residues),
-            part(*_value_measure(sd.eigenvalues, bt.z_residues,
-                                 bt.total_mass)))
+    """Polynomial parts of W * den and Z * den."""
+    return (_polynomial_part(den, sd.eigenvalues, sd.residues),
+            _polynomial_part(den, *_value_measure(
+                sd.eigenvalues, bt.z_residues, bt.total_mass)))
 
 
 def solve_type3(bt: BimomentTable, sd: SpectralData, k: int) -> Approximant:
@@ -356,25 +358,6 @@ def _curvature_polynomial(sd: SpectralData) -> Polynomial:
     return out
 
 
-def last_step(sd: SpectralData) -> Approximant:
-    """The final chain entry: its ratios ARE the Weyl functions.
-
-    den = -2 M z prod (1 - z/lam_j); num_w/den = W and num_z/den = Z
-    exactly; all three facts are verified before returning.
-    """
-    n = sd.n
-    bt = bimoments(sd, n - 1)
-    app = solve_type1(bt, sd, n - 1)
-    if app.den != _curvature_polynomial(sd):
-        raise IdentityViolatedError("final denominator is not the spectral polynomial")
-    num_w, den_w, num_z, den_z = weyl_fractions(sd)
-    if app.num_w * den_w != num_w * app.den:
-        raise IdentityViolatedError("final slope ratio is not exactly W")
-    if app.num_z * den_z != num_z * app.den:
-        raise IdentityViolatedError("final value ratio is not exactly Z")
-    return app
-
-
 # -- four-term recurrence ------------------------------------------------
 
 def recurrence_sequences(s: CubicString) -> tuple[dict, dict, dict]:
@@ -415,12 +398,12 @@ def recurrence_sequences(s: CubicString) -> tuple[dict, dict, dict]:
 
 @dataclass(frozen=True)
 class RecoveryRow:
-    """Per-step audit: the authoritative mass against both closed forms,
-    and the gap against its determinant form."""
+    """Per-step audit: the peeled mass against both closed forms, and
+    the peeled gap against its determinant form."""
 
     k: int
     mass_position: int              # 1-based index n-k of the mass
-    mass: Fraction                  # from leading coefficients
+    mass: Fraction                  # from the peel (recover)
     mass_cramer: Fraction           # shifted^2 / (2 mass_corner+ mass_corner)
     mass_printed: Fraction          # inner shifted / (2 mass_corner+ mass_corner)
     printed_agrees: bool
@@ -463,77 +446,81 @@ class RecoveryReport:
         }
 
 
-def recover_detailed(sd: SpectralData) -> RecoveryReport:
-    """Rebuild the string and audit every closed-form recovery formula.
+def recover(sd: SpectralData) -> CubicString:
+    """Inverse map; the recovered string is anchored at zero.
 
-    Authoritative route: leading coefficients of the three denominator
-    chains,  mass_{n-k} = -lead(den_{3k+2}) / (2 lead(den_{3k}))  and
-    gap_{n-k} = 2 lead(den_{3k}) / lead(den_{3k+1})  with lead(den_0)=1.
-
-    Two closed forms for each mass ride along: the Cramer-consistent
-    minor form (must agree, enforced) and the variant with the inner
-    minor in place of one shifted minor (recorded, known to disagree
-    in general); the gap also gets its determinant form, enforced.
+    Peels the crossing factors, rightmost mass first, off the boundary
+    triple the data fixes:  phi_xx = -2 M z prod (1 - z/lam),
+    phi_x = c z num_w  and  phi = c num_z,  where c = lead phi_xx /
+    lead den_w  makes phi_xx = c z den_w.  With d = deg phi, a jump takes
+    m = -[z^(d+1)] phi_xx / (2 lead phi)  and lowers phi_xx to degree d;
+    a gap takes  l = [z^d] phi_x / lead phi_xx  and lowers phi and phi_x
+    to degree d - 1.  Each degree drop is checked, and the triple must
+    end at exactly (1, 0, 0): the string's crossing then reproduces the
+    data's boundary triple.
     """
     validate_spectral(sd)
+    num_w, den_w, num_z, _ = weyl_fractions(sd)
+    z = Polynomial.x()
+    phi_xx = _curvature_polynomial(sd)
+    c = phi_xx.leading / den_w.leading
+    phi_x, phi = z * num_w * c, num_z * c
+    masses, gaps = [], []
+    for d in range(sd.n - 1, -1, -1):
+        if (phi.degree, phi_xx.degree) != (d, d + 1):
+            raise IdentityViolatedError(f"mass {d + 1}: degrees do not drop")
+        m = -phi_xx.coefficient(d + 1) / (2 * phi.leading)
+        phi_xx = phi_xx + z * phi * (2 * m)
+        masses.append(m)
+        if d == 0:
+            break
+        if (phi_x.degree, phi_xx.degree) != (d, d):
+            raise IdentityViolatedError(f"gap {d}: degrees do not drop")
+        gap = phi_x.leading / phi_xx.leading
+        phi = phi - phi_x * gap + phi_xx * (gap * gap / 2)
+        phi_x = phi_x - phi_xx * gap
+        gaps.append(gap)
+    if phi != 1 or phi_x or phi_xx:
+        raise IdentityViolatedError("peel did not end at (1, 0, 0)")
+    for v in masses + gaps:
+        if v <= 0:
+            raise NonPositiveRecoveryError(f"recovered value {v} not positive")
+    return CubicString(tuple(reversed(masses)), tuple(reversed(gaps)))
+
+
+def recover_detailed(sd: SpectralData) -> RecoveryReport:
+    """The recovered string with the minors audit.
+
+    Two closed forms for each mass ride along: the Cramer-consistent
+    minor form (must agree with the peel, enforced) and the variant
+    with the inner minor in place of one shifted minor (recorded, known
+    to disagree in general); the gap also gets its determinant form,
+    enforced.
+    """
+    s = recover(sd)
     n = sd.n
-    bt = bimoments(sd, n - 1)
-    minors = moment_minors(bt)
-
-    lead3 = {0: Fraction(1)}
-    lead2 = {}
-    lead1 = {}
-    for k in range(1, n):
-        lead3[k] = solve_type3(bt, sd, k).den.leading
-        lead2[k] = solve_type2(bt, sd, k).den.leading
-    for k in range(0, n):
-        lead1[k] = solve_type1(bt, sd, k).den.leading
-
-    # minor closed forms for the chain leading coefficients (cross-checks)
-    for k in range(1, n):
-        if lead3[k] != (-1) ** k * minors.mass_corner[k] / minors.shifted[k]:
-            raise IdentityViolatedError("type III leading-coefficient form failed")
-        if lead2[k] != (-1) ** (k - 1) * minors.beta_shifted[k] / minors.shifted[k]:
-            raise IdentityViolatedError("type II leading-coefficient form failed")
-    for k in range(0, n):
-        if lead1[k] != (-1) ** (k + 1) * minors.shifted[k] / minors.mass_corner[k + 1]:
-            raise IdentityViolatedError("type I leading-coefficient form failed")
-
-    masses = [Fraction(0)] * n
-    gaps = [Fraction(0)] * (n - 1)
+    minors = moment_minors(bimoments(sd, n - 1))
     rows = []
     for k in range(n):
-        mass = -lead1[k] / (2 * lead3[k])
+        mass = s.masses[n - k - 1]
         denom = 2 * minors.mass_corner[k + 1] * minors.mass_corner[k]
         cramer = minors.shifted[k] ** 2 / denom
         printed = minors.inner[k] * minors.shifted[k] / denom
         if mass != cramer:
-            raise IdentityViolatedError("Cramer mass form disagrees with leads")
+            raise IdentityViolatedError("Cramer mass form disagrees with the peel")
         gap_fields = {}
-        if 1 <= k <= n - 1:
-            gap = 2 * lead3[k] / lead2[k]
+        if k >= 1:
+            gap = s.gaps[n - k - 1]
             gap_det = -2 * minors.mass_corner[k] / minors.beta_shifted[k]
             if gap != gap_det:
                 raise IdentityViolatedError("gap determinant form disagrees")
             gap_fields = {"gap_position": n - k, "gap": gap,
                           "gap_determinant": gap_det}
-            gaps[n - k - 1] = gap
-        masses[n - k - 1] = mass
         rows.append(RecoveryRow(k=k, mass_position=n - k, mass=mass,
                                 mass_cramer=cramer, mass_printed=printed,
                                 printed_agrees=(printed == mass),
                                 **gap_fields))
-
-    for v in masses + gaps:
-        if v <= 0:
-            raise NonPositiveRecoveryError(f"recovered value {v} not positive")
-    return RecoveryReport(CubicString(tuple(masses), tuple(gaps)),
-                          minors, tuple(rows))
-
-
-def recover(sd: SpectralData) -> CubicString:
-    """Inverse map; the recovered string is anchored at zero."""
-    return recover_detailed(sd).string
+    return RecoveryReport(s, minors, tuple(rows))
 
 
 def verify_exact_roundtrip(sd: SpectralData) -> CubicString:

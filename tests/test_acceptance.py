@@ -193,7 +193,7 @@ def test_criterion_8_recovery_formula_audit():
     printed_divergences = 0
     for sd in criterion_1_instances():
         # recover_detailed enforces the determinant gap formula and the
-        # Cramer mass form against the leading-coefficient route
+        # Cramer mass form against the peeled string
         report = recover_detailed(sd)
         doc = report.to_dict()
         for row in doc["steps"]:
@@ -208,7 +208,7 @@ def test_criterion_8_recovery_formula_audit():
     assert len(reports) == 100 and emitted
     print(f"criterion 8: PASS - 100 audit reports emitted; gap and Cramer "
           f"forms always match; printed mass form diverges on "
-          f"{printed_divergences} steps; authoritative route roundtrips")
+          f"{printed_divergences} steps; the peeled string roundtrips")
 
 
 CRITERION_9_STRINGS = (

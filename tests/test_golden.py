@@ -33,6 +33,14 @@ def test_invert_report_golden(tmp_path, capsys, n, seed):
     assert capsys.readouterr().out == _expect(f"invert_n{n}_seed{seed}.json")
 
 
+@pytest.mark.parametrize("n", [9, 14])
+def test_invert_plain_golden(tmp_path, capsys, n):
+    p = _write_json(tmp_path / "sd.json",
+                    spectral_to_dict(random_spectral(n, n)))
+    assert main(["invert", p]) == 0
+    assert capsys.readouterr().out == _expect(f"invert_plain_n{n}_seed{n}.json")
+
+
 def test_verify_heine_golden(capsys):
     assert main(["verify", "--suite", "heine", "--support", "3",
                  "--k-max", "3", "--seed", "1"]) == 0

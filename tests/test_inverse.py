@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from cubicstring import inverse
+from cubicstring.cli import main
 from cubicstring.errors import (
     IdentityViolatedError,
     SingularMatrixError,
@@ -18,7 +20,6 @@ from cubicstring.inverse import (
     _projections,
     SpectralData,
     bimoments,
-    last_step,
     moment_minors,
     random_spectral,
     recover,
@@ -31,10 +32,12 @@ from cubicstring.inverse import (
     spectral_to_dict,
     validate_spectral,
     verify_approximant,
+    verify_exact_roundtrip,
     verify_weyl_relation,
     weyl_fractions,
     z_residues_of,
 )
+from cubicstring.string_model import string_to_dict
 
 F = Fraction
 
@@ -110,15 +113,31 @@ def test_two_mass_approximants_frozen():
 
 
 def test_approximant_conditions_random():
+    # the chain's leading coefficients are minor ratios, and they hand
+    # back the peeled masses and gaps
     rng = random.Random(6)
     for _ in range(5):
         sd = random_spectral(rng.randint(1, 5), rng)
-        bt = bimoments(sd, sd.n - 1)
-        for k in range(1, sd.n):
-            verify_approximant(sd, solve_type3(bt, sd, k))
-            verify_approximant(sd, solve_type2(bt, sd, k))
-        for k in range(sd.n):
-            verify_approximant(sd, solve_type1(bt, sd, k))
+        n = sd.n
+        bt = bimoments(sd, n - 1)
+        mm = moment_minors(bt)
+        s = recover(sd)
+        lead3 = {0: F(1)}
+        for k in range(1, n):
+            a3, a2 = solve_type3(bt, sd, k), solve_type2(bt, sd, k)
+            verify_approximant(sd, a3)
+            verify_approximant(sd, a2)
+            lead3[k] = a3.den.leading
+            assert lead3[k] == (-1) ** k * mm.mass_corner[k] / mm.shifted[k]
+            assert a2.den.leading == \
+                (-1) ** (k - 1) * mm.beta_shifted[k] / mm.shifted[k]
+            assert 2 * lead3[k] / a2.den.leading == s.gaps[n - k - 1]
+        for k in range(n):
+            a1 = solve_type1(bt, sd, k)
+            verify_approximant(sd, a1)
+            assert a1.den.leading == \
+                (-1) ** (k + 1) * mm.shifted[k] / mm.mass_corner[k + 1]
+            assert -a1.den.leading / (2 * lead3[k]) == s.masses[n - k - 1]
 
 
 def test_approximant_rejections():
@@ -164,18 +183,6 @@ def test_weyl_relation_random():
     rng = random.Random(7)
     for _ in range(8):
         verify_weyl_relation(random_spectral(rng.randint(1, 7), rng))
-
-
-def test_last_step_two_mass():
-    app = last_step(TWO_MASS)
-    assert app.den == P(0, -4, 2)
-    assert app.chain_index == 5
-
-
-def test_last_step_random():
-    rng = random.Random(8)
-    for _ in range(5):
-        last_step(random_spectral(rng.randint(1, 5), rng))
 
 
 def test_two_mass_recovery_frozen():
@@ -277,6 +284,56 @@ def test_recurrence_reproduces_chain():
                 assert q[j] == app.den, (n, j)
                 assert p[j] == app.num_w, (n, j)
                 assert phat[j] == app.num_z, (n, j)
+
+
+def test_recover_with_scaled_residues():
+    # residues scaled by sigma are the flow's data at e^(Mt) = sigma
+    for sigma in (F(3, 2), F(2, 7), F(5)):
+        for n in range(1, 8):
+            for seed in range(3):
+                sd0 = random_spectral(n, seed)
+                sd = SpectralData(sd0.eigenvalues,
+                                  tuple(b * sigma for b in sd0.residues),
+                                  sd0.total_mass)
+                s = verify_exact_roundtrip(sd)
+                assert s == recover(sd) == recover_detailed(sd).string
+
+
+def test_peel_refuses_a_wrong_triple(monkeypatch):
+    # Weyl fractions one coefficient off: a degree check or the end
+    # check must fire
+    real = inverse.weyl_fractions
+
+    def off(change):
+        monkeypatch.setattr(inverse, "weyl_fractions",
+                            lambda sd: change(*real(sd)))
+
+    off(lambda nw, dw, nz, dz: (nw, dw, nz + 1, dz))
+    with pytest.raises(IdentityViolatedError, match="mass 1: degrees"):
+        recover(TWO_MASS)
+    off(lambda nw, dw, nz, dz: (nw + 1, dw, nz, dz))
+    with pytest.raises(IdentityViolatedError, match="gap 1: degrees"):
+        recover(TWO_MASS)
+    off(lambda nw, dw, nz, dz: (nw, dw, nz * 2, dz))
+    with pytest.raises(IdentityViolatedError, match=r"\(1, 0, 0\)"):
+        recover(SpectralData((), (), F(7, 3)))
+
+
+def test_recover_needs_no_determinant(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("determinant route called")
+
+    for name in ("det_exact", "solve_exact", "moment_minors"):
+        monkeypatch.setattr(inverse, name, refuse)
+    sd = random_spectral(6, 2)
+    s = recover(sd)
+    assert verify_exact_roundtrip(sd) == s
+    p = tmp_path / "sd.json"
+    p.write_text(json.dumps(spectral_to_dict(sd)), encoding="utf-8")
+    assert main(["invert", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out) == string_to_dict(s)
+    with pytest.raises(AssertionError, match="determinant route"):
+        recover_detailed(sd)
 
 
 def test_single_mass_recovery():
