@@ -10,15 +10,17 @@ ordering never breaks, so the two agree, and the index form has no
 discontinuity at near-collisions.  Two integrators are provided:
 
   * integrate_rk4: classical fixed-step fourth-order integration of the
-    ODEs in double precision.
+    ODEs in double precision.  Each chain invariant M_j is the correctly
+    rounded exact value for the rational string the float state denotes.
 
   * evolve_spectral: the exact route.  The initial state is promoted to
     an exact rational string, its spectrum is isolated once to the
     requested precision, and each requested time is hit directly by
     scaling the residues, b_k(t) = b_k(0) e^{Mt}, and running the
     inverse map.  Eigenvalues and total mass never change along the
-    flow, so every recovered string shares them bitwise, and the chain
-    invariants M_j are constant by construction, not by accuracy.
+    flow, so every recovered string shares them, and the curvature
+    polynomial, bitwise: the chain invariants M_j are constant by
+    construction, not by accuracy.
 
 The inverse map fixes the string only up to translation.  The missing
 scalar is pinned by the first moment M+ = sum m_k x_k: differentiating
@@ -41,9 +43,15 @@ from .errors import (
     OrderingViolatedError,
 )
 from .exact import RatInterval, simplest_rational_between
-from .forward import residues, resolve_precision_bits, spectrum
-from .inverse import SpectralData, recover, z_residues_of
-from .string_model import ConservedSet, CubicString, invariant_masses, positions
+from .forward import (
+    boundary_data,
+    invariant_masses,
+    residues,
+    resolve_precision_bits,
+    spectrum,
+)
+from .inverse import SpectralData, curvature_polynomial, recover, z_residues_of
+from .string_model import ConservedSet, CubicString, positions
 
 # about 40 s of RK4 at three peaks; past it the run is refused, not started
 MAX_RK4_STEPS = 10 ** 6
@@ -101,9 +109,13 @@ def rhs(state: WaveState):
     return _rhs_arrays(state.positions, state.momenta)
 
 
-def conserved_floats(xs, ms) -> ConservedSet:
+def conserved_floats(state: WaveState) -> ConservedSet:
+    """M and M_plus as float sums; each M_j is the correctly rounded
+    value of the exact chain invariant of the state's rational string."""
+    xs, ms = state.positions, state.momenta
+    phi_xx = boundary_data(rationalize(state)).phi_xx
     return ConservedSet(sum(ms), sum(m * x for m, x in zip(ms, xs)),
-                        tuple(invariant_masses(ms, xs)))
+                        tuple(float(v) for v in invariant_masses(phi_xx)))
 
 
 def _rk4_step(xs, ms, h):
@@ -140,7 +152,7 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float,
                          f"over the cap of {MAX_RK4_STEPS}")
     xs, ms = list(s0.positions), list(s0.momenta)
     t0 = s0.time
-    rows = [(t0, s0, conserved_floats(xs, ms))]
+    rows = [(t0, s0, conserved_floats(s0))]
     t = t0
     for j in range(1, samples):
         target = t0 + t_end * j / (samples - 1)
@@ -152,7 +164,7 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float,
             xs, ms = _rk4_step(xs, ms, target - t)
         t = target
         state = WaveState(t, tuple(xs), tuple(ms))
-        rows.append((t, state, conserved_floats(xs, ms)))
+        rows.append((t, state, conserved_floats(state)))
     return Trajectory(tuple(rows))
 
 
@@ -186,10 +198,8 @@ def spectral_snapshot(s: CubicString,
                  else simplest_rational_between(e.lo, e.hi)
                  for e in wd.eigenvalues)
     bs = tuple(_point_value(b) for b in wd.w_residues)
-    total = sum(s.masses, Fraction(0))
-    xs = positions(s)
-    first = sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))
-    return SpectralData(lams, bs, total), first
+    first = sum((m * x for m, x in zip(s.masses, positions(s))), Fraction(0))
+    return SpectralData(lams, bs, sum(s.masses, Fraction(0))), first
 
 
 def scale_factor(total_mass: Fraction, t: float,
@@ -239,16 +249,20 @@ def evolve_spectral_exact(
 
 def evolve_spectral(s0: WaveState, times,
                     precision_bits: int | None = None) -> Trajectory:
-    """Spectral-route trajectory at the requested times, as floats."""
+    """Spectral-route trajectory at the requested times, as floats.
+
+    Every sample shares M, the pinned M+ and the curvature polynomial,
+    whose M_j the peel's end check proves exact: one set serves all."""
     rows = []
-    for t, s, _ in evolve_spectral_exact(s0, times, precision_bits):
+    for t, s, sd in evolve_spectral_exact(s0, times, precision_bits):
         xs = positions(s)
+        if not rows:
+            first = sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))
+            phi_xx = curvature_polynomial(sd)
+            c = ConservedSet(float(sd.total_mass), float(first), tuple(
+                float(v) for v in invariant_masses(phi_xx)))
         state = WaveState(t, tuple(float(x) for x in xs),
                           tuple(float(m) for m in s.masses))
-        c = ConservedSet(
-            float(sum(s.masses, Fraction(0))),
-            float(sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))),
-            tuple(float(v) for v in invariant_masses(s.masses, xs)))
         rows.append((t, state, c))
     return Trajectory(tuple(rows))
 

@@ -52,14 +52,6 @@ class StepsOutOfRangeError(CubicStringError):
     """Requested a partial transition product outside 1..2n-1."""
 
 
-class TooSmallError(CubicStringError):
-    """The operation needs at least two masses."""
-
-
-class SizeCapExceededError(CubicStringError):
-    """Exhaustive minor enumeration refused a matrix above its size cap."""
-
-
 class IdentityViolatedError(CubicStringError):
     """An identity that holds for valid input failed exactly."""
 

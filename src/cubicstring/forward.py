@@ -1,24 +1,19 @@
 """Forward spectral map of the discrete cubic string.
 
 Between masses the wave function of  -phi''' = z m phi  is a quadratic
-in x, so crossing the whole support is a product of 3x3 matrices in the
-spectral variable z: a polynomial "free" factor per gap and a "jump"
-factor per mass.  With the left boundary data fixed, the first column
-of the full product carries three polynomials (phi, phi_x, phi_xx):
-value, slope and curvature of the wave just right of the support.
+in x.  Crossing the support steps the boundary triple (phi, phi_x,
+phi_xx) of value, slope and curvature, polynomials in the spectral
+variable z, from (1, 0, 0): each mass makes the curvature jump by
+-2 m z phi, and each gap carries the quadratic across.  The result is
+the first column of the 3x3 crossing matrix, whose full product stays
+as the tests' reference; the inverse map peels the same steps off.
 
 Eigenvalues are the roots of the curvature polynomial phi_xx away from
 zero; they are positive and simple for positive masses and gaps.  The
 two Weyl functions are the ratios phi_x/phi_xx and phi/phi_xx, and
 their residues at the eigenvalues are the spectral data used by the
-inverse map.
-
-A second, independent route to the same spectrum: the (n-1) x (n-1)
-tridiagonal stiffness matrix and the lower-triangular squared-gap
-matrix.  Nonzero eigenvalues of the string are the reciprocals of the
-eigenvalues of stiffness^-1 @ gap_gram.  The gap_gram matrix equals the
-path matrix of a little planar network, which makes it totally
-non-negative; both facts are kept as permanent cross-checks.
+inverse map.  The coefficients of phi_xx are, up to 2(-z)^j, the chain
+invariants M_j of the isospectral flow.
 """
 
 from __future__ import annotations
@@ -27,14 +22,10 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     IdentityViolatedError,
     PrecisionExhaustedError,
-    SizeCapExceededError,
     StepsOutOfRangeError,
-    TooSmallError,
 )
 from .exact import (
     Matrix,
@@ -47,7 +38,7 @@ from .exact import (
     sturm_isolate,
 )
 from .exact.roots import DEFAULT_ISOLATION_WIDTH
-from .string_model import CubicString, validate
+from .string_model import ConservedSet, CubicString, positions, validate
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -135,12 +126,43 @@ def transition(s: CubicString, steps: int) -> Matrix:
     return acc
 
 
+def jump_step(triple: tuple, mass: Fraction) -> tuple:
+    """Cross one point mass: phi_xx -= 2 m z phi (jump_matrix on a column)."""
+    phi, phi_x, phi_xx = triple
+    return phi, phi_x, phi_xx - Polynomial.x() * phi * (2 * mass)
+
+
+def gap_step(triple: tuple, gap: Fraction) -> tuple:
+    """Cross one gap: integrate the quadratic (free_matrix on a column)."""
+    phi, phi_x, phi_xx = triple
+    return (phi + phi_x * gap + phi_xx * (gap * gap / 2),
+            phi_x + phi_xx * gap,
+            phi_xx)
+
+
 def boundary_data(s: CubicString) -> WeylData:
-    """Boundary polynomials: first column of the full crossing matrix."""
-    full = transition(s, 2 * s.n - 1)
-    return WeylData(phi=full.entry(0, 0),
-                    phi_x=full.entry(1, 0),
-                    phi_xx=full.entry(2, 0))
+    """Boundary polynomials: first column of the full crossing matrix,
+    stepped from (1, 0, 0) across mass 1, gap 1, ..., mass n."""
+    validate(s)
+    start = (Polynomial.one(), Polynomial.zero(), Polynomial.zero())
+    triple = jump_step(start, s.masses[0])
+    for gap, mass in zip(s.gaps, s.masses[1:]):
+        triple = jump_step(gap_step(triple, gap), mass)
+    return WeylData(*triple)
+
+
+def invariant_masses(phi_xx: Polynomial) -> list[Fraction]:
+    """The chain invariants M_1..M_n off phi_xx = 2 sum_j (-z)^j M_j."""
+    return [(-1) ** j * phi_xx.coefficient(j) / 2
+            for j in range(1, phi_xx.degree + 1)]
+
+
+def conserved(s: CubicString) -> ConservedSet:
+    """Total mass, first moment and the chain invariants, exactly."""
+    xs = positions(s)
+    first = sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))
+    return ConservedSet(sum(s.masses, Fraction(0)), first,
+                        tuple(invariant_masses(boundary_data(s).phi_xx)))
 
 
 _J_ROWS = ((0, 0, 1), (0, -1, 0), (1, 0, 0))
@@ -261,105 +283,3 @@ def _check_residue_relation(wd: WeylData, w_out, z_out) -> None:
     lams = [e.exact for e in wd.eigenvalues]
     if value_residues(lams, w_out) != tuple(z_out):
         raise IdentityViolatedError("z-residue relation failed exactly")
-
-
-# -- the oscillatory route ----------------------------------------------
-
-def oscillatory_matrices(s: CubicString) -> tuple[Matrix, Matrix]:
-    """Stiffness tridiagonal and squared-gap lower-triangular matrices.
-
-    Eigenvalues of the string are the reciprocals of the eigenvalues of
-    stiffness^-1 @ gap_gram.  Needs at least two masses.
-    """
-    validate(s)
-    if s.n < 2:
-        raise TooSmallError("the oscillatory route needs n >= 2")
-    n1 = s.n - 1
-    m = s.masses
-    stiff = [[Fraction(0)] * n1 for _ in range(n1)]
-    for r in range(n1):
-        stiff[r][r] = 1 / m[r] + 1 / m[r + 1]
-        if r > 0:
-            stiff[r][r - 1] = stiff[r - 1][r] = -1 / m[r]
-    g = s.gaps
-    gram = [[Fraction(0)] * n1 for _ in range(n1)]
-    for r in range(n1):
-        gram[r][r] = g[r] * g[r]
-        for c in range(r):
-            gram[r][c] = 2 * g[r] * g[c]
-    return Matrix(stiff), Matrix(gram)
-
-
-def path_matrix(order: int, gaps) -> Matrix:
-    """Weight matrix of the gap network, by literal path enumeration.
-
-    Nodes live on four columns; row r of the first column is a source,
-    row r of the last a sink.  Edges: source r -> middle-left r with
-    weight gap_r; inside the middle-left column r -> r-1 (weight 1);
-    exits middle-left r -> middle-right r and r -> r-1 (weight 1); and
-    middle-right r -> sink r with weight gap_r.  Entry (i, j) sums the
-    weight products over all paths from source i+1 to sink j+1.
-    """
-    gaps = [Fraction(g) for g in gaps]
-    if len(gaps) != order:
-        raise ValueError("need one gap per network row")
-
-    # adjacency over nodes (column, row), rows 1..order
-    def edges(node):
-        col, r = node
-        if col == 0:
-            yield (1, r), gaps[r - 1]
-        elif col == 1:
-            if r > 1:
-                yield (1, r - 1), Fraction(1)
-                yield (2, r - 1), Fraction(1)
-            yield (2, r), Fraction(1)
-        elif col == 2:
-            yield (3, r), gaps[r - 1]
-
-    out = [[Fraction(0)] * order for _ in range(order)]
-
-    def walk(node, weight, source_row):
-        col, r = node
-        if col == 3:
-            out[source_row - 1][r - 1] += weight
-            return
-        for nxt, w in edges(node):
-            walk(nxt, weight * w, source_row)
-
-    for i in range(1, order + 1):
-        walk((0, i), Fraction(1), i)
-    return Matrix(out)
-
-
-def is_totally_nonnegative(m: Matrix, cap: int = 6) -> bool:
-    """Exhaustively check that every square minor is >= 0."""
-    from itertools import combinations
-
-    from .exact import det_exact
-
-    if m.nrows > cap or m.ncols > cap:
-        raise SizeCapExceededError(
-            f"minor enumeration capped at {cap}, matrix is {m.nrows}x{m.ncols}")
-    for size in range(1, min(m.nrows, m.ncols) + 1):
-        for rows in combinations(range(m.nrows), size):
-            for cols in combinations(range(m.ncols), size):
-                if det_exact(m.submatrix(rows, cols)) < 0:
-                    return False
-    return True
-
-
-def float_spectrum_oracle(s: CubicString) -> np.ndarray:
-    """Eigenvalues via the float oscillatory route, ascending.
-
-    Solves the generalized problem with numpy and returns reciprocals;
-    independent of the Sturm route in both representation and algorithm.
-    """
-    if s.n == 1:
-        return np.array([])
-    stiff, gram = oscillatory_matrices(s)
-    a = np.array([[float(e) for e in row] for row in stiff.rows])
-    b = np.array([[float(e) for e in row] for row in gram.rows])
-    eig = np.linalg.eigvals(np.linalg.solve(a, b))
-    vals = np.sort(1.0 / eig.real)
-    return vals

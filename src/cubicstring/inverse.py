@@ -55,8 +55,8 @@ from .exact import (
     poly_product,
     solve_exact,
 )
-from .forward import value_residues
-from .string_model import CubicString
+from .forward import gap_step, jump_step, value_residues
+from .string_model import CubicString, string_to_dict
 
 
 @dataclass(frozen=True)
@@ -122,22 +122,22 @@ def table_from_support(lams, bs, total_mass, max_order: int) -> BimomentTable:
     constraints are imposed (the constrained entry point is bimoments)."""
     lams = tuple(Fraction(x) for x in lams)
     bs = tuple(Fraction(x) for x in bs)
-    powers = [[lam ** j for j in range(max_order + 1)] for lam in lams]
+    orders = range(max_order + 1)
+    powers = [[lam ** j for j in orders] for lam in lams]
     beta = tuple(sum((b * pw[j] for b, pw in zip(bs, powers)), Fraction(0))
-                 for j in range(max_order + 1))
+                 for j in orders)
+    # I_ij = sum_a lam_a^i u_aj  with  u_aj = sum_b K_ab lam_b^j  and the
+    # kernel K_ab = b_a b_b / (lam_a + lam_b): O(n^3), not O(n^4)
+    kernel = [[ba * bb / (la + lb) for lb, bb in zip(lams, bs)]
+              for la, ba in zip(lams, bs)]
+    u = [[sum((k * pw[j] for k, pw in zip(row, powers)), Fraction(0))
+          for j in orders] for row in kernel]
     table = []
-    for i in range(max_order + 1):
-        row = []
-        for j in range(max_order + 1):
-            if j < i:
-                row.append(table[j][i])  # symmetry
-                continue
-            acc = Fraction(0)
-            for a, (la, ba) in enumerate(zip(lams, bs)):
-                for b_, (lb, bb) in enumerate(zip(lams, bs)):
-                    acc += ba * bb * powers[a][i] * powers[b_][j] / (la + lb)
-            row.append(acc)
-        table.append(row)
+    for i in orders:
+        table.append([table[j][i] if j < i  # symmetry
+                      else sum((pw[i] * ua[j] for pw, ua in zip(powers, u)),
+                               Fraction(0))
+                      for j in orders])
     return BimomentTable(Fraction(total_mass), beta,
                          tuple(tuple(r) for r in table),
                          value_residues(lams, bs))
@@ -349,7 +349,7 @@ def verify_approximant(sd: SpectralData, app: Approximant) -> None:
         raise IdentityViolatedError("symmetry order condition failed")
 
 
-def _curvature_polynomial(sd: SpectralData) -> Polynomial:
+def curvature_polynomial(sd: SpectralData) -> Polynomial:
     """-2 M z prod (1 - z/lam_j): the boundary curvature the data fixes."""
     z = Polynomial.x()
     out = Polynomial.constant(-2 * sd.total_mass) * z
@@ -363,33 +363,22 @@ def _curvature_polynomial(sd: SpectralData) -> Polynomial:
 def recurrence_sequences(s: CubicString) -> tuple[dict, dict, dict]:
     """Run the chain recurrence from the three seed vectors.
 
-    X_{3k}   = (l^2/2) X_{3k-1} + l X_{3k-2} + X_{3k-3}     (l = gap n-k)
-    X_{3k+1} = l X_{3k-1} + X_{3k-2}
-    X_{3k+2} = -2 z m X_{3k} + X_{3k-1}                     (m = mass n-k)
-
+    Step k crosses gap n-k, then mass n-k, from the right end: the
+    triple (X_{3k-3}, X_{3k-2}, X_{3k-1}) becomes (X_{3k}, X_{3k+1},
+    X_{3k+2}) by forward.gap_step and then forward.jump_step.
     Seeds (X_-1, X_0, X_1) = (1,0,0), (0,1,0), (0,0,1) generate the
     value-numerator, denominator and slope-numerator chains; returns
     the three dicts keyed by chain index up to 3n-1.
     """
-    n = s.n
-    z = Polynomial.x()
     out = []
     for seed in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        x = {-1: Polynomial.constant(seed[0]),
-             0: Polynomial.constant(seed[1]),
-             1: Polynomial.constant(seed[2])}
-        m_n = Polynomial.constant(-2 * s.masses[n - 1])
-        x[2] = m_n * z * x[0] + x[-1]
-        for k in range(1, n):
-            gap = s.gaps[n - k - 1]
-            mass = s.masses[n - k - 1]
-            x[3 * k] = (Polynomial.constant(gap * gap / 2) * x[3 * k - 1]
-                        + Polynomial.constant(gap) * x[3 * k - 2]
-                        + x[3 * k - 3])
-            x[3 * k + 1] = (Polynomial.constant(gap) * x[3 * k - 1]
-                            + x[3 * k - 2])
-            x[3 * k + 2] = (Polynomial.constant(-2 * mass) * z * x[3 * k]
-                            + x[3 * k - 1])
+        x = {k: Polynomial.constant(v) for k, v in zip((-1, 0, 1), seed)}
+        triple = (x[0], x[1], x[-1])
+        for k in range(s.n):
+            if k:
+                triple = gap_step(triple, s.gaps[s.n - k - 1])
+            triple = jump_step(triple, s.masses[s.n - k - 1])
+            x[3 * k], x[3 * k + 1], x[3 * k + 2] = triple
         out.append(x)
     return out[0], out[1], out[2]
 
@@ -421,11 +410,7 @@ class RecoveryReport:
     def to_dict(self) -> dict:
         fm = format_rational
         return {
-            "string": {
-                "masses": [fm(m) for m in self.string.masses],
-                "gaps": [fm(g) for g in self.string.gaps],
-                "anchor": fm(self.string.anchor),
-            },
+            "string": string_to_dict(self.string),
             "minors": {name: [fm(v) for v in values]
                        for name, values in vars(self.minors).items()},
             "steps": [
@@ -455,30 +440,30 @@ def recover(sd: SpectralData) -> CubicString:
     lead den_w  makes phi_xx = c z den_w.  With d = deg phi, a jump takes
     m = -[z^(d+1)] phi_xx / (2 lead phi)  and lowers phi_xx to degree d;
     a gap takes  l = [z^d] phi_x / lead phi_xx  and lowers phi and phi_x
-    to degree d - 1.  Each degree drop is checked, and the triple must
-    end at exactly (1, 0, 0): the string's crossing then reproduces the
-    data's boundary triple.
+    to degree d - 1.  The peel runs forward.jump_step and
+    forward.gap_step with -m and -l, the exact inverses of the forward
+    crossing.  Each degree drop is checked, and the triple must end at
+    exactly (1, 0, 0): the string's crossing then reproduces the data's
+    boundary triple.
     """
     validate_spectral(sd)
     num_w, den_w, num_z, _ = weyl_fractions(sd)
-    z = Polynomial.x()
-    phi_xx = _curvature_polynomial(sd)
+    phi_xx = curvature_polynomial(sd)
     c = phi_xx.leading / den_w.leading
-    phi_x, phi = z * num_w * c, num_z * c
+    phi, phi_x = num_z * c, Polynomial.x() * num_w * c
     masses, gaps = [], []
     for d in range(sd.n - 1, -1, -1):
         if (phi.degree, phi_xx.degree) != (d, d + 1):
             raise IdentityViolatedError(f"mass {d + 1}: degrees do not drop")
         m = -phi_xx.coefficient(d + 1) / (2 * phi.leading)
-        phi_xx = phi_xx + z * phi * (2 * m)
+        phi, phi_x, phi_xx = jump_step((phi, phi_x, phi_xx), -m)
         masses.append(m)
         if d == 0:
             break
         if (phi_x.degree, phi_xx.degree) != (d, d):
             raise IdentityViolatedError(f"gap {d}: degrees do not drop")
         gap = phi_x.leading / phi_xx.leading
-        phi = phi - phi_x * gap + phi_xx * (gap * gap / 2)
-        phi_x = phi_x - phi_xx * gap
+        phi, phi_x, phi_xx = gap_step((phi, phi_x, phi_xx), -gap)
         gaps.append(gap)
     if phi != 1 or phi_x or phi_xx:
         raise IdentityViolatedError("peel did not end at (1, 0, 0)")
@@ -539,7 +524,7 @@ def verify_exact_roundtrip(sd: SpectralData) -> CubicString:
     if sum(s.masses, Fraction(0)) != sd.total_mass:
         raise IdentityViolatedError("masses do not sum to the total mass")
     wd = boundary_data(s)
-    if wd.phi_xx != _curvature_polynomial(sd):
+    if wd.phi_xx != curvature_polynomial(sd):
         raise IdentityViolatedError(
             "curvature polynomial is not -2Mz prod(1 - z/lambda)")
     da = wd.phi_xx.derivative()

@@ -13,7 +13,7 @@ Conserved quantities of the associated isospectral flow:
             squared distances (x_{i_a} - x_{i_{a+1}})^2)
 M_1 coincides with M.  The M_j are, up to the factor 2(-z)^j, the
 coefficients of the spectral polynomial, which is why the flow keeps
-them constant.
+them constant; forward.conserved reads them off that polynomial.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
 
 from .errors import (
     EmptyStringError,
@@ -76,35 +74,7 @@ def positions(s: CubicString) -> tuple[Fraction, ...]:
 class ConservedSet:
     total_mass: Fraction
     first_moment: Fraction
-    higher: tuple[Fraction, ...]  # M_1..M_n; higher[0] == total_mass
-
-
-def invariant_masses(masses: Sequence, xs: Sequence) -> list:
-    """The chain sums M_1..M_n over any ordered field (Fraction or float).
-
-    M_j sums, over increasing index subsets of size j, the product of
-    the chosen masses times the squared consecutive distances.
-    """
-    n = len(masses)
-    out = []
-    for j in range(1, n + 1):
-        acc = None
-        for subset in combinations(range(n), j):
-            term = masses[subset[0]]
-            for a, b in zip(subset, subset[1:]):
-                term = term * masses[b] * (xs[a] - xs[b]) ** 2
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def conserved(s: CubicString) -> ConservedSet:
-    validate(s)
-    xs = positions(s)
-    total = sum(s.masses, Fraction(0))
-    first = sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))
-    higher = tuple(invariant_masses(s.masses, xs))
-    return ConservedSet(total, first, higher)
+    higher: tuple[Fraction, ...]  # M_1..M_n; M_1 is the total mass
 
 
 # -- wire format -------------------------------------------------------

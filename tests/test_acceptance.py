@@ -12,6 +12,13 @@ import time
 from fractions import Fraction as F
 
 from conftest import random_string
+from oracles import (
+    chain_sums_by_subsets,
+    float_spectrum_oracle,
+    is_totally_nonnegative,
+    oscillatory_matrices,
+    path_matrix,
+)
 
 from cubicstring.burgers import (
     WaveState,
@@ -26,10 +33,6 @@ from cubicstring.exact import Polynomial, det_exact
 from cubicstring.forward import (
     boundary_data,
     check_automorphism,
-    float_spectrum_oracle,
-    is_totally_nonnegative,
-    oscillatory_matrices,
-    path_matrix,
     residues,
     spectrum,
     transition,
@@ -54,7 +57,7 @@ from cubicstring.inverse import (
     verify_approximant,
     verify_exact_roundtrip,
 )
-from cubicstring.string_model import CubicString, invariant_masses, positions
+from cubicstring.string_model import CubicString, positions
 
 
 def criterion_1_instances():
@@ -108,7 +111,7 @@ def test_criterion_4_conserved_quantity_bridge():
     for _ in range(60):
         s = random_string(rng, rng.randint(1, 8))
         a = boundary_data(s).phi_xx
-        mks = invariant_masses(s.masses, positions(s))
+        mks = chain_sums_by_subsets(s.masses, positions(s))
         assert a.coefficient(0) == 0
         assert a.degree == s.n
         for k, mk in enumerate(mks, start=1):

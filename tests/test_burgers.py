@@ -1,10 +1,12 @@
 """Peak dynamics: RK4 route, spectral route, conservation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from cubicstring import burgers
 from cubicstring.burgers import (
     MAX_RK4_STEPS,
     Trajectory,
@@ -25,7 +27,8 @@ from cubicstring.errors import (
     NonPositiveMassError,
     OrderingViolatedError,
 )
-from cubicstring.string_model import conserved, positions
+from cubicstring.forward import boundary_data, conserved, invariant_masses
+from cubicstring.string_model import positions
 
 F = Fraction
 
@@ -174,6 +177,43 @@ def test_rk4_states_stay_isospectral():
         sd, _ = spectral_snapshot(rationalize(state), 96)
         lam = float(sd.eigenvalues[0])
         assert abs(lam - 2.0) / 2.0 <= 1e-6
+
+
+def test_rk4_chain_invariants_are_rounded_exact_values():
+    s0 = WaveState(0.0, (-2.0, -0.5, 0.25, 1.0), (0.75, 1.5, 0.5, 1.25))
+    tr = integrate_rk4(s0, 1e-2, 0.3, samples=4)
+    for _, state, c in tr.samples:
+        exact = conserved(rationalize(state)).higher
+        assert c.higher == tuple(float(v) for v in exact)
+        assert c.total_mass == sum(state.momenta)
+
+
+def test_spectral_route_reads_chain_invariants_once(monkeypatch):
+    calls = []
+
+    def counted(phi_xx):
+        calls.append(phi_xx)
+        return invariant_masses(phi_xx)
+
+    monkeypatch.setattr(burgers, "invariant_masses", counted)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    rows = evolve_spectral(SYMMETRIC, times, precision_bits=64).samples
+    assert len(calls) == 1
+    exact = evolve_spectral_exact(SYMMETRIC, times, precision_bits=64)
+    for (_, _, c), (_, s, _) in zip(rows, exact):
+        assert boundary_data(s).phi_xx == calls[0]
+        assert c.higher == tuple(float(v) for v in conserved(s).higher)
+
+
+def test_rk4_with_many_peaks_is_fast():
+    # the chain invariants of 30 peaks: 2^30 subsets by their definition
+    n = 30
+    s0 = WaveState(0.0, tuple(float(k) for k in range(n)),
+                   tuple(1.0 + k / 64 for k in range(n)))
+    start = time.perf_counter()
+    tr = integrate_rk4(s0, 1e-4, 1e-4, samples=2)
+    assert time.perf_counter() - start < 1.0
+    assert all(len(c.higher) == n for _, _, c in tr.samples)
 
 
 def test_integrator_argument_checks():

@@ -1,6 +1,10 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +340,13 @@ def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["evolve", "x.json", "--method", "euler", "--t-end", "1"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_numpy():
+    # the runtime has no dependencies; numpy serves only the test oracles
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cubicstring.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -14,27 +14,29 @@ import numpy as np
 import pytest
 
 from conftest import random_string
-from cubicstring.errors import (
-    SizeCapExceededError,
-    StepsOutOfRangeError,
-    TooSmallError,
+from oracles import (
+    float_spectrum_oracle,
+    is_totally_nonnegative,
+    oscillatory_matrices,
+    path_matrix,
 )
+
+from cubicstring.errors import StepsOutOfRangeError
 from cubicstring.exact import Matrix, Polynomial, RatInterval, det_cofactor
 from cubicstring.forward import (
     boundary_data,
     check_automorphism,
+    conserved,
     eigenvalue_polynomial,
-    float_spectrum_oracle,
     free_matrix,
-    is_totally_nonnegative,
+    gap_step,
     jump_matrix,
-    oscillatory_matrices,
-    path_matrix,
+    jump_step,
     residues,
     spectrum,
     transition,
 )
-from cubicstring.string_model import CubicString, conserved, positions
+from cubicstring.string_model import CubicString, positions
 
 TWO_MASS = CubicString((F(1), F(1)), (F(1),))
 
@@ -68,6 +70,25 @@ def test_single_mass_boundary():
     assert wd.phi == Polynomial.one()
     assert wd.phi_x == Polynomial.zero()
     assert wd.phi_xx == P(0, -6)
+
+
+def test_boundary_data_is_first_column_of_transition():
+    for seed in range(3):
+        rng = random.Random(seed)
+        for n in range(1, 13):
+            s = random_string(rng, n)
+            full = transition(s, 2 * n - 1)
+            wd = boundary_data(s)
+            assert (wd.phi, wd.phi_x, wd.phi_xx) == full.column(0)
+
+
+def test_steps_are_the_factor_matrices_on_a_column():
+    col = (P(1, 2), P(F(1, 3), 0, 5), P(0, -1, F(7, 2)))
+    for step, matrix, value in ((jump_step, jump_matrix, F(3, 2)),
+                                (gap_step, free_matrix, F(5, 4))):
+        out = matrix(value) @ Matrix(tuple((p,) for p in col))
+        assert step(col, value) == out.column(0)
+        assert step(step(col, value), -value) == col
 
 
 def test_steps_range():
@@ -228,7 +249,7 @@ def test_oscillatory_matrices_frozen():
     stiff3, gram3 = oscillatory_matrices(s3)
     assert stiff3.rows == ((F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 4)))
     assert gram3.rows == ((F(1), F(0)), (F(6), F(9)))
-    with pytest.raises(TooSmallError):
+    with pytest.raises(ValueError, match="needs n >= 2"):
         oscillatory_matrices(CubicString((F(1),), ()))
 
 
@@ -268,5 +289,5 @@ def test_gram_total_nonnegativity():
     # a matrix with a negative 2x2 minor fails
     bad = Matrix([[F(1), F(2)], [F(3), F(1)]])
     assert not is_totally_nonnegative(bad)
-    with pytest.raises(SizeCapExceededError):
+    with pytest.raises(ValueError, match="capped at 6"):
         is_totally_nonnegative(Matrix.identity(7))

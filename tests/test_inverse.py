@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicstring import inverse
+from cubicstring import forward, inverse
 from cubicstring.cli import main
 from cubicstring.errors import (
     IdentityViolatedError,
@@ -30,6 +30,7 @@ from cubicstring.inverse import (
     solve_type3,
     spectral_from_dict,
     spectral_to_dict,
+    table_from_support,
     validate_spectral,
     verify_approximant,
     verify_exact_roundtrip,
@@ -334,6 +335,46 @@ def test_recover_needs_no_determinant(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == string_to_dict(s)
     with pytest.raises(AssertionError, match="determinant route"):
         recover_detailed(sd)
+
+
+def test_pair_table_matches_the_double_sum():
+    rng = random.Random(12)
+    for n in (1, 2, 4, 7, 9):
+        sd = random_spectral(n, rng)
+        lams, bs = sd.eigenvalues, sd.residues
+        bt = table_from_support(lams, bs, sd.total_mass, n)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                assert bt.pair_table[i][j] == sum(
+                    (ba * bb * la ** i * lb ** j / (la + lb)
+                     for la, ba in zip(lams, bs) for lb, bb in zip(lams, bs)),
+                    F(0))
+
+
+def test_recover_and_boundary_data_share_the_crossing_steps(monkeypatch):
+    calls = []
+    for name in ("jump_step", "gap_step"):
+        step = getattr(forward, name)
+
+        def counted(triple, value, name=name, step=step):
+            calls.append((name, value))
+            return step(triple, value)
+
+        monkeypatch.setattr(forward, name, counted)
+        monkeypatch.setattr(inverse, name, counted)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix product called")
+
+    monkeypatch.setattr(forward, "transition", refuse)
+    s = recover(random_spectral(5, 3))
+    peeled = calls[:]
+    calls.clear()
+    boundary_data(s)
+    assert calls[::2] == [("jump_step", m) for m in s.masses]
+    assert calls[1::2] == [("gap_step", g) for g in s.gaps]
+    # the peel runs the same steps backwards with negated values
+    assert peeled == [(name, -v) for name, v in reversed(calls)]
 
 
 def test_single_mass_recovery():

@@ -5,16 +5,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import random_string
+from oracles import chain_sums_by_subsets
+
+from cubicstring.burgers import WaveState, conserved_floats
 from cubicstring.errors import (
     EmptyStringError,
     NonPositiveGapError,
     NonPositiveMassError,
 )
+from cubicstring.forward import conserved
 from cubicstring.string_model import (
     ConservedSet,
     CubicString,
-    conserved,
-    invariant_masses,
     positions,
     string_from_dict,
     string_to_dict,
@@ -65,10 +68,20 @@ def test_conserved_hand_check_n3():
 
 
 def test_invariant_masses_works_on_floats():
-    masses = [1.0, 2.0, 1.0]
-    xs = [-3.0, -2.0, 0.0]
-    vals = invariant_masses(masses, xs)
-    assert vals == [4.0, 19.0, 8.0]
+    c = conserved_floats(WaveState(0.0, (-3.0, -2.0, 0.0), (1.0, 2.0, 1.0)))
+    assert c.higher == (4.0, 19.0, 8.0)
+    assert (c.total_mass, c.first_moment) == (4.0, -7.0)
+
+
+def test_conserved_matches_subset_enumeration():
+    # the definition sums over all 2^n - 1 index subsets; conserved reads
+    # the same values off the curvature polynomial
+    rng = random.Random(31)
+    for n in range(1, 11):
+        for _ in range(3):
+            s = random_string(rng, n)
+            assert list(conserved(s).higher) == \
+                chain_sums_by_subsets(s.masses, positions(s))
 
 
 def test_wire_roundtrip():
