@@ -50,7 +50,7 @@ from .forward import (
     resolve_precision_bits,
     spectrum,
 )
-from .inverse import SpectralData, curvature_polynomial, recover, z_residues_of
+from .inverse import SpectralData, curvature_polynomial, recover
 from .string_model import ConservedSet, CubicString, positions
 
 # about 40 s of RK4 at three peaks; past it the run is refused, not started
@@ -102,11 +102,6 @@ def _rhs_arrays(xs, ms):
     dx = [sum(ms[i] * abs(x - xs[i]) for i in range(n)) for x in xs]
     dm = [2 * ms[k] * (sum(ms[k + 1:]) - sum(ms[:k])) for k in range(n)]
     return dx, dm
-
-
-def rhs(state: WaveState):
-    """Peak velocities and momentum transfer rates."""
-    return _rhs_arrays(state.positions, state.momenta)
 
 
 def conserved_floats(state: WaveState) -> ConservedSet:
@@ -265,11 +260,3 @@ def evolve_spectral(s0: WaveState, times,
                           tuple(float(m) for m in s.masses))
         rows.append((t, state, c))
     return Trajectory(tuple(rows))
-
-
-def residue_ratio_exactness(sd0: SpectralData, sd_t: SpectralData) -> bool:
-    """c_k(t)/c_k(0) == (b_k(t)/b_k(0))**2, exactly, for every k."""
-    c0 = z_residues_of(sd0)
-    ct = z_residues_of(sd_t)
-    return all(ct[k] * sd0.residues[k] ** 2 == c0[k] * sd_t.residues[k] ** 2
-               for k in range(len(c0)))

@@ -45,13 +45,33 @@ from .inverse import (
     spectral_to_dict,
     verify_exact_roundtrip,
 )
-from .string_model import load_string, positions, string_to_dict, validate
+from .string_model import (
+    positions,
+    string_from_dict,
+    string_to_dict,
+    validate,
+)
 
 
 # verify refuses runs that would enumerate more ordered tuples of support
 # points than this: support^(2 k_max) for the split sums, support^support
 # for the Cauchy form
 VERIFY_TUPLE_CAP = 10 ** 6
+
+# evolve refuses more rows than this: at three peaks a row costs about
+# 2.5 ms on the spectral route and 0.4 ms on rk4, so the cap is about
+# 25 s of work, the scale of the RK4 step cap
+EVOLVE_SAMPLE_CAP = 10 ** 4
+
+
+def _read_json(path: str):
+    """The JSON document in a file; one nested past the parser's
+    recursion limit is bad input, like any other unreadable file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -80,7 +100,7 @@ def _decimal_str(q: Fraction, digits: int) -> str:
 
 
 def _run_forward(ns: argparse.Namespace) -> int:
-    s = load_string(ns.input)
+    s = string_from_dict(_read_json(ns.input))
     validate(s)
     bits = resolve_precision_bits(ns.precision_bits)
     wd = residues(spectrum(s, width=Fraction(1, 2 ** bits)), bits)
@@ -105,9 +125,8 @@ def _run_forward(ns: argparse.Namespace) -> int:
 
 
 def _run_invert(ns: argparse.Namespace) -> int:
-    with open(ns.input, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "precision_bits" in doc:
+    doc = _read_json(ns.input)
+    if isinstance(doc, dict) and "precision_bits" in doc:
         raise ValueError("inversion needs exact rational spectral data; "
                          "this file carries decimal approximations")
     sd = spectral_from_dict(doc)
@@ -129,7 +148,7 @@ def _run_roundtrip(ns: argparse.Namespace) -> int:
 
 
 def _run_evolve(ns: argparse.Namespace) -> int:
-    s = load_string(ns.input)
+    s = string_from_dict(_read_json(ns.input))
     validate(s)
     for flag, value in (("--t-end", ns.t_end), ("--dt", ns.dt)):
         if value is not None and not math.isfinite(value):
@@ -138,6 +157,9 @@ def _run_evolve(ns: argparse.Namespace) -> int:
         raise ValueError("--t-end must be positive")
     if ns.samples < 2:
         raise ValueError("--samples must be at least 2")
+    if ns.samples > EVOLVE_SAMPLE_CAP:
+        raise ValueError(f"--samples {ns.samples} is over the cap of "
+                         f"{EVOLVE_SAMPLE_CAP} rows")
     bits = resolve_precision_bits(ns.precision_bits)
     state = WaveState(0.0,
                       tuple(float(x) for x in positions(s)),

@@ -48,10 +48,6 @@ class SpectralValidationError(CubicStringError):
     """Spectral data violates its constraints (ordering, signs, mass)."""
 
 
-class StepsOutOfRangeError(CubicStringError):
-    """Requested a partial transition product outside 1..2n-1."""
-
-
 class IdentityViolatedError(CubicStringError):
     """An identity that holds for valid input failed exactly."""
 

@@ -2,14 +2,13 @@
 algebra, Sturm root isolation, and rational interval arithmetic."""
 
 from .interval import RatInterval, eval_interval
-from .linalg import Matrix, det_cofactor, det_exact, solve_exact
+from .linalg import Matrix, det_exact, solve_exact
 from .poly import Polynomial, poly_gcd, poly_product
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, parse_rational_list
 from .roots import (
     DEFAULT_ISOLATION_WIDTH,
     RootEnclosure,
     cauchy_root_bound,
-    count_roots,
     is_squarefree,
     refine_enclosure,
     simplest_rational_between,
@@ -24,13 +23,12 @@ __all__ = [
     "RatInterval",
     "RootEnclosure",
     "cauchy_root_bound",
-    "count_roots",
-    "det_cofactor",
     "det_exact",
     "eval_interval",
     "format_rational",
     "is_squarefree",
     "parse_rational",
+    "parse_rational_list",
     "poly_gcd",
     "poly_product",
     "refine_enclosure",

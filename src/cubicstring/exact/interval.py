@@ -29,10 +29,6 @@ class RatInterval:
         return cls(x, x)
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
@@ -41,15 +37,6 @@ class RatInterval:
         return RatInterval(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "RatInterval":
-        return RatInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "RatInterval":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "RatInterval":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "RatInterval":
         o = _coerce(other)

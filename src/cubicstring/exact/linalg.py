@@ -1,9 +1,7 @@
 """Exact matrices and fraction-free linear algebra.
 
-Matrix is a thin immutable wrapper around a tuple of row tuples.  Entries
-may live in any commutative ring that supports +, -, * (Fraction entries
-for numeric work, Polynomial entries for transition matrices); only
-det_exact and solve_exact insist on Fraction entries.
+Matrix is a thin immutable wrapper around a tuple of row tuples of
+Fraction entries.
 
 det_exact and solve_exact clear denominators row by row and then run the
 fraction-free Bareiss elimination on integers, so every intermediate
@@ -16,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import NonSquareError, SingularMatrixError
 
@@ -32,11 +30,6 @@ class Matrix:
                 raise ValueError("ragged rows")
         self._rows = rows
 
-    @classmethod
-    def identity(cls, n: int, one=Fraction(1), zero=Fraction(0)) -> "Matrix":
-        return cls(tuple(tuple(one if i == j else zero for j in range(n))
-                         for i in range(n)))
-
     @property
     def rows(self) -> tuple:
         return self._rows
@@ -49,39 +42,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self._rows[0]) if self._rows else 0
 
-    def entry(self, i: int, j: int):
-        return self._rows[i][j]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self._rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self._rows))) if self._rows else Matrix(())
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(tuple(tuple(self._rows[i][j] for j in col_idx)
-                            for i in row_idx))
-
-    def map(self, fn: Callable) -> "Matrix":
-        return Matrix(tuple(tuple(fn(e) for e in r) for r in self._rows))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        cols = other.transpose()._rows
-        out = []
-        for r in self._rows:
-            row = []
-            for c in cols:
-                acc = r[0] * c[0]
-                for a, b in zip(r[1:], c[1:]):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix(tuple(out))
-
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
         if self.ncols != len(vec):
@@ -93,42 +53,6 @@ class Matrix:
                 acc = acc + a * b
             out.append(acc)
         return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        body = ",\n        ".join(repr(list(r)) for r in self._rows)
-        return f"Matrix([{body}])"
-
-
-def det_cofactor(m: Matrix):
-    """Determinant by Laplace expansion.
-
-    Works over any commutative ring; exponential cost, so only used for
-    tiny matrices and as an independent cross-check of det_exact.
-    """
-    n = m.nrows
-    if n != m.ncols:
-        raise NonSquareError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return m.entry(0, 0)
-    acc = None
-    cols = list(range(n))
-    for j in range(n):
-        minor = m.submatrix(range(1, n), cols[:j] + cols[j + 1:])
-        term = m.entry(0, j) * det_cofactor(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def _integer_rows(m: Matrix, rhs: Sequence[Fraction] | None = None):

@@ -104,9 +104,6 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> "Polynomial":
-        return Polynomial.constant(other) - self
-
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -151,11 +148,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(j * c for j, c in enumerate(self._coeffs) if j))
-
-    def reflected(self) -> "Polynomial":
-        """Coefficients of p(-z)."""
-        return Polynomial(tuple(c if j % 2 == 0 else -c
-                                for j, c in enumerate(self._coeffs)))
 
     def difference_quotient(self, lam: Scalar) -> "Polynomial":
         """(p(z) - p(lam)) / (z - lam), computed by synthetic division."""

@@ -26,6 +26,15 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(num, den)
 
 
+def parse_rational_list(doc: dict, key: str) -> tuple[Fraction, ...]:
+    """doc[key] as rationals; the value must be a JSON list."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ValueError(
+            f"{key} must be a JSON list, got {type(value).__name__}")
+    return tuple(parse_rational(x) for x in value)
+
+
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:

@@ -81,11 +81,6 @@ def sign_changes(chain: list[Polynomial], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(chain: list[Polynomial], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]."""
-    return sign_changes(chain, lo) - sign_changes(chain, hi)
-
-
 def cauchy_root_bound(p: Polynomial) -> Fraction:
     """All real roots of p lie in [-bound, bound]."""
     if p.degree < 1:
@@ -135,9 +130,6 @@ class RootEnclosure:
         if self.exact is not None:
             return Fraction(0)
         return self.hi - self.lo
-
-    def __float__(self) -> float:
-        return float(self.midpoint)
 
 
 def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
@@ -226,15 +218,25 @@ def _bisect_by_sign(coeffs: list[int], lo: Fraction, hi: Fraction,
 
 
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator rational in the closed interval [lo, hi]."""
+    """The smallest-denominator rational in the closed interval [lo, hi].
+
+    Walks the common continued-fraction expansion of the two ends, one
+    term per step, until an integer fits between them, then folds the
+    terms back up; a loop, so any precision fits in the stack.
+    """
     if lo > hi:
         lo, hi = hi, lo
     if lo <= 0 <= hi:
         return Fraction(0)
+    sign = 1
     if hi < 0:
-        return -simplest_rational_between(-hi, -lo)
-    n = ceil(lo)
-    if n <= hi:
-        return Fraction(n)
-    f = floor(lo)
-    return f + 1 / simplest_rational_between(1 / (hi - f), 1 / (lo - f))
+        lo, hi, sign = -hi, -lo, -1
+    terms = []
+    while ceil(lo) > hi:
+        f = floor(lo)
+        terms.append(f)
+        lo, hi = 1 / (hi - f), 1 / (lo - f)
+    x = Fraction(ceil(lo))
+    for f in reversed(terms):
+        x = f + 1 / x
+    return sign * x

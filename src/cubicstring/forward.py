@@ -5,8 +5,8 @@ in x.  Crossing the support steps the boundary triple (phi, phi_x,
 phi_xx) of value, slope and curvature, polynomials in the spectral
 variable z, from (1, 0, 0): each mass makes the curvature jump by
 -2 m z phi, and each gap carries the quadratic across.  The result is
-the first column of the 3x3 crossing matrix, whose full product stays
-as the tests' reference; the inverse map peels the same steps off.
+the first column of the 3x3 crossing matrix; the inverse map peels the
+same steps off.
 
 Eigenvalues are the roots of the curvature polynomial phi_xx away from
 zero; they are positive and simple for positive masses and gaps.  The
@@ -22,13 +22,8 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import (
-    IdentityViolatedError,
-    PrecisionExhaustedError,
-    StepsOutOfRangeError,
-)
+from .errors import IdentityViolatedError, PrecisionExhaustedError
 from .exact import (
-    Matrix,
     Polynomial,
     RatInterval,
     RootEnclosure,
@@ -38,7 +33,7 @@ from .exact import (
     sturm_isolate,
 )
 from .exact.roots import DEFAULT_ISOLATION_WIDTH
-from .string_model import ConservedSet, CubicString, positions, validate
+from .string_model import CubicString, validate
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -74,66 +69,14 @@ class WeylData:
                 and all(e.is_exact for e in self.eigenvalues))
 
 
-def jump_matrix(mass: Fraction) -> Matrix:
-    """Crossing one point mass: curvature jumps by -2 m z times the value."""
-    z = Polynomial.x()
-    one = Polynomial.one()
-    zero = Polynomial.zero()
-    return Matrix((
-        (one, zero, zero),
-        (zero, one, zero),
-        (Fraction(-2) * mass * z, zero, one),
-    ))
-
-
-def free_matrix(gap: Fraction) -> Matrix:
-    """Free propagation across one gap: integrate the quadratic."""
-    one = Polynomial.one()
-    zero = Polynomial.zero()
-    g = Polynomial.constant(gap)
-    half_g2 = Polynomial.constant(gap * gap / 2)
-    return Matrix((
-        (one, g, half_g2),
-        (zero, one, g),
-        (zero, zero, one),
-    ))
-
-
-def _factors(s: CubicString) -> list[Matrix]:
-    """Factors of the full crossing, leftmost first.
-
-    The full product is jump_n @ free_{n-1} @ jump_{n-1} @ ... @ free_1
-    @ jump_1; partial products of a prefix are the approximation chain.
-    """
-    fs = []
-    for i in range(s.n - 1, -1, -1):
-        fs.append(jump_matrix(s.masses[i]))
-        if i > 0:
-            fs.append(free_matrix(s.gaps[i - 1]))
-    return fs
-
-
-def transition(s: CubicString, steps: int) -> Matrix:
-    """Product of the first `steps` crossing factors, 1 <= steps <= 2n-1."""
-    validate(s)
-    if not 1 <= steps <= 2 * s.n - 1:
-        raise StepsOutOfRangeError(
-            f"steps must lie in 1..{2 * s.n - 1}, got {steps}")
-    fs = _factors(s)
-    acc = fs[0]
-    for f in fs[1:steps]:
-        acc = acc @ f
-    return acc
-
-
 def jump_step(triple: tuple, mass: Fraction) -> tuple:
-    """Cross one point mass: phi_xx -= 2 m z phi (jump_matrix on a column)."""
+    """Cross one point mass: phi_xx -= 2 m z phi."""
     phi, phi_x, phi_xx = triple
     return phi, phi_x, phi_xx - Polynomial.x() * phi * (2 * mass)
 
 
 def gap_step(triple: tuple, gap: Fraction) -> tuple:
-    """Cross one gap: integrate the quadratic (free_matrix on a column)."""
+    """Cross one gap: integrate the quadratic."""
     phi, phi_x, phi_xx = triple
     return (phi + phi_x * gap + phi_xx * (gap * gap / 2),
             phi_x + phi_xx * gap,
@@ -155,29 +98,6 @@ def invariant_masses(phi_xx: Polynomial) -> list[Fraction]:
     """The chain invariants M_1..M_n off phi_xx = 2 sum_j (-z)^j M_j."""
     return [(-1) ** j * phi_xx.coefficient(j) / 2
             for j in range(1, phi_xx.degree + 1)]
-
-
-def conserved(s: CubicString) -> ConservedSet:
-    """Total mass, first moment and the chain invariants, exactly."""
-    xs = positions(s)
-    first = sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))
-    return ConservedSet(sum(s.masses, Fraction(0)), first,
-                        tuple(invariant_masses(boundary_data(s).phi_xx)))
-
-
-_J_ROWS = ((0, 0, 1), (0, -1, 0), (1, 0, 0))
-
-
-def check_automorphism(s: CubicString) -> None:
-    """The crossing matrix satisfies S(-z)^T J S(z) J = I with the
-    antidiagonal involution J; raises if the exact identity fails."""
-    full = transition(s, 2 * s.n - 1)
-    j = Matrix(tuple(tuple(Polynomial.constant(e) for e in row) for row in _J_ROWS))
-    reflected_t = full.map(lambda p: p.reflected()).transpose()
-    prod = reflected_t @ j @ full @ j
-    eye = Matrix.identity(3, one=Polynomial.one(), zero=Polynomial.zero())
-    if prod != eye:
-        raise IdentityViolatedError("crossing matrix broke its symmetry identity")
 
 
 def eigenvalue_polynomial(wd: WeylData) -> Polynomial:

@@ -55,14 +55,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .errors import IdentityViolatedError
 from .exact import Matrix, det_exact, format_rational
-from .inverse import (
-    BimomentTable,
-    SpectralData,
-    moment_minors,
-    table_from_support,
-)
+from .inverse import BimomentTable, moment_minors, table_from_support
 
 
 @dataclass(frozen=True)
@@ -88,10 +82,6 @@ class DiscreteMeasure:
     @property
     def size(self) -> int:
         return len(self.points)
-
-
-def from_spectral(sd: SpectralData) -> DiscreteMeasure:
-    return DiscreteMeasure(sd.eigenvalues, sd.residues)
 
 
 def measure_table(mu: DiscreteMeasure, max_order: int) -> BimomentTable:
@@ -286,10 +276,3 @@ def random_measure(support: int, seed) -> DiscreteMeasure:
     ws = tuple(-Fraction(rng.randint(1, 5), rng.randint(1, 3))
                for _ in range(support))
     return DiscreteMeasure(tuple(pts), ws)
-
-
-def require_all(report: CheckReport) -> CheckReport:
-    if not report.all_pass:
-        failed = [r.name for r in report.rows if not r.passed]
-        raise IdentityViolatedError(f"oracle checks failed: {failed}")
-    return report

@@ -52,6 +52,7 @@ from .exact import (
     det_exact,
     format_rational,
     parse_rational,
+    parse_rational_list,
     poly_product,
     solve_exact,
 )
@@ -228,16 +229,6 @@ def weyl_fractions(sd: SpectralData) -> tuple[Polynomial, Polynomial,
     return (*_ratio(sd.eigenvalues, sd.residues), num_z, den_z)
 
 
-def verify_weyl_relation(sd: SpectralData) -> None:
-    """Exact check of Z(z) + Z(-z) = W(z) W(-z), cross-multiplied."""
-    num_w, den_w, num_z, den_z = weyl_fractions(sd)
-    lhs = (num_z * den_z.reflected() + num_z.reflected() * den_z) \
-        * den_w * den_w.reflected()
-    rhs = num_w * num_w.reflected() * den_z * den_z.reflected()
-    if lhs != rhs:
-        raise IdentityViolatedError("Weyl sum-product relation failed exactly")
-
-
 # -- the three approximation problems ------------------------------------
 
 @dataclass(frozen=True)
@@ -247,7 +238,6 @@ class Approximant:
     kind III: den(0) = 1, degrees (k, k-1, k-1)
     kind II:  den(0) = 0, num_w(0) = 1, degrees (k, k-1, k-1)
     kind I:   den(0) = 0, num_w(0) = 0, num_z(0) = 1, degrees (k+1, k, k)
-    chain_index is 3k, 3k+1, 3k+2 respectively.
     """
 
     kind: str
@@ -255,10 +245,6 @@ class Approximant:
     den: Polynomial
     num_w: Polynomial
     num_z: Polynomial
-
-    @property
-    def chain_index(self) -> int:
-        return 3 * self.k + {"III": 0, "II": 1, "I": 2}[self.kind]
 
 
 def _projections(bt: BimomentTable, sd: SpectralData,
@@ -302,53 +288,6 @@ def solve_type1(bt: BimomentTable, sd: SpectralData, k: int) -> Approximant:
     return Approximant("I", k, den, proj - proj.coefficient(0), num_z)
 
 
-def _big_o(num: Polynomial, den: Polynomial, j: int) -> bool:
-    """num/den = O(z**j) as z -> infinity."""
-    return num.is_zero() or num.degree - den.degree <= j
-
-
-def verify_approximant(sd: SpectralData, app: Approximant) -> None:
-    """Degrees, normalizations and the order conditions at infinity.
-
-    The order conditions, with W and Z the two Weyl functions:
-        den * Z - num_z = O(1/z)            (all kinds)
-        den * W - num_w = O(1/z) for kind III, O(1) for kinds II and I
-        num_z + num_w W*(z) + den Z*(z) = O(z^-(k+1))
-    where W*(z) = -W(-z) and Z*(z) = Z(-z).  Each side is an exact
-    rational function of z, so each condition is a degree count.
-    """
-    k = app.k
-    if app.kind == "I":
-        # at k = 0 the slope numerator is identically zero (degree -1)
-        want = (k + 1, k if k >= 1 else -1, k)
-    else:
-        want = (k, k - 1, k - 1)
-    got = (app.den.degree, app.num_w.degree, app.num_z.degree)
-    if got != want:
-        raise IdentityViolatedError(f"degree pattern {got} != {want}")
-    if app.kind == "III" and app.den.coefficient(0) != 1:
-        raise IdentityViolatedError("kind III needs den(0) = 1")
-    if app.kind in ("II", "I") and app.den.coefficient(0) != 0:
-        raise IdentityViolatedError("kinds II and I need den(0) = 0")
-    if app.kind == "II" and app.num_w.coefficient(0) != 1:
-        raise IdentityViolatedError("kind II needs num_w(0) = 1")
-    if app.kind == "I" and (app.num_w.coefficient(0) != 0
-                            or app.num_z.coefficient(0) != 1):
-        raise IdentityViolatedError("kind I normalization failed")
-
-    num_w, den_w, num_z, den_z = weyl_fractions(sd)
-    if not _big_o(app.den * num_z - app.num_z * den_z, den_z, -1):
-        raise IdentityViolatedError("value-side approximation order failed")
-    order_w = -1 if app.kind == "III" else 0
-    if not _big_o(app.den * num_w - app.num_w * den_w, den_w, order_w):
-        raise IdentityViolatedError("slope-side approximation order failed")
-    dwr, dzr = den_w.reflected(), den_z.reflected()
-    sym = (app.num_z * dwr * dzr - app.num_w * num_w.reflected() * dzr
-           + app.den * num_z.reflected() * dwr)
-    if not _big_o(sym, dwr * dzr, -(k + 1)):
-        raise IdentityViolatedError("symmetry order condition failed")
-
-
 def curvature_polynomial(sd: SpectralData) -> Polynomial:
     """-2 M z prod (1 - z/lam_j): the boundary curvature the data fixes."""
     z = Polynomial.x()
@@ -356,31 +295,6 @@ def curvature_polynomial(sd: SpectralData) -> Polynomial:
     for lam in sd.eigenvalues:
         out = out * (Polynomial.one() - z * Polynomial.constant(1 / lam))
     return out
-
-
-# -- four-term recurrence ------------------------------------------------
-
-def recurrence_sequences(s: CubicString) -> tuple[dict, dict, dict]:
-    """Run the chain recurrence from the three seed vectors.
-
-    Step k crosses gap n-k, then mass n-k, from the right end: the
-    triple (X_{3k-3}, X_{3k-2}, X_{3k-1}) becomes (X_{3k}, X_{3k+1},
-    X_{3k+2}) by forward.gap_step and then forward.jump_step.
-    Seeds (X_-1, X_0, X_1) = (1,0,0), (0,1,0), (0,0,1) generate the
-    value-numerator, denominator and slope-numerator chains; returns
-    the three dicts keyed by chain index up to 3n-1.
-    """
-    out = []
-    for seed in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        x = {k: Polynomial.constant(v) for k, v in zip((-1, 0, 1), seed)}
-        triple = (x[0], x[1], x[-1])
-        for k in range(s.n):
-            if k:
-                triple = gap_step(triple, s.gaps[s.n - k - 1])
-            triple = jump_step(triple, s.masses[s.n - k - 1])
-            x[3 * k], x[3 * k + 1], x[3 * k + 2] = triple
-        out.append(x)
-    return out[0], out[1], out[2]
 
 
 # -- recovery -------------------------------------------------------------
@@ -564,8 +478,8 @@ def spectral_to_dict(sd: SpectralData) -> dict:
 
 def spectral_from_dict(d: dict) -> SpectralData:
     try:
-        lams = tuple(parse_rational(x) for x in d["lambdas"])
-        res = tuple(parse_rational(x) for x in d["residues_b"])
+        lams = parse_rational_list(d, "lambdas")
+        res = parse_rational_list(d, "residues_b")
         total = parse_rational(d["total_mass"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed spectral object: {exc}") from exc

@@ -13,12 +13,11 @@ Conserved quantities of the associated isospectral flow:
             squared distances (x_{i_a} - x_{i_{a+1}})^2)
 M_1 coincides with M.  The M_j are, up to the factor 2(-z)^j, the
 coefficients of the spectral polynomial, which is why the flow keeps
-them constant; forward.conserved reads them off that polynomial.
+them constant; forward.invariant_masses reads them off that polynomial.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,7 @@ from .errors import (
     NonPositiveGapError,
     NonPositiveMassError,
 )
-from .exact import format_rational, parse_rational
+from .exact import format_rational, parse_rational, parse_rational_list
 
 
 @dataclass(frozen=True)
@@ -89,14 +88,9 @@ def string_to_dict(s: CubicString) -> dict:
 
 def string_from_dict(d: dict) -> CubicString:
     try:
-        masses = tuple(parse_rational(m) for m in d["masses"])
-        gaps = tuple(parse_rational(g) for g in d["gaps"])
+        masses = parse_rational_list(d, "masses")
+        gaps = parse_rational_list(d, "gaps")
         anchor = parse_rational(d.get("anchor", "0"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed string object: {exc}") from exc
     return CubicString(masses, gaps, anchor)
-
-
-def load_string(path: str) -> CubicString:
-    with open(path, encoding="utf-8") as fh:
-        return string_from_dict(json.load(fh))

@@ -7,7 +7,16 @@ stiffness^-1 @ gap_gram.  The gap_gram matrix equals the path matrix of
 a little planar network, which makes it totally non-negative.
 
 The chain sums M_j by their definition: a sum over all 2^n - 1 index
-subsets, which the runtime reads off the curvature polynomial instead.
+subsets, which the runtime reads off the curvature polynomial instead;
+`conserved` gathers them with the total mass and first moment.
+
+The full 3x3 crossing matrices, as tuples of row tuples of polynomials:
+the runtime steps only their first column (forward.boundary_data), and
+their partial products are the approximation chain that inverse.py's
+three solvers reproduce.  With them, the checks of that chain that the
+runtime does not run: the order conditions of each approximant at
+infinity, the four-term recurrence, the Weyl sum-product relation, and
+the cofactor determinant.
 """
 
 from __future__ import annotations
@@ -18,8 +27,21 @@ from typing import Sequence
 
 import numpy as np
 
-from cubicstring.exact import Matrix, det_exact
-from cubicstring.string_model import CubicString, validate
+from cubicstring.errors import IdentityViolatedError, NonSquareError
+from cubicstring.exact import Matrix, Polynomial, det_exact
+from cubicstring.forward import (
+    boundary_data,
+    gap_step,
+    invariant_masses,
+    jump_step,
+)
+from cubicstring.inverse import Approximant, SpectralData, weyl_fractions
+from cubicstring.string_model import (
+    ConservedSet,
+    CubicString,
+    positions,
+    validate,
+)
 
 
 def chain_sums_by_subsets(masses: Sequence, xs: Sequence) -> list:
@@ -39,6 +61,14 @@ def chain_sums_by_subsets(masses: Sequence, xs: Sequence) -> list:
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
+
+
+def conserved(s: CubicString) -> ConservedSet:
+    """Total mass, first moment and the chain invariants, exactly."""
+    xs = positions(s)
+    first = sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))
+    return ConservedSet(sum(s.masses, Fraction(0)), first,
+                        tuple(invariant_masses(boundary_data(s).phi_xx)))
 
 
 def oscillatory_matrices(s: CubicString) -> tuple[Matrix, Matrix]:
@@ -116,7 +146,8 @@ def is_totally_nonnegative(m: Matrix, cap: int = 6) -> bool:
     for size in range(1, min(m.nrows, m.ncols) + 1):
         for rows in combinations(range(m.nrows), size):
             for cols in combinations(range(m.ncols), size):
-                if det_exact(m.submatrix(rows, cols)) < 0:
+                block = Matrix([[m.rows[i][j] for j in cols] for i in rows])
+                if det_exact(block) < 0:
                     return False
     return True
 
@@ -135,3 +166,197 @@ def float_spectrum_oracle(s: CubicString) -> np.ndarray:
     eig = np.linalg.eigvals(np.linalg.solve(a, b))
     vals = np.sort(1.0 / eig.real)
     return vals
+
+
+# -- the crossing matrices ------------------------------------------------
+
+def reflected(p: Polynomial) -> Polynomial:
+    """p(-z)."""
+    return Polynomial(tuple(c if j % 2 == 0 else -c
+                            for j, c in enumerate(p.coefficients)))
+
+
+def mat_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two matrices given as row tuples, over any ring."""
+    cols = tuple(zip(*b))
+    out = []
+    for r in a:
+        row = []
+        for c in cols:
+            acc = r[0] * c[0]
+            for x, y in zip(r[1:], c[1:]):
+                acc = acc + x * y
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def jump_matrix(mass: Fraction) -> tuple:
+    """Crossing one point mass: curvature jumps by -2 m z times the value."""
+    one, zero = Polynomial.one(), Polynomial.zero()
+    return ((one, zero, zero),
+            (zero, one, zero),
+            (Polynomial.x() * (-2 * Fraction(mass)), zero, one))
+
+
+def free_matrix(gap: Fraction) -> tuple:
+    """Free propagation across one gap: integrate the quadratic."""
+    one, zero = Polynomial.one(), Polynomial.zero()
+    g = Polynomial.constant(gap)
+    half_g2 = Polynomial.constant(Fraction(gap) ** 2 / 2)
+    return ((one, g, half_g2),
+            (zero, one, g),
+            (zero, zero, one))
+
+
+def _factors(s: CubicString) -> list:
+    """Factors of the full crossing, leftmost first.
+
+    The full product is jump_n @ free_{n-1} @ jump_{n-1} @ ... @ free_1
+    @ jump_1; partial products of a prefix are the approximation chain.
+    """
+    fs = []
+    for i in range(s.n - 1, -1, -1):
+        fs.append(jump_matrix(s.masses[i]))
+        if i > 0:
+            fs.append(free_matrix(s.gaps[i - 1]))
+    return fs
+
+
+def transition(s: CubicString, steps: int) -> tuple:
+    """Product of the first `steps` crossing factors, 1 <= steps <= 2n-1."""
+    validate(s)
+    if not 1 <= steps <= 2 * s.n - 1:
+        raise ValueError(f"steps must lie in 1..{2 * s.n - 1}, got {steps}")
+    fs = _factors(s)
+    acc = fs[0]
+    for f in fs[1:steps]:
+        acc = mat_mul(acc, f)
+    return acc
+
+
+_J_ROWS = ((0, 0, 1), (0, -1, 0), (1, 0, 0))
+
+
+def check_automorphism(s: CubicString) -> None:
+    """The crossing matrix satisfies S(-z)^T J S(z) J = I with the
+    antidiagonal involution J; raises if the exact identity fails."""
+    full = transition(s, 2 * s.n - 1)
+    j = tuple(tuple(Polynomial.constant(e) for e in row) for row in _J_ROWS)
+    reflected_t = tuple(zip(*((reflected(p) for p in row) for row in full)))
+    prod = mat_mul(mat_mul(mat_mul(reflected_t, j), full), j)
+    eye = tuple(tuple(Polynomial.constant(int(a == b)) for b in range(3))
+                for a in range(3))
+    if prod != eye:
+        raise IdentityViolatedError("crossing matrix broke its symmetry identity")
+
+
+def det_cofactor(rows: tuple):
+    """Determinant by Laplace expansion along the first row.
+
+    Works over any commutative ring; exponential cost, so only for tiny
+    matrices and as an independent cross-check of det_exact.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NonSquareError("determinant of a non-square matrix")
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return rows[0][0]
+    acc = None
+    for j in range(n):
+        minor = tuple(r[:j] + r[j + 1:] for r in rows[1:])
+        term = rows[0][j] * det_cofactor(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+# -- the approximation chain ----------------------------------------------
+
+def chain_index(app: Approximant) -> int:
+    """Position of an approximant in the chain: 3k, 3k+1, 3k+2 for
+    kinds III, II and I."""
+    return 3 * app.k + {"III": 0, "II": 1, "I": 2}[app.kind]
+
+
+def verify_weyl_relation(sd: SpectralData) -> None:
+    """Exact check of Z(z) + Z(-z) = W(z) W(-z), cross-multiplied."""
+    num_w, den_w, num_z, den_z = weyl_fractions(sd)
+    lhs = (num_z * reflected(den_z) + reflected(num_z) * den_z) \
+        * den_w * reflected(den_w)
+    rhs = num_w * reflected(num_w) * den_z * reflected(den_z)
+    if lhs != rhs:
+        raise IdentityViolatedError("Weyl sum-product relation failed exactly")
+
+
+def _big_o(num: Polynomial, den: Polynomial, j: int) -> bool:
+    """num/den = O(z**j) as z -> infinity."""
+    return num.is_zero() or num.degree - den.degree <= j
+
+
+def verify_approximant(sd: SpectralData, app: Approximant) -> None:
+    """Degrees, normalizations and the order conditions at infinity.
+
+    The order conditions, with W and Z the two Weyl functions:
+        den * Z - num_z = O(1/z)            (all kinds)
+        den * W - num_w = O(1/z) for kind III, O(1) for kinds II and I
+        num_z + num_w W*(z) + den Z*(z) = O(z^-(k+1))
+    where W*(z) = -W(-z) and Z*(z) = Z(-z).  Each side is an exact
+    rational function of z, so each condition is a degree count.
+    """
+    k = app.k
+    if app.kind == "I":
+        # at k = 0 the slope numerator is identically zero (degree -1)
+        want = (k + 1, k if k >= 1 else -1, k)
+    else:
+        want = (k, k - 1, k - 1)
+    got = (app.den.degree, app.num_w.degree, app.num_z.degree)
+    if got != want:
+        raise IdentityViolatedError(f"degree pattern {got} != {want}")
+    if app.kind == "III" and app.den.coefficient(0) != 1:
+        raise IdentityViolatedError("kind III needs den(0) = 1")
+    if app.kind in ("II", "I") and app.den.coefficient(0) != 0:
+        raise IdentityViolatedError("kinds II and I need den(0) = 0")
+    if app.kind == "II" and app.num_w.coefficient(0) != 1:
+        raise IdentityViolatedError("kind II needs num_w(0) = 1")
+    if app.kind == "I" and (app.num_w.coefficient(0) != 0
+                            or app.num_z.coefficient(0) != 1):
+        raise IdentityViolatedError("kind I normalization failed")
+
+    num_w, den_w, num_z, den_z = weyl_fractions(sd)
+    if not _big_o(app.den * num_z - app.num_z * den_z, den_z, -1):
+        raise IdentityViolatedError("value-side approximation order failed")
+    order_w = -1 if app.kind == "III" else 0
+    if not _big_o(app.den * num_w - app.num_w * den_w, den_w, order_w):
+        raise IdentityViolatedError("slope-side approximation order failed")
+    dwr, dzr = reflected(den_w), reflected(den_z)
+    sym = (app.num_z * dwr * dzr - app.num_w * reflected(num_w) * dzr
+           + app.den * reflected(num_z) * dwr)
+    if not _big_o(sym, dwr * dzr, -(k + 1)):
+        raise IdentityViolatedError("symmetry order condition failed")
+
+
+def recurrence_sequences(s: CubicString) -> tuple[dict, dict, dict]:
+    """Run the chain recurrence from the three seed vectors.
+
+    Step k crosses gap n-k, then mass n-k, from the right end: the
+    triple (X_{3k-3}, X_{3k-2}, X_{3k-1}) becomes (X_{3k}, X_{3k+1},
+    X_{3k+2}) by forward.gap_step and then forward.jump_step.
+    Seeds (X_-1, X_0, X_1) = (1,0,0), (0,1,0), (0,0,1) generate the
+    value-numerator, denominator and slope-numerator chains; returns
+    the three dicts keyed by chain index up to 3n-1.
+    """
+    out = []
+    for seed in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        x = {k: Polynomial.constant(v) for k, v in zip((-1, 0, 1), seed)}
+        triple = (x[0], x[1], x[-1])
+        for k in range(s.n):
+            if k:
+                triple = gap_step(triple, s.gaps[s.n - k - 1])
+            triple = jump_step(triple, s.masses[s.n - k - 1])
+            x[3 * k], x[3 * k + 1], x[3 * k + 2] = triple
+        out.append(x)
+    return out[0], out[1], out[2]

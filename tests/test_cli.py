@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicstring.cli import main
+from cubicstring.cli import EVOLVE_SAMPLE_CAP, main
 
 N2_STRING = {"masses": ["1", "1"], "gaps": ["1"], "anchor": "0"}
 N3_STRING = {"masses": ["1", "2", "1"], "gaps": ["1", "1/2"], "anchor": "0"}
@@ -330,6 +330,58 @@ def test_evolve_rk4_step_cap_is_bad_input(tmp_path, capsys):
     p = write_json(tmp_path / "n3.json", N3_STRING)
     assert main(["evolve", p, "--method", "rk4", "--dt", "1e-9",
                  "--t-end", "1"]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_forward_at_6000_bits(tmp_path, capsys):
+    # the exact-root probe walks about 2,000 continued-fraction terms
+    # per eigenvalue here, which once overflowed the stack
+    p = write_json(tmp_path / "s.json",
+                   {"masses": ["1", "2", "3"], "gaps": ["1", "1/2"]})
+    assert main(["forward", p, "--precision-bits", "6000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["precision_bits"] == 6000
+    assert main(["forward", p, "--precision-bits", "64"]) == 0
+    low = json.loads(capsys.readouterr().out)
+    for key in ("lambdas", "residues_b"):
+        assert [x[:16] for x in doc[key]] == [x[:16] for x in low[key]]
+
+
+@pytest.mark.parametrize("command,key", [
+    ("forward", "masses"), ("forward", "gaps"),
+    ("invert", "lambdas"), ("invert", "residues_b"),
+])
+def test_rational_lists_must_be_json_lists(tmp_path, capsys, command, key):
+    # "11" would otherwise parse as the list ["1", "1"]
+    doc = dict(N2_STRING if command == "forward" else
+               {"lambdas": ["2"], "residues_b": ["-1"], "total_mass": "2"})
+    doc[key] = "11"
+    assert main([command, write_json(tmp_path / "in.json", doc)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {key} must be a JSON list, got str\n"
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, "5"])
+@pytest.mark.parametrize("argv", [
+    ["forward"], ["invert"],
+    ["evolve", "--method", "rk4", "--dt", "0.1", "--t-end", "1"],
+])
+def test_malformed_json_documents_are_bad_input(tmp_path, capsys, text,
+                                                argv):
+    # a parser stack overflow and a bare number are bad input too
+    p = tmp_path / "in.json"
+    p.write_text(text, encoding="utf-8")
+    assert main([argv[0], str(p), *argv[1:]]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("method", [["spectral"], ["rk4", "--dt", "0.01"]])
+def test_evolve_sample_cap_is_bad_input(tmp_path, capsys, method):
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    samples = str(EVOLVE_SAMPLE_CAP + 1)
+    assert main(["evolve", p, "--method", *method, "--t-end", "1",
+                 "--samples", samples]) == 2
     _assert_one_line_error(capsys)
 
 

@@ -1,7 +1,9 @@
 """Sturm isolation: counts, enclosures, exact-root identification, and
 the smallest-denominator search it relies on."""
 
+import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +13,6 @@ from cubicstring.exact import (
     Polynomial,
     RootEnclosure,
     cauchy_root_bound,
-    count_roots,
     is_squarefree,
     poly_product,
     refine_enclosure,
@@ -20,17 +21,24 @@ from cubicstring.exact import (
     sturm_isolate,
 )
 from cubicstring.exact import roots as roots_module
-from cubicstring.exact.roots import _interior_point, integer_coefficients, sign_at
+from cubicstring.exact.roots import (
+    _interior_point,
+    integer_coefficients,
+    sign_at,
+    sign_changes,
+)
 
 
 def test_chain_counts_roots_of_factored_poly():
     # (z-1)(z-2): two roots in (0, 10]
     p = Polynomial([2, -3, 1])
     chain = sturm_chain(p)
-    assert count_roots(chain, F(0), F(10)) == 2
-    assert count_roots(chain, F(0), F(3, 2)) == 1
-    assert count_roots(chain, F(3, 2), F(10)) == 1
-    assert count_roots(chain, F(3), F(10)) == 0
+    # V(a) - V(b) counts the roots in (a, b]
+    v = {x: sign_changes(chain, x) for x in (F(0), F(3, 2), F(3), F(10))}
+    assert v[F(0)] - v[F(10)] == 2
+    assert v[F(0)] - v[F(3, 2)] == 1
+    assert v[F(3, 2)] - v[F(10)] == 1
+    assert v[F(3)] - v[F(10)] == 0
 
 
 def test_isolation_identifies_rational_roots_exactly():
@@ -107,6 +115,48 @@ def test_simplest_rational_between():
             assert lo_num > b * den, (a, b, s, den)
 
 
+def _recursive_simplest(lo, hi):
+    """The recursive form of simplest_rational_between, one call per
+    continued-fraction term: the reference for the loop."""
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo <= 0 <= hi:
+        return F(0)
+    if hi < 0:
+        return -_recursive_simplest(-hi, -lo)
+    n = math.ceil(lo)
+    if n <= hi:
+        return F(n)
+    f = math.floor(lo)
+    return f + 1 / _recursive_simplest(1 / (hi - f), 1 / (lo - f))
+
+
+def test_simplest_rational_loop_matches_the_recursive_form():
+    rng = random.Random(8)
+    for _ in range(400):
+        a = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+        b = a + F(rng.randint(0, 10 ** 3),
+                  rng.randint(1, 10 ** rng.randint(1, 30)))
+        if rng.random() < 0.5:
+            a, b = b, a
+        assert simplest_rational_between(a, b) == _recursive_simplest(a, b)
+
+
+def test_simplest_rational_between_deep_intervals():
+    # 2,360 continued-fraction terms, past the default recursion limit
+    p = Polynomial([-2, 0, 1])
+    (r,) = sturm_isolate(p, F(0), F(4), width=F(1, 2 ** 6000))
+    s = simplest_rational_between(r.lo, r.hi)
+    assert r.lo <= s <= r.hi and p(s) != 0
+    assert simplest_rational_between(-r.hi, -r.lo) == -s
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10 ** 4)
+    try:
+        assert s == _recursive_simplest(r.lo, r.hi)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_close_rational_root_is_still_found():
     # two roots closer than the default width apart force deep subdivision;
     # identification needs width below 1/den(root)^2, den(r2) = 3*2^70
@@ -123,7 +173,7 @@ def _reference_refine(p, chain, a, b, width):
         mid = (a + b) / 2
         if p(mid) == 0:
             return RootEnclosure(mid, mid, mid)
-        if count_roots(chain, a, mid) == 1:
+        if sign_changes(chain, a) - sign_changes(chain, mid) == 1:
             b = mid
         else:
             a = mid
@@ -139,7 +189,7 @@ def _reference_isolate(p, lo, hi, width):
     stack = [(F(lo), F(hi))]
     while stack:
         a, b = stack.pop()
-        k = count_roots(chain, a, b)
+        k = sign_changes(chain, a) - sign_changes(chain, b)
         if k == 1:
             out.append(_reference_refine(p, chain, a, b, width))
         elif k > 1:

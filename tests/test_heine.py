@@ -10,10 +10,8 @@ from cubicstring.heine import (
     DiscreteMeasure,
     cauchy_matrix,
     cauchy_tuple_sum,
-    from_spectral,
     heine_sums,
     measure_table,
-    require_all,
     run_checks,
     split_sum,
 )
@@ -75,7 +73,8 @@ def test_two_point_sums_frozen():
 
 
 def test_run_checks_two_point_all_pass():
-    report = require_all(run_checks(TWO_POINT, 3))
+    report = run_checks(TWO_POINT, 3)
+    assert report.all_pass
     names = {r.name for r in report.rows}
     assert "corner_vanishes" in names       # k = 3 exceeds the support
     assert "u_sign_alternates" in names     # all weights negative
@@ -98,7 +97,7 @@ def _random_measure(rng, size, negative=True):
 def test_run_checks_random_negative_weights():
     rng = random.Random(31)
     for size in (1, 2, 3):
-        require_all(run_checks(_random_measure(rng, size), k_max=3))
+        assert run_checks(_random_measure(rng, size), k_max=3).all_pass
 
 
 def test_identities_hold_for_mixed_sign_weights():
@@ -116,7 +115,7 @@ def test_identities_hold_for_mixed_sign_weights():
 def test_measure_table_matches_spectral_route():
     sd = SpectralData((F(2),), (F(-1),), F(2))
     bt_spec = bimoments(sd, 1)
-    bt_meas = measure_table(from_spectral(sd), 1)
+    bt_meas = measure_table(DiscreteMeasure(sd.eigenvalues, sd.residues), 1)
     assert bt_meas.moments == bt_spec.moments
     assert bt_meas.pair_table == bt_spec.pair_table
     assert moment_minors(bt_meas).shifted == moment_minors(bt_spec).shifted
@@ -126,4 +125,4 @@ def test_four_point_support_at_depth():
     # the largest shape the acceptance gate exercises
     rng = random.Random(33)
     mu = _random_measure(rng, 4)
-    require_all(run_checks(mu, k_max=4))
+    assert run_checks(mu, k_max=4).all_pass

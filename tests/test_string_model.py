@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_string
-from oracles import chain_sums_by_subsets
+from oracles import chain_sums_by_subsets, conserved
 
 from cubicstring.burgers import WaveState, conserved_floats
 from cubicstring.errors import (
@@ -14,7 +14,6 @@ from cubicstring.errors import (
     NonPositiveGapError,
     NonPositiveMassError,
 )
-from cubicstring.forward import conserved
 from cubicstring.string_model import (
     ConservedSet,
     CubicString,
