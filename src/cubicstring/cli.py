@@ -58,6 +58,11 @@ from .string_model import (
 # for the Cauchy form
 VERIFY_TUPLE_CAP = 10 ** 6
 
+# and any --k-max above this: from two points on the tuple cap already
+# refuses it, and one point, one tuple at every k, still grows the pair
+# table and its minors with k_max
+VERIFY_K_MAX = 10
+
 # evolve refuses more rows than this: at three peaks a row costs about
 # 2.5 ms on the spectral route and 0.4 ms on rk4, so the cap is about
 # 25 s of work, the scale of the RK4 step cap
@@ -198,14 +203,16 @@ def _run_verify(ns: argparse.Namespace) -> int:
     if ns.support < 1 or ns.k_max < 1:
         raise ValueError(f"--support and --k-max must be at least 1, "
                          f"got {ns.support} and {ns.k_max}")
-    # support 8 or k_max 10 alone passes the cap, so clamping there keeps
-    # the powers small; with one support point the split sums still list
-    # C(2k, k) halves of each tuple, so it counts as two points
-    support, k_max = min(ns.support, 8), min(ns.k_max, 10)
-    if max(max(support, 2) ** (2 * k_max),
-           support ** support) > VERIFY_TUPLE_CAP:
+    # support 8 or k_max 10 alone passes the cap from two points on, so
+    # clamping there keeps the powers small; one point counts as one, as
+    # the split sums skip every tuple that repeats it before listing halves
+    support, k_max = min(ns.support, 8), min(ns.k_max, VERIFY_K_MAX)
+    if max(support ** (2 * k_max), support ** support) > VERIFY_TUPLE_CAP:
         raise ValueError(f"--support {ns.support} --k-max {ns.k_max} is over "
                          f"the cap of {VERIFY_TUPLE_CAP} enumerated tuples")
+    if ns.k_max > VERIFY_K_MAX:
+        raise ValueError(f"--k-max {ns.k_max} is over the cap of "
+                         f"{VERIFY_K_MAX}")
     mu = random_measure(ns.support, ns.seed)
     report = run_checks(mu, ns.k_max)
     _emit_json(report.to_dict(), None)

@@ -2,7 +2,7 @@
 algebra, Sturm root isolation, and rational interval arithmetic."""
 
 from .interval import RatInterval, eval_interval
-from .linalg import Matrix, det_exact, solve_exact
+from .linalg import Matrix, det_exact, leading_minors, solve_exact
 from .poly import Polynomial, poly_gcd, poly_product
 from .rational import format_rational, parse_rational, parse_rational_list
 from .roots import (
@@ -27,6 +27,7 @@ __all__ = [
     "eval_interval",
     "format_rational",
     "is_squarefree",
+    "leading_minors",
     "parse_rational",
     "parse_rational_list",
     "poly_gcd",

@@ -3,17 +3,19 @@
 Matrix is a thin immutable wrapper around a tuple of row tuples of
 Fraction entries.
 
-det_exact and solve_exact clear denominators row by row and then run the
-fraction-free Bareiss elimination on integers, so every intermediate
-value is a minor of the scaled matrix and coefficient growth stays
-polynomial.  solve_exact back-substitutes with Fractions and verifies
-the candidate solution by substitution before returning it.
+det_exact, leading_minors and solve_exact clear denominators row by row
+and then run the fraction-free Bareiss elimination on integers, so every
+intermediate value is a minor of the scaled matrix and coefficient
+growth stays polynomial.  Without row swaps the k-th pivot is the
+leading minor of size k + 1, so leading_minors reads the whole sequence
+off one elimination.  solve_exact back-substitutes with Fractions and
+verifies the candidate solution by substitution before returning it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from ..errors import NonSquareError, SingularMatrixError
@@ -57,15 +59,14 @@ class Matrix:
 
 def _integer_rows(m: Matrix, rhs: Sequence[Fraction] | None = None):
     """Scale each row (and its rhs entry) to integers by the row's lcm;
-    returns the rows and the product of the scales."""
-    out = []
-    total = 1
+    returns the rows and the scales."""
+    out, scales = [], []
     for i, row in enumerate(m.rows):
         entries = list(row) + ([rhs[i]] if rhs is not None else [])
         scale = lcm(*(e.denominator for e in entries)) if entries else 1
-        total *= scale
-        out.append([int(e * scale) for e in entries])
-    return out, total
+        scales.append(scale)
+        out.append([e.numerator * (scale // e.denominator) for e in entries])
+    return out, scales
 
 
 def _bareiss(rows: list[list[int]], n: int) -> int:
@@ -99,9 +100,40 @@ def det_exact(m: Matrix) -> Fraction:
         raise NonSquareError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    rows, scale = _integer_rows(m)
+    rows, scales = _integer_rows(m)
     sign = _bareiss(rows, n)
-    return Fraction(sign * rows[n - 1][n - 1], scale)
+    return Fraction(sign * rows[n - 1][n - 1], prod(scales))
+
+
+def leading_minors(m: Matrix) -> tuple[Fraction, ...]:
+    """Determinants of the leading k x k blocks of m, for k = 0..n.
+
+    Bareiss elimination with no row swaps: after step k the pivot over
+    the product of the first k + 1 row scales is the minor of size
+    k + 1.  A zero pivot makes that minor 0 and stops the elimination;
+    each larger minor is then det_exact of its own leading block.
+    """
+    n = m.nrows
+    if n != m.ncols:
+        raise NonSquareError("leading minors of a non-square matrix")
+    rows, scales = _integer_rows(m)
+    out = [Fraction(1)]
+    scale = prev = 1
+    for k in range(n):
+        scale *= scales[k]
+        pivot = rows[k][k]
+        out.append(Fraction(pivot, scale))
+        if pivot == 0:
+            break
+        rk = rows[k]
+        for ri in rows[k + 1:]:
+            rik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
+        prev = pivot
+    for k in range(len(out), n + 1):
+        out.append(det_exact(Matrix([r[:k] for r in m.rows[:k]])))
+    return tuple(out)
 
 
 def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -37,17 +37,25 @@ from .string_model import CubicString, validate
 
 DEFAULT_PRECISION_BITS = 256
 
+# cost grows about 4x per doubling of the precision: on masses 1, 2, 3
+# at this cap, forward took 4.7 s and a three-row spectral evolve 11.5 s
+# (47 s for forward at 48,000 bits); past it a run is refused, not started
+MAX_PRECISION_BITS = 2 ** 14
+
 
 def resolve_precision_bits(requested: int | None = None) -> int:
     """Working precision: `requested` if given, else the environment
     variable CUBICSTRING_PRECISION_BITS, else DEFAULT_PRECISION_BITS.
-    Anything but a positive integer is a ValueError."""
+    Anything but an integer in 1..MAX_PRECISION_BITS is a ValueError."""
     if requested is None:
         requested = int(os.environ.get("CUBICSTRING_PRECISION_BITS",
                                        DEFAULT_PRECISION_BITS))
     if requested < 1:
         raise ValueError(
             f"precision bits must be a positive integer, got {requested}")
+    if requested > MAX_PRECISION_BITS:
+        raise ValueError(f"precision bits {requested} is over the cap of "
+                         f"{MAX_PRECISION_BITS}")
     return requested
 
 

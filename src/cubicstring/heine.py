@@ -130,12 +130,13 @@ def split_sum(mu: DiscreteMeasure, k: int, with_points: bool) -> Fraction:
 
     Identical tuples up to slot order contribute identical terms, so the
     term value is memoized on the sorted index tuple; the enumeration
-    itself still visits every ordered tuple.
+    itself still visits every ordered tuple.  The C(2k, k) halves are
+    listed on the first tuple that is not skipped.
     """
     if k == 0:
         return Fraction(1)
     s = mu.size
-    halves = list(itertools.combinations(range(2 * k), k))
+    halves = None
     cache: dict[tuple[int, ...], Fraction] = {}
     total = Fraction(0)
     for idx in itertools.product(range(s), repeat=2 * k):
@@ -144,6 +145,8 @@ def split_sum(mu: DiscreteMeasure, k: int, with_points: bool) -> Fraction:
         key = tuple(sorted(idx))
         term = cache.get(key)
         if term is None:
+            if halves is None:
+                halves = list(itertools.combinations(range(2 * k), k))
             xs = [mu.points[i] for i in idx]
             bracket = Fraction(0)
             for half in halves:

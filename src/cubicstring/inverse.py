@@ -23,6 +23,10 @@ they are named here by the block they cut out of the pair table:
     beta_shifted[k]  det [beta_0..beta_{k-1} | I[1:k+1, 0:k-1]]
     beta_inner[k]    det [beta_0..beta_{k-1} | I[1:k+1, 1:k]]
 
+Each family is the leading-minor sequence of its largest block, so one
+fraction-free elimination of that block (exact.leading_minors) reads
+off every size at once.
+
 The string is rebuilt by peeling the crossing factors off the boundary
 triple (phi, phi_x, phi_xx) that the data fixes: each jump hands back
 one mass, each gap one gap, and the triple must end at exactly
@@ -49,8 +53,9 @@ from .errors import (
 from .exact import (
     Matrix,
     Polynomial,
-    det_exact,
+    det_exact,  # unused here; perfbench/tracing.py wraps inverse.det_exact
     format_rational,
+    leading_minors,
     parse_rational,
     parse_rational_list,
     poly_product,
@@ -182,12 +187,12 @@ class MomentMinors:
 
 def moment_minors(bt: BimomentTable) -> MomentMinors:
     """All minors the table can support: corner families one size past
-    the table order, the rest up to the order itself."""
+    the table order, the rest up to the order itself; one elimination
+    of the largest block per family."""
     top = bt.max_order + 1
 
     def family(size, row, col, first=None):
-        return tuple(det_exact(_block(bt, k, row, col, first))
-                     for k in range(size))
+        return leading_minors(_block(bt, size - 1, row, col, first))
 
     return MomentMinors(
         mass_corner=family(top + 1, 0, 1, _augmented_column(bt)),

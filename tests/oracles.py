@@ -17,6 +17,12 @@ three solvers reproduce.  With them, the checks of that chain that the
 runtime does not run: the order conditions of each approximant at
 infinity, the four-term recurrence, the Weyl sum-product relation, and
 the cofactor determinant.
+
+The six minor families of the pair table by one det_exact per block
+size, each block written out from its definition; the runtime reads
+each family off one elimination instead.  And the isospectral flow in
+closed form: the string recover returns for residues scaled by sigma,
+read off the t = 0 minors.
 """
 
 from __future__ import annotations
@@ -35,7 +41,15 @@ from cubicstring.forward import (
     invariant_masses,
     jump_step,
 )
-from cubicstring.inverse import Approximant, SpectralData, weyl_fractions
+from cubicstring.inverse import (
+    Approximant,
+    BimomentTable,
+    MomentMinors,
+    SpectralData,
+    bimoments,
+    moment_minors,
+    weyl_fractions,
+)
 from cubicstring.string_model import (
     ConservedSet,
     CubicString,
@@ -360,3 +374,59 @@ def recurrence_sequences(s: CubicString) -> tuple[dict, dict, dict]:
             x[3 * k], x[3 * k + 1], x[3 * k + 2] = triple
         out.append(x)
     return out[0], out[1], out[2]
+
+
+# -- the pair-table minors and the flow -----------------------------------
+
+def moment_minors_by_blocks(bt: BimomentTable) -> MomentMinors:
+    """The six families of inverse.moment_minors, one det_exact per size.
+
+    entry(i, j) gives the (i, j) entry of every block of a family; the
+    block of size k is its k x k corner.
+    """
+    t, beta = bt.pair_table, bt.moments
+    atom = 1 / (2 * bt.total_mass)
+    top = bt.max_order + 1
+
+    def family(size, entry):
+        return tuple(det_exact(Matrix([[entry(i, j) for j in range(k)]
+                                       for i in range(k)]))
+                     for k in range(size))
+
+    return MomentMinors(
+        mass_corner=family(top + 1, lambda i, j:
+                           t[i][j] + (atom if i == j == 0 else 0)),
+        corner=family(top + 1, lambda i, j: t[i][j]),
+        inner=family(top, lambda i, j: t[i + 1][j + 1]),
+        shifted=family(top, lambda i, j: t[i + 1][j]),
+        beta_shifted=family(top, lambda i, j:
+                            beta[i] if j == 0 else t[i + 1][j - 1]),
+        beta_inner=family(top, lambda i, j:
+                          beta[i] if j == 0 else t[i + 1][j]),
+    )
+
+
+def flow_closed_form(sd: SpectralData, sigma: Fraction) -> CubicString:
+    """The string of the data with every residue scaled by sigma.
+
+    Residues b -> sigma b scale the pair table by sigma^2 and the
+    moments by sigma; the atom a = 1/(2M) stays.  With C, I, S and B
+    the sigma = 1 corner, inner, shifted and beta_shifted minors, the
+    Cramer forms of recover_detailed become
+        m_n     = 1 / (2 (sigma^2 C[1] + a))
+        m_{n-k} = sigma^2 S[k]^2
+                  / (2 (sigma^2 C[k+1] + a I[k]) (sigma^2 C[k] + a I[k-1]))
+        l_{n-k} = -2 (sigma C[k] + a I[k-1] / sigma) / B[k].
+    """
+    n = sd.n
+    mm = moment_minors(bimoments(sd, n - 1))
+    c, inner, s, b = mm.corner, mm.inner, mm.shifted, mm.beta_shifted
+    a = 1 / (2 * sd.total_mass)
+    s2 = sigma * sigma
+    masses = [1 / (2 * (s2 * c[1] + a))]
+    gaps = []
+    for k in range(1, n):
+        masses.append(s2 * s[k] ** 2 / (2 * (s2 * c[k + 1] + a * inner[k])
+                                        * (s2 * c[k] + a * inner[k - 1])))
+        gaps.append(-2 * (sigma * c[k] + a * inner[k - 1] / sigma) / b[k])
+    return CubicString(tuple(reversed(masses)), tuple(reversed(gaps)))

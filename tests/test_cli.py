@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from cubicstring.cli import EVOLVE_SAMPLE_CAP, main
+from cubicstring.forward import MAX_PRECISION_BITS
 
 N2_STRING = {"masses": ["1", "1"], "gaps": ["1"], "anchor": "0"}
 N3_STRING = {"masses": ["1", "2", "1"], "gaps": ["1", "1/2"], "anchor": "0"}
@@ -126,6 +128,21 @@ def test_non_positive_precision_bits_is_bad_input(tmp_path, capsys,
     _assert_one_line_error(capsys)
     assert main(["evolve", p, "--method", "spectral", "--t-end", "0.1"]) == 2
     _assert_one_line_error(capsys)
+
+
+def test_precision_bits_over_the_cap_is_bad_input(tmp_path, capsys,
+                                                  monkeypatch):
+    # refused before any isolation starts, from the flag or the environment
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    over = str(MAX_PRECISION_BITS + 1)
+    spectral = ["evolve", p, "--method", "spectral", "--t-end", "0.1"]
+    for argv in (["forward", p], spectral):
+        assert main([*argv, "--precision-bits", over]) == 2
+        _assert_one_line_error(capsys)
+    monkeypatch.setenv("CUBICSTRING_PRECISION_BITS", over)
+    for argv in (["forward", p], spectral):
+        assert main(argv) == 2
+        _assert_one_line_error(capsys)
 
 
 def test_forward_byte_identical(tmp_path):
@@ -279,14 +296,26 @@ def test_verify_rejects_sizes_below_one(capsys, flags):
 @pytest.mark.parametrize("support,k_max", [
     (6, 4),            # 6^8 = 1,679,616 split-sum tuples
     (8, 1),            # 8^8 Cauchy tuples
-    (1, 10),           # one point counts as two: 2^20
+    (2, 10),           # 2^20 split-sum tuples
+    (1, 11),           # one point, one tuple, but k_max over its cap
     (10 ** 9, 3),      # huge flags are refused without powering them
     (3, 10 ** 9),
+    (1, 10 ** 9),      # one tuple, refused by the k_max cap alone
 ])
 def test_verify_enumeration_cap(capsys, support, k_max):
     assert main(["verify", "--suite", "heine", "--support", str(support),
                  "--k-max", str(k_max)]) == 2
     _assert_one_line_error(capsys)
+
+
+def test_verify_one_point_counts_as_one(capsys):
+    # every split-sum tuple repeats the point and is skipped before any
+    # halves are listed, so the largest k_max runs at once
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "heine", "--support", "1",
+                 "--k-max", "10"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
 
 
 def test_verify_largest_acceptance_shape_is_allowed(capsys):

@@ -1,5 +1,6 @@
-"""Exact linear algebra: Bareiss determinant and solve, cross-checked
-against an independent cofactor-expansion oracle on random matrices."""
+"""Exact linear algebra: Bareiss determinant, leading minors and solve,
+cross-checked against an independent cofactor-expansion oracle on
+random matrices."""
 
 import random
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ import pytest
 from oracles import det_cofactor
 
 from cubicstring.errors import NonSquareError, SingularMatrixError
-from cubicstring.exact import Matrix, det_exact, solve_exact
+from cubicstring.exact import Matrix, det_exact, leading_minors, solve_exact
 
 
 def random_matrix(rng, n, scale=9):
@@ -81,3 +82,32 @@ def test_empty_determinant_is_one():
     assert det_exact(Matrix(())) == 1
     assert det_cofactor(()) == 1
 
+
+
+def test_leading_minors_go_on_past_a_zero_pivot():
+    m = Matrix([[F(0), F(1)], [F(1), F(0)]])
+    assert leading_minors(m) == (F(1), F(0), F(-1))
+    m = Matrix([[F(1), F(1), F(0)], [F(1), F(1), F(1)], [F(0), F(1), F(1)]])
+    assert leading_minors(m) == (F(1), F(1), F(0), F(-1))
+
+
+def test_leading_minors_match_determinants_of_leading_blocks():
+    rng = random.Random(13)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(10):
+            m = random_matrix(rng, n)
+            minors = leading_minors(m)
+            assert len(minors) == n + 1
+            assert minors[-1] == det_exact(m)
+            assert minors == tuple(
+                det_exact(Matrix([r[:k] for r in m.rows[:k]]))
+                for k in range(n + 1))
+
+
+def test_leading_minors_of_the_empty_matrix():
+    assert leading_minors(Matrix(())) == (F(1),)
+
+
+def test_leading_minors_non_square_rejected():
+    with pytest.raises(NonSquareError):
+        leading_minors(Matrix([[F(1), F(2)]]))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,14 @@ def test_one_point_sums_frozen():
     assert split_sum(ONE_POINT, 2, False) == 0  # multiplicity prune
     assert det_exact(cauchy_matrix(ONE_POINT)) == F(-1, 2)
     assert cauchy_tuple_sum(ONE_POINT) == F(-1, 2)
+
+
+def test_split_sum_lists_no_halves_when_every_tuple_is_skipped():
+    # one point repeats 2k times in its only tuple; building the
+    # C(22, 11) = 705,432 halves regardless took about 0.3 s here
+    start = time.perf_counter()
+    assert split_sum(ONE_POINT, 11, True) == 0
+    assert time.perf_counter() - start < 0.1
 
 
 def test_two_point_sums_frozen():

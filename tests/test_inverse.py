@@ -15,6 +15,7 @@ from oracles import (
 )
 
 from cubicstring import forward, inverse
+from cubicstring.exact import linalg
 from cubicstring.cli import main
 from cubicstring.errors import (
     IdentityViolatedError,
@@ -323,6 +324,24 @@ def test_peel_refuses_a_wrong_triple(monkeypatch):
     off(lambda nw, dw, nz, dz: (nw, dw, nz * 2, dz))
     with pytest.raises(IdentityViolatedError, match=r"\(1, 0, 0\)"):
         recover(SpectralData((), (), F(7, 3)))
+
+
+def test_determinant_audit_runs_no_per_size_determinant(monkeypatch):
+    # each minor family is read off one elimination: a zero-free audit at
+    # n = 14 calls det_exact under neither of its names (86 calls when
+    # every size had its own determinant)
+    calls = []
+    det_exact = linalg.det_exact
+
+    def counting(m):
+        calls.append(m.nrows)
+        return det_exact(m)
+
+    monkeypatch.setattr(linalg, "det_exact", counting)
+    monkeypatch.setattr(inverse, "det_exact", counting)
+    report = recover_detailed(random_spectral(14, 14))
+    assert len(report.minors.corner) == 15
+    assert calls == []
 
 
 def test_recover_needs_no_determinant(tmp_path, monkeypatch, capsys):
