@@ -35,7 +35,7 @@ from .burgers import Trajectory, WaveState, evolve_spectral, integrate_rk4
 from .errors import CubicStringError
 from .exact import format_rational
 from .forward import residues, resolve_precision_bits, spectrum
-from .heine import random_measure, run_checks
+from .heine import random_measure, run_checks, summand_count
 from .inverse import (
     SpectralData,
     random_spectral,
@@ -53,20 +53,25 @@ from .string_model import (
 )
 
 
-# verify refuses runs that would enumerate more ordered tuples of support
-# points than this: support^(2 k_max) for the split sums, support^support
-# for the Cauchy form
-VERIFY_TUPLE_CAP = 10 ** 6
+# verify refuses runs that would sum more terms than this (counted by
+# heine.summand_count); support 6 at k_max 4, 19,683 terms, the largest
+# count it admits, takes about 1.5 s on a shared 2-vCPU VM
+VERIFY_SUMMAND_CAP = 2 * 10 ** 4
 
-# and any --k-max above this: from two points on the tuple cap already
-# refuses it, and one point, one tuple at every k, still grows the pair
-# table and its minors with k_max
+# and any --k-max above this: one point keeps the count at 6 for every
+# k_max, but the pair table and its minors still grow with k_max
 VERIFY_K_MAX = 10
 
 # evolve refuses more rows than this: at three peaks a row costs about
 # 2.5 ms on the spectral route and 0.4 ms on rk4, so the cap is about
 # 25 s of work, the scale of the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
+
+# and spectral runs whose rows times squared precision bits pass this: a
+# row's exact work grows as bits^2, about 0.22 s at 8,192 bits on three
+# peaks, so the cap is again about 25 s of work; at 256 bits the row cap
+# binds first
+EVOLVE_SPECTRAL_CAP = 7 * 10 ** 9
 
 
 def _read_json(path: str):
@@ -174,6 +179,10 @@ def _run_evolve(ns: argparse.Namespace) -> int:
             raise ValueError("--method rk4 needs a positive --dt")
         traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples)
     else:
+        if ns.samples * bits ** 2 > EVOLVE_SPECTRAL_CAP:
+            raise ValueError(f"--samples {ns.samples} at {bits} bits is over "
+                             f"the cap of {EVOLVE_SPECTRAL_CAP} rows times "
+                             f"squared bits")
         times = [i * ns.t_end / (ns.samples - 1)
                  for i in range(ns.samples)]
         traj = evolve_spectral(state, times, bits)
@@ -203,16 +212,13 @@ def _run_verify(ns: argparse.Namespace) -> int:
     if ns.support < 1 or ns.k_max < 1:
         raise ValueError(f"--support and --k-max must be at least 1, "
                          f"got {ns.support} and {ns.k_max}")
-    # support 8 or k_max 10 alone passes the cap from two points on, so
-    # clamping there keeps the powers small; one point counts as one, as
-    # the split sums skip every tuple that repeats it before listing halves
-    support, k_max = min(ns.support, 8), min(ns.k_max, VERIFY_K_MAX)
-    if max(support ** (2 * k_max), support ** support) > VERIFY_TUPLE_CAP:
-        raise ValueError(f"--support {ns.support} --k-max {ns.k_max} is over "
-                         f"the cap of {VERIFY_TUPLE_CAP} enumerated tuples")
+    # the k_max cap first, so the count never sums a huge range
     if ns.k_max > VERIFY_K_MAX:
         raise ValueError(f"--k-max {ns.k_max} is over the cap of "
                          f"{VERIFY_K_MAX}")
+    if summand_count(ns.support, ns.k_max) > VERIFY_SUMMAND_CAP:
+        raise ValueError(f"--support {ns.support} --k-max {ns.k_max} is over "
+                         f"the cap of {VERIFY_SUMMAND_CAP} summed terms")
     mu = random_measure(ns.support, ns.seed)
     report = run_checks(mu, ns.k_max)
     _emit_json(report.to_dict(), None)

@@ -3,13 +3,12 @@ algebra, Sturm root isolation, and rational interval arithmetic."""
 
 from .interval import RatInterval, eval_interval
 from .linalg import Matrix, det_exact, leading_minors, solve_exact
-from .poly import Polynomial, poly_gcd, poly_product
+from .poly import Polynomial, poly_product
 from .rational import format_rational, parse_rational, parse_rational_list
 from .roots import (
     DEFAULT_ISOLATION_WIDTH,
     RootEnclosure,
     cauchy_root_bound,
-    is_squarefree,
     refine_enclosure,
     simplest_rational_between,
     sturm_chain,
@@ -26,11 +25,9 @@ __all__ = [
     "det_exact",
     "eval_interval",
     "format_rational",
-    "is_squarefree",
     "leading_minors",
     "parse_rational",
     "parse_rational_list",
-    "poly_gcd",
     "poly_product",
     "refine_enclosure",
     "simplest_rational_between",

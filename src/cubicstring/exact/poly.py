@@ -183,11 +183,6 @@ class Polynomial:
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            raise ZeroDivisionError("the zero polynomial has no monic form")
-        return self * (1 / self.leading)
-
     def primitive(self) -> "Polynomial":
         """Divide out the positive rational content; signs are preserved."""
         if self.is_zero():
@@ -213,15 +208,6 @@ class Polynomial:
             else:
                 parts.append(f"{c}*z^{j}")
         return "Polynomial(" + " + ".join(parts) + ")"
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    while not b.is_zero():
-        r = a % b
-        # primitive() keeps coefficient growth down without moving signs
-        a, b = b, (r.primitive() if not r.is_zero() else r)
-    return a.monic() if not a.is_zero() else a
 
 
 def poly_product(factors: Sequence[Polynomial]) -> Polynomial:

@@ -4,7 +4,9 @@ The chain is the classical one: p0 = p, p1 = p', p_{i+1} = -(p_{i-1} mod
 p_i), each member divided by its positive content to keep coefficients
 small (positive scaling never moves a sign).  V(x) counts sign changes
 along the chain; V(a) - V(b) is the number of distinct real roots in
-(a, b].
+(a, b].  The last member is gcd(p, p') up to a constant, so a chain
+that ends above degree 0 marks a repeated root, and isolation refuses
+it.
 
 The chain only counts roots: isolation splits (lo, hi] until every
 piece holds exactly one.  A squarefree polynomial changes sign at each
@@ -29,15 +31,9 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from ..errors import NotSquarefreeError
-from .poly import Polynomial, poly_gcd
+from .poly import Polynomial
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2 ** 64)
-
-
-def is_squarefree(p: Polynomial) -> bool:
-    if p.degree <= 1:
-        return True
-    return poly_gcd(p, p.derivative()).degree == 0
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
@@ -142,7 +138,8 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     """
     if p.degree < 1:
         return []
-    if not is_squarefree(p):
+    chain = sturm_chain(p)
+    if chain[-1].degree > 0:
         raise NotSquarefreeError("root isolation requires a squarefree polynomial")
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -150,7 +147,6 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
         raise ValueError("empty interval")
     if p(lo) == 0 or p(hi) == 0:
         raise ValueError("endpoints must not be roots")
-    chain = sturm_chain(p)
     coeffs = integer_coefficients(chain[0])
     out: list[RootEnclosure] = []
     # each end carries its sign-change count, so a cut is evaluated once

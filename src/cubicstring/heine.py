@@ -3,18 +3,20 @@
 Every minor of the pair table of a discrete measure has a second life
 as a sum over tuples of support points, weighted by squared Vandermonde
 factors over products of pairwise sums.  This module evaluates those
-tuple sums by literal enumeration and compares them against the
+sums by literal enumeration and compares them against the
 determinants, so each side checks the other through an independent
-route.
+route.  Every summand is symmetric in its slots, so each sum visits
+each unordered set of points once.
 
 Notation, for a tuple x = (x_1..x_k) of support points:
 
     vand(x)  = prod_{i<j} (x_j - x_i)
     gamma(x) = prod_{i<j} (x_i + x_j)
 
-The three basic sums (empty-tuple value 1 by convention) are
+The three basic sums (empty-set value 1 by convention) run over the
+k-subsets x of the support; a repeated point would zero vand(x):
 
-    u_k = (1/k!) sum_x vand(x)^2/gamma(x) * prod w
+    u_k = sum_x vand(x)^2/gamma(x) * prod w
     v_k = same with an extra prod x_i
     t_k = same with an extra 1/prod x_i
 
@@ -23,37 +25,39 @@ and the minor identities checked here:
     shifted[k]      = u_k^2 / 2^k
     beta_shifted[k] = u_k u_{k-1} / 2^(k-1)
     beta_inner[k]   = u_k v_{k-1} / 2^(k-1)
-    corner[k]       = split sum over 2k-tuples   = (t_k u_k - u_{k-1} t_{k+1}) / 2^k
-    inner[k]        = split sum with prod x      = (u_k v_k - v_{k-1} u_{k+1}) / 2^k
+    corner[k]       = split sum over 2k points  = (t_k u_k - u_{k-1} t_{k+1}) / 2^k
+    inner[k]        = split sum with prod x     = (u_k v_k - v_{k-1} u_{k+1}) / 2^k
 
-The split sum runs over ordered 2k-tuples and all ways to split the
-slots into two halves I, I^c of size k:
+The split sum runs over multisets x of 2k support points and all ways
+to split the slots into two halves I, I^c of size k:
 
-    (1/(2k)!) sum_x (1/gamma(x)) [sum_I vand_I^2 vand_{I^c}^2 gamma_I gamma_{I^c}] prod w
+    sum_x (1/2^d) (1/gamma(x)) [sum_I vand_I^2 vand_{I^c}^2 gamma_I gamma_{I^c}] prod w
 
-A tuple in which any support point appears three or more times is
-skipped: every split then repeats a point inside one half and the whole
-bracket vanishes.
+where d is the number of points x holds twice.  This is the sum over
+ordered 2k-tuples divided by (2k)!: x has (2k)!/2^d orderings, all
+with the same term.  No point appears three times, since one half
+would then repeat it in every split and zero the whole bracket; so for
+k beyond the support size the sum is 0.
 
 Finally the Cauchy-type identity, for a measure with s support points:
 
     det [ sum_a w_a y_a^i / (y_a + y_j) ]_{i,j=1..s}
-        = (vand(y_1..y_s)/s!) sum_x (prod x) vand(x)^2
-          / prod_{i,j} (x_i + y_j) * prod w
+        = vand(y)^3 prod y_i prod w_i / prod_{i,j} (y_i + y_j)
 
-where the sum is over ordered s-tuples of support points.  The product
-of the x_i in front of the squared Vandermonde is essential; dropping
-it breaks the identity already for a single support point.
+which is the sum over ordered s-tuples x of distinct points,
+(vand(y)/s!) sum_x (prod x) vand(x)^2 / prod_{i,j} (x_i + y_j) prod w,
+with its s! permutations of y added up.  The product of the x_i in
+front of the squared Vandermonde is essential; dropping it breaks the
+identity already for a single support point.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, prod
 
 from .exact import Matrix, det_exact, format_rational
 from .inverse import BimomentTable, moment_minors, table_from_support
@@ -103,14 +107,11 @@ def _gamma(xs) -> Fraction:
 
 def heine_sums(mu: DiscreteMeasure, k_max: int) -> tuple[
         tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(u, v, t) for k = 0..k_max by ordered-tuple enumeration."""
-    s = mu.size
+    """(u, v, t) for k = 0..k_max, one term per k-subset of the support."""
     u, v, t = [Fraction(1)], [Fraction(1)], [Fraction(1)]
     for k in range(1, k_max + 1):
         au = av = at = Fraction(0)
-        for idx in itertools.product(range(s), repeat=k):
-            if len(set(idx)) < k:
-                continue  # repeated point: vand^2 term is zero
+        for idx in itertools.combinations(range(mu.size), k):
             xs = [mu.points[i] for i in idx]
             base = _vand(xs) ** 2 / _gamma(xs) \
                 * prod((mu.weights[i] for i in idx), start=Fraction(1))
@@ -118,50 +119,57 @@ def heine_sums(mu: DiscreteMeasure, k_max: int) -> tuple[
             px = prod(xs, start=Fraction(1))
             av += base * px
             at += base / px
-        kf = factorial(k)
-        u.append(au / kf)
-        v.append(av / kf)
-        t.append(at / kf)
+        u.append(au)
+        v.append(av)
+        t.append(at)
     return tuple(u), tuple(v), tuple(t)
 
 
-def split_sum(mu: DiscreteMeasure, k: int, with_points: bool) -> Fraction:
-    """Ordered 2k-tuple sum for corner[k] (inner[k] when with_points).
+def _multisets(s: int, k: int):
+    """Every multiset of 2k indices from range(s), each index at most
+    twice, as (indices, number of doubled indices)."""
+    for d in range(max(0, 2 * k - s), k + 1):
+        for doubled in itertools.combinations(range(s), d):
+            rest = [i for i in range(s) if i not in doubled]
+            for single in itertools.combinations(rest, 2 * k - 2 * d):
+                yield doubled + doubled + single, d
 
-    Identical tuples up to slot order contribute identical terms, so the
-    term value is memoized on the sorted index tuple; the enumeration
-    itself still visits every ordered tuple.  The C(2k, k) halves are
-    listed on the first tuple that is not skipped.
-    """
+
+def split_sum(mu: DiscreteMeasure, k: int, with_points: bool) -> Fraction:
+    """Split sum for corner[k] (inner[k] when with_points), one term per
+    multiset of support points weighted by 1/2^(doubled points)."""
     if k == 0:
         return Fraction(1)
-    s = mu.size
-    halves = None
-    cache: dict[tuple[int, ...], Fraction] = {}
+    if k > mu.size:
+        return Fraction(0)  # 2k slots need some point three times
+    halves = list(itertools.combinations(range(2 * k), k))
     total = Fraction(0)
-    for idx in itertools.product(range(s), repeat=2 * k):
-        if max(Counter(idx).values()) >= 3:
-            continue  # some half always repeats a point: bracket vanishes
-        key = tuple(sorted(idx))
-        term = cache.get(key)
-        if term is None:
-            if halves is None:
-                halves = list(itertools.combinations(range(2 * k), k))
-            xs = [mu.points[i] for i in idx]
-            bracket = Fraction(0)
-            for half in halves:
-                comp = [j for j in range(2 * k) if j not in half]
-                a = [xs[j] for j in half]
-                b = [xs[j] for j in comp]
-                bracket += (_vand(a) ** 2 * _vand(b) ** 2
-                            * _gamma(a) * _gamma(b))
-            term = bracket / _gamma(xs) \
-                * prod((mu.weights[i] for i in idx), start=Fraction(1))
-            if with_points:
-                term *= prod(xs, start=Fraction(1))
-            cache[key] = term
-        total += term
-    return total / factorial(2 * k)
+    for idx, d in _multisets(mu.size, k):
+        xs = [mu.points[i] for i in idx]
+        bracket = Fraction(0)
+        for half in halves:
+            a = [xs[j] for j in half]
+            b = [xs[j] for j in range(2 * k) if j not in half]
+            bracket += (_vand(a) ** 2 * _vand(b) ** 2
+                        * _gamma(a) * _gamma(b))
+        term = bracket / _gamma(xs) \
+            * prod((mu.weights[i] for i in idx), start=Fraction(1))
+        if with_points:
+            term *= prod(xs, start=Fraction(1))
+        total += term / 2 ** d
+    return total
+
+
+def summand_count(support: int, k_max: int) -> int:
+    """Terms run_checks sums at this shape: C(s, k) subsets for k up to
+    k_max + 1, multisets times C(2k, k) halves in each of the two split
+    sums for k up to k_max, s^3 for the Cauchy matrix, one Cauchy term."""
+    subsets = sum(comb(support, k) for k in range(1, k_max + 2))
+    halves = sum(comb(support, d) * comb(support - d, 2 * k - 2 * d)
+                 * comb(2 * k, k)
+                 for k in range(1, k_max + 1)
+                 for d in range(min(k, support) + 1))
+    return subsets + 2 * halves + support ** 3 + 1
 
 
 def cauchy_matrix(mu: DiscreteMeasure) -> Matrix:
@@ -173,17 +181,12 @@ def cauchy_matrix(mu: DiscreteMeasure) -> Matrix:
 
 
 def cauchy_tuple_sum(mu: DiscreteMeasure) -> Fraction:
-    s = mu.size
-    pref = _vand(mu.points) / factorial(s)
-    total = Fraction(0)
-    for idx in itertools.product(range(s), repeat=s):
-        if len(set(idx)) < s:
-            continue
-        xs = [mu.points[i] for i in idx]
-        den = prod((x + y for x in xs for y in mu.points), start=Fraction(1))
-        total += (prod(xs, start=Fraction(1)) * _vand(xs) ** 2 / den
-                  * prod((mu.weights[i] for i in idx), start=Fraction(1)))
-    return pref * total
+    """The s! ordered tuples are the permutations of the support, and
+    each gives the same term."""
+    y = mu.points
+    return (_vand(y) ** 3 * prod(y, start=Fraction(1))
+            * prod(mu.weights, start=Fraction(1))
+            / prod((a + b for a in y for b in y), start=Fraction(1)))
 
 
 # -- the combined report ---------------------------------------------------

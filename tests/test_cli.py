@@ -294,23 +294,37 @@ def test_verify_rejects_sizes_below_one(capsys, flags):
 
 
 @pytest.mark.parametrize("support,k_max", [
-    (6, 4),            # 6^8 = 1,679,616 split-sum tuples
-    (8, 1),            # 8^8 Cauchy tuples
-    (2, 10),           # 2^20 split-sum tuples
-    (1, 11),           # one point, one tuple, but k_max over its cap
-    (10 ** 9, 3),      # huge flags are refused without powering them
+    (6, 5),            # 30,268 summed terms, over the cap of 20,000
+    (13, 2),           # 22,751
+    (27, 1),           # 21,574, of which 27^3 build the Cauchy matrix
+    (1, 11),           # one point, six terms, but k_max over its cap
+    (10 ** 9, 3),      # huge flags are refused without enumerating them
     (3, 10 ** 9),
-    (1, 10 ** 9),      # one tuple, refused by the k_max cap alone
+    (1, 10 ** 9),      # refused by the k_max cap alone
 ])
 def test_verify_enumeration_cap(capsys, support, k_max):
+    start = time.perf_counter()
     assert main(["verify", "--suite", "heine", "--support", str(support),
                  "--k-max", str(k_max)]) == 2
+    assert time.perf_counter() - start < 0.1
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("support,k_max", [
+    (6, 4),            # 19,683 summed terms, the most the cap admits
+    (8, 1),            # the Cauchy form is one term at any support
+    (2, 10),           # no multiset of 2k points from two exists past k = 2
+])
+def test_verify_shapes_the_summand_cap_admits(capsys, support, k_max):
+    assert main(["verify", "--suite", "heine", "--support", str(support),
+                 "--k-max", str(k_max), "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+
+
 def test_verify_one_point_counts_as_one(capsys):
-    # every split-sum tuple repeats the point and is skipped before any
-    # halves are listed, so the largest k_max runs at once
+    # no multiset of 2k > 2 slots holds one point at most twice, so the
+    # split sums return 0 before listing halves and the largest k_max
+    # runs at once
     start = time.perf_counter()
     assert main(["verify", "--suite", "heine", "--support", "1",
                  "--k-max", "10"]) == 0
@@ -412,6 +426,24 @@ def test_evolve_sample_cap_is_bad_input(tmp_path, capsys, method):
     assert main(["evolve", p, "--method", *method, "--t-end", "1",
                  "--samples", samples]) == 2
     _assert_one_line_error(capsys)
+
+
+def test_evolve_spectral_work_cap_is_bad_input(tmp_path, capsys):
+    # rows times squared bits: about two hours of work, refused at once
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    start = time.perf_counter()
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
+                 "--samples", "10000", "--precision-bits", "8192"]) == 2
+    assert time.perf_counter() - start < 0.1
+    _assert_one_line_error(capsys)
+
+
+def test_evolve_spectral_work_cap_admits_the_benchmark_shape(tmp_path,
+                                                             capsys):
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
+                 "--samples", "5", "--precision-bits", "256"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6
 
 
 def test_bad_usage_exits_two():

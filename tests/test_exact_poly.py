@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reflected
 
-from cubicstring.exact import Polynomial, poly_gcd, poly_product
+from cubicstring.exact import Polynomial, poly_product
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.lists(rationals, max_size=7).map(Polynomial)
@@ -72,16 +72,6 @@ def test_derivative_product_rule():
     a = Polynomial([1, 2, 3])
     b = Polynomial([-4, 0, 0, 5])
     assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
-
-
-def test_gcd_extracts_common_factor():
-    a = Polynomial([-1, 1])             # z - 1
-    b = Polynomial([-2, 1])             # z - 2
-    p = a * a * b
-    g = poly_gcd(p, p.derivative())
-    assert g == a.monic()
-    sq = a * b
-    assert poly_gcd(sq, sq.derivative()).degree == 0
 
 
 def test_from_pairs_and_product():

@@ -13,7 +13,6 @@ from cubicstring.exact import (
     Polynomial,
     RootEnclosure,
     cauchy_root_bound,
-    is_squarefree,
     poly_product,
     refine_enclosure,
     simplest_rational_between,
@@ -69,11 +68,14 @@ def test_isolation_randomized_against_known_roots():
 
 
 def test_squarefree_detection():
+    # read off the Sturm chain: its last member is gcd(p, p')
     p = Polynomial([-1, 1])
-    assert is_squarefree(p * p) is False
-    assert is_squarefree(p * Polynomial([-2, 1]))
+    found = sturm_isolate(p * Polynomial([-2, 1]), F(0), F(5))
+    assert [r.exact for r in found] == [F(1), F(2)]
     with pytest.raises(NotSquarefreeError):
         sturm_isolate(p * p, F(0), F(5))
+    with pytest.raises(NotSquarefreeError):
+        sturm_isolate(p * p * Polynomial([-2, 1]), F(0), F(5))
 
 
 def test_endpoint_root_rejected():

@@ -1,9 +1,11 @@
 """Tuple-sum oracles against the pair-table minors."""
 
+import itertools
 import json
 import random
 import time
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -119,6 +121,66 @@ def test_identities_hold_for_mixed_sign_weights():
         for row in report.rows:
             if row.name != "cauchy_nonzero":
                 assert row.passed, row
+
+
+def _ordered_sum(mu, n, term):
+    """(1/n!) sum over ordered n-tuples of support indices, repeats
+    included, of term(points) * prod(weights)."""
+    total = sum((term([mu.points[i] for i in idx])
+                 * prod((mu.weights[i] for i in idx), start=F(1))
+                 for idx in itertools.product(range(mu.size), repeat=n)),
+                F(0))
+    return total / factorial(n)
+
+
+def _vd(xs):
+    return prod((xs[j] - xs[i]
+                 for i, j in itertools.combinations(range(len(xs)), 2)),
+                start=F(1))
+
+
+def _gm(xs):
+    return prod((xs[i] + xs[j]
+                 for i, j in itertools.combinations(range(len(xs)), 2)),
+                start=F(1))
+
+
+def _bracket(xs):
+    k = len(xs) // 2
+    total = F(0)
+    for half in itertools.combinations(range(2 * k), k):
+        a = [xs[j] for j in half]
+        b = [xs[j] for j in range(2 * k) if j not in half]
+        total += _vd(a) ** 2 * _vd(b) ** 2 * _gm(a) * _gm(b)
+    return total / _gm(xs)
+
+
+def test_unordered_sums_match_the_ordered_tuple_sums():
+    # subsets, multisets weighted 1/2^(doubled points) and the one
+    # Cauchy term against the literal sums over ordered tuples
+    rng = random.Random(34)
+    for size in (1, 2, 3):
+        ws = _random_measure(rng, size).weights
+        mu = DiscreteMeasure(_random_measure(rng, size).points,
+                             tuple(-w if i % 2 else w
+                                   for i, w in enumerate(ws)))
+        u, v, t = heine_sums(mu, 3)
+        for k in range(4):
+            assert u[k] == _ordered_sum(mu, k, lambda x: _vd(x) ** 2 / _gm(x))
+            assert v[k] == _ordered_sum(
+                mu, k, lambda x: _vd(x) ** 2 / _gm(x) * prod(x, start=F(1)))
+            assert t[k] == _ordered_sum(
+                mu, k, lambda x: _vd(x) ** 2 / _gm(x) / prod(x, start=F(1)))
+            assert split_sum(mu, k, False) == _ordered_sum(mu, 2 * k,
+                                                           _bracket)
+            assert split_sum(mu, k, True) == _ordered_sum(
+                mu, 2 * k, lambda x: _bracket(x) * prod(x, start=F(1)))
+        y = mu.points
+        cauchy = _ordered_sum(mu, size, lambda x: prod(x, start=F(1))
+                              * _vd(x) ** 2
+                              / prod((a + b for a in x for b in y),
+                                     start=F(1)))
+        assert cauchy_tuple_sum(mu) == _vd(y) * cauchy
 
 
 def test_measure_table_matches_spectral_route():
