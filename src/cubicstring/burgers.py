@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, Overflow, localcontext
 from fractions import Fraction
-from math import floor
+from math import ceil, floor, log2
 
 from .errors import (
     EmptyStringError,
@@ -42,7 +42,7 @@ from .errors import (
     NonPositiveMassError,
     OrderingViolatedError,
 )
-from .exact import RatInterval, simplest_rational_between
+from .exact import simplest_rational_between
 from .forward import (
     boundary_data,
     invariant_masses,
@@ -173,43 +173,47 @@ def rationalize(state: WaveState) -> CubicString:
                        xs[-1])
 
 
-def _point_value(v) -> Fraction:
-    if isinstance(v, RatInterval):
-        return simplest_rational_between(v.lo, v.hi)
-    return Fraction(v)
-
-
 def spectral_snapshot(s: CubicString,
                       precision_bits: int) -> tuple[SpectralData, Fraction]:
     """Rational spectral data for s, plus its first moment.
 
-    Enclosures are collapsed to the simplest rational they contain, so
-    the data is exact from here on; the collapse error is bounded by
-    the isolation width 2**-precision_bits.
+    Each eigenvalue and residue interval is collapsed to the simplest
+    rational it contains (a point interval to its own value), so the
+    data is exact from here on; the collapse error is bounded by the
+    isolation width 2**-precision_bits.
     """
     width = Fraction(1, 2 ** precision_bits)
     wd = residues(spectrum(s, width=width), precision_bits)
-    lams = tuple(e.exact if e.is_exact
-                 else simplest_rational_between(e.lo, e.hi)
-                 for e in wd.eigenvalues)
-    bs = tuple(_point_value(b) for b in wd.w_residues)
+    lams = tuple(simplest_rational_between(e.lo, e.hi) for e in wd.eigenvalues)
+    bs = tuple(simplest_rational_between(b.lo, b.hi) for b in wd.w_residues)
     first = sum((m * x for m, x in zip(s.masses, positions(s))), Fraction(0))
     return SpectralData(lams, bs, sum(s.masses, Fraction(0))), first
+
+
+def _exp_mt(total_mass: Fraction, t: float, digits: int) -> Decimal:
+    """e^(M t) to `digits` significant decimal digits."""
+    x = total_mass * Fraction(t)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        try:
+            return (Decimal(x.numerator) / Decimal(x.denominator)).exp()
+        except Overflow:
+            raise FlowOutOfRangeError(
+                f"e^(M t) overflows at M = {total_mass}, t = {t}") from None
 
 
 def scale_factor(total_mass: Fraction, t: float,
                  precision_bits: int) -> Fraction:
     """Rational approximation of e^(M t) at the working precision."""
-    x = total_mass * Fraction(t)
-    digits = max(30, int(precision_bits * 0.302) + 10)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        try:
-            val = (Decimal(x.numerator) / Decimal(x.denominator)).exp()
-        except Overflow:
-            raise FlowOutOfRangeError(
-                f"e^(M t) overflows at M = {total_mass}, t = {t}") from None
-    return Fraction(val)
+    return Fraction(_exp_mt(total_mass, t,
+                            max(30, int(precision_bits * 0.302) + 10)))
+
+
+def scale_bits(total_mass: Fraction, t: float) -> int:
+    """Bit length of the integer part of e^(M t), the size the factor
+    adds to the residues, read off its decimal exponent without building
+    the number; FlowOutOfRangeError wherever scale_factor overflows."""
+    return ceil((_exp_mt(total_mass, t, 8).adjusted() + 1) * log2(10))
 
 
 def evolved_data(sd0: SpectralData, t: float,

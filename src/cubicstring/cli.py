@@ -31,7 +31,13 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .burgers import Trajectory, WaveState, evolve_spectral, integrate_rk4
+from .burgers import (
+    Trajectory,
+    WaveState,
+    evolve_spectral,
+    integrate_rk4,
+    scale_bits,
+)
 from .errors import CubicStringError
 from .exact import format_rational
 from .forward import residues, resolve_precision_bits, spectrum
@@ -67,11 +73,24 @@ VERIFY_K_MAX = 10
 # 25 s of work, the scale of the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
-# and spectral runs whose rows times squared precision bits pass this: a
-# row's exact work grows as bits^2, about 0.22 s at 8,192 bits on three
-# peaks, so the cap is again about 25 s of work; at 256 bits the row cap
-# binds first
-EVOLVE_SPECTRAL_CAP = 7 * 10 ** 9
+# and spectral runs whose work estimate (_spectral_work) passes this:
+# over 32 timed runs of 2 to 26 rows, n = 1 to 12 at 128 to 16,384 bits,
+# a unit took 1.1e-11 to 3.0e-11 s (geometric mean 1.8e-11) on a shared
+# 2-vCPU VM, so the cap is about 18 s of work, 11 to 30 s at the ends
+EVOLVE_SPECTRAL_CAP = 10 ** 12
+
+# roundtrip refuses more masses than this: n = 48 took 18 s, n = 52 29 s
+# and n = 56 44 s on a shared 2-vCPU VM, so the cap is about 23 s of work
+ROUNDTRIP_N_CAP = 50
+
+
+def _spectral_work(n: int, rows: int, bits: int, sigma_bits: int) -> int:
+    """Work of an evolve --method spectral run: (rows + 1) x max(n, 2)^6
+    x B^2, one row more for the spectrum.  The operand bits B are the
+    larger of the precision, at least 64, and the bits e^(M t_end) adds
+    to the residues; one mass has no residues."""
+    operand = max(bits, 64, sigma_bits if n > 1 else 0)
+    return (rows + 1) * max(n, 2) ** 6 * operand ** 2
 
 
 def _read_json(path: str):
@@ -96,13 +115,6 @@ def _emit_json(doc: dict, path: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", path)
 
 
-def _approx(v) -> Fraction:
-    """Representative rational of an enclosure (or the exact value)."""
-    if isinstance(v, Fraction):
-        return v
-    return v.midpoint
-
-
 def _decimal_str(q: Fraction, digits: int) -> str:
     with localcontext() as ctx:
         ctx.prec = digits
@@ -115,17 +127,19 @@ def _run_forward(ns: argparse.Namespace) -> int:
     bits = resolve_precision_bits(ns.precision_bits)
     wd = residues(spectrum(s, width=Fraction(1, 2 ** bits)), bits)
     total = sum(s.masses, Fraction(0))
-    if wd.all_exact and all(isinstance(b, Fraction) for b in wd.w_residues):
+    if all(e.width == 0 for e in wd.eigenvalues):  # and so the residues
         doc = spectral_to_dict(SpectralData(
-            tuple(e.exact for e in wd.eigenvalues), wd.w_residues, total))
+            tuple(e.lo for e in wd.eigenvalues),
+            tuple(b.lo for b in wd.w_residues), total))
     else:
-        # decimal mode: every lambda and residue as a plain decimal, the
-        # working precision recorded; the mass stays exact either way
+        # decimal mode: the midpoint of every lambda and residue as a
+        # plain decimal, the working precision recorded; the mass stays
+        # exact either way
         digits = max(1, int(bits * 0.30103))
         doc = {
-            "lambdas": [_decimal_str(_approx(e), digits)
+            "lambdas": [_decimal_str(e.midpoint, digits)
                         for e in wd.eigenvalues],
-            "residues_b": [_decimal_str(_approx(b), digits)
+            "residues_b": [_decimal_str(b.midpoint, digits)
                            for b in wd.w_residues],
             "total_mass": format_rational(total),
             "precision_bits": bits,
@@ -151,6 +165,8 @@ def _run_invert(ns: argparse.Namespace) -> int:
 def _run_roundtrip(ns: argparse.Namespace) -> int:
     if ns.n < 1:
         raise ValueError(f"--n must be at least 1, got {ns.n}")
+    if ns.n > ROUNDTRIP_N_CAP:
+        raise ValueError(f"--n {ns.n} is over the cap of {ROUNDTRIP_N_CAP}")
     sd = random_spectral(ns.n, ns.seed)
     verify_exact_roundtrip(sd)
     print("exact roundtrip OK")
@@ -179,10 +195,13 @@ def _run_evolve(ns: argparse.Namespace) -> int:
             raise ValueError("--method rk4 needs a positive --dt")
         traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples)
     else:
-        if ns.samples * bits ** 2 > EVOLVE_SPECTRAL_CAP:
-            raise ValueError(f"--samples {ns.samples} at {bits} bits is over "
-                             f"the cap of {EVOLVE_SPECTRAL_CAP} rows times "
-                             f"squared bits")
+        # e^(M t_end) is the largest factor: where it overflows, exit 1
+        sigma_bits = scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
+        if _spectral_work(s.n, ns.samples, bits,
+                          sigma_bits) > EVOLVE_SPECTRAL_CAP:
+            raise ValueError(f"--samples {ns.samples} on {s.n} peaks at "
+                             f"{bits} bits to --t-end {ns.t_end} is over "
+                             f"the spectral work cap")
         times = [i * ns.t_end / (ns.samples - 1)
                  for i in range(ns.samples)]
         traj = evolve_spectral(state, times, bits)

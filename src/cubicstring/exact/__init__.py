@@ -3,11 +3,10 @@ algebra, Sturm root isolation, and rational interval arithmetic."""
 
 from .interval import RatInterval, eval_interval
 from .linalg import Matrix, det_exact, leading_minors, solve_exact
-from .poly import Polynomial, poly_product
+from .poly import Polynomial
 from .rational import format_rational, parse_rational, parse_rational_list
 from .roots import (
     DEFAULT_ISOLATION_WIDTH,
-    RootEnclosure,
     cauchy_root_bound,
     refine_enclosure,
     simplest_rational_between,
@@ -20,7 +19,6 @@ __all__ = [
     "Matrix",
     "Polynomial",
     "RatInterval",
-    "RootEnclosure",
     "cauchy_root_bound",
     "det_exact",
     "eval_interval",
@@ -28,7 +26,6 @@ __all__ = [
     "leading_minors",
     "parse_rational",
     "parse_rational_list",
-    "poly_product",
     "refine_enclosure",
     "simplest_rational_between",
     "solve_exact",

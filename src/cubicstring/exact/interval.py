@@ -1,9 +1,10 @@
 """Interval arithmetic over rational endpoints.
 
-Used to certify signs of polynomial expressions evaluated on a root
-enclosure: every operation returns an interval guaranteed to contain
-the true value, so a result interval strictly on one side of zero is a
-proof of sign.
+RatInterval is the one representation of a computed value, from root
+isolation to output: an isolated eigenvalue, a residue, or an exact
+rational, which is the point interval lo == hi.  Every operation
+returns an interval guaranteed to contain the true value, so a result
+interval strictly on one side of zero is a proof of sign.
 """
 
 from __future__ import annotations
@@ -32,25 +33,22 @@ class RatInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __add__(self, other) -> "RatInterval":
-        o = _coerce(other)
+    @property
+    def width(self) -> Fraction:
+        """hi - lo; zero exactly when the value is known exactly."""
+        return self.hi - self.lo
+
+    def __add__(self, o: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo + o.lo, self.hi + o.hi)
 
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "RatInterval":
-        o = _coerce(other)
+    def __mul__(self, o: "RatInterval") -> "RatInterval":
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return RatInterval(min(products), max(products))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatInterval":
-        o = _coerce(other)
+    def __truediv__(self, o: "RatInterval") -> "RatInterval":
         if o.contains_zero():
             raise ZeroDivisionError("division by an interval containing zero")
-        inv = RatInterval(1 / o.hi, 1 / o.lo)
-        return self * inv
+        return self * RatInterval(1 / o.hi, 1 / o.lo)
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -63,12 +61,6 @@ class RatInterval:
 
     def sign_definite(self) -> bool:
         return self.is_negative() or self.is_positive()
-
-
-def _coerce(x) -> RatInterval:
-    if isinstance(x, RatInterval):
-        return x
-    return RatInterval.point(x)
 
 
 def eval_interval(p: Polynomial, box: RatInterval) -> RatInterval:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -208,10 +208,3 @@ class Polynomial:
             else:
                 parts.append(f"{c}*z^{j}")
         return "Polynomial(" + " + ".join(parts) + ")"
-
-
-def poly_product(factors: Sequence[Polynomial]) -> Polynomial:
-    acc = Polynomial.one()
-    for f in factors:
-        acc = acc * f
-    return acc

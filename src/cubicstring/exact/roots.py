@@ -17,20 +17,20 @@ Horner, sum c_i num^i den^(deg-i), which takes no gcd; the endpoints
 stay integer numerators over a shared denominator until the enclosure
 is returned.
 
-Exact rational roots are detected after refinement by probing the
-smallest-denominator rational inside the isolating interval; a square
-string spectrum with a rational eigenvalue will always be caught this
-way once the interval is narrower than the gap to the next candidate of
-that denominator.
+Each root is a RatInterval: an open (lo, hi) holding one simple root,
+or the point lo == hi of a rational root, found by a bisection midpoint
+or, after refinement, by probing the smallest-denominator rational in
+the interval; a rational eigenvalue is always caught once the interval
+is narrower than the gap to the next candidate of that denominator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 
 from ..errors import NotSquarefreeError
+from .interval import RatInterval
 from .poly import Polynomial
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2 ** 64)
@@ -102,39 +102,13 @@ def _interior_point(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
     return next(cut for cut in cuts if p(cut) != 0)
 
 
-@dataclass(frozen=True)
-class RootEnclosure:
-    """One isolated real root: either an exact rational or an open
-    interval (lo, hi) known to contain exactly one simple root."""
-
-    lo: Fraction
-    hi: Fraction
-    exact: Fraction | None = None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    @property
-    def midpoint(self) -> Fraction:
-        if self.exact is not None:
-            return self.exact
-        return (self.lo + self.hi) / 2
-
-    @property
-    def width(self) -> Fraction:
-        if self.exact is not None:
-            return Fraction(0)
-        return self.hi - self.lo
-
-
 def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
-                  width: Fraction = DEFAULT_ISOLATION_WIDTH) -> list[RootEnclosure]:
-    """Isolate every root of p in (lo, hi], one enclosure per root.
+                  width: Fraction = DEFAULT_ISOLATION_WIDTH) -> list[RatInterval]:
+    """Isolate every root of p in (lo, hi], one interval per root.
 
     p must be squarefree and must not vanish at lo or hi.  Each returned
     interval is narrower than width and carries exactly one root; when
-    the root is rational it is identified exactly.
+    the root is rational it is identified as a point interval.
     """
     if p.degree < 1:
         return []
@@ -148,7 +122,7 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     if p(lo) == 0 or p(hi) == 0:
         raise ValueError("endpoints must not be roots")
     coeffs = integer_coefficients(chain[0])
-    out: list[RootEnclosure] = []
+    out: list[RatInterval] = []
     # each end carries its sign-change count, so a cut is evaluated once
     stack = [(lo, sign_changes(chain, lo), hi, sign_changes(chain, hi))]
     while stack:
@@ -167,17 +141,17 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     return out
 
 
-def refine_enclosure(p: Polynomial, box: RootEnclosure,
-                     width: Fraction) -> RootEnclosure:
-    """Re-refine an existing enclosure to a smaller width."""
-    if box.is_exact or box.width <= width:
+def refine_enclosure(p: Polynomial, box: RatInterval,
+                     width: Fraction) -> RatInterval:
+    """Re-refine an isolating interval to a smaller width; a point stays."""
+    if box.width <= width:
         return box
     return _bisect_by_sign(integer_coefficients(p.primitive()),
                            box.lo, box.hi, width)
 
 
 def _bisect_by_sign(coeffs: list[int], lo: Fraction, hi: Fraction,
-                    width: Fraction) -> RootEnclosure:
+                    width: Fraction) -> RatInterval:
     """Shrink (lo, hi), which holds exactly one root of the squarefree
     integer polynomial coeffs, below width; then probe the
     smallest-denominator rational inside it for an exact root.
@@ -199,8 +173,7 @@ def _bisect_by_sign(coeffs: list[int], lo: Fraction, hi: Fraction,
         a, b, den = 2 * a, 2 * b, 2 * den
         s = sign_at(coeffs, mid, den)
         if s == 0:
-            x = Fraction(mid, den)
-            return RootEnclosure(x, x, x)
+            return RatInterval.point(Fraction(mid, den))
         # simple root: the half whose ends differ in sign keeps it
         if s == sa:
             a = mid
@@ -209,8 +182,8 @@ def _bisect_by_sign(coeffs: list[int], lo: Fraction, hi: Fraction,
     lo, hi = Fraction(a, den), Fraction(b, den)
     guess = simplest_rational_between(lo, hi)
     if sign_at(coeffs, guess.numerator, guess.denominator) == 0:
-        return RootEnclosure(guess, guess, guess)
-    return RootEnclosure(lo, hi)
+        return RatInterval.point(guess)
+    return RatInterval(lo, hi)
 
 
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:

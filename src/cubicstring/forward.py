@@ -12,7 +12,9 @@ Eigenvalues are the roots of the curvature polynomial phi_xx away from
 zero; they are positive and simple for positive masses and gaps.  The
 two Weyl functions are the ratios phi_x/phi_xx and phi/phi_xx, and
 their residues at the eigenvalues are the spectral data used by the
-inverse map.  The coefficients of phi_xx are, up to 2(-z)^j, the chain
+inverse map.  Eigenvalues and residues alike are RatIntervals: a point
+interval where the value is an exact rational, else a certified
+enclosure.  The coefficients of phi_xx are, up to 2(-z)^j, the chain
 invariants M_j of the isospectral flow.
 """
 
@@ -26,7 +28,6 @@ from .errors import IdentityViolatedError, PrecisionExhaustedError
 from .exact import (
     Polynomial,
     RatInterval,
-    RootEnclosure,
     cauchy_root_bound,
     eval_interval,
     refine_enclosure,
@@ -62,19 +63,14 @@ def resolve_precision_bits(requested: int | None = None) -> int:
 @dataclass(frozen=True)
 class WeylData:
     """Boundary polynomials of a string, progressively enriched with
-    eigenvalue enclosures and Weyl-function residues."""
+    eigenvalue enclosures and Weyl-function residues (RatIntervals)."""
 
     phi: Polynomial      # boundary value
     phi_x: Polynomial    # boundary slope
     phi_xx: Polynomial   # boundary curvature; eigenvalues are its roots / z
-    eigenvalues: tuple[RootEnclosure, ...] | None = None
-    w_residues: tuple | None = None  # residues of phi_x/phi_xx (Fraction or RatInterval)
-    z_residues: tuple | None = None  # residues of phi/phi_xx
-
-    @property
-    def all_exact(self) -> bool:
-        return (self.eigenvalues is not None
-                and all(e.is_exact for e in self.eigenvalues))
+    eigenvalues: tuple[RatInterval, ...] | None = None
+    w_residues: tuple[RatInterval, ...] | None = None  # of phi_x/phi_xx
+    z_residues: tuple[RatInterval, ...] | None = None  # of phi/phi_xx
 
 
 def jump_step(triple: tuple, mass: Fraction) -> tuple:
@@ -130,69 +126,60 @@ def spectrum(s: CubicString,
     return replace(wd, eigenvalues=tuple(roots))
 
 
-def _certified_ratio(num: Polynomial, den: Polynomial, box: RatInterval):
-    """num/den over an interval, or None when the signs are not settled."""
-    den_i = eval_interval(den, box)
-    if not den_i.sign_definite():
+def _residue_pair(wd: WeylData, deriv: Polynomial, box: RatInterval):
+    """Both residues over one eigenvalue box, None when their signs are
+    not settled; phi_xx' is evaluated once, exactly at a point box."""
+    if box.width == 0:
+        lam = box.lo
+        d = deriv(lam)
+        if d == 0:
+            raise IdentityViolatedError("multiple eigenvalue in residues")
+        return (RatInterval.point(wd.phi_x(lam) / d),
+                RatInterval.point(wd.phi(lam) / d))
+    d = eval_interval(deriv, box)
+    if not d.sign_definite():
         return None
-    ratio = eval_interval(num, box) / den_i
-    return ratio if ratio.sign_definite() else None
+    w = eval_interval(wd.phi_x, box) / d
+    z = eval_interval(wd.phi, box) / d
+    return (w, z) if w.sign_definite() and z.sign_definite() else None
 
 
 def residues(wd: WeylData,
              precision_bits: int = DEFAULT_PRECISION_BITS) -> WeylData:
     """Residues of the two Weyl functions at every eigenvalue.
 
-    Exact rationals at exact eigenvalues; elsewhere sign-certified
-    rational intervals, refined as far as 4x the requested precision
-    before giving up.
+    Exact (point intervals) at exact eigenvalues; elsewhere
+    sign-certified rational intervals, refined as far as 4x the
+    requested precision before giving up.
     """
     if wd.eigenvalues is None:
         raise ValueError("run spectrum() before residues()")
     deriv = wd.phi_xx.derivative()
     q = eigenvalue_polynomial(wd)
     w_out, z_out = [], []
-    for root in wd.eigenvalues:
-        if root.is_exact:
-            lam = root.exact
-            d = deriv(lam)
-            if d == 0:
-                raise IdentityViolatedError("multiple eigenvalue in residues")
-            w_out.append(wd.phi_x(lam) / d)
-            z_out.append(wd.phi(lam) / d)
-            continue
-        got = None
-        box = root
+    for box in wd.eigenvalues:
         target = Fraction(1, 2 ** precision_bits)
         for _ in range(3):
             box = refine_enclosure(q, box, target)
-            if box.is_exact:
-                lam = box.exact
-                got = (wd.phi_x(lam) / deriv(lam), wd.phi(lam) / deriv(lam))
-                break
-            ival = RatInterval(box.lo, box.hi)
-            w_i = _certified_ratio(wd.phi_x, deriv, ival)
-            z_i = _certified_ratio(wd.phi, deriv, ival)
-            if w_i is not None and z_i is not None:
-                got = (w_i, z_i)
+            got = _residue_pair(wd, deriv, box)
+            if got is not None:
                 break
             target = target * target  # square the precision and retry
-        if got is None:
+        else:
             raise PrecisionExhaustedError(
                 f"could not certify residue signs at {precision_bits} bits")
         w_out.append(got[0])
         z_out.append(got[1])
-    _check_residue_signs(w_out, z_out)
-    if all(isinstance(b, Fraction) for b in w_out) and wd.all_exact:
-        _check_residue_relation(wd, w_out, z_out)
-    return replace(wd, w_residues=tuple(w_out), z_residues=tuple(z_out))
-
-
-def _check_residue_signs(w_out, z_out) -> None:
-    for b in list(w_out) + list(z_out):
-        neg = b < 0 if isinstance(b, Fraction) else b.is_negative()
-        if not neg:
+    for b in w_out + z_out:
+        if not b.is_negative():
             raise IdentityViolatedError("residue failed its negativity law")
+    if all(e.width == 0 for e in wd.eigenvalues):
+        # exact cross-check: the z-residues are determined by the w-residues
+        lams = [e.lo for e in wd.eigenvalues]
+        if (value_residues(lams, [b.lo for b in w_out])
+                != tuple(b.lo for b in z_out)):
+            raise IdentityViolatedError("z-residue relation failed exactly")
+    return replace(wd, w_residues=tuple(w_out), z_residues=tuple(z_out))
 
 
 def value_residues(lams, bs) -> tuple[Fraction, ...]:
@@ -204,10 +191,3 @@ def value_residues(lams, bs) -> tuple[Fraction, ...]:
     return tuple(-sum((bj * bk / (lj + lk) for lj, bj in zip(lams, bs)),
                       Fraction(0))
                  for lk, bk in zip(lams, bs))
-
-
-def _check_residue_relation(wd: WeylData, w_out, z_out) -> None:
-    """Exact cross-check: the z-residues are determined by the w-residues."""
-    lams = [e.exact for e in wd.eigenvalues]
-    if value_residues(lams, w_out) != tuple(z_out):
-        raise IdentityViolatedError("z-residue relation failed exactly")

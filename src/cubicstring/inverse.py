@@ -58,7 +58,6 @@ from .exact import (
     leading_minors,
     parse_rational,
     parse_rational_list,
-    poly_product,
     solve_exact,
 )
 from .forward import gap_step, jump_step, value_residues
@@ -204,7 +203,7 @@ def moment_minors(bt: BimomentTable) -> MomentMinors:
     )
 
 
-# -- Weyl functions as exact fractions ------------------------------------
+# -- the Weyl functions times a polynomial --------------------------------
 
 def _value_measure(lams, cs, total_mass) -> tuple[tuple, tuple]:
     """Points and weights of nu: the atom -1/(2M) at zero, c_k at lam_k."""
@@ -217,21 +216,6 @@ def _polynomial_part(den: Polynomial, points, weights) -> Polynomial:
     for p, w in zip(points, weights):
         acc = acc + Polynomial.constant(w) * den.difference_quotient(p)
     return acc
-
-
-def _ratio(points, weights) -> tuple[Polynomial, Polynomial]:
-    """sum_k weights_k / (z - points_k) as (numerator, denominator)."""
-    den = poly_product([Polynomial.x() - Polynomial.constant(p)
-                        for p in points])
-    return _polynomial_part(den, points, weights), den
-
-
-def weyl_fractions(sd: SpectralData) -> tuple[Polynomial, Polynomial,
-                                              Polynomial, Polynomial]:
-    """(num_w, den_w, num_z, den_z): both Weyl functions as exact ratios."""
-    num_z, den_z = _ratio(*_value_measure(sd.eigenvalues, z_residues_of(sd),
-                                             sd.total_mass))
-    return (*_ratio(sd.eigenvalues, sd.residues), num_z, den_z)
 
 
 # -- the three approximation problems ------------------------------------
@@ -350,28 +334,22 @@ class RecoveryReport:
         }
 
 
-def recover(sd: SpectralData) -> CubicString:
-    """Inverse map; the recovered string is anchored at zero.
+def peel(triple: tuple) -> CubicString:
+    """The string, anchored at zero, whose crossing steps (1, 0, 0) to
+    the boundary triple (phi, phi_x, phi_xx).
 
-    Peels the crossing factors, rightmost mass first, off the boundary
-    triple the data fixes:  phi_xx = -2 M z prod (1 - z/lam),
-    phi_x = c z num_w  and  phi = c num_z,  where c = lead phi_xx /
-    lead den_w  makes phi_xx = c z den_w.  With d = deg phi, a jump takes
-    m = -[z^(d+1)] phi_xx / (2 lead phi)  and lowers phi_xx to degree d;
-    a gap takes  l = [z^d] phi_x / lead phi_xx  and lowers phi and phi_x
-    to degree d - 1.  The peel runs forward.jump_step and
-    forward.gap_step with -m and -l, the exact inverses of the forward
-    crossing.  Each degree drop is checked, and the triple must end at
-    exactly (1, 0, 0): the string's crossing then reproduces the data's
-    boundary triple.
+    Peels the crossing factors off, rightmost mass first.  With
+    d = deg phi, a jump takes  m = -[z^(d+1)] phi_xx / (2 lead phi)  and
+    lowers phi_xx to degree d; a gap takes  l = [z^d] phi_x / lead phi_xx
+    and lowers phi and phi_x to degree d - 1.  The peel runs
+    forward.jump_step and forward.gap_step with -m and -l, the exact
+    inverses of the forward crossing.  Each degree drop is checked, the
+    triple must end at exactly (1, 0, 0), and every mass and gap must
+    come out positive.
     """
-    validate_spectral(sd)
-    num_w, den_w, num_z, _ = weyl_fractions(sd)
-    phi_xx = curvature_polynomial(sd)
-    c = phi_xx.leading / den_w.leading
-    phi, phi_x = num_z * c, Polynomial.x() * num_w * c
+    phi, phi_x, phi_xx = triple
     masses, gaps = [], []
-    for d in range(sd.n - 1, -1, -1):
+    for d in range(phi_xx.degree - 1, -1, -1):
         if (phi.degree, phi_xx.degree) != (d, d + 1):
             raise IdentityViolatedError(f"mass {d + 1}: degrees do not drop")
         m = -phi_xx.coefficient(d + 1) / (2 * phi.leading)
@@ -390,6 +368,18 @@ def recover(sd: SpectralData) -> CubicString:
         if v <= 0:
             raise NonPositiveRecoveryError(f"recovered value {v} not positive")
     return CubicString(tuple(reversed(masses)), tuple(reversed(gaps)))
+
+
+def recover(sd: SpectralData) -> CubicString:
+    """Inverse map, anchored at zero: peels the boundary triple the data
+    fixes, the curvature polynomial phi_xx with phi_x = phi_xx W and
+    phi = phi_xx Z, polynomials since phi_xx vanishes at every pole."""
+    validate_spectral(sd)
+    phi_xx = curvature_polynomial(sd)
+    phi_x = _polynomial_part(phi_xx, sd.eigenvalues, sd.residues)
+    phi = _polynomial_part(phi_xx, *_value_measure(
+        sd.eigenvalues, z_residues_of(sd), sd.total_mass))
+    return peel((phi, phi_x, phi_xx))
 
 
 def recover_detailed(sd: SpectralData) -> RecoveryReport:

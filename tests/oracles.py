@@ -16,7 +16,9 @@ their partial products are the approximation chain that inverse.py's
 three solvers reproduce.  With them, the checks of that chain that the
 runtime does not run: the order conditions of each approximant at
 infinity, the four-term recurrence, the Weyl sum-product relation, and
-the cofactor determinant.
+the cofactor determinant.  These read the two Weyl functions as exact
+ratios of polynomials (weyl_fractions); the runtime needs only their
+products with the curvature polynomial.
 
 The six minor families of the pair table by one det_exact per block
 size, each block written out from its definition; the runtime reads
@@ -46,9 +48,11 @@ from cubicstring.inverse import (
     BimomentTable,
     MomentMinors,
     SpectralData,
+    _polynomial_part,
+    _value_measure,
     bimoments,
     moment_minors,
-    weyl_fractions,
+    z_residues_of,
 )
 from cubicstring.string_model import (
     ConservedSet,
@@ -286,6 +290,30 @@ def det_cofactor(rows: tuple):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+# -- the Weyl functions as exact fractions ---------------------------------
+
+def poly_product(factors: Sequence[Polynomial]) -> Polynomial:
+    acc = Polynomial.one()
+    for f in factors:
+        acc = acc * f
+    return acc
+
+
+def _ratio(points, weights) -> tuple[Polynomial, Polynomial]:
+    """sum_k weights_k / (z - points_k) as (numerator, denominator)."""
+    den = poly_product([Polynomial.x() - Polynomial.constant(p)
+                        for p in points])
+    return _polynomial_part(den, points, weights), den
+
+
+def weyl_fractions(sd: SpectralData) -> tuple[Polynomial, Polynomial,
+                                              Polynomial, Polynomial]:
+    """(num_w, den_w, num_z, den_z): both Weyl functions as exact ratios."""
+    num_z, den_z = _ratio(*_value_measure(sd.eigenvalues, z_residues_of(sd),
+                                             sd.total_mass))
+    return (*_ratio(sd.eigenvalues, sd.residues), num_z, den_z)
 
 
 # -- the approximation chain ----------------------------------------------

@@ -34,7 +34,7 @@ from cubicstring.burgers import (
     rationalize,
     spectral_snapshot,
 )
-from cubicstring.exact import Polynomial, det_exact
+from cubicstring.exact import Polynomial, RatInterval, det_exact
 from cubicstring.forward import boundary_data, residues, spectrum
 from cubicstring.heine import measure_table, random_measure, run_checks
 from cubicstring.inverse import (
@@ -74,9 +74,9 @@ def test_criterion_1_exact_spectral_roundtrip():
 def test_criterion_2_worked_two_mass_instance():
     s = CubicString((F(1), F(1)), (F(1),))
     wd = residues(spectrum(s))
-    assert [e.exact for e in wd.eigenvalues] == [F(2)]
-    assert wd.w_residues == (F(-1),)
-    assert wd.z_residues == (F(-1, 4),)
+    assert wd.eigenvalues == (RatInterval.point(F(2)),)
+    assert wd.w_residues == (RatInterval.point(F(-1)),)
+    assert wd.z_residues == (RatInterval.point(F(-1, 4)),)
     assert sum(s.masses) == F(2)
     rec = recover(SpectralData((F(2),), (F(-1),), F(2)))
     assert rec.masses == (F(1), F(1))

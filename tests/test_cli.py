@@ -5,11 +5,19 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cubicstring.cli import EVOLVE_SAMPLE_CAP, main
+from cubicstring.burgers import scale_bits
+from cubicstring.cli import (
+    EVOLVE_SAMPLE_CAP,
+    EVOLVE_SPECTRAL_CAP,
+    ROUNDTRIP_N_CAP,
+    _spectral_work,
+    main,
+)
 from cubicstring.forward import MAX_PRECISION_BITS
 
 N2_STRING = {"masses": ["1", "1"], "gaps": ["1"], "anchor": "0"}
@@ -52,7 +60,11 @@ def test_forward_env_precision(tmp_path, capsys, monkeypatch):
 
 
 # forward output pinned byte for byte: N3_STRING has an irrational
-# spectrum (decimal mode), EXACT_N3 the rational spectrum 2, 7/2
+# spectrum (decimal mode), EXACT_N3 the rational spectrum 2, 7/2, and
+# MIXED_N4 the exact eigenvalue 2 between two irrational ones (decimal
+# mode, with 2 and its residue -26/31 printed from point intervals)
+MIXED_N4 = {"masses": ["1", "1", "2", "1"], "gaps": ["1/2", "2", "1"],
+            "anchor": "0"}
 EXACT_N3 = {"masses": ["10368/216241", "5010906208/2720528021", "1386/12581"],
             "gaps": ["216241/77616", "12581/6468"], "anchor": "0"}
 EXACT_N3_OUT = """{
@@ -96,12 +108,42 @@ GOLDEN_FORWARD = {
 """,
     ("exact", 64): EXACT_N3_OUT,
     ("exact", 256): EXACT_N3_OUT,
+    ("mixed", 64): """{
+  "lambdas": [
+    "0.1219145205119675130",
+    "2",
+    "10.25308547948803249"
+  ],
+  "residues_b": [
+    "-0.1560671343593698383",
+    "-0.8387096774193548387",
+    "-0.005223188221275322994"
+  ],
+  "total_mass": "5",
+  "precision_bits": 64
+}
+""",
+    ("mixed", 256): """{
+  "lambdas": [
+    "0.12191452051196751300918830160347164774735288922740723168246246571276471147667",
+    "2",
+    "10.253085479488032486990811698396528352252647110772592768317537534287235288523"
+  ],
+  "residues_b": [
+    "-0.15606713435936983829500312351532994153394009025708484756622638003505663156273",
+    "-0.83870967741935483870967741935483870967741935483870967741935483870967741935484",
+    "-0.0052231882212753229953194571298313487886405549042054750144187812552659490824318"
+  ],
+  "total_mass": "5",
+  "precision_bits": 256
+}
+""",
 }
 
 
 @pytest.mark.parametrize("kind,bits", sorted(GOLDEN_FORWARD))
 def test_forward_golden_output(tmp_path, capsys, kind, bits):
-    doc = N3_STRING if kind == "decimal" else EXACT_N3
+    doc = {"decimal": N3_STRING, "exact": EXACT_N3, "mixed": MIXED_N4}[kind]
     p = write_json(tmp_path / "s.json", doc)
     assert main(["forward", p, "--precision-bits", str(bits)]) == 0
     assert capsys.readouterr().out == GOLDEN_FORWARD[kind, bits]
@@ -444,6 +486,73 @@ def test_evolve_spectral_work_cap_admits_the_benchmark_shape(tmp_path,
     assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
                  "--samples", "5", "--precision-bits", "256"]) == 0
     assert capsys.readouterr().out.count("\n") == 6
+
+
+def _cycling_string(n):
+    """Masses 1, 2, 3, 1, 2, ... with unit gaps."""
+    return {"masses": [str(1 + i % 3) for i in range(n)],
+            "gaps": ["1"] * (n - 1)}
+
+
+@pytest.mark.parametrize("n,flags", [
+    # eight peaks at 2,048 bits: 38-57 s for two rows
+    (8, ["--t-end", "1", "--samples", "2", "--precision-bits", "2048"]),
+    # e^(M t_end) of 865,619 bits: over 100 s, ending out of float range
+    (3, ["--t-end", "100000"]),
+])
+def test_evolve_spectral_work_cap_counts_peaks_and_the_flow_factor(
+        tmp_path, capsys, n, flags):
+    p = write_json(tmp_path / "s.json", _cycling_string(n))
+    start = time.perf_counter()
+    assert main(["evolve", p, "--method", "spectral", *flags]) == 2
+    assert time.perf_counter() - start < 0.1
+    _assert_one_line_error(capsys)
+
+
+# (n, rows, precision bits, M t_end, seconds the run took before the work
+# cap) on masses 1, 2, 3, 1, 2, ... with unit gaps, or on N3_STRING at
+# n = 3; in-process on a shared 2-vCPU VM
+FINISHED_UNDER_25_S = [
+    (1, 26, 16384, 1, 13.7), (1, 10000, 256, 1, 3.1),
+    (2, 10000, 256, 3, 7.9), (3, 2000, 256, 4, 5.3), (3, 2, 16384, 4, 8.8),
+    (3, 2, 64, 8000, 0.03),  # exit 1: out of float range
+    (4, 2, 8192, 7, 13.0), (5, 8, 2048, 9, 9.5), (6, 4, 2048, 12, 20.1),
+    (7, 2, 1024, 13, 6.6), (8, 20, 256, 15, 9.6), (8, 2, 1024, 15, 15.7),
+    (10, 4, 256, 19, 7.8), (12, 2, 256, 24, 13.8),
+    # the evolve-flow benchmark's largest shape and the golden shape
+    (5, 5, 256, 1, None), (3, 3, 128, 2, None),
+]
+TOOK_OVER_25_S = [
+    (4, 2, 16384, 7, 43.7), (5, 2, 8192, 9, 45.4), (6, 2, 4096, 12, 36.6),
+    (7, 2, 2048, 13, 28.2), (8, 2, 2048, 15, 57.0), (8, 4, 1024, 15, 30.1),
+    (10, 2, 1024, 19, 60), (3, 11, 256, 600000, 100),
+]
+
+
+def test_evolve_spectral_work_estimate_against_timed_runs():
+    def work(n, rows, bits, mt, _):
+        return _spectral_work(n, rows, bits, scale_bits(Fraction(mt), 1.0))
+
+    assert all(work(*shape) <= EVOLVE_SPECTRAL_CAP
+               for shape in FINISHED_UNDER_25_S)
+    assert all(work(*shape) > EVOLVE_SPECTRAL_CAP for shape in TOOK_OVER_25_S)
+
+
+def test_evolve_spectral_one_peak_ignores_the_flow_factor(tmp_path, capsys):
+    # one mass has no residues for e^(M t) to grow
+    p = write_json(tmp_path / "n1.json", {"masses": ["5/2"], "gaps": []})
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "100000",
+                 "--samples", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4
+
+
+def test_roundtrip_size_cap_is_bad_input(capsys):
+    start = time.perf_counter()
+    assert main(["roundtrip", "--n", str(10 ** 9)]) == 2
+    assert time.perf_counter() - start < 0.1
+    _assert_one_line_error(capsys)
+    assert main(["roundtrip", "--n", str(ROUNDTRIP_N_CAP + 1)]) == 2
+    _assert_one_line_error(capsys)
 
 
 def test_bad_usage_exits_two():

@@ -7,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reflected
+from oracles import poly_product, reflected
 
-from cubicstring.exact import Polynomial, poly_product
+from cubicstring.exact import Polynomial
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.lists(rationals, max_size=7).map(Polynomial)

@@ -8,12 +8,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import poly_product
+
 from cubicstring.errors import NotSquarefreeError
 from cubicstring.exact import (
     Polynomial,
-    RootEnclosure,
+    RatInterval,
     cauchy_root_bound,
-    poly_product,
     refine_enclosure,
     simplest_rational_between,
     sturm_chain,
@@ -40,10 +41,15 @@ def test_chain_counts_roots_of_factored_poly():
     assert v[F(3)] - v[F(10)] == 0
 
 
+def _points(*xs):
+    """Exact roots: point intervals."""
+    return [RatInterval.point(x) for x in xs]
+
+
 def test_isolation_identifies_rational_roots_exactly():
     p = Polynomial([2, -3, 1])
     roots = sturm_isolate(p, F(0), F(10))
-    assert [r.exact for r in roots] == [F(1), F(2)]
+    assert roots == _points(1, 2)
 
 
 def test_isolation_of_irrational_roots_encloses():
@@ -52,8 +58,7 @@ def test_isolation_of_irrational_roots_encloses():
     roots = sturm_isolate(p, F(0), F(10), width=F(1, 2 ** 40))
     assert len(roots) == 1
     r = roots[0]
-    assert r.exact is None
-    assert r.width <= F(1, 2 ** 40)
+    assert 0 < r.width <= F(1, 2 ** 40)
     assert r.lo ** 2 < 2 < r.hi ** 2
 
 
@@ -64,14 +69,14 @@ def test_isolation_randomized_against_known_roots():
         root_set = sorted(rng.sample(range(1, 40), k))
         p = poly_product([Polynomial([-r, 1]) for r in root_set])
         found = sturm_isolate(p, F(1, 2), F(50))
-        assert [r.exact for r in found] == [F(r) for r in root_set]
+        assert found == _points(*root_set)
 
 
 def test_squarefree_detection():
     # read off the Sturm chain: its last member is gcd(p, p')
     p = Polynomial([-1, 1])
     found = sturm_isolate(p * Polynomial([-2, 1]), F(0), F(5))
-    assert [r.exact for r in found] == [F(1), F(2)]
+    assert found == _points(1, 2)
     with pytest.raises(NotSquarefreeError):
         sturm_isolate(p * p, F(0), F(5))
     with pytest.raises(NotSquarefreeError):
@@ -165,7 +170,7 @@ def test_close_rational_root_is_still_found():
     r1, r2 = F(1, 3), F(1, 3) + F(1, 2 ** 70)
     p = Polynomial([-r1, 1]) * Polynomial([-r2, 1])
     roots = sturm_isolate(p, F(0), F(1), width=F(1, 2 ** 150))
-    assert [r.exact for r in roots] == [r1, r2]
+    assert roots == _points(r1, r2)
 
 
 # -- reference: isolation that refines by Sturm counts at every step -------
@@ -174,15 +179,15 @@ def _reference_refine(p, chain, a, b, width):
     while b - a > width:
         mid = (a + b) / 2
         if p(mid) == 0:
-            return RootEnclosure(mid, mid, mid)
+            return RatInterval.point(mid)
         if sign_changes(chain, a) - sign_changes(chain, mid) == 1:
             b = mid
         else:
             a = mid
     guess = simplest_rational_between(a, b)
     if p(guess) == 0:
-        return RootEnclosure(guess, guess, guess)
-    return RootEnclosure(a, b)
+        return RatInterval.point(guess)
+    return RatInterval(a, b)
 
 
 def _reference_isolate(p, lo, hi, width):
@@ -233,7 +238,7 @@ def test_sign_bisection_probes_intervals_already_narrower_than_width():
     # 11/6 splits off sqrt 3, and the probe of (11/6, 5/2] finds 2
     p = Polynomial([-2, 1]) * Polynomial([-3, 0, 1])
     got = sturm_isolate(p, F(3, 2), F(5, 2), width=F(100))
-    assert got == [RootEnclosure(F(3, 2), F(11, 6)), RootEnclosure(F(2), F(2), F(2))]
+    assert got == [RatInterval(F(3, 2), F(11, 6)), RatInterval.point(F(2))]
     assert got == _reference_isolate(p, F(3, 2), F(5, 2), F(100))
 
 
@@ -269,9 +274,9 @@ def test_interior_point_gets_past_roots_at_every_listed_cut():
 def test_refinement_rejects_uncertified_boxes():
     p = Polynomial([-2, 0, 1])
     with pytest.raises(ValueError):  # no sign change on (2, 3)
-        refine_enclosure(p, RootEnclosure(F(2), F(3)), F(1, 8))
+        refine_enclosure(p, RatInterval(F(2), F(3)), F(1, 8))
     with pytest.raises(ValueError):
-        refine_enclosure(p, RootEnclosure(F(1), F(2)), F(0))
+        refine_enclosure(p, RatInterval(F(1), F(2)), F(0))
 
 
 def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
@@ -289,5 +294,5 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
         p = poly_product([Polynomial([-r, 1]) for r in root_set])
         seen.clear()
         found = sturm_isolate(p, F(1, 2), F(50))
-        assert [r.exact for r in found] == [F(r) for r in root_set]
+        assert found == _points(*root_set)
         assert len(seen) == len(set(seen))

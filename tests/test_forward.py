@@ -199,7 +199,7 @@ def test_third_row_coefficient_identities():
 def test_spectrum_two_mass_exact():
     wd = spectrum(TWO_MASS)
     assert len(wd.eigenvalues) == 1
-    assert wd.eigenvalues[0].exact == 2
+    assert wd.eigenvalues == (RatInterval.point(2),)
 
 
 def test_spectrum_single_mass_empty():
@@ -209,25 +209,27 @@ def test_spectrum_single_mass_empty():
 
 def test_residues_two_mass_exact():
     wd = residues(spectrum(TWO_MASS))
-    assert wd.w_residues == (F(-1),)
-    assert wd.z_residues == (F(-1, 4),)
+    assert wd.w_residues == (RatInterval.point(F(-1)),)
+    assert wd.z_residues == (RatInterval.point(F(-1, 4)),)
 
 
 def test_residues_interval_case_certified():
-    # masses (1,2), gap 1: the eigenvalue polynomial has irrational roots
-    s = CubicString((F(1), F(2)), (F(1),))
-    wd = residues(spectrum(s), precision_bits=64)
-    for b in wd.w_residues + wd.z_residues:
-        if isinstance(b, RatInterval):
+    # masses (1,2), gap 1: one eigenvalue, the root of a linear
+    # polynomial, so exact points; masses (1,2,1), gaps (1,1/2): two
+    # irrational eigenvalues, so open boxes
+    for s in (CubicString((F(1), F(2)), (F(1),)),
+              CubicString((F(1), F(2), F(1)), (F(1), F(1, 2)))):
+        wd = residues(spectrum(s), precision_bits=64)
+        for b in wd.w_residues + wd.z_residues:
             assert b.is_negative()
-        else:
-            assert b < 0
-    # the residue sum is the 1/z coefficient of phi_x/phi_xx at infinity,
-    # which is the ratio of leading coefficients
-    total = sum(float(b.midpoint) if isinstance(b, RatInterval) else float(b)
-                for b in wd.w_residues)
-    expect = float(wd.phi_x.leading / wd.phi_xx.leading)
-    assert abs(total - expect) < 1e-12
+        for e, bw, bz in zip(wd.eigenvalues, wd.w_residues, wd.z_residues):
+            assert (e.width == 0) == (bw.width == 0) == (bz.width == 0)
+        assert all(e.width == 0 for e in wd.eigenvalues) == (s.n == 2)
+        # the residue sum is the 1/z coefficient of phi_x/phi_xx at
+        # infinity, which is the ratio of leading coefficients
+        total = sum(float(b.midpoint) for b in wd.w_residues)
+        expect = float(wd.phi_x.leading / wd.phi_xx.leading)
+        assert abs(total - expect) < 1e-12
 
 
 def test_spectrum_matches_float_oracle_random():

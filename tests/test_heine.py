@@ -197,3 +197,12 @@ def test_four_point_support_at_depth():
     rng = random.Random(33)
     mu = _random_measure(rng, 4)
     assert run_checks(mu, k_max=4).all_pass
+
+
+@pytest.mark.parametrize("support", range(1, 9))
+def test_heine_forms_at_support_up_to_eight(support):
+    # the minors against the tuple sums where the minors are nontrivial;
+    # support 8 at k_max 2 sums 3,941 terms (heine.summand_count)
+    rng = random.Random(40 + support)
+    for _ in range(3):
+        assert run_checks(_random_measure(rng, support), k_max=2).all_pass

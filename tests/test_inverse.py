@@ -12,6 +12,7 @@ from oracles import (
     transition,
     verify_approximant,
     verify_weyl_relation,
+    weyl_fractions,
 )
 
 from cubicstring import forward, inverse
@@ -22,7 +23,7 @@ from cubicstring.errors import (
     SingularMatrixError,
     SpectralValidationError,
 )
-from cubicstring.exact import Polynomial, poly_product
+from cubicstring.exact import Polynomial
 from cubicstring.forward import boundary_data
 from cubicstring.inverse import (
     Approximant,
@@ -30,6 +31,7 @@ from cubicstring.inverse import (
     SpectralData,
     bimoments,
     moment_minors,
+    peel,
     random_spectral,
     recover,
     recover_detailed,
@@ -41,10 +43,9 @@ from cubicstring.inverse import (
     table_from_support,
     validate_spectral,
     verify_exact_roundtrip,
-    weyl_fractions,
     z_residues_of,
 )
-from cubicstring.string_model import string_to_dict
+from cubicstring.string_model import CubicString, string_to_dict
 
 F = Fraction
 
@@ -306,24 +307,19 @@ def test_recover_with_scaled_residues():
                 assert s == recover(sd) == recover_detailed(sd).string
 
 
-def test_peel_refuses_a_wrong_triple(monkeypatch):
-    # Weyl fractions one coefficient off: a degree check or the end
-    # check must fire
-    real = inverse.weyl_fractions
-
-    def off(change):
-        monkeypatch.setattr(inverse, "weyl_fractions",
-                            lambda sd: change(*real(sd)))
-
-    off(lambda nw, dw, nz, dz: (nw, dw, nz + 1, dz))
+def test_peel_refuses_a_wrong_triple():
+    # the boundary triple of a string with one coefficient off: a
+    # degree check or the end check must fire
+    z = Polynomial.x()
+    two = boundary_data(CubicString((F(1), F(1)), (F(1),)))
+    assert peel((two.phi, two.phi_x, two.phi_xx)) == recover(TWO_MASS)
     with pytest.raises(IdentityViolatedError, match="mass 1: degrees"):
-        recover(TWO_MASS)
-    off(lambda nw, dw, nz, dz: (nw + 1, dw, nz, dz))
+        peel((two.phi + 2, two.phi_x, two.phi_xx))
     with pytest.raises(IdentityViolatedError, match="gap 1: degrees"):
-        recover(TWO_MASS)
-    off(lambda nw, dw, nz, dz: (nw, dw, nz * 2, dz))
+        peel((two.phi, two.phi_x + z * 2, two.phi_xx))
+    one = boundary_data(CubicString((F(7, 3),), ()))
     with pytest.raises(IdentityViolatedError, match=r"\(1, 0, 0\)"):
-        recover(SpectralData((), (), F(7, 3)))
+        peel((one.phi * 2, one.phi_x, one.phi_xx))
 
 
 def test_determinant_audit_runs_no_per_size_determinant(monkeypatch):

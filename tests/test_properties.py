@@ -52,9 +52,9 @@ def test_forward_map_inverts_recover(sd):
     # finds it exactly, and recovering from that gives the string back
     s = verify_exact_roundtrip(sd)
     wd = residues(spectrum(s))
-    assert wd.all_exact
-    again = SpectralData(tuple(e.exact for e in wd.eigenvalues),
-                         wd.w_residues, sum(s.masses))
+    assert all(v.width == 0 for v in wd.eigenvalues + wd.w_residues)
+    again = SpectralData(tuple(e.lo for e in wd.eigenvalues),
+                         tuple(b.lo for b in wd.w_residues), sum(s.masses))
     assert again == sd
     assert recover(again) == s
 
