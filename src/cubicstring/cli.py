@@ -73,24 +73,26 @@ VERIFY_K_MAX = 10
 # 25 s of work, the scale of the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
-# and spectral runs whose work estimate (_spectral_work) passes this:
-# over 32 timed runs of 2 to 26 rows, n = 1 to 12 at 128 to 16,384 bits,
-# a unit took 1.1e-11 to 3.0e-11 s (geometric mean 1.8e-11) on a shared
-# 2-vCPU VM, so the cap is about 18 s of work, 11 to 30 s at the ends
-EVOLVE_SPECTRAL_CAP = 10 ** 12
+# and spectral runs estimated (_spectral_seconds) at more than this many
+# seconds: 49 timed runs took 0.5 to 2.2 times their estimate, so the
+# cap admits about 15 to 65 s of work (README, "evolve")
+EVOLVE_SPECTRAL_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 18 s, n = 52 29 s
 # and n = 56 44 s on a shared 2-vCPU VM, so the cap is about 23 s of work
 ROUNDTRIP_N_CAP = 50
 
 
-def _spectral_work(n: int, rows: int, bits: int, sigma_bits: int) -> int:
-    """Work of an evolve --method spectral run: (rows + 1) x max(n, 2)^6
-    x B^2, one row more for the spectrum.  The operand bits B are the
-    larger of the precision, at least 64, and the bits e^(M t_end) adds
-    to the residues; one mass has no residues."""
-    operand = max(bits, 64, sigma_bits if n > 1 else 0)
-    return (rows + 1) * max(n, 2) ** 6 * operand ** 2
+def _spectral_seconds(n: int, rows: int, bits: int, sigma: int) -> float:
+    """Estimated seconds of an evolve --method spectral run on a shared
+    2-vCPU VM: 3e-4 n^2 a row, the isolation, 2.5e-9 (n - 1)^3 B^2, and
+    a row's e^(M t) and recover, (2.5e-9 + 1.6e-9 (n - 2)^4.6) S^2, for B
+    the precision (at least 64 bits) and S the larger of B and sigma, the
+    bits e^(M t_end) adds to the residues (one mass has none)."""
+    b = max(bits, 64)
+    s = max(b, sigma if n > 1 else 0)
+    return (rows * 3e-4 * n * n + 2.5e-9 * (n - 1) ** 3 * b * b
+            + rows * (2.5e-9 + 1.6e-9 * max(n - 2, 0) ** 4.6) * s * s)
 
 
 def _read_json(path: str):
@@ -197,8 +199,8 @@ def _run_evolve(ns: argparse.Namespace) -> int:
     else:
         # e^(M t_end) is the largest factor: where it overflows, exit 1
         sigma_bits = scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
-        if _spectral_work(s.n, ns.samples, bits,
-                          sigma_bits) > EVOLVE_SPECTRAL_CAP:
+        if _spectral_seconds(s.n, ns.samples, bits,
+                             sigma_bits) > EVOLVE_SPECTRAL_CAP:
             raise ValueError(f"--samples {ns.samples} on {s.n} peaks at "
                              f"{bits} bits to --t-end {ns.t_end} is over "
                              f"the spectral work cap")

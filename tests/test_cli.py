@@ -15,7 +15,7 @@ from cubicstring.cli import (
     EVOLVE_SAMPLE_CAP,
     EVOLVE_SPECTRAL_CAP,
     ROUNDTRIP_N_CAP,
-    _spectral_work,
+    _spectral_seconds,
     main,
 )
 from cubicstring.forward import MAX_PRECISION_BITS
@@ -471,7 +471,7 @@ def test_evolve_sample_cap_is_bad_input(tmp_path, capsys, method):
 
 
 def test_evolve_spectral_work_cap_is_bad_input(tmp_path, capsys):
-    # rows times squared bits: about two hours of work, refused at once
+    # about 46 minutes of work by the estimate, refused at once
     p = write_json(tmp_path / "n3.json", N3_STRING)
     start = time.perf_counter()
     assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
@@ -509,33 +509,51 @@ def test_evolve_spectral_work_cap_counts_peaks_and_the_flow_factor(
     _assert_one_line_error(capsys)
 
 
-# (n, rows, precision bits, M t_end, seconds the run took before the work
-# cap) on masses 1, 2, 3, 1, 2, ... with unit gaps, or on N3_STRING at
-# n = 3; in-process on a shared 2-vCPU VM
-FINISHED_UNDER_25_S = [
+# (n, rows, precision bits, M t_end, seconds the run took before the
+# estimate) on masses 1, 2, 3, 1, 2, ... with unit gaps, and at n = 3 also
+# on N3_STRING (M = 4, an irrational spectrum; masses 1, 2, 3 have the
+# rational one); in-process on a shared 2-vCPU VM
+ADMITTED_RUNS = [
+    # every timed run under about 25 s
     (1, 26, 16384, 1, 13.7), (1, 10000, 256, 1, 3.1),
-    (2, 10000, 256, 3, 7.9), (3, 2000, 256, 4, 5.3), (3, 2, 16384, 4, 8.8),
+    (2, 10000, 256, 3, 7.9), (2, 3000, 1024, 3, 6.3), (2, 4, 16384, 3, 1.7),
+    (3, 2000, 256, 4, 5.3), (3, 2, 16384, 4, 8.8), (3, 4, 16384, 4, 10.5),
+    (3, 12, 8192, 4, 8.8), (3, 30, 8192, 4, 20.2), (3, 40, 4096, 4, 6.9),
+    (3, 20, 8192, 6, 6.5), (3, 1000, 256, 6, 1.8),
     (3, 2, 64, 8000, 0.03),  # exit 1: out of float range
-    (4, 2, 8192, 7, 13.0), (5, 8, 2048, 9, 9.5), (6, 4, 2048, 12, 20.1),
-    (7, 2, 1024, 13, 6.6), (8, 20, 256, 15, 9.6), (8, 2, 1024, 15, 15.7),
-    (10, 4, 256, 19, 7.8), (12, 2, 256, 24, 13.8),
+    (4, 2, 8192, 7, 13.0), (4, 4, 8192, 7, 24.3), (4, 6, 4096, 7, 7.6),
+    (4, 1000, 256, 7, 10.0), (4, 300, 1024, 7, 24.1),
+    (5, 8, 2048, 9, 9.5), (5, 2, 4096, 9, 13.9), (5, 3, 4096, 9, 16.9),
+    (5, 200, 256, 9, 6.3),
+    (6, 2, 2048, 12, 9.4), (6, 4, 2048, 12, 20.1), (6, 100, 256, 12, 9.1),
+    (7, 2, 1024, 13, 6.6), (7, 3, 1024, 13, 9.7),
+    (8, 20, 256, 15, 9.6), (8, 2, 1024, 15, 15.7), (8, 8, 256, 15, 3.8),
+    (10, 4, 256, 19, 7.8), (10, 3, 256, 19, 6.8),
+    (12, 2, 256, 24, 13.8), (12, 4, 128, 24, 7.2),
+    # 23 to 31 s, nearly all of it e^(M t) at 8,192 bits
+    (3, 100, 8192, 6, 31.0),
     # the evolve-flow benchmark's largest shape and the golden shape
     (5, 5, 256, 1, None), (3, 3, 128, 2, None),
 ]
-TOOK_OVER_25_S = [
+REFUSED_RUNS = [
     (4, 2, 16384, 7, 43.7), (5, 2, 8192, 9, 45.4), (6, 2, 4096, 12, 36.6),
-    (7, 2, 2048, 13, 28.2), (8, 2, 2048, 15, 57.0), (8, 4, 1024, 15, 30.1),
-    (10, 2, 1024, 19, 60), (3, 11, 256, 600000, 100),
+    (8, 2, 2048, 15, 57.0),
+    (10, 2, 1024, 19, None),  # stopped after 60 s
+    (3, 11, 256, 600000, None),  # stopped after 100 s
 ]
 
 
-def test_evolve_spectral_work_estimate_against_timed_runs():
-    def work(n, rows, bits, mt, _):
-        return _spectral_work(n, rows, bits, scale_bits(Fraction(mt), 1.0))
+def test_evolve_spectral_estimate_against_timed_runs():
+    def estimate(n, rows, bits, mt, _):
+        return _spectral_seconds(n, rows, bits,
+                                 scale_bits(Fraction(mt), 1.0))
 
-    assert all(work(*shape) <= EVOLVE_SPECTRAL_CAP
-               for shape in FINISHED_UNDER_25_S)
-    assert all(work(*shape) > EVOLVE_SPECTRAL_CAP for shape in TOOK_OVER_25_S)
+    assert all(estimate(*run) <= EVOLVE_SPECTRAL_CAP for run in ADMITTED_RUNS)
+    assert all(estimate(*run) > EVOLVE_SPECTRAL_CAP for run in REFUSED_RUNS)
+    # and within a factor 2.2 of every timed run, either way
+    for run in ADMITTED_RUNS + REFUSED_RUNS:
+        if run[-1] is not None and run[-1] >= 1:
+            assert 1 / 2.2 < run[-1] / estimate(*run) < 2.2, run
 
 
 def test_evolve_spectral_one_peak_ignores_the_flow_factor(tmp_path, capsys):
