@@ -14,16 +14,20 @@ discontinuity at near-collisions.  Two integrators are provided:
     rounded exact value for the rational string the float state denotes.
 
   * evolve_spectral: the exact route.  The initial state is promoted to
-    an exact rational string, its spectrum is isolated once to the
-    requested precision, and each requested time is hit directly by
-    scaling the residues, b_k(t) = b_k(0) e^{Mt}, and running the
-    inverse map.  Eigenvalues and total mass never change along the
-    flow, so every recovered string shares them, and the curvature
-    polynomial, bitwise: the chain invariants M_j are constant by
+    an exact rational string, and its boundary triple is computed once.
+    Along the flow phi_xx stays, W = phi_x/phi_xx scales by
+    sigma = e^{Mt}, and Z = phi/phi_xx has its residues c_k scaled by
+    sigma^2 and keeps its atom -1/(2M) at zero.  So the triple at time t,
+
+        (sigma^2 phi + (sigma^2 - 1)/(2M) phi_xx/z,  sigma phi_x,  phi_xx),
+
+    is peeled (inverse.peel) into the string at t.  No eigenvalue is
+    isolated, and the only approximation is the rational sigma.  Every
+    row shares phi_xx, so the chain invariants M_j are constant by
     construction, not by accuracy.
 
-The inverse map fixes the string only up to translation.  The missing
-scalar is pinned by the first moment M+ = sum m_k x_k: differentiating
+The peel fixes the string only up to translation.  The missing scalar
+is pinned by the first moment M+ = sum m_k x_k: differentiating
 along the flow makes the m-dot and x-dot contributions cancel exactly,
 so M+ is conserved, and the anchor at time t is the unique value making
 sum m_k(t) x_k(t) equal to its initial value.
@@ -36,21 +40,22 @@ from decimal import Decimal, Overflow, localcontext
 from fractions import Fraction
 from math import ceil, floor, log2
 
+from . import forward
 from .errors import (
     EmptyStringError,
     FlowOutOfRangeError,
     NonPositiveMassError,
     OrderingViolatedError,
 )
-from .exact import simplest_rational_between
 from .forward import (
-    boundary_data,
+    WeylData,
+    eigenvalue_polynomial,
     invariant_masses,
-    residues,
+    residues,  # unused here; perfbench/tracing.py wraps burgers.residues
     resolve_precision_bits,
-    spectrum,
+    spectrum,  # unused here; perfbench/tracing.py wraps burgers.spectrum
 )
-from .inverse import SpectralData, curvature_polynomial, recover
+from .inverse import peel, recover  # recover: perfbench/tracing.py wraps it
 from .string_model import ConservedSet, CubicString, positions
 
 # about 40 s of RK4 at three peaks; past it the run is refused, not started
@@ -108,7 +113,7 @@ def conserved_floats(state: WaveState) -> ConservedSet:
     """M and M_plus as float sums; each M_j is the correctly rounded
     value of the exact chain invariant of the state's rational string."""
     xs, ms = state.positions, state.momenta
-    phi_xx = boundary_data(rationalize(state)).phi_xx
+    phi_xx = forward.boundary_data(rationalize(state)).phi_xx
     return ConservedSet(sum(ms), sum(m * x for m, x in zip(ms, xs)),
                         tuple(float(v) for v in invariant_masses(phi_xx)))
 
@@ -173,21 +178,20 @@ def rationalize(state: WaveState) -> CubicString:
                        xs[-1])
 
 
-def spectral_snapshot(s: CubicString,
-                      precision_bits: int) -> tuple[SpectralData, Fraction]:
-    """Rational spectral data for s, plus its first moment.
-
-    Each eigenvalue and residue interval is collapsed to the simplest
-    rational it contains (a point interval to its own value), so the
-    data is exact from here on; the collapse error is bounded by the
-    isolation width 2**-precision_bits.
-    """
-    width = Fraction(1, 2 ** precision_bits)
-    wd = residues(spectrum(s, width=width), precision_bits)
-    lams = tuple(simplest_rational_between(e.lo, e.hi) for e in wd.eigenvalues)
-    bs = tuple(simplest_rational_between(b.lo, b.hi) for b in wd.w_residues)
+def spectral_snapshot(s: CubicString) -> tuple[WeylData, Fraction]:
+    """The flow's t = 0 data: the boundary triple of s and its first
+    moment M+, both exact."""
     first = sum((m * x for m, x in zip(s.masses, positions(s))), Fraction(0))
-    return SpectralData(lams, bs, sum(s.masses, Fraction(0))), first
+    return forward.boundary_data(s), first
+
+
+def flow_triple(wd: WeylData, total_mass: Fraction, sigma: Fraction) -> tuple:
+    """The boundary triple once the flow has scaled the residues of W by
+    sigma: (sigma^2 phi + (sigma^2 - 1)/(2M) phi_xx/z, sigma phi_x, phi_xx)."""
+    s2 = sigma * sigma
+    shift = (s2 - 1) / (2 * total_mass)
+    return (wd.phi * s2 + eigenvalue_polynomial(wd) * shift,
+            wd.phi_x * sigma, wd.phi_xx)
 
 
 def _exp_mt(total_mass: Fraction, t: float, digits: int) -> Decimal:
@@ -211,56 +215,49 @@ def scale_factor(total_mass: Fraction, t: float,
 
 def scale_bits(total_mass: Fraction, t: float) -> int:
     """Bit length of the integer part of e^(M t), the size the factor
-    adds to the residues, read off its decimal exponent without building
+    adds to the triple, read off its decimal exponent without building
     the number; FlowOutOfRangeError wherever scale_factor overflows."""
     return ceil((_exp_mt(total_mass, t, 8).adjusted() + 1) * log2(10))
 
 
-def evolved_data(sd0: SpectralData, t: float,
-                 precision_bits: int) -> SpectralData:
-    """Residues scaled by e^(Mt); eigenvalues and mass untouched."""
-    sigma = scale_factor(sd0.total_mass, t, precision_bits)
-    return SpectralData(sd0.eigenvalues,
-                        tuple(b * sigma for b in sd0.residues),
-                        sd0.total_mass)
-
-
 def evolve_spectral_exact(
         s0: WaveState, times, precision_bits: int | None = None,
-) -> list[tuple[float, CubicString, SpectralData]]:
-    """Exact-route evolution; strings carry the M+-pinned anchor."""
+) -> tuple[ConservedSet, list[tuple[float, CubicString]]]:
+    """Exact-route evolution: the t = 0 triple scaled to each time and
+    peeled.  Returns the exact conserved set every row shares, M_j read
+    off the t = 0 phi_xx, and the strings with the M+-pinned anchor."""
     precision_bits = resolve_precision_bits(precision_bits)
     base = rationalize(s0)
-    sd0, first_moment = spectral_snapshot(base, precision_bits)
-    total = sd0.total_mass
-    out = []
+    wd, first_moment = spectral_snapshot(base)
+    total = sum(base.masses, Fraction(0))
+    rows = []
     for t in times:
-        sd_t = evolved_data(sd0, float(t) - s0.time, precision_bits)
-        bare = recover(sd_t)
+        sigma = scale_factor(total, float(t) - s0.time, precision_bits)
+        bare = peel(flow_triple(wd, total, sigma))
         # anchor a solving sum m_k (offset_k + a) = M+(0)
         offs = positions(bare)  # anchored at zero: these are x_k - x_n
         hang = sum((m * o for m, o in zip(bare.masses, offs)), Fraction(0))
         anchor = (first_moment - hang) / total
-        out.append((float(t), CubicString(bare.masses, bare.gaps, anchor),
-                    sd_t))
-    return out
+        rows.append((float(t), CubicString(bare.masses, bare.gaps, anchor)))
+    return (ConservedSet(total, first_moment,
+                         tuple(invariant_masses(wd.phi_xx))), rows)
+
+
+def _float_state(t: float, s: CubicString) -> WaveState:
+    """The float wave of an exact string; a mass that underflows to zero
+    or a position that overflows is the flow leaving the float range."""
+    try:
+        return WaveState(t, positions(s), s.masses)
+    except (NonPositiveMassError, OverflowError):
+        raise FlowOutOfRangeError(
+            f"the wave leaves the float range at t = {t}") from None
 
 
 def evolve_spectral(s0: WaveState, times,
                     precision_bits: int | None = None) -> Trajectory:
-    """Spectral-route trajectory at the requested times, as floats.
-
-    Every sample shares M, the pinned M+ and the curvature polynomial,
-    whose M_j the peel's end check proves exact: one set serves all."""
-    rows = []
-    for t, s, sd in evolve_spectral_exact(s0, times, precision_bits):
-        xs = positions(s)
-        if not rows:
-            first = sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))
-            phi_xx = curvature_polynomial(sd)
-            c = ConservedSet(float(sd.total_mass), float(first), tuple(
-                float(v) for v in invariant_masses(phi_xx)))
-        state = WaveState(t, tuple(float(x) for x in xs),
-                          tuple(float(m) for m in s.masses))
-        rows.append((t, state, c))
-    return Trajectory(tuple(rows))
+    """Spectral-route trajectory at the requested times, as floats; every
+    row carries the one conserved set."""
+    exact, rows = evolve_spectral_exact(s0, times, precision_bits)
+    c = ConservedSet(float(exact.total_mass), float(exact.first_moment),
+                     tuple(float(v) for v in exact.higher))
+    return Trajectory(tuple((t, _float_state(t, s), c) for t, s in rows))

@@ -68,14 +68,14 @@ VERIFY_SUMMAND_CAP = 2 * 10 ** 4
 # k_max, but the pair table and its minors still grow with k_max
 VERIFY_K_MAX = 10
 
-# evolve refuses more rows than this: at three peaks a row costs about
-# 2.5 ms on the spectral route and 0.4 ms on rk4, so the cap is about
-# 25 s of work, the scale of the RK4 step cap
+# evolve refuses more rows than this: at three peaks and 256 bits a row
+# costs about 0.7 ms on the spectral route and 0.4 ms on rk4, so the cap
+# is a few seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
 # and spectral runs estimated (_spectral_seconds) at more than this many
-# seconds: 49 timed runs took 0.5 to 2.2 times their estimate, so the
-# cap admits about 15 to 65 s of work (README, "evolve")
+# seconds: 41 timed runs took 0.67 to 1.33 times their estimate, so the
+# cap admits about 20 to 40 s of work (README, "evolve")
 EVOLVE_SPECTRAL_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 18 s, n = 52 29 s
@@ -85,14 +85,14 @@ ROUNDTRIP_N_CAP = 50
 
 def _spectral_seconds(n: int, rows: int, bits: int, sigma: int) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
-    2-vCPU VM: 3e-4 n^2 a row, the isolation, 2.5e-9 (n - 1)^3 B^2, and
-    a row's e^(M t) and recover, (2.5e-9 + 1.6e-9 (n - 2)^4.6) S^2, for B
-    the precision (at least 64 bits) and S the larger of B and sigma, the
-    bits e^(M t_end) adds to the residues (one mass has none)."""
+    2-vCPU VM (README, "evolve"): 2e-4 + 4e-5 n^2 a row, and per row past
+    t = 0 the decimal e^(M t) at B bits and the peel of a triple of
+    X = 2B + sigma bits, sigma the bits of e^(M t_end) (none at n = 1)."""
     b = max(bits, 64)
-    s = max(b, sigma if n > 1 else 0)
-    return (rows * 3e-4 * n * n + 2.5e-9 * (n - 1) ** 3 * b * b
-            + rows * (2.5e-9 + 1.6e-9 * max(n - 2, 0) ** 4.6) * s * s)
+    x = 2 * b + (sigma if n > 1 else 0)
+    exp_mt = 4.8e-13 * b ** 3 if b < 16057 else 2.3e-9 * b * b
+    return (rows * (2e-4 + 4e-5 * n * n)
+            + (rows - 1) * (exp_mt + 2.8e-11 * (n * x) ** 2))
 
 
 def _read_json(path: str):

@@ -61,4 +61,5 @@ class OrderingViolatedError(CubicStringError):
 
 
 class FlowOutOfRangeError(CubicStringError):
-    """The residue scale factor e^(M t) of the flow overflows."""
+    """The flow leaves the range it is computed or printed in: e^(M t)
+    overflows, or a mass or position leaves the float range."""

@@ -30,8 +30,10 @@ from cubicstring.burgers import (
     WaveState,
     evolve_spectral,
     evolve_spectral_exact,
+    flow_triple,
     integrate_rk4,
     rationalize,
+    scale_factor,
     spectral_snapshot,
 )
 from cubicstring.exact import Polynomial, RatInterval, det_exact
@@ -48,7 +50,6 @@ from cubicstring.inverse import (
     solve_type2,
     solve_type3,
     verify_exact_roundtrip,
-    z_residues_of,
 )
 from cubicstring.string_model import CubicString, positions
 
@@ -227,11 +228,12 @@ def test_criterion_9_burgers_evolution():
             assert abs(cs.first_moment - c0.first_moment) <= 1e-8 * abs(c0.first_moment)
             for a, b in zip(cs.higher, c0.higher):
                 assert abs(a - b) <= 1e-8 * abs(b)
-        lam0 = [float(v) for v in
-                spectral_snapshot(rationalize(state), 96)[0].eigenvalues]
+        width = F(1, 2 ** 96)
+        lam0 = [float(e.midpoint) for e in
+                spectrum(rationalize(state), width).eigenvalues]
         for _, st, _ in coarse.samples:
-            lam_t = [float(v) for v in
-                     spectral_snapshot(rationalize(st), 96)[0].eigenvalues]
+            lam_t = [float(e.midpoint) for e in
+                     spectrum(rationalize(st), width).eigenvalues]
             for a, b in zip(lam_t, lam0):
                 assert abs(a - b) <= 1e-6 * abs(b)
         reference = integrate_rk4(state, 1e-5, 1.0, samples=3)
@@ -241,13 +243,16 @@ def test_criterion_9_burgers_evolution():
                 assert abs(a - b) <= 1e-6
             for a, b in zip(ref.momenta, spc.momenta):
                 assert abs(a - b) <= 1e-6
-        rows = evolve_spectral_exact(state, times, 128)
-        sd0 = rows[0][2]
-        c0 = z_residues_of(sd0)
-        for _, _, sd_t in rows[1:]:
-            # c_k(t) / c_k(0) == (b_k(t) / b_k(0))^2, exactly
-            assert all(ct * b0 ** 2 == c * bt ** 2 for c, ct, b0, bt in zip(
-                c0, z_residues_of(sd_t), sd0.residues, sd_t.residues))
+        _, rows = evolve_spectral_exact(state, times, 128)
+        wd0, _ = spectral_snapshot(rationalize(state))
+        total = sum(s.masses)
+        for t, s_t in rows[1:]:
+            # W scales by sigma, the c_k of Z by sigma^2, exactly: the
+            # string at t crosses to the scaled t = 0 triple
+            wd = boundary_data(s_t)
+            sigma = scale_factor(total, t, 128)
+            assert ((wd.phi, wd.phi_x, wd.phi_xx)
+                    == flow_triple(wd0, total, sigma))
     print("criterion 9: PASS - RK4 conservation within 1e-8 relative, "
           "spectra stationary within 1e-6 relative, spectral route within "
-          "1e-6 of the dt=1e-5 reference, residue ratios exactly squared")
+          "1e-6 of the dt=1e-5 reference, boundary triple exactly scaled")

@@ -14,8 +14,9 @@ from cubicstring.burgers import (
     Trajectory,
     WaveState,
     evolve_spectral,
+    conserved_floats,
     evolve_spectral_exact,
-    evolved_data,
+    flow_triple,
     integrate_rk4,
     rationalize,
     scale_factor,
@@ -27,8 +28,10 @@ from cubicstring.errors import (
     NonPositiveMassError,
     OrderingViolatedError,
 )
-from cubicstring.forward import boundary_data, invariant_masses
-from cubicstring.inverse import z_residues_of
+from cubicstring import forward
+from cubicstring.exact import Polynomial
+from cubicstring.forward import boundary_data, invariant_masses, spectrum
+from cubicstring.inverse import random_spectral, recover, z_residues_of
 from cubicstring.string_model import positions
 
 F = Fraction
@@ -108,10 +111,10 @@ def test_rationalize_is_exact():
 
 
 def test_spectral_snapshot_two_mass():
-    sd, first = spectral_snapshot(rationalize(SYMMETRIC), 128)
-    assert sd.eigenvalues == (F(2),)
-    assert sd.residues == (F(-1),)
-    assert sd.total_mass == 2
+    wd, first = spectral_snapshot(rationalize(SYMMETRIC))
+    assert wd.phi == Polynomial((1, -1))
+    assert wd.phi_x == Polynomial((0, -2))
+    assert wd.phi_xx == Polynomial((0, -4, 2))  # eigenvalue 2, M = 2
     assert first == 1
 
 
@@ -124,42 +127,36 @@ def test_scale_factor_accuracy():
 
 
 def test_evolve_spectral_time_zero_roundtrip():
-    rows = evolve_spectral_exact(SYMMETRIC, [0.0], precision_bits=128)
-    _, s, sd = rows[0]
-    assert s.masses == (F(1), F(1))
-    assert s.gaps == (F(1),)
-    assert s.anchor == 1
-    # a generic float state comes back within recovery round-off
-    s0 = WaveState(0.0, (-0.3, 0.45, 1.2), (0.8, 1.1, 0.6))
-    _, s1, _ = evolve_spectral_exact(s0, [0.0], precision_bits=128)[0]
-    for got, want in zip(positions(s1), s0.positions):
-        assert abs(float(got) - want) <= 1e-10
-    for got, want in zip(s1.masses, s0.momenta):
-        assert abs(float(got) - want) <= 1e-10
+    # sigma = 1 leaves the triple as it is, and the peel undoes the
+    # crossing exactly: the t = 0 row is the input string itself
+    for s0 in (SYMMETRIC,
+               WaveState(0.0, (-0.3, 0.45, 1.2), (0.8, 1.1, 0.6)),
+               WaveState(2.5, (0.1,), (0.7,))):
+        _, rows = evolve_spectral_exact(s0, [s0.time], precision_bits=128)
+        assert rows == [(s0.time, rationalize(s0))]
 
 
 def test_residue_scaling_is_exactly_squared():
-    sd0, _ = spectral_snapshot(
-        rationalize(WaveState(0.0, (-0.3, 0.45, 1.2), (0.8, 1.1, 0.6))), 96)
-    sd_t = evolved_data(sd0, 0.7, 96)
-    # c_k(t) / c_k(0) == (b_k(t) / b_k(0))^2, exactly
-    assert all(ct * b0 ** 2 == c * bt ** 2 for c, ct, b0, bt in zip(
-        z_residues_of(sd0), z_residues_of(sd_t), sd0.residues, sd_t.residues))
-    sigma = sd_t.residues[0] / sd0.residues[0]
-    assert all(bt == b0 * sigma
-               for b0, bt in zip(sd0.residues, sd_t.residues))
+    # on a string with a rational spectrum the residues are exact values
+    sd = random_spectral(4, 3)
+    wd = boundary_data(recover(sd))
+    sigma = scale_factor(sd.total_mass, 0.7, 96)
+    phi, phi_x, phi_xx = flow_triple(wd, sd.total_mass, sigma)
+    assert phi_xx == wd.phi_xx
+    da = phi_xx.derivative()
+    for lam, b, c in zip(sd.eigenvalues, sd.residues, z_residues_of(sd)):
+        assert phi_x(lam) / da(lam) == sigma * b
+        assert phi(lam) / da(lam) == sigma ** 2 * c
+    assert phi(0) / da(0) == -1 / (2 * sd.total_mass)  # the atom stays
 
 
 def test_spectral_route_conserves_exactly():
     times = [0.0, 0.3, 1.0]
-    rows = evolve_spectral_exact(SYMMETRIC, times, precision_bits=128)
-    sets = [conserved(s) for _, s, _ in rows]
-    for c in sets[1:]:
-        assert c.total_mass == sets[0].total_mass
-        assert c.first_moment == sets[0].first_moment  # anchor pinning
-        assert c.higher == sets[0].higher              # isospectral: exact
-    lams = {sd.eigenvalues for _, _, sd in rows}
-    assert len(lams) == 1  # never recomputed
+    cs, rows = evolve_spectral_exact(SYMMETRIC, times, precision_bits=128)
+    assert cs.first_moment == 1 and cs.higher == (2, 1)
+    for _, s in rows:
+        # M, the pinned M+ and the chain invariants of phi_xx, exactly
+        assert conserved(s) == cs
 
 
 def test_spectral_route_matches_rk4():
@@ -177,8 +174,8 @@ def test_spectral_route_matches_rk4():
 def test_rk4_states_stay_isospectral():
     tr = integrate_rk4(SYMMETRIC, 1e-3, 1.0, samples=3)
     for _, state, _ in tr.samples:
-        sd, _ = spectral_snapshot(rationalize(state), 96)
-        lam = float(sd.eigenvalues[0])
+        box, = spectrum(rationalize(state), width=F(1, 2 ** 96)).eigenvalues
+        lam = float(box.midpoint)
         assert abs(lam - 2.0) / 2.0 <= 1e-6
 
 
@@ -202,10 +199,25 @@ def test_spectral_route_reads_chain_invariants_once(monkeypatch):
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
     rows = evolve_spectral(SYMMETRIC, times, precision_bits=64).samples
     assert len(calls) == 1
-    exact = evolve_spectral_exact(SYMMETRIC, times, precision_bits=64)
-    for (_, _, c), (_, s, _) in zip(rows, exact):
+    _, exact = evolve_spectral_exact(SYMMETRIC, times, precision_bits=64)
+    for (_, _, c), (_, s) in zip(rows, exact):
         assert boundary_data(s).phi_xx == calls[0]
         assert c.higher == tuple(float(v) for v in conserved(s).higher)
+
+
+def test_burgers_reads_boundary_data_through_forward(monkeypatch):
+    # a wrapper on forward.boundary_data sees the crossings of both routes
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return boundary_data(s)
+
+    monkeypatch.setattr(forward, "boundary_data", counted)
+    conserved_floats(SYMMETRIC)
+    assert calls == [rationalize(SYMMETRIC)]
+    evolve_spectral(SYMMETRIC, [0.0, 0.5, 1.0], precision_bits=64)
+    assert calls == [rationalize(SYMMETRIC)] * 2
 
 
 def test_rk4_with_many_peaks_is_fast():

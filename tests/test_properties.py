@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import flow_closed_form, moment_minors_by_blocks, transition
 
-from cubicstring.burgers import evolved_data, scale_factor
+from cubicstring.burgers import (
+    WaveState,
+    evolve_spectral_exact,
+    flow_triple,
+    rationalize,
+    scale_factor,
+)
 from cubicstring.forward import boundary_data, residues, spectrum
 from cubicstring.heine import measure_table, random_measure
 from cubicstring.inverse import (
@@ -17,10 +23,12 @@ from cubicstring.inverse import (
     bimoments,
     moment_minors,
     recover,
+    peel,
+    random_spectral,
     recover_detailed,
     verify_exact_roundtrip,
 )
-from cubicstring.string_model import CubicString
+from cubicstring.string_model import CubicString, positions
 
 MAX_N = 12
 positive = st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4)
@@ -102,10 +110,60 @@ def test_mass_corner_is_corner_plus_the_atom_cofactor(sd):
 @given(spectral_data(max_n=7),
        st.sampled_from([0.0, 0.25, -0.5, 1.0, 1.75]))
 def test_flow_closed_form_is_the_recovered_string(sd, t):
-    sigma = scale_factor(sd.total_mass, t, 64)
-    assert flow_closed_form(sd, sigma) == recover(evolved_data(sd, t, 64))
-    for sigma in (F(3, 2), F(2, 7), F(5)):
+    # three routes to the string at residue scale sigma: the scaled
+    # boundary triple peeled, the closed form in sigma, and recover of
+    # the scaled spectral data
+    wd = boundary_data(recover(sd))
+    for sigma in (scale_factor(sd.total_mass, t, 64), F(3, 2), F(2, 7), F(5)):
         scaled = SpectralData(sd.eigenvalues,
                               tuple(sigma * b for b in sd.residues),
                               sd.total_mass)
-        assert flow_closed_form(sd, sigma) == recover(scaled)
+        closed = flow_closed_form(sd, sigma)
+        assert peel(flow_triple(wd, sd.total_mass, sigma)) == closed
+        assert closed == recover(scaled)
+
+
+@settings(max_examples=30)
+@given(strings())
+def test_evolve_spectral_time_zero_row_is_the_input(s):
+    state = WaveState(0.0, tuple(float(x) for x in positions(s)),
+                      tuple(float(m) for m in s.masses))
+    _, rows = evolve_spectral_exact(state, [0.0, 0.5], 64)
+    assert rows[0] == (0.0, rationalize(state))
+
+
+def test_flow_closed_form_limits_at_four_masses():
+    # with C, I, S the corner, inner and shifted minors and a = 1/(2M):
+    # as sigma -> inf (t -> +inf), m_1 -> M and every other mass decays
+    # like sigma^-2, sigma^2 m_{4-k} -> S[k]^2 / (2 C[k+1] C[k]) (C[4] = 0,
+    # the table has rank 3, so m_1 does not decay); as sigma -> 0, m_4 -> M
+    # and sigma^-2 m_{4-k} -> S[k]^2 / (2 a^2 I[k] I[k-1]).  Each limit is
+    # pinned with its O(sigma^-2) (or O(sigma^2)) correction: the error at
+    # sigma = 2^32 is 2^-32 times the error at 2^16, up to a factor 2
+    for seed in range(3):
+        sd = random_spectral(4, seed)
+        total, a = sd.total_mass, 1 / (2 * sd.total_mass)
+        mm = moment_minors(bimoments(sd, 3))
+        c, inner, s = mm.corner, mm.inner, mm.shifted
+        assert c[4] == 0
+        # leading coefficients: of M - m_1, m_2, m_3, m_4 as sigma -> inf
+        up = [s[2] ** 2 / (2 * c[3] * c[2]), s[1] ** 2 / (2 * c[2] * c[1]),
+              1 / (2 * c[1])]
+        high = [sum(up)] + up
+        # and of m_1, m_2, m_3, M - m_4 as sigma -> 0
+        down = [s[k] ** 2 / (2 * a * a * inner[k] * inner[k - 1])
+                for k in (3, 2, 1)]
+        low = down + [sum(down)]
+
+        def rise(j, e):
+            m = flow_closed_form(sd, F(2 ** e)).masses
+            return (total - m[0] if j == 0 else m[j]) * 2 ** (2 * e) - high[j]
+
+        def fall(j, e):
+            m = flow_closed_form(sd, F(1, 2 ** e)).masses
+            return (total - m[3] if j == 3 else m[j]) * 2 ** (2 * e) - low[j]
+
+        for j in range(4):
+            for err in (rise, fall):
+                r = err(j, 32) / err(j, 16)
+                assert F(1, 2 ** 33) < abs(r) < F(1, 2 ** 31), (seed, j)
