@@ -48,6 +48,7 @@ from .errors import (
     OrderingViolatedError,
 )
 from .forward import (
+    DEFAULT_PRECISION_BITS,
     WeylData,
     eigenvalue_polynomial,
     invariant_masses,
@@ -221,18 +222,20 @@ def scale_bits(total_mass: Fraction, t: float) -> int:
 
 
 def evolve_spectral_exact(
-        s0: WaveState, times, precision_bits: int | None = None,
+        s0: WaveState, times, precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> tuple[ConservedSet, list[tuple[float, CubicString]]]:
     """Exact-route evolution: the t = 0 triple scaled to each time and
     peeled.  Returns the exact conserved set every row shares, M_j read
-    off the t = 0 phi_xx, and the strings with the M+-pinned anchor."""
-    precision_bits = resolve_precision_bits(precision_bits)
+    off the t = 0 phi_xx, and the strings with the M+-pinned anchor.
+    One peak has no residue to scale, so there sigma stays 1."""
+    resolve_precision_bits(precision_bits)
     base = rationalize(s0)
     wd, first_moment = spectral_snapshot(base)
     total = sum(base.masses, Fraction(0))
     rows = []
     for t in times:
-        sigma = scale_factor(total, float(t) - s0.time, precision_bits)
+        sigma = (1 if base.n == 1 else
+                 scale_factor(total, float(t) - s0.time, precision_bits))
         bare = peel(flow_triple(wd, total, sigma))
         # anchor a solving sum m_k (offset_k + a) = M+(0)
         offs = positions(bare)  # anchored at zero: these are x_k - x_n
@@ -254,7 +257,7 @@ def _float_state(t: float, s: CubicString) -> WaveState:
 
 
 def evolve_spectral(s0: WaveState, times,
-                    precision_bits: int | None = None) -> Trajectory:
+                    precision_bits: int = DEFAULT_PRECISION_BITS) -> Trajectory:
     """Spectral-route trajectory at the requested times, as floats; every
     row carries the one conserved set."""
     exact, rows = evolve_spectral_exact(s0, times, precision_bits)

@@ -10,9 +10,7 @@ Subcommands wire the library to files:
 
 Exit codes: 0 success (all checks pass), 1 validation, identity or
 range failure, 2 unreadable input or malformed data.  All randomness
-derives from --seed, so a rerun with the same flags is byte-identical.  The
-environment variable CUBICSTRING_PRECISION_BITS overrides the default
-isolation precision of 256 bits wherever --precision-bits is not given.
+derives from --seed, so a rerun with the same flags is byte-identical.
 
 Exact rationals travel as strings ("-3/4"); JSON never carries floats.
 When a spectrum is irrational the forward subcommand switches the
@@ -40,7 +38,12 @@ from .burgers import (
 )
 from .errors import CubicStringError
 from .exact import format_rational
-from .forward import residues, resolve_precision_bits, spectrum
+from .forward import (
+    DEFAULT_PRECISION_BITS,
+    residues,
+    resolve_precision_bits,
+    spectrum,
+)
 from .heine import random_measure, run_checks, summand_count
 from .inverse import (
     SpectralData,
@@ -87,12 +90,12 @@ def _spectral_seconds(n: int, rows: int, bits: int, sigma: int) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
     2-vCPU VM (README, "evolve"): 2e-4 + 4e-5 n^2 a row, and per row past
     t = 0 the decimal e^(M t) at B bits and the peel of a triple of
-    X = 2B + sigma bits, sigma the bits of e^(M t_end) (none at n = 1)."""
+    X = 2B + sigma bits, sigma the bits of e^(M t_end); one peak has
+    neither: every row is the input."""
     b = max(bits, 64)
-    x = 2 * b + (sigma if n > 1 else 0)
     exp_mt = 4.8e-13 * b ** 3 if b < 16057 else 2.3e-9 * b * b
-    return (rows * (2e-4 + 4e-5 * n * n)
-            + (rows - 1) * (exp_mt + 2.8e-11 * (n * x) ** 2))
+    flow = exp_mt + 2.8e-11 * (n * (2 * b + sigma)) ** 2 if n > 1 else 0
+    return rows * (2e-4 + 4e-5 * n * n) + (rows - 1) * flow
 
 
 def _read_json(path: str):
@@ -127,7 +130,7 @@ def _run_forward(ns: argparse.Namespace) -> int:
     s = string_from_dict(_read_json(ns.input))
     validate(s)
     bits = resolve_precision_bits(ns.precision_bits)
-    wd = residues(spectrum(s, width=Fraction(1, 2 ** bits)), bits)
+    wd = residues(spectrum(s, bits), bits)
     total = sum(s.masses, Fraction(0))
     if all(e.width == 0 for e in wd.eigenvalues):  # and so the residues
         doc = spectral_to_dict(SpectralData(
@@ -281,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="string JSON file")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.add_argument("--precision-bits", type=int, dest="precision_bits",
-                   help="eigenvalue isolation precision "
-                        "(default: CUBICSTRING_PRECISION_BITS or 256)")
+                   default=DEFAULT_PRECISION_BITS,
+                   help="eigenvalue precision in bits (default: %(default)s)")
 
     p = sub.add_parser("invert", help="spectral JSON -> string JSON")
     p.add_argument("input", help="spectral JSON file, exact rationals only")
@@ -306,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=11,
                    help="evenly spaced rows, endpoints included")
     p.add_argument("--precision-bits", type=int, dest="precision_bits",
-                   help="spectral-route working precision")
+                   default=DEFAULT_PRECISION_BITS,
+                   help="working precision in bits (default: %(default)s)")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
 
     p = sub.add_parser("verify", help="brute-force identity suite")
@@ -319,6 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact operands outgrow Python's 4,300-digit int <-> str guard (invert
+    # of random_spectral(36, 7) prints longer ones); a 10^5-digit
+    # conversion takes 0.1 to 0.2 s, and a longer literal is still refused
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(10 ** 5)
     ns = build_parser().parse_args(argv)
     return run(ns)
 

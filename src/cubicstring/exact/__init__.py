@@ -6,7 +6,6 @@ from .linalg import Matrix, det_exact, leading_minors, solve_exact
 from .poly import Polynomial
 from .rational import format_rational, parse_rational, parse_rational_list
 from .roots import (
-    DEFAULT_ISOLATION_WIDTH,
     cauchy_root_bound,
     refine_enclosure,
     simplest_rational_between,
@@ -15,7 +14,6 @@ from .roots import (
 )
 
 __all__ = [
-    "DEFAULT_ISOLATION_WIDTH",
     "Matrix",
     "Polynomial",
     "RatInterval",

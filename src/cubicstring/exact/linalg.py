@@ -69,28 +69,32 @@ def _integer_rows(m: Matrix, rhs: Sequence[Fraction] | None = None):
     return out, scales
 
 
-def _bareiss(rows: list[list[int]], n: int) -> int:
+def _bareiss(rows: list[list[int]], n: int, swap: bool) -> tuple[list, int]:
     """Fraction-free forward elimination on the first n columns, in place.
 
-    Returns the sign of the row swaps made, or 0 when a pivot column runs
-    out of nonzero entries (the leading n x n block is singular).
+    Returns the pivots and the sign of the row swaps made.  A zero pivot
+    that `swap` may not, or cannot, trade for a nonzero entry below it
+    is the last pivot returned: the leading block of its size is
+    singular, and the elimination stops there.
     """
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(rows[i])):
-                rows[i][j] = (rows[i][j] * rows[k][k]
-                              - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign
+    pivots, sign, prev = [], 1, 1
+    for k in range(n):
+        if rows[k][k] == 0 and swap:
+            below = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if below is not None:
+                rows[k], rows[below] = rows[below], rows[k]
+                sign = -sign
+        pivot = rows[k][k]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        rk = rows[k]
+        for ri in rows[k + 1:]:
+            rik = ri[k]
+            for j in range(k + 1, len(ri)):
+                ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
+        prev = pivot
+    return pivots, sign
 
 
 def det_exact(m: Matrix) -> Fraction:
@@ -101,36 +105,26 @@ def det_exact(m: Matrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     rows, scales = _integer_rows(m)
-    sign = _bareiss(rows, n)
-    return Fraction(sign * rows[n - 1][n - 1], prod(scales))
+    pivots, sign = _bareiss(rows, n, swap=True)
+    return Fraction(sign * pivots[-1], prod(scales))
 
 
 def leading_minors(m: Matrix) -> tuple[Fraction, ...]:
     """Determinants of the leading k x k blocks of m, for k = 0..n.
 
-    Bareiss elimination with no row swaps: after step k the pivot over
-    the product of the first k + 1 row scales is the minor of size
-    k + 1.  A zero pivot makes that minor 0 and stops the elimination;
-    each larger minor is then det_exact of its own leading block.
+    Bareiss elimination with no row swaps: the pivot of step k over the
+    product of the first k + 1 row scales is the minor of size k + 1.
+    A zero pivot makes that minor 0 and stops the elimination; each
+    larger minor is then det_exact of its own leading block.
     """
     n = m.nrows
     if n != m.ncols:
         raise NonSquareError("leading minors of a non-square matrix")
     rows, scales = _integer_rows(m)
-    out = [Fraction(1)]
-    scale = prev = 1
-    for k in range(n):
-        scale *= scales[k]
-        pivot = rows[k][k]
+    out, scale = [Fraction(1)], 1
+    for pivot, row_scale in zip(_bareiss(rows, n, swap=False)[0], scales):
+        scale *= row_scale
         out.append(Fraction(pivot, scale))
-        if pivot == 0:
-            break
-        rk = rows[k]
-        for ri in rows[k + 1:]:
-            rik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
-        prev = pivot
     for k in range(len(out), n + 1):
         out.append(det_exact(Matrix([r[:k] for r in m.rows[:k]])))
     return tuple(out)
@@ -151,9 +145,10 @@ def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if n == 0:
         return ()
     rows, _ = _integer_rows(m, rhs)
-    if _bareiss(rows, n) == 0:
+    pivots, _ = _bareiss(rows, n, swap=True)
+    if len(pivots) < n:
         raise SingularMatrixError("zero pivot column during elimination")
-    if rows[n - 1][n - 1] == 0:
+    if pivots[-1] == 0:
         raise SingularMatrixError("singular system")
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):

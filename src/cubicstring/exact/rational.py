@@ -1,8 +1,9 @@
 """Strict parsing and formatting of rationals for file formats.
 
-The wire form is base-10 "p" or "p/q" with an optional leading minus
-and q > 0.  This is deliberately narrower than Fraction's constructor,
-which would also accept decimals and exponents.
+The wire form is base-10 "p" or "p/q" in ASCII digits, with an optional
+leading minus and q > 0.  This is deliberately narrower than Fraction's
+constructor, which would also accept decimals, exponents and any
+Unicode decimal digit.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_rational(s: str) -> Fraction:

@@ -33,8 +33,6 @@ from ..errors import NotSquarefreeError
 from .interval import RatInterval
 from .poly import Polynomial
 
-DEFAULT_ISOLATION_WIDTH = Fraction(1, 2 ** 64)
-
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
     chain = [p.primitive(), p.derivative().primitive()]
@@ -103,11 +101,11 @@ def _interior_point(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
-                  width: Fraction = DEFAULT_ISOLATION_WIDTH) -> list[RatInterval]:
+                  width: Fraction) -> list[RatInterval]:
     """Isolate every root of p in (lo, hi], one interval per root.
 
     p must be squarefree and must not vanish at lo or hi.  Each returned
-    interval is narrower than width and carries exactly one root; when
+    interval is no wider than width and carries exactly one root; when
     the root is rational it is identified as a point interval.
     """
     if p.degree < 1:

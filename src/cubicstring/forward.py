@@ -20,7 +20,6 @@ invariants M_j of the isospectral flow.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -33,7 +32,6 @@ from .exact import (
     refine_enclosure,
     sturm_isolate,
 )
-from .exact.roots import DEFAULT_ISOLATION_WIDTH
 from .string_model import CubicString, validate
 
 DEFAULT_PRECISION_BITS = 256
@@ -44,13 +42,9 @@ DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 2 ** 14
 
 
-def resolve_precision_bits(requested: int | None = None) -> int:
-    """Working precision: `requested` if given, else the environment
-    variable CUBICSTRING_PRECISION_BITS, else DEFAULT_PRECISION_BITS.
-    Anything but an integer in 1..MAX_PRECISION_BITS is a ValueError."""
-    if requested is None:
-        requested = int(os.environ.get("CUBICSTRING_PRECISION_BITS",
-                                       DEFAULT_PRECISION_BITS))
+def resolve_precision_bits(requested: int) -> int:
+    """`requested` if it is an integer in 1..MAX_PRECISION_BITS, else a
+    ValueError."""
     if requested < 1:
         raise ValueError(
             f"precision bits must be a positive integer, got {requested}")
@@ -112,14 +106,13 @@ def eigenvalue_polynomial(wd: WeylData) -> Polynomial:
 
 
 def spectrum(s: CubicString,
-             width: Fraction = DEFAULT_ISOLATION_WIDTH) -> WeylData:
-    """Isolate all eigenvalues; exactly n-1 of them, positive and simple."""
+             precision_bits: int = DEFAULT_PRECISION_BITS) -> WeylData:
+    """Isolate all eigenvalues, each to a box no wider than
+    2^-precision_bits; exactly n-1 of them, positive and simple."""
     wd = boundary_data(s)
     q = eigenvalue_polynomial(wd)
-    if q.degree < 1:
-        return replace(wd, eigenvalues=())
-    hi = cauchy_root_bound(q)
-    roots = sturm_isolate(q, Fraction(0), hi, width=width)
+    roots = sturm_isolate(q, Fraction(0), cauchy_root_bound(q),
+                          Fraction(1, 2 ** precision_bits))
     if len(roots) != s.n - 1:
         raise IdentityViolatedError(
             f"expected {s.n - 1} eigenvalues, isolated {len(roots)}")

@@ -228,12 +228,11 @@ def test_criterion_9_burgers_evolution():
             assert abs(cs.first_moment - c0.first_moment) <= 1e-8 * abs(c0.first_moment)
             for a, b in zip(cs.higher, c0.higher):
                 assert abs(a - b) <= 1e-8 * abs(b)
-        width = F(1, 2 ** 96)
         lam0 = [float(e.midpoint) for e in
-                spectrum(rationalize(state), width).eigenvalues]
+                spectrum(rationalize(state), 96).eigenvalues]
         for _, st, _ in coarse.samples:
             lam_t = [float(e.midpoint) for e in
-                     spectrum(rationalize(st), width).eigenvalues]
+                     spectrum(rationalize(st), 96).eigenvalues]
             for a, b in zip(lam_t, lam0):
                 assert abs(a - b) <= 1e-6 * abs(b)
         reference = integrate_rk4(state, 1e-5, 1.0, samples=3)

@@ -174,7 +174,7 @@ def test_spectral_route_matches_rk4():
 def test_rk4_states_stay_isospectral():
     tr = integrate_rk4(SYMMETRIC, 1e-3, 1.0, samples=3)
     for _, state, _ in tr.samples:
-        box, = spectrum(rationalize(state), width=F(1, 2 ** 96)).eigenvalues
+        box, = spectrum(rationalize(state), 96).eigenvalues
         lam = float(box.midpoint)
         assert abs(lam - 2.0) / 2.0 <= 1e-6
 
@@ -245,12 +245,22 @@ def test_integrator_argument_checks():
         integrate_rk4(SYMMETRIC, 1.0, 2.0 * MAX_RK4_STEPS)
 
 
-@pytest.mark.parametrize("bits", ["-5", "0"])
-def test_library_rejects_non_positive_precision_from_environment(
-        monkeypatch, bits):
-    monkeypatch.setenv("CUBICSTRING_PRECISION_BITS", bits)
+@pytest.mark.parametrize("bits", [-5, 0])
+def test_library_rejects_non_positive_precision_bits(bits):
     with pytest.raises(ValueError, match="precision bits"):
-        evolve_spectral_exact(SYMMETRIC, [0.0])
+        evolve_spectral_exact(SYMMETRIC, [0.0], bits)
+
+
+def test_one_peak_never_builds_the_flow_factor(monkeypatch):
+    # one mass has M = m: its triple (1, 0, -2mz) is the same at every sigma
+    def refuse(*args):
+        raise AssertionError("scale_factor called on one peak")
+
+    monkeypatch.setattr(burgers, "scale_factor", refuse)
+    s0 = WaveState(0.5, (-3.0,), (2.5,))
+    cs, rows = evolve_spectral_exact(s0, [0.5, 1.0, 40.0], 16384)
+    assert [s for _, s in rows] == [rationalize(s0)] * 3
+    assert cs.higher == (F(5, 2),)
 
 
 def test_scale_factor_overflow_is_a_domain_error():

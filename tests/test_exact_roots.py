@@ -28,6 +28,9 @@ from cubicstring.exact.roots import (
     sign_changes,
 )
 
+# the isolation width where a test does not turn on it
+WIDTH = F(1, 2 ** 64)
+
 
 def test_chain_counts_roots_of_factored_poly():
     # (z-1)(z-2): two roots in (0, 10]
@@ -48,7 +51,7 @@ def _points(*xs):
 
 def test_isolation_identifies_rational_roots_exactly():
     p = Polynomial([2, -3, 1])
-    roots = sturm_isolate(p, F(0), F(10))
+    roots = sturm_isolate(p, F(0), F(10), WIDTH)
     assert roots == _points(1, 2)
 
 
@@ -68,25 +71,25 @@ def test_isolation_randomized_against_known_roots():
         k = rng.randint(1, 4)
         root_set = sorted(rng.sample(range(1, 40), k))
         p = poly_product([Polynomial([-r, 1]) for r in root_set])
-        found = sturm_isolate(p, F(1, 2), F(50))
+        found = sturm_isolate(p, F(1, 2), F(50), WIDTH)
         assert found == _points(*root_set)
 
 
 def test_squarefree_detection():
     # read off the Sturm chain: its last member is gcd(p, p')
     p = Polynomial([-1, 1])
-    found = sturm_isolate(p * Polynomial([-2, 1]), F(0), F(5))
+    found = sturm_isolate(p * Polynomial([-2, 1]), F(0), F(5), WIDTH)
     assert found == _points(1, 2)
     with pytest.raises(NotSquarefreeError):
-        sturm_isolate(p * p, F(0), F(5))
+        sturm_isolate(p * p, F(0), F(5), WIDTH)
     with pytest.raises(NotSquarefreeError):
-        sturm_isolate(p * p * Polynomial([-2, 1]), F(0), F(5))
+        sturm_isolate(p * p * Polynomial([-2, 1]), F(0), F(5), WIDTH)
 
 
 def test_endpoint_root_rejected():
     p = Polynomial([-2, 1])
     with pytest.raises(ValueError):
-        sturm_isolate(p, F(2), F(5))
+        sturm_isolate(p, F(2), F(5), WIDTH)
 
 
 def test_cauchy_bound_contains_roots():
@@ -293,6 +296,6 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
         root_set = sorted(rng.sample(range(1, 40), rng.randint(2, 5)))
         p = poly_product([Polynomial([-r, 1]) for r in root_set])
         seen.clear()
-        found = sturm_isolate(p, F(1, 2), F(50))
+        found = sturm_isolate(p, F(1, 2), F(50), WIDTH)
         assert found == _points(*root_set)
         assert len(seen) == len(set(seen))
