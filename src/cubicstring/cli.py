@@ -38,8 +38,11 @@ from .burgers import (
 )
 from .errors import CubicStringError
 from .exact import format_rational
+from .exact.roots import integer_coefficients
 from .forward import (
     DEFAULT_PRECISION_BITS,
+    boundary_data,
+    eigenvalue_polynomial,
     residues,
     resolve_precision_bits,
     spectrum,
@@ -81,6 +84,11 @@ EVOLVE_SAMPLE_CAP = 10 ** 4
 # cap admits about 20 to 40 s of work (README, "evolve")
 EVOLVE_SPECTRAL_CAP = 30
 
+# forward refuses runs estimated (_forward_seconds) at more than this,
+# the spectral evolve's budget: 24 timed runs took 0.77 to 1.3 times
+# their estimate (README, "forward")
+FORWARD_CAP = 30
+
 # roundtrip refuses more masses than this: n = 48 took 18 s, n = 52 29 s
 # and n = 56 44 s on a shared 2-vCPU VM, so the cap is about 23 s of work
 ROUNDTRIP_N_CAP = 50
@@ -96,6 +104,36 @@ def _spectral_seconds(n: int, rows: int, bits: int, sigma: int) -> float:
     exp_mt = 4.8e-13 * b ** 3 if b < 16057 else 2.3e-9 * b * b
     flow = exp_mt + 2.8e-11 * (n * (2 * b + sigma)) ** 2 if n > 1 else 0
     return rows * (2e-4 + 4e-5 * n * n) + (rows - 1) * flow
+
+
+def _forward_seconds(n: int, operand_bits: int, q_bits: int,
+                     bits: int) -> float:
+    """Estimated seconds of a forward run on a shared 2-vCPU VM (README,
+    "forward"): the boundary data, built twice, from n and the operand
+    bits of the input; then the n - 1 eigenvalues, bisected over B = bits
+    (at least 64) steps on a grid that also carries the Q = q_bits bits
+    of the integer q = phi_xx/z, and the Sturm chain and residues on q.
+    With q_bits = 0 it is a lower bound."""
+    d, b, q = n - 1, max(bits, 64), q_bits
+    boundary = 2.6e-12 * (n * operand_bits) ** 2 + 6e-7 * n ** 3
+    return (boundary + 5.3e-11 * d ** 3 * b ** 2.4
+            + 8.3e-10 * d ** 2.6 * q ** 1.4 * b + 1.2e-9 * d ** 3.5 * q ** 1.75)
+
+
+def _refuse_forward_over_cap(s, bits: int) -> None:
+    """A ValueError, before any isolation, for a forward run estimated at
+    over FORWARD_CAP seconds; the boundary data is built only when the
+    bound without it is under the cap."""
+    operand_bits = sum(x.numerator.bit_length() + x.denominator.bit_length()
+                       for x in s.masses + s.gaps)
+    q_bits = 0
+    if s.n > 1 and _forward_seconds(s.n, operand_bits, 0,
+                                    bits) <= FORWARD_CAP:
+        q = eigenvalue_polynomial(boundary_data(s)).primitive()
+        q_bits = max(abs(c).bit_length() for c in integer_coefficients(q))
+    if _forward_seconds(s.n, operand_bits, q_bits, bits) > FORWARD_CAP:
+        raise ValueError(f"forward on {s.n} masses of {operand_bits} operand "
+                         f"bits at {bits} bits is over the work cap")
 
 
 def _read_json(path: str):
@@ -130,6 +168,7 @@ def _run_forward(ns: argparse.Namespace) -> int:
     s = string_from_dict(_read_json(ns.input))
     validate(s)
     bits = resolve_precision_bits(ns.precision_bits)
+    _refuse_forward_over_cap(s, bits)
     wd = residues(spectrum(s, bits), bits)
     total = sum(s.masses, Fraction(0))
     if all(e.width == 0 for e in wd.eigenvalues):  # and so the residues

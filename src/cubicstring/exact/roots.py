@@ -1,27 +1,25 @@
-"""Real root isolation with Sturm chains, entirely over rationals.
+"""Real root isolation with Sturm chains, on one integer grid.
 
 The chain is the classical one: p0 = p, p1 = p', p_{i+1} = -(p_{i-1} mod
-p_i), each member divided by its positive content to keep coefficients
-small (positive scaling never moves a sign).  V(x) counts sign changes
-along the chain; V(a) - V(b) is the number of distinct real roots in
-(a, b].  The last member is gcd(p, p') up to a constant, so a chain
-that ends above degree 0 marks a repeated root, and isolation refuses
-it.
+p_i), each member divided by its positive content.  V(a) - V(b), V(x)
+the sign changes along the chain, counts the distinct real roots in
+(a, b], also where a or b is a root.  The last member is gcd(p, p') up
+to a constant, so a chain that ends above degree 0 marks a repeated
+root, and isolation refuses it.
 
-The chain only counts roots: isolation splits (lo, hi] until every
-piece holds exactly one.  A squarefree polynomial changes sign at each
-of its roots, so from then on the sign of p alone says which half of a
-piece keeps the root, and refinement bisects on it.  Signs come from p
-scaled to integer coefficients and evaluated at num/den by homogeneous
-Horner, sum c_i num^i den^(deg-i), which takes no gcd; the endpoints
-stay integer numerators over a shared denominator until the enclosure
-is returned.
+Isolation scales the chain to integers once and writes (lo, hi) as
+integer numerators over one shared denominator, which each halving
+doubles: every cut is the rational (lo + hi) / 2, and every sign a
+homogeneous integer Horner, sum c_i num^i den^(deg-i), with no gcd.
+The chain cuts pieces until each holds one root; a cut that lands on a
+root is that root, a point, and the pieces on both sides carry on.
+Then the sign of p, read from whichever end is not a root, says which
+half keeps the root.  No Fraction is built until a box is returned.
 
-Each root is a RatInterval: an open (lo, hi) holding one simple root,
-or the point lo == hi of a rational root, found by a bisection midpoint
-or, after refinement, by probing the smallest-denominator rational in
-the interval; a rational eigenvalue is always caught once the interval
-is narrower than the gap to the next candidate of that denominator.
+A rational root u/v is a point once its box is narrower than 1/v^2:
+the probe tests the smallest-denominator rational in the box.  As v
+divides lead, the leading coefficient of the integer p, a box narrower
+than 1/lead^2 tests the one k/lead inside it instead.
 """
 
 from __future__ import annotations
@@ -66,12 +64,9 @@ def sign_at(coeffs: list[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sign_changes(chain: list[Polynomial], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        s = sign_at(integer_coefficients(q), x.numerator, x.denominator)
-        if s:
-            signs.append(s)
+def sign_changes(chain: list[list[int]], num: int, den: int) -> int:
+    """V(num/den) along a chain of integer coefficient lists."""
+    signs = [s for s in (sign_at(q, num, den) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -83,21 +78,11 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
     return 1 + max(abs(c) for c in p.coefficients[:-1]) / lead
 
 
-def _interior_point(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point strictly inside (lo, hi) where p, a nonzero polynomial,
-    does not vanish."""
-    mid = (lo + hi) / 2
-    if p(mid) != 0:
-        return mid
-    # p has finitely many roots; walk a few asymmetric cuts
-    for num, den in ((1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 5), (1, 7)):
-        cut = lo + (hi - lo) * Fraction(num, den)
-        if p(cut) != 0:
-            return cut
-    # deg + 2 distinct cuts, of which at most deg are roots of p != 0
-    den = p.degree + 3
-    cuts = (lo + (hi - lo) * Fraction(num, den) for num in range(1, den))
-    return next(cut for cut in cuts if p(cut) != 0)
+def _grid(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(a, b, den) with lo = a/den and hi = b/den."""
+    den = lcm(lo.denominator, hi.denominator)
+    return (lo.numerator * (den // lo.denominator),
+            hi.numerator * (den // hi.denominator), den)
 
 
 def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
@@ -110,61 +95,69 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     """
     if p.degree < 1:
         return []
-    chain = sturm_chain(p)
-    if chain[-1].degree > 0:
+    chain = [integer_coefficients(q) for q in sturm_chain(p)]
+    if len(chain[-1]) > 1:
         raise NotSquarefreeError("root isolation requires a squarefree polynomial")
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("empty interval")
-    if p(lo) == 0 or p(hi) == 0:
+    coeffs = chain[0]
+    a, b, den = _grid(lo, hi)
+    if sign_at(coeffs, a, den) == 0 or sign_at(coeffs, b, den) == 0:
         raise ValueError("endpoints must not be roots")
-    coeffs = integer_coefficients(chain[0])
     out: list[RatInterval] = []
-    # each end carries its sign-change count, so a cut is evaluated once
-    stack = [(lo, sign_changes(chain, lo), hi, sign_changes(chain, hi))]
+    # a piece is the open (a/den, b/den): va is V(a), vb is V just left
+    # of b, so va - vb counts the roots inside, and ra, rb flag the ends
+    # that are roots; each cut is evaluated once
+    stack = [(a, b, den, sign_changes(chain, a, den),
+              sign_changes(chain, b, den), False, False)]
     while stack:
-        a, va, b, vb = stack.pop()
+        a, b, den, va, vb, ra, rb = stack.pop()
         k = va - vb
         if k == 0:
             continue
-        if k == 1:
-            out.append(_bisect_by_sign(coeffs, a, b, width))
+        if k == 1 and not (ra and rb):
+            out.append(_bisect_by_sign(coeffs, a, b, den, width))
             continue
-        cut = _interior_point(p, a, b)
-        vc = sign_changes(chain, cut)
-        stack.append((a, va, cut, vc))
-        stack.append((cut, vc, b, vb))
+        cut, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        vc = sign_changes(chain, cut, den)
+        rc = sign_at(coeffs, cut, den) == 0
+        if rc:
+            out.append(RatInterval.point(Fraction(cut, den)))
+        stack.append((a, cut, den, va, vc + rc, ra, rc))
+        stack.append((cut, b, den, vc, vb, rc, rb))
     out.sort(key=lambda r: r.midpoint)
     return out
 
 
 def refine_enclosure(p: Polynomial, box: RatInterval,
                      width: Fraction) -> RatInterval:
-    """Re-refine an isolating interval to a smaller width; a point stays."""
+    """Re-refine an isolating interval to a smaller width; a point stays.
+
+    The open box must hold exactly one root; an end may be another root.
+    """
     if box.width <= width:
         return box
     return _bisect_by_sign(integer_coefficients(p.primitive()),
-                           box.lo, box.hi, width)
+                           *_grid(box.lo, box.hi), width)
 
 
-def _bisect_by_sign(coeffs: list[int], lo: Fraction, hi: Fraction,
+def _bisect_by_sign(coeffs: list[int], a: int, b: int, den: int,
                     width: Fraction) -> RatInterval:
-    """Shrink (lo, hi), which holds exactly one root of the squarefree
-    integer polynomial coeffs, below width; then probe the
-    smallest-denominator rational inside it for an exact root.
+    """Shrink the open (a/den, b/den), which holds exactly one root of
+    the squarefree integer polynomial coeffs, below width; then probe it
+    for an exact root.
 
-    The endpoints are a / den and b / den; halving doubles den, so every
-    midpoint is the same rational as (lo + hi) / 2.
+    At most one end may be a root: the sign of coeffs left of the inner
+    root is read off whichever end is not.  Halving doubles den, so
+    every midpoint is the same rational as (lo + hi) / 2.
     """
     if width <= 0:
         raise ValueError("refinement width must be positive")
-    den = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    sa = sign_at(coeffs, a, den)
-    if sa == 0 or sign_at(coeffs, b, den) != -sa:
+    sa, sb = sign_at(coeffs, a, den), sign_at(coeffs, b, den)
+    if sa == sb:
         raise ValueError("enclosure endpoints must bracket a sign change")
+    left = sa or -sb
     wn, wd = width.numerator, width.denominator
     while (b - a) * wd > wn * den:
         mid = a + b
@@ -173,13 +166,19 @@ def _bisect_by_sign(coeffs: list[int], lo: Fraction, hi: Fraction,
         if s == 0:
             return RatInterval.point(Fraction(mid, den))
         # simple root: the half whose ends differ in sign keeps it
-        if s == sa:
+        if s == left:
             a = mid
         else:
             b = mid
     lo, hi = Fraction(a, den), Fraction(b, den)
-    guess = simplest_rational_between(lo, hi)
-    if sign_at(coeffs, guess.numerator, guess.denominator) == 0:
+    lead = abs(coeffs[-1])
+    if (b - a) * lead * lead < den:
+        # a rational root is some k/lead, and the box holds one at most
+        guess = Fraction(a * lead // den + 1, lead)
+    else:
+        guess = simplest_rational_between(lo, hi)
+    if lo < guess < hi and sign_at(coeffs, guess.numerator,
+                                   guess.denominator) == 0:
         return RatInterval.point(guess)
     return RatInterval(lo, hi)
 

@@ -142,8 +142,8 @@ def residues(wd: WeylData,
     """Residues of the two Weyl functions at every eigenvalue.
 
     Exact (point intervals) at exact eigenvalues; elsewhere
-    sign-certified rational intervals, refined as far as 4x the
-    requested precision before giving up.
+    sign-certified rational intervals, the box refined to twice the
+    bits until their signs settle, up to MAX_PRECISION_BITS.
     """
     if wd.eigenvalues is None:
         raise ValueError("run spectrum() before residues()")
@@ -151,16 +151,16 @@ def residues(wd: WeylData,
     q = eigenvalue_polynomial(wd)
     w_out, z_out = [], []
     for box in wd.eigenvalues:
-        target = Fraction(1, 2 ** precision_bits)
-        for _ in range(3):
-            box = refine_enclosure(q, box, target)
+        bits = precision_bits
+        while True:
+            box = refine_enclosure(q, box, Fraction(1, 2 ** bits))
             got = _residue_pair(wd, deriv, box)
             if got is not None:
                 break
-            target = target * target  # square the precision and retry
-        else:
-            raise PrecisionExhaustedError(
-                f"could not certify residue signs at {precision_bits} bits")
+            if bits >= MAX_PRECISION_BITS:
+                raise PrecisionExhaustedError(
+                    f"could not certify residue signs at {bits} bits")
+            bits = min(2 * bits, MAX_PRECISION_BITS)
         w_out.append(got[0])
         z_out.append(got[1])
     for b in w_out + z_out:

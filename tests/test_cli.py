@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,11 +15,16 @@ from cubicstring.burgers import scale_bits
 from cubicstring.cli import (
     EVOLVE_SAMPLE_CAP,
     EVOLVE_SPECTRAL_CAP,
+    FORWARD_CAP,
     ROUNDTRIP_N_CAP,
+    _forward_seconds,
+    _refuse_forward_over_cap,
     _spectral_seconds,
     main,
 )
 from cubicstring.forward import MAX_PRECISION_BITS
+from cubicstring.inverse import random_spectral, recover
+from cubicstring.string_model import CubicString
 
 N2_STRING = {"masses": ["1", "1"], "gaps": ["1"], "anchor": "0"}
 N3_STRING = {"masses": ["1", "2", "1"], "gaps": ["1", "1/2"], "anchor": "0"}
@@ -419,8 +425,9 @@ def test_evolve_rk4_step_cap_is_bad_input(tmp_path, capsys):
 
 
 def test_forward_at_6000_bits(tmp_path, capsys):
-    # the exact-root probe walks about 2,000 continued-fraction terms
-    # per eigenvalue here, which once overflowed the stack
+    # the boxes are narrower than 1/lead^2, so the exact-root probe tests
+    # one k/lead per eigenvalue; its continued-fraction walk would take
+    # about 2,000 terms here, which once overflowed the stack
     p = write_json(tmp_path / "s.json",
                    {"masses": ["1", "2", "3"], "gaps": ["1", "1/2"]})
     assert main(["forward", p, "--precision-bits", "6000"]) == 0
@@ -430,6 +437,23 @@ def test_forward_at_6000_bits(tmp_path, capsys):
     low = json.loads(capsys.readouterr().out)
     for key in ("lambdas", "residues_b"):
         assert [x[:16] for x in doc[key]] == [x[:16] for x in low[key]]
+
+
+def test_forward_at_low_precision_certifies_every_residue(tmp_path, capsys):
+    # residue signs once gave up at 4x the bits (2^-4 from 1 bit), and 21
+    # of these 36 calls exited 1; the bits now double to the cap
+    rng = random.Random(15)
+    for i in range(12):
+        n = rng.randint(2, 10)
+        doc = {key: [f"{rng.randint(1, 9)}/{rng.randint(1, 4)}"
+                     for _ in range(size)]
+               for key, size in (("masses", n), ("gaps", n - 1))}
+        p = write_json(tmp_path / f"s{i}.json", doc)
+        for bits in (1, 3, 8):
+            assert main(["forward", p, "--precision-bits", str(bits)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert len(out["residues_b"]) == n - 1
+            assert all(b.startswith("-") for b in out["residues_b"])
 
 
 @pytest.mark.parametrize("command,key", [
@@ -577,6 +601,75 @@ def test_evolve_spectral_estimate_against_timed_runs():
     for run in ADMITTED_RUNS + REFUSED_RUNS:
         if run[-1] is not None and run[-1] >= 1:
             assert 1 / 1.6 < run[-1] / estimate(*run) < 1.6, run
+
+
+# (n, operand bits S, bits of the integer q, precision bits, seconds the
+# run took, None when stopped after 60 s), in-process on a shared 2-vCPU
+# VM; masses and gaps are random ratios of two integers of 1 to 1,000
+# digits, and the rows with small S over q are recovered strings
+FORWARD_TIMED_RUNS = [
+    (3, 27, 16, 16384, 4.6), (4, 35, 20, 16384, 17.6),
+    (8, 72, 48, 4096, 8.9), (12, 100, 67, 4096, 33.8),
+    (16, 134, 89, 2048, 21.1), (32, 260, 175, 1024, 44.4),
+    (48, 386, 266, 64, 23.6), (12, 1438, 1073, 256, 2.3),
+    (16, 1940, 1435, 1024, 37.2), (10, 1179, 873, 4096, 36.8),
+    (10, 3741, 2760, 256, 7.1), (12, 4530, 3348, 1024, 48.7),
+    (8, 2951, 2165, 4096, 31.8), (10, 12582, 9269, 64, 26.3),
+    (8, 9943, 7296, 256, 14.9), (6, 7286, 5301, 4096, 43.7),
+    (6, 21895, 15926, 256, 16.5), (4, 13932, 9951, 4096, 21.3),
+    (8, 29850, 21893, 64, 51.4), (4, 46472, 33199, 256, 15.3),
+    (4, 46472, 33199, 1024, 32.8), (3, 33192, 23240, 4096, 31.4),
+    (2, 19911, 13275, 4096, 2.4), (12, 38137, 69, 4096, 26.9),
+    (8, 72, 48, 16384, None), (40, 322, 223, 1024, None),
+    (10, 3741, 2760, 4096, None), (12, 15235, 11263, 256, None),
+    (6, 73032, 53120, 256, None), (4, 46472, 33199, 4096, None),
+]
+
+
+def test_forward_estimate_against_timed_runs():
+    for n, s_bits, q_bits, bits, seconds in FORWARD_TIMED_RUNS:
+        estimate = _forward_seconds(n, s_bits, q_bits, bits)
+        if seconds is None:
+            assert estimate > FORWARD_CAP
+        else:
+            assert 1 / 1.6 < seconds / estimate < 1.6, (n, s_bits, bits)
+
+
+def _ratio_string(rng, n, digits):
+    def ratio():
+        return "/".join(str(rng.randrange(10 ** (digits - 1), 10 ** digits))
+                        for _ in range(2))
+    return {"masses": [ratio() for _ in range(n)],
+            "gaps": [ratio() for _ in range(n - 1)]}
+
+
+@pytest.mark.parametrize("n,digits,bits", [
+    (6, 1000, 256),   # ran past 90 s
+    (10, 100, 256),   # 44 s
+    (400, 1, 256),    # many masses: refused before the boundary data
+    (8, 1, 16384),    # high precision: likewise
+])
+def test_forward_work_cap_refuses_at_once(tmp_path, capsys, n, digits, bits):
+    p = write_json(tmp_path / "s.json",
+                   _ratio_string(random.Random(n), n, digits))
+    start = time.perf_counter()
+    assert main(["forward", p, "--precision-bits", str(bits)]) == 2
+    assert time.perf_counter() - start < 1
+    _assert_one_line_error(capsys)
+
+
+def test_forward_work_cap_admits_the_benchmark_shapes():
+    # forward-ladder runs n = 3, 5, 8 at 256 bits, on small random
+    # strings and on strings recovered from random spectral data; four
+    # masses of 1,000-digit ratios (15 s) are under the budget too
+    rng = random.Random(0)
+    for n in (3, 5, 8):
+        doc = _ratio_string(rng, n, 1)
+        small = CubicString(*(tuple(Fraction(x) for x in doc[key])
+                              for key in ("masses", "gaps")))
+        for s in (small, recover(random_spectral(n, n))):
+            _refuse_forward_over_cap(s, 256)
+    assert _forward_seconds(4, 46472, 33199, 256) < FORWARD_CAP
 
 
 def test_forward_reads_back_integers_over_4300_digits(tmp_path, capsys):

@@ -22,7 +22,6 @@ from cubicstring.exact import (
 )
 from cubicstring.exact import roots as roots_module
 from cubicstring.exact.roots import (
-    _interior_point,
     integer_coefficients,
     sign_at,
     sign_changes,
@@ -35,13 +34,16 @@ WIDTH = F(1, 2 ** 64)
 def test_chain_counts_roots_of_factored_poly():
     # (z-1)(z-2): two roots in (0, 10]
     p = Polynomial([2, -3, 1])
-    chain = sturm_chain(p)
-    # V(a) - V(b) counts the roots in (a, b]
-    v = {x: sign_changes(chain, x) for x in (F(0), F(3, 2), F(3), F(10))}
+    chain = [integer_coefficients(q) for q in sturm_chain(p)]
+    # V(a) - V(b) counts the roots in (a, b], also at a root
+    v = {x: sign_changes(chain, x.numerator, x.denominator)
+         for x in (F(0), F(1), F(3, 2), F(2), F(3), F(10))}
     assert v[F(0)] - v[F(10)] == 2
     assert v[F(0)] - v[F(3, 2)] == 1
     assert v[F(3, 2)] - v[F(10)] == 1
     assert v[F(3)] - v[F(10)] == 0
+    assert v[F(0)] - v[F(1)] == 1 and v[F(1)] - v[F(2)] == 1
+    assert v[F(2)] - v[F(10)] == 0
 
 
 def _points(*xs):
@@ -178,32 +180,42 @@ def test_close_rational_root_is_still_found():
 
 # -- reference: isolation that refines by Sturm counts at every step -------
 
+def _v(chain, x):
+    """V(x) by rational evaluation of the chain's polynomials."""
+    signs = [v > 0 for v in (q(x) for q in chain) if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def _reference_refine(p, chain, a, b, width):
     while b - a > width:
         mid = (a + b) / 2
         if p(mid) == 0:
             return RatInterval.point(mid)
-        if sign_changes(chain, a) - sign_changes(chain, mid) == 1:
+        if _v(chain, a) - _v(chain, mid) == 1:
             b = mid
         else:
             a = mid
     guess = simplest_rational_between(a, b)
-    if p(guess) == 0:
+    if a < guess < b and p(guess) == 0:
         return RatInterval.point(guess)
     return RatInterval(a, b)
 
 
 def _reference_isolate(p, lo, hi, width):
+    """Midpoint cuts, a cut on a root kept as that root; roots in the
+    open (a, b) are V(a) - V(b), less one where b is a root."""
     chain = sturm_chain(p)
     out = []
     stack = [(F(lo), F(hi))]
     while stack:
         a, b = stack.pop()
-        k = sign_changes(chain, a) - sign_changes(chain, b)
-        if k == 1:
+        k = _v(chain, a) - _v(chain, b) - (p(b) == 0)
+        if k == 1 and (p(a) != 0 or p(b) != 0):
             out.append(_reference_refine(p, chain, a, b, width))
-        elif k > 1:
-            cut = _interior_point(p, a, b)
+        elif k > 0:
+            cut = (a + b) / 2
+            if p(cut) == 0:
+                out.append(RatInterval.point(cut))
             stack.append((a, cut))
             stack.append((cut, b))
     out.sort(key=lambda r: r.midpoint)
@@ -237,11 +249,11 @@ def test_sign_bisection_matches_sturm_count_bisection():
 
 def test_sign_bisection_probes_intervals_already_narrower_than_width():
     # width 100 stops every bisection at once: the probe alone decides.
-    # (z - 2)(z^2 - 3) on (3/2, 5/2]: the midpoint 2 is a root, the cut
-    # 11/6 splits off sqrt 3, and the probe of (11/6, 5/2] finds 2
+    # (z - 2)(z^2 - 3) on (3/2, 5/2]: the cut 2 is a root, and kept, so
+    # sqrt 3 is boxed by (3/2, 2), whose end 2 the probe must not take
     p = Polynomial([-2, 1]) * Polynomial([-3, 0, 1])
     got = sturm_isolate(p, F(3, 2), F(5, 2), width=F(100))
-    assert got == [RatInterval(F(3, 2), F(11, 6)), RatInterval.point(F(2))]
+    assert got == [RatInterval(F(3, 2), F(2)), RatInterval.point(F(2))]
     assert got == _reference_isolate(p, F(3, 2), F(5, 2), F(100))
 
 
@@ -263,15 +275,46 @@ def test_sign_at_agrees_with_rational_evaluation():
             assert sign_at(coeffs, x.numerator, x.denominator) == (v > 0) - (v < 0)
 
 
-def test_interior_point_gets_past_roots_at_every_listed_cut():
-    # p vanishes at the midpoint, at all seven listed cuts and at the
-    # first fallback cut 1/12 (its degree is 9, so cuts are k/12)
-    listed = [F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(2, 5), F(3, 5), F(4, 5),
-              F(1, 7), F(1, 12)]
-    p = poly_product([Polynomial([-r, 1]) for r in listed])
-    cut = _interior_point(p, F(0), F(1))
-    assert 0 < cut < 1 and p(cut) != 0
-    assert cut == F(1, 6)
+def test_cuts_that_land_on_roots_are_roots():
+    # on (0, 1] the cuts 1/2, 3/4 and 5/8 are roots, one after another
+    cuts = [F(1, 2), F(3, 4), F(5, 8)]
+    p = poly_product([Polynomial([-r, 1]) for r in cuts])
+    assert sturm_isolate(p, F(0), F(1), WIDTH) == _points(*sorted(cuts))
+    # (1/2, 3/4) has a root at both ends and sqrt(2/5) inside: the cut
+    # 5/8 is not a root, and the piece right of it bisects on the sign
+    p = poly_product([Polynomial([-r, 1]) for r in cuts[:2]])
+    p = p * Polynomial([-2, 0, 5])
+    got = sturm_isolate(p, F(0), F(1), WIDTH)
+    assert got[0] == RatInterval.point(F(1, 2))
+    assert got[2] == RatInterval.point(F(3, 4))
+    box = got[1]
+    assert F(5, 8) <= box.lo and 0 < box.width <= WIDTH
+    assert 5 * box.lo ** 2 < 2 < 5 * box.hi ** 2
+    assert got == _reference_isolate(p, F(0), F(1), WIDTH)
+
+
+def test_a_box_that_ends_on_a_root():
+    # (z - 1/2)((z - 1/2)^2 - 2/10^6): the cut 1/2 is a root, and the
+    # roots 1/2 -+ sqrt(2)/1000 are boxed against it from both sides
+    r = Polynomial([F(-1, 2), 1])
+    p = r * (r * r - F(2, 10 ** 6))
+    below, point, above = sturm_isolate(p, F(0), F(1), width=F(1, 2 ** 8))
+    assert point == RatInterval.point(F(1, 2))
+    assert below.hi == F(1, 2) == above.lo
+
+    def encloses(b):
+        lo, hi = sorted((abs(b.lo - F(1, 2)), abs(b.hi - F(1, 2))))
+        return lo ** 2 < F(2, 10 ** 6) < hi ** 2
+
+    for start in (below, above, RatInterval(F(1, 2), F(1))):
+        assert encloses(start)
+        fine = refine_enclosure(p, start, WIDTH)
+        assert 0 < fine.width <= WIDTH and encloses(fine)
+        assert start.lo <= fine.lo and fine.hi <= start.hi
+    # a box whose ends are both roots has no sign to steer from
+    q = poly_product([Polynomial([-r, 1]) for r in (0, F(1, 2), 1)])
+    with pytest.raises(ValueError):
+        refine_enclosure(q, RatInterval(F(0), F(1)), F(1, 8))
 
 
 def test_refinement_rejects_uncertified_boxes():
@@ -286,9 +329,9 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
     seen = []
     real = roots_module.sign_changes
 
-    def spy(chain, x):
-        seen.append(x)
-        return real(chain, x)
+    def spy(chain, num, den):
+        seen.append(F(num, den))
+        return real(chain, num, den)
 
     monkeypatch.setattr(roots_module, "sign_changes", spy)
     rng = random.Random(9)

@@ -29,6 +29,7 @@ from oracles import (
 )
 
 from cubicstring.exact import Matrix, Polynomial, RatInterval
+from cubicstring.exact import roots as roots_module
 from cubicstring.forward import (
     boundary_data,
     eigenvalue_polynomial,
@@ -37,6 +38,7 @@ from cubicstring.forward import (
     residues,
     spectrum,
 )
+from cubicstring.inverse import random_spectral, recover
 from cubicstring.string_model import CubicString, positions
 
 TWO_MASS = CubicString((F(1), F(1)), (F(1),))
@@ -240,6 +242,33 @@ def test_spectrum_matches_float_oracle_random():
         lams = np.array([float(e.midpoint) for e in wd.eigenvalues])
         oracle = float_spectrum_oracle(s)
         assert np.allclose(lams, oracle, rtol=1e-9, atol=0)
+
+
+def test_exact_root_probe_is_one_candidate_on_narrow_boxes(monkeypatch):
+    # a rational root of the integer q is k/lead; at 256 bits every box
+    # is narrower than 1/lead^2 and holds one such k, so the
+    # continued-fraction probe never runs
+    probes = []
+    real = roots_module.simplest_rational_between
+
+    def spy(lo, hi):
+        probes.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(roots_module, "simplest_rational_between", spy)
+    rng = random.Random(4)
+    for _ in range(10):
+        s = random_string(rng, rng.randint(3, 10))
+        wd = residues(spectrum(s, 256), 256)
+        assert all(e.width > 0 for e in wd.eigenvalues)  # irrational
+    assert probes == []
+    # and a rational spectrum is still found exactly, point by point
+    for n in range(2, 9):
+        for seed in range(3):
+            sd = random_spectral(n, seed)
+            wd = spectrum(recover(sd), 256)
+            assert wd.eigenvalues == tuple(RatInterval.point(lam)
+                                           for lam in sd.eigenvalues)
 
 
 def test_oscillatory_matrices_frozen():

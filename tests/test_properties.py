@@ -7,7 +7,12 @@ from itertools import accumulate
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import flow_closed_form, moment_minors_by_blocks, transition
+from oracles import (
+    float_spectrum_oracle,
+    flow_closed_form,
+    moment_minors_by_blocks,
+    transition,
+)
 
 from cubicstring.burgers import (
     WaveState,
@@ -65,6 +70,23 @@ def test_forward_map_inverts_recover(sd):
                          tuple(b.lo for b in wd.w_residues), sum(s.masses))
     assert again == sd
     assert recover(again) == s
+
+
+@settings(max_examples=40)
+@given(strings(), st.integers(1, 64))
+def test_isolation_agrees_with_the_float_oracle(s, bits):
+    # n - 1 sorted, disjoint boxes no wider than 2^-bits, each holding
+    # the eigenvalue of the float oscillatory route, widened by 1e-9
+    # relative; every residue certified negative
+    wd = residues(spectrum(s, bits), bits)
+    boxes = wd.eigenvalues
+    assert len(boxes) == s.n - 1
+    for a, b in zip(boxes, boxes[1:]):
+        assert a.hi <= b.lo and a.lo < b.hi
+    for box, lam in zip(boxes, float_spectrum_oracle(s)):
+        assert box.width <= F(1, 2 ** bits)
+        assert float(box.lo) * (1 - 1e-9) <= lam <= float(box.hi) * (1 + 1e-9)
+    assert all(r.is_negative() for r in wd.w_residues + wd.z_residues)
 
 
 @settings(max_examples=30)
