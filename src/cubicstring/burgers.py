@@ -22,9 +22,17 @@ discontinuity at near-collisions.  Two integrators are provided:
         (sigma^2 phi + (sigma^2 - 1)/(2M) phi_xx/z,  sigma phi_x,  phi_xx),
 
     is peeled (inverse.peel) into the string at t.  No eigenvalue is
-    isolated, and the only approximation is the rational sigma.  Every
-    row shares phi_xx, so the chain invariants M_j are constant by
-    construction, not by accuracy.
+    isolated, and every row shares phi_xx, so the chain invariants M_j
+    are constant by construction, not by accuracy.
+
+    The only approximation is the rational sigma, and its precision is
+    derived, not chosen.  A decimal sigma with |ln sigma - M t| <= r is
+    e^(M t~) for a time t~ within r/M of t, so its peel is the exact
+    state at t~.  The equations above bound how far each cell moves
+    from t~ to t (_certified), and a row is printed when every such
+    interval rounds to one double: each position and mass is then the
+    correctly rounded double of the state at t.  Otherwise sigma is
+    taken to twice the digits and the row peeled again.
 
 The peel fixes the string only up to translation.  The missing scalar
 is pinned by the first moment M+ = sum m_k x_k: differentiating
@@ -36,9 +44,9 @@ sum m_k(t) x_k(t) equal to its initial value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, Overflow, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, Overflow, localcontext
 from fractions import Fraction
-from math import ceil, floor, log2
+from math import ceil, floor, inf, log2, nextafter, ulp
 
 from . import forward
 from .errors import (
@@ -46,14 +54,14 @@ from .errors import (
     FlowOutOfRangeError,
     NonPositiveMassError,
     OrderingViolatedError,
+    PrecisionExhaustedError,
 )
 from .forward import (
-    DEFAULT_PRECISION_BITS,
+    MAX_PRECISION_BITS,
     WeylData,
     eigenvalue_polynomial,
     invariant_masses,
     residues,  # unused here; perfbench/tracing.py wraps burgers.residues
-    resolve_precision_bits,
     spectrum,  # unused here; perfbench/tracing.py wraps burgers.spectrum
 )
 from .inverse import peel, recover  # recover: perfbench/tracing.py wraps it
@@ -61,6 +69,13 @@ from .string_model import ConservedSet, CubicString, positions
 
 # about 40 s of RK4 at three peaks; past it the run is refused, not started
 MAX_RK4_STEPS = 10 ** 6
+
+# the spectral route peels at e^(M t) of this many significant digits
+# first: on 150 random runs (n = 2 to 8, M t up to about 180) every row
+# was certified at the first peel.  A row that is not doubles the
+# digits, up to the FLOW_MAX_DIGITS that MAX_PRECISION_BITS gives
+FLOW_START_DIGITS = 30
+FLOW_MAX_DIGITS = int(MAX_PRECISION_BITS * 0.30103)
 
 
 @dataclass(frozen=True)
@@ -196,10 +211,11 @@ def flow_triple(wd: WeylData, total_mass: Fraction, sigma: Fraction) -> tuple:
 
 
 def _exp_mt(total_mass: Fraction, t: float, digits: int) -> Decimal:
-    """e^(M t) to `digits` significant decimal digits."""
+    """e^(M t) to `digits` significant decimal digits: M t rounded to
+    them, then its exp, each correctly rounded."""
     x = total_mass * Fraction(t)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec, ctx.rounding = digits, ROUND_HALF_EVEN
         try:
             return (Decimal(x.numerator) / Decimal(x.denominator)).exp()
         except Overflow:
@@ -207,11 +223,26 @@ def _exp_mt(total_mass: Fraction, t: float, digits: int) -> Decimal:
                 f"e^(M t) overflows at M = {total_mass}, t = {t}") from None
 
 
-def scale_factor(total_mass: Fraction, t: float,
-                 precision_bits: int) -> Fraction:
-    """Rational approximation of e^(M t) at the working precision."""
-    return Fraction(_exp_mt(total_mass, t,
-                            max(30, int(precision_bits * 0.302) + 10)))
+def scale_factor(total_mass: Fraction, t: float):
+    """The rationals sigma ~ e^(M t) the flow peels at, each with a
+    rational r >= |ln sigma - M t|: sigma at FLOW_START_DIGITS decimal
+    digits, then at twice the digits, up to FLOW_MAX_DIGITS.
+
+    Both roundings in _exp_mt are within half a unit in the last digit,
+    a relative 10^(1-d)/2, so r = (|M t| + 1) 10^(1-d) bounds the two
+    together.  At t = 0 there is one factor, exactly 1, with r = 0.
+    """
+    x = total_mass * Fraction(t)
+    if x == 0:
+        yield Fraction(1), Fraction(0)
+        return
+    digits = FLOW_START_DIGITS
+    while True:
+        yield (Fraction(_exp_mt(total_mass, t, digits)),
+               Fraction(ceil(abs(x)) + 1, 10 ** (digits - 1)))
+        if digits >= FLOW_MAX_DIGITS:
+            return
+        digits = min(2 * digits, FLOW_MAX_DIGITS)
 
 
 def scale_bits(total_mass: Fraction, t: float) -> int:
@@ -221,46 +252,135 @@ def scale_bits(total_mass: Fraction, t: float) -> int:
     return ceil((_exp_mt(total_mass, t, 8).adjusted() + 1) * log2(10))
 
 
+def _rounds_to_one_double(value: Fraction, below: Fraction,
+                          above: Fraction) -> bool:
+    """Whether every real in the open interval (value - below,
+    value + above) rounds to float(value).
+
+    The rounding boundaries lie halfway to the neighbouring doubles;
+    toward zero from a power of two that is a quarter of its ulp, and
+    ulp(f) caps the gap past the largest double.  The test is exact, on
+    integers: the remainder value - f is num/den.  An open end may sit
+    on a boundary, as no point of the interval does.
+    """
+    f = float(value)
+    fn, fd = f.as_integer_ratio()
+    den = value.denominator * fd
+    num = value.numerator * fd - fn * value.denominator
+    un, ud = min(nextafter(f, inf) - f, ulp(f)).as_integer_ratio()
+    dn, dd = min(f - nextafter(f, -inf), ulp(f)).as_integer_ratio()
+    bn, bd = below.numerator, below.denominator
+    an, ad = above.numerator, above.denominator
+    # 2 (below - rem) <= down and 2 (rem + above) <= up
+    return (2 * (bn * den - num * bd) * dd <= dn * bd * den
+            and 2 * (num * ad + an * den) * ud <= un * ad * den)
+
+
+def _up(v: float) -> float:
+    """The next double above v, so an upper bound on any real that
+    rounds to v."""
+    return nextafter(v, inf)
+
+
+def _speed_bounds(s: CubicString, total_mass: Fraction) -> list[float]:
+    """Upper bounds on v_k / M, v_k = sum_i m_i |x_k - x_i| the speed of
+    peak k, from the masses and gaps in doubles rounded up."""
+    ms = [_up(float(m)) for m in s.masses]
+    gs = [_up(float(g)) for g in s.gaps]
+    sides = []  # v_k summed over the peaks left of k, then right of k
+    for order in (slice(None), slice(None, None, -1)):
+        acc, weight, out = 0.0, 0.0, [0.0]
+        for m, g in zip(ms[order], gs[order]):
+            weight = _up(weight + m)
+            acc = _up(acc + _up(weight * g))
+            out.append(acc)
+        sides.append(out[order])
+    mass_lo = nextafter(float(total_mass), 0.0)
+    return [_up(_up(a + b) / mass_lo) for a, b in zip(*sides)]
+
+
+def _certified(s: CubicString, total_mass: Fraction, r: Fraction) -> bool:
+    """Whether each position and mass of s, the exact state at a time t~
+    with |M t~ - M t| <= r, rounds to the one double the state at t does.
+
+    Along the flow |d ln m_k/dt| < 2M, so m_k(t) lies in the open
+    m_k(t~) (1 - 2r, 1 + 4r), and below M, as every other mass is
+    positive; and dx_k/dt = v_k with |dv_k/dt| <= 3M v_k, so x_k(t) lies
+    within v_k(t~) (1 + 6r) r / M of x_k(t~).  Both use e^u < 1 + 2u,
+    true for 0 < u <= 5/4, so for r <= 2/5.  The speed, and not the span
+    of the wave, bounds a position: a heavy peak is nearly still while
+    light ones run off.  The cap M matters when all the mass gathers on
+    one peak and M sits on a rounding boundary.  At r = 0, s is the
+    state at t.
+    """
+    if r == 0:
+        return True
+    if r > Fraction(2, 5):
+        return False
+    spread = (1 + 6 * r) * r
+    for x, w in zip(positions(s), _speed_bounds(s, total_mass)):
+        shift = Fraction(w) * spread
+        if not _rounds_to_one_double(x, shift, shift):
+            return False
+    for m in s.masses:
+        rm = r * Fraction(_up(float(m)))
+        if not (_rounds_to_one_double(m, 2 * rm, 4 * rm)
+                or _rounds_to_one_double(m, 2 * rm, total_mass - m)):
+            return False
+    return True
+
+
+def _flow_row(wd: WeylData, total_mass: Fraction, first_moment: Fraction,
+              t: float, elapsed: float) -> CubicString:
+    """The string peeled at the first sigma ~ e^(M elapsed) whose every
+    cell provably rounds to the double of the flow state at time t; the
+    anchor a solves sum m_k (offset_k + a) = M+.  A mass that underflows
+    to zero or a position that overflows is the flow leaving the float
+    range."""
+    for sigma, r in scale_factor(total_mass, elapsed):
+        bare = peel(flow_triple(wd, total_mass, sigma))
+        offs = positions(bare)  # anchored at zero: these are x_k - x_n
+        hang = sum((m * o for m, o in zip(bare.masses, offs)), Fraction(0))
+        s = CubicString(bare.masses, bare.gaps,
+                        (first_moment - hang) / total_mass)
+        try:
+            leaves = min(float(m) for m in s.masses) == 0
+            if not leaves and _certified(s, total_mass, r):
+                return s
+        except OverflowError:
+            leaves = True
+        if leaves:
+            raise FlowOutOfRangeError(
+                f"the wave leaves the float range at t = {t}")
+    raise PrecisionExhaustedError(
+        f"could not certify the row at t = {t} with {FLOW_MAX_DIGITS} "
+        f"digits of e^(M t)")
+
+
 def evolve_spectral_exact(
-        s0: WaveState, times, precision_bits: int = DEFAULT_PRECISION_BITS,
+        s0: WaveState, times,
 ) -> tuple[ConservedSet, list[tuple[float, CubicString]]]:
     """Exact-route evolution: the t = 0 triple scaled to each time and
     peeled.  Returns the exact conserved set every row shares, M_j read
-    off the t = 0 phi_xx, and the strings with the M+-pinned anchor.
-    One peak has no residue to scale, so there sigma stays 1."""
-    resolve_precision_bits(precision_bits)
+    off the t = 0 phi_xx, and per time the exact string at a nearby
+    time whose positions and masses round to the doubles of the state
+    at that time.  One peak has no residue to scale: every row is s0."""
     base = rationalize(s0)
     wd, first_moment = spectral_snapshot(base)
     total = sum(base.masses, Fraction(0))
-    rows = []
-    for t in times:
-        sigma = (1 if base.n == 1 else
-                 scale_factor(total, float(t) - s0.time, precision_bits))
-        bare = peel(flow_triple(wd, total, sigma))
-        # anchor a solving sum m_k (offset_k + a) = M+(0)
-        offs = positions(bare)  # anchored at zero: these are x_k - x_n
-        hang = sum((m * o for m, o in zip(bare.masses, offs)), Fraction(0))
-        anchor = (first_moment - hang) / total
-        rows.append((float(t), CubicString(bare.masses, bare.gaps, anchor)))
+    rows = [(float(t), base if base.n == 1 else
+             _flow_row(wd, total, first_moment, float(t), float(t) - s0.time))
+            for t in times]
     return (ConservedSet(total, first_moment,
                          tuple(invariant_masses(wd.phi_xx))), rows)
 
 
-def _float_state(t: float, s: CubicString) -> WaveState:
-    """The float wave of an exact string; a mass that underflows to zero
-    or a position that overflows is the flow leaving the float range."""
-    try:
-        return WaveState(t, positions(s), s.masses)
-    except (NonPositiveMassError, OverflowError):
-        raise FlowOutOfRangeError(
-            f"the wave leaves the float range at t = {t}") from None
-
-
-def evolve_spectral(s0: WaveState, times,
-                    precision_bits: int = DEFAULT_PRECISION_BITS) -> Trajectory:
+def evolve_spectral(s0: WaveState, times) -> Trajectory:
     """Spectral-route trajectory at the requested times, as floats; every
-    row carries the one conserved set."""
-    exact, rows = evolve_spectral_exact(s0, times, precision_bits)
+    position and mass is the correctly rounded double of the flow state,
+    and every row carries the one conserved set."""
+    exact, rows = evolve_spectral_exact(s0, times)
     c = ConservedSet(float(exact.total_mass), float(exact.first_moment),
                      tuple(float(v) for v in exact.higher))
-    return Trajectory(tuple((t, _float_state(t, s), c) for t, s in rows))
+    return Trajectory(tuple((t, WaveState(t, positions(s), s.masses), c)
+                            for t, s in rows))

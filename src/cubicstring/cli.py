@@ -17,7 +17,8 @@ When a spectrum is irrational the forward subcommand switches the
 lambdas and residues to decimal strings and records the precision in a
 "precision_bits" field; such files are refused by invert, which needs
 exact input.  CSV trajectories are the one float surface, printed with
-17 significant digits so a double roundtrips losslessly.
+17 significant digits so a double roundtrips losslessly; on the
+spectral route each is the correctly rounded value of the flow.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .exact import format_rational
 from .exact.roots import integer_coefficients
 from .forward import (
     DEFAULT_PRECISION_BITS,
+    WeylData,
     boundary_data,
     eigenvalue_polynomial,
     residues,
@@ -74,14 +76,14 @@ VERIFY_SUMMAND_CAP = 2 * 10 ** 4
 # k_max, but the pair table and its minors still grow with k_max
 VERIFY_K_MAX = 10
 
-# evolve refuses more rows than this: at three peaks and 256 bits a row
-# costs about 0.7 ms on the spectral route and 0.4 ms on rk4, so the cap
-# is a few seconds of work, below the RK4 step cap
+# evolve refuses more rows than this: at three peaks a row costs about
+# 0.7 ms on the spectral route and 0.4 ms on rk4, so the cap is a few
+# seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
 # and spectral runs estimated (_spectral_seconds) at more than this many
-# seconds: 41 timed runs took 0.67 to 1.33 times their estimate, so the
-# cap admits about 20 to 40 s of work (README, "evolve")
+# seconds: 29 timed runs took 0.80 to 1.27 times their estimate, so the
+# cap admits about 24 to 38 s of work (README, "evolve")
 EVOLVE_SPECTRAL_CAP = 30
 
 # forward refuses runs estimated (_forward_seconds) at more than this,
@@ -94,46 +96,48 @@ FORWARD_CAP = 30
 ROUNDTRIP_N_CAP = 50
 
 
-def _spectral_seconds(n: int, rows: int, bits: int, sigma: int) -> float:
+def _spectral_seconds(n: int, rows: int, sigma: int) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
-    2-vCPU VM (README, "evolve"): 2e-4 + 4e-5 n^2 a row, and per row past
-    t = 0 the decimal e^(M t) at B bits and the peel of a triple of
-    X = 2B + sigma bits, sigma the bits of e^(M t_end); one peak has
-    neither: every row is the input."""
-    b = max(bits, 64)
-    exp_mt = 4.8e-13 * b ** 3 if b < 16057 else 2.3e-9 * b * b
-    flow = exp_mt + 2.8e-11 * (n * (2 * b + sigma)) ** 2 if n > 1 else 0
-    return rows * (2e-4 + 4e-5 * n * n) + (rows - 1) * flow
+    2-vCPU VM (README, "evolve"): 3.4e-4 + 3e-5 n^2 a row, and per row
+    past t = 0 the peel of a triple scaled by e^(M t_end), sigma bits,
+    3.8e-11 ((n - 1) sigma)^2; one peak has no peel, as every row is the
+    input."""
+    return (rows * (3.4e-4 + 3e-5 * n * n)
+            + (rows - 1) * 3.8e-11 * ((n - 1) * sigma) ** 2)
 
 
 def _forward_seconds(n: int, operand_bits: int, q_bits: int,
                      bits: int) -> float:
     """Estimated seconds of a forward run on a shared 2-vCPU VM (README,
-    "forward"): the boundary data, built twice, from n and the operand
-    bits of the input; then the n - 1 eigenvalues, bisected over B = bits
-    (at least 64) steps on a grid that also carries the Q = q_bits bits
-    of the integer q = phi_xx/z, and the Sturm chain and residues on q.
-    With q_bits = 0 it is a lower bound."""
+    "forward"): the boundary data from n and the operand bits of the
+    input (a term fitted when it was built twice); then the n - 1
+    eigenvalues, bisected over B = bits (at least 64) steps on a grid
+    that also carries the Q = q_bits bits of the integer q = phi_xx/z,
+    and the Sturm chain and residues on q.  With q_bits = 0 it is a
+    lower bound."""
     d, b, q = n - 1, max(bits, 64), q_bits
     boundary = 2.6e-12 * (n * operand_bits) ** 2 + 6e-7 * n ** 3
     return (boundary + 5.3e-11 * d ** 3 * b ** 2.4
             + 8.3e-10 * d ** 2.6 * q ** 1.4 * b + 1.2e-9 * d ** 3.5 * q ** 1.75)
 
 
-def _refuse_forward_over_cap(s, bits: int) -> None:
-    """A ValueError, before any isolation, for a forward run estimated at
-    over FORWARD_CAP seconds; the boundary data is built only when the
-    bound without it is under the cap."""
+def _refuse_forward_over_cap(s, bits: int) -> WeylData:
+    """The boundary data of s, which forward isolates; a ValueError,
+    before any isolation, for a run estimated at over FORWARD_CAP
+    seconds.  The data is built only when the bound without it is under
+    the cap."""
     operand_bits = sum(x.numerator.bit_length() + x.denominator.bit_length()
                        for x in s.masses + s.gaps)
-    q_bits = 0
-    if s.n > 1 and _forward_seconds(s.n, operand_bits, 0,
-                                    bits) <= FORWARD_CAP:
-        q = eigenvalue_polynomial(boundary_data(s)).primitive()
-        q_bits = max(abs(c).bit_length() for c in integer_coefficients(q))
+    over = ValueError(f"forward on {s.n} masses of {operand_bits} operand "
+                      f"bits at {bits} bits is over the work cap")
+    if _forward_seconds(s.n, operand_bits, 0, bits) > FORWARD_CAP:
+        raise over
+    wd = boundary_data(s)
+    q = eigenvalue_polynomial(wd).primitive()
+    q_bits = max(abs(c).bit_length() for c in integer_coefficients(q))
     if _forward_seconds(s.n, operand_bits, q_bits, bits) > FORWARD_CAP:
-        raise ValueError(f"forward on {s.n} masses of {operand_bits} operand "
-                         f"bits at {bits} bits is over the work cap")
+        raise over
+    return wd
 
 
 def _read_json(path: str):
@@ -168,8 +172,7 @@ def _run_forward(ns: argparse.Namespace) -> int:
     s = string_from_dict(_read_json(ns.input))
     validate(s)
     bits = resolve_precision_bits(ns.precision_bits)
-    _refuse_forward_over_cap(s, bits)
-    wd = residues(spectrum(s, bits), bits)
+    wd = residues(spectrum(_refuse_forward_over_cap(s, bits), bits), bits)
     total = sum(s.masses, Fraction(0))
     if all(e.width == 0 for e in wd.eigenvalues):  # and so the residues
         doc = spectral_to_dict(SpectralData(
@@ -230,7 +233,6 @@ def _run_evolve(ns: argparse.Namespace) -> int:
     if ns.samples > EVOLVE_SAMPLE_CAP:
         raise ValueError(f"--samples {ns.samples} is over the cap of "
                          f"{EVOLVE_SAMPLE_CAP} rows")
-    bits = resolve_precision_bits(ns.precision_bits)
     state = WaveState(0.0,
                       tuple(float(x) for x in positions(s)),
                       tuple(float(m) for m in s.masses))
@@ -241,14 +243,14 @@ def _run_evolve(ns: argparse.Namespace) -> int:
     else:
         # e^(M t_end) is the largest factor: where it overflows, exit 1
         sigma_bits = scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
-        if _spectral_seconds(s.n, ns.samples, bits,
+        if _spectral_seconds(s.n, ns.samples,
                              sigma_bits) > EVOLVE_SPECTRAL_CAP:
-            raise ValueError(f"--samples {ns.samples} on {s.n} peaks at "
-                             f"{bits} bits to --t-end {ns.t_end} is over "
-                             f"the spectral work cap")
+            raise ValueError(f"--samples {ns.samples} on {s.n} peaks to "
+                             f"--t-end {ns.t_end} is over the spectral "
+                             f"work cap")
         times = [i * ns.t_end / (ns.samples - 1)
                  for i in range(ns.samples)]
-        traj = evolve_spectral(state, times, bits)
+        traj = evolve_spectral(state, times)
     _emit(_csv_text(traj), ns.output)
     return 0
 
@@ -311,8 +313,16 @@ def run(ns: argparse.Namespace) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so that main prints it as
+    one line, like any other bad input, not the usage text."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubicstring",
         description="Exact forward and inverse spectral maps of the "
                     "discrete cubic string, with isospectral wave "
@@ -347,9 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.add_argument("--samples", type=int, default=11,
                    help="evenly spaced rows, endpoints included")
-    p.add_argument("--precision-bits", type=int, dest="precision_bits",
-                   default=DEFAULT_PRECISION_BITS,
-                   help="working precision in bits (default: %(default)s)")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
 
     p = sub.add_parser("verify", help="brute-force identity suite")
@@ -367,7 +374,11 @@ def main(argv=None) -> int:
     # conversion takes 0.1 to 0.2 s, and a longer literal is still refused
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(10 ** 5)
-    ns = build_parser().parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return run(ns)
 
 

@@ -25,7 +25,8 @@ class NotSquarefreeError(CubicStringError):
 
 
 class PrecisionExhaustedError(CubicStringError):
-    """Interval refinement hit its precision cap without certifying a sign."""
+    """Interval refinement hit its precision cap without certifying a
+    sign, or the flow without certifying the rounding of a row."""
 
 
 class StringValidationError(CubicStringError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from ..errors import NotSquarefreeError
+from ..errors import IdentityViolatedError, NotSquarefreeError
 from .interval import RatInterval
 from .poly import Polynomial
 
@@ -104,7 +104,7 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     coeffs = chain[0]
     a, b, den = _grid(lo, hi)
     if sign_at(coeffs, a, den) == 0 or sign_at(coeffs, b, den) == 0:
-        raise ValueError("endpoints must not be roots")
+        raise IdentityViolatedError("endpoints must not be roots")
     out: list[RatInterval] = []
     # a piece is the open (a/den, b/den): va is V(a), vb is V just left
     # of b, so va - vb counts the roots inside, and ra, rb flag the ends
@@ -156,7 +156,8 @@ def _bisect_by_sign(coeffs: list[int], a: int, b: int, den: int,
         raise ValueError("refinement width must be positive")
     sa, sb = sign_at(coeffs, a, den), sign_at(coeffs, b, den)
     if sa == sb:
-        raise ValueError("enclosure endpoints must bracket a sign change")
+        raise IdentityViolatedError(
+            "enclosure endpoints must bracket a sign change")
     left = sa or -sb
     wn, wd = width.numerator, width.denominator
     while (b - a) * wd > wn * den:

@@ -37,8 +37,9 @@ from .string_model import CubicString, validate
 DEFAULT_PRECISION_BITS = 256
 
 # cost grows about 4x per doubling of the precision: on masses 1, 2, 3
-# at this cap, forward took 4.7 s and a three-row spectral evolve 11.5 s
-# (47 s for forward at 48,000 bits); past it a run is refused, not started
+# at this cap forward took 4.7 s (47 s at 48,000 bits); past it a run is
+# refused, not started.  It also caps the residue refinement, and the
+# digits of e^(M t) the flow may carry to certify a row
 MAX_PRECISION_BITS = 2 ** 14
 
 
@@ -70,7 +71,7 @@ class WeylData:
 def jump_step(triple: tuple, mass: Fraction) -> tuple:
     """Cross one point mass: phi_xx -= 2 m z phi."""
     phi, phi_x, phi_xx = triple
-    return phi, phi_x, phi_xx - Polynomial.x() * phi * (2 * mass)
+    return phi, phi_x, phi_xx - Polynomial((0, *phi.coefficients)) * (2 * mass)
 
 
 def gap_step(triple: tuple, gap: Fraction) -> tuple:
@@ -105,17 +106,17 @@ def eigenvalue_polynomial(wd: WeylData) -> Polynomial:
     return Polynomial(wd.phi_xx.coefficients[1:])
 
 
-def spectrum(s: CubicString,
+def spectrum(wd: WeylData,
              precision_bits: int = DEFAULT_PRECISION_BITS) -> WeylData:
-    """Isolate all eigenvalues, each to a box no wider than
-    2^-precision_bits; exactly n-1 of them, positive and simple."""
-    wd = boundary_data(s)
+    """Isolate all eigenvalues of the boundary data wd, each to a box no
+    wider than 2^-precision_bits; exactly n-1 of them, positive and
+    simple."""
     q = eigenvalue_polynomial(wd)
     roots = sturm_isolate(q, Fraction(0), cauchy_root_bound(q),
                           Fraction(1, 2 ** precision_bits))
-    if len(roots) != s.n - 1:
+    if len(roots) != q.degree:
         raise IdentityViolatedError(
-            f"expected {s.n - 1} eigenvalues, isolated {len(roots)}")
+            f"expected {q.degree} eigenvalues, isolated {len(roots)}")
     return replace(wd, eigenvalues=tuple(roots))
 
 

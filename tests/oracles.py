@@ -29,12 +29,19 @@ read off the t = 0 minors.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from cubicstring.burgers import (
+    WaveState,
+    flow_triple,
+    rationalize,
+    spectral_snapshot,
+)
 from cubicstring.errors import IdentityViolatedError, NonSquareError
 from cubicstring.exact import Matrix, Polynomial, det_exact
 from cubicstring.forward import (
@@ -52,6 +59,7 @@ from cubicstring.inverse import (
     _value_measure,
     bimoments,
     moment_minors,
+    peel,
     z_residues_of,
 )
 from cubicstring.string_model import (
@@ -458,3 +466,24 @@ def flow_closed_form(sd: SpectralData, sigma: Fraction) -> CubicString:
                                         * (s2 * c[k] + a * inner[k - 1])))
         gaps.append(-2 * (sigma * c[k] + a * inner[k - 1] / sigma) / b[k])
     return CubicString(tuple(reversed(masses)), tuple(reversed(gaps)))
+
+
+def flow_reference(s0: WaveState, t: float) -> tuple[tuple[float, ...],
+                                                     tuple[float, ...]]:
+    """Positions and masses, as doubles, of the string peeled at
+    sigma = e^(M (t - t0)) to 617 digits (2,048 bits), anchored by M+:
+    the flow state at t up to a time error some 600 digits below any
+    double's."""
+    base = rationalize(s0)
+    wd, first_moment = spectral_snapshot(base)
+    total = sum(base.masses, Fraction(0))
+    x = total * Fraction(t - s0.time)
+    with localcontext() as ctx:
+        ctx.prec = 617
+        sigma = Fraction((Decimal(x.numerator) / Decimal(x.denominator)).exp())
+    bare = peel(flow_triple(wd, total, sigma))
+    offs = positions(bare)
+    anchor = (first_moment
+              - sum(m * o for m, o in zip(bare.masses, offs))) / total
+    return (tuple(float(o + anchor) for o in offs),
+            tuple(float(m) for m in bare.masses))

@@ -74,7 +74,7 @@ def test_criterion_1_exact_spectral_roundtrip():
 
 def test_criterion_2_worked_two_mass_instance():
     s = CubicString((F(1), F(1)), (F(1),))
-    wd = residues(spectrum(s))
+    wd = residues(spectrum(boundary_data(s)))
     assert wd.eigenvalues == (RatInterval.point(F(2)),)
     assert wd.w_residues == (RatInterval.point(F(-1)),)
     assert wd.z_residues == (RatInterval.point(F(-1, 4)),)
@@ -126,7 +126,7 @@ def test_criterion_5_oscillatory_cross_check():
         # n <= 6 keeps the matrix at most 5x5: every minor has size <= 5
         assert is_totally_nonnegative(gram)
         floats = float_spectrum_oracle(s)
-        wd = spectrum(s)
+        wd = spectrum(boundary_data(s))
         assert len(floats) == len(wd.eigenvalues)
         for fv, enc in zip(floats, wd.eigenvalues):
             ev = float(enc.midpoint)
@@ -229,29 +229,29 @@ def test_criterion_9_burgers_evolution():
             for a, b in zip(cs.higher, c0.higher):
                 assert abs(a - b) <= 1e-8 * abs(b)
         lam0 = [float(e.midpoint) for e in
-                spectrum(rationalize(state), 96).eigenvalues]
+                spectrum(boundary_data(rationalize(state)), 96).eigenvalues]
         for _, st, _ in coarse.samples:
             lam_t = [float(e.midpoint) for e in
-                     spectrum(rationalize(st), 96).eigenvalues]
+                     spectrum(boundary_data(rationalize(st)), 96).eigenvalues]
             for a, b in zip(lam_t, lam0):
                 assert abs(a - b) <= 1e-6 * abs(b)
         reference = integrate_rk4(state, 1e-5, 1.0, samples=3)
-        spectral = evolve_spectral(state, times, 128)
+        spectral = evolve_spectral(state, times)
         for (_, ref, _), (_, spc, _) in zip(reference.samples, spectral.samples):
             for a, b in zip(ref.positions, spc.positions):
                 assert abs(a - b) <= 1e-6
             for a, b in zip(ref.momenta, spc.momenta):
                 assert abs(a - b) <= 1e-6
-        _, rows = evolve_spectral_exact(state, times, 128)
+        _, rows = evolve_spectral_exact(state, times)
         wd0, _ = spectral_snapshot(rationalize(state))
         total = sum(s.masses)
         for t, s_t in rows[1:]:
             # W scales by sigma, the c_k of Z by sigma^2, exactly: the
             # string at t crosses to the scaled t = 0 triple
             wd = boundary_data(s_t)
-            sigma = scale_factor(total, t, 128)
-            assert ((wd.phi, wd.phi_x, wd.phi_xx)
-                    == flow_triple(wd0, total, sigma))
+            assert any((wd.phi, wd.phi_x, wd.phi_xx)
+                       == flow_triple(wd0, total, sigma)
+                       for sigma, _ in scale_factor(total, t))
     print("criterion 9: PASS - RK4 conservation within 1e-8 relative, "
           "spectra stationary within 1e-6 relative, spectral route within "
           "1e-6 of the dt=1e-5 reference, boundary triple exactly scaled")

@@ -1,12 +1,15 @@
 """Peak dynamics: RK4 route, spectral route, conservation."""
 
+import math
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from oracles import conserved
+from oracles import conserved, flow_reference
 
 from cubicstring import burgers
 from cubicstring.burgers import (
@@ -119,11 +122,25 @@ def test_spectral_snapshot_two_mass():
 
 
 def test_scale_factor_accuracy():
-    import math
-    sigma = scale_factor(F(2), 0.5, 128)
-    assert sigma > 0
-    assert abs(float(sigma) - math.e) < 1e-15
-    assert scale_factor(F(3), 0.0, 64) == 1
+    factors = list(islice(scale_factor(F(2), 2.5), 4))
+    assert abs(float(factors[0][0]) - math.exp(5)) < 1e-12
+    with localcontext() as ctx:
+        ctx.prec = 300
+        for k, (sigma, r) in enumerate(factors):
+            # sigma has FLOW_START_DIGITS * 2^k digits, and r = 6 * 10^(1-d)
+            digits = burgers.FLOW_START_DIGITS * 2 ** k
+            assert r == F(6, 10 ** (digits - 1))
+            ln = (Decimal(sigma.numerator).ln()
+                  - Decimal(sigma.denominator).ln())
+            assert abs(F(ln) - 5) <= r
+    # e^0 is exactly 1, and needs no doubling
+    assert list(scale_factor(F(3), 0.0)) == [(1, 0)]
+    # the digits double up to FLOW_MAX_DIGITS, and end there
+    digits = [burgers.FLOW_START_DIGITS]
+    while digits[-1] < burgers.FLOW_MAX_DIGITS:
+        digits.append(min(2 * digits[-1], burgers.FLOW_MAX_DIGITS))
+    assert ([r for _, r in scale_factor(F(1, 3), 1.0)]
+            == [F(2, 10 ** (d - 1)) for d in digits])
 
 
 def test_evolve_spectral_time_zero_roundtrip():
@@ -132,7 +149,7 @@ def test_evolve_spectral_time_zero_roundtrip():
     for s0 in (SYMMETRIC,
                WaveState(0.0, (-0.3, 0.45, 1.2), (0.8, 1.1, 0.6)),
                WaveState(2.5, (0.1,), (0.7,))):
-        _, rows = evolve_spectral_exact(s0, [s0.time], precision_bits=128)
+        _, rows = evolve_spectral_exact(s0, [s0.time])
         assert rows == [(s0.time, rationalize(s0))]
 
 
@@ -140,7 +157,7 @@ def test_residue_scaling_is_exactly_squared():
     # on a string with a rational spectrum the residues are exact values
     sd = random_spectral(4, 3)
     wd = boundary_data(recover(sd))
-    sigma = scale_factor(sd.total_mass, 0.7, 96)
+    sigma, _ = next(scale_factor(sd.total_mass, 0.7))
     phi, phi_x, phi_xx = flow_triple(wd, sd.total_mass, sigma)
     assert phi_xx == wd.phi_xx
     da = phi_xx.derivative()
@@ -152,17 +169,63 @@ def test_residue_scaling_is_exactly_squared():
 
 def test_spectral_route_conserves_exactly():
     times = [0.0, 0.3, 1.0]
-    cs, rows = evolve_spectral_exact(SYMMETRIC, times, precision_bits=128)
+    cs, rows = evolve_spectral_exact(SYMMETRIC, times)
     assert cs.first_moment == 1 and cs.higher == (2, 1)
     for _, s in rows:
         # M, the pinned M+ and the chain invariants of phi_xx, exactly
         assert conserved(s) == cs
 
 
+def _random_wave(rng, n):
+    """A wave of n peaks, masses and gaps ratios of small integers over
+    a power of two, so the floats are the rationals."""
+    def draw():
+        return rng.randint(1, 36) / 2 ** rng.randint(0, 2)
+    xs = [float(rng.randint(-3, 3))]
+    for _ in range(n - 1):
+        xs.insert(0, xs[0] - draw())
+    return WaveState(0.0, tuple(xs), tuple(draw() for _ in range(n)))
+
+
+def test_certified_rows_equal_a_2048_bit_peel():
+    rng = random.Random(16)
+    for _ in range(12):
+        s0 = _random_wave(rng, rng.randint(2, 6))
+        times = [0.0] + sorted(rng.uniform(0, 25) / sum(s0.momenta)
+                               for _ in range(3))
+        for t, state, _ in evolve_spectral(s0, times).samples:
+            assert (state.positions, state.momenta) == flow_reference(s0, t)
+    # at t = 1e-300 a 30-digit e^(M t) is 1, whose peel is the input: the
+    # peak at 0 moves to 2.5e-300 only once the digits hold 1 + 4e-300
+    s0 = WaveState(0.0, (-1.5, -0.5, 0.0), (1.0, 2.0, 1.0))
+    _, (t, state, _) = evolve_spectral(s0, [0.0, 1e-300]).samples
+    assert state.positions == (-1.5, -0.5, 2.5e-300)
+    assert (state.positions, state.momenta) == flow_reference(s0, t)
+
+
+def test_an_uncertified_row_doubles_the_digits(monkeypatch):
+    # at 3 digits the bound on the time error is far wider than a
+    # double's rounding interval: the row is peeled again at 6, 12, ...
+    digits = []
+    real = burgers._exp_mt
+
+    def spy(total_mass, t, d):
+        digits.append(d)
+        return real(total_mass, t, d)
+
+    monkeypatch.setattr(burgers, "_exp_mt", spy)
+    monkeypatch.setattr(burgers, "FLOW_START_DIGITS", 3)
+    s0 = WaveState(0.0, (-1.5, -0.5, 0.0), (1.0, 2.0, 1.0))
+    rows = evolve_spectral(s0, [0.0, 0.125]).samples
+    assert digits == [3 * 2 ** k for k in range(len(digits))]
+    assert len(digits) > 2
+    _, state, _ = rows[1]
+    assert (state.positions, state.momenta) == flow_reference(s0, 0.125)
+
+
 def test_spectral_route_matches_rk4():
     reference = integrate_rk4(SYMMETRIC, 1e-4, 1.0, samples=3)
-    spectral = evolve_spectral(SYMMETRIC, [t for t, _, _ in reference.samples],
-                               precision_bits=128)
+    spectral = evolve_spectral(SYMMETRIC, [t for t, _, _ in reference.samples])
     for (t1, a, _), (t2, b, _) in zip(reference.samples, spectral.samples):
         assert t1 == t2
         for p, q in zip(a.positions, b.positions):
@@ -174,7 +237,7 @@ def test_spectral_route_matches_rk4():
 def test_rk4_states_stay_isospectral():
     tr = integrate_rk4(SYMMETRIC, 1e-3, 1.0, samples=3)
     for _, state, _ in tr.samples:
-        box, = spectrum(rationalize(state), 96).eigenvalues
+        box, = spectrum(boundary_data(rationalize(state)), 96).eigenvalues
         lam = float(box.midpoint)
         assert abs(lam - 2.0) / 2.0 <= 1e-6
 
@@ -197,9 +260,9 @@ def test_spectral_route_reads_chain_invariants_once(monkeypatch):
 
     monkeypatch.setattr(burgers, "invariant_masses", counted)
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
-    rows = evolve_spectral(SYMMETRIC, times, precision_bits=64).samples
+    rows = evolve_spectral(SYMMETRIC, times).samples
     assert len(calls) == 1
-    _, exact = evolve_spectral_exact(SYMMETRIC, times, precision_bits=64)
+    _, exact = evolve_spectral_exact(SYMMETRIC, times)
     for (_, _, c), (_, s) in zip(rows, exact):
         assert boundary_data(s).phi_xx == calls[0]
         assert c.higher == tuple(float(v) for v in conserved(s).higher)
@@ -216,7 +279,7 @@ def test_burgers_reads_boundary_data_through_forward(monkeypatch):
     monkeypatch.setattr(forward, "boundary_data", counted)
     conserved_floats(SYMMETRIC)
     assert calls == [rationalize(SYMMETRIC)]
-    evolve_spectral(SYMMETRIC, [0.0, 0.5, 1.0], precision_bits=64)
+    evolve_spectral(SYMMETRIC, [0.0, 0.5, 1.0])
     assert calls == [rationalize(SYMMETRIC)] * 2
 
 
@@ -245,12 +308,6 @@ def test_integrator_argument_checks():
         integrate_rk4(SYMMETRIC, 1.0, 2.0 * MAX_RK4_STEPS)
 
 
-@pytest.mark.parametrize("bits", [-5, 0])
-def test_library_rejects_non_positive_precision_bits(bits):
-    with pytest.raises(ValueError, match="precision bits"):
-        evolve_spectral_exact(SYMMETRIC, [0.0], bits)
-
-
 def test_one_peak_never_builds_the_flow_factor(monkeypatch):
     # one mass has M = m: its triple (1, 0, -2mz) is the same at every sigma
     def refuse(*args):
@@ -258,11 +315,11 @@ def test_one_peak_never_builds_the_flow_factor(monkeypatch):
 
     monkeypatch.setattr(burgers, "scale_factor", refuse)
     s0 = WaveState(0.5, (-3.0,), (2.5,))
-    cs, rows = evolve_spectral_exact(s0, [0.5, 1.0, 40.0], 16384)
+    cs, rows = evolve_spectral_exact(s0, [0.5, 1.0, 40.0])
     assert [s for _, s in rows] == [rationalize(s0)] * 3
     assert cs.higher == (F(5, 2),)
 
 
 def test_scale_factor_overflow_is_a_domain_error():
     with pytest.raises(FlowOutOfRangeError):
-        scale_factor(F(4), 1e300, 128)
+        next(scale_factor(F(4), 1e300))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cubicstring import burgers, cli, forward
 from cubicstring.burgers import scale_bits
 from cubicstring.cli import (
     EVOLVE_SAMPLE_CAP,
@@ -22,7 +23,7 @@ from cubicstring.cli import (
     _spectral_seconds,
     main,
 )
-from cubicstring.forward import MAX_PRECISION_BITS
+from cubicstring.forward import MAX_PRECISION_BITS, boundary_data
 from cubicstring.inverse import random_spectral, recover
 from cubicstring.string_model import CubicString
 
@@ -177,20 +178,14 @@ def test_non_positive_precision_bits_is_bad_input(tmp_path, capsys, bits):
     p = write_json(tmp_path / "n3.json", N3_STRING)
     assert main(["forward", p, "--precision-bits", bits]) == 2
     _assert_one_line_error(capsys)
-    for method in (["spectral"], ["rk4", "--dt", "0.01"]):
-        assert main(["evolve", p, "--method", *method, "--t-end", "0.1",
-                     "--precision-bits", bits]) == 2
-        _assert_one_line_error(capsys)
 
 
 def test_precision_bits_over_the_cap_is_bad_input(tmp_path, capsys):
     # refused before any isolation starts
     p = write_json(tmp_path / "n3.json", N3_STRING)
     over = str(MAX_PRECISION_BITS + 1)
-    spectral = ["evolve", p, "--method", "spectral", "--t-end", "0.1"]
-    for argv in (["forward", p], spectral):
-        assert main([*argv, "--precision-bits", over]) == 2
-        _assert_one_line_error(capsys)
+    assert main(["forward", p, "--precision-bits", over]) == 2
+    _assert_one_line_error(capsys)
 
 
 def test_forward_byte_identical(tmp_path):
@@ -287,8 +282,7 @@ def test_evolve_spectral_matches_rk4(tmp_path):
     assert main(["evolve", p, "--method", "rk4", "--dt", "0.001",
                  "--t-end", "0.5", "--samples", "3", "-o", str(a)]) == 0
     assert main(["evolve", p, "--method", "spectral", "--t-end", "0.5",
-                 "--samples", "3", "--precision-bits", "128",
-                 "-o", str(b)]) == 0
+                 "--samples", "3", "-o", str(b)]) == 0
     rows_a = [r.split(",") for r in a.read_text().splitlines()]
     rows_b = [r.split(",") for r in b.read_text().splitlines()]
     assert rows_a[0] == rows_b[0]
@@ -404,9 +398,9 @@ def test_evolve_rejects_non_finite_times(tmp_path, capsys, flags, bad):
 
 @pytest.mark.parametrize("flags", [
     # e^(M t) overflows the decimal context
-    ["--method", "spectral", "--t-end", "1e300", "--precision-bits", "64"],
+    ["--method", "spectral", "--t-end", "1e300"],
     # the recovered positions pass the double range
-    ["--method", "spectral", "--t-end", "2000", "--precision-bits", "64"],
+    ["--method", "spectral", "--t-end", "2000"],
     # the RK4 state passes the double range
     ["--method", "rk4", "--dt", "0.5", "--t-end", "300"],
 ])
@@ -476,15 +470,29 @@ def test_rational_lists_must_be_json_lists(tmp_path, capsys, command, key):
     # wire digits are ASCII: Arabic-Indic and fullwidth ones are not read
     # as 1, 2 and 3/4
     '{"masses": ["\u0661", "\uff12"], "gaps": ["\u0663/\u0664"]}',
+    "", "null", "[]", "{}", '{"masses": ["1", "1"]', "\ufeff{}",
+    '{"masses": ["1"]}',
+    '{"masses": ["1", "1"], "gaps": []}',
+    '{"masses": [1, 2], "gaps": ["1"]}',
+    '{"masses": ["1", "x"], "gaps": ["1"]}',
+    '{"masses": ["1", "1/0"], "gaps": ["1"]}',
+    '{"masses": ["1.5"], "gaps": []}',
+    '{"masses": ["1e3"], "gaps": []}',
+    '{"masses": ["1", "1"], "gaps": ["1"], "anchor": 0}',
+    '{"masses": ["1", "1"], "gaps": ["1"], "anchor": ["0"]}',
+    '{"lambdas": ["2"], "residues_b": ["-1"]}',
+    '{"lambdas": ["2"], "residues_b": ["-1"], "total_mass": "2/0"}',
 ])
 @pytest.mark.parametrize("argv", [
     ["forward"], ["invert"],
     ["evolve", "--method", "rk4", "--dt", "0.1", "--t-end", "1"],
+    ["evolve", "--method", "spectral", "--t-end", "1"],
 ])
 def test_malformed_json_documents_are_bad_input(tmp_path, capsys, text,
                                                 argv):
-    # a parser stack overflow, a bare number and non-ASCII digits are
-    # bad input too
+    # a parser stack overflow, a bare number, non-ASCII digits, and any
+    # document that is not JSON or not the object asked for are bad
+    # input too
     p = tmp_path / "in.json"
     p.write_text(text, encoding="utf-8")
     assert main([argv[0], str(p), *argv[1:]]) == 2
@@ -501,11 +509,11 @@ def test_evolve_sample_cap_is_bad_input(tmp_path, capsys, method):
 
 
 def test_evolve_spectral_work_cap_is_bad_input(tmp_path, capsys):
-    # about 55 minutes of work by the estimate, refused at once
+    # about 6 hours of work by the estimate, refused at once
     p = write_json(tmp_path / "n3.json", N3_STRING)
     start = time.perf_counter()
-    assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
-                 "--samples", "10000", "--precision-bits", "8192"]) == 2
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "20000",
+                 "--samples", "10000"]) == 2
     assert time.perf_counter() - start < 0.1
     _assert_one_line_error(capsys)
 
@@ -514,7 +522,7 @@ def test_evolve_spectral_work_cap_admits_the_benchmark_shape(tmp_path,
                                                              capsys):
     p = write_json(tmp_path / "n3.json", N3_STRING)
     assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
-                 "--samples", "5", "--precision-bits", "256"]) == 0
+                 "--samples", "5"]) == 0
     assert capsys.readouterr().out.count("\n") == 6
 
 
@@ -537,8 +545,9 @@ def test_evolve_spectral_leaving_the_float_range_is_one_line(tmp_path,
 
 
 @pytest.mark.parametrize("n,flags", [
-    # eight peaks at 16,384 bits: 61 s for 30 rows
-    (8, ["--t-end", "1", "--samples", "30", "--precision-bits", "16384"]),
+    # e^(M t_end) of 216,408 bits: the one row past t = 0 is estimated
+    # at about 90 s of peel before it leaves the float range
+    (8, ["--t-end", "10000", "--samples", "2"]),
     # e^(M t_end) of 865,619 bits: over 100 s for the one row past t = 0,
     # which then leaves the float range
     (3, ["--t-end", "100000", "--samples", "2"]),
@@ -552,45 +561,38 @@ def test_evolve_spectral_work_cap_counts_peaks_and_the_flow_factor(
     _assert_one_line_error(capsys)
 
 
-# (n, rows, precision bits, M t_end, seconds the run took) on masses
-# 1, 2, 3, 1, 2, ... with unit gaps, in-process on a shared 2-vCPU VM
+# (n, rows, M t_end, seconds the run took) on masses 1, 2, 3, 1, 2, ...
+# with unit gaps, in-process on a shared 2-vCPU VM
 ADMITTED_RUNS = [
-    # one peak: every row is the input, whatever the precision
-    (1, 40, 16384, 1, 0.011), (1, 60, 16384, 1, 0.013),
-    (1, 10000, 256, 1, 1.7), (1, 10000, 16384, 1, 1.7),
-    (2, 10000, 256, 3, 4.7), (2, 3000, 1024, 3, 4.6), (2, 30, 16384, 3, 16.1),
-    (3, 30, 16384, 6, 18.6), (3, 40, 8192, 6, 9.9), (3, 5000, 256, 6, 3.7),
-    (3, 200, 4096, 6, 8.1), (3, 10000, 128, 6, 5.4),
-    (4, 20, 16384, 7, 14.1), (4, 1000, 1024, 7, 4.2),
-    (5, 10, 16384, 9, 9.1), (5, 3000, 256, 9, 4.5),
-    (6, 10, 16384, 12, 10.5), (6, 100, 4096, 12, 7.9),
-    (8, 6, 16384, 15, 9.1), (8, 1000, 256, 15, 4.1), (8, 50, 4096, 15, 6.8),
-    (10, 4, 16384, 19, 7.4),
-    (12, 4, 16384, 24, 10.6), (12, 500, 256, 24, 4.4),
-    (12, 100, 2048, 24, 7.4), (12, 1000, 128, 24, 6.6),
-    (16, 2, 16384, 31, 6.6), (16, 20, 4096, 31, 9.4),
-    (20, 2, 16384, 39, 9.4),
-    (24, 2, 8192, 48, 3.9), (24, 200, 256, 48, 5.6), (24, 10, 4096, 48, 9.2),
-    (24, 2, 16384, 48, 13.6),
-    # exit 1: the row past t = 0 leaves the float range
-    (3, 2, 256, 96000, 3.7), (8, 2, 256, 24000, 2.9),
+    # one peak: every row is the input
+    (1, 10000, 1, 0.075), (1, 10000, 1000, 0.10),
+    (2, 10000, 3, 3.7), (2, 3000, 3, 1.4),
+    (3, 5000, 6, 3.1), (3, 10000, 6, 6.7),
+    (4, 3000, 7, 2.9), (5, 3000, 9, 3.8), (6, 1000, 12, 1.8),
+    (8, 1000, 15, 2.3), (8, 3000, 15, 7.0), (8, 10000, 15, 27.6),
+    (12, 500, 24, 2.2), (12, 1000, 24, 5.1), (12, 5000, 24, 25.1),
+    (16, 200, 31, 1.7), (16, 500, 31, 4.1), (20, 200, 39, 2.5),
+    (24, 100, 48, 1.5), (24, 300, 48, 4.8), (24, 1500, 48, 26.0),
+    # exit 1: the row past t = 0 leaves the float range, after a peel
+    # of a triple scaled by e^(M t_end)
+    (2, 2, 150000, 1.5), (3, 2, 96000, 2.9), (3, 2, 250000, 21.0),
+    (5, 2, 50000, 3.7), (8, 2, 24000, 2.4), (12, 2, 20000, 4.1),
+    (24, 2, 8000, 2.8),
+    # exit 1 at an early row, long before e^(M t_end)
+    (3, 20, 3000, 0.009), (8, 200, 2000, 0.15),
     # the evolve-flow benchmark's largest shape and the golden shape
-    (5, 5, 256, 1, None), (3, 3, 128, 2, None),
+    (5, 5, 1, None), (3, 3, 2, None),
 ]
 REFUSED_RUNS = [
-    # just below 16,057 bits the decimal exp is at its slowest
-    (3, 20, 15800, 6, 32.6),
-    (4, 60, 16384, 7, 54.6), (8, 30, 16384, 15, 60.9),
-    (12, 12, 16384, 24, 42.3), (24, 6, 16384, 48, 66.8),
-    (3, 2, 256, 400000, 66.1),  # exit 1: float range
-    (3, 2, 256, 600000, None),  # stopped after 100 s
+    (16, 5000, 31, 41.7), (24, 3000, 48, 48.7),
+    (3, 2, 400000, 52.1),  # exit 1: float range
+    (3, 2, 600000, None),  # stopped after 100 s
 ]
 
 
 def test_evolve_spectral_estimate_against_timed_runs():
-    def estimate(n, rows, bits, mt, _):
-        return _spectral_seconds(n, rows, bits,
-                                 scale_bits(Fraction(mt), 1.0))
+    def estimate(n, rows, mt, _):
+        return _spectral_seconds(n, rows, scale_bits(Fraction(mt), 1.0))
 
     assert all(estimate(*run) <= EVOLVE_SPECTRAL_CAP for run in ADMITTED_RUNS)
     assert all(estimate(*run) > EVOLVE_SPECTRAL_CAP for run in REFUSED_RUNS)
@@ -698,13 +700,69 @@ def test_roundtrip_size_cap_is_bad_input(capsys):
     _assert_one_line_error(capsys)
 
 
-def test_bad_usage_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["forward"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["evolve", "x.json", "--method", "euler", "--t-end", "1"])
-    assert exc.value.code == 2
+def test_bad_usage_exits_two(capsys):
+    assert main(["forward"]) == 2
+    _assert_one_line_error(capsys)
+    assert main(["evolve", "x.json", "--method", "euler", "--t-end", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: cubicstring evolve: argument --method: invalid "
+                       "choice: 'euler' (choose from 'rk4', 'spectral')\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["forward"], ["forward", "{p}", "--unknown"],
+    ["forward", "{p}", "--precision-bits", "x"],
+    ["forward", "{p}", "--precision-bits"],
+    ["invert", "{p}", "--report-determinants=yes"],
+    ["roundtrip"], ["roundtrip", "--n", "2.5"],
+    ["verify", "--suite", "other"], ["verify", "--suite", "heine", "--k-max"],
+    ["evolve", "{p}", "--t-end", "1"],
+    ["evolve", "{p}", "--method", "spectral"],
+    ["evolve", "{p}", "--method", "spectral", "--t-end", "one"],
+    ["evolve", "{p}", "--method", "rk4", "--t-end", "1", "--dt", "--1"],
+    ["evolve", "{p}", "--method", "spectral", "--t-end", "1",
+     "--samples", "3.0"],
+    # the flow derives its own precision: the flag is gone
+    ["evolve", "{p}", "--method", "spectral", "--t-end", "1",
+     "--precision-bits", "256"],
+])
+def test_fuzzed_flags_are_bad_input(tmp_path, capsys, argv):
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    assert main([a.replace("{p}", p) for a in argv]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_forward_builds_the_boundary_data_once(tmp_path, capsys,
+                                               monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return boundary_data(s)
+
+    monkeypatch.setattr(cli, "boundary_data", counted)
+    monkeypatch.setattr(forward, "boundary_data", counted)
+    for doc in (N3_STRING, MIXED_N4):
+        assert main(["forward", write_json(tmp_path / "s.json", doc)]) == 0
+        assert len(calls) == 1
+        calls.clear()
+    capsys.readouterr()
+
+
+def test_evolve_spectral_past_the_digit_cap_is_a_math_error(tmp_path, capsys,
+                                                            monkeypatch):
+    # a row whose cells do not round to one double at the most digits
+    # the flow carries is refused, not printed uncertified
+    monkeypatch.setattr(burgers, "FLOW_START_DIGITS", 2)
+    monkeypatch.setattr(burgers, "FLOW_MAX_DIGITS", 4)
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "0.25",
+                 "--samples", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: could not certify the row at t = 0.25 with 4 "
+                       "digits of e^(M t)\n")
 
 
 def test_cli_import_loads_no_numpy():

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import poly_product
 
-from cubicstring.errors import NotSquarefreeError
+from cubicstring.errors import IdentityViolatedError, NotSquarefreeError
 from cubicstring.exact import (
     Polynomial,
     RatInterval,
@@ -90,7 +90,7 @@ def test_squarefree_detection():
 
 def test_endpoint_root_rejected():
     p = Polynomial([-2, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(IdentityViolatedError):
         sturm_isolate(p, F(2), F(5), WIDTH)
 
 
@@ -313,13 +313,13 @@ def test_a_box_that_ends_on_a_root():
         assert start.lo <= fine.lo and fine.hi <= start.hi
     # a box whose ends are both roots has no sign to steer from
     q = poly_product([Polynomial([-r, 1]) for r in (0, F(1, 2), 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(IdentityViolatedError):
         refine_enclosure(q, RatInterval(F(0), F(1)), F(1, 8))
 
 
 def test_refinement_rejects_uncertified_boxes():
     p = Polynomial([-2, 0, 1])
-    with pytest.raises(ValueError):  # no sign change on (2, 3)
+    with pytest.raises(IdentityViolatedError):  # no sign change on (2, 3)
         refine_enclosure(p, RatInterval(F(2), F(3)), F(1, 8))
     with pytest.raises(ValueError):
         refine_enclosure(p, RatInterval(F(1), F(2)), F(0))

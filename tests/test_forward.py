@@ -199,18 +199,18 @@ def test_third_row_coefficient_identities():
 
 
 def test_spectrum_two_mass_exact():
-    wd = spectrum(TWO_MASS)
+    wd = spectrum(boundary_data(TWO_MASS))
     assert len(wd.eigenvalues) == 1
     assert wd.eigenvalues == (RatInterval.point(2),)
 
 
 def test_spectrum_single_mass_empty():
-    wd = spectrum(CubicString((F(5),), ()))
+    wd = spectrum(boundary_data(CubicString((F(5),), ())))
     assert wd.eigenvalues == ()
 
 
 def test_residues_two_mass_exact():
-    wd = residues(spectrum(TWO_MASS))
+    wd = residues(spectrum(boundary_data(TWO_MASS)))
     assert wd.w_residues == (RatInterval.point(F(-1)),)
     assert wd.z_residues == (RatInterval.point(F(-1, 4)),)
 
@@ -221,7 +221,7 @@ def test_residues_interval_case_certified():
     # irrational eigenvalues, so open boxes
     for s in (CubicString((F(1), F(2)), (F(1),)),
               CubicString((F(1), F(2), F(1)), (F(1), F(1, 2)))):
-        wd = residues(spectrum(s), precision_bits=64)
+        wd = residues(spectrum(boundary_data(s)), precision_bits=64)
         for b in wd.w_residues + wd.z_residues:
             assert b.is_negative()
         for e, bw, bz in zip(wd.eigenvalues, wd.w_residues, wd.z_residues):
@@ -238,7 +238,7 @@ def test_spectrum_matches_float_oracle_random():
     rng = random.Random(26)
     for _ in range(10):
         s = random_string(rng, rng.randint(2, 6))
-        wd = spectrum(s)
+        wd = spectrum(boundary_data(s))
         lams = np.array([float(e.midpoint) for e in wd.eigenvalues])
         oracle = float_spectrum_oracle(s)
         assert np.allclose(lams, oracle, rtol=1e-9, atol=0)
@@ -259,14 +259,14 @@ def test_exact_root_probe_is_one_candidate_on_narrow_boxes(monkeypatch):
     rng = random.Random(4)
     for _ in range(10):
         s = random_string(rng, rng.randint(3, 10))
-        wd = residues(spectrum(s, 256), 256)
+        wd = residues(spectrum(boundary_data(s), 256), 256)
         assert all(e.width > 0 for e in wd.eigenvalues)  # irrational
     assert probes == []
     # and a rational spectrum is still found exactly, point by point
     for n in range(2, 9):
         for seed in range(3):
             sd = random_spectral(n, seed)
-            wd = spectrum(recover(sd), 256)
+            wd = spectrum(boundary_data(recover(sd)), 256)
             assert wd.eigenvalues == tuple(RatInterval.point(lam)
                                            for lam in sd.eigenvalues)
 

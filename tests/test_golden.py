@@ -49,6 +49,6 @@ def test_verify_heine_golden(capsys):
 
 def test_evolve_spectral_golden(tmp_path, capsys):
     p = _write_json(tmp_path / "n3.json", N3_STRING)
-    assert main(["evolve", p, "--method", "spectral", "--precision-bits",
-                 "128", "--t-end", "0.5", "--samples", "3"]) == 0
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "0.5",
+                 "--samples", "3"]) == 0
     assert capsys.readouterr().out == _expect("evolve_spectral_n3.csv")
