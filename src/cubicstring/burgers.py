@@ -59,6 +59,7 @@ from .errors import (
 from .forward import (
     MAX_PRECISION_BITS,
     WeylData,
+    decimal_digits,
     eigenvalue_polynomial,
     invariant_masses,
     residues,  # unused here; perfbench/tracing.py wraps burgers.residues
@@ -75,7 +76,7 @@ MAX_RK4_STEPS = 10 ** 6
 # was certified at the first peel.  A row that is not doubles the
 # digits, up to the FLOW_MAX_DIGITS that MAX_PRECISION_BITS gives
 FLOW_START_DIGITS = 30
-FLOW_MAX_DIGITS = int(MAX_PRECISION_BITS * 0.30103)
+FLOW_MAX_DIGITS = decimal_digits(MAX_PRECISION_BITS)
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,17 @@ def scale_bits(total_mass: Fraction, t: float) -> int:
     return ceil((_exp_mt(total_mass, t, 8).adjusted() + 1) * log2(10))
 
 
+def last_scale(wd: WeylData, total_mass: Fraction) -> Fraction:
+    """The sigma^2 from which the flow's last mass rounds to 0.0, so the
+    wave has left the float range.  With P = [z^n] phi_xx, C = P / (2M)
+    and B = lead phi + C, B > 0 for n >= 2, the peel's first mass is
+    m_n = -P / (2 (sigma^2 B - C)), and it is at most 2^-1075, which
+    rounds to 0.0, once sigma^2 >= (-P 2^1074 + C) / B."""
+    p = wd.phi_xx.leading
+    c = p / (2 * total_mass)
+    return (-p * 2 ** 1074 + c) / (wd.phi.leading + c)
+
+
 def _rounds_to_one_double(value: Fraction, below: Fraction,
                           above: Fraction) -> bool:
     """Whether every real in the open interval (value - below,
@@ -337,24 +349,27 @@ def _flow_row(wd: WeylData, total_mass: Fraction, first_moment: Fraction,
     anchor a solves sum m_k (offset_k + a) = M+.  A mass that underflows
     to zero or a position that overflows is the flow leaving the float
     range."""
+    last = last_scale(wd, total_mass)
     for sigma, r in scale_factor(total_mass, elapsed):
+        if sigma * sigma >= last:  # no peel: the last mass is 0.0
+            break
         bare = peel(flow_triple(wd, total_mass, sigma))
         offs = positions(bare)  # anchored at zero: these are x_k - x_n
         hang = sum((m * o for m, o in zip(bare.masses, offs)), Fraction(0))
         s = CubicString(bare.masses, bare.gaps,
                         (first_moment - hang) / total_mass)
         try:
-            leaves = min(float(m) for m in s.masses) == 0
-            if not leaves and _certified(s, total_mass, r):
+            if min(float(m) for m in s.masses) == 0:
+                break
+            if _certified(s, total_mass, r):
                 return s
         except OverflowError:
-            leaves = True
-        if leaves:
-            raise FlowOutOfRangeError(
-                f"the wave leaves the float range at t = {t}")
-    raise PrecisionExhaustedError(
-        f"could not certify the row at t = {t} with {FLOW_MAX_DIGITS} "
-        f"digits of e^(M t)")
+            break
+    else:
+        raise PrecisionExhaustedError(
+            f"could not certify the row at t = {t} with {FLOW_MAX_DIGITS} "
+            f"digits of e^(M t)")
+    raise FlowOutOfRangeError(f"the wave leaves the float range at t = {t}")
 
 
 def evolve_spectral_exact(

@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .burgers import (
@@ -35,6 +34,8 @@ from .burgers import (
     WaveState,
     evolve_spectral,
     integrate_rk4,
+    last_scale,
+    rationalize,
     scale_bits,
 )
 from .errors import CubicStringError
@@ -44,6 +45,8 @@ from .forward import (
     DEFAULT_PRECISION_BITS,
     WeylData,
     boundary_data,
+    decimal_digits,
+    decimal_string,
     eigenvalue_polynomial,
     residues,
     resolve_precision_bits,
@@ -51,12 +54,10 @@ from .forward import (
 )
 from .heine import random_measure, run_checks, summand_count
 from .inverse import (
-    SpectralData,
     random_spectral,
     recover,
     recover_detailed,
     spectral_from_dict,
-    spectral_to_dict,
     verify_exact_roundtrip,
 )
 from .string_model import (
@@ -106,15 +107,25 @@ def _spectral_seconds(n: int, rows: int, sigma: int) -> float:
             + (rows - 1) * 3.8e-11 * ((n - 1) * sigma) ** 2)
 
 
+def _last_sigma_bits(state: WaveState) -> int:
+    """Bits of the largest sigma = e^(M t) whose row of the flow from
+    state is peeled: past it the last mass rounds to 0.0, and the flow
+    stops before the peel (burgers.last_scale)."""
+    s = rationalize(state)
+    x = last_scale(boundary_data(s), sum(s.masses, Fraction(0)))
+    return (x.numerator.bit_length() - x.denominator.bit_length() + 2) // 2
+
+
 def _forward_seconds(n: int, operand_bits: int, q_bits: int,
                      bits: int) -> float:
     """Estimated seconds of a forward run on a shared 2-vCPU VM (README,
     "forward"): the boundary data from n and the operand bits of the
     input (a term fitted when it was built twice); then the n - 1
-    eigenvalues, bisected over B = bits (at least 64) steps on a grid
-    that also carries the Q = q_bits bits of the integer q = phi_xx/z,
-    and the Sturm chain and residues on q.  With q_bits = 0 it is a
-    lower bound."""
+    eigenvalues, bisected over B = bits (at least 64) steps, and the
+    Sturm chain and residues on the integer q = phi_xx/z of Q = q_bits
+    bits.  The B Q term was fitted when the grid carried q's bits too;
+    it no longer does, so runs with a large Q are over-estimated.  With
+    q_bits = 0 it is a lower bound."""
     d, b, q = n - 1, max(bits, 64), q_bits
     boundary = 2.6e-12 * (n * operand_bits) ** 2 + 6e-7 * n ** 3
     return (boundary + 5.3e-11 * d ** 3 * b ** 2.4
@@ -162,35 +173,23 @@ def _emit_json(doc: dict, path: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", path)
 
 
-def _decimal_str(q: Fraction, digits: int) -> str:
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
-
-
 def _run_forward(ns: argparse.Namespace) -> int:
     s = string_from_dict(_read_json(ns.input))
     validate(s)
     bits = resolve_precision_bits(ns.precision_bits)
     wd = residues(spectrum(_refuse_forward_over_cap(s, bits), bits), bits)
-    total = sum(s.masses, Fraction(0))
-    if all(e.width == 0 for e in wd.eigenvalues):  # and so the residues
-        doc = spectral_to_dict(SpectralData(
-            tuple(e.lo for e in wd.eigenvalues),
-            tuple(b.lo for b in wd.w_residues), total))
-    else:
-        # decimal mode: the midpoint of every lambda and residue as a
-        # plain decimal, the working precision recorded; the mass stays
-        # exact either way
-        digits = max(1, int(bits * 0.30103))
-        doc = {
-            "lambdas": [_decimal_str(e.midpoint, digits)
-                        for e in wd.eigenvalues],
-            "residues_b": [_decimal_str(b.midpoint, digits)
-                           for b in wd.w_residues],
-            "total_mass": format_rational(total),
-            "precision_bits": bits,
-        }
+    # exact when every eigenvalue is (and so every residue); else every
+    # lambda and residue correctly rounded, as both ends of its interval
+    # round alike, and the working precision recorded
+    exact = all(e.width == 0 for e in wd.eigenvalues)
+    digits = decimal_digits(bits)
+    show = format_rational if exact else (
+        lambda x: decimal_string(x, digits))
+    doc = {"lambdas": [show(e.lo) for e in wd.eigenvalues],
+           "residues_b": [show(b.lo) for b in wd.w_residues],
+           "total_mass": format_rational(sum(s.masses, Fraction(0)))}
+    if not exact:
+        doc["precision_bits"] = bits
     _emit_json(doc, ns.output)
     return 0
 
@@ -243,11 +242,17 @@ def _run_evolve(ns: argparse.Namespace) -> int:
     else:
         # e^(M t_end) is the largest factor: where it overflows, exit 1
         sigma_bits = scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
+        over = ValueError(f"--samples {ns.samples} on {s.n} peaks to "
+                          f"--t-end {ns.t_end} is over the spectral work cap")
+        # the triple that bounds sigma is built only when the rows alone
+        # are under the cap
+        if _spectral_seconds(s.n, ns.samples, 0) > EVOLVE_SPECTRAL_CAP:
+            raise over
+        if s.n > 1:
+            sigma_bits = min(sigma_bits, _last_sigma_bits(state))
         if _spectral_seconds(s.n, ns.samples,
                              sigma_bits) > EVOLVE_SPECTRAL_CAP:
-            raise ValueError(f"--samples {ns.samples} on {s.n} peaks to "
-                             f"--t-end {ns.t_end} is over the spectral "
-                             f"work cap")
+            raise over
         times = [i * ns.t_end / (ns.samples - 1)
                  for i in range(ns.samples)]
         traj = evolve_spectral(state, times)

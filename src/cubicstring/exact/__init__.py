@@ -8,7 +8,6 @@ from .rational import format_rational, parse_rational, parse_rational_list
 from .roots import (
     cauchy_root_bound,
     refine_enclosure,
-    simplest_rational_between,
     sturm_chain,
     sturm_isolate,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "parse_rational",
     "parse_rational_list",
     "refine_enclosure",
-    "simplest_rational_between",
     "solve_exact",
     "sturm_chain",
     "sturm_isolate",

@@ -30,10 +30,6 @@ class RatInterval:
         return cls(x, x)
 
     @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
     def width(self) -> Fraction:
         """hi - lo; zero exactly when the value is known exactly."""
         return self.hi - self.lo

@@ -16,16 +16,21 @@ root is that root, a point, and the pieces on both sides carry on.
 Then the sign of p, read from whichever end is not a root, says which
 half keeps the root.  No Fraction is built until a box is returned.
 
-A rational root u/v is a point once its box is narrower than 1/v^2:
-the probe tests the smallest-denominator rational in the box.  As v
-divides lead, the leading coefficient of the integer p, a box narrower
-than 1/lead^2 tests the one k/lead inside it instead.
+A rational root of the integer p is some k/lead, lead its leading
+coefficient, and a box no wider than 1/lead holds one such k at most:
+each box is tested for it once, as soon as it is that narrow.  Where
+the requested width comes first, the bisection goes on for the test
+alone and, if the root is not rational, returns the box of the
+requested width; it does not when p has no root modulo some small
+prime, which proves it has no rational root.  So a root is a point
+exactly when it is rational, at any width.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from functools import reduce
+from math import lcm
 
 from ..errors import IdentityViolatedError, NotSquarefreeError
 from .interval import RatInterval
@@ -71,11 +76,36 @@ def sign_changes(chain: list[list[int]], num: int, den: int) -> int:
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
-    """All real roots of p lie in [-bound, bound]."""
+    """A power of two 2^k, k >= 1, at or above Cauchy's bound
+    1 + max|c_i| / |lead|, so above every real root of p.  It is read
+    off the bit lengths of p's integer coefficients, so the isolation
+    grid carries none of their bits."""
     if p.degree < 1:
-        return Fraction(1)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coefficients[:-1]) / lead
+        return Fraction(2)
+    *rest, lead = integer_coefficients(p)
+    top = max(abs(c) for c in rest).bit_length()
+    # max|c_i| / |lead| < 2^(top - bits(lead) + 1)
+    return Fraction(2 ** max(top - abs(lead).bit_length() + 2, 1))
+
+
+# an integer polynomial with no root modulo one of these primes that
+# does not divide its leading coefficient has no rational root; primes
+# to 200, as the leading coefficient of q for large operands is divisible
+# by most primes below 50, and the first that proved none was often 53 to 97
+_SIEVE_PRIMES = tuple(p for p in range(2, 200)
+                      if all(p % d for d in range(2, int(p ** 0.5) + 1)))
+
+
+def _no_rational_root(coeffs: list[int]) -> bool:
+    """Whether a sieve prime shows that the integer polynomial coeffs has
+    no rational root: a root u/v has v dividing the leading coefficient,
+    so for p not dividing it u/v mod p would be a root mod p."""
+    for p in _SIEVE_PRIMES:
+        high = [c % p for c in reversed(coeffs)]
+        if high[0] and all(reduce(lambda acc, c: (acc * x + c) % p, high)
+                           for x in range(p)):
+            return True
+    return False
 
 
 def _grid(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
@@ -117,7 +147,8 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
         if k == 0:
             continue
         if k == 1 and not (ra and rb):
-            out.append(_bisect_by_sign(coeffs, a, b, den, width))
+            out.append(_bisect_by_sign(coeffs, a, b, den, width,
+                                       abs(coeffs[-1])))
             continue
         cut, a, b, den = a + b, 2 * a, 2 * b, 2 * den
         vc = sign_changes(chain, cut, den)
@@ -126,7 +157,7 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
             out.append(RatInterval.point(Fraction(cut, den)))
         stack.append((a, cut, den, va, vc + rc, ra, rc))
         stack.append((cut, b, den, vc, vb, rc, rb))
-    out.sort(key=lambda r: r.midpoint)
+    out.sort(key=lambda r: (r.lo, r.hi))
     return out
 
 
@@ -134,23 +165,38 @@ def refine_enclosure(p: Polynomial, box: RatInterval,
                      width: Fraction) -> RatInterval:
     """Re-refine an isolating interval to a smaller width; a point stays.
 
-    The open box must hold exactly one root; an end may be another root.
+    The open box must hold exactly one root, an irrational one, as every
+    box sturm_isolate returns does; an end may be another root.
     """
     if box.width <= width:
         return box
     return _bisect_by_sign(integer_coefficients(p.primitive()),
-                           *_grid(box.lo, box.hi), width)
+                           *_grid(box.lo, box.hi), width, 0)
+
+
+def _rational_root(coeffs: list[int], lead: int, a: int, b: int,
+                   den: int) -> RatInterval | None:
+    """The root k/lead of coeffs in the open (a/den, b/den), no wider
+    than 1/lead, as a point, if there is one: the first k/lead above
+    a/den is the one candidate."""
+    k = a * lead // den + 1
+    if k * den < b * lead and sign_at(coeffs, k, lead) == 0:
+        return RatInterval.point(Fraction(k, lead))
+    return None
 
 
 def _bisect_by_sign(coeffs: list[int], a: int, b: int, den: int,
-                    width: Fraction) -> RatInterval:
+                    width: Fraction, lead: int) -> RatInterval:
     """Shrink the open (a/den, b/den), which holds exactly one root of
-    the squarefree integer polynomial coeffs, below width; then probe it
-    for an exact root.
+    the squarefree integer polynomial coeffs, below width.
 
     At most one end may be a root: the sign of coeffs left of the inner
     root is read off whichever end is not.  Halving doubles den, so
-    every midpoint is the same rational as (lo + hi) / 2.
+    every midpoint is the same rational as (lo + hi) / 2.  With lead,
+    the leading coefficient, the root is tested once against its one
+    candidate k/lead, when the box is first no wider than 1/lead, and
+    the halving goes on past width until it has been, unless the sieve
+    shows there is no rational root; lead = 0 skips the test.
     """
     if width <= 0:
         raise ValueError("refinement width must be positive")
@@ -160,7 +206,17 @@ def _bisect_by_sign(coeffs: list[int], a: int, b: int, den: int,
             "enclosure endpoints must bracket a sign change")
     left = sa or -sb
     wn, wd = width.numerator, width.denominator
-    while (b - a) * wd > wn * den:
+    box = None  # the box at the requested width, or the rational root
+    while True:
+        if box is None and (b - a) * wd <= wn * den:
+            box = RatInterval(Fraction(a, den), Fraction(b, den))
+            if lead and (b - a) * lead > den and _no_rational_root(coeffs):
+                lead = 0
+        if lead and (b - a) * lead <= den:
+            box = _rational_root(coeffs, lead, a, b, den) or box
+            lead = 0
+        if box is not None and not lead:
+            return box
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
         s = sign_at(coeffs, mid, den)
@@ -171,39 +227,3 @@ def _bisect_by_sign(coeffs: list[int], a: int, b: int, den: int,
             a = mid
         else:
             b = mid
-    lo, hi = Fraction(a, den), Fraction(b, den)
-    lead = abs(coeffs[-1])
-    if (b - a) * lead * lead < den:
-        # a rational root is some k/lead, and the box holds one at most
-        guess = Fraction(a * lead // den + 1, lead)
-    else:
-        guess = simplest_rational_between(lo, hi)
-    if lo < guess < hi and sign_at(coeffs, guess.numerator,
-                                   guess.denominator) == 0:
-        return RatInterval.point(guess)
-    return RatInterval(lo, hi)
-
-
-def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator rational in the closed interval [lo, hi].
-
-    Walks the common continued-fraction expansion of the two ends, one
-    term per step, until an integer fits between them, then folds the
-    terms back up; a loop, so any precision fits in the stack.
-    """
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    sign = 1
-    if hi < 0:
-        lo, hi, sign = -hi, -lo, -1
-    terms = []
-    while ceil(lo) > hi:
-        f = floor(lo)
-        terms.append(f)
-        lo, hi = 1 / (hi - f), 1 / (lo - f)
-    x = Fraction(ceil(lo))
-    for f in reversed(terms):
-        x = f + 1 / x
-    return sign * x

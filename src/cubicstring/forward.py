@@ -13,14 +13,17 @@ zero; they are positive and simple for positive masses and gaps.  The
 two Weyl functions are the ratios phi_x/phi_xx and phi/phi_xx, and
 their residues at the eigenvalues are the spectral data used by the
 inverse map.  Eigenvalues and residues alike are RatIntervals: a point
-interval where the value is an exact rational, else a certified
-enclosure.  The coefficients of phi_xx are, up to 2(-z)^j, the chain
-invariants M_j of the isospectral flow.
+interval exactly where the eigenvalue is rational, else a certified
+enclosure narrow enough that the eigenvalue and its slope residue each
+have one correctly rounded decimal at the requested precision.  The
+coefficients of phi_xx are, up to 2(-z)^j, the chain invariants M_j of
+the isospectral flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .errors import IdentityViolatedError, PrecisionExhaustedError
@@ -38,9 +41,17 @@ DEFAULT_PRECISION_BITS = 256
 
 # cost grows about 4x per doubling of the precision: on masses 1, 2, 3
 # at this cap forward took 4.7 s (47 s at 48,000 bits); past it a run is
-# refused, not started.  It also caps the residue refinement, and the
-# digits of e^(M t) the flow may carry to certify a row
+# refused, not started.  With GUARD_BITS it also caps the residue
+# refinement, and it caps the digits of e^(M t) the flow may carry to
+# certify a row
 MAX_PRECISION_BITS = 2 ** 14
+
+# residues refine an irrational eigenvalue this many bits past the
+# requested precision first, and at most this far past the cap: with no
+# head start most boxes needed a second try to round, and residues took
+# twice as long; with no bits past the cap, runs at the cap could not
+# round at all
+GUARD_BITS = 16
 
 
 def resolve_precision_bits(requested: int) -> int:
@@ -53,6 +64,19 @@ def resolve_precision_bits(requested: int) -> int:
         raise ValueError(f"precision bits {requested} is over the cap of "
                          f"{MAX_PRECISION_BITS}")
     return requested
+
+
+def decimal_digits(bits: int) -> int:
+    """The significant decimal digits that `bits` of precision print."""
+    return max(1, int(bits * 0.30103))
+
+
+def decimal_string(x: Fraction, digits: int) -> str:
+    """x to `digits` significant decimal digits, correctly rounded half
+    to even."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, ROUND_HALF_EVEN
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
 @dataclass(frozen=True)
@@ -109,8 +133,8 @@ def eigenvalue_polynomial(wd: WeylData) -> Polynomial:
 def spectrum(wd: WeylData,
              precision_bits: int = DEFAULT_PRECISION_BITS) -> WeylData:
     """Isolate all eigenvalues of the boundary data wd, each to a box no
-    wider than 2^-precision_bits; exactly n-1 of them, positive and
-    simple."""
+    wider than 2^-precision_bits, a point exactly when it is rational;
+    exactly n-1 of them, positive and simple."""
     q = eigenvalue_polynomial(wd)
     roots = sturm_isolate(q, Fraction(0), cauchy_root_bound(q),
                           Fraction(1, 2 ** precision_bits))
@@ -120,9 +144,17 @@ def spectrum(wd: WeylData,
     return replace(wd, eigenvalues=tuple(roots))
 
 
-def _residue_pair(wd: WeylData, deriv: Polynomial, box: RatInterval):
-    """Both residues over one eigenvalue box, None when their signs are
-    not settled; phi_xx' is evaluated once, exactly at a point box."""
+def _rounds(box: RatInterval, digits: int) -> bool:
+    """Both ends of box round to one decimal, so every value inside does
+    too; then box is also of one sign."""
+    return decimal_string(box.lo, digits) == decimal_string(box.hi, digits)
+
+
+def _residue_pair(wd: WeylData, deriv: Polynomial, box: RatInterval,
+                  digits: int):
+    """Both residues over one eigenvalue box; None when the box or the
+    w-residue does not round to one decimal, or a sign is unsettled.
+    phi_xx' is evaluated once, exactly at a point box."""
     if box.width == 0:
         lam = box.lo
         d = deriv(lam)
@@ -130,50 +162,59 @@ def _residue_pair(wd: WeylData, deriv: Polynomial, box: RatInterval):
             raise IdentityViolatedError("multiple eigenvalue in residues")
         return (RatInterval.point(wd.phi_x(lam) / d),
                 RatInterval.point(wd.phi(lam) / d))
+    if not _rounds(box, digits):
+        return None
     d = eval_interval(deriv, box)
     if not d.sign_definite():
         return None
     w = eval_interval(wd.phi_x, box) / d
     z = eval_interval(wd.phi, box) / d
-    return (w, z) if w.sign_definite() and z.sign_definite() else None
+    return (w, z) if _rounds(w, digits) and z.sign_definite() else None
 
 
 def residues(wd: WeylData,
              precision_bits: int = DEFAULT_PRECISION_BITS) -> WeylData:
     """Residues of the two Weyl functions at every eigenvalue.
 
-    Exact (point intervals) at exact eigenvalues; elsewhere
-    sign-certified rational intervals, the box refined to twice the
-    bits until their signs settle, up to MAX_PRECISION_BITS.
+    Exact (point intervals) at exact eigenvalues.  Elsewhere the box is
+    refined GUARD_BITS past precision_bits, then to twice the bits, up
+    to GUARD_BITS past MAX_PRECISION_BITS, until it and its w-residue
+    interval each round to one decimal_digits(precision_bits)-digit
+    decimal and the z-residue's sign is settled; the refined boxes are
+    returned as the eigenvalues.
     """
     if wd.eigenvalues is None:
         raise ValueError("run spectrum() before residues()")
     deriv = wd.phi_xx.derivative()
     q = eigenvalue_polynomial(wd)
-    w_out, z_out = [], []
+    digits = decimal_digits(precision_bits)
+    boxes, w_out, z_out = [], [], []
     for box in wd.eigenvalues:
-        bits = precision_bits
+        bits = precision_bits + GUARD_BITS
         while True:
             box = refine_enclosure(q, box, Fraction(1, 2 ** bits))
-            got = _residue_pair(wd, deriv, box)
+            got = _residue_pair(wd, deriv, box, digits)
             if got is not None:
                 break
-            if bits >= MAX_PRECISION_BITS:
+            if bits >= MAX_PRECISION_BITS + GUARD_BITS:
                 raise PrecisionExhaustedError(
-                    f"could not certify residue signs at {bits} bits")
-            bits = min(2 * bits, MAX_PRECISION_BITS)
+                    f"could not round an eigenvalue and its residue to "
+                    f"{digits} digits at {bits} bits")
+            bits = min(2 * bits, MAX_PRECISION_BITS + GUARD_BITS)
+        boxes.append(box)
         w_out.append(got[0])
         z_out.append(got[1])
     for b in w_out + z_out:
         if not b.is_negative():
             raise IdentityViolatedError("residue failed its negativity law")
-    if all(e.width == 0 for e in wd.eigenvalues):
+    if all(e.width == 0 for e in boxes):
         # exact cross-check: the z-residues are determined by the w-residues
-        lams = [e.lo for e in wd.eigenvalues]
+        lams = [e.lo for e in boxes]
         if (value_residues(lams, [b.lo for b in w_out])
                 != tuple(b.lo for b in z_out)):
             raise IdentityViolatedError("z-residue relation failed exactly")
-    return replace(wd, w_residues=tuple(w_out), z_residues=tuple(z_out))
+    return replace(wd, eigenvalues=tuple(boxes), w_residues=tuple(w_out),
+                   z_residues=tuple(z_out))
 
 
 def value_residues(lams, bs) -> tuple[Fraction, ...]:

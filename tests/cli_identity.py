@@ -1,0 +1,172 @@
+"""Compare the command line of this tree with that of a git revision.
+
+    python tests/cli_identity.py --rev HEAD~1
+
+Extracts `git archive REV src` into a temporary folder, writes one set
+of seeded input files, and runs a fixed list of CLI calls, each in a
+fresh interpreter, once against this tree's `src` and once against the
+revision's.  Every call whose stdout, stderr or exit code differs is
+printed, then a count per subcommand.  The exit code is 0 when no call
+differs, else 1.
+
+The list covers `forward` at 1, 8, 64 and 256 bits on random strings,
+on strings recovered from random spectral data (rational spectra) and
+on mixed strings (rational and irrational eigenvalues side by side);
+`invert` with and without the determinant audit; `roundtrip`;
+`evolve` by both routes, out of range included; `verify`; and the
+error paths of each subcommand.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from collections import Counter
+from pathlib import Path
+from random import Random
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from cubicstring.inverse import (  # noqa: E402
+    random_spectral,
+    recover,
+    spectral_to_dict,
+)
+from cubicstring.string_model import string_to_dict  # noqa: E402
+
+# strings with a rational eigenvalue beside irrational ones
+MIXED = [
+    (["1", "1", "2", "1"], ["1/2", "2", "1"]),
+    (["3", "2", "4", "2"], ["1", "1", "1/2"]),
+    (["2", "4", "2", "1"], ["3", "1", "2"]),
+    (["1", "2", "2", "1/2"], ["3", "3/2", "3"]),
+    (["3", "3/2", "1", "2", "3"], ["2", "1", "3/2", "1"]),
+]
+
+
+def _random_string(rng: Random, n: int) -> dict:
+    return {key: [f"{rng.randint(1, 9)}/{rng.randint(1, 4)}"
+                  for _ in range(size)]
+            for key, size in (("masses", n), ("gaps", n - 1))}
+
+
+def write_inputs(folder: Path) -> list[list[str]]:
+    """Write the input files into folder; return the calls that read
+    them, each an argv for the `cubicstring` command."""
+    rng = Random(2024)
+
+    def put(name: str, doc) -> str:
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (folder / name).write_text(text + "\n", encoding="utf-8")
+        return name
+
+    strings = [put(f"random{n}.json", _random_string(rng, n))
+               for n in (2, 3, 5, 8)]
+    strings += [put(f"recovered{n}.json",
+                    string_to_dict(recover(random_spectral(n, n))))
+                for n in (3, 5, 8)]
+    strings += [put(f"mixed{i}.json", {"masses": m, "gaps": g})
+                for i, (m, g) in enumerate(MIXED)]
+    calls = [["forward", s, "--precision-bits", str(bits)]
+             for s in strings for bits in (1, 8, 64, 256)]
+    calls += [["forward", s] for s in strings[:2]]
+
+    spectra = [put(f"spectral{n}.json", spectral_to_dict(random_spectral(n, n)))
+               for n in (2, 4, 7, 10)]
+    calls += [["invert", s, *flag] for s in spectra
+              for flag in ([], ["--report-determinants"])]
+    calls += [["roundtrip", "--n", str(n), "--seed", str(n)]
+              for n in (1, 4, 9)]
+
+    waves = [put("wave3.json", {"masses": ["1", "2", "1"],
+                                "gaps": ["1", "1/2"]}),
+             put("wave5.json", _random_string(rng, 5)),
+             put("cycle6.json", {"masses": ["1", "2", "3"] * 2,
+                                 "gaps": ["1"] * 5})]
+    for w in waves:
+        calls.append(["evolve", w, "--method", "spectral", "--t-end", "1",
+                      "--samples", "6"])
+        calls.append(["evolve", w, "--method", "rk4", "--dt", "0.01",
+                      "--t-end", "1", "--samples", "6"])
+    calls.append(["evolve", waves[2], "--method", "spectral", "--t-end", "40",
+                  "--samples", "11"])
+    calls.append(["evolve", waves[0], "--method", "spectral", "--t-end",
+                  "2000", "--samples", "2"])
+    calls += [["verify", "--suite", "heine", "--support", str(s),
+               "--k-max", str(k), "--seed", str(s + k)]
+              for s, k in ((1, 2), (3, 3), (4, 2))]
+
+    decimal = put("decimal.json", {"lambdas": ["2.5"], "residues_b": ["-1"],
+                                   "total_mass": "2"})
+    bad = put("bad.json", "{not json")
+    calls += [
+        ["forward", strings[1], "--precision-bits", "0"],
+        ["forward", strings[1], "--precision-bits", "-5"],
+        ["forward", strings[1], "--precision-bits", "16385"],
+        ["forward", "missing.json"],
+        ["forward", bad],
+        ["invert", decimal],
+        ["invert", put("positive.json", {"lambdas": ["2"], "residues_b": ["1"],
+                                         "total_mass": "2"})],
+        ["roundtrip", "--n", "0"],
+        ["evolve", waves[0], "--method", "spectral", "--t-end", "1",
+         "--samples", "1"],
+        ["evolve", waves[0], "--method", "rk4", "--dt", "1e-9",
+         "--t-end", "1"],
+        ["verify", "--suite", "heine", "--k-max", "11"],
+        ["frobnicate"],
+    ]
+    return calls
+
+
+def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one call on the tree at src."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); "
+         "from cubicstring.cli import main; "
+         "raise SystemExit(main(sys.argv[2:]))", str(src), *argv],
+        cwd=cwd, capture_output=True, text=True, timeout=600)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rev", required=True,
+                        help="git revision whose src is compared")
+    ns = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", ns.rev, "src"], cwd=REPO,
+                                 capture_output=True, check=True).stdout
+        (tmp / "rev.tar").write_bytes(archive)
+        with tarfile.open(tmp / "rev.tar") as tar:
+            tar.extractall(tmp / "rev")
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        calls = write_inputs(inputs)
+        differ = Counter()
+        for argv in calls:
+            ours = run(REPO / "src", argv, inputs)
+            theirs = run(tmp / "rev" / "src", argv, inputs)
+            parts = [name for name, a, b in zip(("exit code", "stdout",
+                                                 "stderr"), ours, theirs)
+                     if a != b]
+            if parts:
+                differ[argv[0]] += 1
+                print(f"differs ({', '.join(parts)}): cubicstring "
+                      + " ".join(argv))
+        total = Counter(argv[0] for argv in calls)
+        for command in sorted(total):
+            print(f"{command}: {differ[command]} of {total[command]} "
+                  f"calls differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

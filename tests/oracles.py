@@ -194,6 +194,52 @@ def float_spectrum_oracle(s: CubicString) -> np.ndarray:
     return vals
 
 
+def decimal_spectrum(s: CubicString, digits: int) -> tuple[list, list]:
+    """The eigenvalues of s and their slope residues b = phi_x/phi_xx',
+    each correctly rounded to `digits` significant digits (as Decimals).
+
+    Newton's method on phi_xx/z in decimal at digits + 40, started from
+    the float oscillatory route, with the boundary polynomials from the
+    crossing matrices; each value is rounded once to `digits` at the
+    end, so the answer is wrong only where it lies within 10^-40 of a
+    rounding boundary.
+    """
+    if s.n == 1:
+        return [], []
+    phi_x, phi_xx = (row[0] for row in transition(s, 2 * s.n - 1)[1:])
+    q = Polynomial(phi_xx.coefficients[1:])
+    work = digits + 40
+    with localcontext() as ctx:
+        ctx.prec = work
+
+        def at(p, x):
+            acc = Decimal(0)
+            for c in reversed(p.coefficients):
+                acc = acc * x + Decimal(c.numerator) / c.denominator
+            return acc
+
+        dq = q.derivative()
+        lams, bs = [], []
+        for start in float_spectrum_oracle(s):
+            x = Decimal(float(start))
+            for _ in range(200):
+                step = at(q, x) / at(dq, x)
+                x -= step
+                if abs(step) < abs(x) * Decimal(10) ** -(work // 2):
+                    x -= at(q, x) / at(dq, x)  # squares the error
+                    break
+            else:
+                raise ArithmeticError(f"Newton did not settle from {start}")
+            if abs(x - Decimal(float(start))) > abs(x) * Decimal("1e-6"):
+                raise ArithmeticError(f"Newton left {start} for {x}")
+            lams.append(x)
+            bs.append(at(phi_x, x) / at(phi_xx.derivative(), x))
+        if any(b <= a for a, b in zip(lams, lams[1:])):
+            raise ArithmeticError("Newton found a root twice")
+        ctx.prec = digits
+        return [+x for x in lams], [+b for b in bs]
+
+
 # -- the crossing matrices ------------------------------------------------
 
 def reflected(p: Polynomial) -> Polynomial:

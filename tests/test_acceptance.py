@@ -129,7 +129,7 @@ def test_criterion_5_oscillatory_cross_check():
         wd = spectrum(boundary_data(s))
         assert len(floats) == len(wd.eigenvalues)
         for fv, enc in zip(floats, wd.eigenvalues):
-            ev = float(enc.midpoint)
+            ev = float(enc.lo)
             assert abs(fv - ev) <= 1e-9 * abs(ev)
     print("criterion 5: PASS - float eigenvalue reciprocals within 1e-9 "
           "relative; stiffness determinant, path matrix, and total "
@@ -228,10 +228,10 @@ def test_criterion_9_burgers_evolution():
             assert abs(cs.first_moment - c0.first_moment) <= 1e-8 * abs(c0.first_moment)
             for a, b in zip(cs.higher, c0.higher):
                 assert abs(a - b) <= 1e-8 * abs(b)
-        lam0 = [float(e.midpoint) for e in
+        lam0 = [float(e.lo) for e in
                 spectrum(boundary_data(rationalize(state)), 96).eigenvalues]
         for _, st, _ in coarse.samples:
-            lam_t = [float(e.midpoint) for e in
+            lam_t = [float(e.lo) for e in
                      spectrum(boundary_data(rationalize(st)), 96).eigenvalues]
             for a, b in zip(lam_t, lam0):
                 assert abs(a - b) <= 1e-6 * abs(b)

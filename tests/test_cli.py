@@ -1,18 +1,21 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import decimal_spectrum
 
 from cubicstring import burgers, cli, forward
-from cubicstring.burgers import scale_bits
+from cubicstring.burgers import WaveState, scale_bits
 from cubicstring.cli import (
     EVOLVE_SAMPLE_CAP,
     EVOLVE_SPECTRAL_CAP,
@@ -23,9 +26,13 @@ from cubicstring.cli import (
     _spectral_seconds,
     main,
 )
-from cubicstring.forward import MAX_PRECISION_BITS, boundary_data
+from cubicstring.forward import (
+    MAX_PRECISION_BITS,
+    boundary_data,
+    decimal_digits,
+)
 from cubicstring.inverse import random_spectral, recover
-from cubicstring.string_model import CubicString
+from cubicstring.string_model import CubicString, string_from_dict
 
 N2_STRING = {"masses": ["1", "1"], "gaps": ["1"], "anchor": "0"}
 N3_STRING = {"masses": ["1", "2", "1"], "gaps": ["1", "1/2"], "anchor": "0"}
@@ -80,7 +87,8 @@ def test_precision_environment_variable_is_ignored(tmp_path, capsys,
 # forward output pinned byte for byte: N3_STRING has an irrational
 # spectrum (decimal mode), EXACT_N3 the rational spectrum 2, 7/2, and
 # MIXED_N4 the exact eigenvalue 2 between two irrational ones (decimal
-# mode, with 2 and its residue -26/31 printed from point intervals)
+# mode, with 2 and its residue -26/31 printed from point intervals);
+# every decimal is the correctly rounded one of oracles.decimal_spectrum
 MIXED_N4 = {"masses": ["1", "1", "2", "1"], "gaps": ["1/2", "2", "1"],
             "anchor": "0"}
 EXACT_N3 = {"masses": ["10368/216241", "5010906208/2720528021", "1386/12581"],
@@ -135,7 +143,7 @@ GOLDEN_FORWARD = {
   "residues_b": [
     "-0.1560671343593698383",
     "-0.8387096774193548387",
-    "-0.005223188221275322994"
+    "-0.005223188221275322995"
   ],
   "total_mass": "5",
   "precision_bits": 64
@@ -150,7 +158,7 @@ GOLDEN_FORWARD = {
   "residues_b": [
     "-0.15606713435936983829500312351532994153394009025708484756622638003505663156273",
     "-0.83870967741935483870967741935483870967741935483870967741935483870967741935484",
-    "-0.0052231882212753229953194571298313487886405549042054750144187812552659490824318"
+    "-0.0052231882212753229953194571298313487886405549042054750144187812552659490824315"
   ],
   "total_mass": "5",
   "precision_bits": 256
@@ -165,6 +173,41 @@ def test_forward_golden_output(tmp_path, capsys, kind, bits):
     p = write_json(tmp_path / "s.json", doc)
     assert main(["forward", p, "--precision-bits", str(bits)]) == 0
     assert capsys.readouterr().out == GOLDEN_FORWARD[kind, bits]
+
+
+def _assert_correctly_rounded(doc, s):
+    """Every decimal of a forward document is the correctly rounded value
+    of the reference; returns how many were checked."""
+    lams, bs = decimal_spectrum(s, decimal_digits(doc["precision_bits"]))
+    assert [Decimal(x) for x in doc["lambdas"]] == lams
+    assert [Decimal(x) for x in doc["residues_b"]] == bs
+    return len(lams) + len(bs)
+
+
+@pytest.mark.parametrize("kind,bits", [("decimal", 64), ("decimal", 256),
+                                       ("mixed", 64), ("mixed", 256)])
+def test_forward_golden_decimals_are_correctly_rounded(kind, bits):
+    doc = {"decimal": N3_STRING, "mixed": MIXED_N4}[kind]
+    _assert_correctly_rounded(json.loads(GOLDEN_FORWARD[kind, bits]),
+                              string_from_dict(doc))
+
+
+def test_forward_prints_correctly_rounded_decimals(tmp_path, capsys):
+    # random strings of 3 to 8 masses at 64 and 256 bits, against
+    # Newton's method in decimal at 40 more digits
+    rng = random.Random(17)
+    checked = 0
+    for i in range(16):
+        n = rng.randint(3, 8)
+        doc = {key: [f"{rng.randint(1, 9)}/{rng.randint(1, 4)}"
+                     for _ in range(size)]
+               for key, size in (("masses", n), ("gaps", n - 1))}
+        p = write_json(tmp_path / f"s{i}.json", doc)
+        for bits in (64, 256):
+            assert main(["forward", p, "--precision-bits", str(bits)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            checked += _assert_correctly_rounded(out, string_from_dict(doc))
+    assert checked >= 200, checked
 
 
 def _assert_one_line_error(capsys):
@@ -419,9 +462,8 @@ def test_evolve_rk4_step_cap_is_bad_input(tmp_path, capsys):
 
 
 def test_forward_at_6000_bits(tmp_path, capsys):
-    # the boxes are narrower than 1/lead^2, so the exact-root probe tests
-    # one k/lead per eigenvalue; its continued-fraction walk would take
-    # about 2,000 terms here, which once overflowed the stack
+    # 1,806 correctly rounded digits, whose first 16 are those of the
+    # 64-bit run
     p = write_json(tmp_path / "s.json",
                    {"masses": ["1", "2", "3"], "gaps": ["1", "1/2"]})
     assert main(["forward", p, "--precision-bits", "6000"]) == 0
@@ -509,11 +551,12 @@ def test_evolve_sample_cap_is_bad_input(tmp_path, capsys, method):
 
 
 def test_evolve_spectral_work_cap_is_bad_input(tmp_path, capsys):
-    # about 6 hours of work by the estimate, refused at once
-    p = write_json(tmp_path / "n3.json", N3_STRING)
+    # 16 peaks on 5,000 rows: 40 s by the estimate (41.7 s timed),
+    # refused at once
+    p = write_json(tmp_path / "s.json", _cycling_string(16))
     start = time.perf_counter()
-    assert main(["evolve", p, "--method", "spectral", "--t-end", "20000",
-                 "--samples", "10000"]) == 2
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
+                 "--samples", "5000"]) == 2
     assert time.perf_counter() - start < 0.1
     _assert_one_line_error(capsys)
 
@@ -544,21 +587,60 @@ def test_evolve_spectral_leaving_the_float_range_is_one_line(tmp_path,
     assert out.err == "error: the wave leaves the float range at t = 32.0\n"
 
 
-@pytest.mark.parametrize("n,flags", [
-    # e^(M t_end) of 216,408 bits: the one row past t = 0 is estimated
-    # at about 90 s of peel before it leaves the float range
-    (8, ["--t-end", "10000", "--samples", "2"]),
-    # e^(M t_end) of 865,619 bits: over 100 s for the one row past t = 0,
-    # which then leaves the float range
-    (3, ["--t-end", "100000", "--samples", "2"]),
+@pytest.mark.parametrize("n,flags,leaves", [
+    # M t_end = 80,000 on 10^4 rows: priced as if every row were peeled
+    # at e^(M t_end) it came to 20,252 s, yet the last mass underflows
+    # at M t = 373.46 (t = 62.24), so every row is priced below that
+    (3, ["--t-end", "13333.333333333334", "--samples", "10000"],
+     62.67293396006268),
+    # e^(M t_end) of 216,408 and of 865,619 bits on the one row past
+    # t = 0: its last mass underflows, so it is not peeled
+    (8, ["--t-end", "10000", "--samples", "2"], 10000.0),
+    (3, ["--t-end", "100000", "--samples", "2"], 100000.0),
 ])
-def test_evolve_spectral_work_cap_counts_peaks_and_the_flow_factor(
-        tmp_path, capsys, n, flags):
+def test_evolve_spectral_work_cap_prices_rows_that_can_run(
+        tmp_path, capsys, n, flags, leaves):
     p = write_json(tmp_path / "s.json", _cycling_string(n))
     start = time.perf_counter()
-    assert main(["evolve", p, "--method", "spectral", *flags]) == 2
-    assert time.perf_counter() - start < 0.1
+    assert main(["evolve", p, "--method", "spectral", *flags]) == 1
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr()
+    assert out.err == f"error: the wave leaves the float range at t = {leaves}\n"
+
+
+def test_evolve_spectral_last_row_bound(tmp_path, capsys):
+    # masses 1, 2, 3 with unit gaps: the last mass rounds to 0.0 from
+    # M t = 373.46, t = 62.2437, where e^(M t) has 539 bits
+    s = _cycling_string(3)
+    bits = cli._last_sigma_bits(WaveState(0.0, (0.0, 1.0, 2.0),
+                                          (1.0, 2.0, 3.0)))
+    assert bits - 1 < 373.46 / math.log(2) < bits == 539
+    p = write_json(tmp_path / "s.json", s)
+    for t_end, code in (("62.2436", 0), ("62.2438", 1)):
+        assert main(["evolve", p, "--method", "spectral", "--t-end", t_end,
+                     "--samples", "2"]) == code
+    assert capsys.readouterr().err == (
+        "error: the wave leaves the float range at t = 62.2438\n")
+
+
+@pytest.mark.parametrize("samples,triple", [(2000, False), (1500, True)])
+def test_evolve_spectral_work_cap_counts_peaks(tmp_path, capsys, monkeypatch,
+                                               samples, triple):
+    # 24 peaks to M t_end = 960,000: 2,000 rows are over the cap by the
+    # row term alone, and refused before the triple is built; 1,500 rows
+    # are not, but with e^(M t) priced at the 539 bits of the last row
+    # that can run, they are
+    built = []
+    real = cli.boundary_data
+    monkeypatch.setattr(cli, "boundary_data",
+                        lambda s: built.append(s) or real(s))
+    p = write_json(tmp_path / "s.json", _cycling_string(24))
+    start = time.perf_counter()
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "20000",
+                 "--samples", str(samples)]) == 2
+    assert time.perf_counter() - start < 0.5
     _assert_one_line_error(capsys)
+    assert bool(built) == triple
 
 
 # (n, rows, M t_end, seconds the run took) on masses 1, 2, 3, 1, 2, ...
@@ -574,7 +656,8 @@ ADMITTED_RUNS = [
     (16, 200, 31, 1.7), (16, 500, 31, 4.1), (20, 200, 39, 2.5),
     (24, 100, 48, 1.5), (24, 300, 48, 4.8), (24, 1500, 48, 26.0),
     # exit 1: the row past t = 0 leaves the float range, after a peel
-    # of a triple scaled by e^(M t_end)
+    # of a triple scaled by e^(M t_end); these price the peel term, as
+    # the flow now stops before such a peel (see the test above)
     (2, 2, 150000, 1.5), (3, 2, 96000, 2.9), (3, 2, 250000, 21.0),
     (5, 2, 50000, 3.7), (8, 2, 24000, 2.4), (12, 2, 20000, 4.1),
     (24, 2, 8000, 2.8),
@@ -585,7 +668,7 @@ ADMITTED_RUNS = [
 ]
 REFUSED_RUNS = [
     (16, 5000, 31, 41.7), (24, 3000, 48, 48.7),
-    (3, 2, 400000, 52.1),  # exit 1: float range
+    (3, 2, 400000, 52.1),  # exit 1: float range, after the peel
     (3, 2, 600000, None),  # stopped after 100 s
 ]
 

@@ -1,9 +1,8 @@
-"""Sturm isolation: counts, enclosures, exact-root identification, and
-the smallest-denominator search it relies on."""
+"""Sturm isolation: counts, enclosures, and exact-root identification:
+a root is a point exactly when it is rational."""
 
 import math
 import random
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +15,6 @@ from cubicstring.exact import (
     RatInterval,
     cauchy_root_bound,
     refine_enclosure,
-    simplest_rational_between,
     sturm_chain,
     sturm_isolate,
 )
@@ -104,78 +102,40 @@ def test_refine_enclosure_shrinks():
     (r,) = sturm_isolate(p, F(0), F(4), width=F(1, 16))
     r2 = refine_enclosure(p, r, F(1, 2 ** 100))
     assert r2.width <= F(1, 2 ** 100)
-    assert r.lo <= r2.midpoint <= r.hi
-
-
-def test_simplest_rational_between():
-    assert simplest_rational_between(F(1, 3), F(1, 2)) == F(1, 2)
-    assert simplest_rational_between(F(7, 5), F(3, 2)) == F(3, 2)
-    assert simplest_rational_between(F(-1, 2), F(1, 3)) == 0
-    assert simplest_rational_between(F(-5, 2), F(-7, 3)) == F(-5, 2)
-    assert simplest_rational_between(F(2, 7), F(1, 3)) == F(1, 3)
-    # a closed interval includes its endpoints as candidates
-    assert simplest_rational_between(F(113, 36), F(355, 113)) == F(113, 36)
-    # denominator minimality on a randomized family
-    rng = random.Random(1)
-    for _ in range(50):
-        a = F(rng.randint(-50, 50), rng.randint(1, 60))
-        b = a + F(1, rng.randint(1, 10 ** 6))
-        s = simplest_rational_between(a, b)
-        assert a <= s <= b
-        for den in range(1, s.denominator):
-            lo_num = -(-a.numerator * den // a.denominator)  # ceil(a*den)
-            assert lo_num > b * den, (a, b, s, den)
-
-
-def _recursive_simplest(lo, hi):
-    """The recursive form of simplest_rational_between, one call per
-    continued-fraction term: the reference for the loop."""
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo <= 0 <= hi:
-        return F(0)
-    if hi < 0:
-        return -_recursive_simplest(-hi, -lo)
-    n = math.ceil(lo)
-    if n <= hi:
-        return F(n)
-    f = math.floor(lo)
-    return f + 1 / _recursive_simplest(1 / (hi - f), 1 / (lo - f))
-
-
-def test_simplest_rational_loop_matches_the_recursive_form():
-    rng = random.Random(8)
-    for _ in range(400):
-        a = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
-        b = a + F(rng.randint(0, 10 ** 3),
-                  rng.randint(1, 10 ** rng.randint(1, 30)))
-        if rng.random() < 0.5:
-            a, b = b, a
-        assert simplest_rational_between(a, b) == _recursive_simplest(a, b)
-
-
-def test_simplest_rational_between_deep_intervals():
-    # 2,360 continued-fraction terms, past the default recursion limit
-    p = Polynomial([-2, 0, 1])
-    (r,) = sturm_isolate(p, F(0), F(4), width=F(1, 2 ** 6000))
-    s = simplest_rational_between(r.lo, r.hi)
-    assert r.lo <= s <= r.hi and p(s) != 0
-    assert simplest_rational_between(-r.hi, -r.lo) == -s
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10 ** 4)
-    try:
-        assert s == _recursive_simplest(r.lo, r.hi)
-    finally:
-        sys.setrecursionlimit(limit)
+    assert r.lo <= r2.lo and r2.hi <= r.hi
 
 
 def test_close_rational_root_is_still_found():
-    # two roots closer than the default width apart force deep subdivision;
-    # identification needs width below 1/den(root)^2, den(r2) = 3*2^70
+    # two roots 2^-70 apart force deep subdivision; each is found as a
+    # point at a coarse width as at a fine one, the coarse run bisecting
+    # on past the width to the 1/lead, lead = 9 * 2^70, of the test
     r1, r2 = F(1, 3), F(1, 3) + F(1, 2 ** 70)
     p = Polynomial([-r1, 1]) * Polynomial([-r2, 1])
-    roots = sturm_isolate(p, F(0), F(1), width=F(1, 2 ** 150))
-    assert roots == _points(r1, r2)
+    for width in (F(1), F(1, 2 ** 150)):
+        assert sturm_isolate(p, F(0), F(1), width) == _points(r1, r2)
+
+
+def test_a_root_is_a_point_exactly_when_rational_at_any_width():
+    # 355/113 and -7/9 beside -+sqrt 3 and -+sqrt 2, from width 4 down
+    p = poly_product([Polynomial([F(-355, 113), 1]), Polynomial([F(7, 9), 1]),
+                      Polynomial([-2, 0, 1]), Polynomial([-3, 0, 1])])
+    for bits in (-2, 0, 1, 8, 64, 300):
+        width = F(2) ** -bits
+        got = sturm_isolate(p, F(-4), F(4), width)
+        assert [r.width == 0 for r in got] == [False, False, True,
+                                               False, False, True]
+        assert (got[2].lo, got[5].lo) == (F(-7, 9), F(355, 113))
+        assert all(r.width <= width for r in got)
+        assert got == _reference_isolate(p, F(-4), F(4), width)
+
+
+def test_the_sieve_proves_there_is_no_rational_root():
+    # z^2 - 2 has no root mod 3; (z^2 - 2)(z^2 - 17)(z^2 - 34) has one
+    # mod every prime, and 2 z - 1 has the rational root 1/2
+    assert roots_module._no_rational_root([-2, 0, 1])
+    every = poly_product([Polynomial([-k, 0, 1]) for k in (2, 17, 34)])
+    assert not roots_module._no_rational_root(integer_coefficients(every))
+    assert not roots_module._no_rational_root([-1, 2])
 
 
 # -- reference: isolation that refines by Sturm counts at every step -------
@@ -186,7 +146,22 @@ def _v(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _rational_root_in(p, a, b):
+    """The rational root of p in the open (a, b), if there is one, by
+    the rational root theorem: it is some u/v with v dividing the
+    leading coefficient of the primitive integer p."""
+    lead = abs(integer_coefficients(p.primitive())[-1])
+    for v in range(1, lead + 1):
+        if lead % v == 0:
+            for u in range(math.floor(a * v) + 1, math.ceil(b * v)):
+                if p(F(u, v)) == 0:
+                    return F(u, v)
+    return None
+
+
 def _reference_refine(p, chain, a, b, width):
+    """Sturm-count bisection to width; then a point if a rational root
+    lies in the open box."""
     while b - a > width:
         mid = (a + b) / 2
         if p(mid) == 0:
@@ -195,10 +170,8 @@ def _reference_refine(p, chain, a, b, width):
             b = mid
         else:
             a = mid
-    guess = simplest_rational_between(a, b)
-    if a < guess < b and p(guess) == 0:
-        return RatInterval.point(guess)
-    return RatInterval(a, b)
+    root = _rational_root_in(p, a, b)
+    return RatInterval(a, b) if root is None else RatInterval.point(root)
 
 
 def _reference_isolate(p, lo, hi, width):
@@ -218,7 +191,7 @@ def _reference_isolate(p, lo, hi, width):
                 out.append(RatInterval.point(cut))
             stack.append((a, cut))
             stack.append((cut, b))
-    out.sort(key=lambda r: r.midpoint)
+    out.sort(key=lambda r: (r.lo, r.hi))
     return out
 
 
@@ -248,9 +221,9 @@ def test_sign_bisection_matches_sturm_count_bisection():
 
 
 def test_sign_bisection_probes_intervals_already_narrower_than_width():
-    # width 100 stops every bisection at once: the probe alone decides.
-    # (z - 2)(z^2 - 3) on (3/2, 5/2]: the cut 2 is a root, and kept, so
-    # sqrt 3 is boxed by (3/2, 2), whose end 2 the probe must not take
+    # width 100 stops every bisection at once: the candidate test alone
+    # decides.  (z - 2)(z^2 - 3) on (3/2, 5/2]: the cut 2 is a root, and
+    # kept, so sqrt 3 is boxed by (3/2, 2), whose end 2 is not a candidate
     p = Polynomial([-2, 1]) * Polynomial([-3, 0, 1])
     got = sturm_isolate(p, F(3, 2), F(5, 2), width=F(100))
     assert got == [RatInterval(F(3, 2), F(2)), RatInterval.point(F(2))]

@@ -31,7 +31,9 @@ from oracles import (
 from cubicstring.exact import Matrix, Polynomial, RatInterval
 from cubicstring.exact import roots as roots_module
 from cubicstring.forward import (
+    WeylData,
     boundary_data,
+    decimal_string,
     eigenvalue_polynomial,
     gap_step,
     jump_step,
@@ -229,9 +231,28 @@ def test_residues_interval_case_certified():
         assert all(e.width == 0 for e in wd.eigenvalues) == (s.n == 2)
         # the residue sum is the 1/z coefficient of phi_x/phi_xx at
         # infinity, which is the ratio of leading coefficients
-        total = sum(float(b.midpoint) for b in wd.w_residues)
+        total = sum(float(b.lo) for b in wd.w_residues)
         expect = float(wd.phi_x.leading / wd.phi_xx.leading)
         assert abs(total - expect) < 1e-12
+
+
+def test_residues_refine_an_eigenvalue_beside_a_rounding_boundary():
+    # q has the root lam just past 1.5 + 5e-19, where 19 digits round
+    # from ...000 up to ...001, and 4 - lam; phi_x = phi = -phi_xx', so
+    # both residues are -1 and settle at once: the eigenvalue alone sends
+    # the boxes from 80 bits to 160
+    c = F(15000000000000000005, 10 ** 19)
+    lam = c + F(1, 10 ** 40)
+    # the 10^-90 makes the roots irrational
+    q = Polynomial([lam * (4 - lam) + F(1, 10 ** 90), -4, 1])
+    phi_xx = Polynomial([0, *q.coefficients]) * -1
+    wd = WeylData(-phi_xx.derivative(), -phi_xx.derivative(), phi_xx)
+    wd = residues(spectrum(wd, 64), 64)
+    for box, want in zip(wd.eigenvalues, ("1.500000000000000001",
+                                          "2.499999999999999999")):
+        assert decimal_string(box.lo, 19) == decimal_string(box.hi, 19) == want
+        assert F(1, 2 ** 160) >= box.width > F(1, 2 ** 161)
+    assert all(b.lo <= -1 <= b.hi for b in wd.w_residues + wd.z_residues)
 
 
 def test_spectrum_matches_float_oracle_random():
@@ -239,36 +260,45 @@ def test_spectrum_matches_float_oracle_random():
     for _ in range(10):
         s = random_string(rng, rng.randint(2, 6))
         wd = spectrum(boundary_data(s))
-        lams = np.array([float(e.midpoint) for e in wd.eigenvalues])
+        lams = np.array([float(e.lo) for e in wd.eigenvalues])
         oracle = float_spectrum_oracle(s)
         assert np.allclose(lams, oracle, rtol=1e-9, atol=0)
 
 
-def test_exact_root_probe_is_one_candidate_on_narrow_boxes(monkeypatch):
-    # a rational root of the integer q is k/lead; at 256 bits every box
-    # is narrower than 1/lead^2 and holds one such k, so the
-    # continued-fraction probe never runs
-    probes = []
-    real = roots_module.simplest_rational_between
+def test_each_eigenvalue_is_tested_for_rationality_once_at_most(monkeypatch):
+    # a rational root of the integer q is k/lead, and a box no wider than
+    # 1/lead holds one such k: each box is tested once, when it is that
+    # narrow.  At 1 bit the width comes first, and the bisection would go
+    # on for the test, but random strings have no root mod some small
+    # prime, which proves their spectrum irrational: no box is tested
+    tests = []
+    real = roots_module._rational_root
 
-    def spy(lo, hi):
-        probes.append((lo, hi))
-        return real(lo, hi)
+    def spy(*args):
+        tests.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(roots_module, "simplest_rational_between", spy)
+    monkeypatch.setattr(roots_module, "_rational_root", spy)
     rng = random.Random(4)
     for _ in range(10):
         s = random_string(rng, rng.randint(3, 10))
-        wd = residues(spectrum(boundary_data(s), 256), 256)
-        assert all(e.width > 0 for e in wd.eigenvalues)  # irrational
-    assert probes == []
-    # and a rational spectrum is still found exactly, point by point
+        for bits, count in ((256, s.n - 1), (1, 0)):
+            tests.clear()
+            wd = residues(spectrum(boundary_data(s), bits), bits)
+            assert all(e.width > 0 for e in wd.eigenvalues)  # irrational
+            assert len(tests) == count
+    # a rational spectrum is found point by point, one test a root at
+    # most, at any width
     for n in range(2, 9):
         for seed in range(3):
             sd = random_spectral(n, seed)
-            wd = spectrum(boundary_data(recover(sd)), 256)
-            assert wd.eigenvalues == tuple(RatInterval.point(lam)
-                                           for lam in sd.eigenvalues)
+            data = boundary_data(recover(sd))
+            for bits in (1, 64, 256):
+                tests.clear()
+                wd = spectrum(data, bits)
+                assert wd.eigenvalues == tuple(RatInterval.point(lam)
+                                               for lam in sd.eigenvalues)
+                assert len(tests) <= n - 1
 
 
 def test_oscillatory_matrices_frozen():

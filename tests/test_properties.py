@@ -2,8 +2,11 @@
 and against the oracles (the crossing matrices, the per-size minors and
 the closed form of the flow), at sizes up to n = 12."""
 
+import json
 from fractions import Fraction as F
 from itertools import accumulate
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,14 @@ from cubicstring.burgers import (
     rationalize,
     scale_factor,
 )
-from cubicstring.forward import boundary_data, residues, spectrum
+from cubicstring.cli import main
+from cubicstring.forward import (
+    boundary_data,
+    decimal_digits,
+    decimal_string,
+    residues,
+    spectrum,
+)
 from cubicstring.heine import measure_table, random_measure
 from cubicstring.inverse import (
     SpectralData,
@@ -33,9 +43,10 @@ from cubicstring.inverse import (
     peel,
     random_spectral,
     recover_detailed,
+    spectral_to_dict,
     verify_exact_roundtrip,
 )
-from cubicstring.string_model import CubicString, positions
+from cubicstring.string_model import CubicString, positions, string_to_dict
 
 MAX_N = 12
 positive = st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4)
@@ -74,13 +85,34 @@ def test_forward_map_inverts_recover(sd):
     assert recover(again) == s
 
 
+@settings(max_examples=30)
+@given(st.integers(2, 10), st.integers(0, 10 ** 6), st.sampled_from((1, 8, 64)))
+def test_recovered_strings_print_exact_at_any_bits(n, seed, bits):
+    # every eigenvalue of a recovered string is rational, so forward
+    # prints the spectral data back exactly, however few the bits
+    sd = random_spectral(n, seed)
+    with TemporaryDirectory() as folder:
+        src, out = Path(folder, "s.json"), Path(folder, "out.json")
+        src.write_text(json.dumps(string_to_dict(recover(sd))),
+                       encoding="utf-8")
+        assert main(["forward", str(src), "-o", str(out),
+                     "--precision-bits", str(bits)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8")) == \
+            spectral_to_dict(sd)
+
+
 @settings(max_examples=40)
 @given(strings(), st.integers(1, 64))
 def test_isolation_agrees_with_the_float_oracle(s, bits):
     # n - 1 sorted, disjoint boxes no wider than 2^-bits, each holding
     # the eigenvalue of the float oscillatory route, widened by 1e-9
-    # relative; every residue certified negative
+    # relative; every residue certified negative; every box and slope
+    # residue has one decimal at the digits the bits print
     wd = residues(spectrum(boundary_data(s), bits), bits)
+    digits = decimal_digits(bits)
+    for box in wd.eigenvalues + wd.w_residues:
+        assert (decimal_string(box.lo, digits)
+                == decimal_string(box.hi, digits))
     boxes = wd.eigenvalues
     assert len(boxes) == s.n - 1
     for a, b in zip(boxes, boxes[1:]):
