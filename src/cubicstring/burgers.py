@@ -348,8 +348,22 @@ def _flow_row(wd: WeylData, total_mass: Fraction, first_moment: Fraction,
     cell provably rounds to the double of the flow state at time t; the
     anchor a solves sum m_k (offset_k + a) = M+.  A mass that underflows
     to zero or a position that overflows is the flow leaving the float
-    range."""
+    range.
+
+    Every factor is at least 2^(scale_bits - 5).  The 8-digit e^(M t)
+    that scale_bits reads is at least 10^a, a its decimal exponent, and
+    its log is within 5e-8 (|M t| + 1) of M t, as is each factor's; so
+    log2 sigma >= a log2 10 - 1.5e-7 (|M t| + 1) >= scale_bits - 5
+    wherever e^(M t) is in the decimal range, |M t| < 2.4e6.  When that
+    bound alone puts sigma^2 past last_scale, the first factor would
+    stop the row, and no factor is built.
+    """
+    out_of_range = FlowOutOfRangeError(
+        f"the wave leaves the float range at t = {t}")
     last = last_scale(wd, total_mass)
+    if (2 * (scale_bits(total_mass, elapsed) - 5)
+            >= last.numerator.bit_length() - last.denominator.bit_length() + 1):
+        raise out_of_range
     for sigma, r in scale_factor(total_mass, elapsed):
         if sigma * sigma >= last:  # no peel: the last mass is 0.0
             break
@@ -369,7 +383,7 @@ def _flow_row(wd: WeylData, total_mass: Fraction, first_moment: Fraction,
         raise PrecisionExhaustedError(
             f"could not certify the row at t = {t} with {FLOW_MAX_DIGITS} "
             f"digits of e^(M t)")
-    raise FlowOutOfRangeError(f"the wave leaves the float range at t = {t}")
+    raise out_of_range
 
 
 def evolve_spectral_exact(

@@ -48,6 +48,7 @@ from .forward import (
     decimal_digits,
     decimal_string,
     eigenvalue_polynomial,
+    partial_triples,
     residues,
     resolve_precision_bits,
     spectrum,
@@ -116,37 +117,52 @@ def _last_sigma_bits(state: WaveState) -> int:
     return (x.numerator.bit_length() - x.denominator.bit_length() + 2) // 2
 
 
-def _forward_seconds(n: int, operand_bits: int, q_bits: int,
-                     bits: int) -> float:
-    """Estimated seconds of a forward run on a shared 2-vCPU VM (README,
-    "forward"): the boundary data from n and the operand bits of the
-    input (a term fitted when it was built twice); then the n - 1
-    eigenvalues, bisected over B = bits (at least 64) steps, and the
-    Sturm chain and residues on the integer q = phi_xx/z of Q = q_bits
-    bits.  The B Q term was fitted when the grid carried q's bits too;
-    it no longer does, so runs with a large Q are over-estimated.  With
-    q_bits = 0 it is a lower bound."""
+def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
+    """Estimated seconds of a forward run past its boundary data on a
+    shared 2-vCPU VM (README, "forward"): the n - 1 eigenvalues,
+    bisected over B = bits (at least 64) steps, and the Sturm chain and
+    residues on the integer q = phi_xx/z of Q = q_bits bits.  The B Q
+    term was fitted when the grid carried q's bits too; it no longer
+    does, so runs with a large Q are over-estimated.  With q_bits = 0 it
+    is a lower bound."""
     d, b, q = n - 1, max(bits, 64), q_bits
-    boundary = 2.6e-12 * (n * operand_bits) ** 2 + 6e-7 * n ** 3
-    return (boundary + 5.3e-11 * d ** 3 * b ** 2.4
+    return (5.3e-11 * d ** 3 * b ** 2.4
             + 8.3e-10 * d ** 2.6 * q ** 1.4 * b + 1.2e-9 * d ** 3.5 * q ** 1.75)
 
 
+def _crossing_seconds(k: int, operand_bits: int) -> float:
+    """Estimated seconds of the crossing step that makes the boundary
+    triple of the first k masses, on operands of the given bits: the
+    largest coefficient of the triple it steps, plus the gap and the
+    mass it crosses (README, "forward")."""
+    return 3.5e-5 * k + 2e-12 * k * operand_bits ** 2
+
+
+def _bits(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
 def _refuse_forward_over_cap(s, bits: int) -> WeylData:
-    """The boundary data of s, which forward isolates; a ValueError,
-    before any isolation, for a run estimated at over FORWARD_CAP
-    seconds.  The data is built only when the bound without it is under
-    the cap."""
-    operand_bits = sum(x.numerator.bit_length() + x.denominator.bit_length()
-                       for x in s.masses + s.gaps)
+    """The boundary data of s, which forward isolates; a ValueError, as
+    soon as the run is estimated at over FORWARD_CAP seconds.  Each
+    crossing step is priced from the triple built so far before it is
+    made, so the data of strings that cancel, as recovered strings do,
+    is priced by what it carries, and no step past the cap is made."""
+    operand_bits = sum(_bits(x) for x in s.masses + s.gaps)
     over = ValueError(f"forward on {s.n} masses of {operand_bits} operand "
                       f"bits at {bits} bits is over the work cap")
-    if _forward_seconds(s.n, operand_bits, 0, bits) > FORWARD_CAP:
-        raise over
-    wd = boundary_data(s)
+    built = 0.0
+    for k, triple in enumerate(partial_triples(s), 1):
+        if k < s.n:
+            largest = max(_bits(c) for p in triple for c in p.coefficients)
+            built += _crossing_seconds(k + 1, largest + _bits(s.gaps[k - 1])
+                                       + _bits(s.masses[k]))
+        if built + _forward_seconds(s.n, 0, bits) > FORWARD_CAP:
+            raise over
+    wd = WeylData(*triple)
     q = eigenvalue_polynomial(wd).primitive()
     q_bits = max(abs(c).bit_length() for c in integer_coefficients(q))
-    if _forward_seconds(s.n, operand_bits, q_bits, bits) > FORWARD_CAP:
+    if built + _forward_seconds(s.n, q_bits, bits) > FORWARD_CAP:
         raise over
     return wd
 

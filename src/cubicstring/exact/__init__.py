@@ -2,7 +2,7 @@
 algebra, Sturm root isolation, and rational interval arithmetic."""
 
 from .interval import RatInterval, eval_interval
-from .linalg import Matrix, det_exact, leading_minors, solve_exact
+from .linalg import Matrix, bordered_minors, det_exact, solve_exact
 from .poly import Polynomial
 from .rational import format_rational, parse_rational, parse_rational_list
 from .roots import (
@@ -16,11 +16,11 @@ __all__ = [
     "Matrix",
     "Polynomial",
     "RatInterval",
+    "bordered_minors",
     "cauchy_root_bound",
     "det_exact",
     "eval_interval",
     "format_rational",
-    "leading_minors",
     "parse_rational",
     "parse_rational_list",
     "refine_enclosure",

@@ -3,11 +3,13 @@
 Matrix is a thin immutable wrapper around a tuple of row tuples of
 Fraction entries.
 
-det_exact, leading_minors and solve_exact clear denominators row by row
-and then run the fraction-free Bareiss elimination on integers, so every
-intermediate value is a minor of the scaled matrix and coefficient
+det_exact, bordered_minors and solve_exact clear denominators row by
+row and then run the fraction-free Bareiss elimination on integers, so
+every intermediate value is a minor of the scaled matrix and coefficient
 growth stays polynomial.  Without row swaps the k-th pivot is the
-leading minor of size k + 1, so leading_minors reads the whole sequence
+leading minor of size k + 1, and the entries row k keeps in the columns
+past the eliminated block are the same minor with its last column
+swapped for each of them, so bordered_minors reads all of these minors
 off one elimination.  solve_exact back-substitutes with Fractions and
 verifies the candidate solution by substitution before returning it.
 """
@@ -109,25 +111,36 @@ def det_exact(m: Matrix) -> Fraction:
     return Fraction(sign * pivots[-1], prod(scales))
 
 
-def leading_minors(m: Matrix) -> tuple[Fraction, ...]:
-    """Determinants of the leading k x k blocks of m, for k = 0..n.
+def bordered_minors(m: Matrix, borders: int) -> tuple[tuple, tuple]:
+    """Leading minors of an n x (n + borders) matrix, and each row's
+    border minors, from one elimination of its leading n x n block.
 
-    Bareiss elimination with no row swaps: the pivot of step k over the
-    product of the first k + 1 row scales is the minor of size k + 1.
-    A zero pivot makes that minor 0 and stops the elimination; each
-    larger minor is then det_exact of its own leading block.
+    Returns (minors, border): minors[k] = det m[0:k, 0:k] for k = 0..n,
+    and border[k][c] is the determinant of rows 0..k of m, in columns
+    0..k-1 and then border column n + c, for k = 0..n-1.  Bareiss
+    elimination with no row swaps leaves exactly these values in row k:
+    its pivot and its border entries, over the product of the first
+    k + 1 row scales.  A zero pivot makes that minor 0 and stops the
+    elimination; each later minor and border minor is then det_exact of
+    its own block.  With no borders this is the leading-minor sequence.
     """
     n = m.nrows
-    if n != m.ncols:
-        raise NonSquareError("leading minors of a non-square matrix")
+    if n and m.ncols != n + borders:
+        raise NonSquareError("leading block of a bordered matrix not square")
     rows, scales = _integer_rows(m)
-    out, scale = [Fraction(1)], 1
-    for pivot, row_scale in zip(_bareiss(rows, n, swap=False)[0], scales):
-        scale *= row_scale
-        out.append(Fraction(pivot, scale))
-    for k in range(len(out), n + 1):
-        out.append(det_exact(Matrix([r[:k] for r in m.rows[:k]])))
-    return tuple(out)
+    pivots, _ = _bareiss(rows, n, swap=False)
+    minors, border, scale = [Fraction(1)], [], 1
+    for k, pivot in enumerate(pivots):
+        scale *= scales[k]
+        minors.append(Fraction(pivot, scale))
+        border.append(tuple(Fraction(e, scale) for e in rows[k][n:]))
+    for k in range(len(pivots), n):
+        block = m.rows[:k + 1]
+        minors.append(det_exact(Matrix([r[:k + 1] for r in block])))
+        border.append(tuple(det_exact(Matrix([r[:k] + (r[n + c],)
+                                              for r in block]))
+                            for c in range(borders)))
+    return tuple(minors), tuple(border)
 
 
 def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:

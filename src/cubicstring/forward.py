@@ -106,14 +106,24 @@ def gap_step(triple: tuple, gap: Fraction) -> tuple:
             phi_xx)
 
 
-def boundary_data(s: CubicString) -> WeylData:
-    """Boundary polynomials: first column of the full crossing matrix,
-    stepped from (1, 0, 0) across mass 1, gap 1, ..., mass n."""
-    validate(s)
-    start = (Polynomial.one(), Polynomial.zero(), Polynomial.zero())
-    triple = jump_step(start, s.masses[0])
+def partial_triples(s: CubicString):
+    """The boundary triples of the first k masses, k = 1..n, stepped from
+    (1, 0, 0) across mass 1, gap 1, ..., mass n; each step is made only
+    when the next triple is asked for."""
+    triple = jump_step((Polynomial.one(), Polynomial.zero(),
+                        Polynomial.zero()), s.masses[0])
+    yield triple
     for gap, mass in zip(s.gaps, s.masses[1:]):
         triple = jump_step(gap_step(triple, gap), mass)
+        yield triple
+
+
+def boundary_data(s: CubicString) -> WeylData:
+    """Boundary polynomials: first column of the full crossing matrix,
+    the last of the partial triples."""
+    validate(s)
+    for triple in partial_triples(s):
+        pass
     return WeylData(*triple)
 
 

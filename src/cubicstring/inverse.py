@@ -11,7 +11,11 @@ are forced by the reflection symmetry of the Weyl functions:
 Everything downstream is built from the moments beta_j = sum b lam^j
 and the symmetric pair table
 
-    I_ij = sum_{a,b} b_a b_b lam_a^i lam_b^j / (lam_a + lam_b).
+    I_ij = sum_{a,b} b_a b_b lam_a^i lam_b^j / (lam_a + lam_b),
+
+which has the rank-one displacement I_(i+1)j + I_i(j+1) = beta_i beta_j
+(lam_a + lam_b cancels) and the first column I_i0 = -sum c_k lam_k^i;
+the two fix it, so it costs O(N^2) products at order N.
 
 Six families of minors of that table drive the closed-form recovery;
 they are named here by the block they cut out of the pair table:
@@ -23,9 +27,17 @@ they are named here by the block they cut out of the pair table:
     beta_shifted[k]  det [beta_0..beta_{k-1} | I[1:k+1, 0:k-1]]
     beta_inner[k]    det [beta_0..beta_{k-1} | I[1:k+1, 1:k]]
 
-Each family is the leading-minor sequence of its largest block, so one
-fraction-free elimination of that block (exact.leading_minors) reads
-off every size at once.
+Two fraction-free eliminations of table rows 1..N, with border columns
+(exact.bordered_minors), read off four families at every size: columns
+1..N bordered by column 0 and by beta give inner as pivots, shifted
+and beta_inner as borders; columns 0..N-1 bordered by beta give shifted
+again, as a check, and beta_shifted.  The corner minors follow by
+Desnanot-Jacobi on the symmetric table,
+
+    corner[k+1] inner[k-1] = inner[k] corner[k] - shifted[k]^2,
+
+and, a determinant being linear in its first column,
+mass_corner[k] = corner[k] + inner[k-1] / (2M).
 
 The string is rebuilt by peeling the crossing factors off the boundary
 triple (phi, phi_x, phi_xx) that the data fixes: each jump hands back
@@ -53,9 +65,9 @@ from .errors import (
 from .exact import (
     Matrix,
     Polynomial,
-    det_exact,  # unused here; perfbench/tracing.py wraps inverse.det_exact
+    bordered_minors,
+    det_exact,
     format_rational,
-    leading_minors,
     parse_rational,
     parse_rational_list,
     solve_exact,
@@ -122,30 +134,39 @@ def bimoments(sd: SpectralData, max_order: int) -> BimomentTable:
                               max_order)
 
 
-def table_from_support(lams, bs, total_mass, max_order: int) -> BimomentTable:
+def table_from_support(lams, bs, total_mass, max_order: int,
+                       z_residues=None) -> BimomentTable:
     """Moments and pair table of an arbitrary weighted point set; no sign
-    constraints are imposed (the constrained entry point is bimoments)."""
+    constraints are imposed (the constrained entry point is bimoments).
+    `z_residues`, when given, are the value residues of the point set.
+
+    The table is fixed by its first column and a rank-one displacement:
+    I_(i+1)j + I_i(j+1) = beta_i beta_j, as lam_a + lam_b cancels, and
+    I_i0 = -gamma_i with gamma_i = sum c_a lam_a^i.  Each antidiagonal
+    i + j = s steps from I_s0 by I_i(j+1) = beta_i beta_j - I_(i+1)j, so
+    moments up to order 2 max_order build the table in O(max_order^2).
+    """
     lams = tuple(Fraction(x) for x in lams)
     bs = tuple(Fraction(x) for x in bs)
-    orders = range(max_order + 1)
-    powers = [[lam ** j for j in orders] for lam in lams]
-    beta = tuple(sum((b * pw[j] for b, pw in zip(bs, powers)), Fraction(0))
-                 for j in orders)
-    # I_ij = sum_a lam_a^i u_aj  with  u_aj = sum_b K_ab lam_b^j  and the
-    # kernel K_ab = b_a b_b / (lam_a + lam_b): O(n^3), not O(n^4)
-    kernel = [[ba * bb / (la + lb) for lb, bb in zip(lams, bs)]
-              for la, ba in zip(lams, bs)]
-    u = [[sum((k * pw[j] for k, pw in zip(row, powers)), Fraction(0))
-          for j in orders] for row in kernel]
-    table = []
-    for i in orders:
-        table.append([table[j][i] if j < i  # symmetry
-                      else sum((pw[i] * ua[j] for pw, ua in zip(powers, u)),
-                               Fraction(0))
-                      for j in orders])
-    return BimomentTable(Fraction(total_mass), beta,
-                         tuple(tuple(r) for r in table),
-                         value_residues(lams, bs))
+    cs = value_residues(lams, bs) if z_residues is None else z_residues
+    orders = range(2 * max_order + 1)
+    beta, gamma = [Fraction(0)] * len(orders), [Fraction(0)] * len(orders)
+    for lam, b, c in zip(lams, bs, cs):
+        for j in orders:
+            beta[j] += b
+            gamma[j] += c
+            b *= lam
+            c *= lam
+    table = [[Fraction(0)] * (max_order + 1) for _ in range(max_order + 1)]
+    for s in orders:
+        entry = -gamma[s]
+        for j in range(s // 2 + 1):
+            if j:
+                entry = beta[s - j] * beta[j - 1] - entry
+            if s - j <= max_order:
+                table[s - j][j] = table[j][s - j] = entry
+    return BimomentTable(Fraction(total_mass), tuple(beta[:max_order + 1]),
+                         tuple(tuple(r) for r in table), tuple(cs))
 
 
 # -- minors of the pair table ------------------------------------------
@@ -186,20 +207,47 @@ class MomentMinors:
 
 def moment_minors(bt: BimomentTable) -> MomentMinors:
     """All minors the table can support: corner families one size past
-    the table order, the rest up to the order itself; one elimination
-    of the largest block per family."""
-    top = bt.max_order + 1
+    the table order, the rest up to the order itself, from two bordered
+    eliminations of table rows 1..N, N the order.
 
-    def family(size, row, col, first=None):
-        return leading_minors(_block(bt, size - 1, row, col, first))
+    E1 eliminates columns 1..N: its pivots are inner, and row k's
+    borders, column 0 and beta_(i-1), are (-1)^k shifted[k+1] and
+    (-1)^k beta_inner[k+1].  E2 eliminates columns 0..N-1: its pivots
+    are shifted again, checked against E1, and row k's beta border is
+    (-1)^k beta_shifted[k+1].  Desnanot-Jacobi on the symmetric table
+    gives corner[k+1] inner[k-1] = inner[k] corner[k] - shifted[k]^2,
+    and linearity in the first column mass_corner[k] = corner[k] +
+    inner[k-1] / (2M).  A corner whose inner[k-1] is 0 is det_exact of
+    its block.
+    """
+    t, beta, order = bt.pair_table, bt.moments, bt.max_order
+    rows = range(1, order + 1)
 
+    def signed(border, c):
+        return (Fraction(1),) + tuple(-v[c] if k % 2 else v[c]
+                                      for k, v in enumerate(border))
+
+    inner, e1 = bordered_minors(
+        Matrix([t[i][1:] + (t[i][0], beta[i - 1]) for i in rows]), 2)
+    shifted, e2 = bordered_minors(
+        Matrix([t[i][:order] + (beta[i - 1],) for i in rows]), 1)
+    if signed(e1, 0) != shifted:
+        raise IdentityViolatedError(
+            "shifted minors of the two eliminations disagree")
+    corner = [Fraction(1), t[0][0]]
+    for k in range(1, order + 1):
+        corner.append((inner[k] * corner[k] - shifted[k] ** 2) / inner[k - 1]
+                      if inner[k - 1] else
+                      det_exact(Matrix([r[:k + 1] for r in t[:k + 1]])))
+    atom = 1 / (2 * bt.total_mass)
     return MomentMinors(
-        mass_corner=family(top + 1, 0, 1, _augmented_column(bt)),
-        corner=family(top + 1, 0, 0),
-        inner=family(top, 1, 1),
-        shifted=family(top, 1, 0),
-        beta_shifted=family(top, 1, 0, bt.moments),
-        beta_inner=family(top, 1, 1, bt.moments),
+        mass_corner=(Fraction(1),) + tuple(
+            c + atom * i for c, i in zip(corner[1:], inner)),
+        corner=tuple(corner),
+        inner=inner,
+        shifted=shifted,
+        beta_shifted=signed(e2, 0),
+        beta_inner=signed(e1, 1),
     )
 
 
@@ -370,16 +418,24 @@ def peel(triple: tuple) -> CubicString:
     return CubicString(tuple(reversed(masses)), tuple(reversed(gaps)))
 
 
-def recover(sd: SpectralData) -> CubicString:
-    """Inverse map, anchored at zero: peels the boundary triple the data
-    fixes, the curvature polynomial phi_xx with phi_x = phi_xx W and
-    phi = phi_xx Z, polynomials since phi_xx vanishes at every pole."""
+def _boundary_triple(sd: SpectralData) -> tuple[tuple, tuple]:
+    """The boundary triple (phi, phi_x, phi_xx) that validated data fixes,
+    and the value residues c_k it used: the curvature polynomial phi_xx,
+    with phi_x = phi_xx W and phi = phi_xx Z, polynomials since phi_xx
+    vanishes at every pole."""
     validate_spectral(sd)
+    cs = z_residues_of(sd)
     phi_xx = curvature_polynomial(sd)
     phi_x = _polynomial_part(phi_xx, sd.eigenvalues, sd.residues)
     phi = _polynomial_part(phi_xx, *_value_measure(
-        sd.eigenvalues, z_residues_of(sd), sd.total_mass))
-    return peel((phi, phi_x, phi_xx))
+        sd.eigenvalues, cs, sd.total_mass))
+    return (phi, phi_x, phi_xx), cs
+
+
+def recover(sd: SpectralData) -> CubicString:
+    """Inverse map, anchored at zero: peels the boundary triple the data
+    fixes."""
+    return peel(_boundary_triple(sd)[0])
 
 
 def recover_detailed(sd: SpectralData) -> RecoveryReport:
@@ -391,9 +447,11 @@ def recover_detailed(sd: SpectralData) -> RecoveryReport:
     to disagree in general); the gap also gets its determinant form,
     enforced.
     """
-    s = recover(sd)
+    triple, cs = _boundary_triple(sd)
+    s = peel(triple)
     n = sd.n
-    minors = moment_minors(bimoments(sd, n - 1))
+    minors = moment_minors(table_from_support(
+        sd.eigenvalues, sd.residues, sd.total_mass, n - 1, cs))
     rows = []
     for k in range(n):
         mass = s.masses[n - k - 1]
@@ -429,15 +487,16 @@ def verify_exact_roundtrip(sd: SpectralData) -> CubicString:
     """
     from .forward import boundary_data
 
-    s = recover(sd)
+    triple, cs = _boundary_triple(sd)
+    s = peel(triple)
     if sum(s.masses, Fraction(0)) != sd.total_mass:
         raise IdentityViolatedError("masses do not sum to the total mass")
     wd = boundary_data(s)
-    if wd.phi_xx != curvature_polynomial(sd):
+    if wd.phi_xx != triple[2]:
         raise IdentityViolatedError(
             "curvature polynomial is not -2Mz prod(1 - z/lambda)")
     da = wd.phi_xx.derivative()
-    for lam, b, c in zip(sd.eigenvalues, sd.residues, z_residues_of(sd)):
+    for lam, b, c in zip(sd.eigenvalues, sd.residues, cs):
         if wd.phi_xx(lam) != 0:
             raise IdentityViolatedError(f"{lam} is not an eigenvalue")
         if wd.phi_x(lam) != b * da(lam):

@@ -12,7 +12,8 @@ differs, else 1.
 The list covers `forward` at 1, 8, 64 and 256 bits on random strings,
 on strings recovered from random spectral data (rational spectra) and
 on mixed strings (rational and irrational eigenvalues side by side);
-`invert` with and without the determinant audit; `roundtrip`;
+`invert` with and without the determinant audit, on spectra of n = 2
+to 20; `roundtrip`;
 `evolve` by both routes, out of range included; `verify`; and the
 error paths of each subcommand.
 """
@@ -77,7 +78,7 @@ def write_inputs(folder: Path) -> list[list[str]]:
     calls += [["forward", s] for s in strings[:2]]
 
     spectra = [put(f"spectral{n}.json", spectral_to_dict(random_spectral(n, n)))
-               for n in (2, 4, 7, 10)]
+               for n in (2, 4, 7, 10, 14, 20)]
     calls += [["invert", s, *flag] for s in spectra
               for flag in ([], ["--report-determinants"])]
     calls += [["roundtrip", "--n", str(n), "--seed", str(n)]
@@ -97,6 +98,8 @@ def write_inputs(folder: Path) -> list[list[str]]:
                   "--samples", "11"])
     calls.append(["evolve", waves[0], "--method", "spectral", "--t-end",
                   "2000", "--samples", "2"])
+    calls.append(["evolve", waves[0], "--method", "spectral", "--t-end",
+                  "383333", "--samples", "2"])
     calls += [["verify", "--suite", "heine", "--support", str(s),
                "--k-max", str(k), "--seed", str(s + k)]
               for s, k in ((1, 2), (3, 3), (4, 2))]

@@ -20,9 +20,11 @@ the cofactor determinant.  These read the two Weyl functions as exact
 ratios of polynomials (weyl_fractions); the runtime needs only their
 products with the curvature polynomial.
 
-The six minor families of the pair table by one det_exact per block
-size, each block written out from its definition; the runtime reads
-each family off one elimination instead.  And the isospectral flow in
+The pair table through the kernel b_a b_b / (lam_a + lam_b), the
+runtime's route before it stepped the rank-one displacement.  The six
+minor families of the pair table by one det_exact per block size, each
+block written out from its definition; the runtime reads them off two
+bordered eliminations instead.  And the isospectral flow in
 closed form: the string recover returns for residues scaled by sigma,
 read off the t = 0 minors.
 """
@@ -458,7 +460,23 @@ def recurrence_sequences(s: CubicString) -> tuple[dict, dict, dict]:
     return out[0], out[1], out[2]
 
 
-# -- the pair-table minors and the flow -----------------------------------
+# -- the pair table, its minors and the flow -------------------------------
+
+def pair_table_by_kernel(lams, bs, max_order: int) -> tuple[tuple, ...]:
+    """The pair table I_ij, 0 <= i, j <= max_order, of the weights bs at
+    the points lams: I_ij = sum_a lam_a^i u_aj with u_aj = sum_b K_ab
+    lam_b^j and the kernel K_ab = b_a b_b / (lam_a + lam_b)."""
+    lams = tuple(Fraction(x) for x in lams)
+    bs = tuple(Fraction(x) for x in bs)
+    orders = range(max_order + 1)
+    powers = [[lam ** j for j in orders] for lam in lams]
+    kernel = [[ba * bb / (la + lb) for lb, bb in zip(lams, bs)]
+              for la, ba in zip(lams, bs)]
+    u = [[sum((k * pw[j] for k, pw in zip(row, powers)), Fraction(0))
+          for j in orders] for row in kernel]
+    return tuple(tuple(sum((pw[i] * ua[j] for pw, ua in zip(powers, u)),
+                           Fraction(0)) for j in orders) for i in orders)
+
 
 def moment_minors_by_blocks(bt: BimomentTable) -> MomentMinors:
     """The six families of inverse.moment_minors, one det_exact per size.

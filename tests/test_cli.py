@@ -28,11 +28,14 @@ from cubicstring.cli import (
 )
 from cubicstring.forward import (
     MAX_PRECISION_BITS,
-    boundary_data,
     decimal_digits,
 )
-from cubicstring.inverse import random_spectral, recover
-from cubicstring.string_model import CubicString, string_from_dict
+from cubicstring.inverse import random_spectral, recover, spectral_to_dict
+from cubicstring.string_model import (
+    CubicString,
+    string_from_dict,
+    string_to_dict,
+)
 
 N2_STRING = {"masses": ["1", "1"], "gaps": ["1"], "anchor": "0"}
 N3_STRING = {"masses": ["1", "2", "1"], "gaps": ["1", "1/2"], "anchor": "0"}
@@ -608,6 +611,20 @@ def test_evolve_spectral_work_cap_prices_rows_that_can_run(
     assert out.err == f"error: the wave leaves the float range at t = {leaves}\n"
 
 
+def test_evolve_spectral_far_out_of_range_builds_no_factor(tmp_path,
+                                                          capsys):
+    # masses 1, 2, 3 to M t = 2.3 million: e^(M t) has 3.3 million bits,
+    # and the bits alone put its square past the last row's bound, so the
+    # row exits 1 before the factor is built (it took 1 s when it was)
+    p = write_json(tmp_path / "s.json", _cycling_string(3))
+    start = time.perf_counter()
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "383333",
+                 "--samples", "2"]) == 1
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err == (
+        "error: the wave leaves the float range at t = 383333.0\n")
+
+
 def test_evolve_spectral_last_row_bound(tmp_path, capsys):
     # masses 1, 2, 3 with unit gaps: the last mass rounds to 0.0 from
     # M t = 373.46, t = 62.2437, where e^(M t) has 539 bits
@@ -712,8 +729,10 @@ FORWARD_TIMED_RUNS = [
 
 
 def test_forward_estimate_against_timed_runs():
-    for n, s_bits, q_bits, bits, seconds in FORWARD_TIMED_RUNS:
-        estimate = _forward_seconds(n, s_bits, q_bits, bits)
+    # the boundary data of these runs took under a second; it is priced
+    # step by step as it is built (test below)
+    for n, _, q_bits, bits, seconds in FORWARD_TIMED_RUNS:
+        estimate = _forward_seconds(n, q_bits, bits)
         if seconds is None:
             assert estimate > FORWARD_CAP
         else:
@@ -754,7 +773,36 @@ def test_forward_work_cap_admits_the_benchmark_shapes():
                               for key in ("masses", "gaps")))
         for s in (small, recover(random_spectral(n, n))):
             _refuse_forward_over_cap(s, 256)
-    assert _forward_seconds(4, 46472, 33199, 256) < FORWARD_CAP
+    assert _forward_seconds(4, 33199, 256) < FORWARD_CAP
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_forward_work_cap_prices_the_data_it_builds(tmp_path, capsys, n):
+    # strings recovered from spectral data carry ratios of minors, some
+    # 400,000 operand bits at n = 24, yet their crossings cancel to a
+    # triple of 2,000-bit coefficients: about a second of work, which
+    # priced as if the operands were random came to over 250 s
+    p = write_json(tmp_path / "s.json",
+                   string_to_dict(recover(random_spectral(n, n))))
+    assert main(["forward", p, "--precision-bits", "256"]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        spectral_to_dict(random_spectral(n, n))
+
+
+def test_forward_work_cap_stops_the_crossing_it_prices(tmp_path, capsys,
+                                                      monkeypatch):
+    # random operands do not cancel: with the cap at 0.05 s the crossing
+    # of 300-digit ratios stops before its last steps are made
+    steps = []
+    real = forward.jump_step
+    monkeypatch.setattr(forward, "jump_step",
+                        lambda t, m: steps.append(m) or real(t, m))
+    monkeypatch.setattr(cli, "FORWARD_CAP", 0.05)
+    p = write_json(tmp_path / "s.json",
+                   _ratio_string(random.Random(3), 12, 300))
+    assert main(["forward", p, "--precision-bits", "64"]) == 2
+    assert 1 < len(steps) < 12
+    _assert_one_line_error(capsys)
 
 
 def test_forward_reads_back_integers_over_4300_digits(tmp_path, capsys):
@@ -818,17 +866,15 @@ def test_fuzzed_flags_are_bad_input(tmp_path, capsys, argv):
 
 def test_forward_builds_the_boundary_data_once(tmp_path, capsys,
                                                monkeypatch):
+    # one crossing step per mass: the data the cap prices is the data
+    # forward isolates
     calls = []
-
-    def counted(s):
-        calls.append(s)
-        return boundary_data(s)
-
-    monkeypatch.setattr(cli, "boundary_data", counted)
-    monkeypatch.setattr(forward, "boundary_data", counted)
+    real = forward.jump_step
+    monkeypatch.setattr(forward, "jump_step",
+                        lambda t, m: calls.append(m) or real(t, m))
     for doc in (N3_STRING, MIXED_N4):
         assert main(["forward", write_json(tmp_path / "s.json", doc)]) == 0
-        assert len(calls) == 1
+        assert len(calls) == len(doc["masses"])
         calls.clear()
     capsys.readouterr()
 

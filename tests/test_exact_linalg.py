@@ -1,6 +1,7 @@
-"""Exact linear algebra: Bareiss determinant, leading minors and solve,
-cross-checked against an independent cofactor-expansion oracle on
-random matrices."""
+"""Exact linear algebra: Bareiss determinant, leading and bordered
+minors and solve, cross-checked against an independent
+cofactor-expansion oracle and per-block determinants on random
+matrices."""
 
 import random
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ import pytest
 from oracles import det_cofactor
 
 from cubicstring.errors import NonSquareError, SingularMatrixError
-from cubicstring.exact import Matrix, det_exact, leading_minors, solve_exact
+from cubicstring.exact import Matrix, bordered_minors, det_exact, solve_exact
 
 
 def random_matrix(rng, n, scale=9):
@@ -83,6 +84,12 @@ def test_empty_determinant_is_one():
     assert det_cofactor(()) == 1
 
 
+def leading_minors(m):
+    """The leading minors of a square m: bordered_minors with no borders."""
+    minors, border = bordered_minors(m, 0)
+    assert border == ((),) * m.nrows
+    return minors
+
 
 def test_leading_minors_go_on_past_a_zero_pivot():
     m = Matrix([[F(0), F(1)], [F(1), F(0)]])
@@ -104,10 +111,58 @@ def test_leading_minors_match_determinants_of_leading_blocks():
                 for k in range(n + 1))
 
 
+def bordered_by_blocks(m, borders):
+    """Leading minors and border minors of an n x (n + borders) matrix,
+    one det_exact per block."""
+    n = m.nrows
+    minors = tuple(det_exact(Matrix([r[:k] for r in m.rows[:k]]))
+                   for k in range(n + 1))
+    border = tuple(tuple(det_exact(Matrix([r[:k] + (r[n + c],)
+                                           for r in m.rows[:k + 1]]))
+                         for c in range(borders))
+                   for k in range(n))
+    return minors, border
+
+
+def test_border_minors_match_determinants_of_bordered_blocks():
+    rng = random.Random(17)
+    for n in (1, 2, 3, 5, 8):
+        for borders in (1, 2, 3):
+            for _ in range(5):
+                m = Matrix([[F(rng.randint(-9, 9), rng.randint(1, 4))
+                             for _ in range(n + borders)] for _ in range(n)])
+                assert bordered_minors(m, borders) == \
+                    bordered_by_blocks(m, borders)
+
+
+def test_border_minors_go_on_past_a_zero_pivot():
+    # the leading 2 x 2 block is singular, so elimination stops at its
+    # pivot; the third row's minors come from their own blocks
+    m = Matrix([[F(1), F(2), F(3), F(1), F(0)],
+                [F(2), F(4), F(1), F(2), F(1, 2)],
+                [F(3), F(5), F(7), F(-1), F(2)]])
+    minors, border = bordered_minors(m, 2)
+    assert minors[2] == 0 and minors[3] != 0
+    assert border[2] != (0, 0)
+    assert (minors, border) == bordered_by_blocks(m, 2)
+    # random singular leading blocks: a repeated first row
+    rng = random.Random(19)
+    for n in (2, 3, 5):
+        for _ in range(5):
+            rows = [[F(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(n + 2)] for _ in range(n)]
+            rows[1][:2] = rows[0][:2]
+            m = Matrix(rows)
+            assert bordered_minors(m, 2) == bordered_by_blocks(m, 2)
+
+
 def test_leading_minors_of_the_empty_matrix():
     assert leading_minors(Matrix(())) == (F(1),)
+    assert bordered_minors(Matrix(()), 2) == ((F(1),), ())
 
 
 def test_leading_minors_non_square_rejected():
     with pytest.raises(NonSquareError):
         leading_minors(Matrix([[F(1), F(2)]]))
+    with pytest.raises(NonSquareError):
+        bordered_minors(Matrix([[F(1), F(2)]]), 2)

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     chain_index,
+    moment_minors_by_blocks,
     recurrence_sequences,
     transition,
     verify_approximant,
@@ -355,6 +356,39 @@ def test_recover_needs_no_determinant(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == string_to_dict(s)
     with pytest.raises(AssertionError, match="determinant route"):
         recover_detailed(sd)
+
+
+# signed weights whose pair tables lose a pivot inside the support.  At
+# the mixed-sign points (-5, 2, 3) these weights make I_11 = inner[1]
+# vanish, the first pivot of the elimination of columns 1..N; weights
+# summing to zero make shifted[1] = I_10 = beta_0^2 / 2 vanish, the
+# first pivot of the elimination of columns 0..N-1
+ZERO_PIVOT_TABLES = [
+    ("inner", (-5, 2, 3), (-3, 20, 3)),
+    ("shifted", (1, 2, 4), (1, 2, -3)),
+]
+
+
+@pytest.mark.parametrize("family,lams,bs", ZERO_PIVOT_TABLES)
+def test_moment_minors_past_a_zero_pivot_inside_the_support(
+        monkeypatch, family, lams, bs):
+    calls = []
+    det_exact = linalg.det_exact
+
+    def counting(m):
+        calls.append(m.nrows)
+        return det_exact(m)
+
+    monkeypatch.setattr(linalg, "det_exact", counting)
+    monkeypatch.setattr(inverse, "det_exact", counting)
+    bt = table_from_support(lams, bs, F(3, 2), 4)
+    mm = moment_minors(bt)
+    minors = getattr(mm, family)
+    # zero at size 1, nonzero through the support of 3, zero past it
+    assert minors[1] == 0 and 0 not in minors[2:4] and minors[4] == 0
+    assert calls
+    monkeypatch.undo()
+    assert mm == moment_minors_by_blocks(bt)
 
 
 def test_pair_table_matches_the_double_sum():

@@ -1,6 +1,7 @@
 """Differential property tests: the runtime routes against each other
-and against the oracles (the crossing matrices, the per-size minors and
-the closed form of the flow), at sizes up to n = 12."""
+and against the oracles (the crossing matrices, the kernel pair table,
+the per-size minors and the closed form of the flow), at sizes up to
+n = 12, and n = 16 for the minors."""
 
 import json
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from oracles import (
     float_spectrum_oracle,
     flow_closed_form,
     moment_minors_by_blocks,
+    pair_table_by_kernel,
     transition,
 )
 
@@ -44,6 +46,7 @@ from cubicstring.inverse import (
     random_spectral,
     recover_detailed,
     spectral_to_dict,
+    table_from_support,
     verify_exact_roundtrip,
 )
 from cubicstring.string_model import CubicString, positions, string_to_dict
@@ -138,9 +141,43 @@ def test_boundary_data_is_column_zero_of_the_crossing(s):
 
 
 @settings(max_examples=20)
-@given(spectral_data())
+@given(spectral_data(max_n=16))
 def test_moment_minors_match_the_per_size_route(sd):
     bt = bimoments(sd, sd.n - 1)
+    assert moment_minors(bt) == moment_minors_by_blocks(bt)
+
+
+signed = st.fractions(min_value=-8, max_value=8, max_denominator=4).filter(
+    lambda w: w != 0)
+
+
+@st.composite
+def signed_weights(draw, max_support=6):
+    """Distinct positive points with nonzero weights of either sign."""
+    support = draw(st.integers(1, max_support))
+    gaps = draw(st.lists(positive, min_size=support, max_size=support))
+    return (tuple(accumulate(gaps)),
+            tuple(draw(st.lists(signed, min_size=support,
+                                max_size=support))))
+
+
+@settings(max_examples=40)
+@given(signed_weights(), st.integers(0, 3))
+def test_displacement_table_is_the_kernel_table(weights, extra):
+    # max_order runs up to three past the support, where the table's
+    # blocks are singular
+    lams, bs = weights
+    order = len(lams) - 1 + extra
+    bt = table_from_support(lams, bs, F(1), order)
+    assert bt.pair_table == pair_table_by_kernel(lams, bs, order)
+    assert bt.moments == tuple(sum((b * lam ** j for lam, b in zip(lams, bs)),
+                                   F(0)) for j in range(order + 1))
+
+
+@settings(max_examples=20)
+@given(signed_weights(max_support=4), st.integers(0, 2))
+def test_moment_minors_on_signed_weights(weights, extra):
+    bt = table_from_support(*weights, F(3, 2), len(weights[0]) - 1 + extra)
     assert moment_minors(bt) == moment_minors_by_blocks(bt)
 
 
