@@ -40,6 +40,7 @@ from .burgers import (
 )
 from .errors import CubicStringError
 from .exact import format_rational
+from .exact.rational import content_free
 from .exact.roots import integer_coefficients
 from .forward import (
     DEFAULT_PRECISION_BITS,
@@ -89,9 +90,16 @@ EVOLVE_SAMPLE_CAP = 10 ** 4
 EVOLVE_SPECTRAL_CAP = 30
 
 # forward refuses runs estimated (_forward_seconds) at more than this,
-# the spectral evolve's budget: 24 timed runs took 0.77 to 1.3 times
+# the spectral evolve's budget: 36 timed runs took 0.40 to 1.59 times
 # their estimate (README, "forward")
 FORWARD_CAP = 30
+
+# invert refuses runs estimated (_invert_seconds, plus _audit_seconds
+# with --report-determinants) at more than this, the same budget: 31
+# timed runs took 0.37 to 1.53 times their estimate, and audits of data
+# whose denominators share small factors, as random_spectral's do,
+# about 0.12 times (README, "invert")
+INVERT_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 18 s, n = 52 29 s
 # and n = 56 44 s on a shared 2-vCPU VM, so the cap is about 23 s of work
@@ -120,14 +128,12 @@ def _last_sigma_bits(state: WaveState) -> int:
 def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
     """Estimated seconds of a forward run past its boundary data on a
     shared 2-vCPU VM (README, "forward"): the n - 1 eigenvalues,
-    bisected over B = bits (at least 64) steps, and the Sturm chain and
-    residues on the integer q = phi_xx/z of Q = q_bits bits.  The B Q
-    term was fitted when the grid carried q's bits too; it no longer
-    does, so runs with a large Q are over-estimated.  With q_bits = 0 it
-    is a lower bound."""
+    bisected over B = bits (at least 64) steps and refined until they
+    round, and the Sturm chain and residues on the integer q = phi_xx/z
+    of Q = q_bits bits.  With q_bits = 0 it is a lower bound."""
     d, b, q = n - 1, max(bits, 64), q_bits
-    return (5.3e-11 * d ** 3 * b ** 2.4
-            + 8.3e-10 * d ** 2.6 * q ** 1.4 * b + 1.2e-9 * d ** 3.5 * q ** 1.75)
+    return 1.3e-8 * d ** 3 * b ** 1.8 + 2.9e-11 * d ** 4 * q ** 1.75 \
+        + 5.1e-10 * q ** 1.4 * b
 
 
 def _crossing_seconds(k: int, operand_bits: int) -> float:
@@ -136,6 +142,21 @@ def _crossing_seconds(k: int, operand_bits: int) -> float:
     largest coefficient of the triple it steps, plus the gap and the
     mass it crosses (README, "forward")."""
     return 3.5e-5 * k + 2e-12 * k * operand_bits ** 2
+
+
+def _invert_seconds(n: int, operand_bits: int) -> float:
+    """Estimated seconds of invert on spectral data for n masses whose
+    eigenvalues, residues and total mass carry S = operand_bits bits, on
+    a shared 2-vCPU VM (README, "invert"): the boundary triple and its
+    peel, 2.3e-12 n^4.3 S^2."""
+    return 2.3e-12 * n ** 4.3 * operand_bits ** 2
+
+
+def _audit_seconds(n: int, operand_bits: int) -> float:
+    """Estimated seconds --report-determinants adds to invert on the same
+    data (README, "invert"): the pair table of order n - 1 and its two
+    bordered eliminations, 2.4e-13 n^6.2 S^2."""
+    return 2.4e-13 * n ** 6.2 * operand_bits ** 2
 
 
 def _bits(x: Fraction) -> int:
@@ -151,17 +172,17 @@ def _refuse_forward_over_cap(s, bits: int) -> WeylData:
     operand_bits = sum(_bits(x) for x in s.masses + s.gaps)
     over = ValueError(f"forward on {s.n} masses of {operand_bits} operand "
                       f"bits at {bits} bits is over the work cap")
-    built = 0.0
+    built, isolation = 0.0, _forward_seconds(s.n, 0, bits)
     for k, triple in enumerate(partial_triples(s), 1):
         if k < s.n:
             largest = max(_bits(c) for p in triple for c in p.coefficients)
             built += _crossing_seconds(k + 1, largest + _bits(s.gaps[k - 1])
                                        + _bits(s.masses[k]))
-        if built + _forward_seconds(s.n, 0, bits) > FORWARD_CAP:
+        if built + isolation > FORWARD_CAP:
             raise over
     wd = WeylData(*triple)
-    q = eigenvalue_polynomial(wd).primitive()
-    q_bits = max(abs(c).bit_length() for c in integer_coefficients(q))
+    q = content_free(integer_coefficients(eigenvalue_polynomial(wd)))
+    q_bits = max(abs(c).bit_length() for c in q)
     if built + _forward_seconds(s.n, q_bits, bits) > FORWARD_CAP:
         raise over
     return wd
@@ -216,6 +237,14 @@ def _run_invert(ns: argparse.Namespace) -> int:
         raise ValueError("inversion needs exact rational spectral data; "
                          "this file carries decimal approximations")
     sd = spectral_from_dict(doc)
+    operand_bits = sum(_bits(x) for x in (*sd.eigenvalues, *sd.residues,
+                                          sd.total_mass))
+    seconds = _invert_seconds(sd.n, operand_bits)
+    if ns.report_determinants:
+        seconds += _audit_seconds(sd.n, operand_bits)
+    if seconds > INVERT_CAP:
+        raise ValueError(f"invert on {sd.n - 1} eigenvalues of {operand_bits} "
+                         f"operand bits is over the work cap")
     if ns.report_determinants:
         out = recover_detailed(sd).to_dict()
     else:
@@ -293,8 +322,6 @@ def _csv_text(traj: Trajectory) -> str:
 
 
 def _run_verify(ns: argparse.Namespace) -> int:
-    if ns.suite != "heine":
-        raise ValueError(f"unknown suite: {ns.suite}")
     if ns.support < 1 or ns.k_max < 1:
         raise ValueError(f"--support and --k-max must be at least 1, "
                          f"got {ns.support} and {ns.k_max}")

@@ -17,10 +17,11 @@ verifies the candidate solution by substitution before returning it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from ..errors import NonSquareError, SingularMatrixError
+from .rational import over_common_denominator
 
 
 class Matrix:
@@ -64,10 +65,10 @@ def _integer_rows(m: Matrix, rhs: Sequence[Fraction] | None = None):
     returns the rows and the scales."""
     out, scales = [], []
     for i, row in enumerate(m.rows):
-        entries = list(row) + ([rhs[i]] if rhs is not None else [])
-        scale = lcm(*(e.denominator for e in entries)) if entries else 1
+        ints, scale = over_common_denominator(
+            row + ((rhs[i],) if rhs is not None else ()))
+        out.append(ints)
         scales.append(scale)
-        out.append([e.numerator * (scale // e.denominator) for e in entries])
     return out, scales
 
 

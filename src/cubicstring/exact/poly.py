@@ -9,7 +9,6 @@ here ever touches floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -160,39 +159,6 @@ class Polynomial:
         for j in range(d - 1, 0, -1):
             out[j - 1] = self._coeffs[j] + lam * out[j]
         return Polynomial(out)
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dq = len(rem) - len(other._coeffs)
-        if dq < 0:
-            return Polynomial.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.leading
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree] * inv_lead
-            quot[i] = c
-            if c:
-                for j, oc in enumerate(other._coeffs):
-                    rem[i + j] -= c * oc
-        return Polynomial(quot), Polynomial(rem[: max(other.degree, 0)])
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def primitive(self) -> "Polynomial":
-        """Divide out the positive rational content; signs are preserved."""
-        if self.is_zero():
-            return self
-        num = 0
-        den = 1
-        for c in self._coeffs:
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return self * Fraction(den, num)
 
     def __repr__(self) -> str:
         if self.is_zero():

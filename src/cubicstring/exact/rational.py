@@ -1,4 +1,5 @@
-"""Strict parsing and formatting of rationals for file formats.
+"""Strict parsing and formatting of rationals for file formats, and the
+two scalings that take the exact kernel from rationals to integers.
 
 The wire form is base-10 "p" or "p/q" in ASCII digits, with an optional
 leading minus and q > 0.  This is deliberately narrower than Fraction's
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Sequence
 
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
@@ -41,3 +44,17 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den) with xs[i] = nums[i] / den, den the lcm of the
+    denominators (1 for no values)."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def content_free(ints: Sequence[int]) -> list[int]:
+    """ints divided by their positive gcd; signs are kept, and zeros
+    stay zeros."""
+    g = gcd(*ints) or 1
+    return [c // g for c in ints]

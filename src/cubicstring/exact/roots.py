@@ -1,13 +1,17 @@
 """Real root isolation with Sturm chains, on one integer grid.
 
 The chain is the classical one: p0 = p, p1 = p', p_{i+1} = -(p_{i-1} mod
-p_i), each member divided by its positive content.  V(a) - V(b), V(x)
-the sign changes along the chain, counts the distinct real roots in
-(a, b], also where a or b is a root.  The last member is gcd(p, p') up
-to a constant, so a chain that ends above degree 0 marks a repeated
+p_i), each member divided by its positive content.  It is built on
+integer coefficient lists: the remainder is the pseudo-remainder, which
+scales p_{i-1} by |lead p_i|^(deg p_{i-1} - deg p_i + 1), a positive
+factor, so once the content is divided out each member is the one the
+rational division gives, with the same signs everywhere.  V(a) - V(b),
+V(x) the sign changes along the chain, counts the distinct real roots
+in (a, b], also where a or b is a root.  The last member is gcd(p, p')
+up to a constant, so a chain that ends above degree 0 marks a repeated
 root, and isolation refuses it.
 
-Isolation scales the chain to integers once and writes (lo, hi) as
+Isolation takes the chain's integer coefficients and writes (lo, hi) as
 integer numerators over one shared denominator, which each halving
 doubles: every cut is the rational (lo + hi) / 2, and every sign a
 homogeneous integer Horner, sum c_i num^i den^(deg-i), with no gcd.
@@ -30,27 +34,42 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 
 from ..errors import IdentityViolatedError, NotSquarefreeError
 from .interval import RatInterval
 from .poly import Polynomial
+from .rational import content_free, over_common_denominator
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p.primitive(), p.derivative().primitive()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
-        if r.is_zero():
+    chain = [content_free(integer_coefficients(q))
+             for q in (p, p.derivative())]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append((-r).primitive())
-    return chain
+        chain.append(content_free([-c for c in r]))
+    return [Polynomial(q) for q in chain]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of a mod b, for deg a >= deg b: each step
+    scales a by |lead b| and cancels its top term."""
+    a, scale, sign = list(a), abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) >= len(b):
+        c, shift = a.pop() * sign, len(a) - len(b) + 1
+        if c:
+            a = [x * scale for x in a]
+            for j, bj in enumerate(b[:-1]):
+                a[shift + j] -= c * bj
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def integer_coefficients(p: Polynomial) -> list[int]:
     """Coefficients of a positive integer multiple of p, low degree first."""
-    den = lcm(*(c.denominator for c in p.coefficients))
-    return [c.numerator * (den // c.denominator) for c in p.coefficients]
+    return over_common_denominator(p.coefficients)[0]
 
 
 def sign_at(coeffs: list[int], num: int, den: int) -> int:
@@ -108,13 +127,6 @@ def _no_rational_root(coeffs: list[int]) -> bool:
     return False
 
 
-def _grid(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """(a, b, den) with lo = a/den and hi = b/den."""
-    den = lcm(lo.denominator, hi.denominator)
-    return (lo.numerator * (den // lo.denominator),
-            hi.numerator * (den // hi.denominator), den)
-
-
 def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
                   width: Fraction) -> list[RatInterval]:
     """Isolate every root of p in (lo, hi], one interval per root.
@@ -132,7 +144,7 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     if lo >= hi:
         raise ValueError("empty interval")
     coeffs = chain[0]
-    a, b, den = _grid(lo, hi)
+    (a, b), den = over_common_denominator((lo, hi))
     if sign_at(coeffs, a, den) == 0 or sign_at(coeffs, b, den) == 0:
         raise IdentityViolatedError("endpoints must not be roots")
     out: list[RatInterval] = []
@@ -170,8 +182,9 @@ def refine_enclosure(p: Polynomial, box: RatInterval,
     """
     if box.width <= width:
         return box
-    return _bisect_by_sign(integer_coefficients(p.primitive()),
-                           *_grid(box.lo, box.hi), width, 0)
+    (a, b), den = over_common_denominator((box.lo, box.hi))
+    return _bisect_by_sign(content_free(integer_coefficients(p)), a, b, den,
+                           width, 0)
 
 
 def _rational_root(coeffs: list[int], lead: int, a: int, b: int,

@@ -11,7 +11,9 @@ differs, else 1.
 
 The list covers `forward` at 1, 8, 64 and 256 bits on random strings,
 on strings recovered from random spectral data (rational spectra) and
-on mixed strings (rational and irrational eigenvalues side by side);
+on mixed strings (rational and irrational eigenvalues side by side),
+and at 64 and 256 bits on strings of large operands (4 masses of
+300-digit ratios, 6 of 100-digit ratios);
 `invert` with and without the determinant audit, on spectra of n = 2
 to 20; `roundtrip`;
 `evolve` by both routes, out of range included; `verify`; and the
@@ -56,6 +58,14 @@ def _random_string(rng: Random, n: int) -> dict:
             for key, size in (("masses", n), ("gaps", n - 1))}
 
 
+def _ratio_string(rng: Random, n: int, digits: int) -> dict:
+    def ratio():
+        return "/".join(str(rng.randrange(10 ** (digits - 1), 10 ** digits))
+                        for _ in range(2))
+    return {"masses": [ratio() for _ in range(n)],
+            "gaps": [ratio() for _ in range(n - 1)]}
+
+
 def write_inputs(folder: Path) -> list[list[str]]:
     """Write the input files into folder; return the calls that read
     them, each an argv for the `cubicstring` command."""
@@ -76,6 +86,10 @@ def write_inputs(folder: Path) -> list[list[str]]:
     calls = [["forward", s, "--precision-bits", str(bits)]
              for s in strings for bits in (1, 8, 64, 256)]
     calls += [["forward", s] for s in strings[:2]]
+    large = [put(f"large{n}.json", _ratio_string(Random(n), n, digits))
+             for n, digits in ((4, 300), (6, 100))]
+    calls += [["forward", s, "--precision-bits", str(bits)]
+              for s in large for bits in (64, 256)]
 
     spectra = [put(f"spectral{n}.json", spectral_to_dict(random_spectral(n, n)))
                for n in (2, 4, 7, 10, 14, 20)]

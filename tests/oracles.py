@@ -20,6 +20,9 @@ the cofactor determinant.  These read the two Weyl functions as exact
 ratios of polynomials (weyl_fractions); the runtime needs only their
 products with the curvature polynomial.
 
+The Sturm chain by long division over the rationals, the runtime's
+route before it took pseudo-remainders of integer lists.
+
 The pair table through the kernel b_a b_b / (lam_a + lam_b), the
 runtime's route before it stepped the rank-one displacement.  The six
 minor families of the pair table by one det_exact per block size, each
@@ -34,6 +37,7 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -240,6 +244,45 @@ def decimal_spectrum(s: CubicString, digits: int) -> tuple[list, list]:
             raise ArithmeticError("Newton found a root twice")
         ctx.prec = digits
         return [+x for x in lams], [+b for b in bs]
+
+
+# -- the Sturm chain by rational division ---------------------------------
+
+def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial,
+                                                        Polynomial]:
+    """(q, r) with a = q b + r and deg r < deg b, by long division over
+    the rationals."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, db = list(a.coefficients), b.degree
+    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + db] / b.leading
+        for j, bj in enumerate(b.coefficients):
+            rem[i + j] -= c * bj
+    return Polynomial(quot), Polynomial(rem[:db])
+
+
+def primitive(p: Polynomial) -> Polynomial:
+    """p divided by its positive rational content."""
+    if p.is_zero():
+        return p
+    num, den = 0, 1
+    for c in p.coefficients:
+        num, den = gcd(num, c.numerator), lcm(den, c.denominator)
+    return p * Fraction(den, num)
+
+
+def sturm_chain_by_division(p: Polynomial) -> list[Polynomial]:
+    """p, p' and each -(p_{i-1} mod p_i), all divided by their positive
+    content, until a remainder is 0 or a member is a constant."""
+    chain = [primitive(p), primitive(p.derivative())]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        r = poly_divmod(chain[-2], chain[-1])[1]
+        if r.is_zero():
+            break
+        chain.append(primitive(-r))
+    return chain
 
 
 # -- the crossing matrices ------------------------------------------------

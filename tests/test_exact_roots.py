@@ -19,6 +19,7 @@ from cubicstring.exact import (
     sturm_isolate,
 )
 from cubicstring.exact import roots as roots_module
+from cubicstring.exact.rational import content_free
 from cubicstring.exact.roots import (
     integer_coefficients,
     sign_at,
@@ -150,7 +151,7 @@ def _rational_root_in(p, a, b):
     """The rational root of p in the open (a, b), if there is one, by
     the rational root theorem: it is some u/v with v dividing the
     leading coefficient of the primitive integer p."""
-    lead = abs(integer_coefficients(p.primitive())[-1])
+    lead = abs(content_free(integer_coefficients(p))[-1])
     for v in range(1, lead + 1):
         if lead % v == 0:
             for u in range(math.floor(a * v) + 1, math.ceil(b * v)):

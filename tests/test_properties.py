@@ -1,9 +1,10 @@
 """Differential property tests: the runtime routes against each other
 and against the oracles (the crossing matrices, the kernel pair table,
-the per-size minors and the closed form of the flow), at sizes up to
-n = 12, and n = 16 for the minors."""
+the per-size minors, the closed form of the flow and the Sturm chain by
+division), at sizes up to n = 12, and n = 16 for the minors."""
 
 import json
+import sys
 from fractions import Fraction as F
 from itertools import accumulate
 from pathlib import Path
@@ -16,6 +17,7 @@ from oracles import (
     flow_closed_form,
     moment_minors_by_blocks,
     pair_table_by_kernel,
+    sturm_chain_by_division,
     transition,
 )
 
@@ -29,10 +31,12 @@ from cubicstring.burgers import (
     scale_factor,
 )
 from cubicstring.cli import main
+from cubicstring.exact import Polynomial, sturm_chain
 from cubicstring.forward import (
     boundary_data,
     decimal_digits,
     decimal_string,
+    eigenvalue_polynomial,
     residues,
     spectrum,
 )
@@ -49,7 +53,12 @@ from cubicstring.inverse import (
     table_from_support,
     verify_exact_roundtrip,
 )
-from cubicstring.string_model import CubicString, positions, string_to_dict
+from cubicstring.string_model import (
+    CubicString,
+    positions,
+    string_from_dict,
+    string_to_dict,
+)
 
 MAX_N = 12
 positive = st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4)
@@ -124,6 +133,51 @@ def test_isolation_agrees_with_the_float_oracle(s, bits):
         assert box.width <= F(1, 2 ** bits)
         assert float(box.lo) * (1 - 1e-9) <= lam <= float(box.hi) * (1 + 1e-9)
     assert all(r.is_negative() for r in wd.w_residues + wd.z_residues)
+
+
+coefficients = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+nonzero_polys = st.lists(coefficients, min_size=1, max_size=7).map(
+    Polynomial).filter(bool)
+factors = st.lists(coefficients, min_size=2, max_size=4).map(
+    Polynomial).filter(lambda f: f.degree >= 1)
+
+
+@settings(max_examples=200)
+@given(st.lists(coefficients, min_size=1, max_size=13).map(Polynomial))
+def test_sturm_chain_is_the_division_chain(p):
+    # degrees 0 to 12 (and the zero polynomial), leading coefficients of
+    # either sign
+    assert sturm_chain(p) == sturm_chain_by_division(p)
+
+
+@settings(max_examples=100)
+@given(nonzero_polys, factors)
+def test_sturm_chain_of_a_square_factor(p, f):
+    # p f^2, of degree up to 12: the chain ends at gcd(p, p'), which f
+    # divides, so above degree 0
+    p = p * f * f
+    chain = sturm_chain(p)
+    assert chain == sturm_chain_by_division(p)
+    assert chain[-1].degree >= f.degree
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_sturm_chain_of_the_benchmark_strings(seed):
+    # the irrational and the recovered string of each forward-ladder rung
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    with TemporaryDirectory() as tmp:
+        rungs = workloads.build("forward-ladder", seed, Path(tmp))
+        for rung in rungs:
+            for _, path in rung.calls:
+                doc = json.loads(Path(path).read_text(encoding="utf-8"))
+                q = eigenvalue_polynomial(boundary_data(string_from_dict(doc)))
+                assert sturm_chain(q) == sturm_chain_by_division(q)
 
 
 @settings(max_examples=30)
