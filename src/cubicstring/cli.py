@@ -84,22 +84,13 @@ VERIFY_K_MAX = 10
 # seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
-# and spectral runs estimated (_spectral_seconds) at more than this many
-# seconds: 29 timed runs took 0.80 to 1.27 times their estimate, so the
-# cap admits about 24 to 38 s of work (README, "evolve")
-EVOLVE_SPECTRAL_CAP = 30
-
-# forward refuses runs estimated (_forward_seconds) at more than this,
-# the spectral evolve's budget: 36 timed runs took 0.40 to 1.59 times
-# their estimate (README, "forward")
-FORWARD_CAP = 30
-
-# invert refuses runs estimated (_invert_seconds, plus _audit_seconds
-# with --report-determinants) at more than this, the same budget: 31
-# timed runs took 0.37 to 1.53 times their estimate, and audits of data
-# whose denominators share small factors, as random_spectral's do,
-# about 0.12 times (README, "invert")
-INVERT_CAP = 30
+# spectral evolve, forward and invert refuse runs estimated at more than
+# this many seconds, before the work: timed runs took 0.80 to 1.27 times
+# their estimate for evolve (29 runs, _spectral_seconds), 0.68 to 1.45
+# for forward (38, _forward_seconds) and 0.66 to 1.26 for invert (35,
+# _invert_seconds plus _audit_seconds with --report-determinants)
+# (README, "evolve", "forward" and "invert")
+WORK_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 18 s, n = 52 29 s
 # and n = 56 44 s on a shared 2-vCPU VM, so the cap is about 23 s of work
@@ -132,8 +123,8 @@ def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
     round, and the Sturm chain and residues on the integer q = phi_xx/z
     of Q = q_bits bits.  With q_bits = 0 it is a lower bound."""
     d, b, q = n - 1, max(bits, 64), q_bits
-    return 1.3e-8 * d ** 3 * b ** 1.8 + 2.9e-11 * d ** 4 * q ** 1.75 \
-        + 5.1e-10 * q ** 1.4 * b
+    return 2.9e-9 * d ** 2.8 * b ** 2 + 9.9e-11 * d ** 4 * q ** 1.65 \
+        + 3e-10 * q ** 1.4 * b ** 1.1
 
 
 def _crossing_seconds(k: int, operand_bits: int) -> float:
@@ -144,19 +135,21 @@ def _crossing_seconds(k: int, operand_bits: int) -> float:
     return 3.5e-5 * k + 2e-12 * k * operand_bits ** 2
 
 
-def _invert_seconds(n: int, operand_bits: int) -> float:
+def _invert_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
     """Estimated seconds of invert on spectral data for n masses whose
-    eigenvalues, residues and total mass carry S = operand_bits bits, on
-    a shared 2-vCPU VM (README, "invert"): the boundary triple and its
-    peel, 2.3e-12 n^4.3 S^2."""
-    return 2.3e-12 * n ** 4.3 * operand_bits ** 2
+    eigenvalues, residues and total mass carry S = operand_bits bits,
+    and the lcm of their denominators L = lcm_bits, on a shared 2-vCPU
+    VM (README, "invert"): the boundary triple and its peel,
+    1.1e-12 n^4.5 (S + 2 L)^1.9.  Data whose denominators share factors
+    has a small L and peels faster than random ratios of its size."""
+    return 1.1e-12 * n ** 4.5 * (operand_bits + 2 * lcm_bits) ** 1.9
 
 
-def _audit_seconds(n: int, operand_bits: int) -> float:
+def _audit_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
     """Estimated seconds --report-determinants adds to invert on the same
     data (README, "invert"): the pair table of order n - 1 and its two
-    bordered eliminations, 2.4e-13 n^6.2 S^2."""
-    return 2.4e-13 * n ** 6.2 * operand_bits ** 2
+    bordered eliminations, 1.8e-14 n^6.5 (S + 8 L)^1.9."""
+    return 1.8e-14 * n ** 6.5 * (operand_bits + 8 * lcm_bits) ** 1.9
 
 
 def _bits(x: Fraction) -> int:
@@ -165,7 +158,7 @@ def _bits(x: Fraction) -> int:
 
 def _refuse_forward_over_cap(s, bits: int) -> WeylData:
     """The boundary data of s, which forward isolates; a ValueError, as
-    soon as the run is estimated at over FORWARD_CAP seconds.  Each
+    soon as the run is estimated at over WORK_CAP seconds.  Each
     crossing step is priced from the triple built so far before it is
     made, so the data of strings that cancel, as recovered strings do,
     is priced by what it carries, and no step past the cap is made."""
@@ -178,12 +171,12 @@ def _refuse_forward_over_cap(s, bits: int) -> WeylData:
             largest = max(_bits(c) for p in triple for c in p.coefficients)
             built += _crossing_seconds(k + 1, largest + _bits(s.gaps[k - 1])
                                        + _bits(s.masses[k]))
-        if built + isolation > FORWARD_CAP:
+        if built + isolation > WORK_CAP:
             raise over
     wd = WeylData(*triple)
     q = content_free(integer_coefficients(eigenvalue_polynomial(wd)))
     q_bits = max(abs(c).bit_length() for c in q)
-    if built + _forward_seconds(s.n, q_bits, bits) > FORWARD_CAP:
+    if built + _forward_seconds(s.n, q_bits, bits) > WORK_CAP:
         raise over
     return wd
 
@@ -237,12 +230,18 @@ def _run_invert(ns: argparse.Namespace) -> int:
         raise ValueError("inversion needs exact rational spectral data; "
                          "this file carries decimal approximations")
     sd = spectral_from_dict(doc)
-    operand_bits = sum(_bits(x) for x in (*sd.eigenvalues, *sd.residues,
-                                          sd.total_mass))
-    seconds = _invert_seconds(sd.n, operand_bits)
-    if ns.report_determinants:
-        seconds += _audit_seconds(sd.n, operand_bits)
-    if seconds > INVERT_CAP:
+    values = (*sd.eigenvalues, *sd.residues, sd.total_mass)
+    operand_bits = sum(_bits(x) for x in values)
+
+    def seconds(lcm_bits: int) -> float:
+        return _invert_seconds(sd.n, operand_bits, lcm_bits) + (
+            _audit_seconds(sd.n, operand_bits, lcm_bits)
+            if ns.report_determinants else 0)
+
+    # the bound with L = 0 first, so no lcm of a large input is taken
+    if (seconds(0) > WORK_CAP or seconds(
+            math.lcm(*(x.denominator for x in values)).bit_length())
+            > WORK_CAP):
         raise ValueError(f"invert on {sd.n - 1} eigenvalues of {operand_bits} "
                          f"operand bits is over the work cap")
     if ns.report_determinants:
@@ -291,12 +290,12 @@ def _run_evolve(ns: argparse.Namespace) -> int:
                           f"--t-end {ns.t_end} is over the spectral work cap")
         # the triple that bounds sigma is built only when the rows alone
         # are under the cap
-        if _spectral_seconds(s.n, ns.samples, 0) > EVOLVE_SPECTRAL_CAP:
+        if _spectral_seconds(s.n, ns.samples, 0) > WORK_CAP:
             raise over
         if s.n > 1:
             sigma_bits = min(sigma_bits, _last_sigma_bits(state))
         if _spectral_seconds(s.n, ns.samples,
-                             sigma_bits) > EVOLVE_SPECTRAL_CAP:
+                             sigma_bits) > WORK_CAP:
             raise over
         times = [i * ns.t_end / (ns.samples - 1)
                  for i in range(ns.samples)]

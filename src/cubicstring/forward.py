@@ -187,11 +187,14 @@ def residues(wd: WeylData,
     """Residues of the two Weyl functions at every eigenvalue.
 
     Exact (point intervals) at exact eigenvalues.  Elsewhere the box is
-    refined GUARD_BITS past precision_bits, then to twice the bits, up
-    to GUARD_BITS past MAX_PRECISION_BITS, until it and its w-residue
-    interval each round to one decimal_digits(precision_bits)-digit
-    decimal and the z-residue's sign is settled; the refined boxes are
-    returned as the eigenvalues.
+    refined GUARD_BITS past precision_bits, then GUARD_BITS more, then
+    twice as many more each time, up to GUARD_BITS past
+    MAX_PRECISION_BITS, until it and its w-residue interval each round
+    to one decimal_digits(precision_bits)-digit decimal and the
+    z-residue's sign is settled; the refined boxes are returned as the
+    eigenvalues.  A w-residue far below 1 needs about as many bits more
+    as it has leading zeros, so the step grows from GUARD_BITS rather
+    than doubling the precision.
     """
     if wd.eigenvalues is None:
         raise ValueError("run spectrum() before residues()")
@@ -200,7 +203,7 @@ def residues(wd: WeylData,
     digits = decimal_digits(precision_bits)
     boxes, w_out, z_out = [], [], []
     for box in wd.eigenvalues:
-        bits = precision_bits + GUARD_BITS
+        bits, step = precision_bits + GUARD_BITS, GUARD_BITS
         while True:
             box = refine_enclosure(q, box, Fraction(1, 2 ** bits))
             got = _residue_pair(wd, deriv, box, digits)
@@ -210,7 +213,8 @@ def residues(wd: WeylData,
                 raise PrecisionExhaustedError(
                     f"could not round an eigenvalue and its residue to "
                     f"{digits} digits at {bits} bits")
-            bits = min(2 * bits, MAX_PRECISION_BITS + GUARD_BITS)
+            bits = min(bits + step, MAX_PRECISION_BITS + GUARD_BITS)
+            step *= 2
         boxes.append(box)
         w_out.append(got[0])
         z_out.append(got[1])

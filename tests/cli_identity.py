@@ -58,7 +58,9 @@ def _random_string(rng: Random, n: int) -> dict:
             for key, size in (("masses", n), ("gaps", n - 1))}
 
 
-def _ratio_string(rng: Random, n: int, digits: int) -> dict:
+def ratio_string(rng: Random, n: int, digits: int) -> dict:
+    """A string of n masses and n - 1 gaps, each the ratio of two random
+    integers of the given digits."""
     def ratio():
         return "/".join(str(rng.randrange(10 ** (digits - 1), 10 ** digits))
                         for _ in range(2))
@@ -86,7 +88,7 @@ def write_inputs(folder: Path) -> list[list[str]]:
     calls = [["forward", s, "--precision-bits", str(bits)]
              for s in strings for bits in (1, 8, 64, 256)]
     calls += [["forward", s] for s in strings[:2]]
-    large = [put(f"large{n}.json", _ratio_string(Random(n), n, digits))
+    large = [put(f"large{n}.json", ratio_string(Random(n), n, digits))
              for n, digits in ((4, 300), (6, 100))]
     calls += [["forward", s, "--precision-bits", str(bits)]
               for s in large for bits in (64, 256)]

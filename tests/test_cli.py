@@ -12,16 +12,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from cli_identity import ratio_string
 from oracles import decimal_spectrum
 
 from cubicstring import burgers, cli, forward
 from cubicstring.burgers import WaveState, scale_bits
 from cubicstring.cli import (
     EVOLVE_SAMPLE_CAP,
-    EVOLVE_SPECTRAL_CAP,
-    FORWARD_CAP,
-    INVERT_CAP,
     ROUNDTRIP_N_CAP,
+    WORK_CAP,
     _audit_seconds,
     _forward_seconds,
     _invert_seconds,
@@ -702,10 +701,10 @@ def test_evolve_spectral_estimate_against_timed_runs():
     def estimate(n, rows, mt, _):
         return _spectral_seconds(n, rows, scale_bits(Fraction(mt), 1.0))
 
-    assert all(estimate(*run) <= EVOLVE_SPECTRAL_CAP for run in ADMITTED_RUNS)
-    assert all(estimate(*run) > EVOLVE_SPECTRAL_CAP for run in REFUSED_RUNS)
+    assert all(estimate(*run) <= WORK_CAP for run in ADMITTED_RUNS)
+    assert all(estimate(*run) > WORK_CAP for run in REFUSED_RUNS)
     # every refused run that finished really took longer than the cap
-    assert all(run[-1] is None or run[-1] > EVOLVE_SPECTRAL_CAP
+    assert all(run[-1] is None or run[-1] > WORK_CAP
                for run in REFUSED_RUNS)
     # and within a factor 1.6 of every timed run, either way
     for run in ADMITTED_RUNS + REFUSED_RUNS:
@@ -716,64 +715,53 @@ def test_evolve_spectral_estimate_against_timed_runs():
 # (n, operand bits S, bits of the integer q, precision bits, seconds
 # spectrum and residues took, None when stopped after 100 s), in-process
 # on a shared 2-vCPU VM; masses and gaps are random ratios of two
-# integers of 1 to 1,000 digits, _ratio_string(random.Random(n), n, digits)
+# integers of 1 to 1,000 digits, ratio_string(random.Random(n), n, digits)
 FORWARD_TIMED_RUNS = [
-    (2, 19922, 13276, 4096, 1.3), (3, 33212, 23248, 4096, 2.1),
-    (3, 26, 17, 16384, 4.6), (4, 46497, 33211, 1024, 1.2),
-    (4, 13928, 9950, 4096, 1.9), (4, 46497, 33211, 4096, 9.2),
-    (4, 4626, 3310, 8192, 4.8), (4, 34, 24, 16384, 14.8),
-    (6, 40167, 29205, 256, 1.3), (6, 73030, 53116, 256, 4.0),
-    (6, 73030, 53116, 1024, 7.2), (6, 7274, 5292, 4096, 4.1),
-    (6, 700, 499, 8192, 15.4), (8, 29850, 21891, 64, 2.7),
-    (8, 29850, 21891, 256, 3.4), (8, 99626, 73054, 256, 22.9),
-    (8, 77, 55, 4096, 5.7), (8, 2965, 2171, 4096, 7.6),
-    (10, 12567, 9257, 64, 1.4), (10, 12567, 9257, 256, 1.9),
-    (10, 1209, 886, 4096, 38.6), (10, 3761, 2773, 4096, 19.3),
-    (12, 15200, 11243, 256, 6.0), (12, 45782, 33823, 256, 35.3),
-    (12, 4525, 3344, 1024, 4.7), (12, 106, 72, 4096, 69.4),
-    (16, 20524, 15227, 256, 30.6), (16, 6100, 4524, 256, 4.1),
-    (16, 1957, 1449, 256, 1.6), (16, 1957, 1449, 1024, 14.7),
-    (16, 145, 100, 2048, 46.7), (20, 158, 112, 1024, 27.2),
-    (24, 2994, 2235, 64, 5.3), (24, 2994, 2235, 256, 8.5),
-    (24, 210, 143, 1024, 50.4), (48, 406, 288, 64, 7.7),
+    (2, 19922, 13276, 4096, 1.8), (3, 33212, 23248, 4096, 2.8),
+    (3, 26, 17, 16384, 3.7), (4, 46497, 33211, 1024, 1.4),
+    (4, 13928, 9950, 4096, 3.0), (4, 46497, 33211, 4096, 9.1),
+    (4, 4626, 3310, 8192, 5.5), (4, 34, 24, 16384, 17.7),
+    (6, 40167, 29205, 256, 1.7), (6, 73030, 53116, 256, 5.0),
+    (6, 73030, 53116, 1024, 9.7), (6, 7274, 5292, 4096, 6.9),
+    (6, 700, 499, 8192, 18.2), (8, 29850, 21891, 64, 2.9),
+    (8, 29850, 21891, 256, 3.3), (8, 99626, 73054, 256, 30.3),
+    (8, 77, 55, 4096, 9.1), (8, 2965, 2171, 4096, 8.4),
+    (10, 12567, 9257, 64, 1.9), (10, 12567, 9257, 256, 2.3),
+    (10, 1209, 886, 4096, 22.8), (10, 3761, 2773, 4096, 22.7),
+    (12, 15200, 11243, 256, 6.7), (12, 45782, 33823, 256, 44.2),
+    (12, 4525, 3344, 1024, 3.4), (12, 106, 72, 4096, 32.1),
+    (16, 20524, 15227, 256, 36.7), (16, 6100, 4524, 256, 5.1),
+    (16, 1957, 1449, 256, 1.0), (16, 1957, 1449, 1024, 7.1),
+    (16, 145, 100, 2048, 21.9), (20, 158, 112, 1024, 9.6),
+    (24, 2994, 2235, 64, 6.5), (24, 2994, 2235, 256, 9.0),
+    (24, 210, 143, 1024, 16.3), (48, 406, 288, 64, 7.5),
+    (32, 296, 213, 1024, 48.3), (40, 374, 257, 1024, 97.3),
     (8, 77, 55, 16384, None), (10, 126188, 92986, 256, None),
     (16, 61716, 45788, 256, None), (20, 25793, 19185, 256, None),
-    (32, 296, 213, 1024, None), (40, 374, 257, 1024, None),
 ]
 
 
 def test_forward_estimate_against_timed_runs():
     # the boundary data of these runs took under a second; it is priced
-    # step by step as it is built (test below).  An eigenvalue that does
-    # not round at 16 bits past the precision is refined to twice the
-    # bits, so strings of one shape differ: 8 masses at 4,096 bits took
-    # 5.7 s, 12 took 69 s
+    # step by step as it is built (test below)
     for n, _, q_bits, bits, seconds in FORWARD_TIMED_RUNS:
         estimate = _forward_seconds(n, q_bits, bits)
         if seconds is None:
-            assert estimate > FORWARD_CAP
+            assert estimate > WORK_CAP
         else:
-            assert 0.4 < seconds / estimate < 1.6, \
+            assert 1 / 1.6 < seconds / estimate < 1.6, \
                 (n, q_bits, bits, seconds, estimate)
-
-
-def _ratio_string(rng, n, digits):
-    def ratio():
-        return "/".join(str(rng.randrange(10 ** (digits - 1), 10 ** digits))
-                        for _ in range(2))
-    return {"masses": [ratio() for _ in range(n)],
-            "gaps": [ratio() for _ in range(n - 1)]}
 
 
 @pytest.mark.parametrize("n,digits,bits", [
     (20, 100, 256),   # large operands: stopped after 100 s
-    (12, 1, 4096),    # high precision: 69 s
+    (40, 1, 1024),    # many masses at a high precision: 97 s
     (400, 1, 256),    # many masses: refused before the boundary data
     (8, 1, 16384),    # high precision: likewise
 ])
 def test_forward_work_cap_refuses_at_once(tmp_path, capsys, n, digits, bits):
     p = write_json(tmp_path / "s.json",
-                   _ratio_string(random.Random(n), n, digits))
+                   ratio_string(random.Random(n), n, digits))
     start = time.perf_counter()
     assert main(["forward", p, "--precision-bits", str(bits)]) == 2
     assert time.perf_counter() - start < 1
@@ -782,10 +770,10 @@ def test_forward_work_cap_refuses_at_once(tmp_path, capsys, n, digits, bits):
 
 @pytest.mark.parametrize("n,digits", [(10, 100), (6, 550)])
 def test_forward_work_cap_admits_large_operands(tmp_path, capsys, n, digits):
-    # spectrum and residues take about 2 s and 1.3 s at 256 bits; both
+    # spectrum and residues take about 2 s and 1.7 s at 256 bits; both
     # were refused while the estimate carried the grid's old Q bits
     p = write_json(tmp_path / "s.json",
-                   _ratio_string(random.Random(n), n, digits))
+                   ratio_string(random.Random(n), n, digits))
     assert main(["forward", p, "--precision-bits", "256"]) == 0
     assert len(json.loads(capsys.readouterr().out)["lambdas"]) == n - 1
 
@@ -796,12 +784,12 @@ def test_forward_work_cap_admits_the_benchmark_shapes():
     # masses of 1,000-digit ratios (0.5 s) are under the budget too
     rng = random.Random(0)
     for n in (3, 5, 8):
-        doc = _ratio_string(rng, n, 1)
+        doc = ratio_string(rng, n, 1)
         small = CubicString(*(tuple(Fraction(x) for x in doc[key])
                               for key in ("masses", "gaps")))
         for s in (small, recover(random_spectral(n, n))):
             _refuse_forward_over_cap(s, 256)
-    assert _forward_seconds(4, 33199, 256) < FORWARD_CAP
+    assert _forward_seconds(4, 33199, 256) < WORK_CAP
 
 
 @pytest.mark.parametrize("n", [20, 24])
@@ -825,9 +813,9 @@ def test_forward_work_cap_stops_the_crossing_it_prices(tmp_path, capsys,
     real = forward.jump_step
     monkeypatch.setattr(forward, "jump_step",
                         lambda t, m: steps.append(m) or real(t, m))
-    monkeypatch.setattr(cli, "FORWARD_CAP", 0.05)
+    monkeypatch.setattr(cli, "WORK_CAP", 0.05)
     p = write_json(tmp_path / "s.json",
-                   _ratio_string(random.Random(3), 12, 300))
+                   ratio_string(random.Random(3), 12, 300))
     assert main(["forward", p, "--precision-bits", "64"]) == 2
     assert 1 < len(steps) < 12
     _assert_one_line_error(capsys)
@@ -844,60 +832,65 @@ def _ratio_spectral(rng, n, digits):
     return SpectralData(tuple(lams), tuple(-ratio() for _ in lams), ratio())
 
 
-# (n, operand bits S, with the audit, seconds recover or recover_detailed
-# took, None when stopped after 100 s), in-process on a shared 2-vCPU VM;
-# the data is _ratio_spectral(random.Random(1000 n + digits), n, digits)
-# for 2 to 3,000 digits, or random_spectral(n, 1) where S is under 1,000
-# at n = 40 and up
+# (n, operand bits S, bits L of the lcm of the denominators, with the
+# audit, seconds recover or recover_detailed took, None when stopped
+# after 100 s), in-process on a shared 2-vCPU VM; the data is
+# _ratio_spectral(random.Random(1000 k + digits), k, digits) for 1 to
+# 3,000 digits, with k = n or, where two eigenvalues coincide, n + 1, or
+# random_spectral(n, 1), whose denominators divide 12 (L = 4)
 INVERT_TIMED_RUNS = [
-    (3, 99642, False, 1.4), (5, 59783, False, 7.2), (9, 11258, False, 5.0),
-    (9, 33840, False, 41.1), (13, 4908, False, 4.6),
-    (13, 16554, False, 48.8), (17, 2087, False, 2.9),
-    (17, 6533, False, 25.6), (25, 1494, False, 6.7),
-    (25, 3118, False, 28.7), (32, 1066, False, 7.4), (33, 1120, False, 7.6),
-    (39, 821, False, 6.9), (40, 554, False, 3.2), (45, 981, False, 17.9),
-    (48, 681, False, 9.2), (56, 814, False, 22.3), (64, 929, False, 43.4),
-    (3, 99642, True, 3.5), (5, 17917, True, 2.2), (9, 3305, True, 2.7),
-    (9, 11258, True, 28.6), (13, 776, True, 1.5), (13, 1595, True, 6.2),
-    (13, 4908, True, 64.0), (16, 556, True, 3.1), (16, 954, True, 9.2),
-    (17, 2087, True, 71.0), (20, 409, True, 4.0), (20, 674, True, 13.2),
-    (24, 496, True, 11.0),
-    (9, 225828, False, None), (17, 21836, False, None),
-    (33, 4127, False, None), (20, 2494, True, None),
+    (3, 99642, 49811, False, 1.4), (5, 59783, 29883, False, 7.2),
+    (9, 11258, 5579, False, 5.0), (9, 33840, 16881, False, 41.1),
+    (13, 4908, 2366, False, 4.6), (13, 16554, 8202, False, 48.8),
+    (17, 2087, 909, False, 2.9), (17, 6533, 3124, False, 25.6),
+    (25, 1494, 567, False, 6.7), (25, 3118, 1331, False, 28.7),
+    (32, 1066, 261, False, 7.4), (33, 1120, 304, False, 7.6),
+    (39, 821, 96, False, 6.9), (40, 554, 4, False, 3.2),
+    (48, 681, 4, False, 9.2), (56, 814, 4, False, 22.3),
+    (64, 929, 4, False, 43.4), (3, 99642, 49811, True, 3.5),
+    (5, 17917, 8938, True, 2.2), (9, 3305, 1589, True, 2.7),
+    (9, 11258, 5579, True, 28.6), (13, 776, 312, True, 1.5),
+    (13, 1595, 691, True, 6.2), (13, 4908, 2366, True, 64.0),
+    (16, 556, 206, True, 3.1), (16, 954, 394, True, 9.2),
+    (17, 2087, 909, True, 71.0), (20, 409, 85, True, 4.0),
+    (20, 674, 172, True, 13.2), (24, 496, 81, True, 11.0),
+    (24, 293, 4, True, 1.0), (28, 352, 4, True, 3.2),
+    (32, 422, 4, True, 11.6), (36, 486, 4, True, 29.8),
+    (40, 554, 4, True, 77.9), (9, 225828, 112877, False, None),
+    (17, 21836, 10830, False, None), (33, 4127, 1796, False, None),
+    (20, 2494, 1073, True, None),
 ]
 
-# (n, S, seconds) of recover_detailed(random_spectral(n, 1)): the table
-# of data whose denominators share small factors stays small, and the
-# audit takes about an eighth of its estimate
-SHARED_DENOMINATOR_AUDITS = [
-    (24, 293, 1.0), (28, 352, 3.2), (32, 422, 11.6), (36, 486, 29.8),
-    (40, 554, 77.9),
-]
+
+def _invert_operands(sd):
+    values = (*sd.eigenvalues, *sd.residues, sd.total_mass)
+    return (sum(x.numerator.bit_length() + x.denominator.bit_length()
+                for x in values),
+            math.lcm(*(x.denominator for x in values)).bit_length())
 
 
-def _invert_estimate(n, operand_bits, audit):
-    return (_invert_seconds(n, operand_bits)
-            + (_audit_seconds(n, operand_bits) if audit else 0))
+def _invert_estimate(n, operand_bits, lcm_bits, audit):
+    return (_invert_seconds(n, operand_bits, lcm_bits)
+            + (_audit_seconds(n, operand_bits, lcm_bits) if audit else 0))
 
 
 def test_invert_estimate_against_timed_runs():
-    for n, bits, audit, seconds in INVERT_TIMED_RUNS:
-        estimate = _invert_estimate(n, bits, audit)
+    # one band for random ratios and for data with shared denominators
+    for n, bits, lcm_bits, audit, seconds in INVERT_TIMED_RUNS:
+        estimate = _invert_estimate(n, bits, lcm_bits, audit)
         if seconds is None:
-            assert estimate > INVERT_CAP
+            assert estimate > WORK_CAP
         else:
-            assert 0.35 < seconds / estimate < 1.6, \
-                (n, bits, audit, seconds, estimate)
-    for n, bits, seconds in SHARED_DENOMINATOR_AUDITS:
-        assert 5 < _invert_estimate(n, bits, True) / seconds < 10, n
+            assert 1 / 1.6 < seconds / estimate < 1.6, \
+                (n, bits, lcm_bits, audit, seconds, estimate)
 
 
 @pytest.mark.parametrize("sd,flags", [
-    # 41 s; the audit would add 28 s more
-    (_ratio_spectral(random.Random(9300), 9, 300), []),
+    (_ratio_spectral(random.Random(9300), 9, 300), []),  # 41 s
     (_ratio_spectral(random.Random(11000), 9, 2000), []),  # over 100 s
     (random_spectral(64, 1), []),  # 43 s
-    (random_spectral(36, 1), ["--report-determinants"]),  # 32 s
+    (random_spectral(36, 1), ["--report-determinants"]),  # 30 to 37 s
+    (random_spectral(40, 1), ["--report-determinants"]),  # 78 s
 ])
 def test_invert_work_cap_refuses_at_once(tmp_path, capsys, sd, flags):
     p = write_json(tmp_path / "sd.json", spectral_to_dict(sd))
@@ -910,16 +903,15 @@ def test_invert_work_cap_refuses_at_once(tmp_path, capsys, sd, flags):
 def test_invert_work_cap_admits_the_benchmark_shapes():
     # inverse-ladder runs n = 4, 9, 14 with and without the audit, and
     # tests/cli_identity.py n = 2 to 20; nine masses of 100-digit ratios
-    # take 5 s without the audit and 29 s with it
-    def operand_bits(sd):
-        return sum(x.numerator.bit_length() + x.denominator.bit_length()
-                   for x in (*sd.eigenvalues, *sd.residues, sd.total_mass))
-
+    # take 5 s without the audit, and the audit of random_spectral(32, 1)
+    # 12 s
     for n in (2, 4, 7, 9, 10, 14, 20):
         sd = random_spectral(n, n)
-        assert _invert_estimate(n, operand_bits(sd), True) < INVERT_CAP
+        assert _invert_estimate(n, *_invert_operands(sd), True) < WORK_CAP
     sd = _ratio_spectral(random.Random(9100), 9, 100)
-    assert _invert_estimate(sd.n, operand_bits(sd), True) < INVERT_CAP
+    assert _invert_estimate(9, *_invert_operands(sd), False) < WORK_CAP
+    sd = random_spectral(32, 1)
+    assert _invert_estimate(32, *_invert_operands(sd), True) < WORK_CAP
 
 
 def test_forward_reads_back_integers_over_4300_digits(tmp_path, capsys):

@@ -239,8 +239,9 @@ def test_residues_interval_case_certified():
 def test_residues_refine_an_eigenvalue_beside_a_rounding_boundary():
     # q has the root lam just past 1.5 + 5e-19, where 19 digits round
     # from ...000 up to ...001, and 4 - lam; phi_x = phi = -phi_xx', so
-    # both residues are -1 and settle at once: the eigenvalue alone sends
-    # the boxes from 80 bits to 160
+    # both residues are -1 and settle at once: the eigenvalue alone, about
+    # 2^-133 from the boundary, sends the boxes from 80 bits through 96
+    # and 128 to 192
     c = F(15000000000000000005, 10 ** 19)
     lam = c + F(1, 10 ** 40)
     # the 10^-90 makes the roots irrational
@@ -251,7 +252,7 @@ def test_residues_refine_an_eigenvalue_beside_a_rounding_boundary():
     for box, want in zip(wd.eigenvalues, ("1.500000000000000001",
                                           "2.499999999999999999")):
         assert decimal_string(box.lo, 19) == decimal_string(box.hi, 19) == want
-        assert F(1, 2 ** 160) >= box.width > F(1, 2 ** 161)
+        assert F(1, 2 ** 192) >= box.width > F(1, 2 ** 193)
     assert all(b.lo <= -1 <= b.hi for b in wd.w_residues + wd.z_residues)
 
 
