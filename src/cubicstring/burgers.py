@@ -264,6 +264,12 @@ def last_scale(wd: WeylData, total_mass: Fraction) -> Fraction:
     return (-p * 2 ** 1074 + c) / (wd.phi.leading + c)
 
 
+def last_sigma_bits(x: Fraction) -> int:
+    """ceil(B / 2), B = bits(numerator) - bits(denominator) + 1, so that
+    x = last_scale < 2^B: no sigma from 2^last_sigma_bits on is peeled."""
+    return (x.numerator.bit_length() - x.denominator.bit_length() + 2) // 2
+
+
 def _rounds_to_one_double(value: Fraction, below: Fraction,
                           above: Fraction) -> bool:
     """Whether every real in the open interval (value - below,
@@ -361,8 +367,7 @@ def _flow_row(wd: WeylData, total_mass: Fraction, first_moment: Fraction,
     out_of_range = FlowOutOfRangeError(
         f"the wave leaves the float range at t = {t}")
     last = last_scale(wd, total_mass)
-    if (2 * (scale_bits(total_mass, elapsed) - 5)
-            >= last.numerator.bit_length() - last.denominator.bit_length() + 1):
+    if scale_bits(total_mass, elapsed) - 5 >= last_sigma_bits(last):
         raise out_of_range
     for sigma, r in scale_factor(total_mass, elapsed):
         if sigma * sigma >= last:  # no peel: the last mass is 0.0

@@ -35,6 +35,7 @@ from .burgers import (
     evolve_spectral,
     integrate_rk4,
     last_scale,
+    last_sigma_bits,
     rationalize,
     scale_bits,
 )
@@ -112,8 +113,8 @@ def _last_sigma_bits(state: WaveState) -> int:
     state is peeled: past it the last mass rounds to 0.0, and the flow
     stops before the peel (burgers.last_scale)."""
     s = rationalize(state)
-    x = last_scale(boundary_data(s), sum(s.masses, Fraction(0)))
-    return (x.numerator.bit_length() - x.denominator.bit_length() + 2) // 2
+    return last_sigma_bits(last_scale(boundary_data(s),
+                                      sum(s.masses, Fraction(0))))
 
 
 def _forward_seconds(n: int, q_bits: int, bits: int) -> float:

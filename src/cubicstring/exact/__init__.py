@@ -1,5 +1,5 @@
 """Exact arithmetic toolkit: rationals, polynomials, fraction-free linear
-algebra, Sturm root isolation, and rational interval arithmetic."""
+algebra, Sturm root isolation, and rational intervals on integers."""
 
 from .interval import RatInterval, eval_interval
 from .linalg import Matrix, bordered_minors, det_exact, solve_exact

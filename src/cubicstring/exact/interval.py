@@ -1,10 +1,10 @@
-"""Interval arithmetic over rational endpoints.
+"""Rational intervals, and one enclosure of a polynomial over a box.
 
 RatInterval is the one representation of a computed value, from root
 isolation to output: an isolated eigenvalue, a residue, or an exact
-rational, which is the point interval lo == hi.  Every operation
-returns an interval guaranteed to contain the true value, so a result
-interval strictly on one side of zero is a proof of sign.
+rational, which is the point interval lo == hi.  eval_interval and /
+return intervals guaranteed to contain the true value, so a result
+strictly on one side of zero is a proof of sign.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Polynomial
+from .rational import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -34,20 +35,12 @@ class RatInterval:
         """hi - lo; zero exactly when the value is known exactly."""
         return self.hi - self.lo
 
-    def __add__(self, o: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + o.lo, self.hi + o.hi)
-
-    def __mul__(self, o: "RatInterval") -> "RatInterval":
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RatInterval(min(products), max(products))
-
     def __truediv__(self, o: "RatInterval") -> "RatInterval":
-        if o.contains_zero():
+        """The hull of the four quotients of the ends."""
+        if not o.sign_definite():
             raise ZeroDivisionError("division by an interval containing zero")
-        return self * RatInterval(1 / o.hi, 1 / o.lo)
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        q = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
+        return RatInterval(min(q), max(q))
 
     def is_negative(self) -> bool:
         return self.hi < 0
@@ -60,8 +53,16 @@ class RatInterval:
 
 
 def eval_interval(p: Polynomial, box: RatInterval) -> RatInterval:
-    """Horner evaluation of p over an interval argument."""
-    acc = RatInterval.point(0)
-    for c in reversed(p.coefficients):
-        acc = acc * box + RatInterval.point(c)
-    return acc
+    """Horner's rule on interval products and sums over box, on integers:
+    over the lcm L of p's coefficients and one denominator den of the
+    ends, the running ends after j steps sit over L den^j, so each step
+    is four integer products with a min and a max, and no gcd."""
+    coeffs, lcd = over_common_denominator(p.coefficients)
+    (a, b), den = over_common_denominator((box.lo, box.hi))
+    lo = hi = coeffs.pop() if coeffs else 0
+    scale = 1
+    for c in reversed(coeffs):
+        scale *= den
+        products = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(products) + c * scale, max(products) + c * scale
+    return RatInterval(Fraction(lo, lcd * scale), Fraction(hi, lcd * scale))

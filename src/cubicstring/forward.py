@@ -163,23 +163,19 @@ def _rounds(box: RatInterval, digits: int) -> bool:
 def _residue_pair(wd: WeylData, deriv: Polynomial, box: RatInterval,
                   digits: int):
     """Both residues over one eigenvalue box; None when the box or the
-    w-residue does not round to one decimal, or a sign is unsettled.
-    phi_xx' is evaluated once, exactly at a point box."""
-    if box.width == 0:
-        lam = box.lo
-        d = deriv(lam)
-        if d == 0:
-            raise IdentityViolatedError("multiple eigenvalue in residues")
-        return (RatInterval.point(wd.phi_x(lam) / d),
-                RatInterval.point(wd.phi(lam) / d))
+    w-residue does not round to one decimal, or a sign is unsettled.  A
+    point box gives points, so only a zero phi_xx' there is an error."""
     if not _rounds(box, digits):
         return None
     d = eval_interval(deriv, box)
     if not d.sign_definite():
+        if box.width == 0:
+            raise IdentityViolatedError("multiple eigenvalue in residues")
         return None
     w = eval_interval(wd.phi_x, box) / d
     z = eval_interval(wd.phi, box) / d
-    return (w, z) if _rounds(w, digits) and z.sign_definite() else None
+    settled = z.sign_definite() or z.width == 0
+    return (w, z) if _rounds(w, digits) and settled else None
 
 
 def residues(wd: WeylData,
@@ -218,9 +214,8 @@ def residues(wd: WeylData,
         boxes.append(box)
         w_out.append(got[0])
         z_out.append(got[1])
-    for b in w_out + z_out:
-        if not b.is_negative():
-            raise IdentityViolatedError("residue failed its negativity law")
+    if not all(b.is_negative() for b in w_out + z_out):
+        raise IdentityViolatedError("residue failed its negativity law")
     if all(e.width == 0 for e in boxes):
         # exact cross-check: the z-residues are determined by the w-residues
         lams = [e.lo for e in boxes]

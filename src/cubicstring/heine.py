@@ -274,11 +274,8 @@ def run_checks(mu: DiscreteMeasure, k_max: int) -> CheckReport:
 def random_measure(support: int, seed) -> DiscreteMeasure:
     """Deterministic measure with negative weights, as spectral data has."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    pts = []
-    cur = Fraction(0)
-    for _ in range(support):
-        cur += Fraction(rng.randint(1, 6), rng.randint(1, 3))
-        pts.append(cur)
+    pts = tuple(itertools.accumulate(
+        Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(support)))
     ws = tuple(-Fraction(rng.randint(1, 5), rng.randint(1, 3))
                for _ in range(support))
-    return DiscreteMeasure(tuple(pts), ws)
+    return DiscreteMeasure(pts, ws)

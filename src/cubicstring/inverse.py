@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 
 from .errors import (
@@ -511,15 +512,12 @@ def verify_exact_roundtrip(sd: SpectralData) -> CubicString:
 def random_spectral(n: int, seed) -> SpectralData:
     """Deterministic random spectral data for n masses."""
     rng = seed if isinstance(seed, Random) else Random(seed)
-    lams = []
-    cur = Fraction(0)
-    for _ in range(n - 1):
-        cur += Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        lams.append(cur)
+    lams = tuple(accumulate(Fraction(rng.randint(1, 8), rng.randint(1, 4))
+                            for _ in range(n - 1)))
     res = tuple(-Fraction(rng.randint(1, 8), rng.randint(1, 4))
                 for _ in range(n - 1))
     total = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-    return SpectralData(tuple(lams), res, total)
+    return SpectralData(lams, res, total)
 
 
 def spectral_to_dict(sd: SpectralData) -> dict:

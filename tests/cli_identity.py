@@ -12,8 +12,9 @@ differs, else 1.
 The list covers `forward` at 1, 8, 64 and 256 bits on random strings,
 on strings recovered from random spectral data (rational spectra) and
 on mixed strings (rational and irrational eigenvalues side by side),
-and at 64 and 256 bits on strings of large operands (4 masses of
-300-digit ratios, 6 of 100-digit ratios);
+on the mixed strings at 4096 bits, where the residue enclosures carry
+their largest operands, and at 64 and 256 bits on strings of large
+operands (4 masses of 300-digit ratios, 6 of 100-digit ratios);
 `invert` with and without the determinant audit, on spectra of n = 2
 to 20; `roundtrip`;
 `evolve` by both routes, out of range included; `verify`; and the
@@ -83,11 +84,13 @@ def write_inputs(folder: Path) -> list[list[str]]:
     strings += [put(f"recovered{n}.json",
                     string_to_dict(recover(random_spectral(n, n))))
                 for n in (3, 5, 8)]
-    strings += [put(f"mixed{i}.json", {"masses": m, "gaps": g})
-                for i, (m, g) in enumerate(MIXED)]
+    mixed = [put(f"mixed{i}.json", {"masses": m, "gaps": g})
+             for i, (m, g) in enumerate(MIXED)]
+    strings += mixed
     calls = [["forward", s, "--precision-bits", str(bits)]
              for s in strings for bits in (1, 8, 64, 256)]
     calls += [["forward", s] for s in strings[:2]]
+    calls += [["forward", s, "--precision-bits", "4096"] for s in mixed]
     large = [put(f"large{n}.json", ratio_string(Random(n), n, digits))
              for n, digits in ((4, 300), (6, 100))]
     calls += [["forward", s, "--precision-bits", str(bits)]

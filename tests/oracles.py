@@ -21,7 +21,9 @@ ratios of polynomials (weyl_fractions); the runtime needs only their
 products with the curvature polynomial.
 
 The Sturm chain by long division over the rationals, the runtime's
-route before it took pseudo-remainders of integer lists.
+route before it took pseudo-remainders of integer lists, and the
+interval Horner over Fraction, the runtime's enclosure before it ran on
+integers over the box's grid.
 
 The pair table through the kernel b_a b_b / (lam_a + lam_b), the
 runtime's route before it stepped the rank-one displacement.  The six
@@ -283,6 +285,20 @@ def sturm_chain_by_division(p: Polynomial) -> list[Polynomial]:
             break
         chain.append(primitive(-r))
     return chain
+
+
+# -- the interval Horner over Fraction ------------------------------------
+
+def interval_horner(p: Polynomial, lo: Fraction,
+                    hi: Fraction) -> tuple[Fraction, Fraction]:
+    """The ends of Horner's rule on p over [lo, hi] with interval
+    products (the min and max of the four end products) and sums, all
+    over Fraction, from the point 0."""
+    acc_lo = acc_hi = Fraction(0)
+    for c in reversed(p.coefficients):
+        products = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(products) + c, max(products) + c
+    return acc_lo, acc_hi
 
 
 # -- the crossing matrices ------------------------------------------------

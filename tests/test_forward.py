@@ -28,6 +28,7 @@ from oracles import (
     transition,
 )
 
+from cubicstring.errors import IdentityViolatedError
 from cubicstring.exact import Matrix, Polynomial, RatInterval
 from cubicstring.exact import roots as roots_module
 from cubicstring.forward import (
@@ -215,6 +216,15 @@ def test_residues_two_mass_exact():
     wd = residues(spectrum(boundary_data(TWO_MASS)))
     assert wd.w_residues == (RatInterval.point(F(-1)),)
     assert wd.z_residues == (RatInterval.point(F(-1, 4)),)
+
+
+def test_residues_refuse_a_point_eigenvalue_at_a_double_root():
+    # phi_xx = z (z - 1)^2: phi_xx' is 0 at the point eigenvalue 1, which
+    # no refinement can mend
+    wd = WeylData(P(1), P(1), P(0, 1, -2, 1),
+                  eigenvalues=(RatInterval.point(1),))
+    with pytest.raises(IdentityViolatedError, match="multiple eigenvalue"):
+        residues(wd)
 
 
 def test_residues_interval_case_certified():

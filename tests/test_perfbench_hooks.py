@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from cubicstring.cli import main
+from cubicstring.inverse import random_spectral, recover
+from cubicstring.string_model import string_to_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,7 +42,12 @@ def test_traced_cli_runs_print_what_untraced_ones_do(tracing, tmp_path,
     p = tmp_path / "s.json"
     p.write_text(json.dumps({"masses": ["1", "2", "1", "3"],
                              "gaps": ["1", "1/2", "2"]}), encoding="utf-8")
+    # a rational spectrum: forward prints it exactly
+    exact = tmp_path / "exact.json"
+    doc = string_to_dict(recover(random_spectral(4, 1)))
+    exact.write_text(json.dumps(doc), encoding="utf-8")
     runs = [["forward", str(p)],
+            ["forward", str(exact)],
             ["evolve", str(p), "--method", "spectral", "--t-end", "0.5",
              "--samples", "3"]]
     plain = []
@@ -60,7 +67,8 @@ def test_traced_cli_runs_print_what_untraced_ones_do(tracing, tmp_path,
     assert [getattr(module, attr) for module, attr, *_ in table] == originals
     for name in ("forward.spectrum", "exact.roots.sturm_isolate",
                  "exact.roots.sturm_chain", "exact.roots.sign_changes",
-                 "forward.residues", "burgers.evolve_spectral"):
+                 "forward.residues", "exact.roots.refine_enclosure",
+                 "exact.interval.eval_interval", "burgers.evolve_spectral"):
         assert tracer.calls[name] > 0, name
     assert tracer.bits["exact.roots.chain_bits"] > 0
     assert tracer.bits["forward.q_bits"] > 0
