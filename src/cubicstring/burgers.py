@@ -56,6 +56,7 @@ from .errors import (
     OrderingViolatedError,
     PrecisionExhaustedError,
 )
+from .exact import linear_combination
 from .forward import (
     MAX_PRECISION_BITS,
     WeylData,
@@ -207,7 +208,8 @@ def flow_triple(wd: WeylData, total_mass: Fraction, sigma: Fraction) -> tuple:
     sigma: (sigma^2 phi + (sigma^2 - 1)/(2M) phi_xx/z, sigma phi_x, phi_xx)."""
     s2 = sigma * sigma
     shift = (s2 - 1) / (2 * total_mass)
-    return (wd.phi * s2 + eigenvalue_polynomial(wd) * shift,
+    return (linear_combination((wd.phi, s2, 0),
+                               (eigenvalue_polynomial(wd), shift, 0)),
             wd.phi_x * sigma, wd.phi_xx)
 
 

@@ -42,7 +42,6 @@ from .burgers import (
 from .errors import CubicStringError
 from .exact import format_rational
 from .exact.rational import content_free
-from .exact.roots import integer_coefficients
 from .forward import (
     DEFAULT_PRECISION_BITS,
     WeylData,
@@ -81,31 +80,32 @@ VERIFY_SUMMAND_CAP = 2 * 10 ** 4
 VERIFY_K_MAX = 10
 
 # evolve refuses more rows than this: at three peaks a row costs about
-# 0.7 ms on the spectral route and 0.4 ms on rk4, so the cap is a few
+# 0.6 ms on the spectral route and 0.4 ms on rk4, so the cap is a few
 # seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
 # spectral evolve, forward and invert refuse runs estimated at more than
-# this many seconds, before the work: timed runs took 0.80 to 1.27 times
-# their estimate for evolve (29 runs, _spectral_seconds), 0.68 to 1.45
-# for forward (38, _forward_seconds) and 0.66 to 1.26 for invert (35,
+# this many seconds, before the work: timed runs took 0.70 to 1.50 times
+# their estimate for evolve (31 runs, _spectral_seconds), 0.66 to 1.54
+# for forward (39, _forward_seconds) and 0.73 to 1.34 for invert (40,
 # _invert_seconds plus _audit_seconds with --report-determinants)
 # (README, "evolve", "forward" and "invert")
 WORK_CAP = 30
 
-# roundtrip refuses more masses than this: n = 48 took 18 s, n = 52 29 s
-# and n = 56 44 s on a shared 2-vCPU VM, so the cap is about 23 s of work
+# roundtrip refuses more masses than this: n = 48 took 4.1 s, n = 52
+# 6.4 s and n = 56 10.2 s on a shared 2-vCPU VM, so the cap is about 5 s
+# of work
 ROUNDTRIP_N_CAP = 50
 
 
 def _spectral_seconds(n: int, rows: int, sigma: int) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
-    2-vCPU VM (README, "evolve"): 3.4e-4 + 3e-5 n^2 a row, and per row
+    2-vCPU VM (README, "evolve"): 5.8e-4 + 8e-6 n^2 a row, and per row
     past t = 0 the peel of a triple scaled by e^(M t_end), sigma bits,
-    3.8e-11 ((n - 1) sigma)^2; one peak has no peel, as every row is the
+    2.2e-11 ((n - 1) sigma)^2; one peak has no peel, as every row is the
     input."""
-    return (rows * (3.4e-4 + 3e-5 * n * n)
-            + (rows - 1) * 3.8e-11 * ((n - 1) * sigma) ** 2)
+    return (rows * (5.8e-4 + 8e-6 * n * n)
+            + (rows - 1) * 2.2e-11 * ((n - 1) * sigma) ** 2)
 
 
 def _last_sigma_bits(state: WaveState) -> int:
@@ -124,16 +124,19 @@ def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
     round, and the Sturm chain and residues on the integer q = phi_xx/z
     of Q = q_bits bits.  With q_bits = 0 it is a lower bound."""
     d, b, q = n - 1, max(bits, 64), q_bits
-    return 2.9e-9 * d ** 2.8 * b ** 2 + 9.9e-11 * d ** 4 * q ** 1.65 \
-        + 3e-10 * q ** 1.4 * b ** 1.1
+    return 2.6e-9 * d ** 2.8 * b ** 2 + 7.6e-11 * d ** 4 * q ** 1.65 \
+        + 2.8e-10 * q ** 1.4 * b ** 1.1
 
 
-def _crossing_seconds(k: int, operand_bits: int) -> float:
+def _crossing_seconds(k: int, triple_bits: int, step_bits: int) -> float:
     """Estimated seconds of the crossing step that makes the boundary
-    triple of the first k masses, on operands of the given bits: the
-    largest coefficient of the triple it steps, plus the gap and the
-    mass it crosses (README, "forward")."""
-    return 3.5e-5 * k + 2e-12 * k * operand_bits ** 2
+    triple of the first k masses (README, "forward"), from a triple
+    whose largest numerator and its denominator take T = triple_bits
+    bits, across a gap and a mass of O = step_bits bits: products of
+    the k numerators of T bits by scalars of O bits, and a gcd of T-bit
+    integers, 4.9e-6 k + 1.75e-12 k T O + 5.1e-12 T^2."""
+    t, o = triple_bits, step_bits
+    return 4.9e-6 * k + 1.75e-12 * k * t * o + 5.1e-12 * t * t
 
 
 def _invert_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
@@ -141,9 +144,9 @@ def _invert_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
     eigenvalues, residues and total mass carry S = operand_bits bits,
     and the lcm of their denominators L = lcm_bits, on a shared 2-vCPU
     VM (README, "invert"): the boundary triple and its peel,
-    1.1e-12 n^4.5 (S + 2 L)^1.9.  Data whose denominators share factors
+    3.2e-12 n^4 (S + 3 L)^1.8.  Data whose denominators share factors
     has a small L and peels faster than random ratios of its size."""
-    return 1.1e-12 * n ** 4.5 * (operand_bits + 2 * lcm_bits) ** 1.9
+    return 3.2e-12 * n ** 4 * (operand_bits + 3 * lcm_bits) ** 1.8
 
 
 def _audit_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
@@ -155,6 +158,13 @@ def _audit_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
 
 def _bits(x: Fraction) -> int:
     return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def _triple_bits(triple) -> int:
+    """The bits of the largest numerator of a polynomial of the triple
+    plus those of its denominator."""
+    return max(max((c.bit_length() for c in p.numerators), default=0)
+               + p.denominator.bit_length() for p in triple)
 
 
 def _refuse_forward_over_cap(s, bits: int) -> WeylData:
@@ -169,13 +179,13 @@ def _refuse_forward_over_cap(s, bits: int) -> WeylData:
     built, isolation = 0.0, _forward_seconds(s.n, 0, bits)
     for k, triple in enumerate(partial_triples(s), 1):
         if k < s.n:
-            largest = max(_bits(c) for p in triple for c in p.coefficients)
-            built += _crossing_seconds(k + 1, largest + _bits(s.gaps[k - 1])
+            built += _crossing_seconds(k + 1, _triple_bits(triple),
+                                       _bits(s.gaps[k - 1])
                                        + _bits(s.masses[k]))
         if built + isolation > WORK_CAP:
             raise over
     wd = WeylData(*triple)
-    q = content_free(integer_coefficients(eigenvalue_polynomial(wd)))
+    q = content_free(eigenvalue_polynomial(wd).numerators)
     q_bits = max(abs(c).bit_length() for c in q)
     if built + _forward_seconds(s.n, q_bits, bits) > WORK_CAP:
         raise over

@@ -3,7 +3,7 @@ algebra, Sturm root isolation, and rational intervals on integers."""
 
 from .interval import RatInterval, eval_interval
 from .linalg import Matrix, bordered_minors, det_exact, solve_exact
-from .poly import Polynomial
+from .poly import Polynomial, linear_combination
 from .rational import format_rational, parse_rational, parse_rational_list
 from .roots import (
     cauchy_root_bound,
@@ -21,6 +21,7 @@ __all__ = [
     "det_exact",
     "eval_interval",
     "format_rational",
+    "linear_combination",
     "parse_rational",
     "parse_rational_list",
     "refine_enclosure",

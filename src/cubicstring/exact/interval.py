@@ -57,7 +57,7 @@ def eval_interval(p: Polynomial, box: RatInterval) -> RatInterval:
     over the lcm L of p's coefficients and one denominator den of the
     ends, the running ends after j steps sit over L den^j, so each step
     is four integer products with a min and a max, and no gcd."""
-    coeffs, lcd = over_common_denominator(p.coefficients)
+    coeffs, lcd = list(p.numerators), p.denominator
     (a, b), den = over_common_denominator((box.lo, box.hi))
     lo = hi = coeffs.pop() if coeffs else 0
     scale = 1

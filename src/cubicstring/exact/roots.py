@@ -42,14 +42,13 @@ from .rational import content_free, over_common_denominator
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [content_free(integer_coefficients(q))
-             for q in (p, p.derivative())]
+    chain = [content_free(q.numerators) for q in (p, p.derivative())]
     while len(chain[-1]) > 1:
         r = _pseudo_remainder(chain[-2], chain[-1])
         if not r:
             break
         chain.append(content_free([-c for c in r]))
-    return [Polynomial(q) for q in chain]
+    return [Polynomial.from_integers(q) for q in chain]
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -65,11 +64,6 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def integer_coefficients(p: Polynomial) -> list[int]:
-    """Coefficients of a positive integer multiple of p, low degree first."""
-    return over_common_denominator(p.coefficients)[0]
 
 
 def sign_at(coeffs: list[int], num: int, den: int) -> int:
@@ -97,11 +91,11 @@ def sign_changes(chain: list[list[int]], num: int, den: int) -> int:
 def cauchy_root_bound(p: Polynomial) -> Fraction:
     """A power of two 2^k, k >= 1, at or above Cauchy's bound
     1 + max|c_i| / |lead|, so above every real root of p.  It is read
-    off the bit lengths of p's integer coefficients, so the isolation
+    off the bit lengths of p's numerators, so the isolation
     grid carries none of their bits."""
     if p.degree < 1:
         return Fraction(2)
-    *rest, lead = integer_coefficients(p)
+    *rest, lead = p.numerators
     top = max(abs(c) for c in rest).bit_length()
     # max|c_i| / |lead| < 2^(top - bits(lead) + 1)
     return Fraction(2 ** max(top - abs(lead).bit_length() + 2, 1))
@@ -137,7 +131,7 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
     """
     if p.degree < 1:
         return []
-    chain = [integer_coefficients(q) for q in sturm_chain(p)]
+    chain = [q.numerators for q in sturm_chain(p)]
     if len(chain[-1]) > 1:
         raise NotSquarefreeError("root isolation requires a squarefree polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
@@ -183,8 +177,7 @@ def refine_enclosure(p: Polynomial, box: RatInterval,
     if box.width <= width:
         return box
     (a, b), den = over_common_denominator((box.lo, box.hi))
-    return _bisect_by_sign(content_free(integer_coefficients(p)), a, b, den,
-                           width, 0)
+    return _bisect_by_sign(content_free(p.numerators), a, b, den, width, 0)
 
 
 def _rational_root(coeffs: list[int], lead: int, a: int, b: int,

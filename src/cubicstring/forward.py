@@ -6,7 +6,14 @@ phi_xx) of value, slope and curvature, polynomials in the spectral
 variable z, from (1, 0, 0): each mass makes the curvature jump by
 -2 m z phi, and each gap carries the quadratic across.  The result is
 the first column of the 3x3 crossing matrix; the inverse map peels the
-same steps off.
+same steps off, and the flow peels a rescaled triple.  The polynomials
+keep integer numerators over one denominator, and each polynomial a
+step changes is one integer combination (exact.linear_combination):
+its terms scaled to one common denominator, summed, and one gcd divided
+out.  A gap steps phi as phi + l (phi_x + l/2 phi_xx), two such
+combinations, so that the square of l's denominator never enters a
+common denominator: with the one combination phi + l phi_x +
+l^2/2 phi_xx the peel of random_spectral(32, 7) took a quarter longer.
 
 Eigenvalues are the roots of the curvature polynomial phi_xx away from
 zero; they are positive and simple for positive masses and gaps.  The
@@ -32,6 +39,7 @@ from .exact import (
     RatInterval,
     cauchy_root_bound,
     eval_interval,
+    linear_combination,
     refine_enclosure,
     sturm_isolate,
 )
@@ -95,14 +103,16 @@ class WeylData:
 def jump_step(triple: tuple, mass: Fraction) -> tuple:
     """Cross one point mass: phi_xx -= 2 m z phi."""
     phi, phi_x, phi_xx = triple
-    return phi, phi_x, phi_xx - Polynomial((0, *phi.coefficients)) * (2 * mass)
+    return phi, phi_x, linear_combination((phi_xx, 1, 0), (phi, -2 * mass, 1))
 
 
 def gap_step(triple: tuple, gap: Fraction) -> tuple:
-    """Cross one gap: integrate the quadratic."""
+    """Cross one gap: integrate the quadratic, phi + l (phi_x + l/2 phi_xx)
+    and phi_x + l phi_xx."""
     phi, phi_x, phi_xx = triple
-    return (phi + phi_x * gap + phi_xx * (gap * gap / 2),
-            phi_x + phi_xx * gap,
+    half = linear_combination((phi_x, 1, 0), (phi_xx, gap / 2, 0))
+    return (linear_combination((phi, 1, 0), (half, gap, 0)),
+            linear_combination((phi_x, 1, 0), (phi_xx, gap, 0)),
             phi_xx)
 
 
@@ -137,7 +147,8 @@ def eigenvalue_polynomial(wd: WeylData) -> Polynomial:
     """phi_xx / z: its roots are the nonzero eigenvalues."""
     if wd.phi_xx.coefficient(0) != 0:
         raise IdentityViolatedError("curvature polynomial must vanish at z = 0")
-    return Polynomial(wd.phi_xx.coefficients[1:])
+    return Polynomial.from_integers(wd.phi_xx.numerators[1:],
+                                    wd.phi_xx.denominator)
 
 
 def spectrum(wd: WeylData,

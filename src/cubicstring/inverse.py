@@ -69,6 +69,7 @@ from .exact import (
     bordered_minors,
     det_exact,
     format_rational,
+    linear_combination,
     parse_rational,
     parse_rational_list,
     solve_exact,
@@ -261,10 +262,8 @@ def _value_measure(lams, cs, total_mass) -> tuple[tuple, tuple]:
 
 def _polynomial_part(den: Polynomial, points, weights) -> Polynomial:
     """Polynomial part of den(z) * sum_k weights_k / (z - points_k)."""
-    acc = Polynomial.zero()
-    for p, w in zip(points, weights):
-        acc = acc + Polynomial.constant(w) * den.difference_quotient(p)
-    return acc
+    return linear_combination(*((den.difference_quotient(p), w, 0)
+                                for p, w in zip(points, weights)))
 
 
 # -- the three approximation problems ------------------------------------
@@ -328,10 +327,9 @@ def solve_type1(bt: BimomentTable, sd: SpectralData, k: int) -> Approximant:
 
 def curvature_polynomial(sd: SpectralData) -> Polynomial:
     """-2 M z prod (1 - z/lam_j): the boundary curvature the data fixes."""
-    z = Polynomial.x()
-    out = Polynomial.constant(-2 * sd.total_mass) * z
+    out = Polynomial((0, -2 * sd.total_mass))
     for lam in sd.eigenvalues:
-        out = out * (Polynomial.one() - z * Polynomial.constant(1 / lam))
+        out = linear_combination((out, 1, 0), (out, -1 / lam, 1))
     return out
 
 

@@ -16,7 +16,8 @@ on the mixed strings at 4096 bits, where the residue enclosures carry
 their largest operands, and at 64 and 256 bits on strings of large
 operands (4 masses of 300-digit ratios, 6 of 100-digit ratios);
 `invert` with and without the determinant audit, on spectra of n = 2
-to 20; `roundtrip`;
+to 32, where the peel's operands reach thousands of bits; `roundtrip`,
+up to n = 32;
 `evolve` by both routes, out of range included; `verify`; and the
 error paths of each subcommand.
 """
@@ -97,11 +98,11 @@ def write_inputs(folder: Path) -> list[list[str]]:
               for s in large for bits in (64, 256)]
 
     spectra = [put(f"spectral{n}.json", spectral_to_dict(random_spectral(n, n)))
-               for n in (2, 4, 7, 10, 14, 20)]
+               for n in (2, 4, 7, 10, 14, 20, 24, 32)]
     calls += [["invert", s, *flag] for s in spectra
               for flag in ([], ["--report-determinants"])]
     calls += [["roundtrip", "--n", str(n), "--seed", str(n)]
-              for n in (1, 4, 9)]
+              for n in (1, 4, 9, 32)]
 
     waves = [put("wave3.json", {"masses": ["1", "2", "1"],
                                 "gaps": ["1", "1/2"]}),

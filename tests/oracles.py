@@ -20,6 +20,12 @@ the cofactor determinant.  These read the two Weyl functions as exact
 ratios of polynomials (weyl_fractions); the runtime needs only their
 products with the curvature polynomial.
 
+Polynomials as tuples of reduced Fractions (FractionPolynomial), the
+runtime's Polynomial before it kept integer numerators over one
+denominator, and the crossing steps on them, the runtime's steps before
+each became one integer combination (fraction_jump_step,
+fraction_gap_step).
+
 The Sturm chain by long division over the rationals, the runtime's
 route before it took pseudo-remainders of integer lists, and the
 interval Horner over Fraction, the runtime's enclosure before it ran on
@@ -246,6 +252,89 @@ def decimal_spectrum(s: CubicString, digits: int) -> tuple[list, list]:
             raise ArithmeticError("Newton found a root twice")
         ctx.prec = digits
         return [+x for x in lams], [+b for b in bs]
+
+
+# -- polynomials over Fraction ---------------------------------------------
+
+class FractionPolynomial:
+    """A polynomial as its coefficients, reduced Fractions low degree
+    first with no trailing zeros, and the ring operations on them one
+    Fraction at a time."""
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coefficients = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPolynomial(out)
+
+    def __neg__(self):
+        return FractionPolynomial(-c for c in self.coefficients)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPolynomial(c * other for c in self.coefficients)
+        a, b = self.coefficients, other.coefficients
+        out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return FractionPolynomial(out)
+
+    def __eq__(self, other):
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash(self.coefficients)
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self):
+        return FractionPolynomial(j * c for j, c in
+                                  enumerate(self.coefficients) if j)
+
+    def difference_quotient(self, lam):
+        """(p(z) - p(lam)) / (z - lam), by synthetic division."""
+        cs, d = self.coefficients, len(self.coefficients) - 1
+        if d < 1:
+            return FractionPolynomial()
+        out = [Fraction(0)] * d
+        out[d - 1] = cs[d]
+        for j in range(d - 1, 0, -1):
+            out[j - 1] = cs[j] + lam * out[j]
+        return FractionPolynomial(out)
+
+
+def fraction_jump_step(triple: tuple, mass: Fraction) -> tuple:
+    """Cross one point mass on FractionPolynomials: phi_xx -= 2 m z phi."""
+    phi, phi_x, phi_xx = triple
+    return (phi, phi_x,
+            phi_xx - FractionPolynomial((0, *phi.coefficients)) * (2 * mass))
+
+
+def fraction_gap_step(triple: tuple, gap: Fraction) -> tuple:
+    """Cross one gap on FractionPolynomials: integrate the quadratic."""
+    phi, phi_x, phi_xx = triple
+    return (phi + phi_x * gap + phi_xx * (gap * gap / 2),
+            phi_x + phi_xx * gap,
+            phi_xx)
 
 
 # -- the Sturm chain by rational division ---------------------------------

@@ -561,12 +561,12 @@ def test_evolve_sample_cap_is_bad_input(tmp_path, capsys, method):
 
 
 def test_evolve_spectral_work_cap_is_bad_input(tmp_path, capsys):
-    # 16 peaks on 5,000 rows: 40 s by the estimate (41.7 s timed),
+    # 24 peaks on 10,000 rows: 52 s by the estimate (40.9 s timed),
     # refused at once
-    p = write_json(tmp_path / "s.json", _cycling_string(16))
+    p = write_json(tmp_path / "s.json", _cycling_string(24))
     start = time.perf_counter()
     assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
-                 "--samples", "5000"]) == 2
+                 "--samples", "10000"]) == 2
     assert time.perf_counter() - start < 0.1
     _assert_one_line_error(capsys)
 
@@ -647,11 +647,11 @@ def test_evolve_spectral_last_row_bound(tmp_path, capsys):
         "error: the wave leaves the float range at t = 62.2438\n")
 
 
-@pytest.mark.parametrize("samples,triple", [(2000, False), (1500, True)])
+@pytest.mark.parametrize("samples,triple", [(8000, False), (4000, True)])
 def test_evolve_spectral_work_cap_counts_peaks(tmp_path, capsys, monkeypatch,
                                                samples, triple):
-    # 24 peaks to M t_end = 960,000: 2,000 rows are over the cap by the
-    # row term alone, and refused before the triple is built; 1,500 rows
+    # 24 peaks to M t_end = 960,000: 8,000 rows are over the cap by the
+    # row term alone, and refused before the triple is built; 4,000 rows
     # are not, but with e^(M t) priced at the 539 bits of the last row
     # that can run, they are
     built = []
@@ -671,29 +671,32 @@ def test_evolve_spectral_work_cap_counts_peaks(tmp_path, capsys, monkeypatch,
 # with unit gaps, in-process on a shared 2-vCPU VM
 ADMITTED_RUNS = [
     # one peak: every row is the input
-    (1, 10000, 1, 0.075), (1, 10000, 1000, 0.10),
-    (2, 10000, 3, 3.7), (2, 3000, 3, 1.4),
-    (3, 5000, 6, 3.1), (3, 10000, 6, 6.7),
-    (4, 3000, 7, 2.9), (5, 3000, 9, 3.8), (6, 1000, 12, 1.8),
-    (8, 1000, 15, 2.3), (8, 3000, 15, 7.0), (8, 10000, 15, 27.6),
-    (12, 500, 24, 2.2), (12, 1000, 24, 5.1), (12, 5000, 24, 25.1),
-    (16, 200, 31, 1.7), (16, 500, 31, 4.1), (20, 200, 39, 2.5),
-    (24, 100, 48, 1.5), (24, 300, 48, 4.8), (24, 1500, 48, 26.0),
+    (1, 10000, 1, 0.12), (1, 10000, 1000, 0.12),
+    (2, 10000, 3, 4.7), (2, 3000, 3, 1.3),
+    (3, 5000, 6, 2.4), (3, 10000, 6, 6.0),
+    (4, 3000, 7, 2.2), (5, 3000, 9, 2.6), (6, 1000, 12, 0.97),
+    (8, 1000, 15, 1.2), (8, 3000, 15, 4.5), (8, 10000, 15, 15.1),
+    (12, 500, 24, 1.3), (12, 1000, 24, 2.1), (12, 5000, 24, 11.2),
+    (16, 200, 31, 0.65), (16, 500, 31, 1.5), (16, 5000, 31, 16.1),
+    (16, 10000, 31, 29.9), (20, 200, 39, 0.65),
+    (24, 100, 48, 0.52), (24, 300, 48, 1.6), (24, 1500, 48, 6.2),
+    (24, 3000, 48, 15.4), (32, 3000, 64, 20.9),
     # exit 1: the row past t = 0 leaves the float range, after a peel
-    # of a triple scaled by e^(M t_end); these price the peel term, as
-    # the flow now stops before such a peel (see the test above)
-    (2, 2, 150000, 1.5), (3, 2, 96000, 2.9), (3, 2, 250000, 21.0),
-    (5, 2, 50000, 3.7), (8, 2, 24000, 2.4), (12, 2, 20000, 4.1),
-    (24, 2, 8000, 2.8),
+    # of a triple scaled by e^(M t_end); the flow now stops before such
+    # a peel (see the test above), so these time the snapshot and the
+    # peel alone, to price the peel term
+    (2, 2, 150000, 0.42), (3, 2, 96000, 1.3), (3, 2, 250000, 9.2),
+    (3, 2, 400000, 22.0), (5, 2, 50000, 1.5), (8, 2, 24000, 1.0),
+    (12, 2, 20000, 1.6), (24, 2, 8000, 1.3),
     # exit 1 at an early row, long before e^(M t_end)
-    (3, 20, 3000, 0.009), (8, 200, 2000, 0.15),
+    (3, 20, 3000, 0.003), (8, 200, 2000, 0.07),
     # the evolve-flow benchmark's largest shape and the golden shape
     (5, 5, 1, None), (3, 3, 2, None),
 ]
 REFUSED_RUNS = [
-    (16, 5000, 31, 41.7), (24, 3000, 48, 48.7),
-    (3, 2, 400000, 52.1),  # exit 1: float range, after the peel
-    (3, 2, 600000, None),  # stopped after 100 s
+    (24, 10000, 48, 40.9), (32, 6000, 64, 37.4), (32, 10000, 64, 69.8),
+    (3, 2, 500000, 36.7),  # exit 1: float range, after the peel
+    (3, 2, 600000, 51.7),  # likewise
 ]
 
 
@@ -717,26 +720,26 @@ def test_evolve_spectral_estimate_against_timed_runs():
 # on a shared 2-vCPU VM; masses and gaps are random ratios of two
 # integers of 1 to 1,000 digits, ratio_string(random.Random(n), n, digits)
 FORWARD_TIMED_RUNS = [
-    (2, 19922, 13276, 4096, 1.8), (3, 33212, 23248, 4096, 2.8),
-    (3, 26, 17, 16384, 3.7), (4, 46497, 33211, 1024, 1.4),
-    (4, 13928, 9950, 4096, 3.0), (4, 46497, 33211, 4096, 9.1),
-    (4, 4626, 3310, 8192, 5.5), (4, 34, 24, 16384, 17.7),
-    (6, 40167, 29205, 256, 1.7), (6, 73030, 53116, 256, 5.0),
-    (6, 73030, 53116, 1024, 9.7), (6, 7274, 5292, 4096, 6.9),
-    (6, 700, 499, 8192, 18.2), (8, 29850, 21891, 64, 2.9),
-    (8, 29850, 21891, 256, 3.3), (8, 99626, 73054, 256, 30.3),
-    (8, 77, 55, 4096, 9.1), (8, 2965, 2171, 4096, 8.4),
-    (10, 12567, 9257, 64, 1.9), (10, 12567, 9257, 256, 2.3),
-    (10, 1209, 886, 4096, 22.8), (10, 3761, 2773, 4096, 22.7),
-    (12, 15200, 11243, 256, 6.7), (12, 45782, 33823, 256, 44.2),
-    (12, 4525, 3344, 1024, 3.4), (12, 106, 72, 4096, 32.1),
-    (16, 20524, 15227, 256, 36.7), (16, 6100, 4524, 256, 5.1),
-    (16, 1957, 1449, 256, 1.0), (16, 1957, 1449, 1024, 7.1),
-    (16, 145, 100, 2048, 21.9), (20, 158, 112, 1024, 9.6),
-    (24, 2994, 2235, 64, 6.5), (24, 2994, 2235, 256, 9.0),
-    (24, 210, 143, 1024, 16.3), (48, 406, 288, 64, 7.5),
-    (32, 296, 213, 1024, 48.3), (40, 374, 257, 1024, 97.3),
-    (8, 77, 55, 16384, None), (10, 126188, 92986, 256, None),
+    (2, 19922, 13276, 4096, 1.8), (3, 33212, 23248, 4096, 2.5),
+    (3, 26, 17, 16384, 4.4), (4, 46497, 33211, 1024, 1.2),
+    (4, 13928, 9950, 4096, 3.1), (4, 46497, 33211, 4096, 9.2),
+    (4, 4626, 3310, 8192, 4.3), (4, 34, 24, 16384, 15.8),
+    (6, 40167, 29205, 256, 0.97), (6, 73030, 53116, 256, 2.5),
+    (6, 73030, 53116, 1024, 5.9), (6, 7274, 5292, 4096, 4.7),
+    (6, 700, 499, 8192, 11.8), (8, 29850, 21891, 64, 1.9),
+    (8, 29850, 21891, 256, 1.9), (8, 99626, 73054, 256, 15.9),
+    (8, 77, 55, 4096, 6.7), (8, 2965, 2171, 4096, 7.9),
+    (10, 12567, 9257, 64, 1.2), (10, 12567, 9257, 256, 1.6),
+    (10, 1209, 886, 4096, 23.2), (10, 3761, 2773, 4096, 20.5),
+    (12, 15200, 11243, 256, 4.4), (12, 45782, 33823, 256, 33.7),
+    (12, 4525, 3344, 1024, 3.1), (12, 106, 72, 4096, 29.4),
+    (16, 20524, 15227, 256, 28.3), (16, 6100, 4524, 256, 3.7),
+    (16, 1957, 1449, 256, 0.84), (16, 1957, 1449, 1024, 6.5),
+    (16, 145, 100, 2048, 17.4), (20, 158, 112, 1024, 7.2),
+    (24, 2994, 2235, 64, 5.1), (24, 2994, 2235, 256, 6.4),
+    (24, 210, 143, 1024, 13.4), (48, 406, 288, 64, 4.0),
+    (32, 296, 213, 1024, 43.1), (40, 374, 257, 1024, 89.7),
+    (10, 126188, 92986, 256, 97.3), (8, 77, 55, 16384, None),
     (16, 61716, 45788, 256, None), (20, 25793, 19185, 256, None),
 ]
 
@@ -755,7 +758,7 @@ def test_forward_estimate_against_timed_runs():
 
 @pytest.mark.parametrize("n,digits,bits", [
     (20, 100, 256),   # large operands: stopped after 100 s
-    (40, 1, 1024),    # many masses at a high precision: 97 s
+    (40, 1, 1024),    # many masses at a high precision: 90 s
     (400, 1, 256),    # many masses: refused before the boundary data
     (8, 1, 16384),    # high precision: likewise
 ])
@@ -770,7 +773,7 @@ def test_forward_work_cap_refuses_at_once(tmp_path, capsys, n, digits, bits):
 
 @pytest.mark.parametrize("n,digits", [(10, 100), (6, 550)])
 def test_forward_work_cap_admits_large_operands(tmp_path, capsys, n, digits):
-    # spectrum and residues take about 2 s and 1.7 s at 256 bits; both
+    # spectrum and residues take about 1.6 s and 1 s at 256 bits; both
     # were refused while the estimate carried the grid's old Q bits
     p = write_json(tmp_path / "s.json",
                    ratio_string(random.Random(n), n, digits))
@@ -839,26 +842,28 @@ def _ratio_spectral(rng, n, digits):
 # 3,000 digits, with k = n or, where two eigenvalues coincide, n + 1, or
 # random_spectral(n, 1), whose denominators divide 12 (L = 4)
 INVERT_TIMED_RUNS = [
-    (3, 99642, 49811, False, 1.4), (5, 59783, 29883, False, 7.2),
-    (9, 11258, 5579, False, 5.0), (9, 33840, 16881, False, 41.1),
-    (13, 4908, 2366, False, 4.6), (13, 16554, 8202, False, 48.8),
-    (17, 2087, 909, False, 2.9), (17, 6533, 3124, False, 25.6),
-    (25, 1494, 567, False, 6.7), (25, 3118, 1331, False, 28.7),
-    (32, 1066, 261, False, 7.4), (33, 1120, 304, False, 7.6),
-    (39, 821, 96, False, 6.9), (40, 554, 4, False, 3.2),
-    (48, 681, 4, False, 9.2), (56, 814, 4, False, 22.3),
-    (64, 929, 4, False, 43.4), (3, 99642, 49811, True, 3.5),
-    (5, 17917, 8938, True, 2.2), (9, 3305, 1589, True, 2.7),
-    (9, 11258, 5579, True, 28.6), (13, 776, 312, True, 1.5),
-    (13, 1595, 691, True, 6.2), (13, 4908, 2366, True, 64.0),
-    (16, 556, 206, True, 3.1), (16, 954, 394, True, 9.2),
-    (17, 2087, 909, True, 71.0), (20, 409, 85, True, 4.0),
-    (20, 674, 172, True, 13.2), (24, 496, 81, True, 11.0),
-    (24, 293, 4, True, 1.0), (28, 352, 4, True, 3.2),
-    (32, 422, 4, True, 11.6), (36, 486, 4, True, 29.8),
-    (40, 554, 4, True, 77.9), (9, 225828, 112877, False, None),
-    (17, 21836, 10830, False, None), (33, 4127, 1796, False, None),
-    (20, 2494, 1073, True, None),
+    (3, 99642, 49811, False, 1.1), (5, 59783, 29883, False, 4.2),
+    (9, 11258, 5579, False, 2.2), (9, 33840, 16881, False, 20.5),
+    (13, 4908, 2366, False, 2.0), (13, 16554, 8202, False, 19.1),
+    (17, 2087, 909, False, 1.0), (17, 6533, 3124, False, 9.8),
+    (25, 1494, 567, False, 2.1), (25, 3118, 1331, False, 9.5),
+    (32, 1066, 261, False, 2.1), (33, 1120, 304, False, 2.8),
+    (39, 821, 96, False, 1.9), (40, 554, 4, False, 0.96),
+    (48, 681, 4, False, 2.5), (56, 814, 4, False, 6.0),
+    (64, 929, 4, False, 11.8), (72, 1078, 4, False, 20.0),
+    (80, 1224, 4, False, 35.7), (33, 4127, 1796, False, 44.9),
+    (9, 45133, 22526, False, 32.3), (9, 56425, 28169, False, 52.3),
+    (3, 99642, 49811, True, 2.9),
+    (5, 17917, 8938, True, 1.7), (9, 3305, 1589, True, 2.2),
+    (9, 11258, 5579, True, 25.7), (13, 776, 312, True, 1.6),
+    (13, 1595, 691, True, 6.9), (13, 4908, 2366, True, 56.8),
+    (16, 556, 206, True, 2.9), (16, 954, 394, True, 8.3),
+    (17, 2087, 909, True, 69.8), (20, 409, 85, True, 3.6),
+    (20, 674, 172, True, 13.7), (24, 496, 81, True, 11.4),
+    (24, 293, 4, True, 1.3), (28, 352, 4, True, 4.2),
+    (32, 422, 4, True, 13.0), (36, 486, 4, True, 35.6),
+    (40, 554, 4, True, 79.6), (9, 225828, 112877, False, None),
+    (17, 21836, 10830, False, None), (20, 2494, 1073, True, None),
 ]
 
 
@@ -886,11 +891,11 @@ def test_invert_estimate_against_timed_runs():
 
 
 @pytest.mark.parametrize("sd,flags", [
-    (_ratio_spectral(random.Random(9300), 9, 300), []),  # 41 s
+    (_ratio_spectral(random.Random(9500), 9, 500), []),  # 52 s
     (_ratio_spectral(random.Random(11000), 9, 2000), []),  # over 100 s
-    (random_spectral(64, 1), []),  # 43 s
+    (random_spectral(80, 1), []),  # 36 s
     (random_spectral(36, 1), ["--report-determinants"]),  # 30 to 37 s
-    (random_spectral(40, 1), ["--report-determinants"]),  # 78 s
+    (random_spectral(40, 1), ["--report-determinants"]),  # 78 to 80 s
 ])
 def test_invert_work_cap_refuses_at_once(tmp_path, capsys, sd, flags):
     p = write_json(tmp_path / "sd.json", spectral_to_dict(sd))
@@ -902,10 +907,10 @@ def test_invert_work_cap_refuses_at_once(tmp_path, capsys, sd, flags):
 
 def test_invert_work_cap_admits_the_benchmark_shapes():
     # inverse-ladder runs n = 4, 9, 14 with and without the audit, and
-    # tests/cli_identity.py n = 2 to 20; nine masses of 100-digit ratios
-    # take 5 s without the audit, and the audit of random_spectral(32, 1)
-    # 12 s
-    for n in (2, 4, 7, 9, 10, 14, 20):
+    # tests/cli_identity.py n = 2 to 32; nine masses of 100-digit ratios
+    # take 2 s without the audit, and the audit of random_spectral(32, 1)
+    # 13 s
+    for n in (2, 4, 7, 9, 10, 14, 20, 24, 32):
         sd = random_spectral(n, n)
         assert _invert_estimate(n, *_invert_operands(sd), True) < WORK_CAP
     sd = _ratio_spectral(random.Random(9100), 9, 100)

@@ -1,6 +1,7 @@
-"""Polynomial ring over Fraction: algebraic laws and the helpers the
-rest of the package leans on (difference quotients, reflection), and
-the tests' reference division."""
+"""Polynomial ring over the rationals, stored on integers: algebraic
+laws and the helpers the rest of the package leans on (difference
+quotients, reflection), and the tests' reference division.  The
+property tests hold each operation to the Fraction reference."""
 
 from fractions import Fraction as F
 
@@ -21,6 +22,10 @@ def test_canonical_form_drops_trailing_zeros():
     assert p.coefficients == (F(1), F(2))
     assert Polynomial([0, 0]).is_zero()
     assert Polynomial().degree == -1
+    q = Polynomial.from_integers([6, -4, 0], -8)
+    assert (q.numerators, q.denominator) == ((-3, 2), 4)
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.from_integers([1], 0)
 
 
 def test_evaluation_and_arithmetic_small():

@@ -20,11 +20,7 @@ from cubicstring.exact import (
 )
 from cubicstring.exact import roots as roots_module
 from cubicstring.exact.rational import content_free
-from cubicstring.exact.roots import (
-    integer_coefficients,
-    sign_at,
-    sign_changes,
-)
+from cubicstring.exact.roots import sign_at, sign_changes
 
 # the isolation width where a test does not turn on it
 WIDTH = F(1, 2 ** 64)
@@ -33,7 +29,7 @@ WIDTH = F(1, 2 ** 64)
 def test_chain_counts_roots_of_factored_poly():
     # (z-1)(z-2): two roots in (0, 10]
     p = Polynomial([2, -3, 1])
-    chain = [integer_coefficients(q) for q in sturm_chain(p)]
+    chain = [q.numerators for q in sturm_chain(p)]
     # V(a) - V(b) counts the roots in (a, b], also at a root
     v = {x: sign_changes(chain, x.numerator, x.denominator)
          for x in (F(0), F(1), F(3, 2), F(2), F(3), F(10))}
@@ -135,7 +131,7 @@ def test_the_sieve_proves_there_is_no_rational_root():
     # mod every prime, and 2 z - 1 has the rational root 1/2
     assert roots_module._no_rational_root([-2, 0, 1])
     every = poly_product([Polynomial([-k, 0, 1]) for k in (2, 17, 34)])
-    assert not roots_module._no_rational_root(integer_coefficients(every))
+    assert not roots_module._no_rational_root(every.numerators)
     assert not roots_module._no_rational_root([-1, 2])
 
 
@@ -151,7 +147,7 @@ def _rational_root_in(p, a, b):
     """The rational root of p in the open (a, b), if there is one, by
     the rational root theorem: it is some u/v with v dividing the
     leading coefficient of the primitive integer p."""
-    lead = abs(content_free(integer_coefficients(p))[-1])
+    lead = abs(content_free(p.numerators)[-1])
     for v in range(1, lead + 1):
         if lead % v == 0:
             for u in range(math.floor(a * v) + 1, math.ceil(b * v)):
@@ -242,7 +238,7 @@ def test_sign_at_agrees_with_rational_evaluation():
             r = F(rng.randint(-9, 9), rng.randint(1, 4))
             p = p * Polynomial([-r, 1])
             xs.append(r)
-        coeffs = integer_coefficients(p)
+        coeffs = p.numerators
         assert all(isinstance(c, int) for c in coeffs)
         for x in xs:
             v = p(x)

@@ -1,20 +1,26 @@
 """Differential property tests: the runtime routes against each other
 and against the oracles (the crossing matrices, the kernel pair table,
-the per-size minors, the closed form of the flow and the Sturm chain by
-division), at sizes up to n = 12, and n = 16 for the minors."""
+the per-size minors, the closed form of the flow, the Sturm chain by
+division, and polynomials and crossing steps over Fraction), at sizes
+up to n = 12, n = 16 for the minors and the crossing steps, and n = 24
+for the peel."""
 
 import json
 import sys
 from fractions import Fraction as F
 from itertools import accumulate
+from math import gcd, lcm
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    FractionPolynomial,
     float_spectrum_oracle,
     flow_closed_form,
+    fraction_gap_step,
+    fraction_jump_step,
     moment_minors_by_blocks,
     pair_table_by_kernel,
     sturm_chain_by_division,
@@ -37,12 +43,16 @@ from cubicstring.forward import (
     decimal_digits,
     decimal_string,
     eigenvalue_polynomial,
+    gap_step,
+    jump_step,
+    partial_triples,
     residues,
     spectrum,
 )
 from cubicstring.heine import measure_table, random_measure
 from cubicstring.inverse import (
     SpectralData,
+    _boundary_triple,
     bimoments,
     moment_minors,
     recover,
@@ -75,8 +85,8 @@ def spectral_data(draw, max_n=MAX_N):
 
 
 @st.composite
-def strings(draw):
-    n = draw(st.integers(1, MAX_N))
+def strings(draw, max_n=MAX_N):
+    n = draw(st.integers(1, max_n))
     return CubicString(
         tuple(draw(st.lists(positive, min_size=n, max_size=n))),
         tuple(draw(st.lists(positive, min_size=n - 1, max_size=n - 1))),
@@ -192,6 +202,112 @@ def test_boundary_data_is_column_zero_of_the_crossing(s):
     full = transition(s, 2 * s.n - 1)
     wd = boundary_data(s)
     assert (wd.phi, wd.phi_x, wd.phi_xx) == tuple(row[0] for row in full)
+
+
+# -- Polynomial on integers against Polynomial over Fraction ---------------
+
+poly_coefficients = st.lists(
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    max_size=8)
+scalars = st.one_of(st.sampled_from((F(0), F(-1), F(-7, 3))),
+                    st.fractions(min_value=-20, max_value=20,
+                                 max_denominator=15))
+
+
+def _assert_is(p, ref):
+    """p holds the reference's coefficients, in canonical form: over the
+    lcm of their denominators, with content coprime to it."""
+    cs = ref.coefficients
+    assert p.coefficients == cs
+    assert p.degree == len(cs) - 1
+    assert p.denominator == lcm(*(c.denominator for c in cs))
+    assert gcd(p.denominator, *p.numerators) == 1
+    assert [F(c, p.denominator) for c in p.numerators] == list(cs)
+
+
+@settings(max_examples=300)
+@given(poly_coefficients, poly_coefficients, scalars, scalars)
+def test_polynomial_on_integers_is_the_fraction_polynomial(a, b, c, x):
+    # lists may be empty (the zero polynomial) or end in zeros
+    p, q = Polynomial(a), Polynomial(b)
+    rp, rq = FractionPolynomial(a), FractionPolynomial(b)
+    _assert_is(p, rp)
+    rc = FractionPolynomial((c,))
+    for got, want in ((p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq),
+                      (-p, -rp), (p * c, rp * c), (c * p, rp * c),
+                      (p * int(c), rp * int(c)), (p + c, rp + rc),
+                      (p.derivative(), rp.derivative()),
+                      (p.difference_quotient(c), rp.difference_quotient(c))):
+        _assert_is(got, want)
+    # at a root the quotient divides exactly
+    root = Polynomial((-c, 1))
+    _assert_is((p * root).difference_quotient(c), rp)
+    assert p(x) == rp(x) and p(int(x)) == rp(int(x))
+    assert (p == q) == (rp == rq)
+    # equal polynomials, however built, are equal and hash alike
+    for same in (Polynomial(list(a) + [0, 0]), (p + q) - q):
+        assert same == p and hash(same) == hash(p)
+    assert Polynomial((c,)) == c and (p == c) == (rp == rc)
+
+
+# -- the integer crossing steps against the Fraction steps ----------------
+
+def _equal(triple, ref) -> bool:
+    return all(p.coefficients == r.coefficients for p, r in zip(triple, ref))
+
+
+def _fraction_triple(triple) -> tuple:
+    return tuple(FractionPolynomial(p.coefficients) for p in triple)
+
+
+def _peel_in_lockstep(triple) -> None:
+    """The peel's steps on triple, each checked against the Fraction
+    step on the same triple."""
+    for d in range(triple[2].degree - 1, -1, -1):
+        m = -triple[2].coefficient(d + 1) / (2 * triple[0].leading)
+        ref = fraction_jump_step(_fraction_triple(triple), -m)
+        triple = jump_step(triple, -m)
+        assert _equal(triple, ref)
+        if d == 0:
+            break
+        gap = triple[1].leading / triple[2].leading
+        ref = fraction_gap_step(_fraction_triple(triple), -gap)
+        triple = gap_step(triple, -gap)
+        assert _equal(triple, ref)
+    assert triple == (Polynomial.one(), Polynomial.zero(), Polynomial.zero())
+
+
+@settings(max_examples=25)
+@given(st.integers(2, 16), st.integers(0, 10 ** 6),
+       st.fractions(min_value=F(1, 5), max_value=5, max_denominator=7)
+       .filter(lambda x: x != 1))
+def test_crossing_steps_are_the_fraction_steps(n, seed, sigma):
+    # on a string recovered from random_spectral: its forward crossing,
+    # the peel of the triple its data fixes, and the peel of the flow's
+    # triple at a rational sigma other than 1
+    sd = random_spectral(n, seed)
+    triple = _boundary_triple(sd)[0]
+    s = peel(triple)
+    zero = FractionPolynomial()
+    ref = fraction_jump_step((FractionPolynomial((1,)), zero, zero),
+                             s.masses[0])
+    for k, got in enumerate(partial_triples(s), 1):
+        assert _equal(got, ref)
+        if k < n:
+            ref = fraction_jump_step(fraction_gap_step(ref, s.gaps[k - 1]),
+                                     s.masses[k])
+    assert got == triple
+    _peel_in_lockstep(triple)
+    _peel_in_lockstep(flow_triple(boundary_data(s), sd.total_mass, sigma))
+
+
+@settings(max_examples=25)
+@given(strings(max_n=24))
+def test_peel_inverts_the_crossing(s):
+    # random strings up to n = 24, the peel anchored at zero
+    wd = boundary_data(s)
+    again = peel((wd.phi, wd.phi_x, wd.phi_xx))
+    assert (again.masses, again.gaps) == (s.masses, s.gaps)
 
 
 @settings(max_examples=20)
