@@ -69,7 +69,9 @@ from .forward import (
 from .inverse import peel, recover  # recover: perfbench/tracing.py wraps it
 from .string_model import ConservedSet, CubicString, positions
 
-# about 40 s of RK4 at three peaks; past it the run is refused, not started
+# about 40 s of RK4 at three peaks; past it the run is refused, not
+# started.  A step's pair sums grow as n^2, so on n peaks it counts
+# max(1, n^2/9) times (README, "evolve")
 MAX_RK4_STEPS = 10 ** 6
 
 # the spectral route peels at e^(M t) of this many significant digits
@@ -165,9 +167,12 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float,
         raise ValueError("t_end must be positive")
     if samples < 2:
         raise ValueError("need at least the two endpoint samples")
-    if t_end / dt > MAX_RK4_STEPS:
-        raise ValueError(f"t_end / dt asks for {t_end / dt:.3g} RK4 steps, "
-                         f"over the cap of {MAX_RK4_STEPS}")
+    weight = max(1, s0.n ** 2 / 9)
+    if t_end / dt * weight > MAX_RK4_STEPS:
+        peaks = (f" on {s0.n} peaks, each counted {weight:.3g} times,"
+                 if weight > 1 else ",")
+        raise ValueError(f"t_end / dt asks for {t_end / dt:.3g} RK4 steps"
+                         f"{peaks} over the cap of {MAX_RK4_STEPS}")
     xs, ms = list(s0.positions), list(s0.momenta)
     t0 = s0.time
     rows = [(t0, s0, conserved_floats(s0))]

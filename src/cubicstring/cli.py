@@ -45,7 +45,6 @@ from .exact.rational import content_free
 from .forward import (
     DEFAULT_PRECISION_BITS,
     WeylData,
-    boundary_data,
     decimal_digits,
     decimal_string,
     eigenvalue_polynomial,
@@ -84,12 +83,11 @@ VERIFY_K_MAX = 10
 # seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
-# spectral evolve, forward and invert refuse runs estimated at more than
-# this many seconds, before the work: timed runs took 0.70 to 1.50 times
-# their estimate for evolve (31 runs, _spectral_seconds), 0.66 to 1.54
-# for forward (39, _forward_seconds) and 0.73 to 1.34 for invert (40,
-# _invert_seconds plus _audit_seconds with --report-determinants)
-# (README, "evolve", "forward" and "invert")
+# evolve, forward and invert refuse runs estimated at more than this
+# many seconds, before the work (README): timed runs took 0.68 to 1.42
+# times their estimate for the crossing of both (35, _crossing_seconds),
+# 0.70 to 1.50 for spectral evolve (31), 0.66 to 1.54 for forward (39)
+# and 0.73 to 1.34 for invert (40, with --report-determinants too)
 WORK_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 4.1 s, n = 52
@@ -98,23 +96,14 @@ WORK_CAP = 30
 ROUNDTRIP_N_CAP = 50
 
 
-def _spectral_seconds(n: int, rows: int, sigma: int) -> float:
+def _spectral_seconds(n: int, rows: int, sigma: int, crossing: float) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
-    2-vCPU VM (README, "evolve"): 5.8e-4 + 8e-6 n^2 a row, and per row
-    past t = 0 the peel of a triple scaled by e^(M t_end), sigma bits,
-    2.2e-11 ((n - 1) sigma)^2; one peak has no peel, as every row is the
-    input."""
-    return (rows * (5.8e-4 + 8e-6 * n * n)
+    2-vCPU VM (README, "evolve"): the crossing twice, to price the run
+    and for the flow's snapshot, max(5.8e-4 + 8e-6 n^2, crossing) a row,
+    and per row past t = 0 the peel of a triple scaled by e^(M t_end),
+    sigma bits, 2.2e-11 ((n - 1) sigma)^2; one peak has no peel."""
+    return (2 * crossing + rows * max(5.8e-4 + 8e-6 * n * n, crossing)
             + (rows - 1) * 2.2e-11 * ((n - 1) * sigma) ** 2)
-
-
-def _last_sigma_bits(state: WaveState) -> int:
-    """Bits of the largest sigma = e^(M t) whose row of the flow from
-    state is peeled: past it the last mass rounds to 0.0, and the flow
-    stops before the peel (burgers.last_scale)."""
-    s = rationalize(state)
-    return last_sigma_bits(last_scale(boundary_data(s),
-                                      sum(s.masses, Fraction(0))))
 
 
 def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
@@ -128,15 +117,17 @@ def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
         + 2.8e-10 * q ** 1.4 * b ** 1.1
 
 
-def _crossing_seconds(k: int, triple_bits: int, step_bits: int) -> float:
+def _crossing_seconds(k: int, triple_bits: int, step_bits: int,
+                      twos: int) -> float:
     """Estimated seconds of the crossing step that makes the boundary
     triple of the first k masses (README, "forward"), from a triple
     whose largest numerator and its denominator take T = triple_bits
-    bits, across a gap and a mass of O = step_bits bits: products of
-    the k numerators of T bits by scalars of O bits, and a gcd of T-bit
-    integers, 4.9e-6 k + 1.75e-12 k T O + 5.1e-12 T^2."""
-    t, o = triple_bits, step_bits
-    return 4.9e-6 * k + 1.75e-12 * k * t * o + 5.1e-12 * t * t
+    bits, with Z = twos factors of 2 in a denominator, across a gap and
+    a mass of O = step_bits bits: 3.7e-6 k + 1e-12 k T (O + Z) +
+    4.6e-12 T^2.  The canonical form's gcd stays as large as a power of
+    2 shared by the k numerators, as on rationalized doubles."""
+    t = triple_bits
+    return 3.7e-6 * k + 1e-12 * k * t * (step_bits + twos) + 4.6e-12 * t * t
 
 
 def _invert_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
@@ -160,36 +151,30 @@ def _bits(x: Fraction) -> int:
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
-def _triple_bits(triple) -> int:
-    """The bits of the largest numerator of a polynomial of the triple
-    plus those of its denominator."""
-    return max(max((c.bit_length() for c in p.numerators), default=0)
-               + p.denominator.bit_length() for p in triple)
+def _triple_bits(triple) -> tuple[int, int]:
+    """The bits of the triple's largest numerator plus its denominator's,
+    and the most factors of 2 in a denominator."""
+    return (max(max((c.bit_length() for c in p.numerators), default=0)
+                + p.denominator.bit_length() for p in triple),
+            max((p.denominator & -p.denominator).bit_length() - 1
+                for p in triple))
 
 
-def _refuse_forward_over_cap(s, bits: int) -> WeylData:
-    """The boundary data of s, which forward isolates; a ValueError, as
-    soon as the run is estimated at over WORK_CAP seconds.  Each
-    crossing step is priced from the triple built so far before it is
-    made, so the data of strings that cancel, as recovered strings do,
-    is priced by what it carries, and no step past the cap is made."""
-    operand_bits = sum(_bits(x) for x in s.masses + s.gaps)
-    over = ValueError(f"forward on {s.n} masses of {operand_bits} operand "
-                      f"bits at {bits} bits is over the work cap")
-    built, isolation = 0.0, _forward_seconds(s.n, 0, bits)
+def _priced_boundary_data(s, estimate, over) -> tuple[WeylData, float]:
+    """The boundary data of s and the estimated seconds of its crossing,
+    `over` as soon as estimate(the crossing so far) passes WORK_CAP.
+    Each step is priced from the triple built so far before it is made,
+    so the data of strings that cancel, as recovered strings do, is
+    priced by what it carries, and no step past the cap is made."""
+    built = 0.0
     for k, triple in enumerate(partial_triples(s), 1):
         if k < s.n:
-            built += _crossing_seconds(k + 1, _triple_bits(triple),
-                                       _bits(s.gaps[k - 1])
-                                       + _bits(s.masses[k]))
-        if built + isolation > WORK_CAP:
+            bits, twos = _triple_bits(triple)
+            built += _crossing_seconds(
+                k + 1, bits, _bits(s.gaps[k - 1]) + _bits(s.masses[k]), twos)
+        if estimate(built) > WORK_CAP:
             raise over
-    wd = WeylData(*triple)
-    q = content_free(eigenvalue_polynomial(wd).numerators)
-    q_bits = max(abs(c).bit_length() for c in q)
-    if built + _forward_seconds(s.n, q_bits, bits) > WORK_CAP:
-        raise over
-    return wd
+    return WeylData(*triple), built
 
 
 def _read_json(path: str):
@@ -218,7 +203,17 @@ def _run_forward(ns: argparse.Namespace) -> int:
     s = string_from_dict(_read_json(ns.input))
     validate(s)
     bits = resolve_precision_bits(ns.precision_bits)
-    wd = residues(spectrum(_refuse_forward_over_cap(s, bits), bits), bits)
+    operand_bits = sum(_bits(x) for x in s.masses + s.gaps)
+    over = ValueError(f"forward on {s.n} masses of {operand_bits} operand "
+                      f"bits at {bits} bits is over the work cap")
+    # isolation with Q = 0 while the data is built, then on q = phi_xx/z
+    wd, built = _priced_boundary_data(
+        s, lambda b: b + _forward_seconds(s.n, 0, bits), over)
+    q = content_free(eigenvalue_polynomial(wd).numerators)
+    if built + _forward_seconds(s.n, max(abs(c).bit_length() for c in q),
+                                bits) > WORK_CAP:
+        raise over
+    wd = residues(spectrum(wd, bits), bits)
     # exact when every eigenvalue is (and so every residue); else every
     # lambda and residue correctly rounded, as both ends of its interval
     # round alike, and the working precision recorded
@@ -287,29 +282,29 @@ def _run_evolve(ns: argparse.Namespace) -> int:
     if ns.samples > EVOLVE_SAMPLE_CAP:
         raise ValueError(f"--samples {ns.samples} is over the cap of "
                          f"{EVOLVE_SAMPLE_CAP} rows")
-    state = WaveState(0.0,
-                      tuple(float(x) for x in positions(s)),
+    state = WaveState(0.0, tuple(float(x) for x in positions(s)),
                       tuple(float(m) for m in s.masses))
+    if ns.method == "rk4" and (ns.dt is None or ns.dt <= 0):
+        raise ValueError("--method rk4 needs a positive --dt")
+    over = ValueError(f"--samples {ns.samples} on {s.n} peaks to --t-end "
+                      f"{ns.t_end} is over the {ns.method} work cap")
+    # every crossing is charged: this one, on rk4 the M_j of each row,
+    # on the spectral route the flow's snapshot and a peel a row
+    exact = rationalize(state)
     if ns.method == "rk4":
-        if ns.dt is None or ns.dt <= 0:
-            raise ValueError("--method rk4 needs a positive --dt")
+        _priced_boundary_data(exact, lambda b: (1 + ns.samples) * b, over)
         traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples)
     else:
         # e^(M t_end) is the largest factor: where it overflows, exit 1
         sigma_bits = scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
-        over = ValueError(f"--samples {ns.samples} on {s.n} peaks to "
-                          f"--t-end {ns.t_end} is over the spectral work cap")
-        # the triple that bounds sigma is built only when the rows alone
-        # are under the cap
-        if _spectral_seconds(s.n, ns.samples, 0) > WORK_CAP:
-            raise over
+        wd, built = _priced_boundary_data(
+            exact, lambda b: _spectral_seconds(s.n, ns.samples, 0, b), over)
         if s.n > 1:
-            sigma_bits = min(sigma_bits, _last_sigma_bits(state))
-        if _spectral_seconds(s.n, ns.samples,
-                             sigma_bits) > WORK_CAP:
+            sigma_bits = min(sigma_bits, last_sigma_bits(
+                last_scale(wd, sum(exact.masses, Fraction(0)))))
+        if _spectral_seconds(s.n, ns.samples, sigma_bits, built) > WORK_CAP:
             raise over
-        times = [i * ns.t_end / (ns.samples - 1)
-                 for i in range(ns.samples)]
+        times = [i * ns.t_end / (ns.samples - 1) for i in range(ns.samples)]
         traj = evolve_spectral(state, times)
     _emit(_csv_text(traj), ns.output)
     return 0

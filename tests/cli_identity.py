@@ -18,7 +18,8 @@ operands (4 masses of 300-digit ratios, 6 of 100-digit ratios);
 `invert` with and without the determinant audit, on spectra of n = 2
 to 32, where the peel's operands reach thousands of bits; `roundtrip`,
 up to n = 32;
-`evolve` by both routes, out of range included; `verify`; and the
+`evolve` by both routes, on small integers and quarters and on a wave
+of 24 random doubles, out of range included; `verify`; and the
 error paths of each subcommand.
 """
 
@@ -31,12 +32,14 @@ import sys
 import tarfile
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
+from cubicstring.exact import format_rational  # noqa: E402
 from cubicstring.inverse import (  # noqa: E402
     random_spectral,
     recover,
@@ -68,6 +71,16 @@ def ratio_string(rng: Random, n: int, digits: int) -> dict:
                         for _ in range(2))
     return {"masses": [ratio() for _ in range(n)],
             "gaps": [ratio() for _ in range(n - 1)]}
+
+
+def double_wave(rng: Random, n: int) -> dict:
+    """A wave of n peaks whose gaps, uniform in (0.1, 1), and masses,
+    uniform in (0.1, 2), are random doubles, each written as the exact
+    ratio the double is."""
+    gaps = [rng.uniform(0.1, 1) for _ in range(n - 1)]
+    masses = [rng.uniform(0.1, 2) for _ in range(n)]
+    return {"masses": [format_rational(Fraction(m)) for m in masses],
+            "gaps": [format_rational(Fraction(g)) for g in gaps]}
 
 
 def write_inputs(folder: Path) -> list[list[str]]:
@@ -114,6 +127,11 @@ def write_inputs(folder: Path) -> list[list[str]]:
                       "--samples", "6"])
         calls.append(["evolve", w, "--method", "rk4", "--dt", "0.01",
                       "--t-end", "1", "--samples", "6"])
+    doubles = put("doubles24.json", double_wave(Random(24), 24))
+    calls.append(["evolve", doubles, "--method", "spectral", "--t-end", "1",
+                  "--samples", "3"])
+    calls.append(["evolve", doubles, "--method", "rk4", "--dt", "0.01",
+                  "--t-end", "1", "--samples", "3"])
     calls.append(["evolve", waves[2], "--method", "spectral", "--t-end", "40",
                   "--samples", "11"])
     calls.append(["evolve", waves[0], "--method", "spectral", "--t-end",

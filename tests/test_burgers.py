@@ -321,6 +321,22 @@ def test_integrator_argument_checks():
         integrate_rk4(SYMMETRIC, 1.0, 2.0 * MAX_RK4_STEPS)
 
 
+def test_rk4_step_cap_counts_peaks():
+    # a step on n peaks counts max(1, n^2/9) times: 30 peaks ask 100
+    # times the steps, so 2 x 10^4 of them pass the cap of 10^6, and the
+    # three-peak message is unchanged
+    wide = WaveState(0.0, tuple(float(x) for x in range(30)), (1.0,) * 30)
+    with pytest.raises(ValueError, match=(
+            "^t_end / dt asks for 2e[+]04 RK4 steps on 30 peaks, each "
+            "counted 100 times, over the cap of 1000000$")):
+        integrate_rk4(wide, 1e-4, 2.0)
+    three = WaveState(0.0, (0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match=(
+            "^t_end / dt asks for 1e[+]09 RK4 steps, over the cap of "
+            "1000000$")):
+        integrate_rk4(three, 1e-9, 1.0)
+
+
 def test_one_peak_never_builds_the_flow_factor(monkeypatch):
     # one mass has M = m: its triple (1, 0, -2mz) is the same at every sigma
     def refuse(*args):

@@ -12,19 +12,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from cli_identity import ratio_string
+from cli_identity import double_wave, ratio_string
 from oracles import decimal_spectrum
 
 from cubicstring import burgers, cli, forward
-from cubicstring.burgers import WaveState, scale_bits
+from cubicstring.burgers import WaveState, rationalize, scale_bits
 from cubicstring.cli import (
     EVOLVE_SAMPLE_CAP,
     ROUNDTRIP_N_CAP,
     WORK_CAP,
     _audit_seconds,
+    _crossing_seconds,
     _forward_seconds,
     _invert_seconds,
-    _refuse_forward_over_cap,
+    _priced_boundary_data,
     _spectral_seconds,
     main,
 )
@@ -40,6 +41,7 @@ from cubicstring.inverse import (
 )
 from cubicstring.string_model import (
     CubicString,
+    positions,
     string_from_dict,
     string_to_dict,
 )
@@ -632,18 +634,31 @@ def test_evolve_spectral_far_out_of_range_builds_no_factor(tmp_path,
         "error: the wave leaves the float range at t = 383333.0\n")
 
 
-def test_evolve_spectral_last_row_bound(tmp_path, capsys):
+def _priced_sigma_bits(monkeypatch):
+    """The sigma bits of every estimate the CLI makes, as it makes them."""
+    seen = []
+    real = cli._spectral_seconds
+    monkeypatch.setattr(cli, "_spectral_seconds",
+                        lambda n, rows, sigma, crossing:
+                        seen.append(sigma) or real(n, rows, sigma, crossing))
+    return seen
+
+
+def test_evolve_spectral_last_row_bound(tmp_path, capsys, monkeypatch):
     # masses 1, 2, 3 with unit gaps: the last mass rounds to 0.0 from
-    # M t = 373.46, t = 62.2437, where e^(M t) has 539 bits
-    s = _cycling_string(3)
-    bits = cli._last_sigma_bits(WaveState(0.0, (0.0, 1.0, 2.0),
-                                          (1.0, 2.0, 3.0)))
-    assert bits - 1 < 373.46 / math.log(2) < bits == 539
-    p = write_json(tmp_path / "s.json", s)
+    # M t = 373.46, t = 62.2437, where e^(M t) has 539 bits, and the run
+    # prices sigma at those bits, read off the triple it builds, however
+    # far past them t_end is
+    seen = _priced_sigma_bits(monkeypatch)
+    p = write_json(tmp_path / "s.json", _cycling_string(3))
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "1000",
+                 "--samples", "2"]) == 1
+    assert seen[-1] - 1 < 373.46 / math.log(2) < seen[-1] == 539
+    assert scale_bits(Fraction(6), 1000.0) > 8000
     for t_end, code in (("62.2436", 0), ("62.2438", 1)):
         assert main(["evolve", p, "--method", "spectral", "--t-end", t_end,
                      "--samples", "2"]) == code
-    assert capsys.readouterr().err == (
+    assert capsys.readouterr().err.endswith(
         "error: the wave leaves the float range at t = 62.2438\n")
 
 
@@ -651,20 +666,22 @@ def test_evolve_spectral_last_row_bound(tmp_path, capsys):
 def test_evolve_spectral_work_cap_counts_peaks(tmp_path, capsys, monkeypatch,
                                                samples, triple):
     # 24 peaks to M t_end = 960,000: 8,000 rows are over the cap by the
-    # row term alone, and refused before the triple is built; 4,000 rows
-    # are not, but with e^(M t) priced at the 539 bits of the last row
-    # that can run, they are
-    built = []
-    real = cli.boundary_data
-    monkeypatch.setattr(cli, "boundary_data",
-                        lambda s: built.append(s) or real(s))
+    # row term alone, and refused before the first gap is crossed; 4,000
+    # rows are not, but with e^(M t) priced at the 539 bits of the last
+    # row that can run, read off the whole triple, they are
+    steps = []
+    real = forward.jump_step
+    monkeypatch.setattr(forward, "jump_step",
+                        lambda t, m: steps.append(m) or real(t, m))
+    seen = _priced_sigma_bits(monkeypatch)
     p = write_json(tmp_path / "s.json", _cycling_string(24))
     start = time.perf_counter()
     assert main(["evolve", p, "--method", "spectral", "--t-end", "20000",
                  "--samples", str(samples)]) == 2
     assert time.perf_counter() - start < 0.5
     _assert_one_line_error(capsys)
-    assert bool(built) == triple
+    assert len(steps) == (24 if triple else 1)
+    assert set(seen) == ({0, 539} if triple else {0})
 
 
 # (n, rows, M t_end, seconds the run took) on masses 1, 2, 3, 1, 2, ...
@@ -700,9 +717,15 @@ REFUSED_RUNS = [
 ]
 
 
+def _crossing_estimate(s):
+    return _priced_boundary_data(s, lambda built: 0, None)[1]
+
+
 def test_evolve_spectral_estimate_against_timed_runs():
     def estimate(n, rows, mt, _):
-        return _spectral_seconds(n, rows, scale_bits(Fraction(mt), 1.0))
+        crossing = _crossing_estimate(string_from_dict(_cycling_string(n)))
+        return _spectral_seconds(n, rows, scale_bits(Fraction(mt), 1.0),
+                                 crossing)
 
     assert all(estimate(*run) <= WORK_CAP for run in ADMITTED_RUNS)
     assert all(estimate(*run) > WORK_CAP for run in REFUSED_RUNS)
@@ -781,17 +804,17 @@ def test_forward_work_cap_admits_large_operands(tmp_path, capsys, n, digits):
     assert len(json.loads(capsys.readouterr().out)["lambdas"]) == n - 1
 
 
-def test_forward_work_cap_admits_the_benchmark_shapes():
+def test_forward_work_cap_admits_the_benchmark_shapes(tmp_path, capsys):
     # forward-ladder runs n = 3, 5, 8 at 256 bits, on small random
     # strings and on strings recovered from random spectral data; four
     # masses of 1,000-digit ratios (0.5 s) are under the budget too
     rng = random.Random(0)
     for n in (3, 5, 8):
-        doc = ratio_string(rng, n, 1)
-        small = CubicString(*(tuple(Fraction(x) for x in doc[key])
-                              for key in ("masses", "gaps")))
-        for s in (small, recover(random_spectral(n, n))):
-            _refuse_forward_over_cap(s, 256)
+        for i, doc in enumerate((ratio_string(rng, n, 1), string_to_dict(
+                recover(random_spectral(n, n))))):
+            p = write_json(tmp_path / f"s{n}_{i}.json", doc)
+            assert main(["forward", p, "--precision-bits", "256"]) == 0
+    capsys.readouterr()
     assert _forward_seconds(4, 33199, 256) < WORK_CAP
 
 
@@ -821,6 +844,105 @@ def test_forward_work_cap_stops_the_crossing_it_prices(tmp_path, capsys,
                    ratio_string(random.Random(3), 12, 300))
     assert main(["forward", p, "--precision-bits", "64"]) == 2
     assert 1 < len(steps) < 12
+    _assert_one_line_error(capsys)
+
+
+def _timed_string(kind, n, digits):
+    """The strings CROSSING_TIMED_RUNS builds."""
+    if kind == "ratio":
+        return string_from_dict(ratio_string(random.Random(n), n, digits))
+    if kind == "small":  # masses, then gaps, randint(1, 9)/randint(1, 4)
+        rng = random.Random(n)
+        draw = [Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                for _ in range(2 * n - 1)]
+        return CubicString(tuple(draw[:n]), tuple(draw[n:]))
+    if kind == "cycle":
+        return string_from_dict(_cycling_string(n))
+    if kind == "recovered":
+        return recover(random_spectral(n, n))
+    # the exact string evolve builds from a wave of random doubles
+    s = string_from_dict(double_wave(random.Random(n), n))
+    return rationalize(WaveState(0.0, tuple(float(x) for x in positions(s)),
+                                 tuple(float(m) for m in s.masses)))
+
+
+# (kind, n, digits, then over the crossing steps the sums of k,
+# k T (O + Z) and T^2, seconds the crossing took), in-process on a
+# shared 2-vCPU VM, on the strings of _timed_string
+CROSSING_TIMED_RUNS = [
+    ("ratio", 3, 20000, 5, 4.944e11, 3.001e11, 2.33),
+    ("ratio", 3, 5000, 5, 3.089e10, 1.876e10, 0.153),
+    ("ratio", 4, 2000, 9, 1.483e10, 1.165e10, 0.0667),
+    ("ratio", 6, 1000, 20, 1.499e10, 1.476e10, 0.0818),
+    ("ratio", 10, 1000, 54, 7.797e10, 9.089e10, 0.387),
+    ("ratio", 12, 300, 77, 1.244e10, 1.505e10, 0.0619),
+    ("ratio", 20, 300, 209, 6.049e10, 7.929e10, 0.396),
+    ("ratio", 30, 100, 464, 2.328e10, 3.149e10, 0.188),
+    ("ratio", 50, 100, 1274, 1.12e11, 1.526e11, 0.575),
+    ("ratio", 100, 30, 5049, 1.051e11, 1.107e11, 0.531),
+    ("ratio", 100, 10, 5049, 1.576e10, 1.166e10, 0.113),
+    ("ratio", 200, 10, 20099, 1.852e11, 9.381e10, 0.953),
+    ("ratio", 300, 3, 45149, 2.088e11, 2.244e10, 0.682),
+    ("ratio", 200, 1, 20099, 5.604e09, 3.05e08, 0.0575),
+    ("ratio", 400, 1, 80199, 9.818e10, 2.292e09, 0.376),
+    ("ratio", 600, 1, 180299, 4.677e11, 8.564e09, 1.42),
+    ("small", 64, 0, 2079, 4.229e07, 4.244e06, 0.00784),
+    ("small", 128, 0, 8255, 8.524e08, 4.829e07, 0.0342),
+    ("small", 256, 0, 32895, 1.076e10, 3.239e08, 0.143),
+    ("small", 400, 0, 80199, 6.159e10, 1.255e09, 0.426),
+    ("cycle", 128, 0, 8255, 7.225e06, 3.39e06, 0.0222),
+    ("cycle", 400, 0, 80199, 2.223e08, 1.061e08, 0.206),
+    ("recovered", 24, 0, 299, 3.147e10, 9.711e08, 0.0519),
+    ("recovered", 32, 0, 527, 1.572e11, 3.693e09, 0.175),
+    ("recovered", 40, 0, 819, 6.648e11, 1.25e10, 0.818),
+    ("recovered", 48, 0, 1175, 2.178e12, 3.353e10, 2.5),
+    ("double", 50, 0, 1274, 6.639e10, 3.35e09, 0.0898),
+    ("double", 75, 0, 2849, 3.351e11, 1.148e10, 0.351),
+    ("double", 100, 0, 5049, 1.049e12, 2.722e10, 0.869),
+    ("double", 130, 0, 8514, 2.998e12, 6.022e10, 2.63),
+    ("double", 160, 0, 12879, 6.761e12, 1.108e11, 5.41),
+    ("double", 200, 0, 20099, 1.639e13, 2.159e11, 13.6),
+    ("double", 250, 0, 31374, 3.97e13, 4.195e11, 29),
+    ("double", 300, 0, 45149, 8.163e13, 7.202e11, 59.4),
+    ("double", 400, 0, 80199, 2.542e14, 1.687e12, 177),
+]
+
+
+def _summed_crossing(k, products, squares):
+    """The crossing estimate at these step sums: _crossing_seconds is
+    linear in k, k T (O + Z) and T^2, so a sum of step estimates is its
+    value at k = sum k, T = (sum T^2)^(1/2) and O = sum k T (O + Z) / k T."""
+    t = math.sqrt(squares)
+    return _crossing_seconds(k, t, products / (k * t), 0)
+
+
+def test_crossing_estimate_against_timed_runs():
+    for *run, seconds in CROSSING_TIMED_RUNS:
+        assert 1 / 1.6 < seconds / _summed_crossing(*run[3:]) < 1.6, run
+    # the sums are those the priced build adds up, step by step
+    for kind, n, digits, *sums, seconds in CROSSING_TIMED_RUNS:
+        if seconds < 0.1 and kind != "recovered":
+            built = _crossing_estimate(_timed_string(kind, n, digits))
+            assert built == pytest.approx(_summed_crossing(*sums),
+                                          rel=1e-3), (kind, n)
+
+
+@pytest.mark.parametrize("n,flags,seconds", [
+    # 2 x 17.5 s of crossing and 20 peels of about one crossing each, by
+    # the estimate; 2 rows took 53 s before the crossing was priced
+    (200, ["--method", "spectral", "--t-end", "1", "--samples", "20"], 5),
+    # 101 crossings of about a second, one a row for its exact M_j
+    (100, ["--method", "rk4", "--dt", "1e-3", "--t-end", "0.1",
+           "--samples", "100"], 1),
+    # 10^6 RK4 steps on 50 peaks, each counted 278 times (29 min)
+    (50, ["--method", "rk4", "--dt", "1e-6", "--t-end", "1"], 1),
+])
+def test_evolve_many_peaks_of_doubles_are_refused(tmp_path, capsys, n, flags,
+                                                  seconds):
+    p = write_json(tmp_path / "w.json", double_wave(random.Random(n), n))
+    start = time.perf_counter()
+    assert main(["evolve", p, *flags]) == 2
+    assert time.perf_counter() - start < seconds
     _assert_one_line_error(capsys)
 
 
