@@ -69,9 +69,7 @@ from .forward import (
 from .inverse import peel, recover  # recover: perfbench/tracing.py wraps it
 from .string_model import ConservedSet, CubicString, positions
 
-# about 40 s of RK4 at three peaks; past it the run is refused, not
-# started.  A step's pair sums grow as n^2, so on n peaks it counts
-# max(1, n^2/9) times (README, "evolve")
+# about 40 s of RK4 at three peaks; past it the run is refused, not started
 MAX_RK4_STEPS = 10 ** 6
 
 # the spectral route peels at e^(M t) of this many significant digits
@@ -129,11 +127,12 @@ def _rhs_arrays(xs, ms):
     return dx, dm
 
 
-def conserved_floats(state: WaveState) -> ConservedSet:
-    """M and M_plus as float sums; each M_j is the correctly rounded
-    value of the exact chain invariant of the state's rational string."""
+def conserved_floats(state: WaveState,
+                     wd: WeylData | None = None) -> ConservedSet:
+    """M and M_plus as float sums; each M_j is the correctly rounded exact
+    chain invariant of the state's rational string, read off wd if given."""
     xs, ms = state.positions, state.momenta
-    phi_xx = forward.boundary_data(rationalize(state)).phi_xx
+    phi_xx = (wd or forward.boundary_data(rationalize(state))).phi_xx
     return ConservedSet(sum(ms), sum(m * x for m, x in zip(ms, xs)),
                         tuple(float(v) for v in invariant_masses(phi_xx)))
 
@@ -153,13 +152,25 @@ def _rk4_step(xs, ms, h):
     return xs, ms
 
 
-def integrate_rk4(s0: WaveState, dt: float, t_end: float,
-                  samples: int = 11) -> Trajectory:
+def check_rk4_steps(n: int, dt: float, t_end: float) -> None:
+    """A ValueError when t_end / dt RK4 steps, each counted max(1, n^2/9)
+    times on n peaks, are over MAX_RK4_STEPS (README, "evolve")."""
+    weight = max(1, n ** 2 / 9)
+    if t_end / dt * weight > MAX_RK4_STEPS:
+        peaks = (f" on {n} peaks, each counted {weight:.3g} times,"
+                 if weight > 1 else ",")
+        raise ValueError(f"t_end / dt asks for {t_end / dt:.3g} RK4 steps"
+                         f"{peaks} over the cap of {MAX_RK4_STEPS}")
+
+
+def integrate_rk4(s0: WaveState, dt: float, t_end: float, samples: int = 11,
+                  wd: WeylData | None = None) -> Trajectory:
     """Fixed-step RK4 from s0.time over a window of length t_end.
 
     Records `samples` evenly spaced rows including both endpoints; the
     step lands exactly on each sample time (the last step into a sample
-    is shortened when dt does not divide the interval).
+    is shortened when dt does not divide the interval).  The first row
+    reads M_j off wd, the boundary triple of s0, when given.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -167,15 +178,10 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float,
         raise ValueError("t_end must be positive")
     if samples < 2:
         raise ValueError("need at least the two endpoint samples")
-    weight = max(1, s0.n ** 2 / 9)
-    if t_end / dt * weight > MAX_RK4_STEPS:
-        peaks = (f" on {s0.n} peaks, each counted {weight:.3g} times,"
-                 if weight > 1 else ",")
-        raise ValueError(f"t_end / dt asks for {t_end / dt:.3g} RK4 steps"
-                         f"{peaks} over the cap of {MAX_RK4_STEPS}")
+    check_rk4_steps(s0.n, dt, t_end)
     xs, ms = list(s0.positions), list(s0.momenta)
     t0 = s0.time
-    rows = [(t0, s0, conserved_floats(s0))]
+    rows = [(t0, s0, conserved_floats(s0, wd))]
     t = t0
     for j in range(1, samples):
         target = t0 + t_end * j / (samples - 1)
@@ -201,11 +207,12 @@ def rationalize(state: WaveState) -> CubicString:
                        xs[-1])
 
 
-def spectral_snapshot(s: CubicString) -> tuple[WeylData, Fraction]:
-    """The flow's t = 0 data: the boundary triple of s and its first
-    moment M+, both exact."""
+def spectral_snapshot(s: CubicString, wd: WeylData | None = None,
+                      ) -> tuple[WeylData, Fraction]:
+    """The flow's t = 0 data: the boundary triple of s, wd when given,
+    and its first moment M+, both exact."""
     first = sum((m * x for m, x in zip(s.masses, positions(s))), Fraction(0))
-    return forward.boundary_data(s), first
+    return wd or forward.boundary_data(s), first
 
 
 def flow_triple(wd: WeylData, total_mass: Fraction, sigma: Fraction) -> tuple:
@@ -399,15 +406,15 @@ def _flow_row(wd: WeylData, total_mass: Fraction, first_moment: Fraction,
 
 
 def evolve_spectral_exact(
-        s0: WaveState, times,
+        s0: WaveState, times, wd: WeylData | None = None,
 ) -> tuple[ConservedSet, list[tuple[float, CubicString]]]:
-    """Exact-route evolution: the t = 0 triple scaled to each time and
-    peeled.  Returns the exact conserved set every row shares, M_j read
-    off the t = 0 phi_xx, and per time the exact string at a nearby
-    time whose positions and masses round to the doubles of the state
-    at that time.  One peak has no residue to scale: every row is s0."""
+    """Exact-route evolution: the t = 0 triple (wd when given) scaled to
+    each time and peeled.  Returns the exact conserved set every row
+    shares, M_j read off the t = 0 phi_xx, and per time the exact string
+    at a nearby time whose positions and masses round to the doubles of
+    the state then.  One peak has no residue to scale: every row is s0."""
     base = rationalize(s0)
-    wd, first_moment = spectral_snapshot(base)
+    wd, first_moment = spectral_snapshot(base, wd)
     total = sum(base.masses, Fraction(0))
     rows = [(float(t), base if base.n == 1 else
              _flow_row(wd, total, first_moment, float(t), float(t) - s0.time))
@@ -416,11 +423,13 @@ def evolve_spectral_exact(
                          tuple(invariant_masses(wd.phi_xx))), rows)
 
 
-def evolve_spectral(s0: WaveState, times) -> Trajectory:
-    """Spectral-route trajectory at the requested times, as floats; every
-    position and mass is the correctly rounded double of the flow state,
-    and every row carries the one conserved set."""
-    exact, rows = evolve_spectral_exact(s0, times)
+def evolve_spectral(s0: WaveState, times,
+                    wd: WeylData | None = None) -> Trajectory:
+    """Spectral-route trajectory from the t = 0 triple, wd when given, at
+    the requested times, as floats; every position and mass is the
+    correctly rounded double of the flow state, and every row carries
+    the one conserved set."""
+    exact, rows = evolve_spectral_exact(s0, times, wd)
     c = ConservedSet(float(exact.total_mass), float(exact.first_moment),
                      tuple(float(v) for v in exact.higher))
     return Trajectory(tuple((t, WaveState(t, positions(s), s.masses), c)

@@ -32,6 +32,7 @@ from fractions import Fraction
 from .burgers import (
     Trajectory,
     WaveState,
+    check_rk4_steps,
     evolve_spectral,
     integrate_rk4,
     last_scale,
@@ -83,11 +84,10 @@ VERIFY_K_MAX = 10
 # seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
-# evolve, forward and invert refuse runs estimated at more than this
-# many seconds, before the work (README): timed runs took 0.68 to 1.42
-# times their estimate for the crossing of both (35, _crossing_seconds),
-# 0.70 to 1.50 for spectral evolve (31), 0.66 to 1.54 for forward (39)
-# and 0.73 to 1.34 for invert (40, with --report-determinants too)
+# evolve, forward and invert refuse runs estimated at over this many
+# seconds, before the work (README): timed runs took 0.64 to 1.56 times
+# the estimate for the crossing (35), 0.70 to 1.50 for spectral evolve
+# (31), 0.66 to 1.54 for forward (39) and 0.73 to 1.34 for invert (40)
 WORK_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 4.1 s, n = 52
@@ -98,11 +98,11 @@ ROUNDTRIP_N_CAP = 50
 
 def _spectral_seconds(n: int, rows: int, sigma: int, crossing: float) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
-    2-vCPU VM (README, "evolve"): the crossing twice, to price the run
-    and for the flow's snapshot, max(5.8e-4 + 8e-6 n^2, crossing) a row,
-    and per row past t = 0 the peel of a triple scaled by e^(M t_end),
-    sigma bits, 2.2e-11 ((n - 1) sigma)^2; one peak has no peel."""
-    return (2 * crossing + rows * max(5.8e-4 + 8e-6 * n * n, crossing)
+    2-vCPU VM (README, "evolve"): the crossing that builds the flow's
+    triple, max(5.8e-4 + 8e-6 n^2, 5 crossings) a row (a peel of doubles
+    costs about five), and per row past t = 0 the peel of a triple scaled
+    by e^(M t_end), sigma bits, 2.2e-11 ((n - 1) sigma)^2."""
+    return (crossing + rows * max(5.8e-4 + 8e-6 * n * n, 5 * crossing)
             + (rows - 1) * 2.2e-11 * ((n - 1) * sigma) ** 2)
 
 
@@ -117,17 +117,15 @@ def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
         + 2.8e-10 * q ** 1.4 * b ** 1.1
 
 
-def _crossing_seconds(k: int, triple_bits: int, step_bits: int,
-                      twos: int) -> float:
-    """Estimated seconds of the crossing step that makes the boundary
-    triple of the first k masses (README, "forward"), from a triple
-    whose largest numerator and its denominator take T = triple_bits
-    bits, with Z = twos factors of 2 in a denominator, across a gap and
-    a mass of O = step_bits bits: 3.7e-6 k + 1e-12 k T (O + Z) +
-    4.6e-12 T^2.  The canonical form's gcd stays as large as a power of
-    2 shared by the k numerators, as on rationalized doubles."""
-    t = triple_bits
-    return 3.7e-6 * k + 1e-12 * k * t * (step_bits + twos) + 4.6e-12 * t * t
+def _crossing_seconds(k: int, triple_bits: int, step_bits: int) -> float:
+    """Estimated seconds of the crossing step that makes the triple of
+    the first k masses (README, "forward") from one whose largest
+    numerator and its denominator take T = triple_bits bits, across a
+    gap and a mass of O = step_bits bits: k numerators of T bits read,
+    multiplied by O-bit scalars and written, and a gcd of T-bit
+    integers, 1.75e-6 k + 6.1e-10 k T + 1.34e-12 k T O + 1.74e-12 T^2."""
+    t, o = triple_bits, step_bits
+    return k * (1.75e-6 + 6.1e-10 * t + 1.34e-12 * t * o) + 1.74e-12 * t * t
 
 
 def _invert_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
@@ -151,27 +149,18 @@ def _bits(x: Fraction) -> int:
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
-def _triple_bits(triple) -> tuple[int, int]:
-    """The bits of the triple's largest numerator plus its denominator's,
-    and the most factors of 2 in a denominator."""
-    return (max(max((c.bit_length() for c in p.numerators), default=0)
-                + p.denominator.bit_length() for p in triple),
-            max((p.denominator & -p.denominator).bit_length() - 1
-                for p in triple))
-
-
 def _priced_boundary_data(s, estimate, over) -> tuple[WeylData, float]:
-    """The boundary data of s and the estimated seconds of its crossing,
-    `over` as soon as estimate(the crossing so far) passes WORK_CAP.
-    Each step is priced from the triple built so far before it is made,
-    so the data of strings that cancel, as recovered strings do, is
-    priced by what it carries, and no step past the cap is made."""
+    """The boundary data of s and the estimated seconds of its crossing;
+    `over` once estimate(the price so far) passes WORK_CAP.  Each step is
+    priced from the triple built so far before it is made, so a string
+    that cancels, as recovered ones do, is priced by what it carries."""
     built = 0.0
     for k, triple in enumerate(partial_triples(s), 1):
-        if k < s.n:
-            bits, twos = _triple_bits(triple)
+        if k < s.n:  # T: a largest numerator plus its denominator
+            t = max(max((c.bit_length() for c in p.numerators), default=0)
+                    + p.denominator.bit_length() for p in triple)
             built += _crossing_seconds(
-                k + 1, bits, _bits(s.gaps[k - 1]) + _bits(s.masses[k]), twos)
+                k + 1, t, _bits(s.gaps[k - 1]) + _bits(s.masses[k]))
         if estimate(built) > WORK_CAP:
             raise over
     return WeylData(*triple), built
@@ -284,16 +273,16 @@ def _run_evolve(ns: argparse.Namespace) -> int:
                          f"{EVOLVE_SAMPLE_CAP} rows")
     state = WaveState(0.0, tuple(float(x) for x in positions(s)),
                       tuple(float(m) for m in s.masses))
-    if ns.method == "rk4" and (ns.dt is None or ns.dt <= 0):
-        raise ValueError("--method rk4 needs a positive --dt")
     over = ValueError(f"--samples {ns.samples} on {s.n} peaks to --t-end "
                       f"{ns.t_end} is over the {ns.method} work cap")
-    # every crossing is charged: this one, on rk4 the M_j of each row,
-    # on the spectral route the flow's snapshot and a peel a row
+    # every crossing the run makes is charged, this build's included
     exact = rationalize(state)
     if ns.method == "rk4":
-        _priced_boundary_data(exact, lambda b: (1 + ns.samples) * b, over)
-        traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples)
+        if ns.dt is None or ns.dt <= 0:
+            raise ValueError("--method rk4 needs a positive --dt")
+        check_rk4_steps(s.n, ns.dt, ns.t_end)
+        wd, _ = _priced_boundary_data(exact, lambda b: ns.samples * b, over)
+        traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples, wd)
     else:
         # e^(M t_end) is the largest factor: where it overflows, exit 1
         sigma_bits = scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
@@ -305,7 +294,7 @@ def _run_evolve(ns: argparse.Namespace) -> int:
         if _spectral_seconds(s.n, ns.samples, sigma_bits, built) > WORK_CAP:
             raise over
         times = [i * ns.t_end / (ns.samples - 1) for i in range(ns.samples)]
-        traj = evolve_spectral(state, times)
+        traj = evolve_spectral(state, times, wd)
     _emit(_csv_text(traj), ns.output)
     return 0
 

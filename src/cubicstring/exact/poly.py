@@ -42,7 +42,9 @@ def _canonical(nums: list[int], den: int) -> "Polynomial":
         nums.pop()
     if not nums:
         return _raw((), 1)
-    g = gcd(den, *nums)
+    # the leading numerator first: on rationalized doubles a gcd begun at
+    # the constant term stays as wide as the power of 2 in den
+    g = gcd(den, nums[-1], *nums)
     if den < 0:
         g = -g
     if g != 1:

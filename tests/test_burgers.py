@@ -121,6 +121,25 @@ def test_spectral_snapshot_two_mass():
     assert first == 1
 
 
+def test_given_triple_is_not_rebuilt(monkeypatch):
+    # both routes take the t = 0 triple already built for their input and
+    # print what they print when they build it; rk4 rebuilds it for each
+    # later row only
+    s0 = WaveState(0.0, (0.0, 0.75, 2.0), (1.5, 0.5, 1.25))
+    wd = boundary_data(rationalize(s0))
+    times = [0.0, 0.5, 1.0]
+    spectral = evolve_spectral(s0, times)
+    rk4 = integrate_rk4(s0, 1e-2, 1.0, samples=3)
+    built = []
+    real = forward.boundary_data
+    monkeypatch.setattr(forward, "boundary_data",
+                        lambda s: built.append(s) or real(s))
+    assert evolve_spectral(s0, times, wd) == spectral
+    assert not built
+    assert integrate_rk4(s0, 1e-2, 1.0, samples=3, wd=wd) == rk4
+    assert len(built) == 2
+
+
 def test_scale_factor_accuracy():
     factors = list(islice(scale_factor(F(2), 2.5), 4))
     assert abs(float(factors[0][0]) - math.exp(5)) < 1e-12

@@ -653,12 +653,14 @@ def test_evolve_spectral_last_row_bound(tmp_path, capsys, monkeypatch):
     p = write_json(tmp_path / "s.json", _cycling_string(3))
     assert main(["evolve", p, "--method", "spectral", "--t-end", "1000",
                  "--samples", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the wave leaves the float range at t = 1000.0\n")
     assert seen[-1] - 1 < 373.46 / math.log(2) < seen[-1] == 539
     assert scale_bits(Fraction(6), 1000.0) > 8000
     for t_end, code in (("62.2436", 0), ("62.2438", 1)):
         assert main(["evolve", p, "--method", "spectral", "--t-end", t_end,
                      "--samples", "2"]) == code
-    assert capsys.readouterr().err.endswith(
+    assert capsys.readouterr().err == (
         "error: the wave leaves the float range at t = 62.2438\n")
 
 
@@ -866,54 +868,57 @@ def _timed_string(kind, n, digits):
                                  tuple(float(m) for m in s.masses)))
 
 
-# (kind, n, digits, then over the crossing steps the sums of k,
-# k T (O + Z) and T^2, seconds the crossing took), in-process on a
-# shared 2-vCPU VM, on the strings of _timed_string
+# (kind, n, digits, then over the crossing steps the sums of k, k T,
+# k T O and T^2, seconds the crossing took, best of five), in-process
+# on a shared 2-vCPU VM, on the strings of _timed_string
 CROSSING_TIMED_RUNS = [
-    ("ratio", 3, 20000, 5, 4.944e11, 3.001e11, 2.33),
-    ("ratio", 3, 5000, 5, 3.089e10, 1.876e10, 0.153),
-    ("ratio", 4, 2000, 9, 1.483e10, 1.165e10, 0.0667),
-    ("ratio", 6, 1000, 20, 1.499e10, 1.476e10, 0.0818),
-    ("ratio", 10, 1000, 54, 7.797e10, 9.089e10, 0.387),
-    ("ratio", 12, 300, 77, 1.244e10, 1.505e10, 0.0619),
-    ("ratio", 20, 300, 209, 6.049e10, 7.929e10, 0.396),
-    ("ratio", 30, 100, 464, 2.328e10, 3.149e10, 0.188),
-    ("ratio", 50, 100, 1274, 1.12e11, 1.526e11, 0.575),
-    ("ratio", 100, 30, 5049, 1.051e11, 1.107e11, 0.531),
-    ("ratio", 100, 10, 5049, 1.576e10, 1.166e10, 0.113),
-    ("ratio", 200, 10, 20099, 1.852e11, 9.381e10, 0.953),
-    ("ratio", 300, 3, 45149, 2.088e11, 2.244e10, 0.682),
-    ("ratio", 200, 1, 20099, 5.604e09, 3.05e08, 0.0575),
-    ("ratio", 400, 1, 80199, 9.818e10, 2.292e09, 0.376),
-    ("ratio", 600, 1, 180299, 4.677e11, 8.564e09, 1.42),
-    ("small", 64, 0, 2079, 4.229e07, 4.244e06, 0.00784),
-    ("small", 128, 0, 8255, 8.524e08, 4.829e07, 0.0342),
-    ("small", 256, 0, 32895, 1.076e10, 3.239e08, 0.143),
-    ("small", 400, 0, 80199, 6.159e10, 1.255e09, 0.426),
-    ("cycle", 128, 0, 8255, 7.225e06, 3.39e06, 0.0222),
-    ("cycle", 400, 0, 80199, 2.223e08, 1.061e08, 0.206),
-    ("recovered", 24, 0, 299, 3.147e10, 9.711e08, 0.0519),
-    ("recovered", 32, 0, 527, 1.572e11, 3.693e09, 0.175),
-    ("recovered", 40, 0, 819, 6.648e11, 1.25e10, 0.818),
-    ("recovered", 48, 0, 1175, 2.178e12, 3.353e10, 2.5),
-    ("double", 50, 0, 1274, 6.639e10, 3.35e09, 0.0898),
-    ("double", 75, 0, 2849, 3.351e11, 1.148e10, 0.351),
-    ("double", 100, 0, 5049, 1.049e12, 2.722e10, 0.869),
-    ("double", 130, 0, 8514, 2.998e12, 6.022e10, 2.63),
-    ("double", 160, 0, 12879, 6.761e12, 1.108e11, 5.41),
-    ("double", 200, 0, 20099, 1.639e13, 2.159e11, 13.6),
-    ("double", 250, 0, 31374, 3.97e13, 4.195e11, 29),
-    ("double", 300, 0, 45149, 8.163e13, 7.202e11, 59.4),
-    ("double", 400, 0, 80199, 2.542e14, 1.687e12, 177),
+    ("ratio", 3, 20000, 5, 1.86e06, 4.944e11, 3.001e11, 1.65),
+    ("ratio", 3, 5000, 5, 4.65e05, 3.089e10, 1.876e10, 0.116),
+    ("ratio", 4, 2000, 9, 5.58e05, 1.483e10, 1.165e10, 0.0542),
+    ("ratio", 6, 1000, 20, 1.129e06, 1.498e10, 1.476e10, 0.0549),
+    ("ratio", 10, 1000, 54, 5.857e06, 7.78e10, 9.089e10, 0.262),
+    ("ratio", 12, 300, 77, 3.106e06, 1.237e10, 1.505e10, 0.0509),
+    ("ratio", 20, 300, 209, 1.505e07, 5.99e10, 7.929e10, 0.242),
+    ("ratio", 30, 100, 464, 1.724e07, 2.28e10, 3.149e10, 0.103),
+    ("ratio", 50, 100, 1274, 8.089e07, 1.071e11, 1.526e11, 0.469),
+    ("ratio", 100, 30, 5049, 1.935e08, 7.587e10, 1.107e11, 0.49),
+    ("ratio", 100, 10, 5049, 6.28e07, 7.994e09, 1.166e10, 0.109),
+    ("ratio", 200, 10, 20099, 5.02e08, 6.391e10, 9.381e10, 0.851),
+    ("ratio", 300, 3, 45149, 4.505e08, 1.531e10, 2.244e10, 0.647),
+    ("ratio", 200, 1, 20099, 2.862e07, 2.675e08, 3.05e08, 0.0516),
+    ("ratio", 400, 1, 80199, 2.215e08, 2.065e09, 2.292e09, 0.34),
+    ("ratio", 600, 1, 180299, 7.862e08, 7.079e09, 8.564e09, 1.13),
+    ("small", 64, 0, 2079, 6.152e05, 5.067e06, 4.244e06, 0.00448),
+    ("small", 128, 0, 8255, 5.843e06, 4.829e07, 4.829e07, 0.0192),
+    ("small", 256, 0, 32895, 4.268e07, 3.403e08, 3.239e08, 0.0854),
+    ("small", 400, 0, 80199, 1.639e08, 1.307e09, 1.255e09, 0.261),
+    ("cycle", 128, 0, 8255, 1.548e06, 7.225e06, 3.39e06, 0.0114),
+    ("cycle", 400, 0, 80199, 4.766e07, 2.223e08, 1.061e08, 0.109),
+    ("recovered", 24, 0, 299, 1.828e06, 3.146e10, 9.711e08, 0.0382),
+    ("recovered", 32, 0, 527, 5.331e06, 1.571e11, 3.693e09, 0.163),
+    ("recovered", 40, 0, 819, 1.353e07, 6.645e11, 1.25e10, 0.677),
+    ("recovered", 48, 0, 1175, 2.915e07, 2.178e12, 3.353e10, 1.92),
+    ("double", 50, 0, 1274, 1.199e07, 2.428e09, 3.35e09, 0.0188),
+    ("double", 75, 0, 2849, 4.057e07, 8.199e09, 1.148e10, 0.0515),
+    ("double", 100, 0, 5049, 9.596e07, 1.939e10, 2.722e10, 0.109),
+    ("double", 130, 0, 8514, 2.112e08, 4.263e10, 6.022e10, 0.218),
+    ("double", 160, 0, 12879, 3.907e08, 7.805e10, 1.108e11, 0.385),
+    ("double", 200, 0, 20099, 7.616e08, 1.517e11, 2.159e11, 0.721),
+    ("double", 250, 0, 31374, 1.483e09, 2.949e11, 4.195e11, 1.36),
+    ("double", 300, 0, 45149, 2.552e09, 5.06e11, 7.202e11, 2.29),
+    ("double", 400, 0, 80199, 6.009e09, 1.185e12, 1.687e12, 5.75),
 ]
 
 
-def _summed_crossing(k, products, squares):
+def _summed_crossing(*sums):
     """The crossing estimate at these step sums: _crossing_seconds is
-    linear in k, k T (O + Z) and T^2, so a sum of step estimates is its
-    value at k = sum k, T = (sum T^2)^(1/2) and O = sum k T (O + Z) / k T."""
-    t = math.sqrt(squares)
-    return _crossing_seconds(k, t, products / (k * t), 0)
+    a k + b k T + c k T O + d T^2, so a sum of step estimates is a, b,
+    c and d, read off it, times the sums."""
+    d = _crossing_seconds(0, 1, 0)
+    a = _crossing_seconds(1, 0, 0)
+    b = _crossing_seconds(1, 1, 0) - a - d
+    c = _crossing_seconds(1, 1, 1) - _crossing_seconds(1, 1, 0)
+    return sum(x * s for x, s in zip((a, b, c, d), sums))
 
 
 def test_crossing_estimate_against_timed_runs():
@@ -928,14 +933,18 @@ def test_crossing_estimate_against_timed_runs():
 
 
 @pytest.mark.parametrize("n,flags,seconds", [
-    # 2 x 17.5 s of crossing and 20 peels of about one crossing each, by
-    # the estimate; 2 rows took 53 s before the crossing was priced
-    (200, ["--method", "spectral", "--t-end", "1", "--samples", "20"], 5),
-    # 101 crossings of about a second, one a row for its exact M_j
+    # 20 peels of about five crossings of a second each, by the
+    # estimate; the run took 113 s when admitted, and 2 rows took 53 s
+    # before the crossing was priced
+    (200, ["--method", "spectral", "--t-end", "1", "--samples", "20"], 1),
+    # 300 crossings of 0.14 s, one a row for its exact M_j
     (100, ["--method", "rk4", "--dt", "1e-3", "--t-end", "0.1",
-           "--samples", "100"], 1),
+           "--samples", "300"], 1),
     # 10^6 RK4 steps on 50 peaks, each counted 278 times (29 min)
     (50, ["--method", "rk4", "--dt", "1e-6", "--t-end", "1"], 1),
+    # refused on the step cap before the triple of 400 peaks is built
+    (400, ["--method", "rk4", "--dt", "1e-9", "--t-end", "1",
+           "--samples", "2"], 1),
 ])
 def test_evolve_many_peaks_of_doubles_are_refused(tmp_path, capsys, n, flags,
                                                   seconds):
@@ -944,6 +953,23 @@ def test_evolve_many_peaks_of_doubles_are_refused(tmp_path, capsys, n, flags,
     assert main(["evolve", p, *flags]) == 2
     assert time.perf_counter() - start < seconds
     _assert_one_line_error(capsys)
+
+
+def test_evolve_starts_from_the_priced_triple(tmp_path, capsys, monkeypatch):
+    # the triple built to price the run is the one the flow starts from:
+    # the spectral route builds no other, and rk4 one a row past t = 0
+    built = []
+    real = forward.boundary_data
+    monkeypatch.setattr(forward, "boundary_data",
+                        lambda s: built.append(s) or real(s))
+    p = write_json(tmp_path / "s.json", _cycling_string(5))
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
+                 "--samples", "3"]) == 0
+    assert not built
+    assert main(["evolve", p, "--method", "rk4", "--dt", "0.01", "--t-end",
+                 "1", "--samples", "3"]) == 0
+    assert len(built) == 2
+    capsys.readouterr()
 
 
 def _ratio_spectral(rng, n, digits):
