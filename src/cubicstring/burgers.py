@@ -193,7 +193,11 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float, samples: int = 11,
             xs, ms = _rk4_step(xs, ms, target - t)
         t = target
         state = WaveState(t, tuple(xs), tuple(ms))
-        rows.append((t, state, conserved_floats(state)))
+        try:
+            rows.append((t, state, conserved_floats(state)))
+        except OverflowError:
+            raise FlowOutOfRangeError(f"the wave leaves the float range by "
+                                      f"t = {t} at dt = {dt}") from None
     return Trajectory(tuple(rows))
 
 

@@ -87,7 +87,7 @@ EVOLVE_SAMPLE_CAP = 10 ** 4
 # evolve, forward and invert refuse runs estimated at over this many
 # seconds, before the work (README): timed runs took 0.64 to 1.56 times
 # the estimate for the crossing (35), 0.70 to 1.50 for spectral evolve
-# (31), 0.66 to 1.54 for forward (39) and 0.73 to 1.34 for invert (40)
+# (31), 0.66 to 1.51 for forward (45) and 0.73 to 1.34 for invert (40)
 WORK_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 4.1 s, n = 52
@@ -108,13 +108,13 @@ def _spectral_seconds(n: int, rows: int, sigma: int, crossing: float) -> float:
 
 def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
     """Estimated seconds of a forward run past its boundary data on a
-    shared 2-vCPU VM (README, "forward"): the n - 1 eigenvalues,
-    bisected over B = bits (at least 64) steps and refined until they
-    round, and the Sturm chain and residues on the integer q = phi_xx/z
-    of Q = q_bits bits.  With q_bits = 0 it is a lower bound."""
-    d, b, q = n - 1, max(bits, 64), q_bits
-    return 2.6e-9 * d ** 2.8 * b ** 2 + 7.6e-11 * d ** 4 * q ** 1.65 \
-        + 2.8e-10 * q ** 1.4 * b ** 1.1
+    shared 2-vCPU VM (README, "forward"): the Sturm chain of the integer
+    q = phi_xx/z of Q = q_bits bits, then the d = n - 1 residues' Horner
+    and rounding on boxes whose values carry W = Q + d max(bits, 64)
+    bits.  With q_bits = 0 it is a lower bound."""
+    d, q, w = n - 1, q_bits, q_bits + (n - 1) * max(bits, 64)
+    return 2.9e-12 * d ** 4.5 * q ** 1.8 + 7.1e-12 * d ** 2.5 * w ** 1.8 \
+        + 4.7e-11 * d * w ** 2
 
 
 def _crossing_seconds(k: int, triple_bits: int, step_bits: int) -> float:

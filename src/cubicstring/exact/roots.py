@@ -17,13 +17,19 @@ doubles: every cut is the rational (lo + hi) / 2, and every sign a
 homogeneous integer Horner, sum c_i num^i den^(deg-i), with no gcd.
 The chain cuts pieces until each holds one root; a cut that lands on a
 root is that root, a point, and the pieces on both sides carry on.
-Then the sign of p, read from whichever end is not a root, says which
-half keeps the root.  No Fraction is built until a box is returned.
+
+Each piece of one root is then refined by Abbott's quadratic interval
+refinement on the grid: a Newton step from the midpoint names a finer
+cell, taken when p has opposite signs at its ends, as it is then the
+cell halving reaches; else one halving is made.  The jump doubles on
+each cell taken, halves on each refused, and stops at each level where
+the width or the rational-root test below acts.  No Fraction is built
+until a box is returned.
 
 A rational root of the integer p is some k/lead, lead its leading
 coefficient, and a box no wider than 1/lead holds one such k at most:
 each box is tested for it once, as soon as it is that narrow.  Where
-the requested width comes first, the bisection goes on for the test
+the requested width comes first, the refinement goes on for the test
 alone and, if the root is not rational, returns the box of the
 requested width; it does not when p has no root modulo some small
 prime, which proves it has no rational root.  So a root is a point
@@ -153,7 +159,7 @@ def sturm_isolate(p: Polynomial, lo: Fraction, hi: Fraction,
         if k == 0:
             continue
         if k == 1 and not (ra and rb):
-            out.append(_bisect_by_sign(coeffs, a, b, den, width,
+            out.append(_refine_on_grid(coeffs, a, b, den, width,
                                        abs(coeffs[-1])))
             continue
         cut, a, b, den = a + b, 2 * a, 2 * b, 2 * den
@@ -177,7 +183,7 @@ def refine_enclosure(p: Polynomial, box: RatInterval,
     if box.width <= width:
         return box
     (a, b), den = over_common_denominator((box.lo, box.hi))
-    return _bisect_by_sign(content_free(p.numerators), a, b, den, width, 0)
+    return _refine_on_grid(content_free(p.numerators), a, b, den, width, 0)
 
 
 def _rational_root(coeffs: list[int], lead: int, a: int, b: int,
@@ -191,18 +197,46 @@ def _rational_root(coeffs: list[int], lead: int, a: int, b: int,
     return None
 
 
-def _bisect_by_sign(coeffs: list[int], a: int, b: int, den: int,
+def _levels(num: int, den: int) -> int:
+    """The least k >= 0 with num <= den * 2^k, for den > 0."""
+    k = max(num.bit_length() - den.bit_length(), 0)
+    return k + ((den << k) < num)
+
+
+def _newton_cell(coeffs: list[int], a: int, b: int, den: int,
+                 levels: int) -> int | None:
+    """The index, clamped to 0..2^levels - 1, of the cell `levels` below
+    (a/den, b/den) that holds the Newton step x from its midpoint, None
+    if p'(mid) = 0: x - a/den = (span dacc - acc) / (2 den dacc), from
+    acc = (2 den)^d p(mid) and dacc = (2 den)^(d-1) p'(mid)."""
+    mid, twice = a + b, 2 * den
+    acc, dacc, scale = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        scale *= twice
+        dacc = dacc * mid + acc
+        acc = acc * mid + c * scale
+    step = (b - a) * dacc
+    if not step:
+        return None
+    return min(max(((step - acc) << (levels - 1)) // step, 0),
+               (1 << levels) - 1)
+
+
+def _refine_on_grid(coeffs: list[int], a: int, b: int, den: int,
                     width: Fraction, lead: int) -> RatInterval:
     """Shrink the open (a/den, b/den), which holds exactly one root of
-    the squarefree integer polynomial coeffs, below width.
+    the squarefree integer polynomial coeffs, below width, to the cell
+    of the bisection grid that halving reaches.
 
     At most one end may be a root: the sign of coeffs left of the inner
-    root is read off whichever end is not.  Halving doubles den, so
-    every midpoint is the same rational as (lo + hi) / 2.  With lead,
-    the leading coefficient, the root is tested once against its one
-    candidate k/lead, when the box is first no wider than 1/lead, and
-    the halving goes on past width until it has been, unless the sieve
-    shows there is no rational root; lead = 0 skips the test.
+    root is read off whichever end is not.  Cells are span/den wide,
+    span = b - a, den doubling per level.  A Newton step guesses the
+    cell `jump` levels down, jump starting at the bits by which the cell
+    is narrower than 1, as from a cell 2^-k wide the step is good to
+    about 2^-2k.  With lead, the leading coefficient, the root is tested
+    once against its candidate k/lead when the box is first no wider
+    than 1/lead, going on past width until then unless the sieve shows
+    there is no rational root; lead = 0 skips the test.
     """
     if width <= 0:
         raise ValueError("refinement width must be positive")
@@ -212,17 +246,29 @@ def _bisect_by_sign(coeffs: list[int], a: int, b: int, den: int,
             "enclosure endpoints must bracket a sign change")
     left = sa or -sb
     wn, wd = width.numerator, width.denominator
+    span, jump = b - a, max(den.bit_length() - (b - a).bit_length(), 2)
     box = None  # the box at the requested width, or the rational root
     while True:
-        if box is None and (b - a) * wd <= wn * den:
+        if box is None and span * wd <= wn * den:
             box = RatInterval(Fraction(a, den), Fraction(b, den))
-            if lead and (b - a) * lead > den and _no_rational_root(coeffs):
+            if lead and span * lead > den and _no_rational_root(coeffs):
                 lead = 0
-        if lead and (b - a) * lead <= den:
+        if lead and span * lead <= den:
             box = _rational_root(coeffs, lead, a, b, den) or box
             lead = 0
         if box is not None and not lead:
             return box
+        levels = min(jump, _levels(span * lead, den) if lead else jump,
+                     _levels(span * wd, wn * den) if box is None else jump)
+        if levels > 1:
+            i = _newton_cell(coeffs, a, b, den, levels)
+            if i is not None:
+                lo, fine = (a << levels) + i * span, den << levels
+                if sign_at(coeffs, lo, fine) * sign_at(
+                        coeffs, lo + span, fine) < 0:
+                    a, b, den, jump = lo, lo + span, fine, 2 * jump
+                    continue
+            jump = max(jump // 2, 2)
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
         s = sign_at(coeffs, mid, den)

@@ -13,8 +13,10 @@ The list covers `forward` at 1, 8, 64 and 256 bits on random strings,
 on strings recovered from random spectral data (rational spectra) and
 on mixed strings (rational and irrational eigenvalues side by side),
 on the mixed strings at 4096 bits, where the residue enclosures carry
-their largest operands, and at 64 and 256 bits on strings of large
-operands (4 masses of 300-digit ratios, 6 of 100-digit ratios);
+their largest operands, at 64 and 256 bits on strings of large
+operands (4 masses of 300-digit ratios, 6 of 100-digit ratios), and at
+1024 bits on 12 and 16 masses of 1-digit ratios, where the root
+refinement runs deepest;
 `invert` with and without the determinant audit, on spectra of n = 2
 to 32, where the peel's operands reach thousands of bits; `roundtrip`,
 up to n = 32;
@@ -109,6 +111,11 @@ def write_inputs(folder: Path) -> list[list[str]]:
              for n, digits in ((4, 300), (6, 100))]
     calls += [["forward", s, "--precision-bits", str(bits)]
               for s in large for bits in (64, 256)]
+    # twelve and sixteen masses at 1,024 bits: long refinements of a
+    # large q, where most grid cells are guessed by Newton steps
+    deep = [put(f"deep{n}.json", ratio_string(Random(n), n, 1))
+            for n in (12, 16)]
+    calls += [["forward", s, "--precision-bits", "1024"] for s in deep]
 
     spectra = [put(f"spectral{n}.json", spectral_to_dict(random_spectral(n, n)))
                for n in (2, 4, 7, 10, 14, 20, 24, 32)]

@@ -29,7 +29,10 @@ fraction_gap_step).
 The Sturm chain by long division over the rationals, the runtime's
 route before it took pseudo-remainders of integer lists, and the
 interval Horner over Fraction, the runtime's enclosure before it ran on
-integers over the box's grid.
+integers over the box's grid.  The root refinement that halves the box
+once per sign evaluation, the runtime's loop before it guessed grid
+cells by Newton steps, and by_halving, which runs the isolation or the
+refinement with it.
 
 The pair table through the kernel b_a b_b / (lam_a + lam_b), the
 runtime's route before it stepped the rank-one displacement.  The six
@@ -47,6 +50,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
+from unittest.mock import patch
 
 import numpy as np
 
@@ -57,7 +61,9 @@ from cubicstring.burgers import (
     spectral_snapshot,
 )
 from cubicstring.errors import IdentityViolatedError, NonSquareError
-from cubicstring.exact import Matrix, Polynomial, det_exact
+from cubicstring.exact import Matrix, Polynomial, RatInterval, det_exact
+from cubicstring.exact import roots
+from cubicstring.exact.roots import _no_rational_root, _rational_root, sign_at
 from cubicstring.forward import (
     boundary_data,
     gap_step,
@@ -388,6 +394,54 @@ def interval_horner(p: Polynomial, lo: Fraction,
         products = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
         acc_lo, acc_hi = min(products) + c, max(products) + c
     return acc_lo, acc_hi
+
+
+# -- the halving refinement -----------------------------------------------
+
+def bisect_by_sign(coeffs: list[int], a: int, b: int, den: int,
+                   width: Fraction, lead: int) -> RatInterval:
+    """Shrink the open (a/den, b/den), which holds exactly one root of
+    the squarefree integer polynomial coeffs, below width, by halving:
+    each step doubles den and keeps the half whose ends differ in sign.
+    With lead, the leading coefficient, the root is tested once against
+    its one candidate k/lead when the box is first no wider than 1/lead,
+    halving on past width until then unless the sieve shows there is no
+    rational root; lead = 0 skips the test."""
+    if width <= 0:
+        raise ValueError("refinement width must be positive")
+    sa, sb = sign_at(coeffs, a, den), sign_at(coeffs, b, den)
+    if sa == sb:
+        raise IdentityViolatedError(
+            "enclosure endpoints must bracket a sign change")
+    left = sa or -sb
+    wn, wd = width.numerator, width.denominator
+    box = None
+    while True:
+        if box is None and (b - a) * wd <= wn * den:
+            box = RatInterval(Fraction(a, den), Fraction(b, den))
+            if lead and (b - a) * lead > den and _no_rational_root(coeffs):
+                lead = 0
+        if lead and (b - a) * lead <= den:
+            box = _rational_root(coeffs, lead, a, b, den) or box
+            lead = 0
+        if box is not None and not lead:
+            return box
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        s = sign_at(coeffs, mid, den)
+        if s == 0:
+            return RatInterval.point(Fraction(mid, den))
+        if s == left:
+            a = mid
+        else:
+            b = mid
+
+
+def by_halving(f, *args):
+    """f(*args) with every root refinement of sturm_isolate and
+    refine_enclosure done by bisect_by_sign."""
+    with patch.object(roots, "_refine_on_grid", bisect_by_sign):
+        return f(*args)
 
 
 # -- the crossing matrices ------------------------------------------------

@@ -465,6 +465,19 @@ def test_evolve_overflow_is_one_line(tmp_path, capsys, flags):
     _assert_one_line_error(capsys)
 
 
+def test_evolve_rk4_leaving_the_float_range_names_the_row(tmp_path,
+                                                          capsys):
+    # RK4 steps of 0.5 on three peaks diverge: the chain invariants of
+    # the state pass the double range between the rows at t = 50 and 100
+    p = write_json(tmp_path / "n3.json", N3_STRING)
+    assert main(["evolve", p, "--method", "rk4", "--dt", "0.5",
+                 "--t-end", "300", "--samples", "7"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: the wave leaves the float range by "
+                       "t = 100.0 at dt = 0.5\n")
+
+
 def test_evolve_rk4_step_cap_is_bad_input(tmp_path, capsys):
     # 10^9 steps would run for hours; the cap refuses them up front
     p = write_json(tmp_path / "n3.json", N3_STRING)
@@ -745,27 +758,30 @@ def test_evolve_spectral_estimate_against_timed_runs():
 # on a shared 2-vCPU VM; masses and gaps are random ratios of two
 # integers of 1 to 1,000 digits, ratio_string(random.Random(n), n, digits)
 FORWARD_TIMED_RUNS = [
-    (2, 19922, 13276, 4096, 1.8), (3, 33212, 23248, 4096, 2.5),
-    (3, 26, 17, 16384, 4.4), (4, 46497, 33211, 1024, 1.2),
-    (4, 13928, 9950, 4096, 3.1), (4, 46497, 33211, 4096, 9.2),
-    (4, 4626, 3310, 8192, 4.3), (4, 34, 24, 16384, 15.8),
-    (6, 40167, 29205, 256, 0.97), (6, 73030, 53116, 256, 2.5),
-    (6, 73030, 53116, 1024, 5.9), (6, 7274, 5292, 4096, 4.7),
-    (6, 700, 499, 8192, 11.8), (8, 29850, 21891, 64, 1.9),
-    (8, 29850, 21891, 256, 1.9), (8, 99626, 73054, 256, 15.9),
-    (8, 77, 55, 4096, 6.7), (8, 2965, 2171, 4096, 7.9),
-    (10, 12567, 9257, 64, 1.2), (10, 12567, 9257, 256, 1.6),
-    (10, 1209, 886, 4096, 23.2), (10, 3761, 2773, 4096, 20.5),
-    (12, 15200, 11243, 256, 4.4), (12, 45782, 33823, 256, 33.7),
-    (12, 4525, 3344, 1024, 3.1), (12, 106, 72, 4096, 29.4),
-    (16, 20524, 15227, 256, 28.3), (16, 6100, 4524, 256, 3.7),
-    (16, 1957, 1449, 256, 0.84), (16, 1957, 1449, 1024, 6.5),
-    (16, 145, 100, 2048, 17.4), (20, 158, 112, 1024, 7.2),
-    (24, 2994, 2235, 64, 5.1), (24, 2994, 2235, 256, 6.4),
-    (24, 210, 143, 1024, 13.4), (48, 406, 288, 64, 4.0),
-    (32, 296, 213, 1024, 43.1), (40, 374, 257, 1024, 89.7),
-    (10, 126188, 92986, 256, 97.3), (8, 77, 55, 16384, None),
+    (2, 19922, 13276, 4096, 0.022), (3, 33212, 23248, 4096, 0.094),
+    (3, 26, 17, 16384, 0.097), (4, 46497, 33211, 1024, 0.2),
+    (4, 13928, 9950, 4096, 0.079), (4, 46497, 33211, 4096, 0.32),
+    (4, 4626, 3310, 8192, 0.11), (4, 34, 24, 16384, 0.3),
+    (6, 40167, 29205, 256, 0.55), (6, 73030, 53116, 256, 1.4),
+    (6, 73030, 53116, 1024, 1.5), (6, 7274, 5292, 4096, 0.2),
+    (6, 700, 499, 8192, 0.33), (8, 29850, 21891, 64, 1.3),
+    (8, 29850, 21891, 256, 1.4), (8, 99626, 73054, 256, 15.0),
+    (8, 77, 55, 4096, 0.25), (8, 2965, 2171, 4096, 0.33),
+    (10, 12567, 9257, 64, 0.84), (10, 12567, 9257, 256, 0.99),
+    (10, 1209, 886, 4096, 1.0), (10, 3761, 2773, 4096, 0.88),
+    (12, 15200, 11243, 256, 3.6), (12, 45782, 33823, 256, 29.7),
+    (12, 4525, 3344, 1024, 0.62), (12, 106, 72, 4096, 1.7),
+    (16, 20524, 15227, 256, 23.8), (16, 6100, 4524, 256, 2.3),
+    (16, 1957, 1449, 256, 0.33), (16, 1957, 1449, 1024, 0.89),
+    (16, 145, 100, 2048, 2.1), (20, 158, 112, 1024, 0.74),
+    (24, 2994, 2235, 64, 3.8), (24, 2994, 2235, 256, 4.5),
+    (24, 210, 143, 1024, 2.0), (48, 406, 288, 64, 1.9),
+    (32, 296, 213, 1024, 8.6), (40, 374, 257, 1024, 19.2),
+    (10, 126188, 92986, 256, 77.7), (8, 77, 55, 16384, 3.8),
     (16, 61716, 45788, 256, None), (20, 25793, 19185, 256, None),
+    (24, 210, 143, 4096, 22.7), (32, 296, 213, 2048, 25.3),
+    (40, 374, 257, 2048, 55.3), (20, 158, 112, 8192, 39.6),
+    (32, 296, 213, 4096, 57.2),
 ]
 
 
@@ -783,9 +799,9 @@ def test_forward_estimate_against_timed_runs():
 
 @pytest.mark.parametrize("n,digits,bits", [
     (20, 100, 256),   # large operands: stopped after 100 s
-    (40, 1, 1024),    # many masses at a high precision: 90 s
+    (40, 1, 2048),    # many masses at a high precision: 55 s
     (400, 1, 256),    # many masses: refused before the boundary data
-    (8, 1, 16384),    # high precision: likewise
+    (20, 1, 8192),    # high precision: 40 s, likewise
 ])
 def test_forward_work_cap_refuses_at_once(tmp_path, capsys, n, digits, bits):
     p = write_json(tmp_path / "s.json",
@@ -798,7 +814,7 @@ def test_forward_work_cap_refuses_at_once(tmp_path, capsys, n, digits, bits):
 
 @pytest.mark.parametrize("n,digits", [(10, 100), (6, 550)])
 def test_forward_work_cap_admits_large_operands(tmp_path, capsys, n, digits):
-    # spectrum and residues take about 1.6 s and 1 s at 256 bits; both
+    # spectrum and residues take about 1 s and 0.5 s at 256 bits; both
     # were refused while the estimate carried the grid's old Q bits
     p = write_json(tmp_path / "s.json",
                    ratio_string(random.Random(n), n, digits))
@@ -835,13 +851,14 @@ def test_forward_work_cap_prices_the_data_it_builds(tmp_path, capsys, n):
 
 def test_forward_work_cap_stops_the_crossing_it_prices(tmp_path, capsys,
                                                       monkeypatch):
-    # random operands do not cancel: with the cap at 0.05 s the crossing
-    # of 300-digit ratios stops before its last steps are made
+    # random operands do not cancel: with the cap at 0.03 s the crossing
+    # of 300-digit ratios, priced 0.045 s in all, stops before its last
+    # steps are made
     steps = []
     real = forward.jump_step
     monkeypatch.setattr(forward, "jump_step",
                         lambda t, m: steps.append(m) or real(t, m))
-    monkeypatch.setattr(cli, "WORK_CAP", 0.05)
+    monkeypatch.setattr(cli, "WORK_CAP", 0.03)
     p = write_json(tmp_path / "s.json",
                    ratio_string(random.Random(3), 12, 300))
     assert main(["forward", p, "--precision-bits", "64"]) == 2

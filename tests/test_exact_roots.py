@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import poly_product
+from oracles import by_halving, poly_product
 
 from cubicstring.errors import IdentityViolatedError, NotSquarefreeError
 from cubicstring.exact import (
@@ -312,3 +312,61 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
         found = sturm_isolate(p, F(1, 2), F(50), WIDTH)
         assert found == _points(*root_set)
         assert len(seen) == len(set(seen))
+
+
+# -- Newton-guessed grid cells ---------------------------------------------
+
+@pytest.fixture
+def guesses(monkeypatch):
+    """The (lo, hi, levels, index) of every Newton guess the refinement
+    makes, the cell it guessed in being (lo, hi)."""
+    seen = []
+    real = roots_module._newton_cell
+
+    def spy(coeffs, a, b, den, levels):
+        i = real(coeffs, a, b, den, levels)
+        seen.append((F(a, den), F(b, den), levels, i))
+        return i
+
+    monkeypatch.setattr(roots_module, "_newton_cell", spy)
+    return seen
+
+
+def test_a_newton_step_past_the_box_is_clamped_into_it():
+    # 3z^3 - 2z^2 - 3z - 3 on (7/8, 7/4): the step from the midpoint
+    # lands past 7/4, and names the last of the four cells
+    p = Polynomial([-3, -3, -2, 3])
+    mid = F(21, 16)
+    assert mid - p(mid) / p.derivative()(mid) > F(7, 4)
+    assert roots_module._newton_cell(list(p.numerators), 7, 14, 8, 2) == 3
+    box = RatInterval(F(7, 8), F(7, 4))
+    assert refine_enclosure(p, box, WIDTH) == by_halving(
+        refine_enclosure, p, box, WIDTH)
+
+
+def test_a_guessed_cell_with_a_root_at_an_end_is_refused(guesses):
+    # 4z - 1 on (0, 1): the step lands on the root 1/4, an end of the
+    # cell (1/4, 1/2) it names; the cell is refused and halving finds
+    # the root as a point
+    got = sturm_isolate(Polynomial([-1, 4]), F(0), F(1), WIDTH)
+    assert guesses == [(F(0), F(1), 2, 1)]
+    assert got == _points(F(1, 4))
+
+
+def test_a_jump_stops_at_the_rational_root_test(guesses):
+    # 24z - 1 on (0, 1): the 1/24 test acts at the cell 2^-5 wide, so
+    # after a jump of two levels the next is three, not four
+    got = sturm_isolate(Polynomial([-1, 24]), F(0), F(1), WIDTH)
+    assert [levels for _, _, levels, _ in guesses] == [2, 3]
+    assert got == _points(F(1, 24))
+
+
+def test_a_jump_stops_at_the_requested_width(guesses):
+    # sqrt 2 on (1, 2) to 2^-10: jumps of two and four levels, then
+    # four, not eight, to the box the halving reaches
+    p = Polynomial([-2, 0, 1])
+    box, width = RatInterval(F(1), F(2)), F(1, 2 ** 10)
+    got = refine_enclosure(p, box, width)
+    assert [levels for _, _, levels, _ in guesses] == [2, 4, 4]
+    assert got.width == width
+    assert got == by_halving(refine_enclosure, p, box, width)

@@ -11,12 +11,15 @@ from fractions import Fraction as F
 from itertools import accumulate
 from math import gcd, lcm
 from pathlib import Path
+from random import Random
 from tempfile import TemporaryDirectory
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cli_identity import ratio_string
 from oracles import (
     FractionPolynomial,
+    by_halving,
     float_spectrum_oracle,
     flow_closed_form,
     fraction_gap_step,
@@ -37,7 +40,13 @@ from cubicstring.burgers import (
     scale_factor,
 )
 from cubicstring.cli import main
-from cubicstring.exact import Polynomial, sturm_chain
+from cubicstring.exact import (
+    Polynomial,
+    cauchy_root_bound,
+    refine_enclosure,
+    sturm_chain,
+    sturm_isolate,
+)
 from cubicstring.forward import (
     boundary_data,
     decimal_digits,
@@ -143,6 +152,33 @@ def test_isolation_agrees_with_the_float_oracle(s, bits):
         assert box.width <= F(1, 2 ** bits)
         assert float(box.lo) * (1 - 1e-9) <= lam <= float(box.hi) * (1 + 1e-9)
     assert all(r.is_negative() for r in wd.w_residues + wd.z_residues)
+
+
+def _isolate_and_refine(q, bits):
+    """q's eigenvalue boxes at 2^-bits, and each refined 16 bits finer,
+    as residues first refines it."""
+    boxes = sturm_isolate(q, F(0), cauchy_root_bound(q), F(1, 2 ** bits))
+    return boxes, [refine_enclosure(q, box, F(1, 2 ** (bits + 16)))
+                   for box in boxes]
+
+
+@settings(max_examples=60)
+@given(st.one_of(
+    strings(),
+    # random ratios of 1- to 4-digit integers, for a q of more bits
+    st.builds(lambda n, seed, digits: string_from_dict(
+        ratio_string(Random(seed), n, digits)),
+        st.integers(2, MAX_N), st.integers(0, 10 ** 6), st.integers(1, 4)),
+    # recovered strings: every eigenvalue rational
+    st.builds(lambda n, seed: recover(random_spectral(n, seed)),
+              st.integers(2, MAX_N), st.integers(0, 10 ** 6))),
+    st.integers(1, 1024))
+def test_grid_refinement_is_the_halving_refinement(s, bits):
+    # the cells the Newton steps guess are the cells halving reaches:
+    # the same boxes, points and widths
+    q = eigenvalue_polynomial(boundary_data(s))
+    assert _isolate_and_refine(q, bits) == by_halving(
+        _isolate_and_refine, q, bits)
 
 
 coefficients = st.fractions(min_value=-60, max_value=60, max_denominator=12)
