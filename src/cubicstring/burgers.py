@@ -201,6 +201,30 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float, samples: int = 11,
     return Trajectory(tuple(rows))
 
 
+def wave_state(s: CubicString) -> WaveState:
+    """The t = 0 wave of a valid string s in doubles; FlowOutOfRangeError
+    naming the first mass or position past the double range, mass that
+    rounds to 0 or gap that rounds away."""
+    doubles = []
+    for name, values in (("mass", s.masses), ("position", positions(s))):
+        for k, x in enumerate(values, 1):
+            try:
+                doubles.append(float(x))
+            except OverflowError:
+                raise FlowOutOfRangeError(
+                    f"{name} {k} is past the double range") from None
+    ms, xs = doubles[:s.n], doubles[s.n:]
+    if 0.0 in ms:
+        raise FlowOutOfRangeError(f"mass {ms.index(0.0) + 1} rounds to 0 "
+                                  f"as a double")
+    for k, (a, b) in enumerate(zip(xs, xs[1:]), 1):
+        if a == b:
+            raise FlowOutOfRangeError(
+                f"gap {k} rounds to 0 as a double: positions {k} and "
+                f"{k + 1} are both {a}")
+    return WaveState(0.0, tuple(xs), tuple(ms))
+
+
 # -- the exact spectral route ----------------------------------------------
 
 def rationalize(state: WaveState) -> CubicString:

@@ -24,6 +24,7 @@ spectral route each is the correctly rounded value of the flow.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,7 +32,6 @@ from fractions import Fraction
 
 from .burgers import (
     Trajectory,
-    WaveState,
     check_rk4_steps,
     evolve_spectral,
     integrate_rk4,
@@ -39,6 +39,7 @@ from .burgers import (
     last_sigma_bits,
     rationalize,
     scale_bits,
+    wave_state,
 )
 from .errors import CubicStringError
 from .exact import format_rational
@@ -63,7 +64,6 @@ from .inverse import (
     verify_exact_roundtrip,
 )
 from .string_model import (
-    positions,
     string_from_dict,
     string_to_dict,
     validate,
@@ -71,9 +71,10 @@ from .string_model import (
 
 
 # verify refuses runs that would sum more terms than this (counted by
-# heine.summand_count); support 6 at k_max 4, 19,683 terms, the largest
-# count it admits, takes about 1.5 s on a shared 2-vCPU VM
-VERIFY_SUMMAND_CAP = 2 * 10 ** 4
+# heine.summand_count); support 28 at k_max 1, 23,143 terms, the largest
+# count it admits, and support 8 at k_max 10, 13,637, each take 0.9 to
+# 1.5 s on a shared 2-vCPU VM
+VERIFY_SUMMAND_CAP = 24 * 10 ** 3
 
 # and any --k-max above this: one point keeps the count at 6 for every
 # k_max, but the pair table and its minors still grow with k_max
@@ -86,8 +87,8 @@ EVOLVE_SAMPLE_CAP = 10 ** 4
 
 # evolve, forward and invert refuse runs estimated at over this many
 # seconds, before the work (README): timed runs took 0.64 to 1.56 times
-# the estimate for the crossing (35), 0.70 to 1.50 for spectral evolve
-# (31), 0.66 to 1.51 for forward (45) and 0.73 to 1.34 for invert (40)
+# the estimate for the crossing (35), 0.69 to 1.45 for spectral evolve
+# (34), 0.66 to 1.51 for forward (45) and 0.73 to 1.34 for invert (40)
 WORK_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 4.1 s, n = 52
@@ -99,10 +100,10 @@ ROUNDTRIP_N_CAP = 50
 def _spectral_seconds(n: int, rows: int, sigma: int, crossing: float) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
     2-vCPU VM (README, "evolve"): the crossing that builds the flow's
-    triple, max(5.8e-4 + 8e-6 n^2, 5 crossings) a row (a peel of doubles
-    costs about five), and per row past t = 0 the peel of a triple scaled
-    by e^(M t_end), sigma bits, 2.2e-11 ((n - 1) sigma)^2."""
-    return (crossing + rows * max(5.8e-4 + 8e-6 * n * n, 5 * crossing)
+    triple, 6e-4 + 2.6e-6 n^2 + 6 crossings a row, and per row past
+    t = 0 the peel of a triple scaled by e^(M t_end), sigma bits,
+    2.2e-11 ((n - 1) sigma)^2."""
+    return (crossing + rows * (6e-4 + 2.6e-6 * n * n + 6 * crossing)
             + (rows - 1) * 2.2e-11 * ((n - 1) * sigma) ** 2)
 
 
@@ -271,8 +272,7 @@ def _run_evolve(ns: argparse.Namespace) -> int:
     if ns.samples > EVOLVE_SAMPLE_CAP:
         raise ValueError(f"--samples {ns.samples} is over the cap of "
                          f"{EVOLVE_SAMPLE_CAP} rows")
-    state = WaveState(0.0, tuple(float(x) for x in positions(s)),
-                      tuple(float(m) for m in s.masses))
+    state = wave_state(s)
     over = ValueError(f"--samples {ns.samples} on {s.n} peaks to --t-end "
                       f"{ns.t_end} is over the {ns.method} work cap")
     # every crossing the run makes is charged, this build's included
@@ -363,6 +363,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cubicstring",

@@ -5,8 +5,8 @@ as a sum over tuples of support points, weighted by squared Vandermonde
 factors over products of pairwise sums.  This module evaluates those
 sums by literal enumeration and compares them against the
 determinants, so each side checks the other through an independent
-route.  Every summand is symmetric in its slots, so each sum visits
-each unordered set of points once.
+route.  Every summand is symmetric in its slots, so the sums run over
+subsets of the support, not tuples.
 
 Notation, for a tuple x = (x_1..x_k) of support points:
 
@@ -25,19 +25,23 @@ and the minor identities checked here:
     shifted[k]      = u_k^2 / 2^k
     beta_shifted[k] = u_k u_{k-1} / 2^(k-1)
     beta_inner[k]   = u_k v_{k-1} / 2^(k-1)
-    corner[k]       = split sum over 2k points  = (t_k u_k - u_{k-1} t_{k+1}) / 2^k
-    inner[k]        = split sum with prod x     = (u_k v_k - v_{k-1} u_{k+1}) / 2^k
+    corner[k]       = corner split sum = (t_k u_k - u_{k-1} t_{k+1}) / 2^k
+    inner[k]        = inner split sum  = (u_k v_k - v_{k-1} u_{k+1}) / 2^k
 
-The split sum runs over multisets x of 2k support points and all ways
-to split the slots into two halves I, I^c of size k:
+The split sums are Cauchy-Binet sums for the pair table, with the
+Cauchy determinant of 1/(x + y): one term per ordered pair (A, B) of
+k-subsets of the support, A and B free to share points,
 
-    sum_x (1/2^d) (1/gamma(x)) [sum_I vand_I^2 vand_{I^c}^2 gamma_I gamma_{I^c}] prod w
+    corner[k] = sum_(A,B) vand(A)^2 vand(B)^2 W(A) W(B) / cross(A, B)
+    inner[k]  = the same terms times P(A) P(B)
 
-where d is the number of points x holds twice.  This is the sum over
-ordered 2k-tuples divided by (2k)!: x has (2k)!/2^d orderings, all
-with the same term.  No point appears three times, since one half
-would then repeat it in every split and zero the whole bracket; so for
-k beyond the support size the sum is 0.
+with W and P the products of the weights and of the points, and
+cross(A, B) = prod_{a in A, b in B} (x_a + x_b).  They regroup the sum
+over ordered 2k-tuples x, over (2k)!, of prod w times every split of
+the slots into halves I, I^c, weighted vand_I^2 vand_{I^c}^2 gamma_I
+gamma_{I^c} / gamma(x) = vand_I^2 vand_{I^c}^2 / cross(I, I^c); a half
+that repeats a point zeroes its vand.  Past the support there is no
+pair, and both sums are 0.
 
 Finally the Cauchy-type identity, for a measure with s support points:
 
@@ -75,11 +79,8 @@ class DiscreteMeasure:
                            tuple(Fraction(x) for x in self.weights))
         if len(self.points) != len(self.weights):
             raise ValueError("one weight per support point required")
-        prev = Fraction(0)
-        for x in self.points:
-            if x <= prev:
-                raise ValueError("support must be strictly increasing and positive")
-            prev = x
+        if any(b <= a for a, b in zip((0, *self.points), self.points)):
+            raise ValueError("support must be strictly increasing and positive")
         if any(w == 0 for w in self.weights):
             raise ValueError("weights must be nonzero")
 
@@ -94,15 +95,26 @@ def measure_table(mu: DiscreteMeasure, max_order: int) -> BimomentTable:
 
 
 def _vand(xs) -> Fraction:
-    return prod((xs[j] - xs[i]
-                 for i in range(len(xs)) for j in range(i + 1, len(xs))),
+    return prod((b - a for a, b in itertools.combinations(xs, 2)),
                 start=Fraction(1))
 
 
 def _gamma(xs) -> Fraction:
-    return prod((xs[i] + xs[j]
-                 for i in range(len(xs)) for j in range(i + 1, len(xs))),
+    return prod((a + b for a, b in itertools.combinations(xs, 2)),
                 start=Fraction(1))
+
+
+def _subsets(mu: DiscreteMeasure, k: int):
+    """(points, vand(x)^2 prod w, prod x) for each k-subset x."""
+    for idx in itertools.combinations(range(mu.size), k):
+        xs = [mu.points[i] for i in idx]
+        yield (xs, _vand(xs) ** 2 * prod((mu.weights[i] for i in idx),
+                                         start=Fraction(1)),
+               prod(xs, start=Fraction(1)))
+
+
+def _cross(a, b) -> Fraction:
+    return prod((x + y for x in a for y in b), start=Fraction(1))
 
 
 def heine_sums(mu: DiscreteMeasure, k_max: int) -> tuple[
@@ -110,66 +122,33 @@ def heine_sums(mu: DiscreteMeasure, k_max: int) -> tuple[
     """(u, v, t) for k = 0..k_max, one term per k-subset of the support."""
     u, v, t = [Fraction(1)], [Fraction(1)], [Fraction(1)]
     for k in range(1, k_max + 1):
-        au = av = at = Fraction(0)
-        for idx in itertools.combinations(range(mu.size), k):
-            xs = [mu.points[i] for i in idx]
-            base = _vand(xs) ** 2 / _gamma(xs) \
-                * prod((mu.weights[i] for i in idx), start=Fraction(1))
-            au += base
-            px = prod(xs, start=Fraction(1))
-            av += base * px
-            at += base / px
-        u.append(au)
-        v.append(av)
-        t.append(at)
+        terms = [(base / _gamma(xs), px) for xs, base, px in _subsets(mu, k)]
+        u.append(sum((b for b, _ in terms), Fraction(0)))
+        v.append(sum((b * px for b, px in terms), Fraction(0)))
+        t.append(sum((b / px for b, px in terms), Fraction(0)))
     return tuple(u), tuple(v), tuple(t)
 
 
-def _multisets(s: int, k: int):
-    """Every multiset of 2k indices from range(s), each index at most
-    twice, as (indices, number of doubled indices)."""
-    for d in range(max(0, 2 * k - s), k + 1):
-        for doubled in itertools.combinations(range(s), d):
-            rest = [i for i in range(s) if i not in doubled]
-            for single in itertools.combinations(rest, 2 * k - 2 * d):
-                yield doubled + doubled + single, d
-
-
-def split_sum(mu: DiscreteMeasure, k: int, with_points: bool) -> Fraction:
-    """Split sum for corner[k] (inner[k] when with_points), one term per
-    multiset of support points weighted by 1/2^(doubled points)."""
-    if k == 0:
-        return Fraction(1)
-    if k > mu.size:
-        return Fraction(0)  # 2k slots need some point three times
-    halves = list(itertools.combinations(range(2 * k), k))
-    total = Fraction(0)
-    for idx, d in _multisets(mu.size, k):
-        xs = [mu.points[i] for i in idx]
-        bracket = Fraction(0)
-        for half in halves:
-            a = [xs[j] for j in half]
-            b = [xs[j] for j in range(2 * k) if j not in half]
-            bracket += (_vand(a) ** 2 * _vand(b) ** 2
-                        * _gamma(a) * _gamma(b))
-        term = bracket / _gamma(xs) \
-            * prod((mu.weights[i] for i in idx), start=Fraction(1))
-        if with_points:
-            term *= prod(xs, start=Fraction(1))
-        total += term / 2 ** d
-    return total
+def split_sums(mu: DiscreteMeasure, k_max: int) -> tuple[
+        tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(corner, inner) split sums for k = 0..k_max, one term per ordered
+    pair of k-subsets of the support."""
+    corner, inner = [Fraction(1)], [Fraction(1)]
+    for k in range(1, k_max + 1):
+        terms = [(wa * wb / _cross(a, b), pa * pb) for (a, wa, pa), (b, wb, pb)
+                 in itertools.product(_subsets(mu, k), repeat=2)]
+        corner.append(sum((c for c, _ in terms), Fraction(0)))
+        inner.append(sum((c * p for c, p in terms), Fraction(0)))
+    return tuple(corner), tuple(inner)
 
 
 def summand_count(support: int, k_max: int) -> int:
     """Terms run_checks sums at this shape: C(s, k) subsets for k up to
-    k_max + 1, multisets times C(2k, k) halves in each of the two split
-    sums for k up to k_max, s^3 for the Cauchy matrix, one Cauchy term."""
+    k_max + 1, C(s, k)^2 pairs of them for k up to k_max, s^3 for the
+    Cauchy matrix and one Cauchy term."""
     subsets = sum(comb(support, k) for k in range(1, k_max + 2))
-    halves = sum(comb(support, d) * comb(support - d, 2 * k - 2 * d)
-                 * comb(2 * k, k)
-                 for k in range(1, k_max + 1)
-                 for d in range(min(k, support) + 1))
-    return subsets + 2 * halves + support ** 3 + 1
+    pairs = sum(comb(support, k) ** 2 for k in range(1, k_max + 1))
+    return subsets + pairs + support ** 3 + 1
 
 
 def cauchy_matrix(mu: DiscreteMeasure) -> Matrix:
@@ -210,18 +189,13 @@ class CheckReport:
         return all(r.passed for r in self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "measure": {
-                "points": [format_rational(x) for x in self.measure.points],
-                "weights": [format_rational(w) for w in self.measure.weights],
-            },
-            "all_pass": self.all_pass,
-            "rows": [
-                {"identity": r.name, "k": r.k, "lhs": r.lhs, "rhs": r.rhs,
-                 "pass": r.passed}
-                for r in self.rows
-            ],
-        }
+        mu = self.measure
+        return {"measure": {"points": [format_rational(x) for x in mu.points],
+                            "weights": [format_rational(w)
+                                        for w in mu.weights]},
+                "all_pass": self.all_pass,
+                "rows": [{"identity": r.name, "k": r.k, "lhs": r.lhs,
+                          "rhs": r.rhs, "pass": r.passed} for r in self.rows]}
 
 
 def _row(name: str, k: int, lhs: Fraction, rhs: Fraction) -> CheckRow:
@@ -234,6 +208,7 @@ def run_checks(mu: DiscreteMeasure, k_max: int) -> CheckReport:
     s = mu.size
     mm = moment_minors(measure_table(mu, k_max))
     u, v, t = heine_sums(mu, k_max + 1)
+    corner, inner = split_sums(mu, k_max)
     rows = []
     for k in range(1, k_max + 1):
         rows.append(_row("shifted_factorization", k, mm.shifted[k],
@@ -242,22 +217,20 @@ def run_checks(mu: DiscreteMeasure, k_max: int) -> CheckReport:
                          u[k] * u[k - 1] / 2 ** (k - 1)))
         rows.append(_row("beta_inner_factorization", k, mm.beta_inner[k],
                          u[k] * v[k - 1] / 2 ** (k - 1)))
-        b_k = mm.corner[k]
-        rows.append(_row("corner_split_sum", k, b_k, split_sum(mu, k, False)))
-        rows.append(_row("corner_pair_form", k, b_k,
+        rows.append(_row("corner_split_sum", k, mm.corner[k], corner[k]))
+        rows.append(_row("corner_pair_form", k, mm.corner[k],
                          (t[k] * u[k] - u[k - 1] * t[k + 1]) / 2 ** k))
-        c_k = mm.inner[k]
-        rows.append(_row("inner_split_sum", k, c_k, split_sum(mu, k, True)))
-        rows.append(_row("inner_pair_form", k, c_k,
+        rows.append(_row("inner_split_sum", k, mm.inner[k], inner[k]))
+        rows.append(_row("inner_pair_form", k, mm.inner[k],
                          (u[k] * v[k] - v[k - 1] * u[k + 1]) / 2 ** k))
         if k > s:
-            rows.append(_row("corner_vanishes", k, b_k, Fraction(0)))
+            rows.append(_row("corner_vanishes", k, mm.corner[k],
+                             Fraction(0)))
     if all(w < 0 for w in mu.weights):
         for k in range(1, min(k_max, s) + 1):
-            sign_ok = u[k] != 0 and (u[k] > 0) == (k % 2 == 0)
             rows.append(CheckRow("u_sign_alternates", k,
                                  format_rational(u[k]), f"sign {(-1) ** k}",
-                                 sign_ok))
+                                 u[k] != 0 and (u[k] > 0) == (k % 2 == 0)))
             rows.append(CheckRow("shifted_positive", k,
                                  format_rational(mm.shifted[k]), "> 0",
                                  mm.shifted[k] > 0))

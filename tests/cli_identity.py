@@ -21,8 +21,9 @@ refinement runs deepest;
 to 32, where the peel's operands reach thousands of bits; `roundtrip`,
 up to n = 32;
 `evolve` by both routes, on small integers and quarters and on a wave
-of 24 random doubles, out of range included; `verify`; and the
-error paths of each subcommand.
+of 24 random doubles, out of range included; `verify` up to support
+6 at k_max 4, 5 at 5 and 7 at 3, where the split sums do most of the
+work; and the error paths of each subcommand.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ def write_inputs(folder: Path) -> list[list[str]]:
     calls.append(["evolve", waves[0], "--method", "spectral", "--t-end",
                   "383333", "--samples", "2"])
     calls += [["verify", "--suite", "heine", "--support", str(s),
-               "--k-max", str(k), "--seed", str(s + k)]
-              for s, k in ((1, 2), (3, 3), (4, 2))]
+               "--k-max", str(k), "--seed", str(seed)]
+              for s, k, seed in ((1, 2, 3), (3, 3, 6), (4, 2, 6),
+                                 (6, 4, 4), (5, 5, 5), (7, 3, 7))]
 
     decimal = put("decimal.json", {"lambdas": ["2.5"], "residues_b": ["-1"],
                                    "total_mass": "2"})

@@ -16,7 +16,7 @@ from cli_identity import double_wave, ratio_string
 from oracles import decimal_spectrum
 
 from cubicstring import burgers, cli, forward
-from cubicstring.burgers import WaveState, rationalize, scale_bits
+from cubicstring.burgers import rationalize, scale_bits, wave_state
 from cubicstring.cli import (
     EVOLVE_SAMPLE_CAP,
     ROUNDTRIP_N_CAP,
@@ -41,7 +41,6 @@ from cubicstring.inverse import (
 )
 from cubicstring.string_model import (
     CubicString,
-    positions,
     string_from_dict,
     string_to_dict,
 )
@@ -391,9 +390,9 @@ def test_verify_rejects_sizes_below_one(capsys, flags):
 
 
 @pytest.mark.parametrize("support,k_max", [
-    (6, 5),            # 30,268 summed terms, over the cap of 20,000
-    (13, 2),           # 22,751
-    (27, 1),           # 21,574, of which 27^3 build the Cauchy matrix
+    (10, 4),           # 62,263 summed terms, over the cap of 24,000
+    (20, 2),           # 45,851
+    (29, 1),           # 25,666, of which 29^3 build the Cauchy matrix
     (1, 11),           # one point, six terms, but k_max over its cap
     (10 ** 9, 3),      # huge flags are refused without enumerating them
     (3, 10 ** 9),
@@ -408,9 +407,10 @@ def test_verify_enumeration_cap(capsys, support, k_max):
 
 
 @pytest.mark.parametrize("support,k_max", [
-    (6, 4),            # 19,683 summed terms, the most the cap admits
+    (6, 4),            # 1,165 summed terms
+    (28, 1),           # 23,143, the most the cap admits
     (8, 1),            # the Cauchy form is one term at any support
-    (2, 10),           # no multiset of 2k points from two exists past k = 2
+    (2, 10),           # two points have no k-subset past k = 2
 ])
 def test_verify_shapes_the_summand_cap_admits(capsys, support, k_max):
     assert main(["verify", "--suite", "heine", "--support", str(support),
@@ -419,9 +419,8 @@ def test_verify_shapes_the_summand_cap_admits(capsys, support, k_max):
 
 
 def test_verify_one_point_counts_as_one(capsys):
-    # no multiset of 2k > 2 slots holds one point at most twice, so the
-    # split sums return 0 before listing halves and the largest k_max
-    # runs at once
+    # one point has no k-subset past k = 1, so the sums past it visit
+    # no term and the largest k_max runs at once
     start = time.perf_counter()
     assert main(["verify", "--suite", "heine", "--support", "1",
                  "--k-max", "10"]) == 0
@@ -612,6 +611,30 @@ def test_evolve_spectral_leaving_the_float_range_is_one_line(tmp_path,
     assert out.err == "error: the wave leaves the float range at t = 32.0\n"
 
 
+@pytest.mark.parametrize("doc,err", [
+    ({"masses": ["1", "1" + "0" * 400], "gaps": ["1"]},
+     "mass 2 is past the double range"),
+    ({"masses": ["1", "2"], "gaps": ["1"], "anchor": "1" + "0" * 400},
+     "position 1 is past the double range"),
+    ({"masses": ["1/1" + "0" * 400, "2"], "gaps": ["1"]},
+     "mass 1 rounds to 0 as a double"),
+    ({"masses": ["1", "2", "1"], "gaps": ["1", "1/1" + "0" * 39],
+      "anchor": "1"},
+     "gap 2 rounds to 0 as a double: positions 2 and 3 are both 1.0"),
+])
+@pytest.mark.parametrize("method", [["--method", "spectral"],
+                                    ["--method", "rk4", "--dt", "0.1"]])
+def test_evolve_names_the_input_a_double_cannot_hold(tmp_path, capsys, doc,
+                                                     err, method):
+    # forward runs each of these strings; the flow runs in doubles
+    p = write_json(tmp_path / "s.json", doc)
+    assert main(["forward", p]) == 0
+    capsys.readouterr()
+    assert main(["evolve", p, *method, "--t-end", "1"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("n,flags,leaves", [
     # M t_end = 80,000 on 10^4 rows: priced as if every row were peeled
     # at e^(M t_end) it came to 20,252 s, yet the last mass underflows
@@ -677,11 +700,14 @@ def test_evolve_spectral_last_row_bound(tmp_path, capsys, monkeypatch):
         "error: the wave leaves the float range at t = 62.2438\n")
 
 
-@pytest.mark.parametrize("samples,triple", [(8000, False), (4000, True)])
+@pytest.mark.parametrize("n,samples,crossed", [(40, 8000, 1), (24, 8000, 17),
+                                               (24, 4000, 24)])
 def test_evolve_spectral_work_cap_counts_peaks(tmp_path, capsys, monkeypatch,
-                                               samples, triple):
-    # 24 peaks to M t_end = 960,000: 8,000 rows are over the cap by the
-    # row term alone, and refused before the first gap is crossed; 4,000
+                                               n, samples, crossed):
+    # to t_end = 20,000: 8,000 rows on 40 peaks are over the cap by the
+    # row term alone, and refused before the first gap is crossed; on 24
+    # peaks (M t_end = 960,000) they are not, and are refused once the
+    # crossings priced into each row add up, at the 17th mass; 4,000
     # rows are not, but with e^(M t) priced at the 539 bits of the last
     # row that can run, read off the whole triple, they are
     steps = []
@@ -689,14 +715,14 @@ def test_evolve_spectral_work_cap_counts_peaks(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(forward, "jump_step",
                         lambda t, m: steps.append(m) or real(t, m))
     seen = _priced_sigma_bits(monkeypatch)
-    p = write_json(tmp_path / "s.json", _cycling_string(24))
+    p = write_json(tmp_path / "s.json", _cycling_string(n))
     start = time.perf_counter()
     assert main(["evolve", p, "--method", "spectral", "--t-end", "20000",
                  "--samples", str(samples)]) == 2
     assert time.perf_counter() - start < 0.5
     _assert_one_line_error(capsys)
-    assert len(steps) == (24 if triple else 1)
-    assert set(seen) == ({0, 539} if triple else {0})
+    assert len(steps) == crossed
+    assert set(seen) == ({0, 539} if crossed == n else {0})
 
 
 # (n, rows, M t_end, seconds the run took) on masses 1, 2, 3, 1, 2, ...
@@ -751,6 +777,24 @@ def test_evolve_spectral_estimate_against_timed_runs():
     for run in ADMITTED_RUNS + REFUSED_RUNS:
         if run[-1] is not None and run[-1] >= 1:
             assert 1 / 1.6 < run[-1] / estimate(*run) < 1.6, run
+
+
+# (n, rows, seconds the run took) on double_wave(Random(n), n) to
+# t_end = 1, in-process on a shared 2-vCPU VM, scaled by 1/1.36: runs
+# (8, 1000, 15) and (12, 1000, 24) of ADMITTED_RUNS, timed between
+# them, took 1.45 and 1.27 times their seconds there (medians of five)
+DOUBLE_WAVE_RUNS = [(10, 200, 0.61), (25, 200, 3.56), (50, 60, 5.61)]
+
+
+def test_evolve_spectral_estimate_on_waves_of_doubles():
+    # a row of 10 random doubles took 3.0 ms, one of 12 small integers
+    # 2.1 ms above: the crossings a row is priced by carry the operands
+    for n, rows, seconds in DOUBLE_WAVE_RUNS:
+        s = _timed_string("double", n, 0)
+        estimate = _spectral_seconds(
+            n, rows, scale_bits(sum(s.masses, Fraction(0)), 1.0),
+            _crossing_estimate(s))
+        assert 1 / 1.6 < seconds / estimate < 1.6, n
 
 
 # (n, operand bits S, bits of the integer q, precision bits, seconds
@@ -880,9 +924,8 @@ def _timed_string(kind, n, digits):
     if kind == "recovered":
         return recover(random_spectral(n, n))
     # the exact string evolve builds from a wave of random doubles
-    s = string_from_dict(double_wave(random.Random(n), n))
-    return rationalize(WaveState(0.0, tuple(float(x) for x in positions(s)),
-                                 tuple(float(m) for m in s.masses)))
+    return rationalize(wave_state(
+        string_from_dict(double_wave(random.Random(n), n))))
 
 
 # (kind, n, digits, then over the crossing steps the sums of k, k T,
@@ -1118,6 +1161,27 @@ def test_bad_usage_exits_two(capsys):
     assert out.out == ""
     assert out.err == ("error: cubicstring evolve: argument --method: invalid "
                        "choice: 'euler' (choose from 'rk4', 'spectral')\n")
+
+
+def test_a_usage_error_leaves_the_next_call_as_a_fresh_one_prints(capsys):
+    # main keeps one parser across calls; a call it refuses must not
+    # change what the next call prints
+    argv = ["verify", "--suite", "heine", "--support", "2", "--k-max", "2",
+            "--seed", "5"]
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cubicstring.cli import main; "
+         "raise SystemExit(main(sys.argv[1:]))", *argv],
+        env=dict(os.environ,
+                 PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True)
+    assert fresh.returncode == 0
+    assert main(["verify", "--suite", "heine", "--support", "x",
+                 "--seed", "9"]) == 2
+    _assert_one_line_error(capsys)
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (fresh.stdout, fresh.stderr)
 
 
 @pytest.mark.parametrize("argv", [

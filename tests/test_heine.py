@@ -1,14 +1,17 @@
 """Tuple-sum oracles against the pair-table minors."""
 
+import functools
 import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
+from cubicstring import heine
 from cubicstring.heine import (
     DiscreteMeasure,
     cauchy_matrix,
@@ -16,7 +19,8 @@ from cubicstring.heine import (
     heine_sums,
     measure_table,
     run_checks,
-    split_sum,
+    split_sums,
+    summand_count,
 )
 from cubicstring.exact import det_exact
 from cubicstring.inverse import (
@@ -47,18 +51,17 @@ def test_one_point_sums_frozen():
     assert u == (F(1), F(-1), F(0))
     assert v == (F(1), F(-2), F(0))
     assert t == (F(1), F(-1, 2), F(0))
-    assert split_sum(ONE_POINT, 1, False) == F(1, 4)
-    assert split_sum(ONE_POINT, 1, True) == F(1)
-    assert split_sum(ONE_POINT, 2, False) == 0  # multiplicity prune
+    assert split_sums(ONE_POINT, 2) == ((F(1), F(1, 4), F(0)),
+                                        (F(1), F(1), F(0)))  # no 2-subset
     assert det_exact(cauchy_matrix(ONE_POINT)) == F(-1, 2)
     assert cauchy_tuple_sum(ONE_POINT) == F(-1, 2)
 
 
 def test_split_sum_lists_no_halves_when_every_tuple_is_skipped():
-    # one point repeats 2k times in its only tuple; building the
-    # C(22, 11) = 705,432 halves regardless took about 0.3 s here
+    # one point has no k-subset past k = 1, so no pair to sum up to
+    # k = 11, where C(22, 11) = 705,432 splits of the slots exist
     start = time.perf_counter()
-    assert split_sum(ONE_POINT, 11, True) == 0
+    assert split_sums(ONE_POINT, 11)[1][11] == 0
     assert time.perf_counter() - start < 0.1
 
 
@@ -77,8 +80,8 @@ def test_two_point_sums_frozen():
     assert mm.corner[2] == F(1, 72)
     assert mm.inner[1] == F(17, 6)
     assert mm.inner[2] == F(1, 18)
-    assert split_sum(TWO_POINT, 2, False) == F(1, 72)
-    assert split_sum(TWO_POINT, 2, True) == F(1, 18)
+    corner, inner = split_sums(TWO_POINT, 2)
+    assert (corner[2], inner[2]) == (F(1, 72), F(1, 18))
     assert det_exact(cauchy_matrix(TWO_POINT)) == F(1, 36)
     assert cauchy_tuple_sum(TWO_POINT) == F(1, 36)
 
@@ -145,42 +148,75 @@ def _gm(xs):
                 start=F(1))
 
 
-def _bracket(xs):
-    k = len(xs) // 2
-    total = F(0)
-    for half in itertools.combinations(range(2 * k), k):
-        a = [xs[j] for j in half]
-        b = [xs[j] for j in range(2 * k) if j not in half]
-        total += _vd(a) ** 2 * _vd(b) ** 2 * _gm(a) * _gm(b)
-    return total / _gm(xs)
+def _split_reference(mu, k):
+    """(corner, inner) at k: (1/(2k)!) times the literal sums over
+    ordered 2k-tuples of support indices, repeats included, of the
+    bracket over the C(2k, k) splits of the slots into halves, times
+    prod w (and prod x for inner)."""
+    @functools.cache
+    def half(idx):  # vand^2 gamma of the points at these indices
+        xs = [mu.points[i] for i in idx]
+        return _vd(xs) ** 2 * _gm(xs)
+
+    splits = [(h, tuple(j for j in range(2 * k) if j not in h))
+              for h in itertools.combinations(range(2 * k), k)]
+    corner = inner = F(0)
+    for idx in itertools.product(range(mu.size), repeat=2 * k):
+        bracket = F(0)
+        for h, rest in splits:
+            a = half(tuple(idx[j] for j in h))
+            if a:
+                bracket += a * half(tuple(idx[j] for j in rest))
+        if bracket:
+            xs = [mu.points[i] for i in idx]
+            term = bracket / _gm(xs) * prod(
+                (mu.weights[i] for i in idx), start=F(1))
+            corner += term
+            inner += term * prod(xs, start=F(1))
+    return corner / factorial(2 * k), inner / factorial(2 * k)
 
 
 def test_unordered_sums_match_the_ordered_tuple_sums():
-    # subsets, multisets weighted 1/2^(doubled points) and the one
-    # Cauchy term against the literal sums over ordered tuples
+    # subsets, pairs of subsets and the one Cauchy term against the
+    # literal sums over ordered tuples, up to k = size + 1, where no
+    # k-subset and so no pair of them exists
     rng = random.Random(34)
     for size in (1, 2, 3):
         ws = _random_measure(rng, size).weights
         mu = DiscreteMeasure(_random_measure(rng, size).points,
                              tuple(-w if i % 2 else w
                                    for i, w in enumerate(ws)))
-        u, v, t = heine_sums(mu, 3)
-        for k in range(4):
+        u, v, t = heine_sums(mu, size + 1)
+        corner, inner = split_sums(mu, size + 1)
+        for k in range(size + 2):
             assert u[k] == _ordered_sum(mu, k, lambda x: _vd(x) ** 2 / _gm(x))
             assert v[k] == _ordered_sum(
                 mu, k, lambda x: _vd(x) ** 2 / _gm(x) * prod(x, start=F(1)))
             assert t[k] == _ordered_sum(
                 mu, k, lambda x: _vd(x) ** 2 / _gm(x) / prod(x, start=F(1)))
-            assert split_sum(mu, k, False) == _ordered_sum(mu, 2 * k,
-                                                           _bracket)
-            assert split_sum(mu, k, True) == _ordered_sum(
-                mu, 2 * k, lambda x: _bracket(x) * prod(x, start=F(1)))
+            assert (corner[k], inner[k]) == _split_reference(mu, k)
         y = mu.points
         cauchy = _ordered_sum(mu, size, lambda x: prod(x, start=F(1))
                               * _vd(x) ** 2
                               / prod((a + b for a in x for b in y),
                                      start=F(1)))
         assert cauchy_tuple_sum(mu) == _vd(y) * cauchy
+
+
+@pytest.mark.parametrize("support", range(1, 9))
+@pytest.mark.parametrize("k_max", range(1, 6))
+def test_summand_count_is_the_terms_run_checks_sums(monkeypatch, support,
+                                                    k_max):
+    # one gamma per subset of the basic sums, one cross product per pair
+    # of the split sums, and the s^3 terms and one term of the Cauchy form
+    seen = Counter()
+    for name in ("_gamma", "_cross"):
+        real = getattr(heine, name)
+        monkeypatch.setattr(heine, name, lambda *a, name=name, real=real:
+                            seen.update([name]) or real(*a))
+    run_checks(heine.random_measure(support, 0), k_max)
+    assert summand_count(support, k_max) == (
+        seen["_gamma"] + seen["_cross"] + support ** 3 + 1)
 
 
 def test_measure_table_matches_spectral_route():
@@ -202,7 +238,7 @@ def test_four_point_support_at_depth():
 @pytest.mark.parametrize("support", range(1, 9))
 def test_heine_forms_at_support_up_to_eight(support):
     # the minors against the tuple sums where the minors are nontrivial;
-    # support 8 at k_max 2 sums 3,941 terms (heine.summand_count)
+    # support 8 at k_max 2 sums 1,453 terms (heine.summand_count)
     rng = random.Random(40 + support)
     for _ in range(3):
         assert run_checks(_random_measure(rng, support), k_max=2).all_pass
