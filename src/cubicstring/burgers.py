@@ -13,32 +13,36 @@ discontinuity at near-collisions.  Two integrators are provided:
     ODEs in double precision.  Each chain invariant M_j is the correctly
     rounded exact value for the rational string the float state denotes.
 
-  * evolve_spectral: the exact route.  The initial state is promoted to
-    an exact rational string, and its boundary triple is computed once.
-    Along the flow phi_xx stays, W = phi_x/phi_xx scales by
-    sigma = e^{Mt}, and Z = phi/phi_xx has its residues c_k scaled by
-    sigma^2 and keeps its atom -1/(2M) at zero.  So the triple at time t,
+  * evolve_spectral: the exact route, the flow's explicit solution.
+    Along the flow the residues of W = phi_x/phi_xx scale by
+    sigma = e^{Mt} and phi_xx stays.  With P_j = m_1 + ... + m_j and
+    Q_j = M - P_j, the equations above give dP_j/dt = 2 P_j Q_j and
+    dl_j/dt = (P_j - Q_j) l_j, and d/dt ln(Q_j + P_j tau) = 2 P_j(t)
+    for tau = sigma^2, so from the t = 0 values
 
-        (sigma^2 phi + (sigma^2 - 1)/(2M) phi_xx/z,  sigma phi_x,  phi_xx),
+        P_j(t) = M P_j tau / (Q_j + P_j tau),
+        l_j(t) = l_j (Q_j + P_j tau) / (M sigma).
 
-    is peeled (inverse.peel) into the string at t.  No eigenvalue is
-    isolated, and every row shares phi_xx, so the chain invariants M_j
-    are constant by construction, not by accuracy.
+    A row is these O(n) rational operations (flow_state): no eigenvalue
+    is isolated and no triple peeled.  The peel of the t = 0 boundary
+    triple with its residues scaled by sigma gives the same string; the
+    tests keep it as the reference.
 
     The only approximation is the rational sigma, and its precision is
     derived, not chosen.  A decimal sigma with |ln sigma - M t| <= r is
-    e^(M t~) for a time t~ within r/M of t, so its peel is the exact
-    state at t~.  The equations above bound how far each cell moves
-    from t~ to t (_certified), and a row is printed when every such
-    interval rounds to one double: each position and mass is then the
-    correctly rounded double of the state at t.  Otherwise sigma is
-    taken to twice the digits and the row peeled again.
+    e^(M t~) for a time t~ within r/M of t, so flow_state at it is the
+    exact state at t~.  The equations above bound how far each cell
+    moves from t~ to t (_certified), and a row is printed when every
+    such interval rounds to one double: each position and mass is then
+    the correctly rounded double of the state at t.  Otherwise sigma is
+    taken to twice the digits and the row evaluated again.
 
-The peel fixes the string only up to translation.  The missing scalar
-is pinned by the first moment M+ = sum m_k x_k: differentiating
-along the flow makes the m-dot and x-dot contributions cancel exactly,
-so M+ is conserved, and the anchor at time t is the unique value making
-sum m_k(t) x_k(t) equal to its initial value.
+The gaps fix the string up to translation.  The first moment
+M+ = sum m_k x_k pins it: differentiating along the flow makes the
+m-dot and x-dot contributions cancel exactly, so M+ is conserved, and
+so is the centre of mass c = M+ / M.  Summed by parts,
+x_n - c = sum_j P_j l_j / M, and P_j l_j scales by sigma, so the last
+peak sits at x_n(t) = c + sigma (x_n(0) - c).
 """
 
 from __future__ import annotations
@@ -56,25 +60,23 @@ from .errors import (
     OrderingViolatedError,
     PrecisionExhaustedError,
 )
-from .exact import linear_combination
 from .forward import (
     MAX_PRECISION_BITS,
     WeylData,
     decimal_digits,
-    eigenvalue_polynomial,
     invariant_masses,
     residues,  # unused here; perfbench/tracing.py wraps burgers.residues
     spectrum,  # unused here; perfbench/tracing.py wraps burgers.spectrum
 )
-from .inverse import peel, recover  # recover: perfbench/tracing.py wraps it
+from .inverse import recover  # unused here; perfbench/tracing.py wraps it
 from .string_model import ConservedSet, CubicString, positions
 
 # about 40 s of RK4 at three peaks; past it the run is refused, not started
 MAX_RK4_STEPS = 10 ** 6
 
-# the spectral route peels at e^(M t) of this many significant digits
+# each spectral row takes e^(M t) to this many significant digits
 # first: on 150 random runs (n = 2 to 8, M t up to about 180) every row
-# was certified at the first peel.  A row that is not doubles the
+# was certified at the first sigma.  A row that is not doubles the
 # digits, up to the FLOW_MAX_DIGITS that MAX_PRECISION_BITS gives
 FLOW_START_DIGITS = 30
 FLOW_MAX_DIGITS = decimal_digits(MAX_PRECISION_BITS)
@@ -243,14 +245,22 @@ def spectral_snapshot(s: CubicString, wd: WeylData | None = None,
     return wd or forward.boundary_data(s), first
 
 
-def flow_triple(wd: WeylData, total_mass: Fraction, sigma: Fraction) -> tuple:
-    """The boundary triple once the flow has scaled the residues of W by
-    sigma: (sigma^2 phi + (sigma^2 - 1)/(2M) phi_xx/z, sigma phi_x, phi_xx)."""
-    s2 = sigma * sigma
-    shift = (s2 - 1) / (2 * total_mass)
-    return (linear_combination((wd.phi, s2, 0),
-                               (eigenvalue_polynomial(wd), shift, 0)),
-            wd.phi_x * sigma, wd.phi_xx)
+def flow_state(s: CubicString, total_mass: Fraction,
+               sigma: Fraction) -> CubicString:
+    """The string the flow carries s to once the residues of W have
+    scaled by sigma, anchored at zero (module docstring): each partial
+    mass P_j goes to M P_j tau / (Q_j + P_j tau), tau = sigma^2, and
+    each gap l_j to l_j (Q_j + P_j tau) / (M sigma)."""
+    tau, scale = sigma * sigma, total_mass * sigma
+    partial, partials, gaps = Fraction(0), [Fraction(0)], []
+    for m, gap in zip(s.masses, s.gaps):
+        partial += m
+        spread = total_mass + partial * (tau - 1)  # Q_j + P_j tau
+        partials.append(total_mass * partial * tau / spread)
+        gaps.append(gap * spread / scale)
+    partials.append(total_mass)
+    return CubicString(tuple(b - a for a, b in zip(partials, partials[1:])),
+                       tuple(gaps))
 
 
 def _exp_mt(total_mass: Fraction, t: float, digits: int) -> Decimal:
@@ -267,7 +277,7 @@ def _exp_mt(total_mass: Fraction, t: float, digits: int) -> Decimal:
 
 
 def scale_factor(total_mass: Fraction, t: float):
-    """The rationals sigma ~ e^(M t) the flow peels at, each with a
+    """The rationals sigma ~ e^(M t) the flow is evaluated at, each with a
     rational r >= |ln sigma - M t|: sigma at FLOW_START_DIGITS decimal
     digits, then at twice the digits, up to FLOW_MAX_DIGITS.
 
@@ -295,21 +305,13 @@ def scale_bits(total_mass: Fraction, t: float) -> int:
     return ceil((_exp_mt(total_mass, t, 8).adjusted() + 1) * log2(10))
 
 
-def last_scale(wd: WeylData, total_mass: Fraction) -> Fraction:
-    """The sigma^2 from which the flow's last mass rounds to 0.0, so the
-    wave has left the float range.  With P = [z^n] phi_xx, C = P / (2M)
-    and B = lead phi + C, B > 0 for n >= 2, the peel's first mass is
-    m_n = -P / (2 (sigma^2 B - C)), and it is at most 2^-1075, which
-    rounds to 0.0, once sigma^2 >= (-P 2^1074 + C) / B."""
-    p = wd.phi_xx.leading
-    c = p / (2 * total_mass)
-    return (-p * 2 ** 1074 + c) / (wd.phi.leading + c)
-
-
-def last_sigma_bits(x: Fraction) -> int:
-    """ceil(B / 2), B = bits(numerator) - bits(denominator) + 1, so that
-    x = last_scale < 2^B: no sigma from 2^last_sigma_bits on is peeled."""
-    return (x.numerator.bit_length() - x.denominator.bit_length() + 2) // 2
+def last_scale(s: CubicString, total_mass: Fraction) -> Fraction:
+    """The tau = sigma^2 from which the last mass of s rounds to 0.0 on
+    the flow, so the wave has left the float range: m_n goes to
+    M m_n / (m_n + (M - m_n) tau), at most 2^-1075 once
+    tau >= m_n (M 2^1075 - 1) / (M - m_n).  For n >= 2."""
+    m = s.masses[-1]
+    return m * (total_mass * 2 ** 1075 - 1) / (total_mass - m)
 
 
 def _rounds_to_one_double(value: Fraction, below: Fraction,
@@ -390,35 +392,38 @@ def _certified(s: CubicString, total_mass: Fraction, r: Fraction) -> bool:
     return True
 
 
-def _flow_row(wd: WeylData, total_mass: Fraction, first_moment: Fraction,
+def _flow_row(s0: CubicString, total_mass: Fraction, first_moment: Fraction,
               t: float, elapsed: float) -> CubicString:
-    """The string peeled at the first sigma ~ e^(M elapsed) whose every
-    cell provably rounds to the double of the flow state at time t; the
-    anchor a solves sum m_k (offset_k + a) = M+.  A mass that underflows
-    to zero or a position that overflows is the flow leaving the float
-    range.
+    """The flow state of s0 at the first sigma ~ e^(M elapsed) whose
+    every cell provably rounds to the double of the state at time t,
+    anchored by the centre of mass c = M+ / M (module docstring).  A
+    mass that underflows to zero or a position that overflows is the
+    flow leaving the float range.
 
     Every factor is at least 2^(scale_bits - 5).  The 8-digit e^(M t)
     that scale_bits reads is at least 10^a, a its decimal exponent, and
     its log is within 5e-8 (|M t| + 1) of M t, as is each factor's; so
     log2 sigma >= a log2 10 - 1.5e-7 (|M t| + 1) >= scale_bits - 5
     wherever e^(M t) is in the decimal range, |M t| < 2.4e6.  When that
-    bound alone puts sigma^2 past last_scale, the first factor would
-    stop the row, and no factor is built.
+    bound alone puts sigma at 2^ceil(B / 2) or more, so sigma^2 past
+    last_scale < 2^B, B the bits of its numerator less those of its
+    denominator plus 1, the first factor would stop the row, and no
+    factor is built.
     """
     out_of_range = FlowOutOfRangeError(
         f"the wave leaves the float range at t = {t}")
-    last = last_scale(wd, total_mass)
-    if scale_bits(total_mass, elapsed) - 5 >= last_sigma_bits(last):
+    center = first_moment / total_mass
+    last = last_scale(s0, total_mass)
+    half = (last.numerator.bit_length() - last.denominator.bit_length()
+            + 2) // 2
+    if scale_bits(total_mass, elapsed) - 5 >= half:
         raise out_of_range
     for sigma, r in scale_factor(total_mass, elapsed):
-        if sigma * sigma >= last:  # no peel: the last mass is 0.0
+        if sigma * sigma >= last:  # the last mass is 0.0
             break
-        bare = peel(flow_triple(wd, total_mass, sigma))
-        offs = positions(bare)  # anchored at zero: these are x_k - x_n
-        hang = sum((m * o for m, o in zip(bare.masses, offs)), Fraction(0))
+        bare = flow_state(s0, total_mass, sigma)
         s = CubicString(bare.masses, bare.gaps,
-                        (first_moment - hang) / total_mass)
+                        center + sigma * (s0.anchor - center))
         try:
             if min(float(m) for m in s.masses) == 0:
                 break
@@ -436,16 +441,17 @@ def _flow_row(wd: WeylData, total_mass: Fraction, first_moment: Fraction,
 def evolve_spectral_exact(
         s0: WaveState, times, wd: WeylData | None = None,
 ) -> tuple[ConservedSet, list[tuple[float, CubicString]]]:
-    """Exact-route evolution: the t = 0 triple (wd when given) scaled to
-    each time and peeled.  Returns the exact conserved set every row
-    shares, M_j read off the t = 0 phi_xx, and per time the exact string
-    at a nearby time whose positions and masses round to the doubles of
-    the state then.  One peak has no residue to scale: every row is s0."""
+    """Exact-route evolution: the explicit flow state of s0 at each
+    time.  Returns the exact conserved set every row shares, M_j read
+    off phi_xx of the t = 0 triple (wd when given), and per time the
+    exact string at a nearby time whose positions and masses round to
+    the doubles of the state then.  One peak does not move: every row
+    is s0."""
     base = rationalize(s0)
     wd, first_moment = spectral_snapshot(base, wd)
     total = sum(base.masses, Fraction(0))
     rows = [(float(t), base if base.n == 1 else
-             _flow_row(wd, total, first_moment, float(t), float(t) - s0.time))
+             _flow_row(base, total, first_moment, float(t), float(t) - s0.time))
             for t in times]
     return (ConservedSet(total, first_moment,
                          tuple(invariant_masses(wd.phi_xx))), rows)
@@ -453,9 +459,9 @@ def evolve_spectral_exact(
 
 def evolve_spectral(s0: WaveState, times,
                     wd: WeylData | None = None) -> Trajectory:
-    """Spectral-route trajectory from the t = 0 triple, wd when given, at
-    the requested times, as floats; every position and mass is the
-    correctly rounded double of the flow state, and every row carries
+    """Spectral-route trajectory from s0, wd its boundary triple when
+    given, at the requested times, as floats; every position and mass is
+    the correctly rounded double of the flow state, and every row carries
     the one conserved set."""
     exact, rows = evolve_spectral_exact(s0, times, wd)
     c = ConservedSet(float(exact.total_mass), float(exact.first_moment),

@@ -35,8 +35,6 @@ from .burgers import (
     check_rk4_steps,
     evolve_spectral,
     integrate_rk4,
-    last_scale,
-    last_sigma_bits,
     rationalize,
     scale_bits,
     wave_state,
@@ -81,14 +79,14 @@ VERIFY_SUMMAND_CAP = 24 * 10 ** 3
 VERIFY_K_MAX = 10
 
 # evolve refuses more rows than this: at three peaks a row costs about
-# 0.6 ms on the spectral route and 0.4 ms on rk4, so the cap is a few
-# seconds of work, below the RK4 step cap
+# 0.3 ms on the spectral route and 0.2 ms on rk4 at --dt 0.01, so the
+# cap is a few seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
 # evolve, forward and invert refuse runs estimated at over this many
 # seconds, before the work (README): timed runs took 0.64 to 1.56 times
-# the estimate for the crossing (35), 0.69 to 1.45 for spectral evolve
-# (34), 0.66 to 1.51 for forward (45) and 0.73 to 1.34 for invert (40)
+# the estimate for the crossing (35), 0.77 to 1.31 for spectral evolve
+# (29), 0.66 to 1.51 for forward (45) and 0.73 to 1.34 for invert (40)
 WORK_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 4.1 s, n = 52
@@ -97,14 +95,12 @@ WORK_CAP = 30
 ROUNDTRIP_N_CAP = 50
 
 
-def _spectral_seconds(n: int, rows: int, sigma: int, crossing: float) -> float:
+def _spectral_seconds(n: int, rows: int, crossing: float) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
-    2-vCPU VM (README, "evolve"): the crossing that builds the flow's
-    triple, 6e-4 + 2.6e-6 n^2 + 6 crossings a row, and per row past
-    t = 0 the peel of a triple scaled by e^(M t_end), sigma bits,
-    2.2e-11 ((n - 1) sigma)^2."""
-    return (crossing + rows * (6e-4 + 2.6e-6 * n * n + 6 * crossing)
-            + (rows - 1) * 2.2e-11 * ((n - 1) * sigma) ** 2)
+    2-vCPU VM (README, "evolve"): 1.15 times the crossing that builds
+    the flow's triple, whose phi_xx the M_j are then read off, and
+    7e-5 (n + 1) a row, the flow's explicit solution on n peaks."""
+    return 1.15 * crossing + 7e-5 * rows * (n + 1)
 
 
 def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
@@ -285,14 +281,9 @@ def _run_evolve(ns: argparse.Namespace) -> int:
         traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples, wd)
     else:
         # e^(M t_end) is the largest factor: where it overflows, exit 1
-        sigma_bits = scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
-        wd, built = _priced_boundary_data(
-            exact, lambda b: _spectral_seconds(s.n, ns.samples, 0, b), over)
-        if s.n > 1:
-            sigma_bits = min(sigma_bits, last_sigma_bits(
-                last_scale(wd, sum(exact.masses, Fraction(0)))))
-        if _spectral_seconds(s.n, ns.samples, sigma_bits, built) > WORK_CAP:
-            raise over
+        scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
+        wd, _ = _priced_boundary_data(
+            exact, lambda b: _spectral_seconds(s.n, ns.samples, b), over)
         times = [i * ns.t_end / (ns.samples - 1) for i in range(ns.samples)]
         traj = evolve_spectral(state, times, wd)
     _emit(_csv_text(traj), ns.output)

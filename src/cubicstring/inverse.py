@@ -113,11 +113,6 @@ def validate_spectral(sd: SpectralData) -> None:
             raise SpectralValidationError("slope-residues must be negative")
 
 
-def z_residues_of(sd: SpectralData) -> tuple[Fraction, ...]:
-    """Value-residues c_k forced by the reflection symmetry."""
-    return value_residues(sd.eigenvalues, sd.residues)
-
-
 @dataclass(frozen=True)
 class BimomentTable:
     total_mass: Fraction
@@ -423,7 +418,7 @@ def _boundary_triple(sd: SpectralData) -> tuple[tuple, tuple]:
     with phi_x = phi_xx W and phi = phi_xx Z, polynomials since phi_xx
     vanishes at every pole."""
     validate_spectral(sd)
-    cs = z_residues_of(sd)
+    cs = value_residues(sd.eigenvalues, sd.residues)
     phi_xx = curvature_polynomial(sd)
     phi_x = _polynomial_part(phi_xx, sd.eigenvalues, sd.residues)
     phi = _polynomial_part(phi_xx, *_value_measure(

@@ -21,9 +21,10 @@ refinement runs deepest;
 to 32, where the peel's operands reach thousands of bits; `roundtrip`,
 up to n = 32;
 `evolve` by both routes, on small integers and quarters and on a wave
-of 24 random doubles, out of range included; `verify` up to support
-6 at k_max 4, 5 at 5 and 7 at 3, where the split sums do most of the
-work; and the error paths of each subcommand.
+of 24 random doubles, out of range included, and by the spectral route
+on a wave of 100 random doubles and on 400 rows of 5 small ratios;
+`verify` up to support 6 at k_max 4, 5 at 5 and 7 at 3, where the split
+sums do most of the work; and the error paths of each subcommand.
 """
 
 from __future__ import annotations
@@ -140,6 +141,11 @@ def write_inputs(folder: Path) -> list[list[str]]:
                   "--samples", "3"])
     calls.append(["evolve", doubles, "--method", "rk4", "--dt", "0.01",
                   "--t-end", "1", "--samples", "3"])
+    wide = put("doubles100.json", double_wave(Random(100), 100))
+    calls.append(["evolve", wide, "--method", "spectral", "--t-end", "1",
+                  "--samples", "3"])
+    calls.append(["evolve", waves[1], "--method", "spectral", "--t-end", "1",
+                  "--samples", "400"])
     calls.append(["evolve", waves[2], "--method", "spectral", "--t-end", "40",
                   "--samples", "11"])
     calls.append(["evolve", waves[0], "--method", "spectral", "--t-end",

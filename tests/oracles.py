@@ -38,9 +38,11 @@ The pair table through the kernel b_a b_b / (lam_a + lam_b), the
 runtime's route before it stepped the rank-one displacement.  The six
 minor families of the pair table by one det_exact per block size, each
 block written out from its definition; the runtime reads them off two
-bordered eliminations instead.  And the isospectral flow in
-closed form: the string recover returns for residues scaled by sigma,
-read off the t = 0 minors.
+bordered eliminations instead.  And the isospectral flow two more ways,
+beside the runtime's explicit solution on the string: the boundary
+triple with its residues scaled by sigma, which the peel inverts, and
+the string recover returns for those residues, read off the t = 0
+minors.
 """
 
 from __future__ import annotations
@@ -56,19 +58,27 @@ import numpy as np
 
 from cubicstring.burgers import (
     WaveState,
-    flow_triple,
     rationalize,
     spectral_snapshot,
 )
 from cubicstring.errors import IdentityViolatedError, NonSquareError
-from cubicstring.exact import Matrix, Polynomial, RatInterval, det_exact
+from cubicstring.exact import (
+    Matrix,
+    Polynomial,
+    RatInterval,
+    det_exact,
+    linear_combination,
+)
 from cubicstring.exact import roots
 from cubicstring.exact.roots import _no_rational_root, _rational_root, sign_at
 from cubicstring.forward import (
+    WeylData,
     boundary_data,
+    eigenvalue_polynomial,
     gap_step,
     invariant_masses,
     jump_step,
+    value_residues,
 )
 from cubicstring.inverse import (
     Approximant,
@@ -80,7 +90,6 @@ from cubicstring.inverse import (
     bimoments,
     moment_minors,
     peel,
-    z_residues_of,
 )
 from cubicstring.string_model import (
     ConservedSet,
@@ -569,8 +578,9 @@ def _ratio(points, weights) -> tuple[Polynomial, Polynomial]:
 def weyl_fractions(sd: SpectralData) -> tuple[Polynomial, Polynomial,
                                               Polynomial, Polynomial]:
     """(num_w, den_w, num_z, den_z): both Weyl functions as exact ratios."""
-    num_z, den_z = _ratio(*_value_measure(sd.eigenvalues, z_residues_of(sd),
-                                             sd.total_mass))
+    num_z, den_z = _ratio(*_value_measure(
+        sd.eigenvalues, value_residues(sd.eigenvalues, sd.residues),
+        sd.total_mass))
     return (*_ratio(sd.eigenvalues, sd.residues), num_z, den_z)
 
 
@@ -706,6 +716,29 @@ def moment_minors_by_blocks(bt: BimomentTable) -> MomentMinors:
         beta_inner=family(top, lambda i, j:
                           beta[i] if j == 0 else t[i + 1][j]),
     )
+
+
+def flow_triple(wd: WeylData, total_mass: Fraction, sigma: Fraction) -> tuple:
+    """The boundary triple once the flow has scaled the residues of W by
+    sigma: phi_xx stays, W scales by sigma and the residues of Z by
+    sigma^2 around its atom -1/(2M) at zero, so the triple is
+    (sigma^2 phi + (sigma^2 - 1)/(2M) phi_xx/z, sigma phi_x, phi_xx)."""
+    s2 = sigma * sigma
+    shift = (s2 - 1) / (2 * total_mass)
+    return (linear_combination((wd.phi, s2, 0),
+                               (eigenvalue_polynomial(wd), shift, 0)),
+            wd.phi_x * sigma, wd.phi_xx)
+
+
+def last_scale_of_triple(wd: WeylData, total_mass: Fraction) -> Fraction:
+    """burgers.last_scale read off the boundary triple: with
+    P = [z^n] phi_xx, C = P / (2M) and B = lead phi + C, B > 0 for
+    n >= 2, the peel's first mass at sigma is
+    m_n = -P / (2 (sigma^2 B - C)), at most 2^-1075, which rounds to
+    0.0, once sigma^2 >= (-P 2^1074 + C) / B."""
+    p = wd.phi_xx.leading
+    c = p / (2 * total_mass)
+    return (-p * 2 ** 1074 + c) / (wd.phi.leading + c)
 
 
 def flow_closed_form(sd: SpectralData, sigma: Fraction) -> CubicString:

@@ -17,6 +17,7 @@ from oracles import (
     chain_sums_by_subsets,
     check_automorphism,
     float_spectrum_oracle,
+    flow_triple,
     is_totally_nonnegative,
     oscillatory_matrices,
     path_matrix,
@@ -30,7 +31,6 @@ from cubicstring.burgers import (
     WaveState,
     evolve_spectral,
     evolve_spectral_exact,
-    flow_triple,
     integrate_rk4,
     rationalize,
     scale_factor,

@@ -9,7 +9,7 @@ from itertools import islice
 
 import pytest
 
-from oracles import conserved, flow_reference
+from oracles import conserved, flow_reference, flow_triple
 
 from cubicstring import burgers
 from cubicstring.burgers import (
@@ -19,7 +19,6 @@ from cubicstring.burgers import (
     evolve_spectral,
     conserved_floats,
     evolve_spectral_exact,
-    flow_triple,
     integrate_rk4,
     rationalize,
     scale_factor,
@@ -33,8 +32,13 @@ from cubicstring.errors import (
 )
 from cubicstring import forward
 from cubicstring.exact import Polynomial
-from cubicstring.forward import boundary_data, invariant_masses, spectrum
-from cubicstring.inverse import random_spectral, recover, z_residues_of
+from cubicstring.forward import (
+    boundary_data,
+    invariant_masses,
+    spectrum,
+    value_residues,
+)
+from cubicstring.inverse import random_spectral, recover
 from cubicstring.string_model import positions
 
 F = Fraction
@@ -192,7 +196,8 @@ def test_residue_scaling_is_exactly_squared():
     phi, phi_x, phi_xx = flow_triple(wd, sd.total_mass, sigma)
     assert phi_xx == wd.phi_xx
     da = phi_xx.derivative()
-    for lam, b, c in zip(sd.eigenvalues, sd.residues, z_residues_of(sd)):
+    cs = value_residues(sd.eigenvalues, sd.residues)
+    for lam, b, c in zip(sd.eigenvalues, sd.residues, cs):
         assert phi_x(lam) / da(lam) == sigma * b
         assert phi(lam) / da(lam) == sigma ** 2 * c
     assert phi(0) / da(0) == -1 / (2 * sd.total_mass)  # the atom stays

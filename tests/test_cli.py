@@ -15,8 +15,8 @@ import pytest
 from cli_identity import double_wave, ratio_string
 from oracles import decimal_spectrum
 
-from cubicstring import burgers, cli, forward
-from cubicstring.burgers import rationalize, scale_bits, wave_state
+from cubicstring import burgers, cli, forward, inverse
+from cubicstring.burgers import rationalize, wave_state
 from cubicstring.cli import (
     EVOLVE_SAMPLE_CAP,
     ROUNDTRIP_N_CAP,
@@ -575,9 +575,9 @@ def test_evolve_sample_cap_is_bad_input(tmp_path, capsys, method):
 
 
 def test_evolve_spectral_work_cap_is_bad_input(tmp_path, capsys):
-    # 24 peaks on 10,000 rows: 52 s by the estimate (40.9 s timed),
+    # 64 peaks on 10,000 rows: 45.5 s by the estimate (42.4 s timed),
     # refused at once
-    p = write_json(tmp_path / "s.json", _cycling_string(24))
+    p = write_json(tmp_path / "s.json", _cycling_string(64))
     start = time.perf_counter()
     assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
                  "--samples", "10000"]) == 2
@@ -636,13 +636,13 @@ def test_evolve_names_the_input_a_double_cannot_hold(tmp_path, capsys, doc,
 
 
 @pytest.mark.parametrize("n,flags,leaves", [
-    # M t_end = 80,000 on 10^4 rows: priced as if every row were peeled
-    # at e^(M t_end) it came to 20,252 s, yet the last mass underflows
-    # at M t = 373.46 (t = 62.24), so every row is priced below that
+    # M t_end = 80,000 on 10^4 rows: the last mass underflows at
+    # M t = 373.46 (t = 62.24), and the run stops at the row after it;
+    # no row is priced by e^(M t), so the rows alone price it at 2.8 s
     (3, ["--t-end", "13333.333333333334", "--samples", "10000"],
      62.67293396006268),
     # e^(M t_end) of 216,408 and of 865,619 bits on the one row past
-    # t = 0: its last mass underflows, so it is not peeled
+    # t = 0: its last mass underflows, so no state is evaluated
     (8, ["--t-end", "10000", "--samples", "2"], 10000.0),
     (3, ["--t-end", "100000", "--samples", "2"], 100000.0),
 ])
@@ -670,29 +670,15 @@ def test_evolve_spectral_far_out_of_range_builds_no_factor(tmp_path,
         "error: the wave leaves the float range at t = 383333.0\n")
 
 
-def _priced_sigma_bits(monkeypatch):
-    """The sigma bits of every estimate the CLI makes, as it makes them."""
-    seen = []
-    real = cli._spectral_seconds
-    monkeypatch.setattr(cli, "_spectral_seconds",
-                        lambda n, rows, sigma, crossing:
-                        seen.append(sigma) or real(n, rows, sigma, crossing))
-    return seen
-
-
-def test_evolve_spectral_last_row_bound(tmp_path, capsys, monkeypatch):
+def test_evolve_spectral_last_row_bound(tmp_path, capsys):
     # masses 1, 2, 3 with unit gaps: the last mass rounds to 0.0 from
-    # M t = 373.46, t = 62.2437, where e^(M t) has 539 bits, and the run
-    # prices sigma at those bits, read off the triple it builds, however
-    # far past them t_end is
-    seen = _priced_sigma_bits(monkeypatch)
+    # M t = 373.46, t = 62.2437 (burgers.last_scale), however far past
+    # it t_end is, and the bound splits t = 62.2436 from 62.2438
     p = write_json(tmp_path / "s.json", _cycling_string(3))
     assert main(["evolve", p, "--method", "spectral", "--t-end", "1000",
                  "--samples", "2"]) == 1
     assert capsys.readouterr().err == (
         "error: the wave leaves the float range at t = 1000.0\n")
-    assert seen[-1] - 1 < 373.46 / math.log(2) < seen[-1] == 539
-    assert scale_bits(Fraction(6), 1000.0) > 8000
     for t_end, code in (("62.2436", 0), ("62.2438", 1)):
         assert main(["evolve", p, "--method", "spectral", "--t-end", t_end,
                      "--samples", "2"]) == code
@@ -700,62 +686,74 @@ def test_evolve_spectral_last_row_bound(tmp_path, capsys, monkeypatch):
         "error: the wave leaves the float range at t = 62.2438\n")
 
 
-@pytest.mark.parametrize("n,samples,crossed", [(40, 8000, 1), (24, 8000, 17),
-                                               (24, 4000, 24)])
+@pytest.mark.parametrize("doc,t_end,samples,crossed", [
+    pytest.param(_cycling_string(64), "1", 10000, 1, id="64-10000-1"),
+    pytest.param(double_wave(random.Random(500), 500), "0.5", 850, 107,
+                 id="500-850-107"),
+])
 def test_evolve_spectral_work_cap_counts_peaks(tmp_path, capsys, monkeypatch,
-                                               n, samples, crossed):
-    # to t_end = 20,000: 8,000 rows on 40 peaks are over the cap by the
-    # row term alone, and refused before the first gap is crossed; on 24
-    # peaks (M t_end = 960,000) they are not, and are refused once the
-    # crossings priced into each row add up, at the 17th mass; 4,000
-    # rows are not, but with e^(M t) priced at the 539 bits of the last
-    # row that can run, read off the whole triple, they are
+                                               doc, t_end, samples, crossed):
+    # 10^4 rows on 64 peaks of 1, 2, 3 (42.4 s when run) are over the
+    # cap by the row term alone, and refused before the first gap is
+    # crossed; 850 rows on 500 peaks of random doubles are not (29.8 s),
+    # but with the crossing (18.6 s more; the run took 60.1 s) they
+    # are, and are refused once the price so far passes the cap, at the
+    # 107th mass
     steps = []
     real = forward.jump_step
     monkeypatch.setattr(forward, "jump_step",
                         lambda t, m: steps.append(m) or real(t, m))
-    seen = _priced_sigma_bits(monkeypatch)
-    p = write_json(tmp_path / "s.json", _cycling_string(n))
+    p = write_json(tmp_path / "s.json", doc)
     start = time.perf_counter()
-    assert main(["evolve", p, "--method", "spectral", "--t-end", "20000",
+    assert main(["evolve", p, "--method", "spectral", "--t-end", t_end,
                  "--samples", str(samples)]) == 2
-    assert time.perf_counter() - start < 0.5
+    assert time.perf_counter() - start < 1
     _assert_one_line_error(capsys)
     assert len(steps) == crossed
-    assert set(seen) == ({0, 539} if crossed == n else {0})
 
 
-# (n, rows, M t_end, seconds the run took) on masses 1, 2, 3, 1, 2, ...
-# with unit gaps, in-process on a shared 2-vCPU VM
+def test_evolve_spectral_peels_nothing(tmp_path, capsys, monkeypatch):
+    # each row is the explicit solution on the t = 0 string, on small
+    # integers and on a wave of doubles: no boundary triple is peeled
+    peels = []
+    real = inverse.peel
+
+    def counted(triple):
+        peels.append(triple)
+        return real(triple)
+
+    for module in (inverse, burgers):
+        monkeypatch.setattr(module, "peel", counted, raising=False)
+    for doc in (_cycling_string(5), double_wave(random.Random(10), 10)):
+        p = write_json(tmp_path / "s.json", doc)
+        assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
+                     "--samples", "5"]) == 0
+    assert not peels
+    capsys.readouterr()
+
+
+# (n, rows, M t_end, seconds the run took, best of up to eight) on
+# masses 1, 2, 3, 1, 2, ... with unit gaps, in-process on a shared
+# 2-vCPU VM
 ADMITTED_RUNS = [
     # one peak: every row is the input
-    (1, 10000, 1, 0.12), (1, 10000, 1000, 0.12),
-    (2, 10000, 3, 4.7), (2, 3000, 3, 1.3),
-    (3, 5000, 6, 2.4), (3, 10000, 6, 6.0),
-    (4, 3000, 7, 2.2), (5, 3000, 9, 2.6), (6, 1000, 12, 0.97),
-    (8, 1000, 15, 1.2), (8, 3000, 15, 4.5), (8, 10000, 15, 15.1),
-    (12, 500, 24, 1.3), (12, 1000, 24, 2.1), (12, 5000, 24, 11.2),
-    (16, 200, 31, 0.65), (16, 500, 31, 1.5), (16, 5000, 31, 16.1),
-    (16, 10000, 31, 29.9), (20, 200, 39, 0.65),
-    (24, 100, 48, 0.52), (24, 300, 48, 1.6), (24, 1500, 48, 6.2),
-    (24, 3000, 48, 15.4), (32, 3000, 64, 20.9),
-    # exit 1: the row past t = 0 leaves the float range, after a peel
-    # of a triple scaled by e^(M t_end); the flow now stops before such
-    # a peel (see the test above), so these time the snapshot and the
-    # peel alone, to price the peel term
-    (2, 2, 150000, 0.42), (3, 2, 96000, 1.3), (3, 2, 250000, 9.2),
-    (3, 2, 400000, 22.0), (5, 2, 50000, 1.5), (8, 2, 24000, 1.0),
-    (12, 2, 20000, 1.6), (24, 2, 8000, 1.3),
+    (1, 10000, 1, 0.07), (1, 10000, 1000, 0.07),
+    (2, 10000, 3, 1.63), (2, 3000, 3, 0.62),
+    (3, 5000, 6, 1.14), (3, 10000, 6, 3.15),
+    (4, 3000, 7, 0.89), (5, 3000, 9, 1.13), (6, 1000, 12, 0.46),
+    (8, 1000, 15, 0.60), (8, 3000, 15, 2.0), (8, 10000, 15, 7.1),
+    (12, 500, 24, 0.56), (12, 1000, 24, 0.85), (12, 5000, 24, 4.2),
+    (16, 200, 31, 0.18), (16, 500, 31, 0.45), (16, 5000, 31, 5.7),
+    (16, 10000, 31, 11.6), (20, 200, 39, 0.23),
+    (24, 100, 48, 0.13), (24, 300, 48, 0.50), (24, 1500, 48, 2.2),
+    (24, 3000, 48, 6.0), (32, 3000, 64, 5.8), (24, 10000, 48, 16.0),
+    (32, 6000, 64, 12.4), (32, 10000, 64, 20.2), (400, 100, 0.5, 2.3),
     # exit 1 at an early row, long before e^(M t_end)
-    (3, 20, 3000, 0.003), (8, 200, 2000, 0.07),
+    (3, 20, 3000, 0.001), (8, 200, 2000, 0.02),
     # the evolve-flow benchmark's largest shape and the golden shape
     (5, 5, 1, None), (3, 3, 2, None),
 ]
-REFUSED_RUNS = [
-    (24, 10000, 48, 40.9), (32, 6000, 64, 37.4), (32, 10000, 64, 69.8),
-    (3, 2, 500000, 36.7),  # exit 1: float range, after the peel
-    (3, 2, 600000, 51.7),  # likewise
-]
+REFUSED_RUNS = [(64, 10000, 128, 42.4), (100, 6000, 200, 51.8)]
 
 
 def _crossing_estimate(s):
@@ -765,36 +763,43 @@ def _crossing_estimate(s):
 def test_evolve_spectral_estimate_against_timed_runs():
     def estimate(n, rows, mt, _):
         crossing = _crossing_estimate(string_from_dict(_cycling_string(n)))
-        return _spectral_seconds(n, rows, scale_bits(Fraction(mt), 1.0),
-                                 crossing)
+        return _spectral_seconds(n, rows, crossing)
 
     assert all(estimate(*run) <= WORK_CAP for run in ADMITTED_RUNS)
     assert all(estimate(*run) > WORK_CAP for run in REFUSED_RUNS)
-    # every refused run that finished really took longer than the cap
-    assert all(run[-1] is None or run[-1] > WORK_CAP
-               for run in REFUSED_RUNS)
+    # every refused run really took longer than the cap
+    assert all(run[-1] > WORK_CAP for run in REFUSED_RUNS)
     # and within a factor 1.6 of every timed run, either way
     for run in ADMITTED_RUNS + REFUSED_RUNS:
         if run[-1] is not None and run[-1] >= 1:
             assert 1 / 1.6 < run[-1] / estimate(*run) < 1.6, run
 
 
-# (n, rows, seconds the run took) on double_wave(Random(n), n) to
-# t_end = 1, in-process on a shared 2-vCPU VM, scaled by 1/1.36: runs
-# (8, 1000, 15) and (12, 1000, 24) of ADMITTED_RUNS, timed between
-# them, took 1.45 and 1.27 times their seconds there (medians of five)
-DOUBLE_WAVE_RUNS = [(10, 200, 0.61), (25, 200, 3.56), (50, 60, 5.61)]
+# (n, rows, t_end, the crossing's estimate, seconds the run took, best
+# of up to eight) on double_wave(Random(n), n), in-process on a shared
+# 2-vCPU VM.  Two rows on hundreds of peaks time the crossing and the
+# M_j read off its phi_xx; the runs over WORK_CAP ran once each
+DOUBLE_WAVE_RUNS = [
+    (10, 2000, 1, 2.113e-4, 1.49), (25, 1000, 1, 2.581e-3, 1.87),
+    (50, 500, 1, 0.01862, 1.75), (100, 200, 1, 0.1407, 1.36),
+    (200, 2, 1, 1.079, 1.14), (200, 50, 1, 1.079, 1.64),
+    (300, 2, 1, 3.567, 3.18), (400, 2, 0.5, 8.329, 7.86),
+    (500, 2, 0.5, 16.16, 24.5),
+    (200, 3000, 1, 1.079, 56.5), (500, 850, 0.5, 16.16, 60.1),
+]
 
 
 def test_evolve_spectral_estimate_on_waves_of_doubles():
-    # a row of 10 random doubles took 3.0 ms, one of 12 small integers
-    # 2.1 ms above: the crossings a row is priced by carry the operands
-    for n, rows, seconds in DOUBLE_WAVE_RUNS:
-        s = _timed_string("double", n, 0)
-        estimate = _spectral_seconds(
-            n, rows, scale_bits(sum(s.masses, Fraction(0)), 1.0),
-            _crossing_estimate(s))
-        assert 1 / 1.6 < seconds / estimate < 1.6, n
+    # the crossing carries the operands of the doubles, and a row does
+    # not: a row of 10 random doubles and one of 8 or 12 small integers
+    # take about the same
+    for n, rows, _, crossing, seconds in DOUBLE_WAVE_RUNS:
+        if n <= 100:  # the stored crossing is the one the CLI prices
+            built = _crossing_estimate(_timed_string("double", n, 0))
+            assert built == pytest.approx(crossing, rel=1e-3), n
+        estimate = _spectral_seconds(n, rows, crossing)
+        assert 1 / 1.6 < seconds / estimate < 1.6, (n, rows)
+        assert (estimate > WORK_CAP) == (seconds > WORK_CAP), (n, rows)
 
 
 # (n, operand bits S, bits of the integer q, precision bits, seconds
@@ -993,10 +998,9 @@ def test_crossing_estimate_against_timed_runs():
 
 
 @pytest.mark.parametrize("n,flags,seconds", [
-    # 20 peels of about five crossings of a second each, by the
-    # estimate; the run took 113 s when admitted, and 2 rows took 53 s
-    # before the crossing was priced
-    (200, ["--method", "spectral", "--t-end", "1", "--samples", "20"], 1),
+    # 3,000 rows of the explicit solution, 43.8 s by the estimate (56.5 s
+    # when run)
+    (200, ["--method", "spectral", "--t-end", "1", "--samples", "3000"], 1),
     # 300 crossings of 0.14 s, one a row for its exact M_j
     (100, ["--method", "rk4", "--dt", "1e-3", "--t-end", "0.1",
            "--samples", "300"], 1),

@@ -22,8 +22,10 @@ from oracles import (
     by_halving,
     float_spectrum_oracle,
     flow_closed_form,
+    flow_triple,
     fraction_gap_step,
     fraction_jump_step,
+    last_scale_of_triple,
     moment_minors_by_blocks,
     pair_table_by_kernel,
     sturm_chain_by_division,
@@ -34,8 +36,9 @@ from cubicstring.burgers import (
     WaveState,
     evolve_spectral,
     evolve_spectral_exact,
-    flow_triple,
+    flow_state,
     integrate_rk4,
+    last_scale,
     rationalize,
     scale_factor,
 )
@@ -94,8 +97,8 @@ def spectral_data(draw, max_n=MAX_N):
 
 
 @st.composite
-def strings(draw, max_n=MAX_N):
-    n = draw(st.integers(1, max_n))
+def strings(draw, max_n=MAX_N, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     return CubicString(
         tuple(draw(st.lists(positive, min_size=n, max_size=n))),
         tuple(draw(st.lists(positive, min_size=n - 1, max_size=n - 1))),
@@ -409,10 +412,12 @@ def test_mass_corner_is_corner_plus_the_atom_cofactor(sd):
 @given(spectral_data(max_n=7),
        st.sampled_from([0.0, 0.25, -0.5, 1.0, 1.75]))
 def test_flow_closed_form_is_the_recovered_string(sd, t):
-    # three routes to the string at residue scale sigma: the scaled
-    # boundary triple peeled, the closed form in sigma, and recover of
-    # the scaled spectral data
-    wd = boundary_data(recover(sd))
+    # four routes to the string at residue scale sigma: the scaled
+    # boundary triple peeled, the closed form in sigma of the minors,
+    # recover of the scaled spectral data, and the runtime's explicit
+    # solution on the t = 0 string
+    s = recover(sd)
+    wd = boundary_data(s)
     first, _ = next(scale_factor(sd.total_mass, t))
     for sigma in (first, F(3, 2), F(2, 7), F(5)):
         scaled = SpectralData(sd.eigenvalues,
@@ -421,6 +426,29 @@ def test_flow_closed_form_is_the_recovered_string(sd, t):
         closed = flow_closed_form(sd, sigma)
         assert peel(flow_triple(wd, sd.total_mass, sigma)) == closed
         assert closed == recover(scaled)
+        assert flow_state(s, sd.total_mass, sigma) == closed
+
+
+@settings(max_examples=30)
+@given(strings(), st.fractions(min_value=F(1, 64), max_value=64,
+                               max_denominator=64))
+def test_flow_state_is_the_peel_of_the_scaled_triple(s, sigma):
+    # random strings up to n = 12 and sigmas either side of 1: the
+    # explicit solution, anchored at zero, is the string the peel
+    # recovers from the t = 0 triple with its residues scaled
+    total = sum(s.masses)
+    assert (flow_state(s, total, sigma)
+            == peel(flow_triple(boundary_data(s), total, sigma)))
+
+
+@settings(max_examples=30)
+@given(strings(min_n=2))
+def test_last_scale_is_the_triple_form(s):
+    # m_n (M 2^1075 - 1) / (M - m_n) off the string equals
+    # (-P 2^1074 + C) / B off its boundary triple
+    total = sum(s.masses)
+    assert (last_scale(s, total)
+            == last_scale_of_triple(boundary_data(s), total))
 
 
 @settings(max_examples=30)
