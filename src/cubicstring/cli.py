@@ -86,7 +86,7 @@ EVOLVE_SAMPLE_CAP = 10 ** 4
 # evolve, forward and invert refuse runs estimated at over this many
 # seconds, before the work (README): timed runs took 0.64 to 1.56 times
 # the estimate for the crossing (35), 0.77 to 1.31 for spectral evolve
-# (29), 0.66 to 1.51 for forward (45) and 0.73 to 1.34 for invert (40)
+# (29), 0.66 to 1.47 for forward (48) and 0.73 to 1.34 for invert (40)
 WORK_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 4.1 s, n = 52
@@ -106,12 +106,14 @@ def _spectral_seconds(n: int, rows: int, crossing: float) -> float:
 def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
     """Estimated seconds of a forward run past its boundary data on a
     shared 2-vCPU VM (README, "forward"): the Sturm chain of the integer
-    q = phi_xx/z of Q = q_bits bits, then the d = n - 1 residues' Horner
-    and rounding on boxes whose values carry W = Q + d max(bits, 64)
-    bits.  With q_bits = 0 it is a lower bound."""
+    q = phi_xx/z of Q = q_bits bits, 4.3e-12 d^4.5 Q^1.8, then the
+    refinement and the residues' integer Horner on the boxes of the
+    d = n - 1 eigenvalues, whose values carry W = Q + d max(bits, 64)
+    bits, 7.1e-9 d W^1.5, and the gcds and rounding of the quotient
+    ends, 4.2e-14 d^3 W^2.  With q_bits = 0 it is a lower bound."""
     d, q, w = n - 1, q_bits, q_bits + (n - 1) * max(bits, 64)
-    return 2.9e-12 * d ** 4.5 * q ** 1.8 + 7.1e-12 * d ** 2.5 * w ** 1.8 \
-        + 4.7e-11 * d * w ** 2
+    return 4.3e-12 * d ** 4.5 * q ** 1.8 + 7.1e-9 * d * w ** 1.5 \
+        + 4.2e-14 * d ** 3 * w ** 2
 
 
 def _crossing_seconds(k: int, triple_bits: int, step_bits: int) -> float:

@@ -1,7 +1,7 @@
 """Exact arithmetic toolkit: rationals, polynomials, fraction-free linear
 algebra, Sturm root isolation, and rational intervals on integers."""
 
-from .interval import RatInterval, eval_interval
+from .interval import RatInterval, divide_ends, eval_interval
 from .linalg import Matrix, bordered_minors, det_exact, solve_exact
 from .poly import Polynomial, linear_combination
 from .rational import format_rational, parse_rational, parse_rational_list
@@ -19,6 +19,7 @@ __all__ = [
     "bordered_minors",
     "cauchy_root_bound",
     "det_exact",
+    "divide_ends",
     "eval_interval",
     "format_rational",
     "linear_combination",

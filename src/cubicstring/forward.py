@@ -6,9 +6,10 @@ phi_xx) of value, slope and curvature, polynomials in the spectral
 variable z, from (1, 0, 0): each mass makes the curvature jump by
 -2 m z phi, and each gap carries the quadratic across.  The result is
 the first column of the 3x3 crossing matrix; the inverse map peels the
-same steps off, and the flow peels a rescaled triple.  The polynomials
-keep integer numerators over one denominator, and each polynomial a
-step changes is one integer combination (exact.linear_combination):
+same steps off, and the flow peels nothing, as it evaluates its
+explicit solution on the t = 0 string.  The polynomials keep integer
+numerators over one denominator, and each polynomial a step changes is
+one integer combination (exact.linear_combination):
 its terms scaled to one common denominator, summed, and one gcd divided
 out.  A gap steps phi as phi + l (phi_x + l/2 phi_xx), two such
 combinations, so that the square of l's denominator never enters a
@@ -23,8 +24,11 @@ inverse map.  Eigenvalues and residues alike are RatIntervals: a point
 interval exactly where the eigenvalue is rational, else a certified
 enclosure narrow enough that the eigenvalue and its slope residue each
 have one correctly rounded decimal at the requested precision.  The
-coefficients of phi_xx are, up to 2(-z)^j, the chain invariants M_j of
-the isospectral flow.
+residues are enclosed on integers: phi_xx', phi_x and phi over the
+box's integer ends, all of one degree and so over one scale, which
+cancels from the quotients, and each quotient end is one Fraction
+picked by the signs of the operands.  The coefficients of phi_xx are,
+up to 2(-z)^j, the chain invariants M_j of the isospectral flow.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ from .exact import (
     Polynomial,
     RatInterval,
     cauchy_root_bound,
+    divide_ends,
     eval_interval,
     linear_combination,
     refine_enclosure,
     sturm_isolate,
 )
+from .exact.rational import over_common_denominator
 from .string_model import CubicString, validate
 
 DEFAULT_PRECISION_BITS = 256
@@ -50,15 +56,17 @@ DEFAULT_PRECISION_BITS = 256
 # cost grows about 4x per doubling of the precision: on masses 1, 2, 3
 # and gaps 1, 1/2 spectrum and residues take 0.16 s at this cap, nearly
 # all of it residues; past it a run is refused, not started.  With
-# GUARD_BITS it also caps the residue refinement, and it caps the
-# digits of e^(M t) the flow may carry to certify a row
+# GUARD_BITS and a w-residue's leading zeros it also caps the residue
+# refinement, and it caps the digits of e^(M t) the flow may carry to
+# certify a row
 MAX_PRECISION_BITS = 2 ** 14
 
 # residues refine an irrational eigenvalue this many bits past the
-# requested precision first, and at most this far past the cap: with no
-# head start most boxes needed a second try to round, and residues took
-# twice as long; with no bits past the cap, runs at the cap could not
-# round at all
+# requested precision first, and at most this far past the cap, plus
+# the leading zeros of its w-residue: with no head start most boxes
+# needed a second try to round, and residues took twice as long; with
+# no bits past the cap, runs at the cap could not round at all, and
+# with these alone not a w-residue of 2^-75 either
 GUARD_BITS = 16
 
 
@@ -171,22 +179,30 @@ def _rounds(box: RatInterval, digits: int) -> bool:
     return decimal_string(box.lo, digits) == decimal_string(box.hi, digits)
 
 
+def _leading_zeros(x: RatInterval) -> int:
+    """About the binary places after the point that are 0 in every value
+    of x, 0 from magnitude 1/2 up: a residue that small needs that many
+    bits past the precision to round."""
+    top = max(-x.lo, x.hi)
+    return max(top.denominator.bit_length() - top.numerator.bit_length(), 0)
+
+
 def _residue_pair(wd: WeylData, deriv: Polynomial, box: RatInterval,
-                  digits: int):
-    """Both residues over one eigenvalue box; None when the box or the
-    w-residue does not round to one decimal, or a sign is unsettled.  A
-    point box gives points, so only a zero phi_xx' there is an error."""
-    if not _rounds(box, digits):
-        return None
-    d = eval_interval(deriv, box)
-    if not d.sign_definite():
-        if box.width == 0:
+                  degree: int):
+    """Both residues over one eigenvalue box, None while phi_xx' has no
+    sign on it.  phi_xx', phi_x and phi are enclosed over the box's
+    integer ends, all over one scale den^degree, which cancels, and each
+    quotient end is one Fraction.  A point box gives points, so only a
+    zero phi_xx' there is an error."""
+    (a, b), den = over_common_denominator((box.lo, box.hi))
+    d = eval_interval(deriv, a, b, den, degree)
+    if not (d[0] > 0 or d[1] < 0):
+        if a == b:
             raise IdentityViolatedError("multiple eigenvalue in residues")
         return None
-    w = eval_interval(wd.phi_x, box) / d
-    z = eval_interval(wd.phi, box) / d
-    settled = z.sign_definite() or z.width == 0
-    return (w, z) if _rounds(w, digits) and settled else None
+    return tuple(divide_ends(eval_interval(p, a, b, den, degree),
+                             p.denominator, d, deriv.denominator)
+                 for p in (wd.phi_x, wd.phi))
 
 
 def residues(wd: WeylData,
@@ -195,36 +211,44 @@ def residues(wd: WeylData,
 
     Exact (point intervals) at exact eigenvalues.  Elsewhere the box is
     refined GUARD_BITS past precision_bits, then GUARD_BITS more, then
-    twice as many more each time, up to GUARD_BITS past
-    MAX_PRECISION_BITS, until it and its w-residue interval each round
-    to one decimal_digits(precision_bits)-digit decimal and the
-    z-residue's sign is settled; the refined boxes are returned as the
-    eigenvalues.  A w-residue far below 1 needs about as many bits more
-    as it has leading zeros, so the step grows from GUARD_BITS rather
-    than doubling the precision.
+    twice as many more each time, until it and its w-residue interval
+    each round to one decimal_digits(precision_bits)-digit decimal and
+    the z-residue's sign is settled; the refined boxes are returned as
+    the eigenvalues.  A w-residue far below 1 needs about as many bits
+    more as it has leading zeros, so the step grows from GUARD_BITS
+    rather than doubling the precision, and a box refines up to
+    GUARD_BITS plus the leading zeros of its last w interval past
+    MAX_PRECISION_BITS.
     """
     if wd.eigenvalues is None:
         raise ValueError("run spectrum() before residues()")
     deriv = wd.phi_xx.derivative()
+    degree = max(deriv.degree, wd.phi_x.degree, wd.phi.degree, 0)
     q = eigenvalue_polynomial(wd)
     digits = decimal_digits(precision_bits)
     boxes, w_out, z_out = [], [], []
     for box in wd.eigenvalues:
         bits, step = precision_bits + GUARD_BITS, GUARD_BITS
+        cap = MAX_PRECISION_BITS + GUARD_BITS
         while True:
             box = refine_enclosure(q, box, Fraction(1, 2 ** bits))
-            got = _residue_pair(wd, deriv, box, digits)
-            if got is not None:
-                break
-            if bits >= MAX_PRECISION_BITS + GUARD_BITS:
+            got = _rounds(box, digits) and _residue_pair(wd, deriv, box,
+                                                         degree)
+            if got:
+                w, z = got
+                if _rounds(w, digits) and (z.sign_definite()
+                                           or z.width == 0):
+                    break
+                cap = MAX_PRECISION_BITS + GUARD_BITS + _leading_zeros(w)
+            if bits >= cap:
                 raise PrecisionExhaustedError(
                     f"could not round an eigenvalue and its residue to "
                     f"{digits} digits at {bits} bits")
-            bits = min(bits + step, MAX_PRECISION_BITS + GUARD_BITS)
+            bits = min(bits + step, cap)
             step *= 2
         boxes.append(box)
-        w_out.append(got[0])
-        z_out.append(got[1])
+        w_out.append(w)
+        z_out.append(z)
     if not all(b.is_negative() for b in w_out + z_out):
         raise IdentityViolatedError("residue failed its negativity law")
     if all(e.width == 0 for e in boxes):

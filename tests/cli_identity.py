@@ -16,7 +16,8 @@ on the mixed strings at 4096 bits, where the residue enclosures carry
 their largest operands, at 64 and 256 bits on strings of large
 operands (4 masses of 300-digit ratios, 6 of 100-digit ratios), and at
 1024 bits on 12 and 16 masses of 1-digit ratios, where the root
-refinement runs deepest;
+refinement runs deepest, and at 256 and 4096 bits on strings whose
+w-residues round only at a second refinement;
 `invert` with and without the determinant audit, on spectra of n = 2
 to 32, where the peel's operands reach thousands of bits; `roundtrip`,
 up to n = 32;
@@ -118,6 +119,12 @@ def write_inputs(folder: Path) -> list[list[str]]:
     deep = [put(f"deep{n}.json", ratio_string(Random(n), n, 1))
             for n in (12, 16)]
     calls += [["forward", s, "--precision-bits", "1024"] for s in deep]
+    # seven and six masses whose w-residues round only at the second
+    # refinement of their boxes, at 256 and at 4,096 bits
+    second = [put(f"second{n}.json", ratio_string(Random(seed), n, 1))
+              for n, seed in ((7, 26), (6, 22))]
+    calls += [["forward", s, "--precision-bits", bits]
+              for s, bits in zip(second, ("256", "4096"))]
 
     spectra = [put(f"spectral{n}.json", spectral_to_dict(random_spectral(n, n)))
                for n in (2, 4, 7, 10, 14, 20, 24, 32)]

@@ -29,10 +29,13 @@ fraction_gap_step).
 The Sturm chain by long division over the rationals, the runtime's
 route before it took pseudo-remainders of integer lists, and the
 interval Horner over Fraction, the runtime's enclosure before it ran on
-integers over the box's grid.  The root refinement that halves the box
-once per sign evaluation, the runtime's loop before it guessed grid
-cells by Newton steps, and by_halving, which runs the isolation or the
-refinement with it.
+integers over the box's grid, with the hull of the four quotients of
+the ends, the runtime's interval division before it picked each end by
+the signs of the operands, and the residues on both, the runtime's
+route before its enclosures ran on integer ends.  The root refinement
+that halves the box once per sign evaluation, the runtime's loop before
+it guessed grid cells by Newton steps, and by_halving, which runs the
+isolation or the refinement with it.
 
 The pair table through the kernel b_a b_b / (lam_a + lam_b), the
 runtime's route before it stepped the rank-one displacement.  The six
@@ -68,12 +71,16 @@ from cubicstring.exact import (
     RatInterval,
     det_exact,
     linear_combination,
+    refine_enclosure,
 )
 from cubicstring.exact import roots
 from cubicstring.exact.roots import _no_rational_root, _rational_root, sign_at
 from cubicstring.forward import (
+    GUARD_BITS,
     WeylData,
     boundary_data,
+    decimal_digits,
+    decimal_string,
     eigenvalue_polynomial,
     gap_step,
     invariant_masses,
@@ -403,6 +410,44 @@ def interval_horner(p: Polynomial, lo: Fraction,
         products = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
         acc_lo, acc_hi = min(products) + c, max(products) + c
     return acc_lo, acc_hi
+
+
+def quotient_hull(num: tuple[Fraction, Fraction],
+                  den: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """The hull of the four quotients of the ends of num by those of
+    den, which must not contain zero."""
+    if den[0] <= 0 <= den[1]:
+        raise ZeroDivisionError("division by an interval containing zero")
+    q = [x / y for x in num for y in den]
+    return min(q), max(q)
+
+
+def residues_by_hull(wd: WeylData, precision_bits: int) -> tuple:
+    """(eigenvalues, w_residues, z_residues) that forward.residues
+    returns, by its refinement schedule, with every enclosure over
+    Fraction: interval_horner of phi_xx', phi_x and phi over each box,
+    and quotient_hull."""
+    q, deriv = eigenvalue_polynomial(wd), wd.phi_xx.derivative()
+    digits = decimal_digits(precision_bits)
+
+    def rounds(ends):
+        return decimal_string(ends[0], digits) == decimal_string(ends[1],
+                                                                 digits)
+
+    out = []
+    for box in wd.eigenvalues:
+        bits, step = precision_bits + GUARD_BITS, GUARD_BITS
+        while True:
+            box = refine_enclosure(q, box, Fraction(1, 2 ** bits))
+            d = interval_horner(deriv, box.lo, box.hi)
+            if rounds((box.lo, box.hi)) and not d[0] <= 0 <= d[1]:
+                w, z = (quotient_hull(interval_horner(p, box.lo, box.hi), d)
+                        for p in (wd.phi_x, wd.phi))
+                if rounds(w) and (z[0] == z[1] or not z[0] <= 0 <= z[1]):
+                    break
+            bits, step = bits + step, 2 * step
+        out.append((box, RatInterval(*w), RatInterval(*z)))
+    return tuple(zip(*out)) if out else ((), (), ())
 
 
 # -- the halving refinement -----------------------------------------------

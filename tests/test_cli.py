@@ -803,34 +803,36 @@ def test_evolve_spectral_estimate_on_waves_of_doubles():
 
 
 # (n, operand bits S, bits of the integer q, precision bits, seconds
-# spectrum and residues took, None when stopped after 100 s), in-process
-# on a shared 2-vCPU VM; masses and gaps are random ratios of two
-# integers of 1 to 1,000 digits, ratio_string(random.Random(n), n, digits)
+# spectrum and residues took, best of three under 3 s, None when stopped
+# after 100 s), in-process on a shared 2-vCPU VM; masses and gaps are
+# random ratios of two integers of 1 to 1,000 digits,
+# ratio_string(random.Random(n), n, digits)
 FORWARD_TIMED_RUNS = [
-    (2, 19922, 13276, 4096, 0.022), (3, 33212, 23248, 4096, 0.094),
-    (3, 26, 17, 16384, 0.097), (4, 46497, 33211, 1024, 0.2),
-    (4, 13928, 9950, 4096, 0.079), (4, 46497, 33211, 4096, 0.32),
-    (4, 4626, 3310, 8192, 0.11), (4, 34, 24, 16384, 0.3),
-    (6, 40167, 29205, 256, 0.55), (6, 73030, 53116, 256, 1.4),
-    (6, 73030, 53116, 1024, 1.5), (6, 7274, 5292, 4096, 0.2),
-    (6, 700, 499, 8192, 0.33), (8, 29850, 21891, 64, 1.3),
-    (8, 29850, 21891, 256, 1.4), (8, 99626, 73054, 256, 15.0),
-    (8, 77, 55, 4096, 0.25), (8, 2965, 2171, 4096, 0.33),
-    (10, 12567, 9257, 64, 0.84), (10, 12567, 9257, 256, 0.99),
-    (10, 1209, 886, 4096, 1.0), (10, 3761, 2773, 4096, 0.88),
-    (12, 15200, 11243, 256, 3.6), (12, 45782, 33823, 256, 29.7),
-    (12, 4525, 3344, 1024, 0.62), (12, 106, 72, 4096, 1.7),
-    (16, 20524, 15227, 256, 23.8), (16, 6100, 4524, 256, 2.3),
-    (16, 1957, 1449, 256, 0.33), (16, 1957, 1449, 1024, 0.89),
-    (16, 145, 100, 2048, 2.1), (20, 158, 112, 1024, 0.74),
-    (24, 2994, 2235, 64, 3.8), (24, 2994, 2235, 256, 4.5),
-    (24, 210, 143, 1024, 2.0), (48, 406, 288, 64, 1.9),
-    (32, 296, 213, 1024, 8.6), (40, 374, 257, 1024, 19.2),
-    (10, 126188, 92986, 256, 77.7), (8, 77, 55, 16384, 3.8),
-    (16, 61716, 45788, 256, None), (20, 25793, 19185, 256, None),
-    (24, 210, 143, 4096, 22.7), (32, 296, 213, 2048, 25.3),
-    (40, 374, 257, 2048, 55.3), (20, 158, 112, 8192, 39.6),
-    (32, 296, 213, 4096, 57.2),
+    (2, 19922, 13276, 4096, 0.024), (3, 33212, 23248, 4096, 0.11),
+    (3, 26, 17, 16384, 0.059), (4, 46497, 33211, 1024, 0.2),
+    (4, 13928, 9950, 4096, 0.065), (4, 46497, 33211, 4096, 0.27),
+    (4, 4626, 3310, 8192, 0.082), (4, 34, 24, 16384, 0.18),
+    (6, 40167, 29205, 256, 0.69), (6, 73030, 53116, 256, 2.2),
+    (6, 73030, 53116, 1024, 2.4), (6, 7274, 5292, 4096, 0.19),
+    (6, 700, 499, 8192, 0.26), (8, 29850, 21891, 64, 2.0),
+    (8, 29850, 21891, 256, 1.8), (8, 99626, 73054, 256, 19.4),
+    (8, 77, 55, 4096, 0.17), (8, 2965, 2171, 4096, 0.23),
+    (10, 12567, 9257, 64, 1.1), (10, 12567, 9257, 256, 1.2),
+    (10, 1209, 886, 4096, 0.58), (10, 3761, 2773, 4096, 0.56),
+    (12, 15200, 11243, 256, 4.3), (12, 45782, 33823, 256, 33.5),
+    (12, 4525, 3344, 1024, 0.65), (12, 106, 72, 4096, 1.0),
+    (12, 106, 72, 16384, 10.3), (16, 20524, 15227, 256, 26.7),
+    (16, 6100, 4524, 256, 2.5), (16, 1957, 1449, 256, 0.46),
+    (16, 1957, 1449, 1024, 0.6), (16, 145, 100, 2048, 0.69),
+    (20, 158, 112, 1024, 0.48), (24, 2994, 2235, 64, 4.6),
+    (24, 2994, 2235, 256, 4.9), (24, 210, 143, 1024, 1.3),
+    (48, 406, 288, 64, 2.6), (32, 296, 213, 1024, 3.3),
+    (40, 374, 257, 1024, 8.9), (10, 126188, 92986, 256, 91.2),
+    (8, 77, 55, 16384, 2.5), (16, 61716, 45788, 256, None),
+    (20, 25793, 19185, 256, None), (24, 210, 143, 4096, 10.7),
+    (32, 296, 213, 2048, 9.8), (40, 374, 257, 2048, 22.9),
+    (20, 158, 112, 8192, 19.3), (32, 296, 213, 4096, 37.4),
+    (48, 406, 288, 2048, 38.6), (20, 158, 112, 16384, 57.2),
 ]
 
 
@@ -844,13 +846,16 @@ def test_forward_estimate_against_timed_runs():
         else:
             assert 1 / 1.6 < seconds / estimate < 1.6, \
                 (n, q_bits, bits, seconds, estimate)
+            # and a run is refused exactly when it took over the cap
+            assert (estimate > WORK_CAP) == (seconds > WORK_CAP), \
+                (n, q_bits, bits, seconds, estimate)
 
 
 @pytest.mark.parametrize("n,digits,bits", [
     (20, 100, 256),   # large operands: stopped after 100 s
-    (40, 1, 2048),    # many masses at a high precision: 55 s
+    (48, 1, 2048),    # many masses at a high precision: 39 s
     (400, 1, 256),    # many masses: refused before the boundary data
-    (20, 1, 8192),    # high precision: 40 s, likewise
+    (20, 1, 16384),   # high precision: 57 s, likewise
 ])
 def test_forward_work_cap_refuses_at_once(tmp_path, capsys, n, digits, bits):
     p = write_json(tmp_path / "s.json",

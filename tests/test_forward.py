@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from cli_identity import ratio_string
 from conftest import random_string
 from oracles import (
     check_automorphism,
@@ -25,9 +26,11 @@ from oracles import (
     mat_mul,
     oscillatory_matrices,
     path_matrix,
+    residues_by_hull,
     transition,
 )
 
+from cubicstring import forward
 from cubicstring.errors import IdentityViolatedError
 from cubicstring.exact import Matrix, Polynomial, RatInterval
 from cubicstring.exact import roots as roots_module
@@ -42,7 +45,7 @@ from cubicstring.forward import (
     spectrum,
 )
 from cubicstring.inverse import random_spectral, recover
-from cubicstring.string_model import CubicString, positions
+from cubicstring.string_model import CubicString, positions, string_from_dict
 
 TWO_MASS = CubicString((F(1), F(1)), (F(1),))
 
@@ -225,6 +228,20 @@ def test_residues_refuse_a_point_eigenvalue_at_a_double_root():
                   eigenvalues=(RatInterval.point(1),))
     with pytest.raises(IdentityViolatedError, match="multiple eigenvalue"):
         residues(wd)
+
+
+def test_residues_refine_a_tiny_residue_past_the_cap(monkeypatch):
+    # the smallest w-residue of 12 masses of 1-digit ratios is about
+    # 2^-75: with the cap at 64 bits, GUARD_BITS past it is too few to
+    # round it at 64 bits, and its leading zeros more are enough
+    monkeypatch.setattr(forward, "MAX_PRECISION_BITS", 64)
+    s = string_from_dict(ratio_string(random.Random(12), 12, 1))
+    wd = spectrum(boundary_data(s), 64)
+    got = residues(wd, 64)
+    assert min(-b.hi for b in got.w_residues) < F(1, 2 ** 70)
+    assert min(e.width for e in got.eigenvalues) < F(1, 2 ** (64 + 16))
+    assert (got.eigenvalues, got.w_residues, got.z_residues) == \
+        residues_by_hull(wd, 64)
 
 
 def test_residues_interval_case_certified():

@@ -28,6 +28,7 @@ from oracles import (
     last_scale_of_triple,
     moment_minors_by_blocks,
     pair_table_by_kernel,
+    residues_by_hull,
     sturm_chain_by_division,
     transition,
 )
@@ -182,6 +183,22 @@ def test_grid_refinement_is_the_halving_refinement(s, bits):
     q = eigenvalue_polynomial(boundary_data(s))
     assert _isolate_and_refine(q, bits) == by_halving(
         _isolate_and_refine, q, bits)
+
+
+@settings(max_examples=40)
+@given(st.one_of(
+    strings(),
+    # recovered strings: point boxes, and point quotients
+    spectral_data().map(recover)),
+    st.one_of(st.integers(1, 64), st.sampled_from((256, 1024, 4096))))
+def test_residues_are_the_fraction_hull(s, bits):
+    # the enclosures on integer ends, each quotient end picked by the
+    # signs, are the interval Horner over Fraction with the hull of the
+    # four quotients: the same boxes, residues and refinement attempts
+    wd = spectrum(boundary_data(s), bits)
+    got = residues(wd, bits)
+    assert (got.eigenvalues, got.w_residues, got.z_residues) == \
+        residues_by_hull(wd, bits)
 
 
 coefficients = st.fractions(min_value=-60, max_value=60, max_denominator=12)
