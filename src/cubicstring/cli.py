@@ -139,9 +139,9 @@ def _invert_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
 
 def _audit_seconds(n: int, operand_bits: int, lcm_bits: int) -> float:
     """Estimated seconds --report-determinants adds to invert on the same
-    data (README, "invert"): the pair table of order n - 1 and its two
-    bordered eliminations, 1.8e-14 n^6.5 (S + 8 L)^1.9."""
-    return 1.8e-14 * n ** 6.5 * (operand_bits + 8 * lcm_bits) ** 1.9
+    data (README, "invert"): the pair table of order n - 1 and its one
+    bordered elimination, 2.3e-14 n^6.25 (S + 8 L)^1.9."""
+    return 2.3e-14 * n ** 6.25 * (operand_bits + 8 * lcm_bits) ** 1.9
 
 
 def _bits(x: Fraction) -> int:

@@ -7,16 +7,21 @@ det_exact, bordered_minors and solve_exact clear denominators row by
 row and then run the fraction-free Bareiss elimination on integers, so
 every intermediate value is a minor of the scaled matrix and coefficient
 growth stays polynomial.  Without row swaps the k-th pivot is the
-leading minor of size k + 1, and the entries row k keeps in the columns
-past the eliminated block are the same minor with its last column
-swapped for each of them, so bordered_minors reads all of these minors
-off one elimination.  solve_exact back-substitutes with Fractions and
-verifies the candidate solution by substitution before returning it.
+leading minor of size k + 1, and every entry of a row past the pivot
+columns it has been through is the same minor with its last row and
+last column swapped for that entry's row and column.  bordered_minors
+reads off one elimination the leading minors, each row's border
+minors, the minors bordered by two border columns at once (Sylvester's
+2 x 2 identity on two rows' border entries, E. H. Bareiss, Math. Comp.
+22, 1968) and the minors of an extra row that rides along and never
+pivots.  solve_exact back-substitutes with Fractions and verifies the
+candidate solution by substitution before returning it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 from typing import Sequence
 
@@ -72,13 +77,18 @@ def _integer_rows(m: Matrix, rhs: Sequence[Fraction] | None = None):
     return out, scales
 
 
-def _bareiss(rows: list[list[int]], n: int, swap: bool) -> tuple[list, int]:
+def _bareiss(rows: list[list[int]], n: int, swap: bool,
+             before=None) -> tuple[list, int]:
     """Fraction-free forward elimination on the first n columns, in place.
 
     Returns the pivots and the sign of the row swaps made.  A zero pivot
     that `swap` may not, or cannot, trade for a nonzero entry below it
     is the last pivot returned: the leading block of its size is
-    singular, and the elimination stops there.
+    singular, and the elimination stops there.  Rows past the first n
+    are eliminated and never pivot.  `before`, when given, is called as
+    before(k, prev) once row k holds the k-th pivot and before step k
+    changes the rows below it, prev being the pivot of step k - 1 (1 at
+    k = 0).
     """
     pivots, sign, prev = [], 1, 1
     for k in range(n):
@@ -89,6 +99,8 @@ def _bareiss(rows: list[list[int]], n: int, swap: bool) -> tuple[list, int]:
                 sign = -sign
         pivot = rows[k][k]
         pivots.append(pivot)
+        if before is not None:
+            before(k, prev)
         if pivot == 0:
             break
         rk = rows[k]
@@ -112,36 +124,77 @@ def det_exact(m: Matrix) -> Fraction:
     return Fraction(sign * pivots[-1], prod(scales))
 
 
-def bordered_minors(m: Matrix, borders: int) -> tuple[tuple, tuple]:
-    """Leading minors of an n x (n + borders) matrix, and each row's
-    border minors, from one elimination of its leading n x n block.
+def bordered_minors(m: Matrix, borders: int, extra: Sequence | None = None
+                    ) -> tuple[tuple, tuple, tuple, tuple]:
+    """Leading minors of an n x (n + borders) matrix, and the minors
+    bordered by its border columns and by an extra row, from one
+    elimination of its leading n x n block.
 
-    Returns (minors, border): minors[k] = det m[0:k, 0:k] for k = 0..n,
-    and border[k][c] is the determinant of rows 0..k of m, in columns
-    0..k-1 and then border column n + c, for k = 0..n-1.  Bareiss
-    elimination with no row swaps leaves exactly these values in row k:
-    its pivot and its border entries, over the product of the first
-    k + 1 row scales.  A zero pivot makes that minor 0 and stops the
-    elimination; each later minor and border minor is then det_exact of
-    its own block.  With no borders this is the leading-minor sequence.
+    Returns (minors, border, pair, top):
+      minors[k] = det m[0:k, 0:k] for k = 0..n;
+      border[k][c] is the determinant of rows 0..k of m, in columns
+        0..k-1 and then border column n + c, for k = 0..n-1;
+      pair[k] holds, for each pair c < d of border columns in the order
+        of itertools.combinations, the determinant of rows 0..k+1 in
+        columns 0..k-1 and then border columns n + c and n + d, for
+        k = 0..n-2;
+      top[k] is the determinant of rows 0..k-1 of m and then the row
+        `extra` of n entries, in columns 0..k, for k = 0..n-1 (empty
+        when no extra row is given).
+    Bareiss elimination with no row swaps leaves row k's pivot and
+    border entries in row k, and column k of the extra row, which is
+    eliminated and never pivots, once step k - 1 is made.  Just before
+    step k changes row k + 1, rows k and k + 1 hold their border
+    entries at stage k, and Sylvester's identity gives pair[k] as the
+    2 x 2 determinant of those entries over the pivot of step k - 1.
+    Each value is over the product of the scales of its rows.  A zero
+    pivot makes that minor 0 and stops the elimination; each later
+    minor is then det_exact of its own block.  With no borders and no
+    extra row this is the leading-minor sequence.
     """
     n = m.nrows
     if n and m.ncols != n + borders:
         raise NonSquareError("leading block of a bordered matrix not square")
+    if extra is not None and len(extra) != n:
+        raise ValueError("extra row length is not the leading block's")
     rows, scales = _integer_rows(m)
-    pivots, _ = _bareiss(rows, n, swap=False)
-    minors, border, scale = [Fraction(1)], [], 1
+    if extra is not None:
+        top_ints, top_scale = over_common_denominator(extra)
+        rows.append(top_ints)
+    cols = list(combinations(range(n, n + borders), 2))
+    pair_ints = []
+
+    def read_pairs(k, prev):
+        if k + 1 < n:
+            a, b = rows[k], rows[k + 1]
+            pair_ints.append([(a[c] * b[d] - a[d] * b[c]) // prev
+                              for c, d in cols])
+
+    pivots, _ = _bareiss(rows, n, swap=False, before=read_pairs)
+    minors, border, pair, top, scale = [Fraction(1)], [], [], [], 1
     for k, pivot in enumerate(pivots):
+        if extra is not None:
+            top.append(Fraction(rows[n][k], scale * top_scale))
         scale *= scales[k]
         minors.append(Fraction(pivot, scale))
         border.append(tuple(Fraction(e, scale) for e in rows[k][n:]))
+        if k < len(pair_ints):
+            pair.append(tuple(Fraction(e, scale * scales[k + 1])
+                              for e in pair_ints[k]))
+    block = m.rows
     for k in range(len(pivots), n):
-        block = m.rows[:k + 1]
-        minors.append(det_exact(Matrix([r[:k + 1] for r in block])))
+        minors.append(det_exact(Matrix([r[:k + 1] for r in block[:k + 1]])))
         border.append(tuple(det_exact(Matrix([r[:k] + (r[n + c],)
-                                              for r in block]))
+                                              for r in block[:k + 1]]))
                             for c in range(borders)))
-    return tuple(minors), tuple(border)
+        if extra is not None:
+            top.append(det_exact(Matrix([r[:k + 1] for r in block[:k]]
+                                        + [extra[:k + 1]])))
+    for k in range(len(pair), n - 1):
+        pair.append(tuple(det_exact(Matrix([r[:k] + (r[c], r[d])
+                                            for r in block[:k + 2]]))
+                          for c, d in cols))
+    return tuple(minors), tuple(border), tuple(pair), tuple(top)
 
 
 def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:

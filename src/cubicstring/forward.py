@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from math import lcm
 
 from .errors import IdentityViolatedError, PrecisionExhaustedError
 from .exact import (
@@ -266,7 +267,22 @@ def value_residues(lams, bs) -> tuple[Fraction, ...]:
     functions forces from the residues b_k of phi_x/phi_xx,
 
         c_k = -sum_j b_j b_k / (lam_j + lam_k).
+
+    On integers: with lam_j = p_j / L and b_j = u_j / V over the lcms of
+    their denominators, and D_k the lcm of the p_j + p_k,
+
+        c_k = -u_k L sum_j u_j (D_k / (p_j + p_k)) / (V^2 D_k),
+
+    one Fraction each.  A vanishing p_j + p_k is a ZeroDivisionError.
     """
-    return tuple(-sum((bj * bk / (lj + lk) for lj, bj in zip(lams, bs)),
-                      Fraction(0))
-                 for lk, bk in zip(lams, bs))
+    ps, big_l = over_common_denominator(lams)
+    us, big_v = over_common_denominator(bs)
+    out = []
+    for pk, uk in zip(ps, us):
+        sums = [pj + pk for pj in ps]
+        den = lcm(*sums)
+        if den == 0:
+            raise ZeroDivisionError("lam_j + lam_k vanishes")
+        num = sum(uj * (den // s) for uj, s in zip(us, sums))
+        out.append(Fraction(-uk * big_l * num, big_v * big_v * den))
+    return tuple(out)

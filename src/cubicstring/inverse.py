@@ -15,7 +15,8 @@ and the symmetric pair table
 
 which has the rank-one displacement I_(i+1)j + I_i(j+1) = beta_i beta_j
 (lam_a + lam_b cancels) and the first column I_i0 = -sum c_k lam_k^i;
-the two fix it, so it costs O(N^2) products at order N.
+the two fix it, so it costs O(N^2) products at order N, on integer
+numerators over one denominator per antidiagonal.
 
 Six families of minors of that table drive the closed-form recovery;
 they are named here by the block they cut out of the pair table:
@@ -27,11 +28,13 @@ they are named here by the block they cut out of the pair table:
     beta_shifted[k]  det [beta_0..beta_{k-1} | I[1:k+1, 0:k-1]]
     beta_inner[k]    det [beta_0..beta_{k-1} | I[1:k+1, 1:k]]
 
-Two fraction-free eliminations of table rows 1..N, with border columns
-(exact.bordered_minors), read off four families at every size: columns
-1..N bordered by column 0 and by beta give inner as pivots, shifted
-and beta_inner as borders; columns 0..N-1 bordered by beta give shifted
-again, as a check, and beta_shifted.  The corner minors follow by
+One fraction-free elimination of table rows 1..N, on columns 1..N and
+bordered by column 0 and by beta (exact.bordered_minors), reads off
+four families at every size: inner as its pivots, shifted and
+beta_inner as its borders, and beta_shifted as the 2 x 2 Sylvester
+minors of the two borders on consecutive rows.  Table row 0 rides along
+and never pivots; its minors are shifted again, read off the
+transposed blocks, as a check.  The corner minors follow by
 Desnanot-Jacobi on the symmetric table,
 
     corner[k+1] inner[k-1] = inner[k] corner[k] - shifted[k]^2,
@@ -56,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from random import Random
 
 from .errors import (
@@ -74,6 +78,7 @@ from .exact import (
     parse_rational_list,
     solve_exact,
 )
+from .exact.rational import over_common_denominator
 from .forward import gap_step, jump_step, value_residues
 from .string_model import CubicString, string_to_dict
 
@@ -142,27 +147,39 @@ def table_from_support(lams, bs, total_mass, max_order: int,
     I_i0 = -gamma_i with gamma_i = sum c_a lam_a^i.  Each antidiagonal
     i + j = s steps from I_s0 by I_i(j+1) = beta_i beta_j - I_(i+1)j, so
     moments up to order 2 max_order build the table in O(max_order^2).
+    It is built on integers: with lam_a = p_a / L, b_a = u_a / V and
+    c_a = w_a / C over the lcms of their denominators, beta_j and
+    gamma_j are integer power sums over V L^j and C L^j, antidiagonal s
+    is over W L^s with W = lcm(V^2, C), and each value is one Fraction.
     """
     lams = tuple(Fraction(x) for x in lams)
     bs = tuple(Fraction(x) for x in bs)
     cs = value_residues(lams, bs) if z_residues is None else z_residues
+    ps, big_l = over_common_denominator(lams)
+    us, big_v = over_common_denominator(bs)
+    ws, big_c = over_common_denominator(cs)
     orders = range(2 * max_order + 1)
-    beta, gamma = [Fraction(0)] * len(orders), [Fraction(0)] * len(orders)
-    for lam, b, c in zip(lams, bs, cs):
-        for j in orders:
-            beta[j] += b
-            gamma[j] += c
-            b *= lam
-            c *= lam
+    beta, gamma = [], []
+    for _ in orders:
+        beta.append(sum(us))
+        gamma.append(sum(ws))
+        us = [u * p for u, p in zip(us, ps)]
+        ws = [w * p for w, p in zip(ws, ps)]
+    big_w = lcm(big_v * big_v, big_c)
+    beta_scale, gamma_scale = big_w // (big_v * big_v) * big_l, big_w // big_c
     table = [[Fraction(0)] * (max_order + 1) for _ in range(max_order + 1)]
+    den = big_w
     for s in orders:
-        entry = -gamma[s]
+        entry = -gamma[s] * gamma_scale
         for j in range(s // 2 + 1):
             if j:
-                entry = beta[s - j] * beta[j - 1] - entry
+                entry = beta[s - j] * beta[j - 1] * beta_scale - entry
             if s - j <= max_order:
-                table[s - j][j] = table[j][s - j] = entry
-    return BimomentTable(Fraction(total_mass), tuple(beta[:max_order + 1]),
+                table[s - j][j] = table[j][s - j] = Fraction(entry, den)
+        den *= big_l
+    moments = tuple(Fraction(b, big_v * big_l ** j)
+                    for j, b in enumerate(beta[:max_order + 1]))
+    return BimomentTable(Fraction(total_mass), moments,
                          tuple(tuple(r) for r in table), tuple(cs))
 
 
@@ -204,33 +221,35 @@ class MomentMinors:
 
 def moment_minors(bt: BimomentTable) -> MomentMinors:
     """All minors the table can support: corner families one size past
-    the table order, the rest up to the order itself, from two bordered
-    eliminations of table rows 1..N, N the order.
+    the table order, the rest up to the order itself, from one bordered
+    elimination of table rows 1..N, N the order.
 
-    E1 eliminates columns 1..N: its pivots are inner, and row k's
-    borders, column 0 and beta_(i-1), are (-1)^k shifted[k+1] and
-    (-1)^k beta_inner[k+1].  E2 eliminates columns 0..N-1: its pivots
-    are shifted again, checked against E1, and row k's beta border is
-    (-1)^k beta_shifted[k+1].  Desnanot-Jacobi on the symmetric table
-    gives corner[k+1] inner[k-1] = inner[k] corner[k] - shifted[k]^2,
-    and linearity in the first column mass_corner[k] = corner[k] +
-    inner[k-1] / (2M).  A corner whose inner[k-1] is 0 is det_exact of
-    its block.
+    The elimination runs on columns 1..N: its pivots are inner, and row
+    k's borders, column 0 and beta_(i-1), are (-1)^k shifted[k+1] and
+    (-1)^k beta_inner[k+1].  The pair minor of the two borders on rows
+    0..k+1 is -beta_shifted[k+2], and beta_shifted[1] = beta_0.  Table
+    row 0 rides along as an extra row: its minor of size k + 1 cuts
+    I[0:k+1, 1:k+2] with row 0 last, the transpose of the block of row
+    k's column-0 border, and the two must agree, as the table is
+    symmetric.
+    Desnanot-Jacobi on the symmetric table gives corner[k+1] inner[k-1]
+    = inner[k] corner[k] - shifted[k]^2, and linearity in the first
+    column mass_corner[k] = corner[k] + inner[k-1] / (2M).  A corner
+    whose inner[k-1] is 0 is det_exact of its block.
     """
     t, beta, order = bt.pair_table, bt.moments, bt.max_order
-    rows = range(1, order + 1)
+    inner, border, pair, top = bordered_minors(
+        Matrix([t[i][1:] + (t[i][0], beta[i - 1])
+                for i in range(1, order + 1)]), 2, t[0][1:])
+    if any(x != b[0] for x, b in zip(top, border)):
+        raise IdentityViolatedError(
+            "shifted minors of the table and of its transpose disagree")
 
-    def signed(border, c):
+    def signed(c):
         return (Fraction(1),) + tuple(-v[c] if k % 2 else v[c]
                                       for k, v in enumerate(border))
 
-    inner, e1 = bordered_minors(
-        Matrix([t[i][1:] + (t[i][0], beta[i - 1]) for i in rows]), 2)
-    shifted, e2 = bordered_minors(
-        Matrix([t[i][:order] + (beta[i - 1],) for i in rows]), 1)
-    if signed(e1, 0) != shifted:
-        raise IdentityViolatedError(
-            "shifted minors of the two eliminations disagree")
+    shifted = signed(0)
     corner = [Fraction(1), t[0][0]]
     for k in range(1, order + 1):
         corner.append((inner[k] * corner[k] - shifted[k] ** 2) / inner[k - 1]
@@ -243,8 +262,9 @@ def moment_minors(bt: BimomentTable) -> MomentMinors:
         corner=tuple(corner),
         inner=inner,
         shifted=shifted,
-        beta_shifted=signed(e2, 0),
-        beta_inner=signed(e1, 1),
+        beta_shifted=(Fraction(1), beta[0], *(-p[0] for p in pair)
+                      )[:order + 1],
+        beta_inner=signed(1),
     )
 
 

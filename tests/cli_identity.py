@@ -25,7 +25,9 @@ up to n = 32;
 of 24 random doubles, out of range included, and by the spectral route
 on a wave of 100 random doubles and on 400 rows of 5 small ratios;
 `verify` up to support 6 at k_max 4, 5 at 5 and 7 at 3, where the split
-sums do most of the work; and the error paths of each subcommand.
+sums do most of the work, and at support 2 to k_max 8 and 3 to 7, where
+the minors past the support are determinants of their own blocks; and
+the error paths of each subcommand.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ def write_inputs(folder: Path) -> list[list[str]]:
     calls += [["verify", "--suite", "heine", "--support", str(s),
                "--k-max", str(k), "--seed", str(seed)]
               for s, k, seed in ((1, 2, 3), (3, 3, 6), (4, 2, 6),
-                                 (6, 4, 4), (5, 5, 5), (7, 3, 7))]
+                                 (6, 4, 4), (5, 5, 5), (7, 3, 7),
+                                 (2, 8, 2), (3, 7, 3))]
 
     decimal = put("decimal.json", {"lambdas": ["2.5"], "residues_b": ["-1"],
                                    "total_mass": "2"})

@@ -37,11 +37,13 @@ that halves the box once per sign evaluation, the runtime's loop before
 it guessed grid cells by Newton steps, and by_halving, which runs the
 isolation or the refinement with it.
 
-The pair table through the kernel b_a b_b / (lam_a + lam_b), the
-runtime's route before it stepped the rank-one displacement.  The six
-minor families of the pair table by one det_exact per block size, each
-block written out from its definition; the runtime reads them off two
-bordered eliminations instead.  And the isospectral flow two more ways,
+The value residues by one Fraction sum each, the runtime's route before
+it summed integer numerators over one denominator.  The pair table
+through the kernel b_a b_b / (lam_a + lam_b), the runtime's route before
+it stepped the rank-one displacement.  The six minor families of the
+pair table by one det_exact per block size, each block written out from
+its definition; the runtime reads them off one bordered elimination
+instead.  And the isospectral flow two more ways,
 beside the runtime's explicit solution on the string: the boundary
 triple with its residues scaled by sigma, which the peel inverts, and
 the string recover returns for those residues, read off the t = 0
@@ -718,6 +720,15 @@ def recurrence_sequences(s: CubicString) -> tuple[dict, dict, dict]:
 
 
 # -- the pair table, its minors and the flow -------------------------------
+
+def value_residues_by_fractions(lams, bs) -> tuple[Fraction, ...]:
+    """forward.value_residues as one Fraction sum per residue,
+    c_k = -sum_j b_j b_k / (lam_j + lam_k), the runtime's route before
+    it summed integer numerators over one denominator."""
+    return tuple(-sum((bj * bk / (lj + lk) for lj, bj in zip(lams, bs)),
+                      Fraction(0))
+                 for lk, bk in zip(lams, bs))
+
 
 def pair_table_by_kernel(lams, bs, max_order: int) -> tuple[tuple, ...]:
     """The pair table I_ij, 0 <= i, j <= max_order, of the weights bs at

@@ -1070,16 +1070,17 @@ INVERT_TIMED_RUNS = [
     (64, 929, 4, False, 11.8), (72, 1078, 4, False, 20.0),
     (80, 1224, 4, False, 35.7), (33, 4127, 1796, False, 44.9),
     (9, 45133, 22526, False, 32.3), (9, 56425, 28169, False, 52.3),
-    (3, 99642, 49811, True, 2.9),
-    (5, 17917, 8938, True, 1.7), (9, 3305, 1589, True, 2.2),
-    (9, 11258, 5579, True, 25.7), (13, 776, 312, True, 1.6),
-    (13, 1595, 691, True, 6.9), (13, 4908, 2366, True, 56.8),
-    (16, 556, 206, True, 2.9), (16, 954, 394, True, 8.3),
-    (17, 2087, 909, True, 69.8), (20, 409, 85, True, 3.6),
-    (20, 674, 172, True, 13.7), (24, 496, 81, True, 11.4),
-    (24, 293, 4, True, 1.3), (28, 352, 4, True, 4.2),
-    (32, 422, 4, True, 13.0), (36, 486, 4, True, 35.6),
-    (40, 554, 4, True, 79.6), (9, 225828, 112877, False, None),
+    (3, 99642, 49811, True, 3.3),
+    (5, 17917, 8938, True, 1.7), (9, 3305, 1589, True, 1.8),
+    (9, 11258, 5579, True, 20.2), (13, 776, 312, True, 0.86),
+    (13, 1595, 691, True, 5.2), (13, 4908, 2366, True, 43.9),
+    (16, 556, 206, True, 2.2), (16, 954, 394, True, 6.0),
+    (17, 2087, 909, True, 45.9), (20, 409, 85, True, 1.9),
+    (20, 674, 172, True, 8.2), (24, 496, 81, True, 6.6),
+    (24, 293, 4, True, 0.68), (28, 352, 4, True, 1.9),
+    (32, 422, 4, True, 7.1), (36, 486, 4, True, 17.6),
+    (40, 554, 4, True, 42.0), (42, 583, 4, True, 57.7),
+    (9, 225828, 112877, False, None),
     (17, 21836, 10830, False, None), (20, 2494, 1073, True, None),
 ]
 
@@ -1111,8 +1112,8 @@ def test_invert_estimate_against_timed_runs():
     (_ratio_spectral(random.Random(9500), 9, 500), []),  # 52 s
     (_ratio_spectral(random.Random(11000), 9, 2000), []),  # over 100 s
     (random_spectral(80, 1), []),  # 36 s
-    (random_spectral(36, 1), ["--report-determinants"]),  # 30 to 37 s
-    (random_spectral(40, 1), ["--report-determinants"]),  # 78 to 80 s
+    (random_spectral(40, 1), ["--report-determinants"]),  # 42 s
+    (random_spectral(42, 1), ["--report-determinants"]),  # 58 s
 ])
 def test_invert_work_cap_refuses_at_once(tmp_path, capsys, sd, flags):
     p = write_json(tmp_path / "sd.json", spectral_to_dict(sd))
@@ -1125,15 +1126,15 @@ def test_invert_work_cap_refuses_at_once(tmp_path, capsys, sd, flags):
 def test_invert_work_cap_admits_the_benchmark_shapes():
     # inverse-ladder runs n = 4, 9, 14 with and without the audit, and
     # tests/cli_identity.py n = 2 to 32; nine masses of 100-digit ratios
-    # take 2 s without the audit, and the audit of random_spectral(32, 1)
-    # 13 s
+    # take 2 s without the audit, and the audit of random_spectral(36, 1)
+    # 18 s
     for n in (2, 4, 7, 9, 10, 14, 20, 24, 32):
         sd = random_spectral(n, n)
         assert _invert_estimate(n, *_invert_operands(sd), True) < WORK_CAP
     sd = _ratio_spectral(random.Random(9100), 9, 100)
     assert _invert_estimate(9, *_invert_operands(sd), False) < WORK_CAP
-    sd = random_spectral(32, 1)
-    assert _invert_estimate(32, *_invert_operands(sd), True) < WORK_CAP
+    sd = random_spectral(36, 1)
+    assert _invert_estimate(36, *_invert_operands(sd), True) < WORK_CAP
 
 
 def test_forward_reads_back_integers_over_4300_digits(tmp_path, capsys):

@@ -28,6 +28,7 @@ from cubicstring.exact import Polynomial
 from cubicstring.forward import boundary_data, value_residues
 from cubicstring.inverse import (
     Approximant,
+    BimomentTable,
     _projections,
     SpectralData,
     bimoments,
@@ -324,10 +325,8 @@ def test_peel_refuses_a_wrong_triple():
         peel((one.phi * 2, one.phi_x, one.phi_xx))
 
 
-def test_determinant_audit_runs_no_per_size_determinant(monkeypatch):
-    # each minor family is read off one elimination: a zero-free audit at
-    # n = 14 calls det_exact under neither of its names (86 calls when
-    # every size had its own determinant)
+def counting_det_exact(monkeypatch):
+    """The det_exact calls made under both of its names, by size."""
     calls = []
     det_exact = linalg.det_exact
 
@@ -337,6 +336,14 @@ def test_determinant_audit_runs_no_per_size_determinant(monkeypatch):
 
     monkeypatch.setattr(linalg, "det_exact", counting)
     monkeypatch.setattr(inverse, "det_exact", counting)
+    return calls
+
+
+def test_determinant_audit_runs_no_per_size_determinant(monkeypatch):
+    # each minor family is read off one elimination: a zero-free audit at
+    # n = 14 calls det_exact under neither of its names (86 calls when
+    # every size had its own determinant)
+    calls = counting_det_exact(monkeypatch)
     report = recover_detailed(random_spectral(14, 14))
     assert len(report.minors.corner) == 15
     assert calls == []
@@ -361,9 +368,11 @@ def test_recover_needs_no_determinant(tmp_path, monkeypatch, capsys):
 
 # signed weights whose pair tables lose a pivot inside the support.  At
 # the mixed-sign points (-5, 2, 3) these weights make I_11 = inner[1]
-# vanish, the first pivot of the elimination of columns 1..N; weights
-# summing to zero make shifted[1] = I_10 = beta_0^2 / 2 vanish, the
-# first pivot of the elimination of columns 0..N-1
+# vanish, the first pivot of the elimination of columns 1..N, so every
+# later inner, shifted, beta_inner and beta_shifted minor, and the
+# corner after it, is det_exact of its own block; weights summing to
+# zero make shifted[1] = I_10 = beta_0^2 / 2 vanish, which is a border
+# entry of that elimination and not a pivot, so no det_exact is called
 ZERO_PIVOT_TABLES = [
     ("inner", (-5, 2, 3), (-3, 20, 3)),
     ("shifted", (1, 2, 4), (1, 2, -3)),
@@ -373,23 +382,41 @@ ZERO_PIVOT_TABLES = [
 @pytest.mark.parametrize("family,lams,bs", ZERO_PIVOT_TABLES)
 def test_moment_minors_past_a_zero_pivot_inside_the_support(
         monkeypatch, family, lams, bs):
-    calls = []
-    det_exact = linalg.det_exact
-
-    def counting(m):
-        calls.append(m.nrows)
-        return det_exact(m)
-
-    monkeypatch.setattr(linalg, "det_exact", counting)
-    monkeypatch.setattr(inverse, "det_exact", counting)
+    calls = counting_det_exact(monkeypatch)
     bt = table_from_support(lams, bs, F(3, 2), 4)
     mm = moment_minors(bt)
     minors = getattr(mm, family)
     # zero at size 1, nonzero through the support of 3, zero past it
     assert minors[1] == 0 and 0 not in minors[2:4] and minors[4] == 0
-    assert calls
+    assert bool(calls) == (family == "inner")
     monkeypatch.undo()
     assert mm == moment_minors_by_blocks(bt)
+
+
+def test_moment_minors_past_an_inner_pivot_of_size_two(monkeypatch):
+    # weights b_a lam_a summing to zero with I_22 = 0 make inner[2] =
+    # I_11 I_22 - I_12^2 = I_11 I_22 - beta_1^4 / 4 vanish at the points
+    # (-3, 5, 7): elimination stops at its second pivot, and the minors
+    # of sizes 3 and 4 come from their own blocks
+    calls = counting_det_exact(monkeypatch)
+    bt = table_from_support((-3, 5, 7), (-7, 63, -48), F(3, 2), 4)
+    mm = moment_minors(bt)
+    assert mm.inner[1] != 0 and mm.inner[2] == 0 and mm.inner[3] != 0
+    assert 3 in calls and 4 in calls
+    monkeypatch.undo()
+    assert mm == moment_minors_by_blocks(bt)
+
+
+def test_moment_minors_refuse_an_asymmetric_table():
+    # symmetric but for I_02 = 3 against I_20 = 4: the extra row's minor
+    # det [[5, 7], [2, 3]] = 1 is not the column-0 border det [[5, 2],
+    # [7, 4]] = 6, the same minor of the transposed block
+    bt = BimomentTable(F(1), (F(1), F(2), F(3)),
+                       ((F(1), F(2), F(3)),
+                        (F(2), F(5), F(7)),
+                        (F(4), F(7), F(11))), ())
+    with pytest.raises(IdentityViolatedError, match="transpose"):
+        moment_minors(bt)
 
 
 def test_pair_table_matches_the_double_sum():

@@ -1,9 +1,9 @@
 """Differential property tests: the runtime routes against each other
 and against the oracles (the crossing matrices, the kernel pair table,
-the per-size minors, the closed form of the flow, the Sturm chain by
-division, and polynomials and crossing steps over Fraction), at sizes
-up to n = 12, n = 16 for the minors and the crossing steps, and n = 24
-for the peel."""
+the value residues by Fraction sums, the per-size minors, the closed
+form of the flow, the Sturm chain by division, and polynomials and
+crossing steps over Fraction), at sizes up to n = 12, n = 16 for the
+minors and the crossing steps, and n = 24 for the peel."""
 
 import json
 import sys
@@ -14,6 +14,7 @@ from pathlib import Path
 from random import Random
 from tempfile import TemporaryDirectory
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from cli_identity import ratio_string
@@ -31,6 +32,7 @@ from oracles import (
     residues_by_hull,
     sturm_chain_by_division,
     transition,
+    value_residues_by_fractions,
 )
 
 from cubicstring.burgers import (
@@ -61,6 +63,7 @@ from cubicstring.forward import (
     partial_triples,
     residues,
     spectrum,
+    value_residues,
 )
 from cubicstring.heine import measure_table, random_measure
 from cubicstring.inverse import (
@@ -385,6 +388,31 @@ def signed_weights(draw, max_support=6):
     return (tuple(accumulate(gaps)),
             tuple(draw(st.lists(signed, min_size=support,
                                 max_size=support))))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(signed, signed), max_size=6))
+def test_value_residues_on_integers_match_the_fraction_sums(pairs):
+    # signed points and weights; where two points, or one twice, sum to
+    # zero, both routes divide by zero
+    lams = tuple(lam for lam, _ in pairs)
+    bs = tuple(b for _, b in pairs)
+    try:
+        want = value_residues_by_fractions(lams, bs)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            value_residues(lams, bs)
+    else:
+        assert value_residues(lams, bs) == want
+
+
+def test_value_residues_refuse_a_vanishing_pair_sum():
+    for lams in ((F(2), F(-2)), (F(1), F(0)), (F(-3, 2), F(1), F(3, 2))):
+        bs = (F(-1),) * len(lams)
+        with pytest.raises(ZeroDivisionError):
+            value_residues_by_fractions(lams, bs)
+        with pytest.raises(ZeroDivisionError):
+            value_residues(lams, bs)
 
 
 @settings(max_examples=40)
