@@ -47,7 +47,6 @@ peak sits at x_n(t) = c + sigma (x_n(0) - c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, Overflow, localcontext
 from fractions import Fraction
 from math import ceil, floor, inf, log2, nextafter, ulp
@@ -69,6 +68,7 @@ from .forward import (
     spectrum,  # unused here; perfbench/tracing.py wraps burgers.spectrum
 )
 from .inverse import recover  # unused here; perfbench/tracing.py wraps it
+from .record import Record
 from .string_model import ConservedSet, CubicString, positions
 
 # about 40 s of RK4 at three peaks; past it the run is refused, not started
@@ -82,8 +82,7 @@ FLOW_START_DIGITS = 30
 FLOW_MAX_DIGITS = decimal_digits(MAX_PRECISION_BITS)
 
 
-@dataclass(frozen=True)
-class WaveState:
+class WaveState(Record):
     time: float
     positions: tuple[float, ...]
     momenta: tuple[float, ...]
@@ -105,8 +104,7 @@ class WaveState:
         return len(self.positions)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     samples: tuple[tuple[float, WaveState, ConservedSet], ...]
 
     def __post_init__(self):

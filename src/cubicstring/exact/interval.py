@@ -14,14 +14,13 @@ so a result strictly on one side of zero is a proof of sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ..record import Record
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class RatInterval:
+class RatInterval(Record):
     lo: Fraction
     hi: Fraction
 

@@ -33,7 +33,6 @@ up to 2(-z)^j, the chain invariants M_j of the isospectral flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import lcm
@@ -50,6 +49,7 @@ from .exact import (
     sturm_isolate,
 )
 from .exact.rational import over_common_denominator
+from .record import Record
 from .string_model import CubicString, validate
 
 DEFAULT_PRECISION_BITS = 256
@@ -96,8 +96,7 @@ def decimal_string(x: Fraction, digits: int) -> str:
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
-@dataclass(frozen=True)
-class WeylData:
+class WeylData(Record):
     """Boundary polynomials of a string, progressively enriched with
     eigenvalue enclosures and Weyl-function residues (RatIntervals)."""
 
@@ -171,7 +170,7 @@ def spectrum(wd: WeylData,
     if len(roots) != q.degree:
         raise IdentityViolatedError(
             f"expected {q.degree} eigenvalues, isolated {len(roots)}")
-    return replace(wd, eigenvalues=tuple(roots))
+    return wd.replace(eigenvalues=tuple(roots))
 
 
 def _rounds(box: RatInterval, digits: int) -> bool:
@@ -258,8 +257,8 @@ def residues(wd: WeylData,
         if (value_residues(lams, [b.lo for b in w_out])
                 != tuple(b.lo for b in z_out)):
             raise IdentityViolatedError("z-residue relation failed exactly")
-    return replace(wd, eigenvalues=tuple(boxes), w_residues=tuple(w_out),
-                   z_residues=tuple(z_out))
+    return wd.replace(eigenvalues=tuple(boxes), w_residues=tuple(w_out),
+                      z_residues=tuple(z_out))
 
 
 def value_residues(lams, bs) -> tuple[Fraction, ...]:

@@ -59,16 +59,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
 from .exact import Matrix, det_exact, format_rational
 from .inverse import BimomentTable, moment_minors, table_from_support
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(Record):
     points: tuple[Fraction, ...]
     weights: tuple[Fraction, ...]
 
@@ -170,8 +169,7 @@ def cauchy_tuple_sum(mu: DiscreteMeasure) -> Fraction:
 
 # -- the combined report ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(Record):
     name: str
     k: int
     lhs: str
@@ -179,8 +177,7 @@ class CheckRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     measure: DiscreteMeasure
     rows: tuple[CheckRow, ...]
 

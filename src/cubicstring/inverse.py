@@ -56,7 +56,6 @@ partial crossing products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -80,11 +79,11 @@ from .exact import (
 )
 from .exact.rational import over_common_denominator
 from .forward import gap_step, jump_step, value_residues
+from .record import Record
 from .string_model import CubicString, string_to_dict
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(Record):
     eigenvalues: tuple[Fraction, ...]
     residues: tuple[Fraction, ...]   # slope-residues b_k, all negative
     total_mass: Fraction
@@ -118,8 +117,7 @@ def validate_spectral(sd: SpectralData) -> None:
             raise SpectralValidationError("slope-residues must be negative")
 
 
-@dataclass(frozen=True)
-class BimomentTable:
+class BimomentTable(Record):
     total_mass: Fraction
     moments: tuple[Fraction, ...]               # beta_0..beta_max_order
     pair_table: tuple[tuple[Fraction, ...], ...]  # I_ij, 0 <= i,j <= max_order
@@ -206,8 +204,7 @@ def _block(bt: BimomentTable, k: int, row: int, col: int,
                    for i in range(row, row + k)])
 
 
-@dataclass(frozen=True)
-class MomentMinors:
+class MomentMinors(Record):
     """The six minor sequences, indexed by size k starting at 0 (empty
     determinants are 1 by convention)."""
 
@@ -283,8 +280,7 @@ def _polynomial_part(den: Polynomial, points, weights) -> Polynomial:
 
 # -- the three approximation problems ------------------------------------
 
-@dataclass(frozen=True)
-class Approximant:
+class Approximant(Record):
     """One step of the approximation chain.
 
     kind III: den(0) = 1, degrees (k, k-1, k-1)
@@ -350,8 +346,7 @@ def curvature_polynomial(sd: SpectralData) -> Polynomial:
 
 # -- recovery -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecoveryRow:
+class RecoveryRow(Record):
     """Per-step audit: the peeled mass against both closed forms, and
     the peeled gap against its determinant form."""
 
@@ -366,8 +361,7 @@ class RecoveryRow:
     gap_determinant: Fraction | None = None  # -2 mass_corner / beta_shifted
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(Record):
     string: CubicString
     minors: MomentMinors
     rows: tuple[RecoveryRow, ...]
@@ -376,8 +370,8 @@ class RecoveryReport:
         fm = format_rational
         return {
             "string": string_to_dict(self.string),
-            "minors": {name: [fm(v) for v in values]
-                       for name, values in vars(self.minors).items()},
+            "minors": {name: [fm(v) for v in getattr(self.minors, name)]
+                       for name in MomentMinors._fields},
             "steps": [
                 {
                     "k": r.k,

@@ -18,7 +18,6 @@ them constant; forward.invariant_masses reads them off that polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -27,10 +26,10 @@ from .errors import (
     NonPositiveMassError,
 )
 from .exact import format_rational, parse_rational, parse_rational_list
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CubicString:
+class CubicString(Record):
     masses: tuple[Fraction, ...]
     gaps: tuple[Fraction, ...]
     anchor: Fraction = Fraction(0)
@@ -69,8 +68,7 @@ def positions(s: CubicString) -> tuple[Fraction, ...]:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class ConservedSet:
+class ConservedSet(Record):
     total_mass: Fraction
     first_moment: Fraction
     higher: tuple[Fraction, ...]  # M_1..M_n; M_1 is the total mass
