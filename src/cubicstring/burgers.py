@@ -71,7 +71,7 @@ from .inverse import recover  # unused here; perfbench/tracing.py wraps it
 from .record import Record
 from .string_model import ConservedSet, CubicString, positions
 
-# about 40 s of RK4 at three peaks; past it the run is refused, not started
+# about 12 s of RK4 at three peaks; past it the run is refused, not started
 MAX_RK4_STEPS = 10 ** 6
 
 # each spectral row takes e^(M t) to this many significant digits
@@ -120,36 +120,70 @@ def _check_ordering(xs) -> None:
 
 
 def _rhs_arrays(xs, ms):
-    _check_ordering(xs)
+    """dx_k = sum_i m_i |x_k - x_i| and dm_k = 2 m_k (sum_{i>k} m_i -
+    sum_{i<k} m_i), each sum added left to right from 0.0, in one pass
+    over the peaks.  The pass checks the order as it goes, so x_k - x_i
+    (i < k) and x_i - x_k (i > k) are |x_k - x_i| to the bit.  The term
+    m_k |x_k - x_k| is kept: it makes dx_k nan for a peak at inf."""
+    dx, dm = [], []
     n = len(xs)
-    dx = [sum(ms[i] * abs(x - xs[i]) for i in range(n)) for x in xs]
-    dm = [2 * ms[k] * (sum(ms[k + 1:]) - sum(ms[:k])) for k in range(n)]
+    left = 0.0
+    for k in range(n):
+        x = xs[k]
+        if k and x <= xs[k - 1]:
+            raise OrderingViolatedError(
+                f"peaks out of order: {xs[k - 1]} !< {x}")
+        total = 0.0
+        for i in range(k):
+            total += ms[i] * (x - xs[i])
+        m = ms[k]
+        total += m * abs(x - x)
+        right = 0.0
+        for i in range(k + 1, n):
+            total += ms[i] * (xs[i] - x)
+            right += ms[i]
+        dx.append(total)
+        dm.append(2 * m * (right - left))
+        left += m
     return dx, dm
 
 
 def conserved_floats(state: WaveState,
                      wd: WeylData | None = None) -> ConservedSet:
-    """M and M_plus as float sums; each M_j is the correctly rounded exact
-    chain invariant of the state's rational string, read off wd if given."""
-    xs, ms = state.positions, state.momenta
+    """M and M_plus as float sums added left to right; each M_j is the
+    correctly rounded exact chain invariant of the state's rational
+    string, read off wd if given."""
+    total = first = 0.0
+    for m, x in zip(state.momenta, state.positions):
+        total += m
+        first += m * x
     phi_xx = (wd or forward.boundary_data(rationalize(state))).phi_xx
-    return ConservedSet(sum(ms), sum(m * x for m, x in zip(ms, xs)),
+    return ConservedSet(total, first,
                         tuple(float(v) for v in invariant_masses(phi_xx)))
 
 
+def _stage(xs, ms, c, kx, km):
+    """The right-hand side at xs + c kx, ms + c km, both built in one loop."""
+    ys, ns = [], []
+    for x, m, dx, dm in zip(xs, ms, kx, km):
+        ys.append(x + c * dx)
+        ns.append(m + c * dm)
+    return _rhs_arrays(ys, ns)
+
+
 def _rk4_step(xs, ms, h):
+    half = h / 2
     kx1, km1 = _rhs_arrays(xs, ms)
-    kx2, km2 = _rhs_arrays([x + h / 2 * d for x, d in zip(xs, kx1)],
-                           [m + h / 2 * d for m, d in zip(ms, km1)])
-    kx3, km3 = _rhs_arrays([x + h / 2 * d for x, d in zip(xs, kx2)],
-                           [m + h / 2 * d for m, d in zip(ms, km2)])
-    kx4, km4 = _rhs_arrays([x + h * d for x, d in zip(xs, kx3)],
-                           [m + h * d for m, d in zip(ms, km3)])
-    xs = [x + h / 6 * (a + 2 * b + 2 * c + d)
-          for x, a, b, c, d in zip(xs, kx1, kx2, kx3, kx4)]
-    ms = [m + h / 6 * (a + 2 * b + 2 * c + d)
-          for m, a, b, c, d in zip(ms, km1, km2, km3, km4)]
-    return xs, ms
+    kx2, km2 = _stage(xs, ms, half, kx1, km1)
+    kx3, km3 = _stage(xs, ms, half, kx2, km2)
+    kx4, km4 = _stage(xs, ms, h, kx3, km3)
+    sixth = h / 6
+    ys, ns = [], []
+    for x, m, a1, b1, a2, b2, a3, b3, a4, b4 in zip(
+            xs, ms, kx1, km1, kx2, km2, kx3, km3, kx4, km4):
+        ys.append(x + sixth * (a1 + 2 * a2 + 2 * a3 + a4))
+        ns.append(m + sixth * (b1 + 2 * b2 + 2 * b3 + b4))
+    return ys, ns
 
 
 def check_rk4_steps(n: int, dt: float, t_end: float) -> None:

@@ -79,8 +79,9 @@ VERIFY_SUMMAND_CAP = 24 * 10 ** 3
 VERIFY_K_MAX = 10
 
 # evolve refuses more rows than this: at three peaks a row costs about
-# 0.3 ms on the spectral route and 0.2 ms on rk4 at --dt 0.01, so the
-# cap is a few seconds of work, below the RK4 step cap
+# 0.3 ms on the spectral route and 0.17 ms on rk4 at --dt 0.01, most of
+# it the row's crossing, so the cap is a few seconds of work, below the
+# RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
 # evolve, forward and invert refuse runs estimated at over this many

@@ -22,7 +22,8 @@ w-residues round only at a second refinement;
 to 32, where the peel's operands reach thousands of bits; `roundtrip`,
 up to n = 32;
 `evolve` by both routes, on small integers and quarters and on a wave
-of 24 random doubles, out of range included, and by the spectral route
+of 24 random doubles, out of range included, by rk4 on one peak and on
+steps so long that a stage breaks the order, and by the spectral route
 on a wave of 100 random doubles and on 400 rows of 5 small ratios;
 `verify` up to support 6 at k_max 4, 5 at 5 and 7 at 3, where the split
 sums do most of the work, and at support 2 to k_max 8 and 3 to 7, where
@@ -150,6 +151,22 @@ def write_inputs(folder: Path) -> list[list[str]]:
                   "--samples", "3"])
     calls.append(["evolve", doubles, "--method", "rk4", "--dt", "0.01",
                   "--t-end", "1", "--samples", "3"])
+    calls.append(["evolve", doubles, "--method", "rk4", "--dt", "0.001",
+                  "--t-end", "0.1"])
+    # rk4 on one peak, and steps too long for the wave: a stage moves a
+    # peak past its neighbour and the run exits 1
+    calls.append(["evolve", put("peak1.json", {"masses": ["3/2"],
+                                                "gaps": []}),
+                  "--method", "rk4", "--dt", "0.1", "--t-end", "1",
+                  "--samples", "3"])
+    calls.append(["evolve", put("heavy2.json", {"masses": ["1", "100"],
+                                                 "gaps": ["1"]}),
+                  "--method", "rk4", "--dt", "0.5", "--t-end", "1",
+                  "--samples", "2"])
+    calls.append(["evolve", put("wave123.json", {"masses": ["1", "2", "3"],
+                                                  "gaps": ["1", "1"]}),
+                  "--method", "rk4", "--dt", "0.5", "--t-end", "300",
+                  "--samples", "7"])
     wide = put("doubles100.json", double_wave(Random(100), 100))
     calls.append(["evolve", wide, "--method", "spectral", "--t-end", "1",
                   "--samples", "3"])

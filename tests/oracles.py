@@ -48,14 +48,22 @@ beside the runtime's explicit solution on the string: the boundary
 triple with its residues scaled by sigma, which the peel inverts, and
 the string recover returns for those residues, read off the t = 0
 minors.
+
+The RK4 step of the peak ODEs with its sums written as generator sums
+(rk4_step_reference), the runtime's step before it became one pass
+over the peaks.  Each sum adds left to right from the integer 0, as
+builtin `sum` does on floats up to Python 3.11 (3.12 made it a
+compensated sum), so the reference rounds alike on every version.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 from unittest.mock import patch
 
@@ -66,7 +74,11 @@ from cubicstring.burgers import (
     rationalize,
     spectral_snapshot,
 )
-from cubicstring.errors import IdentityViolatedError, NonSquareError
+from cubicstring.errors import (
+    IdentityViolatedError,
+    NonSquareError,
+    OrderingViolatedError,
+)
 from cubicstring.exact import (
     Matrix,
     Polynomial,
@@ -842,3 +854,37 @@ def flow_reference(s0: WaveState, t: float) -> tuple[tuple[float, ...],
               - sum(m * o for m, o in zip(bare.masses, offs))) / total
     return (tuple(float(o + anchor) for o in offs),
             tuple(float(m) for m in bare.masses))
+
+
+def _left_sum(terms):
+    return reduce(add, terms, 0)
+
+
+def rhs_reference(xs, ms) -> tuple[list, list]:
+    """dx_k = sum_i m_i |x_k - x_i| and dm_k = 2 m_k (sum_{i>k} m_i -
+    sum_{i<k} m_i), each a separate left-to-right sum; the order of the
+    peaks is checked first."""
+    for a, b in zip(xs, xs[1:]):
+        if b <= a:
+            raise OrderingViolatedError(f"peaks out of order: {a} !< {b}")
+    n = len(xs)
+    dx = [_left_sum(ms[i] * abs(x - xs[i]) for i in range(n)) for x in xs]
+    dm = [2 * ms[k] * (_left_sum(ms[k + 1:]) - _left_sum(ms[:k]))
+          for k in range(n)]
+    return dx, dm
+
+
+def rk4_step_reference(xs, ms, h) -> tuple[list, list]:
+    """One classical RK4 step of length h on rhs_reference."""
+    kx1, km1 = rhs_reference(xs, ms)
+    kx2, km2 = rhs_reference([x + h / 2 * d for x, d in zip(xs, kx1)],
+                             [m + h / 2 * d for m, d in zip(ms, km1)])
+    kx3, km3 = rhs_reference([x + h / 2 * d for x, d in zip(xs, kx2)],
+                             [m + h / 2 * d for m, d in zip(ms, km2)])
+    kx4, km4 = rhs_reference([x + h * d for x, d in zip(xs, kx3)],
+                             [m + h * d for m, d in zip(ms, km3)])
+    xs = [x + h / 6 * (a + 2 * b + 2 * c + d)
+          for x, a, b, c, d in zip(xs, kx1, kx2, kx3, kx4)]
+    ms = [m + h / 6 * (a + 2 * b + 2 * c + d)
+          for m, a, b, c, d in zip(ms, km1, km2, km3, km4)]
+    return xs, ms

@@ -67,6 +67,27 @@ def test_rhs_frozen_cases():
     assert dm == [2.0, -2.0]
 
 
+def test_sums_add_left_to_right():
+    # 0.1 + 0.2 + 0.3 added left to right is 0.6000000000000001; builtin
+    # sum on floats, compensated since Python 3.12, gives 0.6
+    c = conserved_floats(WaveState(0.0, (0.0, 1.0, 2.0), (0.1, 0.2, 0.3)))
+    assert c.total_mass == 0.6000000000000001
+    dx, dm = burgers._rhs_arrays((0.0, 1.0, 2.0, 3.0), (1.0, 0.1, 0.2, 0.3))
+    assert dx == [1.4, 1.7999999999999998, 2.4, 3.4000000000000004]
+    assert dm == [1.2000000000000002, -0.1, -0.32000000000000006, -0.78]
+
+
+def test_rk4_step_out_of_order_and_out_of_range():
+    # the first slopes carry the light left peak past the heavy right one
+    # by the second stage; a mass of 1e300 overflows the products to inf
+    # and nan
+    with pytest.raises(OrderingViolatedError) as caught:
+        burgers._rk4_step([0.0, 1.0], [1.0, 100.0], 0.5)
+    assert str(caught.value) == "peaks out of order: 25.0 !< 1.25"
+    xs, ms = burgers._rk4_step([1.0, 2.0], [1e300, 1.0], 1e-100)
+    assert all(math.isnan(x) for x in xs) and ms == [-math.inf, math.inf]
+
+
 def test_rhs_momentum_sum_vanishes():
     rng = random.Random(41)
     for _ in range(10):
