@@ -11,7 +11,9 @@ discontinuity at near-collisions.  Two integrators are provided:
 
   * integrate_rk4: classical fixed-step fourth-order integration of the
     ODEs in double precision.  Each chain invariant M_j is the correctly
-    rounded exact value for the rational string the float state denotes.
+    rounded exact value for the rational string the float state denotes,
+    summed on the integers of its doubles (invariant_masses) and
+    divided once.
 
   * evolve_spectral: the exact route, the flow's explicit solution.
     Along the flow the residues of W = phi_x/phi_xx scale by
@@ -23,10 +25,12 @@ discontinuity at near-collisions.  Two integrators are provided:
         P_j(t) = M P_j tau / (Q_j + P_j tau),
         l_j(t) = l_j (Q_j + P_j tau) / (M sigma).
 
-    A row is these O(n) rational operations (flow_state): no eigenvalue
-    is isolated and no triple peeled.  The peel of the t = 0 boundary
-    triple with its residues scaled by sigma gives the same string; the
-    tests keep it as the reference.
+    A row is these O(n) operations (flow_state), on integers over
+    shared denominators, with no gcd until a row is certified: no
+    eigenvalue is isolated, no triple peeled, and the one conserved set
+    is that of the t = 0 string.  The peel of the t = 0 boundary triple
+    with its residues scaled by sigma gives the same string; the tests
+    keep it as the reference.
 
     The only approximation is the rational sigma, and its precision is
     derived, not chosen.  A decimal sigma with |ln sigma - M t| <= r is
@@ -49,9 +53,8 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Decimal, Overflow, localcontext
 from fractions import Fraction
-from math import ceil, floor, inf, log2, nextafter, ulp
+from math import ceil, floor, inf, isfinite, log2, nextafter, ulp
 
-from . import forward
 from .errors import (
     EmptyStringError,
     FlowOutOfRangeError,
@@ -59,17 +62,21 @@ from .errors import (
     OrderingViolatedError,
     PrecisionExhaustedError,
 )
+from .exact.rational import over_common_denominator
 from .forward import (
     MAX_PRECISION_BITS,
-    WeylData,
     decimal_digits,
-    invariant_masses,
     residues,  # unused here; perfbench/tracing.py wraps burgers.residues
     spectrum,  # unused here; perfbench/tracing.py wraps burgers.spectrum
 )
 from .inverse import recover  # unused here; perfbench/tracing.py wraps it
 from .record import Record
-from .string_model import ConservedSet, CubicString, positions
+from .string_model import (
+    ConservedSet,
+    CubicString,
+    invariant_masses,
+    positions,
+)
 
 # about 12 s of RK4 at three peaks; past it the run is refused, not started
 MAX_RK4_STEPS = 10 ** 6
@@ -94,6 +101,8 @@ class WaveState(Record):
             raise EmptyStringError("a wave needs at least one peak")
         if len(self.positions) != len(self.momenta):
             raise ValueError("one momentum per peak required")
+        if not all(map(isfinite, self.positions + self.momenta)):
+            raise FlowOutOfRangeError("a position or momentum is not finite")
         _check_ordering(self.positions)
         for m in self.momenta:
             if m <= 0:
@@ -148,18 +157,30 @@ def _rhs_arrays(xs, ms):
     return dx, dm
 
 
-def conserved_floats(state: WaveState,
-                     wd: WeylData | None = None) -> ConservedSet:
+def _chain_doubles(invariants) -> tuple[float, ...]:
+    """Each M_j of invariant_masses as the double nearest it, one integer
+    division; FlowOutOfRangeError naming the first past the double
+    range."""
+    out = []
+    for j, (num, den) in enumerate(invariants, 1):
+        try:
+            out.append(num / den)
+        except OverflowError:
+            raise FlowOutOfRangeError(
+                f"M_{j} is past the double range") from None
+    return tuple(out)
+
+
+def conserved_floats(state: WaveState) -> ConservedSet:
     """M and M_plus as float sums added left to right; each M_j is the
     correctly rounded exact chain invariant of the state's rational
-    string, read off wd if given."""
+    string."""
     total = first = 0.0
     for m, x in zip(state.momenta, state.positions):
         total += m
         first += m * x
-    phi_xx = (wd or forward.boundary_data(rationalize(state))).phi_xx
-    return ConservedSet(total, first,
-                        tuple(float(v) for v in invariant_masses(phi_xx)))
+    return ConservedSet(total, first, _chain_doubles(
+        invariant_masses(state.momenta, state.positions)))
 
 
 def _stage(xs, ms, c, kx, km):
@@ -197,14 +218,15 @@ def check_rk4_steps(n: int, dt: float, t_end: float) -> None:
                          f"{peaks} over the cap of {MAX_RK4_STEPS}")
 
 
-def integrate_rk4(s0: WaveState, dt: float, t_end: float, samples: int = 11,
-                  wd: WeylData | None = None) -> Trajectory:
+def integrate_rk4(s0: WaveState, dt: float, t_end: float,
+                  samples: int = 11) -> Trajectory:
     """Fixed-step RK4 from s0.time over a window of length t_end.
 
     Records `samples` evenly spaced rows including both endpoints; the
     step lands exactly on each sample time (the last step into a sample
-    is shortened when dt does not divide the interval).  The first row
-    reads M_j off wd, the boundary triple of s0, when given.
+    is shortened when dt does not divide the interval).  A later row
+    that is not finite, or whose M_j pass the double range, is the wave
+    leaving the float range; an M_j of s0 past it names itself.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -215,7 +237,7 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float, samples: int = 11,
     check_rk4_steps(s0.n, dt, t_end)
     xs, ms = list(s0.positions), list(s0.momenta)
     t0 = s0.time
-    rows = [(t0, s0, conserved_floats(s0, wd))]
+    rows = [(t0, s0, conserved_floats(s0))]
     t = t0
     for j in range(1, samples):
         target = t0 + t_end * j / (samples - 1)
@@ -226,10 +248,10 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float, samples: int = 11,
         if target - t > 1e-9 * dt:
             xs, ms = _rk4_step(xs, ms, target - t)
         t = target
-        state = WaveState(t, tuple(xs), tuple(ms))
         try:
+            state = WaveState(t, tuple(xs), tuple(ms))
             rows.append((t, state, conserved_floats(state)))
-        except OverflowError:
+        except FlowOutOfRangeError:
             raise FlowOutOfRangeError(f"the wave leaves the float range by "
                                       f"t = {t} at dt = {dt}") from None
     return Trajectory(tuple(rows))
@@ -269,12 +291,47 @@ def rationalize(state: WaveState) -> CubicString:
                        xs[-1])
 
 
-def spectral_snapshot(s: CubicString, wd: WeylData | None = None,
-                      ) -> tuple[WeylData, Fraction]:
-    """The flow's t = 0 data: the boundary triple of s, wd when given,
-    and its first moment M+, both exact."""
-    first = sum((m * x for m, x in zip(s.masses, positions(s))), Fraction(0))
-    return wd or forward.boundary_data(s), first
+def spectral_snapshot(s: CubicString) -> ConservedSet:
+    """The flow's conserved set at t = 0, exact: M, the first moment
+    M+ and the chain invariants of s (invariant_masses)."""
+    xs = positions(s)
+    first = sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))
+    return ConservedSet(sum(s.masses, Fraction(0)), first,
+                        tuple(Fraction(num, den) for num, den
+                              in invariant_masses(s.masses, xs)))
+
+
+def _integer_string(s: CubicString, total_mass: Fraction):
+    """s on integers for the flow: the partial masses P_0 = 0, P_1, ...,
+    P_(n-1) and P_n = total_mass as numerators over one denominator dm,
+    and the gaps over theirs, dg; (partials, dm, gaps, dg)."""
+    nums, dm = over_common_denominator((*s.masses[:-1], total_mass))
+    partials = [0]
+    for m in nums[:-1]:
+        partials.append(partials[-1] + m)
+    partials.append(nums[-1])
+    gaps, dg = over_common_denominator(s.gaps)
+    return partials, dm, gaps, dg
+
+
+def _flow_cells(partials: list[int], dm: int, gaps: list[int],
+                S: int, T: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The flow state at sigma = S/T on integers (module docstring).
+
+    With the P_j numerators over dm, Q_j + P_j tau = E_j / (dm T^2) for
+    E_j = (P_n - P_j) T^2 + P_j S^2.  Mass j, the difference of two
+    partial masses, is then (P_n S T)^2 (P_j - P_(j-1)) over
+    dm E_(j-1) E_j, and gap j is g_j E_j over dg T P_n S, one
+    denominator for all gaps.  Returns the mass pairs and the gap
+    numerators; nothing is reduced.
+    """
+    pn = partials[-1]
+    s2, t2 = S * S, T * T
+    es = [(pn - p) * t2 + p * s2 for p in partials]
+    lift = (pn * S * T) ** 2
+    masses = [(lift * (b - a), dm * e * f)
+              for a, b, e, f in zip(partials, partials[1:], es, es[1:])]
+    return masses, [g * e for g, e in zip(gaps, es[1:])]
 
 
 def flow_state(s: CubicString, total_mass: Fraction,
@@ -283,16 +340,12 @@ def flow_state(s: CubicString, total_mass: Fraction,
     scaled by sigma, anchored at zero (module docstring): each partial
     mass P_j goes to M P_j tau / (Q_j + P_j tau), tau = sigma^2, and
     each gap l_j to l_j (Q_j + P_j tau) / (M sigma)."""
-    tau, scale = sigma * sigma, total_mass * sigma
-    partial, partials, gaps = Fraction(0), [Fraction(0)], []
-    for m, gap in zip(s.masses, s.gaps):
-        partial += m
-        spread = total_mass + partial * (tau - 1)  # Q_j + P_j tau
-        partials.append(total_mass * partial * tau / spread)
-        gaps.append(gap * spread / scale)
-    partials.append(total_mass)
-    return CubicString(tuple(b - a for a, b in zip(partials, partials[1:])),
-                       tuple(gaps))
+    partials, dm, gaps, dg = _integer_string(s, total_mass)
+    S, T = sigma.numerator, sigma.denominator
+    masses, gap_nums = _flow_cells(partials, dm, gaps, S, T)
+    gap_den = dg * T * partials[-1] * S
+    return CubicString(tuple(Fraction(num, den) for num, den in masses),
+                       tuple(Fraction(g, gap_den) for g in gap_nums))
 
 
 def _exp_mt(total_mass: Fraction, t: float, digits: int) -> Decimal:
@@ -346,28 +399,29 @@ def last_scale(s: CubicString, total_mass: Fraction) -> Fraction:
     return m * (total_mass * 2 ** 1075 - 1) / (total_mass - m)
 
 
-def _rounds_to_one_double(value: Fraction, below: Fraction,
-                          above: Fraction) -> bool:
+def _rounds_to_one_double(num: int, den: int, below: tuple[int, int],
+                          above: tuple[int, int]) -> bool:
     """Whether every real in the open interval (value - below,
-    value + above) rounds to float(value).
+    value + above) rounds to the double of value = num/den, den > 0,
+    below and above given as (numerator, denominator) pairs.
 
     The rounding boundaries lie halfway to the neighbouring doubles;
     toward zero from a power of two that is a quarter of its ulp, and
     ulp(f) caps the gap past the largest double.  The test is exact, on
-    integers: the remainder value - f is num/den.  An open end may sit
-    on a boundary, as no point of the interval does.
+    integers: the remainder value - f is rem/d.  An open end may sit on
+    a boundary, as no point of the interval does.
     """
-    f = float(value)
+    f = num / den
     fn, fd = f.as_integer_ratio()
-    den = value.denominator * fd
-    num = value.numerator * fd - fn * value.denominator
+    d = den * fd
+    rem = num * fd - fn * den
     un, ud = min(nextafter(f, inf) - f, ulp(f)).as_integer_ratio()
     dn, dd = min(f - nextafter(f, -inf), ulp(f)).as_integer_ratio()
-    bn, bd = below.numerator, below.denominator
-    an, ad = above.numerator, above.denominator
+    bn, bd = below
+    an, ad = above
     # 2 (below - rem) <= down and 2 (rem + above) <= up
-    return (2 * (bn * den - num * bd) * dd <= dn * bd * den
-            and 2 * (num * ad + an * den) * ud <= un * ad * den)
+    return (2 * (bn * d - rem * bd) * dd <= dn * bd * d
+            and 2 * (rem * ad + an * d) * ud <= un * ad * d)
 
 
 def _up(v: float) -> float:
@@ -376,11 +430,13 @@ def _up(v: float) -> float:
     return nextafter(v, inf)
 
 
-def _speed_bounds(s: CubicString, total_mass: Fraction) -> list[float]:
+def _speed_bounds(masses: list[tuple[int, int]], gaps: list[int],
+                  gap_den: int, total: tuple[int, int]) -> list[float]:
     """Upper bounds on v_k / M, v_k = sum_i m_i |x_k - x_i| the speed of
-    peak k, from the masses and gaps in doubles rounded up."""
-    ms = [_up(float(m)) for m in s.masses]
-    gs = [_up(float(g)) for g in s.gaps]
+    peak k, from the masses and gaps in doubles rounded up; the masses
+    and M as integer pairs, the gaps over gap_den."""
+    ms = [_up(num / den) for num, den in masses]
+    gs = [_up(g / gap_den) for g in gaps]
     sides = []  # v_k summed over the peaks left of k, then right of k
     for order in (slice(None), slice(None, None, -1)):
         acc, weight, out = 0.0, 0.0, [0.0]
@@ -389,13 +445,17 @@ def _speed_bounds(s: CubicString, total_mass: Fraction) -> list[float]:
             acc = _up(acc + _up(weight * g))
             out.append(acc)
         sides.append(out[order])
-    mass_lo = nextafter(float(total_mass), 0.0)
+    mass_lo = nextafter(total[0] / total[1], 0.0)
     return [_up(_up(a + b) / mass_lo) for a, b in zip(*sides)]
 
 
-def _certified(s: CubicString, total_mass: Fraction, r: Fraction) -> bool:
-    """Whether each position and mass of s, the exact state at a time t~
-    with |M t~ - M t| <= r, rounds to the one double the state at t does.
+def _certified(xs: list[int], x_den: int, masses: list[tuple[int, int]],
+               gaps: list[int], gap_den: int, total: tuple[int, int],
+               r: tuple[int, int]) -> bool:
+    """Whether each position and mass, the exact state at a time t~
+    with |M t~ - M t| <= r, rounds to the one double the state at t
+    does.  The positions are numerators over x_den, the gaps over
+    gap_den, and the masses, M and r integer pairs.
 
     Along the flow |d ln m_k/dt| < 2M, so m_k(t) lies in the open
     m_k(t~) (1 - 2r, 1 + 4r), and below M, as every other mass is
@@ -404,33 +464,41 @@ def _certified(s: CubicString, total_mass: Fraction, r: Fraction) -> bool:
     true for 0 < u <= 5/4, so for r <= 2/5.  The speed, and not the span
     of the wave, bounds a position: a heavy peak is nearly still while
     light ones run off.  The cap M matters when all the mass gathers on
-    one peak and M sits on a rounding boundary.  At r = 0, s is the
-    state at t.
+    one peak and M sits on a rounding boundary.  At r = 0 the state is
+    the state at t.
     """
-    if r == 0:
+    rn, rd = r
+    if rn == 0:
         return True
-    if r > Fraction(2, 5):
+    if 5 * rn > 2 * rd:
         return False
-    spread = (1 + 6 * r) * r
-    for x, w in zip(positions(s), _speed_bounds(s, total_mass)):
-        shift = Fraction(w) * spread
-        if not _rounds_to_one_double(x, shift, shift):
+    spread_n, spread_d = (rd + 6 * rn) * rn, rd * rd  # (1 + 6r) r
+    for x, w in zip(xs, _speed_bounds(masses, gaps, gap_den, total)):
+        wn, wd = w.as_integer_ratio()
+        shift = (wn * spread_n, wd * spread_d)
+        if not _rounds_to_one_double(x, x_den, shift, shift):
             return False
-    for m in s.masses:
-        rm = r * Fraction(_up(float(m)))
-        if not (_rounds_to_one_double(m, 2 * rm, 4 * rm)
-                or _rounds_to_one_double(m, 2 * rm, total_mass - m)):
+    pn, dm = total
+    for num, den in masses:
+        un, ud = _up(num / den).as_integer_ratio()
+        below = (2 * rn * un, rd * ud)  # 2 r m rounded up
+        if not (_rounds_to_one_double(num, den, below, (4 * rn * un, rd * ud))
+                or _rounds_to_one_double(num, den, below,
+                                         (pn * den - num * dm, dm * den))):
             return False
     return True
 
 
-def _flow_row(s0: CubicString, total_mass: Fraction, first_moment: Fraction,
-              t: float, elapsed: float) -> CubicString:
-    """The flow state of s0 at the first sigma ~ e^(M elapsed) whose
-    every cell provably rounds to the double of the state at time t,
-    anchored by the centre of mass c = M+ / M (module docstring).  A
-    mass that underflows to zero or a position that overflows is the
-    flow leaving the float range.
+def _flow_rows(state: WaveState, s0: CubicString, conserved: ConservedSet,
+               times) -> list:
+    """Per time t, (t, s, xs): s the flow state of s0, the exact string
+    of state, at the first sigma ~ e^(M (t - t0)) whose every cell
+    provably rounds to the double of the state at time t, anchored by
+    the centre of mass c = M+ / M (module docstring), and xs the
+    doubles of its positions.  A mass that underflows to zero or a
+    position that overflows is the flow leaving the float range.  The
+    rows run on integers; a certified one is built as one CubicString.
+    One peak does not move: every row is s0.
 
     Every factor is at least 2^(scale_bits - 5).  The 8-digit e^(M t)
     that scale_bits reads is at least 10^a, a its decimal exponent, and
@@ -441,62 +509,86 @@ def _flow_row(s0: CubicString, total_mass: Fraction, first_moment: Fraction,
     last_scale < 2^B, B the bits of its numerator less those of its
     denominator plus 1, the first factor would stop the row, and no
     factor is built.
+
+    The positions share one denominator: with c = cn/cd, the anchor
+    x_n = an/ad and gaps over dg T P_n S, x_n(t) = c + sigma (x_n - c)
+    and every position is over cd ad dg T P_n S.
     """
-    out_of_range = FlowOutOfRangeError(
-        f"the wave leaves the float range at t = {t}")
-    center = first_moment / total_mass
+    if s0.n == 1:
+        return [(float(t), s0, state.positions) for t in times]
+    total_mass, t0 = conserved.total_mass, state.time
+    partials, dm, gaps, dg = _integer_string(s0, total_mass)
+    total = (partials[-1], dm)
+    center = conserved.first_moment / total_mass
+    cn, cd = center.numerator, center.denominator
+    an, ad = s0.anchor.numerator, s0.anchor.denominator
+    # x_n(t) cd ad = fixed + sigma moved
+    fixed, moved = cn * ad, an * cd - cn * ad
+    x_scale, g_scale = cd * ad, dg * partials[-1]
     last = last_scale(s0, total_mass)
-    half = (last.numerator.bit_length() - last.denominator.bit_length()
-            + 2) // 2
-    if scale_bits(total_mass, elapsed) - 5 >= half:
-        raise out_of_range
-    for sigma, r in scale_factor(total_mass, elapsed):
-        if sigma * sigma >= last:  # the last mass is 0.0
-            break
-        bare = flow_state(s0, total_mass, sigma)
-        s = CubicString(bare.masses, bare.gaps,
-                        center + sigma * (s0.anchor - center))
-        try:
-            if min(float(m) for m in s.masses) == 0:
+    ln, ld = last.numerator, last.denominator
+    half = (ln.bit_length() - ld.bit_length() + 2) // 2
+
+    def row(t: float, elapsed: float) -> tuple:
+        out_of_range = FlowOutOfRangeError(
+            f"the wave leaves the float range at t = {t}")
+        if scale_bits(total_mass, elapsed) - 5 >= half:
+            raise out_of_range
+        for sigma, r in scale_factor(total_mass, elapsed):
+            S, T = sigma.numerator, sigma.denominator
+            if S * S * ld >= ln * T * T:  # the last mass is 0.0
                 break
-            if _certified(s, total_mass, r):
-                return s
-        except OverflowError:
-            break
-    else:
-        raise PrecisionExhaustedError(
-            f"could not certify the row at t = {t} with {FLOW_MAX_DIGITS} "
-            f"digits of e^(M t)")
-    raise out_of_range
+            masses, gap_nums = _flow_cells(partials, dm, gaps, S, T)
+            gap_den = g_scale * T * S
+            x_den = gap_den * x_scale
+            anchor = (fixed * T + S * moved) * g_scale * S
+            xs = [anchor]
+            for g in reversed(gap_nums):
+                xs.append(xs[-1] - g * x_scale)
+            xs.reverse()
+            try:
+                if any(num / den == 0 for num, den in masses):
+                    break
+                if _certified(xs, x_den, masses, gap_nums, gap_den, total,
+                              (r.numerator, r.denominator)):
+                    return (CubicString(
+                        tuple(Fraction(num, den) for num, den in masses),
+                        tuple(Fraction(g, gap_den) for g in gap_nums),
+                        Fraction(anchor, x_den)),
+                        tuple(x / x_den for x in xs))
+            except OverflowError:
+                break
+        else:
+            raise PrecisionExhaustedError(
+                f"could not certify the row at t = {t} with "
+                f"{FLOW_MAX_DIGITS} digits of e^(M t)")
+        raise out_of_range
+
+    return [(float(t), *row(float(t), float(t) - t0)) for t in times]
 
 
 def evolve_spectral_exact(
-        s0: WaveState, times, wd: WeylData | None = None,
+        s0: WaveState, times,
 ) -> tuple[ConservedSet, list[tuple[float, CubicString]]]:
     """Exact-route evolution: the explicit flow state of s0 at each
-    time.  Returns the exact conserved set every row shares, M_j read
-    off phi_xx of the t = 0 triple (wd when given), and per time the
-    exact string at a nearby time whose positions and masses round to
-    the doubles of the state then.  One peak does not move: every row
-    is s0."""
+    time.  Returns the exact conserved set every row shares, that of
+    s0, and per time the exact string at a nearby time whose positions
+    and masses round to the doubles of the state then."""
     base = rationalize(s0)
-    wd, first_moment = spectral_snapshot(base, wd)
-    total = sum(base.masses, Fraction(0))
-    rows = [(float(t), base if base.n == 1 else
-             _flow_row(base, total, first_moment, float(t), float(t) - s0.time))
-            for t in times]
-    return (ConservedSet(total, first_moment,
-                         tuple(invariant_masses(wd.phi_xx))), rows)
+    conserved = spectral_snapshot(base)
+    return conserved, [(t, s) for t, s, _
+                       in _flow_rows(s0, base, conserved, times)]
 
 
-def evolve_spectral(s0: WaveState, times,
-                    wd: WeylData | None = None) -> Trajectory:
-    """Spectral-route trajectory from s0, wd its boundary triple when
-    given, at the requested times, as floats; every position and mass is
-    the correctly rounded double of the flow state, and every row carries
-    the one conserved set."""
-    exact, rows = evolve_spectral_exact(s0, times, wd)
+def evolve_spectral(s0: WaveState, times) -> Trajectory:
+    """Spectral-route trajectory from s0 at the requested times, as
+    floats; every position and mass is the correctly rounded double of
+    the flow state, and every row carries the one conserved set.  An
+    M_j past the double range names itself before any row is made."""
+    base = rationalize(s0)
+    exact = spectral_snapshot(base)
+    higher = _chain_doubles(v.as_integer_ratio() for v in exact.higher)
     c = ConservedSet(float(exact.total_mass), float(exact.first_moment),
-                     tuple(float(v) for v in exact.higher))
-    return Trajectory(tuple((t, WaveState(t, positions(s), s.masses), c)
-                            for t, s in rows))
+                     higher)
+    return Trajectory(tuple((t, WaveState(t, xs, s.masses), c) for t, s, xs
+                            in _flow_rows(s0, base, exact, times)))

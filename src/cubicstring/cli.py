@@ -35,13 +35,12 @@ from .burgers import (
     check_rk4_steps,
     evolve_spectral,
     integrate_rk4,
-    rationalize,
     scale_bits,
     wave_state,
 )
 from .errors import CubicStringError
 from .exact import format_rational
-from .exact.rational import content_free
+from .exact.rational import content_free, over_common_denominator
 from .forward import (
     DEFAULT_PRECISION_BITS,
     WeylData,
@@ -79,15 +78,16 @@ VERIFY_SUMMAND_CAP = 24 * 10 ** 3
 VERIFY_K_MAX = 10
 
 # evolve refuses more rows than this: at three peaks a row costs about
-# 0.3 ms on the spectral route and 0.17 ms on rk4 at --dt 0.01, most of
-# it the row's crossing, so the cap is a few seconds of work, below the
-# RK4 step cap
+# 0.15 ms on the spectral route, the flow on integers and one certified
+# string, and 0.08 ms on rk4 at --dt 0.01, a step and the M_j of its
+# doubles, so the cap is a few seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
 # evolve, forward and invert refuse runs estimated at over this many
 # seconds, before the work (README): timed runs took 0.64 to 1.56 times
-# the estimate for the crossing (35), 0.77 to 1.31 for spectral evolve
-# (29), 0.66 to 1.47 for forward (48) and 0.73 to 1.34 for invert (40)
+# the estimate for the crossing (35), 0.68 to 1.35 for the chain
+# invariants (24), 0.81 to 1.33 for spectral evolve (37), 0.66 to 1.47
+# for forward (48) and 0.73 to 1.34 for invert (40)
 WORK_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 4.1 s, n = 52
@@ -96,12 +96,31 @@ WORK_CAP = 30
 ROUNDTRIP_N_CAP = 50
 
 
-def _spectral_seconds(n: int, rows: int, crossing: float) -> float:
+def _spectral_seconds(n: int, rows: int, chain: float) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
-    2-vCPU VM (README, "evolve"): 1.15 times the crossing that builds
-    the flow's triple, whose phi_xx the M_j are then read off, and
-    7e-5 (n + 1) a row, the flow's explicit solution on n peaks."""
-    return 1.15 * crossing + 7e-5 * rows * (n + 1)
+    2-vCPU VM (README, "evolve"): twice the chain seconds of the t = 0
+    wave, its M_j and their reduction to lowest terms, and
+    2.2e-5 (n + 2) a row, the flow's explicit solution on n peaks."""
+    return 2 * chain + 2.2e-5 * rows * (n + 2)
+
+
+def _chain_seconds(n: int, operand_bits: int) -> float:
+    """Estimated seconds of the chain invariants of a wave of n peaks
+    (string_model.invariant_masses) whose masses and gaps, over the
+    common denominators of the masses and of the positions, carry
+    S = operand_bits bits, the gaps counted twice, on a shared 2-vCPU
+    VM (README, "evolve"): n^2/2 steps of the recurrence, each a few
+    products on integers that grow to about S bits,
+    n^2 (1.5e-7 + 9e-11 S)."""
+    return n * n * (1.5e-7 + 9e-11 * operand_bits)
+
+
+def _wave_bits(masses, xs) -> int:
+    """The S of _chain_seconds for masses at the positions xs."""
+    ms, _ = over_common_denominator(masses)
+    ps, _ = over_common_denominator(xs)
+    return (sum(m.bit_length() for m in ms)
+            + 2 * sum((b - a).bit_length() for a, b in zip(ps, ps[1:])))
 
 
 def _forward_seconds(n: int, q_bits: int, bits: int) -> float:
@@ -274,21 +293,21 @@ def _run_evolve(ns: argparse.Namespace) -> int:
     state = wave_state(s)
     over = ValueError(f"--samples {ns.samples} on {s.n} peaks to --t-end "
                       f"{ns.t_end} is over the {ns.method} work cap")
-    # every crossing the run makes is charged, this build's included
-    exact = rationalize(state)
+    chain = _chain_seconds(s.n, _wave_bits(state.momenta, state.positions))
     if ns.method == "rk4":
         if ns.dt is None or ns.dt <= 0:
             raise ValueError("--method rk4 needs a positive --dt")
         check_rk4_steps(s.n, ns.dt, ns.t_end)
-        wd, _ = _priced_boundary_data(exact, lambda b: ns.samples * b, over)
-        traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples, wd)
+        if ns.samples * chain > WORK_CAP:  # the M_j of every row
+            raise over
+        traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples)
     else:
         # e^(M t_end) is the largest factor: where it overflows, exit 1
         scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
-        wd, _ = _priced_boundary_data(
-            exact, lambda b: _spectral_seconds(s.n, ns.samples, b), over)
+        if _spectral_seconds(s.n, ns.samples, chain) > WORK_CAP:
+            raise over
         times = [i * ns.t_end / (ns.samples - 1) for i in range(ns.samples)]
-        traj = evolve_spectral(state, times, wd)
+        traj = evolve_spectral(state, times)
     _emit(_csv_text(traj), ns.output)
     return 0
 

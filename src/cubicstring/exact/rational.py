@@ -48,9 +48,10 @@ def format_rational(x: Fraction) -> str:
 
 def over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """(nums, den) with xs[i] = nums[i] / den, den the lcm of the
-    denominators (1 for no values)."""
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    denominators (1 for no values); for doubles as for rationals."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 def content_free(ints: Sequence[int]) -> list[int]:

@@ -145,12 +145,6 @@ def boundary_data(s: CubicString) -> WeylData:
     return WeylData(*triple)
 
 
-def invariant_masses(phi_xx: Polynomial) -> list[Fraction]:
-    """The chain invariants M_1..M_n off phi_xx = 2 sum_j (-z)^j M_j."""
-    return [(-1) ** j * phi_xx.coefficient(j) / 2
-            for j in range(1, phi_xx.degree + 1)]
-
-
 def eigenvalue_polynomial(wd: WeylData) -> Polynomial:
     """phi_xx / z: its roots are the nonzero eigenvalues."""
     if wd.phi_xx.coefficient(0) != 0:

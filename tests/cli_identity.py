@@ -22,9 +22,11 @@ w-residues round only at a second refinement;
 to 32, where the peel's operands reach thousands of bits; `roundtrip`,
 up to n = 32;
 `evolve` by both routes, on small integers and quarters and on a wave
-of 24 random doubles, out of range included, by rk4 on one peak and on
+of 24 random doubles, out of range included, on a wave of 8 doubles
+whose masses span 2^-40 to 2^41 and gaps 2^-40 to 2, by rk4 on one peak and on
 steps so long that a stage breaks the order, and by the spectral route
-on a wave of 100 random doubles and on 400 rows of 5 small ratios;
+on one peak, on a wave of 100 random doubles and on 400 rows of 5
+small ratios;
 `verify` up to support 6 at k_max 4, 5 at 5 and 7 at 3, where the split
 sums do most of the work, and at support 2 to k_max 8 and 3 to 7, where
 the minors past the support are determinants of their own blocks; and
@@ -87,6 +89,20 @@ def double_wave(rng: Random, n: int) -> dict:
     ratio the double is."""
     gaps = [rng.uniform(0.1, 1) for _ in range(n - 1)]
     masses = [rng.uniform(0.1, 2) for _ in range(n)]
+    return {"masses": [format_rational(Fraction(m)) for m in masses],
+            "gaps": [format_rational(Fraction(g)) for g in gaps]}
+
+
+def spread_wave(rng: Random, n: int, bits: int) -> dict:
+    """A wave of n peaks whose masses are random doubles of magnitude
+    2^-bits to 2^(bits + 1) and whose gaps are random doubles of 2^-bits
+    to 2, each written as the exact ratio the double is.  The positions
+    stay below 2n, where a double resolves every gap, and the flow
+    scales a gap by at most e^(M t) either way."""
+    def draw(top):
+        return rng.uniform(1, 2) * 2.0 ** rng.randint(-bits, top)
+    gaps = [draw(0) for _ in range(n - 1)]
+    masses = [draw(bits) for _ in range(n)]
     return {"masses": [format_rational(Fraction(m)) for m in masses],
             "gaps": [format_rational(Fraction(g)) for g in gaps]}
 
@@ -178,6 +194,20 @@ def write_inputs(folder: Path) -> list[list[str]]:
                   "2000", "--samples", "2"])
     calls.append(["evolve", waves[0], "--method", "spectral", "--t-end",
                   "383333", "--samples", "2"])
+    # masses over 2^-40 to 2^41 and gaps over 2^-40 to 2: the common
+    # denominators of the M_j and of the flow's cells are at their
+    # widest, and every M_j still fits a double; M t_end is 2
+    spread = spread_wave(Random(8), 8, 40)
+    t_end = repr(2 / float(sum(Fraction(m) for m in spread["masses"])))
+    spread = put("spread8.json", spread)
+    calls.append(["evolve", spread, "--method", "spectral", "--t-end", t_end,
+                  "--samples", "5"])
+    calls.append(["evolve", spread, "--method", "rk4", "--dt",
+                  repr(float(t_end) / 200), "--t-end", t_end, "--samples",
+                  "5"])
+    # one peak on the spectral route: every row is the input
+    calls.append(["evolve", "peak1.json", "--method", "spectral", "--t-end",
+                  "3", "--samples", "4"])
     calls += [["verify", "--suite", "heine", "--support", str(s),
                "--k-max", str(k), "--seed", str(seed)]
               for s, k, seed in ((1, 2, 3), (3, 3, 6), (4, 2, 6),

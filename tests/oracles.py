@@ -7,8 +7,10 @@ stiffness^-1 @ gap_gram.  The gap_gram matrix equals the path matrix of
 a little planar network, which makes it totally non-negative.
 
 The chain sums M_j by their definition: a sum over all 2^n - 1 index
-subsets, which the runtime reads off the curvature polynomial instead;
-`conserved` gathers them with the total mass and first moment.
+subsets, and read off the curvature polynomial phi_xx of the crossing,
+the runtime's route before it summed them by a recurrence on integers
+(invariant_masses); `conserved` gathers the latter with the total mass
+and first moment.
 
 The full 3x3 crossing matrices, as tuples of row tuples of polynomials:
 the runtime steps only their first column (forward.boundary_data), and
@@ -43,11 +45,12 @@ through the kernel b_a b_b / (lam_a + lam_b), the runtime's route before
 it stepped the rank-one displacement.  The six minor families of the
 pair table by one det_exact per block size, each block written out from
 its definition; the runtime reads them off one bordered elimination
-instead.  And the isospectral flow two more ways,
-beside the runtime's explicit solution on the string: the boundary
-triple with its residues scaled by sigma, which the peel inverts, and
-the string recover returns for those residues, read off the t = 0
-minors.
+instead.  And the isospectral flow three more ways,
+beside the runtime's explicit solution on integers: the same solution
+on reduced Fractions, the runtime's route before it ran on integers
+(flow_state_by_fractions); the boundary triple with its residues scaled
+by sigma, which the peel inverts; and the string recover returns for
+those residues, read off the t = 0 minors.
 
 The RK4 step of the peak ODEs with its sums written as generator sums
 (rk4_step_reference), the runtime's step before it became one pass
@@ -69,11 +72,7 @@ from unittest.mock import patch
 
 import numpy as np
 
-from cubicstring.burgers import (
-    WaveState,
-    rationalize,
-    spectral_snapshot,
-)
+from cubicstring.burgers import WaveState, rationalize
 from cubicstring.errors import (
     IdentityViolatedError,
     NonSquareError,
@@ -97,7 +96,6 @@ from cubicstring.forward import (
     decimal_string,
     eigenvalue_polynomial,
     gap_step,
-    invariant_masses,
     jump_step,
     value_residues,
 )
@@ -137,6 +135,12 @@ def chain_sums_by_subsets(masses: Sequence, xs: Sequence) -> list:
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
+
+
+def invariant_masses(phi_xx: Polynomial) -> list[Fraction]:
+    """The chain invariants M_1..M_n off phi_xx = 2 sum_j (-z)^j M_j."""
+    return [(-1) ** j * phi_xx.coefficient(j) / 2
+            for j in range(1, phi_xx.degree + 1)]
 
 
 def conserved(s: CubicString) -> ConservedSet:
@@ -835,6 +839,24 @@ def flow_closed_form(sd: SpectralData, sigma: Fraction) -> CubicString:
     return CubicString(tuple(reversed(masses)), tuple(reversed(gaps)))
 
 
+def flow_state_by_fractions(s: CubicString, total_mass: Fraction,
+                            sigma: Fraction) -> CubicString:
+    """burgers.flow_state on reduced Fractions, one partial mass and one
+    gap at a time: each partial mass P_j goes to M P_j tau / (Q_j +
+    P_j tau), tau = sigma^2, and each gap l_j to l_j (Q_j + P_j tau) /
+    (M sigma)."""
+    tau, scale = sigma * sigma, total_mass * sigma
+    partial, partials, gaps = Fraction(0), [Fraction(0)], []
+    for m, gap in zip(s.masses, s.gaps):
+        partial += m
+        spread = total_mass + partial * (tau - 1)  # Q_j + P_j tau
+        partials.append(total_mass * partial * tau / spread)
+        gaps.append(gap * spread / scale)
+    partials.append(total_mass)
+    return CubicString(tuple(b - a for a, b in zip(partials, partials[1:])),
+                       tuple(gaps))
+
+
 def flow_reference(s0: WaveState, t: float) -> tuple[tuple[float, ...],
                                                      tuple[float, ...]]:
     """Positions and masses, as doubles, of the string peeled at
@@ -842,8 +864,10 @@ def flow_reference(s0: WaveState, t: float) -> tuple[tuple[float, ...],
     the flow state at t up to a time error some 600 digits below any
     double's."""
     base = rationalize(s0)
-    wd, first_moment = spectral_snapshot(base)
+    wd = boundary_data(base)
     total = sum(base.masses, Fraction(0))
+    first_moment = sum((m * x for m, x in zip(base.masses, positions(base))),
+                       Fraction(0))
     x = total * Fraction(t - s0.time)
     with localcontext() as ctx:
         ctx.prec = 617

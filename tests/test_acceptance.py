@@ -34,7 +34,6 @@ from cubicstring.burgers import (
     integrate_rk4,
     rationalize,
     scale_factor,
-    spectral_snapshot,
 )
 from cubicstring.exact import Polynomial, RatInterval, det_exact
 from cubicstring.forward import boundary_data, residues, spectrum
@@ -243,7 +242,7 @@ def test_criterion_9_burgers_evolution():
             for a, b in zip(ref.momenta, spc.momenta):
                 assert abs(a - b) <= 1e-6
         _, rows = evolve_spectral_exact(state, times)
-        wd0, _ = spectral_snapshot(rationalize(state))
+        wd0 = boundary_data(rationalize(state))
         total = sum(s.masses)
         for t, s_t in rows[1:]:
             # W scales by sigma, the c_k of Z by sigma^2, exactly: the

@@ -9,7 +9,7 @@ from itertools import islice
 
 import pytest
 
-from oracles import conserved, flow_reference, flow_triple
+from oracles import conserved, flow_reference, flow_triple, invariant_masses
 
 from cubicstring import burgers
 from cubicstring.burgers import (
@@ -31,15 +31,13 @@ from cubicstring.errors import (
     OrderingViolatedError,
 )
 from cubicstring import forward
-from cubicstring.exact import Polynomial
 from cubicstring.forward import (
     boundary_data,
-    invariant_masses,
     spectrum,
     value_residues,
 )
 from cubicstring.inverse import random_spectral, recover
-from cubicstring.string_model import positions
+from cubicstring.string_model import ConservedSet, positions
 
 F = Fraction
 
@@ -57,6 +55,37 @@ def test_wave_state_validation():
         WaveState(0.0, (0.0, 1.0), (1.0,))
     with pytest.raises(ValueError):
         Trajectory(((1.0, SYMMETRIC, None), (0.5, SYMMETRIC, None)))
+
+
+def test_a_wave_state_that_is_not_finite_is_out_of_range():
+    # RK4 steps that overflow give inf and nan; no such state is a wave
+    # the float range holds, nan momenta included, which pass m <= 0
+    nan, inf = math.nan, math.inf
+    for xs, ms in (((0.0, nan), (1.0, 1.0)), ((0.0, 1.0), (nan, 1.0)),
+                   ((-inf, 0.0), (1.0, 1.0)), ((0.0, 1.0), (1.0, inf))):
+        with pytest.raises(FlowOutOfRangeError, match="not finite"):
+            WaveState(0.0, xs, ms)
+
+
+def test_rk4_rows_past_the_float_range_name_the_row():
+    # a mass of 1e300 overflows the first step to nan positions and
+    # infinite masses: the row is the wave leaving the float range
+    s0 = WaveState(0.0, (-1.0, 0.0), (1e300, 1.0))
+    with pytest.raises(FlowOutOfRangeError, match=(
+            "^the wave leaves the float range by t = 1e-99 at dt = 1e-100$")):
+        integrate_rk4(s0, 1e-100, 1e-99, samples=2)
+
+
+def test_chain_invariants_past_the_double_range_name_themselves():
+    # M_2 of masses 1e300, 1e100, 1 one apart is about 1e400, on both
+    # routes, before any step or row
+    s0 = WaveState(0.0, (-2.0, -1.0, 0.0), (1e300, 1e100, 1.0))
+    for run in (lambda: integrate_rk4(s0, 0.5, 1.0, samples=2),
+                lambda: evolve_spectral(s0, [0.0, 1e-300]),
+                lambda: conserved_floats(s0)):
+        with pytest.raises(FlowOutOfRangeError,
+                           match="^M_2 is past the double range$"):
+            run()
 
 
 def test_rhs_frozen_cases():
@@ -139,30 +168,36 @@ def test_rationalize_is_exact():
 
 
 def test_spectral_snapshot_two_mass():
-    wd, first = spectral_snapshot(rationalize(SYMMETRIC))
-    assert wd.phi == Polynomial((1, -1))
-    assert wd.phi_x == Polynomial((0, -2))
-    assert wd.phi_xx == Polynomial((0, -4, 2))  # eigenvalue 2, M = 2
-    assert first == 1
+    # masses 1, 1 at 0 and 1: M = 2, M+ = 1 and M_2 = 1 * 1 * 1^2, exact
+    assert spectral_snapshot(rationalize(SYMMETRIC)) == ConservedSet(
+        F(2), F(1), (F(2), F(1)))
 
 
-def test_given_triple_is_not_rebuilt(monkeypatch):
-    # both routes take the t = 0 triple already built for their input and
-    # print what they print when they build it; rk4 rebuilds it for each
-    # later row only
-    s0 = WaveState(0.0, (0.0, 0.75, 2.0), (1.5, 0.5, 1.25))
-    wd = boundary_data(rationalize(s0))
-    times = [0.0, 0.5, 1.0]
-    spectral = evolve_spectral(s0, times)
-    rk4 = integrate_rk4(s0, 1e-2, 1.0, samples=3)
+def _count_crossings(monkeypatch) -> list:
     built = []
     real = forward.boundary_data
     monkeypatch.setattr(forward, "boundary_data",
                         lambda s: built.append(s) or real(s))
-    assert evolve_spectral(s0, times, wd) == spectral
+    return built
+
+
+def test_given_triple_is_not_rebuilt(monkeypatch):
+    # neither route builds a boundary triple, at t = 0 or at any later
+    # row, and each M_j is still the rounded value read off phi_xx of
+    # the exact string: that of s0 on the spectral route, of the row's
+    # state on rk4
+    s0 = WaveState(0.0, (0.0, 0.75, 2.0), (1.5, 0.5, 1.25))
+    built = _count_crossings(monkeypatch)
+    spectral = evolve_spectral(s0, [0.0, 0.5, 1.0])
+    rk4 = integrate_rk4(s0, 1e-2, 1.0, samples=3)
     assert not built
-    assert integrate_rk4(s0, 1e-2, 1.0, samples=3, wd=wd) == rk4
-    assert len(built) == 2
+    monkeypatch.undo()
+    start = conserved(rationalize(s0)).higher
+    for _, _, c in spectral.samples:
+        assert c.higher == tuple(float(v) for v in start)
+    for _, state, c in rk4.samples:
+        assert c.higher == tuple(
+            float(v) for v in conserved(rationalize(state)).higher)
 
 
 def test_scale_factor_accuracy():
@@ -310,35 +345,45 @@ def test_rk4_chain_invariants_are_rounded_exact_values():
 
 
 def test_spectral_route_reads_chain_invariants_once(monkeypatch):
+    # the t = 0 string's M_j, by the recurrence, once a run, and no
+    # crossing: every row's exact string has the same M_j off phi_xx
     calls = []
+    real = burgers.invariant_masses
 
-    def counted(phi_xx):
-        calls.append(phi_xx)
-        return invariant_masses(phi_xx)
+    def counted(masses, xs):
+        calls.append(real(masses, xs))
+        return calls[-1]
 
     monkeypatch.setattr(burgers, "invariant_masses", counted)
+    built = _count_crossings(monkeypatch)
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
     rows = evolve_spectral(SYMMETRIC, times).samples
-    assert len(calls) == 1
+    assert len(calls) == 1 and not built
+    monkeypatch.undo()
     _, exact = evolve_spectral_exact(SYMMETRIC, times)
     for (_, _, c), (_, s) in zip(rows, exact):
-        assert boundary_data(s).phi_xx == calls[0]
+        assert invariant_masses(boundary_data(s).phi_xx) == [
+            F(num, den) for num, den in calls[0]]
         assert c.higher == tuple(float(v) for v in conserved(s).higher)
 
 
 def test_burgers_reads_boundary_data_through_forward(monkeypatch):
-    # a wrapper on forward.boundary_data sees the crossings of both routes
+    # the M_j of both routes go through the burgers.invariant_masses
+    # global, so a wrapper on it, as the benchmark's tracer puts there,
+    # sees each: one a row on rk4 and one a run on the spectral route;
+    # a wrapper on forward.boundary_data sees no crossing on either
     calls = []
-
-    def counted(s):
-        calls.append(s)
-        return boundary_data(s)
-
-    monkeypatch.setattr(forward, "boundary_data", counted)
+    real = burgers.invariant_masses
+    monkeypatch.setattr(burgers, "invariant_masses",
+                        lambda ms, xs: calls.append(len(ms)) or real(ms, xs))
+    built = _count_crossings(monkeypatch)
     conserved_floats(SYMMETRIC)
-    assert calls == [rationalize(SYMMETRIC)]
+    assert calls == [2]
     evolve_spectral(SYMMETRIC, [0.0, 0.5, 1.0])
-    assert calls == [rationalize(SYMMETRIC)] * 2
+    assert calls == [2, 2]
+    integrate_rk4(SYMMETRIC, 1e-2, 1.0, samples=3)
+    assert calls == [2] * 5
+    assert not built
 
 
 def test_rk4_with_many_peaks_is_fast():

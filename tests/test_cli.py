@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from cli_identity import double_wave, ratio_string
+from cli_identity import double_wave, ratio_string, spread_wave
 from oracles import decimal_spectrum
 
 from cubicstring import burgers, cli, forward, inverse
@@ -22,11 +22,13 @@ from cubicstring.cli import (
     ROUNDTRIP_N_CAP,
     WORK_CAP,
     _audit_seconds,
+    _chain_seconds,
     _crossing_seconds,
     _forward_seconds,
     _invert_seconds,
     _priced_boundary_data,
     _spectral_seconds,
+    _wave_bits,
     main,
 )
 from cubicstring.forward import (
@@ -41,6 +43,7 @@ from cubicstring.inverse import (
 )
 from cubicstring.string_model import (
     CubicString,
+    positions,
     string_from_dict,
     string_to_dict,
 )
@@ -575,9 +578,9 @@ def test_evolve_sample_cap_is_bad_input(tmp_path, capsys, method):
 
 
 def test_evolve_spectral_work_cap_is_bad_input(tmp_path, capsys):
-    # 64 peaks on 10,000 rows: 45.5 s by the estimate (42.4 s timed),
+    # 200 peaks on 10,000 rows: 44.4 s by the estimate (40.5 s timed),
     # refused at once
-    p = write_json(tmp_path / "s.json", _cycling_string(64))
+    p = write_json(tmp_path / "s.json", _cycling_string(200))
     start = time.perf_counter()
     assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
                  "--samples", "10000"]) == 2
@@ -638,7 +641,7 @@ def test_evolve_names_the_input_a_double_cannot_hold(tmp_path, capsys, doc,
 @pytest.mark.parametrize("n,flags,leaves", [
     # M t_end = 80,000 on 10^4 rows: the last mass underflows at
     # M t = 373.46 (t = 62.24), and the run stops at the row after it;
-    # no row is priced by e^(M t), so the rows alone price it at 2.8 s
+    # no row is priced by e^(M t), so the rows alone price it at 1.1 s
     (3, ["--t-end", "13333.333333333334", "--samples", "10000"],
      62.67293396006268),
     # e^(M t_end) of 216,408 and of 865,619 bits on the one row past
@@ -686,30 +689,36 @@ def test_evolve_spectral_last_row_bound(tmp_path, capsys):
         "error: the wave leaves the float range at t = 62.2438\n")
 
 
-@pytest.mark.parametrize("doc,t_end,samples,crossed", [
-    pytest.param(_cycling_string(64), "1", 10000, 1, id="64-10000-1"),
-    pytest.param(double_wave(random.Random(500), 500), "0.5", 850, 107,
-                 id="500-850-107"),
+@pytest.mark.parametrize("doc,method", [
+    # 10^4 rows on 200 peaks of 1, 2, 3 (40.5 s when run) are over the
+    # cap by the row term alone
+    pytest.param(_cycling_string(200),
+                 ["--method", "spectral", "--t-end", "0.0025",
+                  "--samples", "10000"], id="spectral-200-10000"),
+    # on 2,000 peaks of random doubles the M_j of the t = 0 wave and
+    # their reduction alone are priced at 233 s
+    pytest.param(double_wave(random.Random(2000), 2000),
+                 ["--method", "spectral", "--t-end", "0.001",
+                  "--samples", "2"], id="spectral-2000-2"),
+    # and 3,000 rk4 rows on 100 peaks of doubles at their M_j, 0.016 s
+    # a row
+    pytest.param(double_wave(random.Random(100), 100),
+                 ["--method", "rk4", "--dt", "1e-3", "--t-end", "0.1",
+                  "--samples", "3000"], id="rk4-100-3000"),
 ])
-def test_evolve_spectral_work_cap_counts_peaks(tmp_path, capsys, monkeypatch,
-                                               doc, t_end, samples, crossed):
-    # 10^4 rows on 64 peaks of 1, 2, 3 (42.4 s when run) are over the
-    # cap by the row term alone, and refused before the first gap is
-    # crossed; 850 rows on 500 peaks of random doubles are not (29.8 s),
-    # but with the crossing (18.6 s more; the run took 60.1 s) they
-    # are, and are refused once the price so far passes the cap, at the
-    # 107th mass
-    steps = []
-    real = forward.jump_step
-    monkeypatch.setattr(forward, "jump_step",
-                        lambda t, m: steps.append(m) or real(t, m))
+def test_evolve_work_cap_refuses_before_any_work(tmp_path, capsys,
+                                                 monkeypatch, doc, method):
+    # refused before any M_j is summed or any gap crossed
+    calls = []
+    monkeypatch.setattr(burgers, "invariant_masses",
+                        lambda *args: calls.append(args))
+    seen = _count_crossing_steps(monkeypatch)
     p = write_json(tmp_path / "s.json", doc)
     start = time.perf_counter()
-    assert main(["evolve", p, "--method", "spectral", "--t-end", t_end,
-                 "--samples", str(samples)]) == 2
+    assert main(["evolve", p, *method]) == 2
     assert time.perf_counter() - start < 1
     _assert_one_line_error(capsys)
-    assert len(steps) == crossed
+    assert not calls and not seen
 
 
 def test_evolve_spectral_peels_nothing(tmp_path, capsys, monkeypatch):
@@ -732,38 +741,49 @@ def test_evolve_spectral_peels_nothing(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-# (n, rows, M t_end, seconds the run took, best of up to eight) on
+# (n, rows, M t_end, seconds the run took, best of up to three) on
 # masses 1, 2, 3, 1, 2, ... with unit gaps, in-process on a shared
-# 2-vCPU VM
+# 2-vCPU VM; the refused run ran once, bypassing the cap
 ADMITTED_RUNS = [
     # one peak: every row is the input
-    (1, 10000, 1, 0.07), (1, 10000, 1000, 0.07),
-    (2, 10000, 3, 1.63), (2, 3000, 3, 0.62),
-    (3, 5000, 6, 1.14), (3, 10000, 6, 3.15),
-    (4, 3000, 7, 0.89), (5, 3000, 9, 1.13), (6, 1000, 12, 0.46),
-    (8, 1000, 15, 0.60), (8, 3000, 15, 2.0), (8, 10000, 15, 7.1),
-    (12, 500, 24, 0.56), (12, 1000, 24, 0.85), (12, 5000, 24, 4.2),
-    (16, 200, 31, 0.18), (16, 500, 31, 0.45), (16, 5000, 31, 5.7),
-    (16, 10000, 31, 11.6), (20, 200, 39, 0.23),
-    (24, 100, 48, 0.13), (24, 300, 48, 0.50), (24, 1500, 48, 2.2),
-    (24, 3000, 48, 6.0), (32, 3000, 64, 5.8), (24, 10000, 48, 16.0),
-    (32, 6000, 64, 12.4), (32, 10000, 64, 20.2), (400, 100, 0.5, 2.3),
+    (1, 10000, 1, 0.071), (1, 10000, 1000, 0.072),
+    (2, 10000, 3, 0.98), (2, 3000, 3, 0.30),
+    (3, 5000, 6, 0.63), (3, 10000, 6, 1.31),
+    (4, 3000, 7, 0.43), (5, 3000, 9, 0.49), (6, 1000, 12, 0.19),
+    (8, 1000, 15, 0.23), (8, 3000, 15, 0.69), (8, 10000, 15, 2.3),
+    (12, 500, 24, 0.15), (12, 1000, 24, 0.32), (12, 5000, 24, 1.63),
+    (16, 200, 31, 0.076), (16, 500, 31, 0.18), (16, 5000, 31, 1.99),
+    (16, 10000, 31, 4.26), (20, 200, 39, 0.093),
+    (24, 100, 48, 0.054), (24, 300, 48, 0.184), (24, 1500, 48, 0.83),
+    (24, 3000, 48, 1.7), (32, 3000, 64, 2.11), (24, 10000, 48, 6.0),
+    (32, 6000, 64, 4.46), (32, 10000, 64, 7.62), (400, 100, 0.5, 0.83),
+    (64, 10000, 128, 13.5), (100, 6000, 200, 13.8),
     # exit 1 at an early row, long before e^(M t_end)
-    (3, 20, 3000, 0.001), (8, 200, 2000, 0.02),
+    (3, 20, 3000, 0.0007), (8, 200, 2000, 0.011),
     # the evolve-flow benchmark's largest shape and the golden shape
     (5, 5, 1, None), (3, 3, 2, None),
 ]
-REFUSED_RUNS = [(64, 10000, 128, 42.4), (100, 6000, 200, 51.8)]
+REFUSED_RUNS = [(200, 10000, 1, 40.5)]
 
 
 def _crossing_estimate(s):
     return _priced_boundary_data(s, lambda built: 0, None)[1]
 
 
+def _bits(s):
+    """The operand bits of the exact string s for _chain_seconds."""
+    return _wave_bits(s.masses, positions(s))
+
+
+def _chain_estimate(s):
+    """The chain seconds evolve charges for the wave of s."""
+    return _chain_seconds(s.n, _bits(rationalize(wave_state(s))))
+
+
 def test_evolve_spectral_estimate_against_timed_runs():
     def estimate(n, rows, mt, _):
-        crossing = _crossing_estimate(string_from_dict(_cycling_string(n)))
-        return _spectral_seconds(n, rows, crossing)
+        chain = _chain_estimate(string_from_dict(_cycling_string(n)))
+        return _spectral_seconds(n, rows, chain)
 
     assert all(estimate(*run) <= WORK_CAP for run in ADMITTED_RUNS)
     assert all(estimate(*run) > WORK_CAP for run in REFUSED_RUNS)
@@ -771,35 +791,93 @@ def test_evolve_spectral_estimate_against_timed_runs():
     assert all(run[-1] > WORK_CAP for run in REFUSED_RUNS)
     # and within a factor 1.6 of every timed run, either way
     for run in ADMITTED_RUNS + REFUSED_RUNS:
-        if run[-1] is not None and run[-1] >= 1:
+        if run[-1] is not None and run[-1] >= 0.1:
             assert 1 / 1.6 < run[-1] / estimate(*run) < 1.6, run
 
 
-# (n, rows, t_end, the crossing's estimate, seconds the run took, best
-# of up to eight) on double_wave(Random(n), n), in-process on a shared
-# 2-vCPU VM.  Two rows on hundreds of peaks time the crossing and the
-# M_j read off its phi_xx; the runs over WORK_CAP ran once each
+# (n, rows, t_end, the wave's operand bits S, seconds the run took, best
+# of three, or of one past 40,000 peak-rows) on double_wave(Random(n),
+# n), in-process on a shared 2-vCPU VM.  Two rows on hundreds of peaks
+# time the M_j of the t = 0 wave and their reduction; the run over
+# WORK_CAP ran once, bypassing the cap
 DOUBLE_WAVE_RUNS = [
-    (10, 2000, 1, 2.113e-4, 1.49), (25, 1000, 1, 2.581e-3, 1.87),
-    (50, 500, 1, 0.01862, 1.75), (100, 200, 1, 0.1407, 1.36),
-    (200, 2, 1, 1.079, 1.14), (200, 50, 1, 1.079, 1.64),
-    (300, 2, 1, 3.567, 3.18), (400, 2, 0.5, 8.329, 7.86),
-    (500, 2, 0.5, 16.16, 24.5),
-    (200, 3000, 1, 1.079, 56.5), (500, 850, 0.5, 16.16, 60.1),
+    (10, 2000, 1, 1481, 0.64), (25, 1000, 1, 3893, 0.69),
+    (50, 500, 1, 7755, 0.68), (100, 200, 1, 16293, 0.56),
+    (200, 2, 1, 31443, 0.225), (200, 50, 1, 31443, 0.52),
+    (300, 2, 1, 48194, 0.74), (400, 2, 0.5, 64368, 1.65),
+    (500, 2, 0.5, 78905, 2.96), (500, 4000, 0.5, 78905, 63.6),
 ]
 
 
 def test_evolve_spectral_estimate_on_waves_of_doubles():
-    # the crossing carries the operands of the doubles, and a row does
-    # not: a row of 10 random doubles and one of 8 or 12 small integers
-    # take about the same
-    for n, rows, _, crossing, seconds in DOUBLE_WAVE_RUNS:
-        if n <= 100:  # the stored crossing is the one the CLI prices
-            built = _crossing_estimate(_timed_string("double", n, 0))
-            assert built == pytest.approx(crossing, rel=1e-3), n
-        estimate = _spectral_seconds(n, rows, crossing)
+    # the M_j carry the operands of the doubles, and a row does not
+    # much: a row of 10 random doubles takes about as long as one of 12
+    # small integers
+    for n, rows, _, bits, seconds in DOUBLE_WAVE_RUNS:
+        if n <= 100:  # the stored bits are those the CLI prices
+            assert _bits(_timed_string("double", n, 0)) == bits, n
+        estimate = _spectral_seconds(n, rows, _chain_seconds(n, bits))
         assert 1 / 1.6 < seconds / estimate < 1.6, (n, rows)
         assert (estimate > WORK_CAP) == (seconds > WORK_CAP), (n, rows)
+
+
+# (kind, n, the wave's operand bits S, seconds string_model.invariant_
+# masses took, best of five, of two past 300 peaks), in-process on a
+# shared 2-vCPU VM, on the waves of _chain_wave
+CHAIN_TIMED_RUNS = [
+    ("double", 10, 1481, 8.4e-05), ("double", 25, 3893, 0.00055),
+    ("double", 50, 7755, 0.00185), ("double", 100, 16293, 0.0219),
+    ("double", 150, 24604, 0.0404), ("double", 200, 31443, 0.0915),
+    ("double", 300, 48194, 0.312), ("double", 400, 64368, 0.864),
+    ("double", 500, 78905, 1.26),
+    ("cycle", 25, 89, 9.5e-05), ("cycle", 100, 364, 0.00167),
+    ("cycle", 200, 731, 0.00688), ("cycle", 400, 1464, 0.033),
+    ("cycle", 600, 2198, 0.0859),
+    ("small", 25, 4052, 0.00031), ("small", 100, 15361, 0.0124),
+    ("small", 200, 30801, 0.0864), ("small", 400, 66580, 0.668),
+    ("spread", 8, 1187, 3.1e-05), ("spread", 25, 4228, 0.00040),
+    ("spread", 50, 9689, 0.00276), ("spread", 100, 21740, 0.0212),
+    ("spread", 200, 35110, 0.118),
+]
+
+
+def _chain_wave(kind, n):
+    """The exact string evolve reads off the doubles of a wave: of
+    random doubles, of masses 1, 2, 3, ... with unit gaps, of ratios of
+    small integers, or with masses spread over 2^-40 to 2^41."""
+    if kind == "spread":
+        s = string_from_dict(spread_wave(random.Random(n), n, 40))
+    else:
+        s = _timed_string(kind, n, 0)
+    return rationalize(wave_state(s))
+
+
+def test_chain_estimate_against_timed_runs():
+    for kind, n, bits, seconds in CHAIN_TIMED_RUNS:
+        if seconds >= 1e-3:
+            assert 1 / 1.6 < seconds / _chain_seconds(n, bits) < 1.6, (
+                kind, n)
+        if n <= 200:  # the stored bits are those the CLI prices
+            assert _bits(_chain_wave(kind, n)) == bits, (kind, n)
+
+
+# (n, rows, dt, t_end, seconds its M_j took, seconds the run took, best
+# of two, of one from 200 peaks) by integrate_rk4 on
+# double_wave(Random(n), n), in-process on a shared 2-vCPU VM; the rest
+# of a run is its RK4 steps, which MAX_RK4_STEPS caps
+RK4_TIMED_RUNS = [
+    (25, 1000, 1e-3, 0.1, 0.331, 0.578), (50, 300, 1e-3, 0.1, 0.575, 0.806),
+    (100, 11, 1e-3, 0.1, 0.15, 0.393), (100, 100, 1e-3, 0.1, 1.396, 1.909),
+    (200, 11, 1e-3, 0.1, 1.192, 2.132), (200, 50, 1e-3, 0.1, 5.625, 7.052),
+    (300, 11, 1e-3, 0.05, 3.74, 4.852),
+]
+
+
+def test_rk4_estimate_against_timed_runs():
+    # a row is priced at its M_j, within a factor 1.6 of what they took
+    for n, rows, _, _, chains, _ in RK4_TIMED_RUNS:
+        chain = _chain_estimate(_timed_string("double", n, 0))
+        assert 1 / 1.6 < chains / (rows * chain) < 1.6, (n, rows)
 
 
 # (n, operand bits S, bits of the integer q, precision bits, seconds
@@ -1003,12 +1081,11 @@ def test_crossing_estimate_against_timed_runs():
 
 
 @pytest.mark.parametrize("n,flags,seconds", [
-    # 3,000 rows of the explicit solution, 43.8 s by the estimate (56.5 s
-    # when run)
-    (200, ["--method", "spectral", "--t-end", "1", "--samples", "3000"], 1),
-    # 300 crossings of 0.14 s, one a row for its exact M_j
+    # 10,000 rows of the explicit solution, 45 s by the estimate
+    (200, ["--method", "spectral", "--t-end", "1", "--samples", "10000"], 1),
+    # 3,000 rows of 0.016 s each for the exact M_j of their doubles
     (100, ["--method", "rk4", "--dt", "1e-3", "--t-end", "0.1",
-           "--samples", "300"], 1),
+           "--samples", "3000"], 1),
     # 10^6 RK4 steps on 50 peaks, each counted 278 times (29 min)
     (50, ["--method", "rk4", "--dt", "1e-6", "--t-end", "1"], 1),
     # refused on the step cap before the triple of 400 peaks is built
@@ -1024,21 +1101,53 @@ def test_evolve_many_peaks_of_doubles_are_refused(tmp_path, capsys, n, flags,
     _assert_one_line_error(capsys)
 
 
-def test_evolve_starts_from_the_priced_triple(tmp_path, capsys, monkeypatch):
-    # the triple built to price the run is the one the flow starts from:
-    # the spectral route builds no other, and rk4 one a row past t = 0
-    built = []
-    real = forward.boundary_data
+def _count_crossing_steps(monkeypatch) -> list:
+    """Every boundary_data call and every mass a crossing steps across."""
+    seen = []
+    real_data, real_step = forward.boundary_data, forward.jump_step
     monkeypatch.setattr(forward, "boundary_data",
-                        lambda s: built.append(s) or real(s))
-    p = write_json(tmp_path / "s.json", _cycling_string(5))
-    assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
-                 "--samples", "3"]) == 0
-    assert not built
-    assert main(["evolve", p, "--method", "rk4", "--dt", "0.01", "--t-end",
-                 "1", "--samples", "3"]) == 0
-    assert len(built) == 2
+                        lambda s: seen.append(s) or real_data(s))
+    monkeypatch.setattr(forward, "jump_step",
+                        lambda t, m: seen.append(m) or real_step(t, m))
+    return seen
+
+
+def test_evolve_starts_from_the_priced_triple(tmp_path, capsys, monkeypatch):
+    # no route builds a boundary triple: the run is priced off the
+    # wave's operand bits, and every M_j comes from the recurrence, on
+    # small integers and on a wave of doubles
+    seen = _count_crossing_steps(monkeypatch)
+    for doc in (_cycling_string(5), double_wave(random.Random(10), 10)):
+        p = write_json(tmp_path / "s.json", doc)
+        assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
+                     "--samples", "3"]) == 0
+        assert main(["evolve", p, "--method", "rk4", "--dt", "0.01",
+                     "--t-end", "1", "--samples", "3"]) == 0
+    assert not seen
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc,flags,err", [
+    # the first stage overflows to inf and nan: a row that is not finite
+    # is the wave leaving the float range, not a bad momentum
+    ({"masses": ["1" + "0" * 300, "1"], "gaps": ["1"]},
+     ["--method", "rk4", "--dt", "1e-100", "--t-end", "1e-99",
+      "--samples", "2"],
+     "the wave leaves the float range by t = 1e-99 at dt = 1e-100"),
+    # M_2 of the input is about 10^400, on either route
+    ({"masses": ["1" + "0" * 300, "1" + "0" * 100, "1"], "gaps": ["1", "1"]},
+     ["--method", "rk4", "--dt", "0.5", "--t-end", "1"],
+     "M_2 is past the double range"),
+    ({"masses": ["1" + "0" * 300, "1" + "0" * 100, "1"], "gaps": ["1", "1"]},
+     ["--method", "spectral", "--t-end", "1e-300", "--samples", "2"],
+     "M_2 is past the double range"),
+])
+def test_evolve_float_range_exits_name_the_cause(tmp_path, capsys, doc,
+                                                 flags, err):
+    p = write_json(tmp_path / "s.json", doc)
+    assert main(["evolve", p, *flags]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {err}\n")
 
 
 def _ratio_spectral(rng, n, digits):

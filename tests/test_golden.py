@@ -52,3 +52,12 @@ def test_evolve_spectral_golden(tmp_path, capsys):
     assert main(["evolve", p, "--method", "spectral", "--t-end", "0.5",
                  "--samples", "3"]) == 0
     assert capsys.readouterr().out == _expect("evolve_spectral_n3.csv")
+
+
+def test_evolve_rk4_golden(tmp_path, capsys):
+    # every M_j of every row is the correctly rounded exact value for
+    # the row's doubles
+    p = _write_json(tmp_path / "n3.json", N3_STRING)
+    assert main(["evolve", p, "--method", "rk4", "--dt", "0.01", "--t-end",
+                 "0.5", "--samples", "3"]) == 0
+    assert capsys.readouterr().out == _expect("evolve_rk4_n3.csv")

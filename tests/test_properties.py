@@ -22,11 +22,14 @@ from cli_identity import ratio_string
 from oracles import (
     FractionPolynomial,
     by_halving,
+    chain_sums_by_subsets,
     float_spectrum_oracle,
     flow_closed_form,
+    flow_state_by_fractions,
     flow_triple,
     fraction_gap_step,
     fraction_jump_step,
+    invariant_masses as chain_off_phi_xx,
     last_scale_of_triple,
     moment_minors_by_blocks,
     pair_table_by_kernel,
@@ -40,6 +43,7 @@ from oracles import (
 from cubicstring import burgers
 from cubicstring.burgers import (
     WaveState,
+    conserved_floats,
     evolve_spectral,
     evolve_spectral_exact,
     flow_state,
@@ -49,7 +53,7 @@ from cubicstring.burgers import (
     scale_factor,
 )
 from cubicstring.cli import main
-from cubicstring.errors import OrderingViolatedError
+from cubicstring.errors import FlowOutOfRangeError, OrderingViolatedError
 from cubicstring.exact import (
     Polynomial,
     cauchy_root_bound,
@@ -85,6 +89,7 @@ from cubicstring.inverse import (
 )
 from cubicstring.string_model import (
     CubicString,
+    invariant_masses,
     positions,
     string_from_dict,
     string_to_dict,
@@ -604,3 +609,63 @@ def test_flow_closed_form_limits_at_four_masses():
             for err in (rise, fall):
                 r = err(j, 32) / err(j, 16)
                 assert F(1, 2 ** 33) < abs(r) < F(1, 2 ** 31), (seed, j)
+
+
+def _exact(pairs) -> list:
+    return [F(num, den) for num, den in pairs]
+
+
+@settings(max_examples=40)
+@given(strings(max_n=8))
+def test_invariant_masses_are_the_chain_sums_by_subsets(s):
+    # the recurrence against the definition, a sum over all 2^n - 1
+    # index subsets, on random rational strings
+    xs = positions(s)
+    assert (_exact(invariant_masses(s.masses, xs))
+            == chain_sums_by_subsets(s.masses, xs))
+
+
+@st.composite
+def double_waves(draw, max_n=40):
+    """A wave of 1 to max_n peaks at distinct doubles, with masses and
+    positions of moderate size or, in some, spread over 2^-300 to
+    2^300."""
+    n = draw(st.integers(1, max_n))
+    top = 2.0 ** 300 if draw(st.booleans()) else 8.0
+    low = 1 / top if top > 8 else 0.125
+    xs = sorted(draw(st.lists(st.floats(-top, top), min_size=n, max_size=n,
+                              unique=True)))
+    ms = draw(st.lists(st.floats(low, top), min_size=n, max_size=n))
+    return WaveState(0.0, tuple(xs), tuple(ms))
+
+
+@settings(max_examples=40)
+@given(double_waves())
+@example(WaveState(0.0, (-2.0, -1.0, 0.0), (1e300, 1e100, 1.0)))
+def test_invariant_masses_are_phi_xx_on_waves_of_doubles(wave):
+    # exactly the M_j off phi_xx of the crossing of the wave's rational
+    # string, and conserved_floats gives float() of each, to the bit,
+    # or names the first that float() cannot hold
+    want = chain_off_phi_xx(boundary_data(rationalize(wave)).phi_xx)
+    assert _exact(invariant_masses(wave.momenta, wave.positions)) == want
+    doubles = []
+    for j, v in enumerate(want, 1):
+        try:
+            doubles.append(float(v).hex())
+        except OverflowError:
+            with pytest.raises(FlowOutOfRangeError,
+                               match=f"^M_{j} is past the double range$"):
+                conserved_floats(wave)
+            return
+    assert [v.hex() for v in conserved_floats(wave).higher] == doubles
+
+
+@settings(max_examples=40)
+@given(strings(), st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6,
+                               max_denominator=10 ** 6))
+@example(CubicString((F(5, 2),), ()), F(7, 3))
+def test_flow_state_on_integers_is_the_fraction_route(s, sigma):
+    # one peak included: its mass stays and it has no gap
+    total = sum(s.masses)
+    assert flow_state(s, total, sigma) == flow_state_by_fractions(s, total,
+                                                                  sigma)
