@@ -25,12 +25,12 @@ discontinuity at near-collisions.  Two integrators are provided:
         P_j(t) = M P_j tau / (Q_j + P_j tau),
         l_j(t) = l_j (Q_j + P_j tau) / (M sigma).
 
-    A row is these O(n) operations (flow_state), on integers over
-    shared denominators, with no gcd until a row is certified: no
-    eigenvalue is isolated, no triple peeled, and the one conserved set
-    is that of the t = 0 string.  The peel of the t = 0 boundary triple
-    with its residues scaled by sigma gives the same string; the tests
-    keep it as the reference.
+    A row is these O(n) operations (flow_state) on the integers of the
+    t = 0 wave's doubles, read once, and the one conserved set is that
+    wave's (spectral_snapshot), all unreduced integer pairs: each double
+    printed is one integer division, and no eigenvalue is isolated, no
+    triple peeled and no rational string built.  The peel of the t = 0
+    triple with its residues scaled by sigma gives the same string.
 
     The only approximation is the rational sigma, and its precision is
     derived, not chosen.  A decimal sigma with |ln sigma - M t| <= r is
@@ -53,7 +53,9 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Decimal, Overflow, localcontext
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, floor, inf, isfinite, log2, nextafter, ulp
+from operator import mul, sub
 
 from .errors import (
     EmptyStringError,
@@ -207,15 +209,16 @@ def _rk4_step(xs, ms, h):
     return ys, ns
 
 
-def check_rk4_steps(n: int, dt: float, t_end: float) -> None:
-    """A ValueError when t_end / dt RK4 steps, each counted max(1, n^2/9)
-    times on n peaks, are over MAX_RK4_STEPS (README, "evolve")."""
+def check_rk4_steps(n: int, dt: float, t_end: float, samples: int) -> None:
+    """A ValueError when t_end / dt steps and a short one a row, each
+    counted max(1, n^2/9) times on n peaks, are over MAX_RK4_STEPS."""
     weight = max(1, n ** 2 / 9)
-    if t_end / dt * weight > MAX_RK4_STEPS:
+    steps = t_end / dt + samples - 1
+    if steps * weight > MAX_RK4_STEPS:
         peaks = (f" on {n} peaks, each counted {weight:.3g} times,"
                  if weight > 1 else ",")
-        raise ValueError(f"t_end / dt asks for {t_end / dt:.3g} RK4 steps"
-                         f"{peaks} over the cap of {MAX_RK4_STEPS}")
+        raise ValueError(f"t_end / dt and {samples} rows ask for {steps:.3g}"
+                         f" RK4 steps{peaks} over the cap of {MAX_RK4_STEPS}")
 
 
 def integrate_rk4(s0: WaveState, dt: float, t_end: float,
@@ -234,7 +237,7 @@ def integrate_rk4(s0: WaveState, dt: float, t_end: float,
         raise ValueError("t_end must be positive")
     if samples < 2:
         raise ValueError("need at least the two endpoint samples")
-    check_rk4_steps(s0.n, dt, t_end)
+    check_rk4_steps(s0.n, dt, t_end, samples)
     xs, ms = list(s0.positions), list(s0.momenta)
     t0 = s0.time
     rows = [(t0, s0, conserved_floats(s0))]
@@ -291,27 +294,20 @@ def rationalize(state: WaveState) -> CubicString:
                        xs[-1])
 
 
-def spectral_snapshot(s: CubicString) -> ConservedSet:
-    """The flow's conserved set at t = 0, exact: M, the first moment
-    M+ and the chain invariants of s (invariant_masses)."""
-    xs = positions(s)
-    first = sum((m * x for m, x in zip(s.masses, xs)), Fraction(0))
-    return ConservedSet(sum(s.masses, Fraction(0)), first,
-                        tuple(Fraction(num, den) for num, den
-                              in invariant_masses(s.masses, xs)))
+def _integer_wave(masses, xs) -> tuple[list[int], int, list[int], int]:
+    """(ms, dm, ps, dx): the masses as integers over their common
+    denominator dm and the positions xs over theirs, dx; of rationals,
+    or of doubles, whose dm and dx are powers of two."""
+    return (*over_common_denominator(masses), *over_common_denominator(xs))
 
 
-def _integer_string(s: CubicString, total_mass: Fraction):
-    """s on integers for the flow: the partial masses P_0 = 0, P_1, ...,
-    P_(n-1) and P_n = total_mass as numerators over one denominator dm,
-    and the gaps over theirs, dg; (partials, dm, gaps, dg)."""
-    nums, dm = over_common_denominator((*s.masses[:-1], total_mass))
-    partials = [0]
-    for m in nums[:-1]:
-        partials.append(partials[-1] + m)
-    partials.append(nums[-1])
-    gaps, dg = over_common_denominator(s.gaps)
-    return partials, dm, gaps, dg
+def spectral_snapshot(state: WaveState) -> tuple:
+    """The flow's conserved set at t = 0, exact and unreduced: M, the
+    first moment M+ and the list of chain invariants M_1..M_n of the
+    wave (invariant_masses), each an integer pair (num, den)."""
+    ms, dm, ps, dx = _integer_wave(state.momenta, state.positions)
+    return ((sum(ms), dm), (sum(map(mul, ms, ps)), dm * dx),
+            invariant_masses(state.momenta, state.positions))
 
 
 def _flow_cells(partials: list[int], dm: int, gaps: list[int],
@@ -321,9 +317,8 @@ def _flow_cells(partials: list[int], dm: int, gaps: list[int],
     With the P_j numerators over dm, Q_j + P_j tau = E_j / (dm T^2) for
     E_j = (P_n - P_j) T^2 + P_j S^2.  Mass j, the difference of two
     partial masses, is then (P_n S T)^2 (P_j - P_(j-1)) over
-    dm E_(j-1) E_j, and gap j is g_j E_j over dg T P_n S, one
-    denominator for all gaps.  Returns the mass pairs and the gap
-    numerators; nothing is reduced.
+    dm E_(j-1) E_j, and gap j, g_j over dx, is g_j E_j over dx T P_n S.
+    Returns the mass pairs and the gap numerators; nothing is reduced.
     """
     pn = partials[-1]
     s2, t2 = S * S, T * T
@@ -334,18 +329,19 @@ def _flow_cells(partials: list[int], dm: int, gaps: list[int],
     return masses, [g * e for g, e in zip(gaps, es[1:])]
 
 
-def flow_state(s: CubicString, total_mass: Fraction,
-               sigma: Fraction) -> CubicString:
+def flow_state(s: CubicString, sigma: Fraction) -> CubicString:
     """The string the flow carries s to once the residues of W have
     scaled by sigma, anchored at zero (module docstring): each partial
     mass P_j goes to M P_j tau / (Q_j + P_j tau), tau = sigma^2, and
     each gap l_j to l_j (Q_j + P_j tau) / (M sigma)."""
-    partials, dm, gaps, dg = _integer_string(s, total_mass)
+    ms, dm, ps, dx = _integer_wave(s.masses, positions(s))
+    partials = list(accumulate(ms, initial=0))
     S, T = sigma.numerator, sigma.denominator
-    masses, gap_nums = _flow_cells(partials, dm, gaps, S, T)
-    gap_den = dg * T * partials[-1] * S
-    return CubicString(tuple(Fraction(num, den) for num, den in masses),
-                       tuple(Fraction(g, gap_den) for g in gap_nums))
+    masses, gaps = _flow_cells(partials, dm,
+                               [b - a for a, b in zip(ps, ps[1:])], S, T)
+    den = dx * T * partials[-1] * S
+    return CubicString(tuple(Fraction(*m) for m in masses),
+                       tuple(Fraction(g, den) for g in gaps))
 
 
 def _exp_mt(total_mass: Fraction, t: float, digits: int) -> Decimal:
@@ -390,13 +386,13 @@ def scale_bits(total_mass: Fraction, t: float) -> int:
     return ceil((_exp_mt(total_mass, t, 8).adjusted() + 1) * log2(10))
 
 
-def last_scale(s: CubicString, total_mass: Fraction) -> Fraction:
-    """The tau = sigma^2 from which the last mass of s rounds to 0.0 on
-    the flow, so the wave has left the float range: m_n goes to
+def last_scale(ms: list[int], dm: int) -> tuple[int, int]:
+    """The tau = sigma^2 from which the last of the masses ms / dm
+    rounds to 0.0 on the flow, as an integer pair: m_n goes to
     M m_n / (m_n + (M - m_n) tau), at most 2^-1075 once
     tau >= m_n (M 2^1075 - 1) / (M - m_n).  For n >= 2."""
-    m = s.masses[-1]
-    return m * (total_mass * 2 ** 1075 - 1) / (total_mass - m)
+    total, m = sum(ms), ms[-1]
+    return m * ((total << 1075) - dm), dm * (total - m)
 
 
 def _rounds_to_one_double(num: int, den: int, below: tuple[int, int],
@@ -430,13 +426,13 @@ def _up(v: float) -> float:
     return nextafter(v, inf)
 
 
-def _speed_bounds(masses: list[tuple[int, int]], gaps: list[int],
-                  gap_den: int, total: tuple[int, int]) -> list[float]:
+def _speed_bounds(masses: list[tuple[int, int]], xs: list[int],
+                  den: int, total: tuple[int, int]) -> list[float]:
     """Upper bounds on v_k / M, v_k = sum_i m_i |x_k - x_i| the speed of
     peak k, from the masses and gaps in doubles rounded up; the masses
-    and M as integer pairs, the gaps over gap_den."""
-    ms = [_up(num / den) for num, den in masses]
-    gs = [_up(g / gap_den) for g in gaps]
+    and M as integer pairs, the positions over den."""
+    ms = [_up(num / d) for num, d in masses]
+    gs = [_up((b - a) / den) for a, b in zip(xs, xs[1:])]
     sides = []  # v_k summed over the peaks left of k, then right of k
     for order in (slice(None), slice(None, None, -1)):
         acc, weight, out = 0.0, 0.0, [0.0]
@@ -449,13 +445,12 @@ def _speed_bounds(masses: list[tuple[int, int]], gaps: list[int],
     return [_up(_up(a + b) / mass_lo) for a, b in zip(*sides)]
 
 
-def _certified(xs: list[int], x_den: int, masses: list[tuple[int, int]],
-               gaps: list[int], gap_den: int, total: tuple[int, int],
-               r: tuple[int, int]) -> bool:
+def _certified(xs: list[int], den: int, masses: list[tuple[int, int]],
+               total: tuple[int, int], r: tuple[int, int]) -> bool:
     """Whether each position and mass, the exact state at a time t~
     with |M t~ - M t| <= r, rounds to the one double the state at t
-    does.  The positions are numerators over x_den, the gaps over
-    gap_den, and the masses, M and r integer pairs.
+    does.  The positions are numerators over den, and the masses, M and
+    r integer pairs.
 
     Along the flow |d ln m_k/dt| < 2M, so m_k(t) lies in the open
     m_k(t~) (1 - 2r, 1 + 4r), and below M, as every other mass is
@@ -473,32 +468,29 @@ def _certified(xs: list[int], x_den: int, masses: list[tuple[int, int]],
     if 5 * rn > 2 * rd:
         return False
     spread_n, spread_d = (rd + 6 * rn) * rn, rd * rd  # (1 + 6r) r
-    for x, w in zip(xs, _speed_bounds(masses, gaps, gap_den, total)):
+    for x, w in zip(xs, _speed_bounds(masses, xs, den, total)):
         wn, wd = w.as_integer_ratio()
         shift = (wn * spread_n, wd * spread_d)
-        if not _rounds_to_one_double(x, x_den, shift, shift):
+        if not _rounds_to_one_double(x, den, shift, shift):
             return False
     pn, dm = total
-    for num, den in masses:
-        un, ud = _up(num / den).as_integer_ratio()
+    for num, d in masses:
+        un, ud = _up(num / d).as_integer_ratio()
         below = (2 * rn * un, rd * ud)  # 2 r m rounded up
-        if not (_rounds_to_one_double(num, den, below, (4 * rn * un, rd * ud))
-                or _rounds_to_one_double(num, den, below,
-                                         (pn * den - num * dm, dm * den))):
+        if not (_rounds_to_one_double(num, d, below, (4 * rn * un, rd * ud))
+                or _rounds_to_one_double(num, d, below,
+                                         (pn * d - num * dm, dm * d))):
             return False
     return True
 
 
-def _flow_rows(state: WaveState, s0: CubicString, conserved: ConservedSet,
-               times) -> list:
-    """Per time t, (t, s, xs): s the flow state of s0, the exact string
-    of state, at the first sigma ~ e^(M (t - t0)) whose every cell
-    provably rounds to the double of the state at time t, anchored by
-    the centre of mass c = M+ / M (module docstring), and xs the
-    doubles of its positions.  A mass that underflows to zero or a
-    position that overflows is the flow leaving the float range.  The
-    rows run on integers; a certified one is built as one CubicString.
-    One peak does not move: every row is s0.
+def _flow_rows(state: WaveState, times):
+    """Per time t, lazily, (t, masses, xs, den): the flow state of the
+    wave at the first sigma ~ e^(M (t - t0)) whose every cell provably
+    rounds to the double of the state at time t (module docstring), the
+    masses integer pairs and the positions over den.  A mass that
+    underflows to zero or a position that overflows is the flow leaving
+    the float range.  One peak does not move.
 
     Every factor is at least 2^(scale_bits - 5).  The 8-digit e^(M t)
     that scale_bits reads is at least 10^a, a its decimal exponent, and
@@ -510,26 +502,22 @@ def _flow_rows(state: WaveState, s0: CubicString, conserved: ConservedSet,
     denominator plus 1, the first factor would stop the row, and no
     factor is built.
 
-    The positions share one denominator: with c = cn/cd, the anchor
-    x_n = an/ad and gaps over dg T P_n S, x_n(t) = c + sigma (x_n - c)
-    and every position is over cd ad dg T P_n S.
+    The positions share the gaps' denominator dx T P_n S: with
+    M+ = F / (dm dx), c = M+ / M = F / (P_n dx), and
+    x_n(t) = c + sigma (x_n - c) is (F T + S (p_n P_n - F)) S over it.
     """
-    if s0.n == 1:
-        return [(float(t), s0, state.positions) for t in times]
-    total_mass, t0 = conserved.total_mass, state.time
-    partials, dm, gaps, dg = _integer_string(s0, total_mass)
-    total = (partials[-1], dm)
-    center = conserved.first_moment / total_mass
-    cn, cd = center.numerator, center.denominator
-    an, ad = s0.anchor.numerator, s0.anchor.denominator
-    # x_n(t) cd ad = fixed + sigma moved
-    fixed, moved = cn * ad, an * cd - cn * ad
-    x_scale, g_scale = cd * ad, dg * partials[-1]
-    last = last_scale(s0, total_mass)
-    ln, ld = last.numerator, last.denominator
+    ms, dm, ps, dx = _integer_wave(state.momenta, state.positions)
+    partials = list(accumulate(ms, initial=0))
+    pn, gaps = partials[-1], [b - a for a, b in zip(ps, ps[1:])]
+    total_mass = Fraction(pn, dm)
+    moment = sum(map(mul, ms, ps))
+    moved, g_scale = ps[-1] * pn - moment, dx * pn
+    ln, ld = last_scale(ms, dm)
     half = (ln.bit_length() - ld.bit_length() + 2) // 2
 
     def row(t: float, elapsed: float) -> tuple:
+        if len(ms) == 1:
+            return [(ms[0], dm)], ps, dx
         out_of_range = FlowOutOfRangeError(
             f"the wave leaves the float range at t = {t}")
         if scale_bits(total_mass, elapsed) - 5 >= half:
@@ -539,23 +527,16 @@ def _flow_rows(state: WaveState, s0: CubicString, conserved: ConservedSet,
             if S * S * ld >= ln * T * T:  # the last mass is 0.0
                 break
             masses, gap_nums = _flow_cells(partials, dm, gaps, S, T)
-            gap_den = g_scale * T * S
-            x_den = gap_den * x_scale
-            anchor = (fixed * T + S * moved) * g_scale * S
-            xs = [anchor]
-            for g in reversed(gap_nums):
-                xs.append(xs[-1] - g * x_scale)
-            xs.reverse()
+            den = g_scale * T * S
+            # x_n(t), then leftward by the gaps
+            xs = list(accumulate(reversed(gap_nums), sub,
+                                 initial=(moment * T + S * moved) * S))[::-1]
             try:
-                if any(num / den == 0 for num, den in masses):
+                if any(num / d == 0 for num, d in masses):
                     break
-                if _certified(xs, x_den, masses, gap_nums, gap_den, total,
+                if _certified(xs, den, masses, (pn, dm),
                               (r.numerator, r.denominator)):
-                    return (CubicString(
-                        tuple(Fraction(num, den) for num, den in masses),
-                        tuple(Fraction(g, gap_den) for g in gap_nums),
-                        Fraction(anchor, x_den)),
-                        tuple(x / x_den for x in xs))
+                    return masses, xs, den
             except OverflowError:
                 break
         else:
@@ -564,7 +545,8 @@ def _flow_rows(state: WaveState, s0: CubicString, conserved: ConservedSet,
                 f"{FLOW_MAX_DIGITS} digits of e^(M t)")
         raise out_of_range
 
-    return [(float(t), *row(float(t), float(t) - t0)) for t in times]
+    for t in map(float, times):
+        yield (t, *row(t, t - state.time))
 
 
 def evolve_spectral_exact(
@@ -574,10 +556,28 @@ def evolve_spectral_exact(
     time.  Returns the exact conserved set every row shares, that of
     s0, and per time the exact string at a nearby time whose positions
     and masses round to the doubles of the state then."""
-    base = rationalize(s0)
-    conserved = spectral_snapshot(base)
-    return conserved, [(t, s) for t, s, _
-                       in _flow_rows(s0, base, conserved, times)]
+    total, first, higher = spectral_snapshot(s0)
+    conserved = ConservedSet(Fraction(*total), Fraction(*first),
+                             tuple(Fraction(*v) for v in higher))
+    return conserved, [
+        (t, CubicString(tuple(Fraction(*m) for m in masses),
+                        tuple(Fraction(b - a, den)
+                              for a, b in zip(xs, xs[1:])),
+                        Fraction(xs[-1], den)))
+        for t, masses, xs, den in _flow_rows(s0, times)]
+
+
+def _wave_row(t: float, masses: list[tuple[int, int]], xs: list[int],
+              den: int) -> WaveState:
+    """A certified row in doubles; two peaks on one double leave it."""
+    doubles = [x / den for x in xs]
+    for k, (a, b) in enumerate(zip(doubles, doubles[1:]), 1):
+        if a == b:
+            raise FlowOutOfRangeError(
+                f"the wave leaves the float range at t = {t}: peaks {k} "
+                f"and {k + 1} both round to {a}")
+    return WaveState(t, tuple(doubles),
+                     tuple(num / d for num, d in masses))
 
 
 def evolve_spectral(s0: WaveState, times) -> Trajectory:
@@ -585,10 +585,8 @@ def evolve_spectral(s0: WaveState, times) -> Trajectory:
     floats; every position and mass is the correctly rounded double of
     the flow state, and every row carries the one conserved set.  An
     M_j past the double range names itself before any row is made."""
-    base = rationalize(s0)
-    exact = spectral_snapshot(base)
-    higher = _chain_doubles(v.as_integer_ratio() for v in exact.higher)
-    c = ConservedSet(float(exact.total_mass), float(exact.first_moment),
-                     higher)
-    return Trajectory(tuple((t, WaveState(t, xs, s.masses), c) for t, s, xs
-                            in _flow_rows(s0, base, exact, times)))
+    (mn, md), (fn, fd), invariants = spectral_snapshot(s0)
+    higher = _chain_doubles(invariants)
+    c = ConservedSet(mn / md, fn / fd, higher)
+    return Trajectory(tuple((t, _wave_row(t, *cells), c)
+                            for t, *cells in _flow_rows(s0, times)))

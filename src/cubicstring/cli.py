@@ -78,15 +78,15 @@ VERIFY_SUMMAND_CAP = 24 * 10 ** 3
 VERIFY_K_MAX = 10
 
 # evolve refuses more rows than this: at three peaks a row costs about
-# 0.15 ms on the spectral route, the flow on integers and one certified
-# string, and 0.08 ms on rk4 at --dt 0.01, a step and the M_j of its
-# doubles, so the cap is a few seconds of work, below the RK4 step cap
+# 0.1 ms on the spectral route, the flow on the wave's integers, and
+# 0.08 ms on rk4 at --dt 0.01, a step and the M_j of its doubles, so the
+# cap is a few seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
 
 # evolve, forward and invert refuse runs estimated at over this many
 # seconds, before the work (README): timed runs took 0.64 to 1.56 times
 # the estimate for the crossing (35), 0.68 to 1.35 for the chain
-# invariants (24), 0.81 to 1.33 for spectral evolve (37), 0.66 to 1.47
+# invariants (24), 0.66 to 1.56 for spectral evolve (38), 0.66 to 1.47
 # for forward (48) and 0.73 to 1.34 for invert (40)
 WORK_CAP = 30
 
@@ -98,10 +98,10 @@ ROUNDTRIP_N_CAP = 50
 
 def _spectral_seconds(n: int, rows: int, chain: float) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
-    2-vCPU VM (README, "evolve"): twice the chain seconds of the t = 0
-    wave, its M_j and their reduction to lowest terms, and
-    2.2e-5 (n + 2) a row, the flow's explicit solution on n peaks."""
-    return 2 * chain + 2.2e-5 * rows * (n + 2)
+    2-vCPU VM (README, "evolve"): the chain seconds of the t = 0 wave's
+    M_j, and 1.8e-5 (n + 2) a row, the flow's explicit solution on n
+    peaks."""
+    return chain + 1.8e-5 * rows * (n + 2)
 
 
 def _chain_seconds(n: int, operand_bits: int) -> float:
@@ -297,7 +297,7 @@ def _run_evolve(ns: argparse.Namespace) -> int:
     if ns.method == "rk4":
         if ns.dt is None or ns.dt <= 0:
             raise ValueError("--method rk4 needs a positive --dt")
-        check_rk4_steps(s.n, ns.dt, ns.t_end)
+        check_rk4_steps(s.n, ns.dt, ns.t_end, ns.samples)
         if ns.samples * chain > WORK_CAP:  # the M_j of every row
             raise over
         traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples)

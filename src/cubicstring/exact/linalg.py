@@ -20,10 +20,10 @@ candidate solution by substitution before returning it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Sequence
 
 from ..errors import NonSquareError, SingularMatrixError
 from .rational import over_common_denominator

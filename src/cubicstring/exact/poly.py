@@ -20,14 +20,12 @@ arithmetic is exact; nothing in here ever touches floats.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
 
 
-def _as_fraction(c: Scalar) -> Fraction:
+def _as_fraction(c: int | Fraction) -> Fraction:
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
@@ -63,7 +61,7 @@ def _raw(nums: tuple[int, ...], den: int) -> "Polynomial":
 class Polynomial:
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
         cs = [_as_fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         p = _canonical([c.numerator * (den // c.denominator) for c in cs],
@@ -87,7 +85,7 @@ class Polynomial:
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
+    def constant(cls, c: int | Fraction) -> "Polynomial":
         return cls((c,))
 
     @staticmethod
@@ -137,7 +135,7 @@ class Polynomial:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
+    def __add__(self, other: Polynomial | int | Fraction) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
@@ -149,14 +147,14 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return _raw(tuple(-c for c in self._nums), self._den)
 
-    def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
+    def __sub__(self, other: Polynomial | int | Fraction) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return linear_combination((self, 1, 0), (other, -1, 0))
 
-    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
+    def __mul__(self, other: Polynomial | int | Fraction) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return linear_combination((self, other, 0))
         if not isinstance(other, Polynomial):
@@ -188,7 +186,7 @@ class Polynomial:
 
     # -- calculus and evaluation ----------------------------------------
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         """Evaluate by a homogeneous Horner's rule on integers: at x = u/v,
         sum c_j u^j v^(d-j) over den v^d, d the degree."""
         x = _as_fraction(x)
@@ -206,7 +204,7 @@ class Polynomial:
         return _canonical([j * c for j, c in enumerate(self._nums) if j],
                           self._den)
 
-    def difference_quotient(self, lam: Scalar) -> "Polynomial":
+    def difference_quotient(self, lam: int | Fraction) -> "Polynomial":
         """(p(z) - p(lam)) / (z - lam), by synthetic division on integers:
         at lam = u/v the quotient's coefficient of z^i is
         O_i / (den v^(d-1-i)), with O_(d-1) = c_d and
@@ -248,7 +246,8 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def linear_combination(*terms: tuple[Polynomial, Scalar, int]) -> Polynomial:
+def linear_combination(
+        *terms: tuple[Polynomial, int | Fraction, int]) -> Polynomial:
     """sum c z^shift p over the terms (p, c, shift), shift >= 0, on
     integers: each term c p is num / (p's denominator times c's) with
     the gcd h of c's numerator and p's denominator cancelled first, the

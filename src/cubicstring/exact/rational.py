@@ -10,9 +10,9 @@ Unicode decimal digit.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 

@@ -209,9 +209,9 @@ def residues(wd: WeylData,
     each round to one decimal_digits(precision_bits)-digit decimal and
     the z-residue's sign is settled; the refined boxes are returned as
     the eigenvalues.  A w-residue far below 1 needs about as many bits
-    more as it has leading zeros, so the step grows from GUARD_BITS
-    rather than doubling the precision, and a box refines up to
-    GUARD_BITS plus the leading zeros of its last w interval past
+    more as it has leading zeros, so a box with a w interval goes at
+    least to GUARD_BITS plus them past precision_bits, and refines up
+    to GUARD_BITS plus those of its last w interval past
     MAX_PRECISION_BITS.
     """
     if wd.eigenvalues is None:
@@ -222,7 +222,7 @@ def residues(wd: WeylData,
     digits = decimal_digits(precision_bits)
     boxes, w_out, z_out = [], [], []
     for box in wd.eigenvalues:
-        bits, step = precision_bits + GUARD_BITS, GUARD_BITS
+        bits, step, wanted = precision_bits + GUARD_BITS, GUARD_BITS, 0
         cap = MAX_PRECISION_BITS + GUARD_BITS
         while True:
             box = refine_enclosure(q, box, Fraction(1, 2 ** bits))
@@ -234,11 +234,12 @@ def residues(wd: WeylData,
                                            or z.width == 0):
                     break
                 cap = MAX_PRECISION_BITS + GUARD_BITS + _leading_zeros(w)
+                wanted = cap - MAX_PRECISION_BITS + precision_bits
             if bits >= cap:
                 raise PrecisionExhaustedError(
                     f"could not round an eigenvalue and its residue to "
                     f"{digits} digits at {bits} bits")
-            bits = min(bits + step, cap)
+            bits = min(max(bits + step, wanted), cap)
             step *= 2
         boxes.append(box)
         w_out.append(w)

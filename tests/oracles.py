@@ -444,7 +444,9 @@ def residues_by_hull(wd: WeylData, precision_bits: int) -> tuple:
     """(eigenvalues, w_residues, z_residues) that forward.residues
     returns, by its refinement schedule, with every enclosure over
     Fraction: interval_horner of phi_xx', phi_x and phi over each box,
-    and quotient_hull."""
+    and quotient_hull.  A w interval that does not round sends the box
+    on to GUARD_BITS plus its leading zeros past precision_bits, when
+    that is past the next step."""
     q, deriv = eigenvalue_polynomial(wd), wd.phi_xx.derivative()
     digits = decimal_digits(precision_bits)
 
@@ -458,12 +460,17 @@ def residues_by_hull(wd: WeylData, precision_bits: int) -> tuple:
         while True:
             box = refine_enclosure(q, box, Fraction(1, 2 ** bits))
             d = interval_horner(deriv, box.lo, box.hi)
+            wanted = 0
             if rounds((box.lo, box.hi)) and not d[0] <= 0 <= d[1]:
                 w, z = (quotient_hull(interval_horner(p, box.lo, box.hi), d)
                         for p in (wd.phi_x, wd.phi))
                 if rounds(w) and (z[0] == z[1] or not z[0] <= 0 <= z[1]):
                     break
-            bits, step = bits + step, 2 * step
+                top = max(-w[0], w[1])
+                wanted = precision_bits + GUARD_BITS + max(
+                    top.denominator.bit_length()
+                    - top.numerator.bit_length(), 0)
+            bits, step = max(bits + step, wanted), 2 * step
         out.append((box, RatInterval(*w), RatInterval(*z)))
     return tuple(zip(*out)) if out else ((), (), ())
 

@@ -37,7 +37,7 @@ from cubicstring.forward import (
     value_residues,
 )
 from cubicstring.inverse import random_spectral, recover
-from cubicstring.string_model import ConservedSet, positions
+from cubicstring.string_model import positions
 
 F = Fraction
 
@@ -168,9 +168,15 @@ def test_rationalize_is_exact():
 
 
 def test_spectral_snapshot_two_mass():
-    # masses 1, 1 at 0 and 1: M = 2, M+ = 1 and M_2 = 1 * 1 * 1^2, exact
-    assert spectral_snapshot(rationalize(SYMMETRIC)) == ConservedSet(
-        F(2), F(1), (F(2), F(1)))
+    # masses 1, 1 at 0 and 1: M = 2, M+ = 1 and M_2 = 1 * 1 * 1^2, exact,
+    # as integer pairs over the wave's denominators
+    assert spectral_snapshot(SYMMETRIC) == ((2, 1), (1, 1),
+                                            [(2, 1), (1, 1)])
+    # masses 1/2, 5/4 at 1/8 and 7/8, over dm = 4 and dx = 8: M = 7/4,
+    # M+ = 37/32 and M_2 = 5/8 (3/4)^2 = 45/128, unreduced
+    wave = WaveState(0.0, (0.125, 0.875), (0.5, 1.25))
+    assert spectral_snapshot(wave) == ((7, 4), (37, 32),
+                                       [(7, 4), (360, 1024)])
 
 
 def _count_crossings(monkeypatch) -> list:
@@ -257,6 +263,23 @@ def test_residue_scaling_is_exactly_squared():
         assert phi_x(lam) / da(lam) == sigma * b
         assert phi(lam) / da(lam) == sigma ** 2 * c
     assert phi(0) / da(0) == -1 / (2 * sd.total_mass)  # the atom stays
+
+
+def test_evolve_spectral_builds_no_exact_string(monkeypatch):
+    # the route carries the integers of the wave's doubles to the doubles
+    # it prints: no rational string is built, at t = 0 or at any row
+    waves = [WaveState(0.0, (-1.5, -0.5, 0.0), (1.0, 2.0, 1.0)),
+             WaveState(0.0, (-2.0, -0.5, 0.25, 1.0), (0.75, 1.5, 0.5, 1.25)),
+             WaveState(1.5, (0.1,), (0.7,))]
+    times = [0.0, 0.25, 1.0, 3.0]
+    want = [evolve_spectral(s0, times) for s0 in waves]
+
+    def refuse(*args):
+        raise AssertionError("an exact string was built")
+
+    monkeypatch.setattr(burgers, "CubicString", refuse)
+    monkeypatch.setattr(burgers, "rationalize", refuse)
+    assert [evolve_spectral(s0, times) for s0 in waves] == want
 
 
 def test_spectral_route_conserves_exactly():
@@ -417,14 +440,35 @@ def test_rk4_step_cap_counts_peaks():
     # three-peak message is unchanged
     wide = WaveState(0.0, tuple(float(x) for x in range(30)), (1.0,) * 30)
     with pytest.raises(ValueError, match=(
-            "^t_end / dt asks for 2e[+]04 RK4 steps on 30 peaks, each "
-            "counted 100 times, over the cap of 1000000$")):
+            "^t_end / dt and 11 rows ask for 2e[+]04 RK4 steps on 30 "
+            "peaks, each counted 100 times, over the cap of 1000000$")):
         integrate_rk4(wide, 1e-4, 2.0)
     three = WaveState(0.0, (0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
     with pytest.raises(ValueError, match=(
-            "^t_end / dt asks for 1e[+]09 RK4 steps, over the cap of "
-            "1000000$")):
+            "^t_end / dt and 11 rows ask for 1e[+]09 RK4 steps, over the "
+            "cap of 1000000$")):
         integrate_rk4(three, 1e-9, 1.0)
+
+
+def test_rk4_step_count_bounds_the_steps_taken(monkeypatch):
+    # a row between two whole steps adds one short step: 1,000 rows 1e-4
+    # apart at dt 1e-3 take 1,000 steps, where t_end / dt counts 100
+    taken = []
+    real = burgers._rk4_step
+    monkeypatch.setattr(burgers, "_rk4_step",
+                        lambda xs, ms, h: taken.append(h) or real(xs, ms, h))
+    for dt, t_end, samples in ((1e-3, 0.1, 1001), (0.03, 1.0, 11),
+                               (0.25, 1.0, 5), (0.3, 1.0, 7)):
+        taken.clear()
+        integrate_rk4(SYMMETRIC, dt, t_end, samples)
+        assert len(taken) <= t_end / dt + samples - 1, (dt, samples)
+        # and a cap one below the steps taken refuses the run
+        monkeypatch.setattr(burgers, "MAX_RK4_STEPS", len(taken) - 1)
+        with pytest.raises(ValueError, match="RK4 steps"):
+            integrate_rk4(SYMMETRIC, dt, t_end, samples)
+        monkeypatch.setattr(burgers, "MAX_RK4_STEPS", MAX_RK4_STEPS)
+        if samples == 1001:
+            assert len(taken) == 1000
 
 
 def test_one_peak_never_builds_the_flow_factor(monkeypatch):

@@ -244,6 +244,30 @@ def test_residues_refine_a_tiny_residue_past_the_cap(monkeypatch):
         residues_by_hull(wd, 64)
 
 
+def test_a_tiny_w_residue_jumps_past_its_leading_zeros(monkeypatch):
+    # the last w-residue is about 1.2e-42, 139 leading zeros: once its
+    # first w interval is known at 64 + 16 bits, the box goes straight to
+    # 64 + 16 + 139 bits and rounds there, one refinement where steps of
+    # 16, 32 and 64 bits took three; the output is the hull route's
+    s = CubicString((F(1, 2560), F(1, 33554432), F(5, 4608),
+                     F(20971520, 3)), (F(7, 98304), F(2097152), F(512)))
+    wd = spectrum(boundary_data(s), 64)
+    bits = []
+    real = forward.refine_enclosure
+
+    def counted(q, box, width):
+        bits.append(width.denominator.bit_length() - 1)
+        return real(q, box, width)
+
+    monkeypatch.setattr(forward, "refine_enclosure", counted)
+    got = residues(wd, 64)
+    assert -got.w_residues[-1].hi < F(1, 2 ** 40)
+    assert bits == [80, 96, 80, 80, 80 + 139]
+    monkeypatch.undo()
+    assert (got.eigenvalues, got.w_residues, got.z_residues) == \
+        residues_by_hull(wd, 64)
+
+
 def test_residues_interval_case_certified():
     # masses (1,2), gap 1: one eigenvalue, the root of a linear
     # polynomial, so exact points; masses (1,2,1), gaps (1,1/2): two

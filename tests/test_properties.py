@@ -61,6 +61,7 @@ from cubicstring.exact import (
     sturm_chain,
     sturm_isolate,
 )
+from cubicstring.exact.rational import over_common_denominator
 from cubicstring.forward import (
     boundary_data,
     decimal_digits,
@@ -480,7 +481,7 @@ def test_flow_closed_form_is_the_recovered_string(sd, t):
         closed = flow_closed_form(sd, sigma)
         assert peel(flow_triple(wd, sd.total_mass, sigma)) == closed
         assert closed == recover(scaled)
-        assert flow_state(s, sd.total_mass, sigma) == closed
+        assert flow_state(s, sigma) == closed
 
 
 @settings(max_examples=30)
@@ -490,9 +491,8 @@ def test_flow_state_is_the_peel_of_the_scaled_triple(s, sigma):
     # random strings up to n = 12 and sigmas either side of 1: the
     # explicit solution, anchored at zero, is the string the peel
     # recovers from the t = 0 triple with its residues scaled
-    total = sum(s.masses)
-    assert (flow_state(s, total, sigma)
-            == peel(flow_triple(boundary_data(s), total, sigma)))
+    assert (flow_state(s, sigma)
+            == peel(flow_triple(boundary_data(s), sum(s.masses), sigma)))
 
 
 @settings(max_examples=30)
@@ -500,9 +500,8 @@ def test_flow_state_is_the_peel_of_the_scaled_triple(s, sigma):
 def test_last_scale_is_the_triple_form(s):
     # m_n (M 2^1075 - 1) / (M - m_n) off the string equals
     # (-P 2^1074 + C) / B off its boundary triple
-    total = sum(s.masses)
-    assert (last_scale(s, total)
-            == last_scale_of_triple(boundary_data(s), total))
+    assert (F(*last_scale(*over_common_denominator(s.masses)))
+            == last_scale_of_triple(boundary_data(s), sum(s.masses)))
 
 
 @settings(max_examples=30)
@@ -666,6 +665,5 @@ def test_invariant_masses_are_phi_xx_on_waves_of_doubles(wave):
 @example(CubicString((F(5, 2),), ()), F(7, 3))
 def test_flow_state_on_integers_is_the_fraction_route(s, sigma):
     # one peak included: its mass stays and it has no gap
-    total = sum(s.masses)
-    assert flow_state(s, total, sigma) == flow_state_by_fractions(s, total,
-                                                                  sigma)
+    assert flow_state(s, sigma) == flow_state_by_fractions(
+        s, sum(s.masses), sigma)
