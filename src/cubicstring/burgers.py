@@ -33,13 +33,16 @@ discontinuity at near-collisions.  Two integrators are provided:
     triple with its residues scaled by sigma gives the same string.
 
     The only approximation is the rational sigma, and its precision is
-    derived, not chosen.  A decimal sigma with |ln sigma - M t| <= r is
-    e^(M t~) for a time t~ within r/M of t, so flow_state at it is the
-    exact state at t~.  The equations above bound how far each cell
-    moves from t~ to t (_certified), and a row is printed when every
-    such interval rounds to one double: each position and mass is then
-    the correctly rounded double of the state at t.  Otherwise sigma is
-    taken to twice the digits and the row evaluated again.
+    derived, not chosen.  A decimal sigma with |ln sigma - M t| <= r < 1
+    puts e^(M t) in the bracket [sigma (1 - r), sigma / (1 - r)].  On
+    the flow every position is non-decreasing in sigma and every mass a
+    product of factors each monotone in tau, so each cell at t lies
+    between its values at the two ends of the bracket (_certified).  A
+    row is printed when every cell's two ends round to one double: each
+    position and mass is then the correctly rounded double of the state
+    at t, as is the state at sigma, inside the bracket, that prints it.
+    Otherwise sigma is taken to twice the digits and the row evaluated
+    again.
 
 The gaps fix the string up to translation.  The first moment
 M+ = sum m_k x_k pins it: differentiating along the flow makes the
@@ -54,7 +57,7 @@ from __future__ import annotations
 from decimal import ROUND_HALF_EVEN, Decimal, Overflow, localcontext
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, floor, inf, isfinite, log2, nextafter, ulp
+from math import ceil, floor, isfinite, log2
 from operator import mul, sub
 
 from .errors import (
@@ -84,9 +87,10 @@ from .string_model import (
 MAX_RK4_STEPS = 10 ** 6
 
 # each spectral row takes e^(M t) to this many significant digits
-# first: on 150 random runs (n = 2 to 8, M t up to about 180) every row
-# was certified at the first sigma.  A row that is not doubles the
-# digits, up to the FLOW_MAX_DIGITS that MAX_PRECISION_BITS gives
+# first: on 900 random runs (n = 1 to 20, M t up to 700) 2,123 of 2,146
+# rows were certified at the first sigma, and the rest, all at M t below
+# 2e-11, at the second.  A row that is not doubles the digits, up to
+# the FLOW_MAX_DIGITS that MAX_PRECISION_BITS gives
 FLOW_START_DIGITS = 30
 FLOW_MAX_DIGITS = decimal_digits(MAX_PRECISION_BITS)
 
@@ -310,23 +314,27 @@ def spectral_snapshot(state: WaveState) -> tuple:
             invariant_masses(state.momenta, state.positions))
 
 
-def _flow_cells(partials: list[int], dm: int, gaps: list[int],
-                S: int, T: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The flow state at sigma = S/T on integers (module docstring).
+def _scales(partials: list[int], S: int, T: int) -> list[int]:
+    """E_j = (P_n - P_j) T^2 + P_j S^2 for the partial mass numerators
+    P_j over dm: Q_j + P_j tau is E_j / (dm T^2) at sigma = S/T."""
+    pn, s2, t2 = partials[-1], S * S, T * T
+    return [(pn - p) * t2 + p * s2 for p in partials]
 
-    With the P_j numerators over dm, Q_j + P_j tau = E_j / (dm T^2) for
-    E_j = (P_n - P_j) T^2 + P_j S^2.  Mass j, the difference of two
-    partial masses, is then (P_n S T)^2 (P_j - P_(j-1)) over
-    dm E_(j-1) E_j, and gap j, g_j over dx, is g_j E_j over dx T P_n S.
-    Returns the mass pairs and the gap numerators; nothing is reduced.
+
+def _flow_cells(partials: list[int], dm: int,
+                S: int, T: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The flow's masses at sigma = S/T on integers (module docstring),
+    and the E_j of _scales.
+
+    Mass j, the difference of two partial masses, is
+    (P_n S T)^2 (P_j - P_(j-1)) over dm E_(j-1) E_j, and gap j, g_j
+    over dx, is g_j E_j over dx T P_n S.  Returns the mass pairs,
+    unreduced, and the E_j.
     """
-    pn = partials[-1]
-    s2, t2 = S * S, T * T
-    es = [(pn - p) * t2 + p * s2 for p in partials]
-    lift = (pn * S * T) ** 2
-    masses = [(lift * (b - a), dm * e * f)
-              for a, b, e, f in zip(partials, partials[1:], es, es[1:])]
-    return masses, [g * e for g, e in zip(gaps, es[1:])]
+    es = _scales(partials, S, T)
+    lift = (partials[-1] * S * T) ** 2
+    return [(lift * (b - a), dm * e * f)
+            for a, b, e, f in zip(partials, partials[1:], es, es[1:])], es
 
 
 def flow_state(s: CubicString, sigma: Fraction) -> CubicString:
@@ -337,11 +345,11 @@ def flow_state(s: CubicString, sigma: Fraction) -> CubicString:
     ms, dm, ps, dx = _integer_wave(s.masses, positions(s))
     partials = list(accumulate(ms, initial=0))
     S, T = sigma.numerator, sigma.denominator
-    masses, gaps = _flow_cells(partials, dm,
-                               [b - a for a, b in zip(ps, ps[1:])], S, T)
+    masses, es = _flow_cells(partials, dm, S, T)
     den = dx * T * partials[-1] * S
     return CubicString(tuple(Fraction(*m) for m in masses),
-                       tuple(Fraction(g, den) for g in gaps))
+                       tuple(Fraction((b - a) * e, den)
+                             for a, b, e in zip(ps, ps[1:], es[1:])))
 
 
 def _exp_mt(total_mass: Fraction, t: float, digits: int) -> Decimal:
@@ -395,102 +403,49 @@ def last_scale(ms: list[int], dm: int) -> tuple[int, int]:
     return m * ((total << 1075) - dm), dm * (total - m)
 
 
-def _rounds_to_one_double(num: int, den: int, below: tuple[int, int],
-                          above: tuple[int, int]) -> bool:
-    """Whether every real in the open interval (value - below,
-    value + above) rounds to the double of value = num/den, den > 0,
-    below and above given as (numerator, denominator) pairs.
+def _certified(partials: list[int], dm: int, place, S: int, T: int,
+               r: Fraction) -> bool:
+    """Whether every position and mass of the flow state rounds to one
+    double wherever e^(M t) lies in [sigma (1 - r), sigma / (1 - r)],
+    sigma = S/T, which holds it when |ln sigma - M t| <= r < 1, as
+    e^-u >= 1 - u.  place(S, T, es) gives the positions over their
+    denominator at S/T from the E_j of _scales.
 
-    The rounding boundaries lie halfway to the neighbouring doubles;
-    toward zero from a power of two that is a quarter of its ulp, and
-    ulp(f) caps the gap past the largest double.  The test is exact, on
-    integers: the remainder value - f is rem/d.  An open end may sit on
-    a boundary, as no point of the interval does.
+    On the flow every position x_k = c + A_k sigma + B_k / sigma, with
+    A_k = sum_(j<k) P_j l_j / M >= 0 and B_k = -sum_(j>=k) Q_j l_j / M
+    <= 0, is non-decreasing in sigma, and each mass, M^2 m_j tau /
+    (E_j E_(j-1)) at E_j = Q_j + P_j tau, is tau / E_j, rising in tau,
+    times 1 / E_(j-1), falling.  So each cell at e^(M t) lies between its
+    values at the two ends of the bracket (a mass's low end takes E_j
+    at the low end and E_(j-1) at the high), and where both ends give
+    one double under int / int, which rounds correctly, so does the
+    cell at e^(M t), and at sigma, inside the bracket.  At r = 0 the
+    state is the state at t.
     """
-    f = num / den
-    fn, fd = f.as_integer_ratio()
-    d = den * fd
-    rem = num * fd - fn * den
-    un, ud = min(nextafter(f, inf) - f, ulp(f)).as_integer_ratio()
-    dn, dd = min(f - nextafter(f, -inf), ulp(f)).as_integer_ratio()
-    bn, bd = below
-    an, ad = above
-    # 2 (below - rem) <= down and 2 (rem + above) <= up
-    return (2 * (bn * d - rem * bd) * dd <= dn * bd * d
-            and 2 * (rem * ad + an * d) * ud <= un * ad * d)
-
-
-def _up(v: float) -> float:
-    """The next double above v, so an upper bound on any real that
-    rounds to v."""
-    return nextafter(v, inf)
-
-
-def _speed_bounds(masses: list[tuple[int, int]], xs: list[int],
-                  den: int, total: tuple[int, int]) -> list[float]:
-    """Upper bounds on v_k / M, v_k = sum_i m_i |x_k - x_i| the speed of
-    peak k, from the masses and gaps in doubles rounded up; the masses
-    and M as integer pairs, the positions over den."""
-    ms = [_up(num / d) for num, d in masses]
-    gs = [_up((b - a) / den) for a, b in zip(xs, xs[1:])]
-    sides = []  # v_k summed over the peaks left of k, then right of k
-    for order in (slice(None), slice(None, None, -1)):
-        acc, weight, out = 0.0, 0.0, [0.0]
-        for m, g in zip(ms[order], gs[order]):
-            weight = _up(weight + m)
-            acc = _up(acc + _up(weight * g))
-            out.append(acc)
-        sides.append(out[order])
-    mass_lo = nextafter(total[0] / total[1], 0.0)
-    return [_up(_up(a + b) / mass_lo) for a, b in zip(*sides)]
-
-
-def _certified(xs: list[int], den: int, masses: list[tuple[int, int]],
-               total: tuple[int, int], r: tuple[int, int]) -> bool:
-    """Whether each position and mass, the exact state at a time t~
-    with |M t~ - M t| <= r, rounds to the one double the state at t
-    does.  The positions are numerators over den, and the masses, M and
-    r integer pairs.
-
-    Along the flow |d ln m_k/dt| < 2M, so m_k(t) lies in the open
-    m_k(t~) (1 - 2r, 1 + 4r), and below M, as every other mass is
-    positive; and dx_k/dt = v_k with |dv_k/dt| <= 3M v_k, so x_k(t) lies
-    within v_k(t~) (1 + 6r) r / M of x_k(t~).  Both use e^u < 1 + 2u,
-    true for 0 < u <= 5/4, so for r <= 2/5.  The speed, and not the span
-    of the wave, bounds a position: a heavy peak is nearly still while
-    light ones run off.  The cap M matters when all the mass gathers on
-    one peak and M sits on a rounding boundary.  At r = 0 the state is
-    the state at t.
-    """
-    rn, rd = r
+    rn, rd = r.numerator, r.denominator
     if rn == 0:
         return True
-    if 5 * rn > 2 * rd:
+    if rn >= rd:
         return False
-    spread_n, spread_d = (rd + 6 * rn) * rn, rd * rd  # (1 + 6r) r
-    for x, w in zip(xs, _speed_bounds(masses, xs, den, total)):
-        wn, wd = w.as_integer_ratio()
-        shift = (wn * spread_n, wd * spread_d)
-        if not _rounds_to_one_double(x, den, shift, shift):
-            return False
-    pn, dm = total
-    for num, d in masses:
-        un, ud = _up(num / d).as_integer_ratio()
-        below = (2 * rn * un, rd * ud)  # 2 r m rounded up
-        if not (_rounds_to_one_double(num, d, below, (4 * rn * un, rd * ud))
-                or _rounds_to_one_double(num, d, below,
-                                         (pn * d - num * dm, dm * d))):
-            return False
-    return True
+    (sl, tl), (sh, th) = (S * (rd - rn), T * rd), (S * rd, T * (rd - rn))
+    el, eh = _scales(partials, sl, tl), _scales(partials, sh, th)
+    (xl, dl), (xh, dh) = place(sl, tl, el), place(sh, th, eh)
+    if any(a / dl != b / dh for a, b in zip(xl, xh)):
+        return False
+    pn2 = partials[-1] ** 2
+    low, high = pn2 * (sl * th) ** 2, pn2 * (sh * tl) ** 2
+    return all(low * m / (dm * e_l * f_h) == high * m / (dm * e_h * f_l)
+               for m, f_l, f_h, e_l, e_h in zip(
+                   map(sub, partials[1:], partials), el, eh, el[1:], eh[1:]))
 
 
 def _flow_rows(state: WaveState, times):
     """Per time t, lazily, (t, masses, xs, den): the flow state of the
-    wave at the first sigma ~ e^(M (t - t0)) whose every cell provably
-    rounds to the double of the state at time t (module docstring), the
-    masses integer pairs and the positions over den.  A mass that
-    underflows to zero or a position that overflows is the flow leaving
-    the float range.  One peak does not move.
+    wave at the first sigma ~ e^(M (t - t0)) whose bracket (_certified)
+    proves every cell rounds to the double of the state at time t
+    (module docstring), the masses integer pairs and the positions over
+    den.  A mass that underflows to zero or a position that overflows
+    is the flow leaving the float range.  One peak does not move.
 
     Every factor is at least 2^(scale_bits - 5).  The 8-digit e^(M t)
     that scale_bits reads is at least 10^a, a its decimal exponent, and
@@ -515,6 +470,12 @@ def _flow_rows(state: WaveState, times):
     ln, ld = last_scale(ms, dm)
     half = (ln.bit_length() - ld.bit_length() + 2) // 2
 
+    def place(S: int, T: int, es: list[int]) -> tuple[list[int], int]:
+        # x_n(t), then leftward by the gaps g_j E_j
+        return list(accumulate(map(mul, reversed(gaps), es[-2:0:-1]),
+                               sub, initial=(moment * T + S * moved) * S)
+                    )[::-1], g_scale * T * S
+
     def row(t: float, elapsed: float) -> tuple:
         if len(ms) == 1:
             return [(ms[0], dm)], ps, dx
@@ -526,17 +487,12 @@ def _flow_rows(state: WaveState, times):
             S, T = sigma.numerator, sigma.denominator
             if S * S * ld >= ln * T * T:  # the last mass is 0.0
                 break
-            masses, gap_nums = _flow_cells(partials, dm, gaps, S, T)
-            den = g_scale * T * S
-            # x_n(t), then leftward by the gaps
-            xs = list(accumulate(reversed(gap_nums), sub,
-                                 initial=(moment * T + S * moved) * S))[::-1]
+            masses, es = _flow_cells(partials, dm, S, T)
             try:
                 if any(num / d == 0 for num, d in masses):
                     break
-                if _certified(xs, den, masses, (pn, dm),
-                              (r.numerator, r.denominator)):
-                    return masses, xs, den
+                if _certified(partials, dm, place, S, T, r):
+                    return (masses, *place(S, T, es))
             except OverflowError:
                 break
         else:

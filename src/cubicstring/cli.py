@@ -78,7 +78,7 @@ VERIFY_SUMMAND_CAP = 24 * 10 ** 3
 VERIFY_K_MAX = 10
 
 # evolve refuses more rows than this: at three peaks a row costs about
-# 0.1 ms on the spectral route, the flow on the wave's integers, and
+# 0.08 ms on the spectral route, the flow on the wave's integers, and
 # 0.08 ms on rk4 at --dt 0.01, a step and the M_j of its doubles, so the
 # cap is a few seconds of work, below the RK4 step cap
 EVOLVE_SAMPLE_CAP = 10 ** 4
@@ -86,8 +86,9 @@ EVOLVE_SAMPLE_CAP = 10 ** 4
 # evolve, forward and invert refuse runs estimated at over this many
 # seconds, before the work (README): timed runs took 0.64 to 1.56 times
 # the estimate for the crossing (35), 0.68 to 1.35 for the chain
-# invariants (24), 0.66 to 1.56 for spectral evolve (38), 0.66 to 1.47
-# for forward (48) and 0.73 to 1.34 for invert (40)
+# invariants (24), 0.70 to 1.40 for spectral evolve (43), 0.87 to 1.08
+# for rk4 evolve (7), 0.66 to 1.47 for forward (48) and 0.73 to 1.34 for
+# invert (40)
 WORK_CAP = 30
 
 # roundtrip refuses more masses than this: n = 48 took 4.1 s, n = 52
@@ -96,12 +97,21 @@ WORK_CAP = 30
 ROUNDTRIP_N_CAP = 50
 
 
-def _spectral_seconds(n: int, rows: int, chain: float) -> float:
+def _spectral_seconds(n: int, rows: int, chain: float, bits: int) -> float:
     """Estimated seconds of an evolve --method spectral run on a shared
     2-vCPU VM (README, "evolve"): the chain seconds of the t = 0 wave's
-    M_j, and 1.8e-5 (n + 2) a row, the flow's explicit solution on n
-    peaks."""
-    return chain + 1.8e-5 * rows * (n + 2)
+    M_j, and 7e-6 (n + 9) (1 + B / 1000) a row, the flow's explicit
+    solution and its bracket on n peaks, whose operands carry
+    e^(M t_end) of B = bits bits.  B is at most 2,120: on a wave of
+    doubles no row past that is evaluated (burgers._flow_rows)."""
+    return chain + 7e-6 * rows * (n + 9) * (1 + min(bits, 2120) / 1000)
+
+
+def _rk4_seconds(n: int, steps: float, rows: int, chain: float) -> float:
+    """Estimated seconds of an evolve --method rk4 run on a shared 2-vCPU
+    VM (README, "evolve"): the chain seconds of every row's M_j, and
+    2e-7 n (n + 15) a step, the O(n^2) sums of its four stages."""
+    return rows * chain + 2e-7 * steps * n * (n + 15)
 
 
 def _chain_seconds(n: int, operand_bits: int) -> float:
@@ -298,13 +308,15 @@ def _run_evolve(ns: argparse.Namespace) -> int:
         if ns.dt is None or ns.dt <= 0:
             raise ValueError("--method rk4 needs a positive --dt")
         check_rk4_steps(s.n, ns.dt, ns.t_end, ns.samples)
-        if ns.samples * chain > WORK_CAP:  # the M_j of every row
+        # the steps as check_rk4_steps counts them: a short one a row
+        steps = ns.t_end / ns.dt + ns.samples - 1
+        if _rk4_seconds(s.n, steps, ns.samples, chain) > WORK_CAP:
             raise over
         traj = integrate_rk4(state, ns.dt, ns.t_end, ns.samples)
     else:
         # e^(M t_end) is the largest factor: where it overflows, exit 1
-        scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
-        if _spectral_seconds(s.n, ns.samples, chain) > WORK_CAP:
+        bits = scale_bits(sum(s.masses, Fraction(0)), ns.t_end)
+        if _spectral_seconds(s.n, ns.samples, chain, bits) > WORK_CAP:
             raise over
         times = [i * ns.t_end / (ns.samples - 1) for i in range(ns.samples)]
         traj = evolve_spectral(state, times)

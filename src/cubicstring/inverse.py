@@ -78,7 +78,7 @@ from .exact import (
     solve_exact,
 )
 from .exact.rational import over_common_denominator
-from .forward import gap_step, jump_step, value_residues
+from .forward import boundary_data, gap_step, jump_step, value_residues
 from .record import Record
 from .string_model import CubicString, string_to_dict
 
@@ -493,8 +493,6 @@ def verify_exact_roundtrip(sd: SpectralData) -> CubicString:
     b_k A'(lambda_k) and c_k A'(lambda_k).  Returns the recovered
     string; raises IdentityViolatedError on the first failure.
     """
-    from .forward import boundary_data
-
     triple, cs = _boundary_triple(sd)
     s = peel(triple)
     if sum(s.masses, Fraction(0)) != sd.total_mass:

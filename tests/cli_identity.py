@@ -25,8 +25,9 @@ up to n = 32;
 of 24 random doubles, out of range included, on a wave of 8 doubles
 whose masses span 2^-40 to 2^41 and gaps 2^-40 to 2, by rk4 on one peak and on
 steps so long that a stage breaks the order, and by the spectral route
-on one peak, on a wave of 100 random doubles and on 400 rows of 5
-small ratios;
+on one peak, on a wave of 100 random doubles, on 400 rows of 5
+small ratios and on masses 1 and 2^-53, whose total sits on a rounding
+tie;
 `verify` up to support 6 at k_max 4, 5 at 5 and 7 at 3, where the split
 sums do most of the work, and at support 2 to k_max 8 and 3 to 7, where
 the minors past the support are determinants of their own blocks; and
@@ -208,6 +209,12 @@ def write_inputs(folder: Path) -> list[list[str]]:
     # one peak on the spectral route: every row is the input
     calls.append(["evolve", "peak1.json", "--method", "spectral", "--t-end",
                   "3", "--samples", "4"])
+    # masses 1 and 2^-53: M = 1 + 2^-53 is a tie between two doubles,
+    # and the first mass climbs toward it as the second decays
+    tie = put("tie2.json", {"masses": ["1", "1/9007199254740992"],
+                            "gaps": ["1"]})
+    calls.append(["evolve", tie, "--method", "spectral", "--t-end", "30",
+                  "--samples", "4"])
     calls += [["verify", "--suite", "heine", "--support", str(s),
                "--k-max", str(k), "--seed", str(seed)]
               for s, k, seed in ((1, 2, 3), (3, 3, 6), (4, 2, 6),

@@ -9,6 +9,7 @@ from itertools import islice
 
 import pytest
 
+from cli_identity import spread_wave
 from oracles import conserved, flow_reference, flow_triple, invariant_masses
 
 from cubicstring import burgers
@@ -23,6 +24,7 @@ from cubicstring.burgers import (
     rationalize,
     scale_factor,
     spectral_snapshot,
+    wave_state,
 )
 from cubicstring.errors import (
     EmptyStringError,
@@ -37,7 +39,7 @@ from cubicstring.forward import (
     value_residues,
 )
 from cubicstring.inverse import random_spectral, recover
-from cubicstring.string_model import positions
+from cubicstring.string_model import positions, string_from_dict
 
 F = Fraction
 
@@ -309,6 +311,18 @@ def test_certified_rows_equal_a_2048_bit_peel():
         times = [0.0] + sorted(rng.uniform(0, 25) / sum(s0.momenta)
                                for _ in range(3))
         for t, state, _ in evolve_spectral(s0, times).samples:
+            assert (state.positions, state.momenta) == flow_reference(s0, t)
+    # masses over 2^-40 to 2^41 and gaps over 2^-40 to 2, to M t = 2
+    s0 = wave_state(string_from_dict(spread_wave(random.Random(8), 8, 40)))
+    total = sum(s0.momenta)
+    for t, state, _ in evolve_spectral(
+            s0, [0.0, 0.5 / total, 1 / total, 2 / total]).samples:
+        assert (state.positions, state.momenta) == flow_reference(s0, t)
+    # M = 1 + 2^-53 (and 1 + 2^-53 + 2^-60) is a tie between two
+    # doubles, and the first mass climbs toward it as the others decay
+    for ms in ((1.0, 2.0 ** -53), (1.0, 2.0 ** -53, 2.0 ** -60)):
+        s0 = WaveState(0.0, tuple(map(float, range(len(ms)))), ms)
+        for t, state, _ in evolve_spectral(s0, [0.0, 1.0, 10.0, 30.0]).samples:
             assert (state.positions, state.momenta) == flow_reference(s0, t)
     # at t = 1e-300 a 30-digit e^(M t) is 1, whose peel is the input: the
     # peak at 0 moves to 2.5e-300 only once the digits hold 1 + 4e-300

@@ -16,7 +16,7 @@ from cli_identity import double_wave, ratio_string, spread_wave
 from oracles import decimal_spectrum
 
 from cubicstring import burgers, cli, forward, inverse
-from cubicstring.burgers import rationalize, wave_state
+from cubicstring.burgers import rationalize, scale_bits, wave_state
 from cubicstring.cli import (
     EVOLVE_SAMPLE_CAP,
     ROUNDTRIP_N_CAP,
@@ -27,6 +27,7 @@ from cubicstring.cli import (
     _forward_seconds,
     _invert_seconds,
     _priced_boundary_data,
+    _rk4_seconds,
     _spectral_seconds,
     _wave_bits,
     main,
@@ -579,10 +580,11 @@ def test_evolve_sample_cap_is_bad_input(tmp_path, capsys, method):
 
 
 def test_evolve_spectral_work_cap_is_bad_input(tmp_path, capsys):
-    # 200 peaks on 10,000 rows: 36.4 s by the estimate, refused at once
-    p = write_json(tmp_path / "s.json", _cycling_string(200))
+    # 400 peaks on 10,000 rows to M t = 320: 41.9 s by the estimate
+    # (45.1 s when run), refused at once
+    p = write_json(tmp_path / "s.json", _cycling_string(400))
     start = time.perf_counter()
-    assert main(["evolve", p, "--method", "spectral", "--t-end", "1",
+    assert main(["evolve", p, "--method", "spectral", "--t-end", "0.4",
                  "--samples", "10000"]) == 2
     assert time.perf_counter() - start < 0.1
     _assert_one_line_error(capsys)
@@ -641,7 +643,8 @@ def test_evolve_names_the_input_a_double_cannot_hold(tmp_path, capsys, doc,
 @pytest.mark.parametrize("n,flags,leaves", [
     # M t_end = 80,000 on 10^4 rows: the last mass underflows at
     # M t = 373.46 (t = 62.24), and the run stops at the row after it;
-    # no row is priced by e^(M t), so the rows alone price it at 1.1 s
+    # e^(M t_end) is priced at the 2,120 bits past which no row is
+    # evaluated, 2.6 s
     (3, ["--t-end", "13333.333333333334", "--samples", "10000"],
      62.67293396006268),
     # e^(M t_end) of 216,408 and of 865,619 bits on the one row past
@@ -712,11 +715,11 @@ def test_evolve_spectral_last_row_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc,method", [
-    # 10^4 rows on 200 peaks of random doubles to M t = 210 (56.8 s when
-    # run) are over the cap by the row term alone
-    pytest.param(double_wave(random.Random(200), 200),
-                 ["--method", "spectral", "--t-end", "1",
-                  "--samples", "10000"], id="spectral-200-10000"),
+    # 10^4 rows on 500 peaks of random doubles to M t = 262 (57.4 s
+    # when run) are over the cap by the row term alone
+    pytest.param(double_wave(random.Random(500), 500),
+                 ["--method", "spectral", "--t-end", "0.5",
+                  "--samples", "10000"], id="spectral-500-10000"),
     # on 2,000 peaks of random doubles the M_j of the t = 0 wave alone
     # are priced at 116 s
     pytest.param(double_wave(random.Random(2000), 2000),
@@ -763,29 +766,32 @@ def test_evolve_spectral_peels_nothing(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-# (n, rows, M t_end, seconds the run took, best of two passes of up to
-# three) on masses 1, 2, 3, 1, 2, ... with unit gaps, in-process on a
-# shared 2-vCPU VM; the refused run ran once, bypassing the cap
+# (n, rows, t_end, seconds the run took, best of three) by the CLI on
+# masses 1, 2, 3, 1, 2, ... with unit gaps, in-process on a shared
+# 2-vCPU VM; the refused run ran once, bypassing the cap
 ADMITTED_RUNS = [
     # one peak: every row is the input
-    (1, 10000, 1, 0.089), (1, 10000, 1000, 0.099),
-    (2, 10000, 3, 0.88), (2, 3000, 3, 0.25),
-    (3, 5000, 6, 0.54), (3, 10000, 6, 1.02),
-    (4, 3000, 7, 0.35), (5, 3000, 9, 0.38), (6, 1000, 12, 0.137),
-    (8, 1000, 15, 0.159), (8, 3000, 15, 0.48), (8, 10000, 15, 1.71),
-    (12, 500, 24, 0.112), (12, 1000, 24, 0.245), (12, 5000, 24, 1.28),
-    (16, 200, 31, 0.063), (16, 500, 31, 0.130), (16, 5000, 31, 1.45),
-    (16, 10000, 31, 2.69), (20, 200, 39, 0.060),
-    (24, 100, 48, 0.034), (24, 300, 48, 0.104), (24, 1500, 48, 0.50),
-    (24, 3000, 48, 1.11), (32, 3000, 64, 1.54), (24, 10000, 48, 3.93),
-    (32, 6000, 64, 2.85), (32, 10000, 64, 5.3), (400, 100, 0.5, 0.51),
-    (64, 10000, 128, 11.4), (100, 6000, 200, 11.0),
+    (1, 10000, 1, 0.076), (1, 10000, 1000, 0.084),
+    (2, 10000, 1, 0.69), (2, 3000, 1, 0.192),
+    (3, 5000, 1, 0.38), (3, 10000, 1, 0.77),
+    (4, 3000, 1, 0.244), (5, 3000, 1, 0.277), (6, 1000, 1, 0.107),
+    (8, 1000, 1, 0.148), (8, 3000, 1, 0.44), (8, 10000, 1, 1.71),
+    (12, 500, 1, 0.067), (12, 1000, 1, 0.179), (12, 5000, 1, 0.70),
+    (16, 200, 1, 0.030), (16, 500, 1, 0.076), (16, 5000, 1, 0.76),
+    (16, 10000, 1, 1.53), (20, 200, 1, 0.035),
+    (24, 100, 1, 0.022), (24, 300, 1, 0.059), (24, 1500, 1, 0.29),
+    (24, 3000, 1, 0.61), (32, 3000, 1, 0.79), (24, 10000, 1, 2.06),
+    (32, 6000, 1, 1.61), (32, 10000, 1, 2.59), (64, 10000, 1, 4.77),
+    (100, 6000, 1, 4.47), (400, 100, 0.001, 0.38),
+    # M t_end near 300, where e^(M t_end) has about 436 bits
+    (3, 10000, 50, 0.86), (12, 5000, 12.5, 0.85), (32, 3000, 4.76, 1.02),
+    (100, 2000, 1.5, 1.87), (400, 100, 0.4, 0.65),
     # exit 1 at an early row, long before e^(M t_end)
-    (3, 20, 3000, 0.0006), (8, 200, 2000, 0.010),
+    (3, 20, 500, 0.0005), (8, 200, 133, 0.0049),
     # the evolve-flow benchmark's largest shape and the golden shape
-    (5, 5, 1, None), (3, 3, 2, None),
+    (5, 5, 1 / 9, None), (3, 3, 0.5, None),
 ]
-REFUSED_RUNS = [(300, 10000, 1, 46.6)]
+REFUSED_RUNS = [(400, 10000, 0.4, 45.1)]
 
 
 def _crossing_estimate(s):
@@ -803,9 +809,10 @@ def _chain_estimate(s):
 
 
 def test_evolve_spectral_estimate_against_timed_runs():
-    def estimate(n, rows, mt, _):
-        chain = _chain_estimate(string_from_dict(_cycling_string(n)))
-        return _spectral_seconds(n, rows, chain)
+    def estimate(n, rows, t_end, _):
+        s = string_from_dict(_cycling_string(n))
+        return _spectral_seconds(n, rows, _chain_estimate(s),
+                                 scale_bits(sum(s.masses), t_end))
 
     assert all(estimate(*run) <= WORK_CAP for run in ADMITTED_RUNS)
     assert all(estimate(*run) > WORK_CAP for run in REFUSED_RUNS)
@@ -818,17 +825,18 @@ def test_evolve_spectral_estimate_against_timed_runs():
 
 
 # (n, rows, t_end, the wave's operand bits S, seconds the run took, best
-# of two passes of up to three, or of one past 40,000 peak-rows) on
-# double_wave(Random(n), n), in-process on a shared 2-vCPU VM.  Two rows
-# on hundreds of peaks time the M_j of the t = 0 wave; the runs over
-# WORK_CAP ran once, bypassing the cap
+# of three, or of one past 10 s) by the CLI on double_wave(Random(n),
+# n), in-process on a shared 2-vCPU VM.  Two rows on hundreds of peaks
+# time the M_j of the t = 0 wave; the run over WORK_CAP ran once,
+# bypassing the cap
 DOUBLE_WAVE_RUNS = [
-    (10, 2000, 1, 1481, 0.41), (25, 1000, 1, 3893, 0.41),
-    (50, 500, 1, 7755, 0.37), (100, 200, 1, 16293, 0.33),
-    (200, 2, 1, 31443, 0.109), (200, 50, 1, 31443, 0.31),
-    (300, 2, 1, 48194, 0.32), (400, 2, 0.5, 64368, 0.78),
-    (500, 2, 0.5, 78905, 1.41), (500, 4000, 0.5, 78905, 54.2),
-    (200, 10000, 1, 31443, 56.8),
+    (10, 2000, 1, 1481, 0.265), (25, 1000, 1, 3893, 0.243),
+    (50, 500, 1, 7755, 0.214), (100, 200, 1, 16293, 0.177),
+    (200, 2, 1, 31443, 0.101), (200, 50, 1, 31443, 0.188),
+    (300, 2, 1, 48194, 0.44), (400, 2, 0.5, 64368, 0.86),
+    (500, 2, 0.5, 78905, 1.28), (50, 500, 5, 7755, 0.264),
+    (100, 1000, 2, 16293, 0.94), (500, 4000, 0.5, 78905, 21.3),
+    (200, 10000, 1, 31443, 22.5), (500, 10000, 0.5, 78905, 57.4),
 ]
 
 
@@ -836,10 +844,12 @@ def test_evolve_spectral_estimate_on_waves_of_doubles():
     # the M_j carry the operands of the doubles, and a row does not
     # much: a row of 10 random doubles takes about as long as one of 12
     # small integers
-    for n, rows, _, bits, seconds in DOUBLE_WAVE_RUNS:
+    for n, rows, t_end, bits, seconds in DOUBLE_WAVE_RUNS:
         if n <= 100:  # the stored bits are those the CLI prices
             assert _bits(_timed_string("double", n, 0)) == bits, n
-        estimate = _spectral_seconds(n, rows, _chain_seconds(n, bits))
+        s = string_from_dict(double_wave(random.Random(n), n))
+        estimate = _spectral_seconds(n, rows, _chain_seconds(n, bits),
+                                     scale_bits(sum(s.masses), t_end))
         assert 1 / 1.6 < seconds / estimate < 1.6, (n, rows)
         assert (estimate > WORK_CAP) == (seconds > WORK_CAP), (n, rows)
 
@@ -897,10 +907,17 @@ RK4_TIMED_RUNS = [
 
 
 def test_rk4_estimate_against_timed_runs():
-    # a row is priced at its M_j, within a factor 1.6 of what they took
-    for n, rows, _, _, chains, _ in RK4_TIMED_RUNS:
+    # a row is priced at its M_j, and a step, counted as
+    # check_rk4_steps counts them, at the rest of the run, each within a
+    # factor 1.6 of what they took, and so is the whole run
+    for n, rows, dt, t_end, chains, seconds in RK4_TIMED_RUNS:
         chain = _chain_estimate(_timed_string("double", n, 0))
+        steps = t_end / dt + rows - 1
         assert 1 / 1.6 < chains / (rows * chain) < 1.6, (n, rows)
+        stepping = _rk4_seconds(n, steps, rows, 0)
+        assert 1 / 1.6 < (seconds - chains) / stepping < 1.6, (n, rows)
+        whole = _rk4_seconds(n, steps, rows, chain)
+        assert 1 / 1.6 < seconds / whole < 1.6, (n, rows)
 
 
 # (n, operand bits S, bits of the integer q, precision bits, seconds
@@ -1104,8 +1121,9 @@ def test_crossing_estimate_against_timed_runs():
 
 
 @pytest.mark.parametrize("n,flags,seconds", [
-    # 10,000 rows of the explicit solution, 36.5 s by the estimate
-    (200, ["--method", "spectral", "--t-end", "1", "--samples", "10000"], 1),
+    # 10,000 rows of the explicit solution, 51.1 s by the estimate
+    (500, ["--method", "spectral", "--t-end", "0.5", "--samples", "10000"],
+     1),
     # 3,000 rows of 0.016 s each for the exact M_j of their doubles
     (100, ["--method", "rk4", "--dt", "1e-3", "--t-end", "0.1",
            "--samples", "3000"], 1),
@@ -1122,6 +1140,23 @@ def test_evolve_many_peaks_of_doubles_are_refused(tmp_path, capsys, n, flags,
     assert main(["evolve", p, *flags]) == 2
     assert time.perf_counter() - start < seconds
     _assert_one_line_error(capsys)
+
+
+def test_evolve_rk4_price_counts_the_steps(tmp_path, capsys, monkeypatch):
+    # 72 rows on 300 peaks of doubles: their M_j alone are priced under
+    # the cap, and their 91 RK4 steps, each four O(n^2) stages, put the
+    # run over it, refused before any step
+    doc = double_wave(random.Random(300), 300)
+    chain = _chain_estimate(string_from_dict(doc))
+    assert 72 * chain <= WORK_CAP < _rk4_seconds(300, 91, 72, chain)
+    steps = []
+    monkeypatch.setattr(burgers, "_rk4_step",
+                        lambda *args: steps.append(args))
+    p = write_json(tmp_path / "s.json", doc)
+    assert main(["evolve", p, "--method", "rk4", "--dt", "0.005",
+                 "--t-end", "0.1", "--samples", "72"]) == 2
+    _assert_one_line_error(capsys)
+    assert not steps
 
 
 def test_evolve_rk4_step_cap_counts_a_short_step_a_row(tmp_path, capsys,

@@ -8,12 +8,14 @@ n = 24 for the peel and n = 40 for the RK4 step."""
 
 import json
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import accumulate
 from math import gcd, inf, lcm
 from pathlib import Path
 from random import Random
 from tempfile import TemporaryDirectory
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -667,3 +669,57 @@ def test_flow_state_on_integers_is_the_fraction_route(s, sigma):
     # one peak included: its mass stays and it has no gap
     assert flow_state(s, sigma) == flow_state_by_fractions(
         s, sum(s.masses), sigma)
+
+
+def _state_doubles(s: CubicString, first_moment: F,
+                   sigma: F) -> tuple[list[float], list[float]]:
+    """The positions and masses, as doubles, of the flow state of s at
+    sigma, anchored by M+ (oracles.flow_reference)."""
+    total = sum(s.masses)
+    bare = flow_state_by_fractions(s, total, sigma)
+    offs = positions(bare)
+    anchor = (first_moment - sum(m * o for m, o in zip(bare.masses, offs))
+              ) / total
+    return [float(o + anchor) for o in offs], [float(m) for m in bare.masses]
+
+
+@settings(max_examples=40)
+@given(double_waves(max_n=8), st.floats(1e-12, 300))
+@example(WaveState(0.0, (0.0, 1.0), (1.0, 2.0 ** -53)), 30.0)
+def test_a_certified_row_prints_across_its_bracket(wave, mt):
+    # the premise of burgers._certified: the sigma and r a row is
+    # certified at put e^(M t) in [sigma (1 - r), sigma / (1 - r)], and
+    # the exact state at either end, and anywhere between, prints the
+    # row's doubles
+    s = rationalize(wave)
+    total = sum(s.masses)
+    first = sum(m * x for m, x in zip(s.masses, positions(s)))
+    t = mt / float(total)
+    seen = []
+
+    def spy(total_mass, elapsed):
+        for pair in scale_factor(total_mass, elapsed):
+            seen.append(pair)
+            yield pair
+
+    with patch.object(burgers, "scale_factor", spy):
+        try:
+            (_, masses, xs, den), = burgers._flow_rows(wave, [t])
+        except FlowOutOfRangeError:
+            return
+    if wave.n == 1:
+        assert not seen
+        return
+    sigma, r = seen[-1]
+    lo, hi = sigma * (1 - r), sigma / (1 - r)
+    # e^(M t) to 40 more digits than sigma carries, within slack of it
+    x = total * F(t)
+    digits = len(str(sigma.numerator)) + len(str(sigma.denominator)) + 40
+    with localcontext() as ctx:
+        ctx.prec = digits
+        exp = F((Decimal(x.numerator) / Decimal(x.denominator)).exp())
+    slack = (abs(x) + 1) / 10 ** (digits - 2)
+    assert lo < exp * (1 - slack) and exp * (1 + slack) < hi
+    row = ([p / den for p in xs], [num / d for num, d in masses])
+    for point in (lo, (3 * lo + hi) / 4, sigma, (lo + 3 * hi) / 4, hi):
+        assert _state_doubles(s, first, point) == row, point
